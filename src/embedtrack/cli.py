@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ablation
 from .config import PROFILE_NAMES, config_from_dict, load_profile
-from .formats import FormatError, atomic_write, read_detections, read_mot, write_detections, write_mot
+from .formats import FormatError, _fmt, atomic_write, read_detections, read_mot, write_detections, write_mot
 from .metrics import EvalReport, per_class_report
 from .synth import WorldConfig, generate, track_scenario
 from .tracker import Tracker
@@ -70,13 +70,11 @@ def cmd_track(args) -> int:
     for f in sorted(frames):
         for tid, det in tracker.step(f, frames[f]):
             track_ids.add(tid)
-            b = det.box
-            rows.append(
-                f"{f},{tid},{b.x1!r},{b.y1!r},{b.width!r},{b.height!r},"
-                f"{det.score!r},{det.class_id},1.0"
-            )
-    if tracker.config.interpolate:
-        rows = _interpolated_rows(tracker)
+            rows.append(_track_row(f, tid, det.box, det.score, det.class_id))
+    # merging relabels IDs after the fact, so post-processed output is
+    # written from what the tracker holds at the end
+    if tracker.config.merge is not None or tracker.config.interpolate:
+        rows = _finished_rows(tracker)
     with atomic_write(args.output) as fp:
         for row in rows:
             fp.write(row + "\n")
@@ -85,19 +83,26 @@ def cmd_track(args) -> int:
     return EXIT_OK
 
 
-def _interpolated_rows(tracker: Tracker) -> list[str]:
+def _track_row(frame: int, tid: int, box, score: float, class_id: int) -> str:
+    """One MOT track row; the score goes in the confidence column."""
+    return ",".join([
+        str(frame), str(tid),
+        _fmt(box.x1), _fmt(box.y1), _fmt(box.width), _fmt(box.height),
+        _fmt(score), str(class_id), "1.0",
+    ])
+
+
+def _finished_rows(tracker: Tracker) -> list[str]:
+    """Rows of ``tracker.finish()``, ordered by (frame, track id)."""
     class_of = {t.track_id: t.class_id for t in tracker.state.tracks.values()}
     class_of.update({t.track_id: t.class_id for t in tracker.state.retired.values()})
-    out: list[tuple[int, int, str]] = []
-    for tid, hist in tracker.finish().items():
-        for frame, box, score in hist:
-            out.append((
-                frame, tid,
-                f"{frame},{tid},{box.x1!r},{box.y1!r},{box.width!r},{box.height!r},"
-                f"{score!r},{class_of[tid]},1.0",
-            ))
+    out = [
+        (frame, tid, box, score)
+        for tid, hist in tracker.finish().items()
+        for frame, box, score in hist
+    ]
     out.sort(key=lambda r: (r[0], r[1]))
-    return [r[2] for r in out]
+    return [_track_row(f, tid, box, score, class_of[tid]) for f, tid, box, score in out]
 
 
 def _format_report(report: EvalReport) -> str:

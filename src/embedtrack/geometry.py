@@ -16,6 +16,7 @@ __all__ = [
     "iou",
     "iou_matrix",
     "center_distance",
+    "center_distance_matrix",
     "nms",
 ]
 
@@ -100,6 +101,20 @@ def center_distance(a: BoundingBox, b: BoundingBox) -> float:
     ax, ay = a.center
     bx, by = b.center
     return float(np.hypot(ax - bx, ay - by))
+
+
+def center_distance_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """Pairwise center distance between two (N, 4) / (M, 4) arrays of xyxy
+    boxes, as an (N, M) float64 matrix.
+
+    Uses the same float operations as ``center_distance``, so each entry
+    equals the scalar result exactly.
+    """
+    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
+    ax, ay = 0.5 * (a[:, 0] + a[:, 2]), 0.5 * (a[:, 1] + a[:, 3])
+    bx, by = 0.5 * (b[:, 0] + b[:, 2]), 0.5 * (b[:, 1] + b[:, 3])
+    return np.hypot(ax[:, None] - bx[None, :], ay[:, None] - by[None, :])
 
 
 def nms(

@@ -336,16 +336,13 @@ def track_scenario(scenario: Scenario, config: TrackerConfig | None = None) -> T
     for f in sorted(scenario.detections):
         for tid, det in tracker.step(f, scenario.detections[f]):
             pred.add(f, ObjectEntry(tid, det.class_id, det.box))
-    if tracker.config.interpolate:
-        pred_i = TrackSet()
+    cfg = tracker.config
+    if cfg.merge is not None or cfg.interpolate:
+        # merging relabels IDs after the fact: take what the tracker holds
+        class_of = {t.track_id: t.class_id for t in tracker.state.retired.values()}
+        class_of.update({t.track_id: t.class_id for t in tracker.state.tracks.values()})
+        pred = TrackSet()
         for tid, hist in tracker.finish().items():
-            cls = next(
-                e.class_id
-                for entries in pred.frames.values()
-                for e in entries
-                if e.obj_id == tid
-            )
             for frame, box, _score in hist:
-                pred_i.add(frame, ObjectEntry(tid, cls, box))
-        return pred_i
+                pred.add(frame, ObjectEntry(tid, class_of[tid], box))
     return pred

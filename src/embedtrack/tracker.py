@@ -14,7 +14,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .geometry import BoundingBox, center_distance, nms
+# center_distance stays importable from this module: perfbench's tracer
+# wraps the names this module holds, and every one of them must exist.
+from .geometry import BoundingBox, center_distance, center_distance_matrix, nms  # noqa: F401
 from .similarity import cosine_matrix, masked_bisoftmax, validate_embeddings
 
 __all__ = [
@@ -44,6 +46,10 @@ class Detection:
         if not np.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
             raise ValueError(f"detection score must be in [0, 1], got {self.score}")
         self.embedding = np.asarray(self.embedding, dtype=np.float64)
+        if self.embedding.ndim != 1:
+            raise ValueError(
+                f"detection embedding must be 1-D, got shape {self.embedding.shape}"
+            )
         if not np.all(np.isfinite(self.embedding)):
             raise ValueError("detection embedding contains non-finite values")
 
@@ -170,6 +176,13 @@ class Tracker:
         return histories
 
 
+def _within(boxes_a: list[BoundingBox], boxes_b: list[BoundingBox], radius: float) -> np.ndarray:
+    """(N, M) mask of box pairs whose centers are at most ``radius`` apart."""
+    a = np.array([(x.x1, x.y1, x.x2, x.y2) for x in boxes_a], dtype=np.float64)
+    b = np.array([(x.x1, x.y1, x.x2, x.y2) for x in boxes_b], dtype=np.float64)
+    return ~(center_distance_matrix(a, b) > radius)
+
+
 def _candidate_pools(state: TrackerState, frame_index: int, cfg: TrackerConfig):
     """Tracks inactive at most memory_frames and backdrops at most
     backdrop_frames old, as parallel candidate arrays."""
@@ -215,55 +228,54 @@ def step(
 
     tracks, backdrops = _candidate_pools(state, frame_index, cfg)
     n_tracks = len(tracks)
-    candidates = tracks + backdrops
 
-    matches: list[tuple[int, Detection]] = []
-    if dets and candidates:
+    # best candidate and its similarity per detection (-inf: no candidate)
+    best = [0] * len(dets)
+    best_conf = [-np.inf] * len(dets)
+    if dets and (tracks or backdrops):
         det_emb = np.stack([d.embedding for d in dets])
-        cand_emb = np.stack([c.embedding for c in candidates])
-        allowed = np.ones((len(dets), len(candidates)), dtype=bool)
+        cand_emb = np.stack([t.embedding for t in tracks] + [b.embedding for b in backdrops])
+        allowed = np.ones((len(dets), len(cand_emb)), dtype=bool)
         if cfg.same_class_only:
             det_cls = np.array([d.class_id for d in dets])
-            cand_cls = np.array([c.class_id for c in candidates])
+            cand_cls = np.array([t.class_id for t in tracks] + [b.class_id for b in backdrops])
             allowed &= det_cls[:, None] == cand_cls[None, :]
         if cfg.distance_gate is not None:
-            for i, d in enumerate(dets):
-                for j, c in enumerate(candidates):
-                    cbox = c.last_box if isinstance(c, Track) else c.box
-                    if center_distance(d.box, cbox) > cfg.distance_gate:
-                        allowed[i, j] = False
+            cand_boxes = [t.last_box for t in tracks] + [b.box for b in backdrops]
+            allowed &= _within([d.box for d in dets], cand_boxes, cfg.distance_gate)
         if cfg.similarity_metric == "bisoftmax":
             sim = masked_bisoftmax(det_emb, cand_emb, allowed)
         else:
             sim = cosine_matrix(det_emb, cand_emb)
             sim = np.where(allowed, sim, -np.inf)
-    else:
-        sim = np.zeros((len(dets), len(candidates)))
+        best_j = np.argmax(sim, axis=1)
+        best = best_j.tolist()
+        best_conf = sim[np.arange(len(dets)), best_j].tolist()
 
     # greedy in descending detection score, ties by input index
+    matches: list[tuple[int, Detection]] = []
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     claimed: set[int] = set()
+    m = cfg.momentum
     for i in order:
         det = dets[i]
         handled = False
-        if candidates:
-            j = int(np.argmax(sim[i]))
-            conf = float(sim[i, j])
-            if conf > cfg.beta_match and det.score > cfg.beta_obj:
-                if j < n_tracks:
-                    track = tracks[j]
-                    if track.track_id not in claimed:
-                        track.embedding = momentum_update(
-                            track.embedding, det.embedding, cfg.momentum
-                        )
-                        track.last_box = det.box
-                        track.last_active_frame = frame_index
-                        track.history.append((frame_index, det.box, det.score))
-                        claimed.add(track.track_id)
-                        matches.append((track.track_id, det))
-                        handled = True
-                else:
-                    handled = True  # consumed by a backdrop: no track touched
+        if best_conf[i] > cfg.beta_match and det.score > cfg.beta_obj:
+            j = best[i]
+            if j < n_tracks:
+                track = tracks[j]
+                if track.track_id not in claimed:
+                    # the momentum_update blend; both sides were validated
+                    # when their Detection was built
+                    track.embedding = m * det.embedding + (1.0 - m) * track.embedding
+                    track.last_box = det.box
+                    track.last_active_frame = frame_index
+                    track.history.append((frame_index, det.box, det.score))
+                    claimed.add(track.track_id)
+                    matches.append((track.track_id, det))
+                    handled = True
+            else:
+                handled = True  # consumed by a backdrop: no track touched
         if not handled:
             if det.score > cfg.beta_new:
                 track = Track(
@@ -305,7 +317,8 @@ def merge_tracklets(state: TrackerState, merge: MergeConfig) -> TrackerState:
     """Fold recently created tracks into matching vanished tracks.
 
     A track created within the last t frames may be absorbed by an
-    inactive track whose bi-softmax match score exceeds beta_merge and
+    inactive track of its class that was last active before the young
+    track was created, whose bi-softmax match score exceeds beta_merge and
     whose last box lies within d_merge pixels. Each vanished track absorbs
     at most one young track (best score wins); the young ID is retired and
     its history relabeled.
@@ -323,28 +336,28 @@ def merge_tracklets(state: TrackerState, merge: MergeConfig) -> TrackerState:
 
     y_emb = np.stack([t.embedding for t in young])
     v_emb = np.stack([t.embedding for t in vanished])
-    allowed = np.zeros((len(young), len(vanished)), dtype=bool)
-    for i, yt in enumerate(young):
-        for j, vt in enumerate(vanished):
-            allowed[i, j] = (
-                yt.class_id == vt.class_id
-                and center_distance(yt.last_box, vt.last_box) <= merge.d_merge
-            )
+    y_cls = np.array([t.class_id for t in young])
+    v_cls = np.array([t.class_id for t in vanished])
+    y_created = np.array([t.created_frame for t in young])
+    v_last = np.array([t.last_active_frame for t in vanished])
+    # a track that overlaps the vanished one in time would give one ID two
+    # boxes in a frame
+    allowed = (
+        (y_cls[:, None] == v_cls[None, :])
+        & (y_created[:, None] > v_last[None, :])
+        & _within([t.last_box for t in young], [t.last_box for t in vanished], merge.d_merge)
+    )
     if not allowed.any():
         return state
     sim = masked_bisoftmax(y_emb, v_emb, allowed)
 
-    # best young per vanished track, in descending score
-    pairs = [
-        (float(sim[i, j]), i, j)
-        for i in range(len(young))
-        for j in range(len(vanished))
-        if sim[i, j] > merge.beta_merge
-    ]
-    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+    # best young per vanished track, in descending score, ties by (i, j):
+    # nonzero lists pairs row-major and the sort is stable
+    ii, jj = np.nonzero(sim > merge.beta_merge)
+    order = np.argsort(-sim[ii, jj], kind="stable")
     used_young: set[int] = set()
     used_vanished: set[int] = set()
-    for _, i, j in pairs:
+    for i, j in zip(ii[order].tolist(), jj[order].tolist()):
         if i in used_young or j in used_vanished:
             continue
         used_young.add(i)

@@ -105,6 +105,25 @@ class TestTrackCommand:
         assert rc == EXIT_DATA
 
 
+@pytest.mark.parametrize("profile", PROFILE_NAMES)
+def test_track_output_evaluates_for_every_profile(tmp_path, profile):
+    # occlusions and clutter make the crowded-scene profiles merge and
+    # interpolate, the paths that once wrote unreadable rows
+    world = {"n_identities": 6, "n_frames": 40, "dim": 16, "speed": 4.0,
+             "sigma_e": 0.25, "jitter_sigma": 1.0, "fp_rate": 0.05,
+             "occlusions": [[0, 10, 13], [1, 20, 23]]}
+    cfg_path = tmp_path / "world.json"
+    cfg_path.write_text(json.dumps(world))
+    det, gt, pred = tmp_path / "det.txt", tmp_path / "gt.txt", tmp_path / "pred.txt"
+    assert main(["--seed", "3", "synth", "--config", str(cfg_path),
+                 "--detections", str(det), "--gt", str(gt)]) == EXIT_OK
+    assert main(["track", "--input", str(det), "--output", str(pred),
+                 "--profile", profile]) == EXIT_OK
+    assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == EXIT_OK
+    keys = [tuple(line.split(",")[:2]) for line in pred.read_text().splitlines()]
+    assert len(keys) == len(set(keys))
+
+
 class TestEvalCommand:
     def test_disjoint_ranges_warn(self, scenario_files, tmp_path, capsys):
         _, gt, _ = scenario_files

@@ -1,7 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from embedtrack.geometry import BoundingBox, center_distance, iou, iou_matrix, nms
+from embedtrack.geometry import (
+    BoundingBox,
+    center_distance,
+    center_distance_matrix,
+    iou,
+    iou_matrix,
+    nms,
+)
+
+_coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_extent = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
+_boxes = st.lists(
+    st.builds(lambda x, y, w, h: BoundingBox(x, y, x + w, y + h), _coord, _coord, _extent, _extent),
+    max_size=6,
+)
 
 
 class TestBoundingBox:
@@ -93,6 +109,24 @@ def test_center_distance():
     a = BoundingBox(0, 0, 2, 2)  # center (1, 1)
     b = BoundingBox(3, 4, 5, 6)  # center (4, 5)
     assert center_distance(a, b) == pytest.approx(5.0, abs=1e-12)
+
+
+class TestCenterDistanceMatrix:
+    @given(_boxes, _boxes)
+    def test_equals_scalar_center_distance_exactly(self, a, b):
+        m = center_distance_matrix(
+            np.array([x.as_array() for x in a]).reshape(-1, 4),
+            np.array([x.as_array() for x in b]).reshape(-1, 4),
+        )
+        assert m.shape == (len(a), len(b))
+        for i, ba in enumerate(a):
+            for j, bb in enumerate(b):
+                assert m[i, j] == center_distance(ba, bb)
+
+    def test_single_box_inputs_reshaped(self):
+        a = BoundingBox(0, 0, 2, 2).as_array()
+        b = BoundingBox(3, 4, 5, 6).as_array()
+        assert center_distance_matrix(a, b).tolist() == [[5.0]]
 
 
 class TestNms:

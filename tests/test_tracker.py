@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from embedtrack.geometry import BoundingBox
+from embedtrack import tracker as tracker_module
+from embedtrack.geometry import BoundingBox, center_distance
+from embedtrack.metrics import TrackSet
+from embedtrack.synth import Scenario, WorldConfig, generate, track_scenario
 from embedtrack.tracker import (
     Detection,
     MergeConfig,
@@ -71,6 +74,11 @@ class TestDetection:
     def test_non_finite_embedding_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             det(0, embedding=np.array([np.nan] * DIM))
+
+    @pytest.mark.parametrize("shape", [(1, DIM), (2, DIM), ()])
+    def test_embedding_must_be_one_dimensional(self, shape):
+        with pytest.raises(ValueError, match="1-D"):
+            det(0, embedding=np.ones(shape))
 
 
 def test_momentum_update_formula():
@@ -211,6 +219,14 @@ class TestStep:
         [(tid, _)] = t.step(1, [det(0, x=500)])
         assert tid == 2
 
+    @pytest.mark.parametrize("x, want", [(50.0, 1), (50.5, 2)])
+    def test_distance_gate_allows_exactly_the_gate(self, x, want):
+        t = Tracker(cfg(distance_gate=50.0))
+        t.step(0, [det(0, x=0)])
+        assert center_distance(det(0, x=0).box, det(0, x=x).box) == x
+        [(tid, _)] = t.step(1, [det(0, x=x)])
+        assert tid == want
+
     def test_frame_indices_must_increase(self):
         t = Tracker(cfg())
         t.step(3, [det(0)])
@@ -293,6 +309,57 @@ class TestMerge:
         t.step(2, [a, b])
         merge_tracklets(t.state, MergeConfig(t=10, beta_merge=0.3, d_merge=100.0))
         assert len(t.state.tracks) == 2  # only one young track absorbed
+
+
+    def test_merge_skips_track_overlapping_in_time(self):
+        # two lookalikes spawn together; one continues, the other vanishes.
+        # The continuing track lived alongside the vanished one, so folding
+        # it in would give one ID two boxes at frame 0.
+        d = {0: [det(0, x=0), det(0, x=60)], 1: [det(0, x=2)], 2: [det(0, x=4)]}
+        scenario = Scenario(TrackSet(), d, {}, np.zeros((1, DIM)), WorldConfig(dim=DIM))
+        c = cfg(merge=MergeConfig(beta_merge=0.3, d_merge=100.0), interpolate=True)
+        pred = track_scenario(scenario, c)
+        keys = [(f, e.obj_id) for f, es in pred.frames.items() for e in es]
+        assert len(keys) == len(set(keys))
+        assert sorted({tid for _, tid in keys}) == [1, 2]
+
+
+def _brute_force_within(boxes_a, boxes_b, radius):
+    """The distance gate pair by pair with the scalar center_distance."""
+    out = np.zeros((len(boxes_a), len(boxes_b)), dtype=bool)
+    for i, a in enumerate(boxes_a):
+        for j, b in enumerate(boxes_b):
+            out[i, j] = center_distance(a, b) <= radius
+    return out
+
+
+def test_broadcast_gate_matches_brute_force(monkeypatch):
+    world = WorldConfig(n_identities=15, n_frames=60, dim=16, speed=6.0,
+                        sigma_e=0.2, jitter_sigma=2.0, fp_rate=0.05,
+                        n_distractors=4, occlusions=[(0, 10, 14), (3, 25, 30), (7, 40, 43)],
+                        seed=4)
+    frames = generate(world).detections
+    # a gate tighter than the merge radius, so occluded objects come back as
+    # young tracks that merging then folds into their vanished ones
+    c = cfg(distance_gate=20.0, merge=MergeConfig(t=10, beta_merge=0.5, d_merge=100.0),
+            interpolate=True)
+
+    def run():
+        t = Tracker(c)
+        steps = [
+            [(tid, d.box, d.score) for tid, d in t.step(f, frames[f])]
+            for f in sorted(frames)
+        ]
+        return t, steps
+
+    fast, fast_steps = run()
+    monkeypatch.setattr(tracker_module, "_within", _brute_force_within)
+    slow, slow_steps = run()
+    assert fast_steps == slow_steps
+    assert fast.finish() == slow.finish()
+    # the world exercises the merge path
+    s = slow.state
+    assert len(s.tracks) + len(s.retired) < s.next_id - 1
 
 
 class TestFinishAndInterpolate:
