@@ -14,8 +14,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import ablation
 from .config import PROFILE_NAMES, config_from_dict, load_profile
 from .formats import FormatError, _fmt, atomic_write, read_detections, read_mot, write_detections, write_mot
@@ -245,7 +243,7 @@ def cmd_gradcheck(args) -> int:
 
 def build_parser() -> Parser:
     parser = Parser(prog="embedtrack", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the synth world and of gradcheck batches")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("track", help="associate a detection file into tracks")
@@ -290,7 +288,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        np.random.seed(args.seed % (2**32))
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,11 +12,25 @@ Conventions:
   match count then total IoU, and averages over alpha in {0.05, ..., 0.95}.
 - Ground-truth entries flagged invisible are dropped from numerator and
   denominator before any matching.
+
+How the work is shared:
+- Each metric turns a class's entries into per-frame id and (N, 4) box
+  arrays once, with ids mapped to dense indices in sorted id order.
+- It streams the frames in order and computes one IoU matrix per frame,
+  dropped after that frame. CLEAR reads its carried-over pairs from it and
+  HOTA runs all 19 alpha matchings on it.
+- Pairs are counted by id index: IDF1 adds each frame's overlapping pairs
+  into a (gt id, pred id) weight matrix with ``np.add.at``; HOTA keeps its
+  TPs as integer pair keys in frame order, and sums the association terms
+  left to right in that order.
+- A matching whose admissible pairs already form a matching is read off
+  without a solver call; it is the unique optimum. Every other matching
+  solves the full cost matrix.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,11 +90,12 @@ class TrackSet:
         return {e.class_id for entries in self.frames.values() for e in entries}
 
     def restrict_class(self, class_id: int) -> "TrackSet":
+        # ids are already unique per frame here, so the entries skip add()
         out = TrackSet()
         for f, entries in self.frames.items():
-            for e in entries:
-                if e.class_id == class_id:
-                    out.add(f, e)
+            kept = [e for e in entries if e.class_id == class_id]
+            if kept:
+                out.frames[f] = kept
         return out
 
     def num_boxes(self) -> int:
@@ -127,144 +142,124 @@ class HotaResult:
     asspr_sum: list[float] = field(default_factory=list)
 
 
-def _match_max_iou(gt_boxes: np.ndarray, pr_boxes: np.ndarray, threshold: float,
-                   count_first: bool) -> list[tuple[int, int, float]]:
+def _match(overlaps: np.ndarray, threshold: float,
+           count_first: bool) -> tuple[np.ndarray, np.ndarray]:
     """Optimal bipartite matching among pairs with IoU >= threshold.
 
     Maximizes total IoU; with count_first, maximizes the number of matches
-    first and total IoU second. Returns (gt_index, pred_index, iou) triples.
+    first and total IoU second. Returns (gt rows, pred columns) in row order.
+    When every row and every column has at most one admissible pair, those
+    pairs are the unique optimum and are returned without a solver call.
     """
-    if gt_boxes.size == 0 or pr_boxes.size == 0:
-        return []
-    overlaps = iou_matrix(gt_boxes, pr_boxes)
     admissible = overlaps >= threshold
-    if not admissible.any():
-        return []
+    if (admissible.sum(axis=0) <= 1).all() and (admissible.sum(axis=1) <= 1).all():
+        return np.nonzero(admissible)
     weights = overlaps + (_COUNT_DOMINANCE if count_first else 0.0)
-    cost = np.where(admissible, -weights, 0.0)
-    rows, cols = linear_sum_assignment(cost)
-    return [
-        (int(r), int(c), float(overlaps[r, c]))
-        for r, c in zip(rows, cols)
-        if admissible[r, c]
-    ]
+    rows, cols = linear_sum_assignment(np.where(admissible, -weights, 0.0))
+    keep = admissible[rows, cols]
+    return rows[keep], cols[keep]
 
 
-def _check_has_gt(gt_frames: dict[int, list[ObjectEntry]]) -> int:
-    total = sum(len(v) for v in gt_frames.values())
-    if total == 0:
+def _sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
+    """Left-to-right sum, the float additions of a Python loop; np.sum adds
+    pairwise, which can move the last digit."""
+    return float(np.cumsum(np.concatenate(([start], values)))[-1])
+
+
+def _frames(gt: TrackSet, pred: TrackSet) -> tuple[Iterator[tuple[np.ndarray, ...]], int, int]:
+    """Visible ground truth and all predictions, streamed as arrays in sorted
+    frame order: per frame (gt indices, gt boxes, pred indices, pred boxes),
+    with ids mapped to dense indices in sorted id order. Returns the stream
+    and the numbers of distinct gt and pred ids."""
+    order = sorted(set(gt.frames) | set(pred.frames))
+    gts = [[e for e in gt.frames.get(f, ()) if e.visible] for f in order]
+    prs = [pred.frames.get(f, []) for f in order]
+    gt_ids = np.unique([e.obj_id for entries in gts for e in entries])
+    if len(gt_ids) == 0:
         raise ValueError("undefined MOTA denominator: ground truth contains no objects")
-    return total
+    pr_ids = np.unique([e.obj_id for entries in prs for e in entries])
+
+    def arrays(entries, ids):
+        boxes = [(e.box.x1, e.box.y1, e.box.x2, e.box.y2) for e in entries]
+        return (np.searchsorted(ids, [e.obj_id for e in entries]),
+                np.array(boxes, dtype=np.float64).reshape(-1, 4))
+
+    stream = (arrays(g, gt_ids) + arrays(p, pr_ids) for g, p in zip(gts, prs))
+    return stream, len(gt_ids), len(pr_ids)
 
 
 def clear_mot(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> ClearMotResult:
     """CLEAR-MOT accumulation with match carry-over."""
-    gt_frames = gt.visible_frames()
-    num_gt = _check_has_gt(gt_frames)
-    pr_frames = pred.frames
-    all_frames = sorted(set(gt_frames) | set(pr_frames))
-
-    last_match: dict[int, int] = {}  # gt id -> most recent matched pred id
+    frames, n_gt_ids, n_pr_ids = _frames(gt, pred)
+    last_match = np.full(n_gt_ids, -1)  # gt index -> most recent matched pred index
+    slot = np.full(n_pr_ids, -1)  # pred index -> position in the current frame
+    gt_presence = np.zeros(n_gt_ids, dtype=np.int64)
+    gt_covered = np.zeros(n_gt_ids, dtype=np.int64)
     fp = fn = idsw = 0
     num_matches = 0
     sum_iou = 0.0
-    gt_presence: dict[int, int] = defaultdict(int)
-    gt_covered: dict[int, int] = defaultdict(int)
 
-    for f in all_frames:
-        gts = gt_frames.get(f, [])
-        prs = pr_frames.get(f, [])
-        for g in gts:
-            gt_presence[g.obj_id] += 1
-        matched_gt: dict[int, int] = {}  # gt idx -> pred idx
-        used_pr: set[int] = set()
+    for gi, gb, pi, pb in frames:
+        gt_presence[gi] += 1
+        if len(gi) == 0 or len(pi) == 0:
+            fn += len(gi)
+            fp += len(pi)
+            continue
+        overlaps = iou_matrix(gb, pb)
+        # carry over surviving correspondences; two gt ids can share a
+        # last-matched pred id, and the first in frame order keeps it
+        slot[pi] = np.arange(len(pi))
+        prev = last_match[gi]
+        carried = np.where(prev >= 0, slot[prev], -1)
+        slot[pi] = -1
+        rows = np.flatnonzero(carried >= 0)
+        cols = carried[rows]
+        kept = overlaps[rows, cols] >= iou_threshold
+        rows, cols = rows[kept], cols[kept]
+        first = np.sort(np.unique(cols, return_index=True)[1])
+        rows, cols = rows[first], cols[first]
 
-        pr_by_id = {p.obj_id: j for j, p in enumerate(prs)}
-        # carry over surviving correspondences
-        for i, g in enumerate(gts):
-            pid = last_match.get(g.obj_id)
-            if pid is None or pid not in pr_by_id:
-                continue
-            j = pr_by_id[pid]
-            if j in used_pr:
-                continue  # two gt ids can share a last-matched pred id
-            ov = iou_matrix(g.box.as_array(), prs[j].box.as_array())[0, 0]
-            if ov >= iou_threshold:
-                matched_gt[i] = j
-                used_pr.add(j)
-                num_matches += 1
-                sum_iou += float(ov)
+        rem_gt = np.setdiff1d(np.arange(len(gi)), rows)
+        rem_pr = np.setdiff1d(np.arange(len(pi)), cols)
+        if len(rem_gt) and len(rem_pr):
+            r, c = _match(overlaps[np.ix_(rem_gt, rem_pr)], iou_threshold, count_first=False)
+            rows = np.concatenate((rows, rem_gt[r]))
+            cols = np.concatenate((cols, rem_pr[c]))
+        num_matches += len(rows)
+        sum_iou = _sequential_sum(overlaps[rows, cols], sum_iou)
 
-        rem_gt = [i for i in range(len(gts)) if i not in matched_gt]
-        rem_pr = [j for j in range(len(prs)) if j not in used_pr]
-        if rem_gt and rem_pr:
-            gt_boxes = np.stack([gts[i].box.as_array() for i in rem_gt])
-            pr_boxes = np.stack([prs[j].box.as_array() for j in rem_pr])
-            for r, c, ov in _match_max_iou(gt_boxes, pr_boxes, iou_threshold, count_first=False):
-                i, j = rem_gt[r], rem_pr[c]
-                matched_gt[i] = j
-                used_pr.add(j)
-                num_matches += 1
-                sum_iou += ov
+        gids, pids = gi[rows], pi[cols]
+        prev = last_match[gids]
+        idsw += int(np.count_nonzero((prev >= 0) & (prev != pids)))
+        last_match[gids] = pids
+        gt_covered[gids] += 1
+        fn += len(gi) - len(rows)
+        fp += len(pi) - len(rows)
 
-        for i, j in matched_gt.items():
-            gid, pid = gts[i].obj_id, prs[j].obj_id
-            if gid in last_match and last_match[gid] != pid:
-                idsw += 1
-            last_match[gid] = pid
-            gt_covered[gid] += 1
-        fn += len(gts) - len(matched_gt)
-        fp += len(prs) - len(used_pr)
-
-    mt = ml = 0
-    for gid, present in gt_presence.items():
-        ratio = gt_covered.get(gid, 0) / present
-        if ratio >= 0.8:
-            mt += 1
-        elif ratio <= 0.2:
-            ml += 1
-
+    ratio = gt_covered / gt_presence
+    mt = int(np.count_nonzero(ratio >= 0.8))
+    ml = int(np.count_nonzero(ratio <= 0.2))
+    num_gt = int(gt_presence.sum())
     mota = 1.0 - (fn + fp + idsw) / num_gt
     motp = sum_iou / num_matches if num_matches else 0.0
     return ClearMotResult(mota, motp, fp, fn, idsw, mt, ml, num_gt, num_matches)
 
 
-def _trajectory_overlaps(gt_frames, pr_frames, iou_threshold):
-    """Count, per (gt id, pred id), the frames where both are present and
-    overlap at least iou_threshold."""
-    overlap: dict[tuple[int, int], int] = defaultdict(int)
-    for f in set(gt_frames) & set(pr_frames):
-        gts, prs = gt_frames[f], pr_frames[f]
-        if not gts or not prs:
-            continue
-        gt_boxes = np.stack([g.box.as_array() for g in gts])
-        pr_boxes = np.stack([p.box.as_array() for p in prs])
-        ious = iou_matrix(gt_boxes, pr_boxes)
-        for i, g in enumerate(gts):
-            for j, p in enumerate(prs):
-                if ious[i, j] >= iou_threshold:
-                    overlap[(g.obj_id, p.obj_id)] += 1
-    return overlap
-
-
 def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> Idf1Result:
     """Identification F1: global trajectory-level bipartite assignment."""
-    gt_frames = gt.visible_frames()
-    _check_has_gt(gt_frames)
-    pr_frames = pred.frames
-    n_gt_boxes = sum(len(v) for v in gt_frames.values())
-    n_pr_boxes = sum(len(v) for v in pr_frames.values())
-
-    overlap = _trajectory_overlaps(gt_frames, pr_frames, iou_threshold)
-    gt_ids = sorted({g.obj_id for v in gt_frames.values() for g in v})
-    pr_ids = sorted({p.obj_id for v in pr_frames.values() for p in v})
+    frames, n_gt_ids, n_pr_ids = _frames(gt, pred)
+    n_gt_boxes = n_pr_boxes = 0
+    # frames where both are present and overlap at least iou_threshold,
+    # per (gt id, pred id)
+    w = np.zeros((n_gt_ids, n_pr_ids))
+    for gi, gb, pi, pb in frames:
+        n_gt_boxes += len(gi)
+        n_pr_boxes += len(pi)
+        if len(gi) and len(pi):
+            r, c = np.nonzero(iou_matrix(gb, pb) >= iou_threshold)
+            np.add.at(w, (gi[r], pi[c]), 1.0)
     idtp = 0
-    if overlap:
-        w = np.zeros((len(gt_ids), len(pr_ids)))
-        gi = {g: i for i, g in enumerate(gt_ids)}
-        pi = {p: i for i, p in enumerate(pr_ids)}
-        for (g, p), c in overlap.items():
-            w[gi[g], pi[p]] = c
+    if w.any():
         rows, cols = linear_sum_assignment(-w)
         idtp = int(w[rows, cols].sum())
 
@@ -277,49 +272,39 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> Idf1Result
 
 def hota(gt: TrackSet, pred: TrackSet) -> HotaResult:
     """HOTA with DetA/AssA decomposition, averaged over alpha."""
-    gt_frames = gt.visible_frames()
-    _check_has_gt(gt_frames)
-    pr_frames = pred.frames
-    n_gt_boxes = sum(len(v) for v in gt_frames.values())
-    n_pr_boxes = sum(len(v) for v in pr_frames.values())
-    all_frames = sorted(set(gt_frames) | set(pr_frames))
+    frames, n_gt_ids, n_pr_ids = _frames(gt, pred)
+    gt_total = np.zeros(n_gt_ids, dtype=np.int64)
+    pr_total = np.zeros(n_pr_ids, dtype=np.int64)
+    # per alpha, one (gt index * n_pr_ids + pred index) key per TP, in frame order
+    tp_keys: list[list[np.ndarray]] = [[] for _ in HOTA_ALPHAS]
+    for gi, gb, pi, pb in frames:
+        gt_total[gi] += 1
+        pr_total[pi] += 1
+        if len(gi) == 0 or len(pi) == 0:
+            continue
+        overlaps = iou_matrix(gb, pb)
+        for keys, alpha in zip(tp_keys, HOTA_ALPHAS):
+            r, c = _match(overlaps, alpha, count_first=True)
+            keys.append(gi[r] * n_pr_ids + pi[c])
+    n_gt_boxes = int(gt_total.sum())
+    n_pr_boxes = int(pr_total.sum())
 
     result = HotaResult(0, 0, 0, 0, 0, 0, 0)
     deta_list, assa_list, hota_list = [], [], []
     detre_list, detpr_list, assre_list, asspr_list = [], [], [], []
 
-    for alpha in HOTA_ALPHAS:
-        tp_pairs: list[tuple[int, int]] = []  # (gt id, pred id), one per TP
-        pair_count: dict[tuple[int, int], int] = defaultdict(int)
-        gt_total: dict[int, int] = defaultdict(int)
-        pr_total: dict[int, int] = defaultdict(int)
-        for f in all_frames:
-            gts = gt_frames.get(f, [])
-            prs = pr_frames.get(f, [])
-            for g in gts:
-                gt_total[g.obj_id] += 1
-            for p in prs:
-                pr_total[p.obj_id] += 1
-            if not gts or not prs:
-                continue
-            gt_boxes = np.stack([g.box.as_array() for g in gts])
-            pr_boxes = np.stack([p.box.as_array() for p in prs])
-            for r, c, _ in _match_max_iou(gt_boxes, pr_boxes, alpha, count_first=True):
-                pair = (gts[r].obj_id, prs[c].obj_id)
-                tp_pairs.append(pair)
-                pair_count[pair] += 1
-
-        n_tp = len(tp_pairs)
+    for keys in tp_keys:
+        tp = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+        _, inverse, counts = np.unique(tp, return_inverse=True, return_counts=True)
+        tpa = counts[inverse]
+        gt_n = gt_total[tp // n_pr_ids]  # tpa + fna
+        pr_n = pr_total[tp % n_pr_ids]  # tpa + fpa
+        n_tp = len(tp)
         n_fn = n_gt_boxes - n_tp
         n_fp = n_pr_boxes - n_tp
-        ass_sum = assre_sum = asspr_sum = 0.0
-        for g, p in tp_pairs:
-            tpa = pair_count[(g, p)]
-            fna = gt_total[g] - tpa
-            fpa = pr_total[p] - tpa
-            ass_sum += tpa / (tpa + fna + fpa)
-            assre_sum += tpa / (tpa + fna)
-            asspr_sum += tpa / (tpa + fpa)
+        ass_sum = _sequential_sum(tpa / (gt_n + pr_n - tpa))
+        assre_sum = _sequential_sum(tpa / gt_n)
+        asspr_sum = _sequential_sum(tpa / pr_n)
         deta = n_tp / (n_tp + n_fn + n_fp) if (n_tp + n_fn + n_fp) else 0.0
         assa = ass_sum / n_tp if n_tp else 0.0
         detre = n_tp / (n_tp + n_fn) if (n_tp + n_fn) else 0.0

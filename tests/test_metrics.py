@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from embedtrack import metrics
 from embedtrack.geometry import BoundingBox
 from embedtrack.metrics import (
     HOTA_ALPHAS,
@@ -261,3 +265,67 @@ class TestPerClassReport:
             assert getattr(rep.aggregate, key) == sum(
                 getattr(m, key) for m in rep.per_class.values()
             )
+
+
+def solver_matching(overlaps, threshold, count_first):
+    """The matching as the assignment solver gives it on the full cost
+    matrix: admissible pairs weighted by IoU (plus a count bonus), all
+    others 0."""
+    admissible = overlaps >= threshold
+    weights = overlaps + (1000.0 if count_first else 0.0)
+    rows, cols = linear_sum_assignment(np.where(admissible, -weights, 0.0))
+    keep = admissible[rows, cols]
+    return rows[keep].tolist(), cols[keep].tolist()
+
+
+_iou_values = st.sampled_from([0.0, 0.0, 0.04, 0.05, 0.3, 0.5, 0.5, 0.72, 0.95, 1.0]) | st.floats(0.0, 1.0)
+_thresholds = st.sampled_from([0.0, 0.05, 0.5, 0.95]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def iou_matrices(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return np.array(draw(st.lists(_iou_values, min_size=n * m, max_size=n * m))).reshape(n, m)
+
+
+@st.composite
+def matching_cases(draw):
+    """A threshold and an IoU matrix whose admissible pairs form a matching:
+    a partial permutation at or above the threshold, the rest below it."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    threshold = draw(st.sampled_from([0.05, 0.5, 0.95]) | st.floats(1e-6, 1.0))
+    below = st.floats(0.0, threshold, exclude_max=True)
+    overlaps = np.array(draw(st.lists(below, min_size=n * m, max_size=n * m))).reshape(n, m)
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(m)))
+    for r, c in zip(rows[:draw(st.integers(0, min(n, m)))], cols):
+        overlaps[r, c] = draw(st.floats(threshold, 1.0))
+    return overlaps, threshold
+
+
+class TestMatchShortcut:
+    """metrics._match reads a matching off directly when the admissible
+    pairs already form one; that must be exactly the solver's answer."""
+
+    @given(iou_matrices(), _thresholds, st.booleans())
+    def test_equals_solver_on_random_matrices(self, overlaps, threshold, count_first):
+        rows, cols = metrics._match(overlaps, threshold, count_first)
+        assert (rows.tolist(), cols.tolist()) == solver_matching(overlaps, threshold, count_first)
+
+    @given(matching_cases(), st.booleans())
+    def test_matching_graph_skips_the_solver(self, case, count_first):
+        overlaps, threshold = case
+        want = solver_matching(overlaps, threshold, count_first)
+        original = metrics.linear_sum_assignment
+        metrics.linear_sum_assignment = None  # any solver call fails
+        try:
+            rows, cols = metrics._match(overlaps, threshold, count_first)
+        finally:
+            metrics.linear_sum_assignment = original
+        assert (rows.tolist(), cols.tolist()) == want
+
+    @given(_iou_values, st.booleans())
+    def test_single_pair_at_threshold_zero(self, value, count_first):
+        overlaps = np.array([[value]])
+        rows, cols = metrics._match(overlaps, 0.0, count_first)
+        assert (rows.tolist(), cols.tolist()) == solver_matching(overlaps, 0.0, count_first) == ([0], [0])

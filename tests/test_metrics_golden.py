@@ -1,0 +1,108 @@
+"""per_class_report pinned to exact values.
+
+``golden_report.json`` holds the report of each case below as the
+object-by-object evaluation (one IoU matrix per matching, per-pair Python
+loops) computed it. The per-frame array evaluation must reproduce every
+value with ``==``: a moved last digit fails.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+from embedtrack.ablation import synth_tracker_config
+from embedtrack.geometry import BoundingBox
+from embedtrack.metrics import ObjectEntry, TrackSet, per_class_report
+from embedtrack.synth import WorldConfig, generate, track_scenario
+from oracles import random_instance
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_report.json")
+
+
+def synth_case():
+    """A crowded two-class world with clutter and occlusions, tracked with
+    the synthetic tracker settings."""
+    world = WorldConfig(
+        n_identities=24,
+        n_frames=50,
+        n_classes=2,
+        image_size=(400.0, 400.0),
+        dim=16,
+        sigma_e=0.25,
+        jitter_sigma=2.0,
+        fp_rate=0.05,
+        fn_rate=0.05,
+        n_distractors=6,
+        distractor_affinity=0.5,
+        occlusions=[(0, 5, 12), (3, 20, 30), (7, 31, 33)],
+        seed=5,
+    )
+    scenario = generate(world)
+    return scenario.gt, track_scenario(scenario, synth_tracker_config())
+
+
+def prediction_only_class_case():
+    """Class 0 from a random instance; class 4 has predictions only."""
+    gt, pred = random_instance(np.random.default_rng(31), max_ids=4, max_frames=5)
+    for f in range(3):
+        pred.add(f, ObjectEntry(40 + f, 4, BoundingBox(100.0 + f, 100.0, 130.0, 125.0)))
+    pred.add(1, ObjectEntry(45, 4, BoundingBox(0.0, 0.0, 20.0, 20.0)))
+    return gt, pred
+
+
+def tie_case():
+    """Exactly duplicated boxes on both sides, so every matching has ties."""
+    a = BoundingBox(0.0, 0.0, 10.0, 10.0)
+    b = BoundingBox(5.0, 0.0, 15.0, 10.0)
+    gt, pred = TrackSet(), TrackSet()
+    for f in range(6):
+        gt.add(f, ObjectEntry(1, 0, a))
+        gt.add(f, ObjectEntry(2, 0, a))
+        gt.add(f, ObjectEntry(3, 0, b, visible=f != 2))
+        pred.add(f, ObjectEntry(10 + f % 2, 0, a))
+        pred.add(f, ObjectEntry(12, 0, a))
+        pred.add(f, ObjectEntry(13 + f // 3, 0, b))
+        pred.add(f, ObjectEntry(20, 0, a if f % 3 else b))
+    return gt, pred
+
+
+CASES = {
+    "synth": synth_case,
+    "prediction_only_class": prediction_only_class_case,
+    "ties": tie_case,
+}
+
+
+def report_values(gt, pred) -> dict:
+    rep = per_class_report(gt, pred)
+    return {
+        "aggregate": rep.aggregate.as_dict(),
+        "per_class": {str(c): m.as_dict() for c, m in rep.per_class.items()},
+        "mmota": rep.mmota,
+        "midf1": rep.midf1,
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH) as fp:
+        return json.load(fp)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_equals_golden_values(name, golden):
+    got = report_values(*CASES[name]())
+    want = golden[name]
+    assert got["aggregate"] == want["aggregate"]
+    assert got["per_class"] == want["per_class"]
+    assert (got["mmota"], got["midf1"]) == (want["mmota"], want["midf1"])
+
+
+if __name__ == "__main__":
+    # Regenerate the golden file. Only do this on purpose, with a reason.
+    values = {name: report_values(*make()) for name, make in sorted(CASES.items())}
+    with open(GOLDEN_PATH, "w") as fp:
+        json.dump(values, fp, indent=1, sort_keys=True)
+        fp.write("\n")
