@@ -77,14 +77,11 @@ class SampleBatch:
     positivity: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        pos = np.zeros((len(self.key), len(self.ref)), dtype=bool)
-        for i, ks in enumerate(self.key):
-            if ks.polarity != POSITIVE:
-                continue
-            for j, rs in enumerate(self.ref):
-                if rs.polarity == POSITIVE and rs.identity == ks.identity:
-                    pos[i, j] = True
-        self.positivity = pos
+        codes: dict = {}  # identity -> dense code shared by both frames, -1 if not positive
+        key, ref = (
+            np.array([codes.setdefault(s.identity, len(codes)) if s.polarity == POSITIVE else -1
+                      for s in samples], dtype=np.intp) for samples in (self.key, self.ref))
+        self.positivity = (key[:, None] == ref[None, :]) & (key[:, None] >= 0)
 
     def embeddings(self) -> tuple[np.ndarray, np.ndarray]:
         """Stack the per-sample embeddings into (V, D) and (K, D) arrays."""
@@ -237,57 +234,58 @@ def _embed_value_and_grad(
     b; gradients follow from softmax weights over the pair terms. The
     single-positive variant averages the per-positive InfoNCE losses, the
     naive multi-positive variant sums them. Result is the mean over key
-    samples that have at least one positive.
+    samples that have at least one positive. All rows at once: one (V, K)
+    pair-weight matrix W gives the gradients W @ ref_emb and W.T @ key_emb.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown loss variant {variant!r}")
-    V = key_emb.shape[0]
-    g_key = np.zeros_like(key_emb)
-    g_ref = np.zeros_like(ref_emb)
-    dots = key_emb @ ref_emb.T  # (V, K)
-    active = [i for i in range(V) if positivity[i].any()]
-    if not active:
+    active = positivity.any(axis=1)
+    if not active.any():
         raise ValueError("batch has no positive pairs")
-    total = 0.0
-    inv_n = 1.0 / len(active)
-    for i in active:
-        pos = np.flatnonzero(positivity[i])
-        neg = np.flatnonzero(~positivity[i])
-        v = key_emb[i]
-        a = dots[i, pos]  # positive dots
-        if neg.size == 0:
-            continue  # log(1 + 0) = 0, zero gradient
-        b = dots[i, neg]  # negative dots
-        bmax = b.max()
-        eb = np.exp(b - bmax)
-        if variant == "accumulated_multi":
-            amin = a.min()
-            ea = np.exp(amin - a)  # exp(-a) shifted by the dominant term
-            # L = log(1 + exp(lse(-a) + lse(b)))
-            z = (bmax - amin) + np.log(ea.sum()) + np.log(eb.sum())
-            L = np.logaddexp(0.0, z)
-            w = np.exp(z - L)  # total pair weight, = S / (1 + S)
-            pa = ea / ea.sum()  # softmax over -a
-            pb = eb / eb.sum()  # softmax over b
-            row_p = w * pa  # sum_n w_pn per positive p
-            col_n = w * pb  # sum_p w_pn per negative n
-            total += inv_n * L
-            g_key[i] += inv_n * (col_n @ ref_emb[neg] - row_p @ ref_emb[pos])
-            g_ref[neg] += inv_n * np.outer(col_n, v)
-            g_ref[pos] -= inv_n * np.outer(row_p, v)
-        else:
-            # per-positive InfoNCE: L_p = log(1 + sum_n exp(b_n - a_p))
-            lse_b = bmax + np.log(eb.sum())
-            Lp = np.logaddexp(0.0, lse_b - a)  # (|P|,)
-            wp = np.exp(lse_b - a - Lp)  # per-positive total negative weight
-            pb = eb / eb.sum()
-            scale = inv_n / pos.size if variant == "single_positive" else inv_n
-            total += scale * Lp.sum()
-            col_n = wp.sum() * pb  # sum over p of w_pn per negative n
-            g_key[i] += scale * (col_n @ ref_emb[neg] - wp @ ref_emb[pos])
-            g_ref[neg] += scale * np.outer(col_n, v)
-            g_ref[pos] -= scale * np.outer(wp, v)
-    return float(total), g_key, g_ref
+    inv_n = 1.0 / np.count_nonzero(active)
+    # A row with no negative has loss log(1 + 0) = 0: it counts in n, adds nothing.
+    live = np.flatnonzero(active & ~positivity.all(axis=1))
+    pos = positivity[live]
+    v = key_emb[live]
+    dots = v @ ref_emb.T  # (rows, K)
+    bmax = dots.max(axis=1, where=~pos, initial=-np.inf)
+    eb = np.exp(dots - bmax[:, None], out=np.zeros_like(dots), where=~pos)
+    sb = eb.sum(axis=1)  # eb / sb: softmax over negative dots, 0 on positives
+    if variant == "accumulated_multi":
+        amin = dots.min(axis=1, where=pos, initial=np.inf)
+        ea = np.exp(amin[:, None] - dots, out=np.zeros_like(dots), where=pos)
+        sa = ea.sum(axis=1)
+        # L = log(1 + exp(lse(-a) + lse(b)))
+        z = (bmax - amin) + np.log(sa) + np.log(sb)
+        L = np.logaddexp(0.0, z)
+        w = np.exp(z - L)  # total pair weight, = S / (1 + S)
+        total = inv_n * L.sum()
+        # sum_p w_pn per negative n minus sum_n w_pn per positive p
+        W = (inv_n * w / sb)[:, None] * eb - (inv_n * w / sa)[:, None] * ea
+    else:
+        # per-positive InfoNCE: L_p = log(1 + sum_n exp(b_n - a_p))
+        x = (bmax + np.log(sb))[:, None] - dots
+        Lp = np.logaddexp(0.0, x, out=np.zeros_like(dots), where=pos)
+        wp = np.exp(x - Lp, out=np.zeros_like(dots), where=pos)  # per-positive negative weight
+        scale = inv_n / (pos.sum(axis=1, keepdims=True) if variant == "single_positive" else 1)
+        total = (scale * Lp).sum()
+        W = scale * (wp.sum(axis=1, keepdims=True) / sb[:, None] * eb - wp)
+    g_key = np.zeros_like(key_emb)
+    g_key[live] = W @ ref_emb
+    return float(total), g_key, W.T @ v
+
+
+def _hardest(vals: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the n largest values, largest first and ties by lower
+    index: np.argsort(-vals, kind="stable")[:n] without sorting the rest."""
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
+    keys = -vals
+    cut = np.partition(keys, n - 1)[n - 1]
+    above = np.flatnonzero(keys < cut)
+    ties = np.flatnonzero(keys == cut)[: n - above.size]
+    sel = np.concatenate([above, ties])
+    return sel[np.argsort(keys[sel], kind="stable")]
 
 
 def _aux_pairs(
@@ -302,7 +300,7 @@ def _aux_pairs(
         raise ValueError("batch has no positive pairs")
     ni, nj = np.nonzero(~positivity)
     n_hard = min(ni.size, neg_ratio * pi.size)
-    order = np.argsort(-cos[ni, nj], kind="stable")[:n_hard]
+    order = _hardest(cos[ni, nj], n_hard)
     rows = np.concatenate([pi, ni[order]])
     cols = np.concatenate([pj, nj[order]])
     targets = np.concatenate([np.ones(pi.size), np.zeros(n_hard)])
@@ -325,22 +323,19 @@ def _aux_value_and_grad(
     neg_ratio: int,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Auxiliary L2 loss (cos - c)^2 with analytic gradients; mean over all
-    positive pairs and the hard-mined negatives."""
+    positive pairs and the hard-mined negatives. The selected pairs are
+    unique, so their coefficients scatter into dense (V, K) matrices."""
     cos, kn, rn = _cosine_and_norms(key_emb, ref_emb)
     rows, cols, targets = _aux_pairs(positivity, cos, neg_ratio)
     c = cos[rows, cols]
     resid = c - targets
     value = float(np.mean(resid**2))
-    g_key = np.zeros_like(key_emb)
-    g_ref = np.zeros_like(ref_emb)
     coef = 2.0 * resid / rows.size
-    inv_prod = 1.0 / (kn[rows] * rn[cols])
-    dk = coef[:, None] * (ref_emb[cols] * inv_prod[:, None]
-                          - (c / kn[rows] ** 2)[:, None] * key_emb[rows])
-    dr = coef[:, None] * (key_emb[rows] * inv_prod[:, None]
-                          - (c / rn[cols] ** 2)[:, None] * ref_emb[cols])
-    np.add.at(g_key, rows, dk)
-    np.add.at(g_ref, cols, dr)
+    A, B = np.zeros((2,) + cos.shape)
+    A[rows, cols] = coef / (kn[rows] * rn[cols])
+    B[rows, cols] = coef * c
+    g_key = A @ ref_emb - (B.sum(axis=1) / kn**2)[:, None] * key_emb
+    g_ref = A.T @ key_emb - (B.sum(axis=0) / rn**2)[:, None] * ref_emb
     return value, g_key, g_ref
 
 
@@ -353,13 +348,15 @@ def aux_selection_margin(batch: SampleBatch, embeddings=None, neg_ratio: int = 3
     """
     key_emb, ref_emb = embeddings if embeddings is not None else batch.embeddings()
     cos, _, _ = _cosine_and_norms(key_emb, ref_emb)
-    pi, pj = np.nonzero(batch.positivity)
-    ni, nj = np.nonzero(~batch.positivity)
-    n_hard = min(ni.size, neg_ratio * pi.size)
-    if n_hard == ni.size:
+    n_pos = np.count_nonzero(batch.positivity)
+    vals = cos[~batch.positivity]
+    n_hard = min(vals.size, neg_ratio * n_pos)
+    if n_hard == vals.size:
         return float("inf")
-    vals = np.sort(cos[ni, nj])[::-1]
-    return float(vals[n_hard - 1] - vals[n_hard])
+    # (n_hard+1)-th and n_hard-th largest; at n_hard == 0 the latter wraps to the smallest
+    k = [vals.size - 1 - n_hard, vals.size - 1 - (n_hard - 1) % vals.size]
+    part = np.partition(vals, k)
+    return float(part[k[1]] - part[k[0]])
 
 
 def _check_embeddings(batch: SampleBatch, embeddings):

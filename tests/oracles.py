@@ -1,6 +1,11 @@
-"""Independent brute-force reference implementations used to check the
-metrics module. Everything here enumerates matchings explicitly instead of
-calling an assignment solver, and is deliberately written with plain loops.
+"""Independent reference implementations, deliberately written with plain
+loops.
+
+The metric oracles enumerate matchings explicitly instead of calling an
+assignment solver. The contrastive-loss oracles are the per-key-sample
+loops that the matrix-form losses in ``embedtrack.contrastive`` replaced:
+one Python iteration per key row, hard negatives chosen by a full stable
+argsort, gradients scattered with ``np.add.at``.
 """
 
 import itertools
@@ -8,6 +13,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from embedtrack.contrastive import POSITIVE, VARIANTS, LossConfig
 from embedtrack.geometry import iou
 from embedtrack.metrics import HOTA_ALPHAS, ObjectEntry, TrackSet
 
@@ -250,3 +256,169 @@ def random_instance(rng, max_ids=4, max_frames=5):
     if not any_visible:
         gt.add(0, ObjectEntry(99, 0, rand_box(), True))
     return gt, pred
+
+
+def embed_value_and_grad_oracle(
+    positivity: np.ndarray,
+    key_emb: np.ndarray,
+    ref_emb: np.ndarray,
+    variant: str,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Embedding loss with analytic gradients w.r.t. both embedding sets.
+
+    Per key sample with P positives and negatives N (all non-positive
+    reference samples), the accumulated form is
+    log[1 + sum_{p,n} exp(v.k_n - v.k_p)], which factorizes as
+    log(1 + exp(lse(-a) + lse(b))) over positive dots a and negative dots
+    b; gradients follow from softmax weights over the pair terms. The
+    single-positive variant averages the per-positive InfoNCE losses, the
+    naive multi-positive variant sums them. Result is the mean over key
+    samples that have at least one positive.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown loss variant {variant!r}")
+    V = key_emb.shape[0]
+    g_key = np.zeros_like(key_emb)
+    g_ref = np.zeros_like(ref_emb)
+    dots = key_emb @ ref_emb.T  # (V, K)
+    active = [i for i in range(V) if positivity[i].any()]
+    if not active:
+        raise ValueError("batch has no positive pairs")
+    total = 0.0
+    inv_n = 1.0 / len(active)
+    for i in active:
+        pos = np.flatnonzero(positivity[i])
+        neg = np.flatnonzero(~positivity[i])
+        v = key_emb[i]
+        a = dots[i, pos]  # positive dots
+        if neg.size == 0:
+            continue  # log(1 + 0) = 0, zero gradient
+        b = dots[i, neg]  # negative dots
+        bmax = b.max()
+        eb = np.exp(b - bmax)
+        if variant == "accumulated_multi":
+            amin = a.min()
+            ea = np.exp(amin - a)  # exp(-a) shifted by the dominant term
+            # L = log(1 + exp(lse(-a) + lse(b)))
+            z = (bmax - amin) + np.log(ea.sum()) + np.log(eb.sum())
+            L = np.logaddexp(0.0, z)
+            w = np.exp(z - L)  # total pair weight, = S / (1 + S)
+            pa = ea / ea.sum()  # softmax over -a
+            pb = eb / eb.sum()  # softmax over b
+            row_p = w * pa  # sum_n w_pn per positive p
+            col_n = w * pb  # sum_p w_pn per negative n
+            total += inv_n * L
+            g_key[i] += inv_n * (col_n @ ref_emb[neg] - row_p @ ref_emb[pos])
+            g_ref[neg] += inv_n * np.outer(col_n, v)
+            g_ref[pos] -= inv_n * np.outer(row_p, v)
+        else:
+            # per-positive InfoNCE: L_p = log(1 + sum_n exp(b_n - a_p))
+            lse_b = bmax + np.log(eb.sum())
+            Lp = np.logaddexp(0.0, lse_b - a)  # (|P|,)
+            wp = np.exp(lse_b - a - Lp)  # per-positive total negative weight
+            pb = eb / eb.sum()
+            scale = inv_n / pos.size if variant == "single_positive" else inv_n
+            total += scale * Lp.sum()
+            col_n = wp.sum() * pb  # sum over p of w_pn per negative n
+            g_key[i] += scale * (col_n @ ref_emb[neg] - wp @ ref_emb[pos])
+            g_ref[neg] += scale * np.outer(col_n, v)
+            g_ref[pos] -= scale * np.outer(wp, v)
+    return float(total), g_key, g_ref
+
+
+def aux_pairs_oracle(
+    positivity: np.ndarray,
+    cos: np.ndarray,
+    neg_ratio: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All positive pairs plus the neg_ratio x |positives| hardest negatives
+    (highest cosine). Returns (rows, cols, targets)."""
+    pi, pj = np.nonzero(positivity)
+    if pi.size == 0:
+        raise ValueError("batch has no positive pairs")
+    ni, nj = np.nonzero(~positivity)
+    n_hard = min(ni.size, neg_ratio * pi.size)
+    order = np.argsort(-cos[ni, nj], kind="stable")[:n_hard]
+    rows = np.concatenate([pi, ni[order]])
+    cols = np.concatenate([pj, nj[order]])
+    targets = np.concatenate([np.ones(pi.size), np.zeros(n_hard)])
+    return rows, cols, targets
+
+
+def cosine_and_norms_oracle(key_emb: np.ndarray, ref_emb: np.ndarray):
+    kn = np.linalg.norm(key_emb, axis=1)
+    rn = np.linalg.norm(ref_emb, axis=1)
+    if np.any(kn == 0) or np.any(rn == 0):
+        raise ValueError("zero-norm embedding in auxiliary loss")
+    cos = (key_emb / kn[:, None]) @ (ref_emb / rn[:, None]).T
+    return cos, kn, rn
+
+
+def aux_value_and_grad_oracle(
+    positivity: np.ndarray,
+    key_emb: np.ndarray,
+    ref_emb: np.ndarray,
+    neg_ratio: int,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Auxiliary L2 loss (cos - c)^2 with analytic gradients; mean over all
+    positive pairs and the hard-mined negatives."""
+    cos, kn, rn = cosine_and_norms_oracle(key_emb, ref_emb)
+    rows, cols, targets = aux_pairs_oracle(positivity, cos, neg_ratio)
+    c = cos[rows, cols]
+    resid = c - targets
+    value = float(np.mean(resid**2))
+    g_key = np.zeros_like(key_emb)
+    g_ref = np.zeros_like(ref_emb)
+    coef = 2.0 * resid / rows.size
+    inv_prod = 1.0 / (kn[rows] * rn[cols])
+    dk = coef[:, None] * (ref_emb[cols] * inv_prod[:, None]
+                          - (c / kn[rows] ** 2)[:, None] * key_emb[rows])
+    dr = coef[:, None] * (key_emb[rows] * inv_prod[:, None]
+                          - (c / rn[cols] ** 2)[:, None] * ref_emb[cols])
+    np.add.at(g_key, rows, dk)
+    np.add.at(g_ref, cols, dr)
+    return value, g_key, g_ref
+
+
+def aux_selection_margin_oracle(positivity, key_emb, ref_emb, neg_ratio=3):
+    """Cosine gap at the hard-negative cutoff from a full descending sort."""
+    cos, _, _ = cosine_and_norms_oracle(key_emb, ref_emb)
+    pi, pj = np.nonzero(positivity)
+    ni, nj = np.nonzero(~positivity)
+    n_hard = min(ni.size, neg_ratio * pi.size)
+    if n_hard == ni.size:
+        return float("inf")
+    vals = np.sort(cos[ni, nj])[::-1]
+    return float(vals[n_hard - 1] - vals[n_hard])
+
+
+def positivity_oracle(key, ref):
+    """Key x reference positivity from a double loop over the samples."""
+    pos = np.zeros((len(key), len(ref)), dtype=bool)
+    for i, ks in enumerate(key):
+        if ks.polarity != POSITIVE:
+            continue
+        for j, rs in enumerate(ref):
+            if rs.polarity == POSITIVE and rs.identity == ks.identity:
+                pos[i, j] = True
+    return pos
+
+
+def loss_total_oracle(positivity, key_emb, ref_emb, cfg: LossConfig | None = None):
+    """gamma1 * embedding loss + gamma2 * auxiliary loss from the per-row
+    references, with a constituent skipped when its weight is zero."""
+    cfg = cfg or LossConfig()
+    value = 0.0
+    g_key = np.zeros_like(key_emb)
+    g_ref = np.zeros_like(ref_emb)
+    if cfg.gamma1 > 0:
+        v, gk, gr = embed_value_and_grad_oracle(positivity, key_emb, ref_emb, cfg.variant)
+        value += cfg.gamma1 * v
+        g_key += cfg.gamma1 * gk
+        g_ref += cfg.gamma1 * gr
+    if cfg.gamma2 > 0:
+        v, gk, gr = aux_value_and_grad_oracle(positivity, key_emb, ref_emb, cfg.aux_neg_ratio)
+        value += cfg.gamma2 * v
+        g_key += cfg.gamma2 * gk
+        g_ref += cfg.gamma2 * gr
+    return value, (g_key, g_ref)

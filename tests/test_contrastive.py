@@ -2,14 +2,19 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from embedtrack.contrastive import (
     IGNORED,
     NEGATIVE,
     POSITIVE,
+    VARIANTS,
     LossConfig,
     RegionSample,
     SampleBatch,
+    _aux_pairs,
+    _embed_value_and_grad,
     assign_samples,
     aux_selection_margin,
     cross_frame_nn_accuracy,
@@ -24,6 +29,13 @@ from embedtrack.contrastive import (
     sample_batch,
 )
 from embedtrack.geometry import BoundingBox
+from oracles import (
+    aux_pairs_oracle,
+    aux_selection_margin_oracle,
+    embed_value_and_grad_oracle,
+    loss_total_oracle,
+    positivity_oracle,
+)
 
 UNIT = BoundingBox(0, 0, 1, 1)
 
@@ -407,3 +419,121 @@ class TestBatchSerialization:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="unknown frame tag"):
             load_batch(io.StringIO("mid 0 0 1 1 - negative 0.0 1.0\n"))
+
+
+# ---------------------------------------------------------------------------
+# Matrix-form losses against the per-row reference loops in tests/oracles.py
+# ---------------------------------------------------------------------------
+
+# A label is an identity (positive sample) or None (negative sample).
+_labels = st.lists(st.none() | st.integers(0, 2), min_size=1, max_size=7)
+
+
+@st.composite
+def labeled_batches(draw):
+    """(key labels, ref labels, dim, seed); embeddings are drawn from the
+    seed so the search explores label structure, not float conditioning."""
+    return draw(_labels), draw(_labels), draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
+
+
+def build_batch(key_labels, ref_labels, dim, seed):
+    rng = np.random.default_rng(seed)
+
+    def sample(label):
+        emb = rng.standard_normal(dim)
+        return neg(emb) if label is None else pos(label, emb)
+
+    return SampleBatch(key=[sample(x) for x in key_labels], ref=[sample(x) for x in ref_labels])
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+class TestMatrixFormEquivalence:
+    @given(labeled_batches(), st.integers(0, 4))
+    # every ref positive: key 0 has no negative, keys None and 1 no positive
+    @example(([0, None, 1], [0, 0, 0], 4, 0), 3)
+    @example(([0, 1, None], [0, None, 1, 1], 3, 1), 3)  # a key with no positive
+    @example(([0], [0, None, 1, 0], 5, 3), 3)  # single row
+    @example(([1], [1], 2, 4), 3)  # single row, single ref, no negative
+    def test_loss_total_matches_per_row_oracle(self, drawn, neg_ratio):
+        b = build_batch(*drawn)
+        emb = b.embeddings()
+        for variant in VARIANTS:
+            for gamma1, gamma2 in ((0.25, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)):
+                cfg = LossConfig(gamma1=gamma1, gamma2=gamma2, aux_neg_ratio=neg_ratio,
+                                 variant=variant)
+                if not b.positivity.any() and (gamma1 or gamma2):
+                    with pytest.raises(ValueError, match="no positive pairs"):
+                        loss_total(b, emb, cfg)
+                    continue
+                value, (gk, gr) = loss_total(b, emb, cfg)
+                want, (wk, wr) = loss_total_oracle(b.positivity, *emb, cfg)
+                assert_close(value, want)
+                assert_close(gk, wk)
+                assert_close(gr, wr)
+
+    @given(st.data())
+    def test_embedding_loss_matches_oracle_on_any_positivity(self, data):
+        # Positivity from identities never mixes a key without negatives with
+        # a key that has both; an arbitrary boolean matrix does.
+        v, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+        dim = data.draw(st.integers(1, 5))
+        cells = st.lists(st.booleans(), min_size=v * k, max_size=v * k).filter(any)
+        positivity = np.array(data.draw(cells)).reshape(v, k)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        key_emb, ref_emb = rng.standard_normal((v, dim)), rng.standard_normal((k, dim))
+        for variant in VARIANTS:
+            got = _embed_value_and_grad(positivity, key_emb, ref_emb, variant)
+            want = embed_value_and_grad_oracle(positivity, key_emb, ref_emb, variant)
+            for g, w in zip(got, want):
+                assert_close(g, w)
+
+    @given(st.data())
+    def test_hard_negative_selection_equals_stable_argsort(self, data):
+        # Integer-valued cosines make ties at the cutoff common; neg_ratio 0
+        # selects no negative and a large ratio selects all of them.
+        v, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+        cells = st.lists(st.booleans(), min_size=v * k, max_size=v * k)
+        positivity = np.array(data.draw(cells)).reshape(v, k)
+        values = st.lists(st.integers(-2, 2), min_size=v * k, max_size=v * k)
+        cos = np.array(data.draw(values), dtype=float).reshape(v, k)
+        neg_ratio = data.draw(st.sampled_from([0, 1, 2, 3, v * k]))
+        if not positivity.any():
+            with pytest.raises(ValueError, match="no positive pairs"):
+                _aux_pairs(positivity, cos, neg_ratio)
+            return
+        got = _aux_pairs(positivity, cos, neg_ratio)
+        want = aux_pairs_oracle(positivity, cos, neg_ratio)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w) and g.dtype == w.dtype
+
+    @given(labeled_batches(), st.integers(0, 4), st.data())
+    def test_selection_margin_equals_full_sort(self, drawn, neg_ratio, data):
+        b = build_batch(*drawn)
+        # small integer embeddings repeat cosines, so margins of 0 occur
+        dim = drawn[2]
+        rows = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+        key_emb = np.array([data.draw(rows) for _ in b.key], dtype=float)
+        ref_emb = np.array([data.draw(rows) for _ in b.ref], dtype=float)
+        got = aux_selection_margin(b, (key_emb, ref_emb), neg_ratio)
+        assert got == aux_selection_margin_oracle(b.positivity, key_emb, ref_emb, neg_ratio)
+
+    @given(st.lists(st.sampled_from([None, IGNORED, -1, 0, 2**70]) | st.integers(0, 3)),
+           st.lists(st.sampled_from([None, IGNORED, -1, 0, 2**70]) | st.integers(0, 3)))
+    def test_positivity_equals_double_loop(self, key_labels, ref_labels):
+        def sample(label):
+            if label is None:
+                return neg([1.0])
+            if label == IGNORED:
+                return RegionSample(UNIT, None, IGNORED, 0.5)
+            return pos(label, [1.0])
+
+        key = [sample(x) for x in key_labels]
+        ref = [sample(x) for x in ref_labels]
+        got = SampleBatch(key=key, ref=ref).positivity
+        want = positivity_oracle(key, ref)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
