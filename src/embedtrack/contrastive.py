@@ -153,10 +153,9 @@ def _iou_balanced_draw(
 ) -> list[int]:
     """Round-robin draw across equal-width IoU bins over [0, upper)."""
     edges = np.linspace(0.0, upper, n_bins + 1)
+    which = np.searchsorted(edges, max_ious[negatives], side="right") - 1
     bins: list[list[int]] = [[] for _ in range(n_bins)]
-    for idx in negatives:
-        b = min(int(np.searchsorted(edges, max_ious[idx], side="right")) - 1, n_bins - 1)
-        b = max(b, 0)
+    for idx, b in zip(negatives, np.clip(which, 0, n_bins - 1).tolist()):
         bins[b].append(idx)
     for b in bins:
         rng.shuffle(b)
@@ -397,18 +396,24 @@ def loss_total(
     gamma1 * embedding loss + gamma2 * auxiliary loss. Constituents with a
     zero weight are skipped entirely.
     """
-    cfg = cfg or LossConfig()
     key_emb, ref_emb = _check_embeddings(batch, embeddings)
+    return _loss_total(batch.positivity, key_emb, ref_emb, cfg or LossConfig())
+
+
+def _loss_total(
+    positivity: np.ndarray, key_emb: np.ndarray, ref_emb: np.ndarray, cfg: LossConfig
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """``loss_total`` on embeddings that ``_check_embeddings`` accepted."""
     value = 0.0
     g_key = np.zeros_like(key_emb)
     g_ref = np.zeros_like(ref_emb)
     if cfg.gamma1 > 0:
-        v, gk, gr = _embed_value_and_grad(batch.positivity, key_emb, ref_emb, cfg.variant)
+        v, gk, gr = _embed_value_and_grad(positivity, key_emb, ref_emb, cfg.variant)
         value += cfg.gamma1 * v
         g_key += cfg.gamma1 * gk
         g_ref += cfg.gamma1 * gr
     if cfg.gamma2 > 0:
-        v, gk, gr = _aux_value_and_grad(batch.positivity, key_emb, ref_emb, cfg.aux_neg_ratio)
+        v, gk, gr = _aux_value_and_grad(positivity, key_emb, ref_emb, cfg.aux_neg_ratio)
         value += cfg.gamma2 * v
         g_key += cfg.gamma2 * gk
         g_ref += cfg.gamma2 * gr
@@ -422,8 +427,10 @@ def finite_difference_gradient(
     h: float = 1e-5,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference gradient of loss_total, the independent oracle
-    for the analytic gradients."""
+    for the analytic gradients. The embeddings are checked once; each
+    perturbed evaluation skips the check."""
     key_emb, ref_emb = _check_embeddings(batch, embeddings)
+    cfg = cfg or LossConfig()
     grads = []
     for which in (0, 1):
         base = key_emb if which == 0 else ref_emb
@@ -431,9 +438,9 @@ def finite_difference_gradient(
         for idx in np.ndindex(base.shape):
             orig = base[idx]
             base[idx] = orig + h
-            up, _ = loss_total(batch, (key_emb, ref_emb), cfg)
+            up, _ = _loss_total(batch.positivity, key_emb, ref_emb, cfg)
             base[idx] = orig - h
-            down, _ = loss_total(batch, (key_emb, ref_emb), cfg)
+            down, _ = _loss_total(batch.positivity, key_emb, ref_emb, cfg)
             base[idx] = orig
             g[idx] = (up - down) / (2 * h)
         grads.append(g)

@@ -8,6 +8,7 @@ extents are not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -60,6 +61,9 @@ class BoundingBox:
         return cls(x, y, x + w, y + h)
 
 
+_xyxy = attrgetter("x1", "y1", "x2", "y2")
+
+
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes. Returns 0.0 when the union
     is degenerate (never NaN)."""
@@ -74,6 +78,18 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
+def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each row pair ``a[k]``, ``b[k]`` of two (K, 4) float64 arrays
+    of xyxy boxes; degenerate unions give 0."""
+    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a + area_b - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+
+
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two (N, 4) / (M, 4) arrays of xyxy boxes.
 
@@ -81,19 +97,28 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
-    iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
-    ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
-    iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
-    iw = np.clip(ix2 - ix1, 0.0, None)
-    ih = np.clip(iy2 - iy1, 0.0, None)
-    inter = iw * ih
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0)
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    out = np.zeros(iw.shape)
+    # only pairs that overlap along x can have a nonzero IoU
+    hit = np.flatnonzero(iw > 0.0)
+    i, j = np.divmod(hit, len(b))
+    out.ravel()[hit] = _pair_iou(a.take(i, axis=0), b.take(j, axis=0))
     return out
+
+
+def _x_overlapping_pairs(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unordered pairs (i, j) of rows of an (N, 4) box array, each once,
+    that include every pair whose x extents overlap (``min(x2) > max(x1)``).
+    A sweep in order of x1: a box pairs with each later box whose x1 lies
+    below its x2."""
+    by_x1 = np.argsort(boxes[:, 0], kind="stable")
+    x1 = boxes[by_x1, 0]
+    rank = np.arange(len(x1))
+    count = np.maximum(np.searchsorted(x1, boxes[by_x1, 2], side="left") - rank - 1, 0)
+    p = np.repeat(rank, count)
+    # q runs over p + 1 .. p + count[p] for each p
+    q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(count) - count, count)
+    return by_x1[p], by_x1[q]
 
 
 def center_distance(a: BoundingBox, b: BoundingBox) -> float:
@@ -133,24 +158,29 @@ def nms(
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     if not dets:
         return []
-    scores = np.array([d[1] for d in dets], dtype=np.float64)
+    boxes, scores, classes = zip(*dets)
+    scores = np.array(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValueError("nms requires finite scores")
     # stable sort keeps lower input index first among equal scores
     order = np.argsort(-scores, kind="stable")
-    boxes = np.stack([d[0].as_array() for d in dets])
-    classes = np.array([d[2] for d in dets])
-    overlaps = iou_matrix(boxes, boxes)
+    coords = np.array(list(map(_xyxy, boxes)), dtype=np.float64).reshape(-1, 4)
+    i, j = _x_overlapping_pairs(coords)
+    over = _pair_iou(coords.take(i, axis=0), coords.take(j, axis=0)) > iou_threshold
+    if not class_agnostic:
+        classes = np.array(classes)
+        over &= classes[i] == classes[j]
+    if not over.any():
+        return order.tolist()
+    overlap = np.zeros((len(dets), len(dets)), dtype=bool)
+    overlap[i[over], j[over]] = True
+    overlap |= overlap.T
 
-    keep: list[int] = []
+    # The overlap relation is symmetric, so a kept box is never suppressed
+    # later, and a box that overlaps no other box is kept and suppresses
+    # nothing: only the rows of boxes with an overlap need the greedy pass.
     suppressed = np.zeros(len(dets), dtype=bool)
-    for i in order:
-        if suppressed[i]:
-            continue
-        keep.append(int(i))
-        mask = overlaps[i] > iou_threshold
-        if not class_agnostic:
-            mask &= classes == classes[i]
-        mask[i] = False
-        suppressed |= mask
-    return keep
+    for i in order[overlap.any(axis=1)[order]].tolist():
+        if not suppressed[i]:
+            suppressed |= overlap[i]
+    return order[~suppressed[order]].tolist()

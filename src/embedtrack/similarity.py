@@ -51,20 +51,51 @@ def cosine_matrix(dets: np.ndarray, cands: np.ndarray) -> np.ndarray:
     return (n / n_norm[:, None]) @ (m / m_norm[:, None]).T
 
 
-def _stable_softmax(logits: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax with per-slice max subtraction; fully masked slices give 0."""
-    finite_max = np.max(
-        np.where(np.isfinite(logits), logits, -np.inf), axis=axis, keepdims=True
-    )
-    # slices with no finite entry: shift by 0, exp(-inf) = 0 handles the rest
-    shift = np.where(np.isfinite(finite_max), finite_max, 0.0)
-    with np.errstate(invalid="ignore"):
-        e = np.exp(logits - shift)
-    e = np.where(np.isfinite(logits), e, 0.0)
-    denom = np.sum(e, axis=axis, keepdims=True)
-    out = np.zeros_like(e)
-    np.divide(e, denom, out=out, where=denom > 0)
-    return out
+def _stable_softmax(logits: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax with per-slice max subtraction over the finite entries; the
+    other entries, and slices with no finite entry, give 0. Written to
+    ``out`` when given, which may be ``logits`` itself."""
+    finite = np.isfinite(logits)
+    if not finite.all():
+        logits = np.where(finite, logits, NEG_INF)
+    shift = logits.max(axis=axis, keepdims=True)
+    shift[shift == NEG_INF] = 0.0  # exp(-inf) = 0 handles such a slice
+    e = np.subtract(logits, shift, out=out)
+    np.exp(e, out=e)
+    denom = e.sum(axis=axis, keepdims=True)
+    denom[denom == 0.0] = 1.0  # a slice with no finite entry is all zeros
+    e /= denom
+    return e
+
+
+def _bisoftmax_terms(
+    dets: np.ndarray, cands: np.ndarray, allowed: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one bi-softmax kernel: validated inputs, raw dot-product logits,
+    pairs outside ``allowed`` (every pair when None) set to -inf, then the
+    row-wise and the column-wise softmax."""
+    n = validate_embeddings(dets, name="detection embeddings")
+    m = validate_embeddings(cands, dim=n.shape[1], name="candidate embeddings")
+    if n.shape[0] == 0 or m.shape[0] == 0:
+        raise ValueError("bi-softmax requires at least one detection and one candidate")
+    if allowed is not None:
+        allowed = np.asarray(allowed, dtype=bool)
+        if allowed.shape != (n.shape[0], m.shape[0]):
+            raise ValueError(
+                f"mask shape {allowed.shape} does not match ({n.shape[0]}, {m.shape[0]})"
+            )
+    logits = n @ m.T
+    if allowed is not None and not allowed.all():
+        logits[~allowed] = NEG_INF
+    row = _stable_softmax(logits, axis=1)
+    return row, _stable_softmax(logits, axis=0, out=logits)
+
+
+def _mean(row: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """0.5 * (row + col), in the memory of ``row``."""
+    row += col
+    row *= 0.5
+    return row
 
 
 def bisoftmax_components(dets: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,18 +105,12 @@ def bisoftmax_components(dets: np.ndarray, cands: np.ndarray) -> tuple[np.ndarra
     1 over detections. Raw dot-product logits, max-subtracted for overflow
     safety.
     """
-    n = validate_embeddings(dets, name="detection embeddings")
-    m = validate_embeddings(cands, dim=n.shape[1], name="candidate embeddings")
-    if n.shape[0] == 0 or m.shape[0] == 0:
-        raise ValueError("bi-softmax requires at least one detection and one candidate")
-    logits = n @ m.T
-    return _stable_softmax(logits, axis=1), _stable_softmax(logits, axis=0)
+    return _bisoftmax_terms(dets, cands)
 
 
 def bisoftmax_matrix(dets: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """(N, M) bi-directional softmax similarity; every entry in (0, 1]."""
-    row, col = bisoftmax_components(dets, cands)
-    return 0.5 * (row + col)
+    return _mean(*_bisoftmax_terms(dets, cands))
 
 
 def masked_bisoftmax(dets: np.ndarray, cands: np.ndarray, allowed: np.ndarray) -> np.ndarray:
@@ -97,13 +122,4 @@ def masked_bisoftmax(dets: np.ndarray, cands: np.ndarray, allowed: np.ndarray) -
     Entries whose pair is disallowed, and rows/columns with no admissible
     pair at all, come back as 0.
     """
-    n = validate_embeddings(dets, name="detection embeddings")
-    m = validate_embeddings(cands, dim=n.shape[1], name="candidate embeddings")
-    if n.shape[0] == 0 or m.shape[0] == 0:
-        raise ValueError("bi-softmax requires at least one detection and one candidate")
-    allowed = np.asarray(allowed, dtype=bool)
-    if allowed.shape != (n.shape[0], m.shape[0]):
-        raise ValueError(f"mask shape {allowed.shape} does not match ({n.shape[0]}, {m.shape[0]})")
-    logits = n @ m.T
-    logits = np.where(allowed, logits, NEG_INF)
-    return 0.5 * (_stable_softmax(logits, axis=1) + _stable_softmax(logits, axis=0))
+    return _mean(*_bisoftmax_terms(dets, cands, allowed))

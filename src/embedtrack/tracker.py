@@ -9,6 +9,7 @@ greedily in descending detection-score order. No motion model anywhere.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -131,15 +132,87 @@ class TrackerConfig:
         return asdict(self)
 
 
+class _Rows:
+    """Tracks or backdrops as parallel arrays: row i holds the embedding,
+    class, frame (the last active one for a track) and creation frame of
+    ``objs[i]``."""
+
+    def __init__(self, objs: list, emb: np.ndarray, cls: np.ndarray,
+                 frame: np.ndarray, created: np.ndarray):
+        self.objs, self.emb, self.cls, self.frame, self.created = objs, emb, cls, frame, created
+
+    @classmethod
+    def of(cls, objs: list, frame_attr: str, created_attr: str) -> "_Rows":
+        if not objs:
+            empty = np.empty(0, dtype=np.int64)
+            return cls([], np.empty((0, 0)), empty, empty, empty)
+        return cls(
+            objs,
+            np.array([o.embedding for o in objs], dtype=np.float64),
+            np.array([o.class_id for o in objs]),
+            np.array([getattr(o, frame_attr) for o in objs], dtype=np.int64),
+            np.array([getattr(o, created_attr) for o in objs], dtype=np.int64),
+        )
+
+    def mirrors(self, objs) -> bool:
+        """Whether ``objs`` are exactly the objects these rows describe."""
+        return len(objs) == len(self.objs) and all(map(operator.is_, objs, self.objs))
+
+    def extend(self, objs: list, emb: np.ndarray, cls: np.ndarray, frame: int) -> None:
+        """Append rows created at ``frame``."""
+        if not objs:
+            return
+        frame = np.full(len(objs), frame, dtype=np.int64)
+        created = frame.copy()
+        if self.objs:
+            emb = np.concatenate([self.emb, emb])
+            cls = np.concatenate([self.cls, cls])
+            frame = np.concatenate([self.frame, frame])
+            created = np.concatenate([self.created, created])
+        else:
+            # the new objects hold views of emb, and step writes rows in place
+            emb = emb.copy()
+        self.objs = self.objs + objs
+        self.emb, self.cls, self.frame, self.created = emb, cls, frame, created
+
+    def select(self, keep: np.ndarray) -> None:
+        """Keep the rows where the boolean ``keep`` is set."""
+        if keep.all():
+            return
+        self.objs = [self.objs[i] for i in np.flatnonzero(keep)]
+        self.emb, self.cls = self.emb.compress(keep, axis=0), self.cls[keep]
+        self.frame, self.created = self.frame[keep], self.created[keep]
+
+
 @dataclass
 class TrackerState:
-    """Mutable per-sequence state; one instance per video."""
+    """Mutable per-sequence state; one instance per video.
+
+    ``step`` and ``merge_tracklets`` keep the live tracks and backdrops as
+    arrays too, row for row in the order of ``tracks`` and ``backdrops``.
+    Tracks or backdrops added or removed by other code are picked up: the
+    arrays are rebuilt when they no longer describe the same objects. A
+    field of a live ``Track`` changed in place by other code is not.
+    """
 
     tracks: dict[int, Track] = field(default_factory=dict)
     retired: dict[int, Track] = field(default_factory=dict)
     backdrops: list[Backdrop] = field(default_factory=list)
     next_id: int = 1
     frame: int | None = None
+    _track_rows: _Rows | None = field(default=None, init=False, repr=False, compare=False)
+    _backdrop_rows: _Rows | None = field(default=None, init=False, repr=False, compare=False)
+
+
+def _rows(state: TrackerState) -> tuple[_Rows, _Rows]:
+    """The state's track and backdrop arrays, rebuilt where stale."""
+    tracks, backdrops = state._track_rows, state._backdrop_rows
+    if tracks is None or not tracks.mirrors(state.tracks.values()):
+        tracks = state._track_rows = _Rows.of(
+            list(state.tracks.values()), "last_active_frame", "created_frame")
+    if backdrops is None or not backdrops.mirrors(state.backdrops):
+        backdrops = state._backdrop_rows = _Rows.of(list(state.backdrops), "frame", "frame")
+    return tracks, backdrops
 
 
 def momentum_update(old: np.ndarray, new: np.ndarray, m: float) -> np.ndarray:
@@ -183,17 +256,11 @@ def _within(boxes_a: list[BoundingBox], boxes_b: list[BoundingBox], radius: floa
     return ~(center_distance_matrix(a, b) > radius)
 
 
-def _candidate_pools(state: TrackerState, frame_index: int, cfg: TrackerConfig):
-    """Tracks inactive at most memory_frames and backdrops at most
-    backdrop_frames old, as parallel candidate arrays."""
-    tracks = [
-        t for t in state.tracks.values()
-        if frame_index - t.last_active_frame <= cfg.memory_frames
-    ]
-    backdrops = [
-        b for b in state.backdrops if frame_index - b.frame <= cfg.backdrop_frames
-    ]
-    return tracks, backdrops
+def _gather(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Rows ``idx`` of each ``(array, idx)`` part, stacked in order; an
+    array is used as it is when all its rows are taken."""
+    parts = [a if len(idx) == len(a) else a.take(idx, axis=0) for a, idx in parts if len(idx)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def step(
@@ -216,6 +283,7 @@ def step(
             f"frame index must increase monotonically ({frame_index} after {state.frame})"
         )
     state.frame = frame_index
+    tracks, backdrops = _rows(state)
 
     dets = [d for d in detections if d.score >= cfg.det_confidence]
     if dets and cfg.duplicate_removal:
@@ -224,92 +292,114 @@ def step(
             cfg.nms_threshold,
             class_agnostic=True,
         )
-        dets = [dets[i] for i in sorted(keep)]
-
-    tracks, backdrops = _candidate_pools(state, frame_index, cfg)
-    n_tracks = len(tracks)
-
-    # best candidate and its similarity per detection (-inf: no candidate)
-    best = [0] * len(dets)
-    best_conf = [-np.inf] * len(dets)
-    if dets and (tracks or backdrops):
-        det_emb = np.stack([d.embedding for d in dets])
-        cand_emb = np.stack([t.embedding for t in tracks] + [b.embedding for b in backdrops])
-        allowed = np.ones((len(dets), len(cand_emb)), dtype=bool)
-        if cfg.same_class_only:
-            det_cls = np.array([d.class_id for d in dets])
-            cand_cls = np.array([t.class_id for t in tracks] + [b.class_id for b in backdrops])
-            allowed &= det_cls[:, None] == cand_cls[None, :]
-        if cfg.distance_gate is not None:
-            cand_boxes = [t.last_box for t in tracks] + [b.box for b in backdrops]
-            allowed &= _within([d.box for d in dets], cand_boxes, cfg.distance_gate)
-        if cfg.similarity_metric == "bisoftmax":
-            sim = masked_bisoftmax(det_emb, cand_emb, allowed)
-        else:
-            sim = cosine_matrix(det_emb, cand_emb)
-            sim = np.where(allowed, sim, -np.inf)
-        best_j = np.argmax(sim, axis=1)
-        best = best_j.tolist()
-        best_conf = sim[np.arange(len(dets)), best_j].tolist()
-
-    # greedy in descending detection score, ties by input index
+        if len(keep) < len(dets):
+            dets = [dets[i] for i in sorted(keep)]
+    n = len(dets)
     matches: list[tuple[int, Detection]] = []
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    claimed: set[int] = set()
-    m = cfg.momentum
-    for i in order:
-        det = dets[i]
-        handled = False
-        if best_conf[i] > cfg.beta_match and det.score > cfg.beta_obj:
-            j = best[i]
-            if j < n_tracks:
-                track = tracks[j]
-                if track.track_id not in claimed:
-                    # the momentum_update blend; both sides were validated
-                    # when their Detection was built
-                    track.embedding = m * det.embedding + (1.0 - m) * track.embedding
-                    track.last_box = det.box
-                    track.last_active_frame = frame_index
-                    track.history.append((frame_index, det.box, det.score))
-                    claimed.add(track.track_id)
-                    matches.append((track.track_id, det))
-                    handled = True
+    if n:
+        scores = np.array([d.score for d in dets], dtype=np.float64)
+        det_cls = np.array([d.class_id for d in dets])
+        det_emb = np.array([d.embedding for d in dets])
+
+        # candidates: tracks inactive at most memory_frames, then backdrops
+        # at most backdrop_frames old
+        cand_t = np.flatnonzero(frame_index - tracks.frame <= cfg.memory_frames)
+        cand_b = np.flatnonzero(frame_index - backdrops.frame <= cfg.backdrop_frames)
+        n_tracks = len(cand_t)
+        # best candidate and its similarity per detection (-inf: no candidate)
+        best = np.zeros(n, dtype=np.intp)
+        best_conf = np.full(n, -np.inf)
+        if n_tracks or len(cand_b):
+            cand_emb = _gather([(tracks.emb, cand_t), (backdrops.emb, cand_b)])
+            allowed = np.ones((n, len(cand_emb)), dtype=bool)
+            if cfg.same_class_only:
+                cand_cls = _gather([(tracks.cls, cand_t), (backdrops.cls, cand_b)])
+                allowed &= det_cls[:, None] == cand_cls[None, :]
+            if cfg.distance_gate is not None:
+                cand_boxes = ([tracks.objs[r].last_box for r in cand_t.tolist()]
+                              + [backdrops.objs[r].box for r in cand_b.tolist()])
+                allowed &= _within([d.box for d in dets], cand_boxes, cfg.distance_gate)
+            if cfg.similarity_metric == "bisoftmax":
+                sim = masked_bisoftmax(det_emb, cand_emb, allowed)
             else:
-                handled = True  # consumed by a backdrop: no track touched
-        if not handled:
-            if det.score > cfg.beta_new:
-                track = Track(
-                    track_id=state.next_id,
-                    class_id=det.class_id,
-                    embedding=det.embedding.copy(),
-                    last_box=det.box,
-                    last_active_frame=frame_index,
-                    created_frame=frame_index,
-                    history=[(frame_index, det.box, det.score)],
-                )
-                state.tracks[track.track_id] = track
-                state.next_id += 1
-                claimed.add(track.track_id)
+                sim = cosine_matrix(det_emb, cand_emb)
+                sim = np.where(allowed, sim, -np.inf)
+            best = np.argmax(sim, axis=1)
+            best_conf = sim[np.arange(n), best]
+
+        # greedy in descending detection score, ties by input index: the
+        # first eligible detection that picks a track claims it; one that
+        # picks a backdrop is consumed by it; the rest start a track or
+        # become backdrops
+        order = np.argsort(-scores, kind="stable")
+        o_best, o_score = best[order], scores[order]
+        eligible = (best_conf[order] > cfg.beta_match) & (o_score > cfg.beta_obj)
+        to_track = np.flatnonzero(eligible & (o_best < n_tracks))
+        won = np.zeros(n, dtype=bool)
+        won[to_track[np.unique(o_best[to_track], return_index=True)[1]]] = True
+        free = ~(won | (eligible & (o_best >= n_tracks)))
+        spawn = free & (o_score > cfg.beta_new)
+
+        # Matched tracks: one momentum row update (the momentum_update blend;
+        # both sides were validated when their Detection was built). Tracks
+        # and backdrops made here hold views of this frame's arrays; purge
+        # gives a retired track a copy, so no old frame's array stays alive.
+        di, rows = order[won], cand_t[o_best[won]]
+        if rows.size:
+            m = cfg.momentum
+            blend = m * det_emb.take(di, axis=0) + (1.0 - m) * tracks.emb.take(rows, axis=0)
+            tracks.emb[rows] = blend
+            tracks.frame[rows] = frame_index
+            for i, r, emb in zip(di.tolist(), rows.tolist(), blend):
+                det, track = dets[i], tracks.objs[r]
+                track.embedding = emb
+                track.last_box = det.box
+                track.last_active_frame = frame_index
+                track.history.append((frame_index, det.box, det.score))
                 matches.append((track.track_id, det))
-            else:
-                state.backdrops.append(
-                    Backdrop(det.embedding.copy(), det.box, det.class_id, frame_index)
-                )
+
+        si = order[spawn].tolist()
+        emb = det_emb.take(si, axis=0)
+        born = [
+            Track(
+                track_id=state.next_id + k,
+                class_id=dets[i].class_id,
+                embedding=e,
+                last_box=dets[i].box,
+                last_active_frame=frame_index,
+                created_frame=frame_index,
+                history=[(frame_index, dets[i].box, dets[i].score)],
+            )
+            for k, (i, e) in enumerate(zip(si, emb))
+        ]
+        tracks.extend(born, emb, det_cls[si], frame_index)
+        for i, track in zip(si, born):
+            state.tracks[track.track_id] = track
+            matches.append((track.track_id, dets[i]))
+        state.next_id += len(born)
+
+        bi = order[free & ~spawn].tolist()
+        emb = det_emb.take(bi, axis=0)
+        backdrops.extend(
+            [Backdrop(e, dets[i].box, dets[i].class_id, frame_index) for i, e in zip(bi, emb)],
+            emb, det_cls[bi], frame_index,
+        )
 
     # purge expired state
-    for tid in [
-        tid for tid, t in state.tracks.items()
-        if frame_index - t.last_active_frame > cfg.memory_frames
-    ]:
-        state.retired[tid] = state.tracks.pop(tid)
-    state.backdrops = [
-        b for b in state.backdrops if frame_index - b.frame <= cfg.backdrop_frames
-    ]
+    expired = frame_index - tracks.frame > cfg.memory_frames
+    if expired.any():
+        for r in np.flatnonzero(expired).tolist():
+            track = tracks.objs[r]
+            track.embedding = track.embedding.copy()
+            state.retired[track.track_id] = state.tracks.pop(track.track_id)
+        tracks.select(~expired)
+    backdrops.select(frame_index - backdrops.frame <= cfg.backdrop_frames)
+    state.backdrops = list(backdrops.objs)
 
     if cfg.merge is not None:
         merge_tracklets(state, cfg.merge)
 
-    matches.sort(key=lambda p: p[0])
+    matches.sort(key=operator.itemgetter(0))
     return matches
 
 
@@ -326,30 +416,23 @@ def merge_tracklets(state: TrackerState, merge: MergeConfig) -> TrackerState:
     if state.frame is None:
         return state
     now = state.frame
-    young = [
-        t for t in state.tracks.values()
-        if now - t.created_frame <= merge.t and t.last_active_frame == now
-    ]
-    vanished = [t for t in state.tracks.values() if t.last_active_frame < now]
-    if not young or not vanished:
+    rows, _ = _rows(state)
+    young = np.flatnonzero((now - rows.created <= merge.t) & (rows.frame == now))
+    vanished = np.flatnonzero(rows.frame < now)
+    if not young.size or not vanished.size:
         return state
 
-    y_emb = np.stack([t.embedding for t in young])
-    v_emb = np.stack([t.embedding for t in vanished])
-    y_cls = np.array([t.class_id for t in young])
-    v_cls = np.array([t.class_id for t in vanished])
-    y_created = np.array([t.created_frame for t in young])
-    v_last = np.array([t.last_active_frame for t in vanished])
     # a track that overlaps the vanished one in time would give one ID two
     # boxes in a frame
     allowed = (
-        (y_cls[:, None] == v_cls[None, :])
-        & (y_created[:, None] > v_last[None, :])
-        & _within([t.last_box for t in young], [t.last_box for t in vanished], merge.d_merge)
+        (rows.cls[young][:, None] == rows.cls[vanished][None, :])
+        & (rows.created[young][:, None] > rows.frame[vanished][None, :])
+        & _within([rows.objs[r].last_box for r in young.tolist()],
+                  [rows.objs[r].last_box for r in vanished.tolist()], merge.d_merge)
     )
     if not allowed.any():
         return state
-    sim = masked_bisoftmax(y_emb, v_emb, allowed)
+    sim = masked_bisoftmax(rows.emb[young], rows.emb[vanished], allowed)
 
     # best young per vanished track, in descending score, ties by (i, j):
     # nonzero lists pairs row-major and the sort is stable
@@ -357,18 +440,23 @@ def merge_tracklets(state: TrackerState, merge: MergeConfig) -> TrackerState:
     order = np.argsort(-sim[ii, jj], kind="stable")
     used_young: set[int] = set()
     used_vanished: set[int] = set()
+    keep = np.ones(len(rows.objs), dtype=bool)
     for i, j in zip(ii[order].tolist(), jj[order].tolist()):
         if i in used_young or j in used_vanished:
             continue
         used_young.add(i)
         used_vanished.add(j)
-        yt, vt = young[i], vanished[j]
+        y, v = young[i], vanished[j]
+        yt, vt = rows.objs[y], rows.objs[v]
         vt.history.extend(yt.history)
         vt.history.sort(key=lambda h: h[0])
         vt.embedding = yt.embedding.copy()
         vt.last_box = yt.last_box
         vt.last_active_frame = yt.last_active_frame
+        rows.emb[v], rows.frame[v] = rows.emb[y], rows.frame[y]
+        keep[y] = False
         del state.tracks[yt.track_id]
+    rows.select(keep)
     return state
 
 

@@ -5,17 +5,33 @@ The metric oracles enumerate matchings explicitly instead of calling an
 assignment solver. The contrastive-loss oracles are the per-key-sample
 loops that the matrix-form losses in ``embedtrack.contrastive`` replaced:
 one Python iteration per key row, hard negatives chosen by a full stable
-argsort, gradients scattered with ``np.add.at``.
+argsort, gradients scattered with ``np.add.at``. The association oracles
+are the per-object tracker that the array-resident ``embedtrack.tracker``
+replaced: candidate matrices stacked from ``Track`` objects every frame, a
+Python greedy claim loop, per-box NMS and the two-pass softmax; with them
+comes the per-negative IoU binning of ``sample_batch``.
 """
 
 import itertools
 from collections import defaultdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from embedtrack.contrastive import POSITIVE, VARIANTS, LossConfig
-from embedtrack.geometry import iou
+from embedtrack.geometry import BoundingBox, center_distance_matrix, iou
 from embedtrack.metrics import HOTA_ALPHAS, ObjectEntry, TrackSet
+from embedtrack.similarity import cosine_matrix, validate_embeddings
+from embedtrack.tracker import (
+    Backdrop,
+    Detection,
+    MergeConfig,
+    Track,
+    TrackerConfig,
+    interpolate_tracks,
+)
+
+NEG_INF = -np.inf
 
 
 def pairwise_iou(gts, prs):
@@ -422,3 +438,347 @@ def loss_total_oracle(positivity, key_emb, ref_emb, cfg: LossConfig | None = Non
         g_key += cfg.gamma2 * gk
         g_ref += cfg.gamma2 * gr
     return value, (g_key, g_ref)
+
+
+def stable_softmax_oracle(logits: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax with per-slice max subtraction; fully masked slices give 0."""
+    finite_max = np.max(
+        np.where(np.isfinite(logits), logits, -np.inf), axis=axis, keepdims=True
+    )
+    # slices with no finite entry: shift by 0, exp(-inf) = 0 handles the rest
+    shift = np.where(np.isfinite(finite_max), finite_max, 0.0)
+    with np.errstate(invalid="ignore"):
+        e = np.exp(logits - shift)
+    e = np.where(np.isfinite(logits), e, 0.0)
+    denom = np.sum(e, axis=axis, keepdims=True)
+    out = np.zeros_like(e)
+    np.divide(e, denom, out=out, where=denom > 0)
+    return out
+
+
+def masked_bisoftmax_oracle(dets: np.ndarray, cands: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Bi-softmax with inadmissible (detection, candidate) pairs removed
+    before normalization.
+
+    ``allowed`` is an (N, M) boolean mask; disallowed pairs get -inf
+    logits so each softmax normalizes over admissible pairs only.
+    Entries whose pair is disallowed, and rows/columns with no admissible
+    pair at all, come back as 0.
+    """
+    n = validate_embeddings(dets, name="detection embeddings")
+    m = validate_embeddings(cands, dim=n.shape[1], name="candidate embeddings")
+    if n.shape[0] == 0 or m.shape[0] == 0:
+        raise ValueError("bi-softmax requires at least one detection and one candidate")
+    allowed = np.asarray(allowed, dtype=bool)
+    if allowed.shape != (n.shape[0], m.shape[0]):
+        raise ValueError(f"mask shape {allowed.shape} does not match ({n.shape[0]}, {m.shape[0]})")
+    logits = n @ m.T
+    logits = np.where(allowed, logits, NEG_INF)
+    return 0.5 * (stable_softmax_oracle(logits, axis=1) + stable_softmax_oracle(logits, axis=0))
+
+
+def iou_matrix_oracle(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU between two (N, 4) / (M, 4) arrays of xyxy boxes.
+
+    Returns an (N, M) float64 matrix. Degenerate unions give 0.
+    """
+    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
+    ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
+    iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
+    ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
+    iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
+    iw = np.clip(ix2 - ix1, 0.0, None)
+    ih = np.clip(iy2 - iy1, 0.0, None)
+    inter = iw * ih
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0)
+    return out
+
+
+def nms_oracle(
+    dets: list[tuple[BoundingBox, float, int]],
+    iou_threshold: float,
+    class_agnostic: bool = False,
+) -> list[int]:
+    """Greedy non-maximum suppression over (box, score, class_id) triples.
+
+    Suppression is intra-class by default; with ``class_agnostic=True`` a
+    kept box suppresses overlapping boxes of any class (inter-class NMS).
+    Returns indices into ``dets`` in descending score order; score ties
+    break toward the lower input index.
+    """
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+    if not dets:
+        return []
+    scores = np.array([d[1] for d in dets], dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("nms requires finite scores")
+    # stable sort keeps lower input index first among equal scores
+    order = np.argsort(-scores, kind="stable")
+    boxes = np.stack([d[0].as_array() for d in dets])
+    classes = np.array([d[2] for d in dets])
+    overlaps = iou_matrix_oracle(boxes, boxes)
+
+    keep: list[int] = []
+    suppressed = np.zeros(len(dets), dtype=bool)
+    for i in order:
+        if suppressed[i]:
+            continue
+        keep.append(int(i))
+        mask = overlaps[i] > iou_threshold
+        if not class_agnostic:
+            mask &= classes == classes[i]
+        mask[i] = False
+        suppressed |= mask
+    return keep
+
+
+@dataclass
+class OracleTrackerState:
+    """Mutable per-sequence state; one instance per video."""
+
+    tracks: dict[int, Track] = field(default_factory=dict)
+    retired: dict[int, Track] = field(default_factory=dict)
+    backdrops: list[Backdrop] = field(default_factory=list)
+    next_id: int = 1
+    frame: int | None = None
+
+
+def within_oracle(boxes_a: list[BoundingBox], boxes_b: list[BoundingBox], radius: float) -> np.ndarray:
+    """(N, M) mask of box pairs whose centers are at most ``radius`` apart."""
+    a = np.array([(x.x1, x.y1, x.x2, x.y2) for x in boxes_a], dtype=np.float64)
+    b = np.array([(x.x1, x.y1, x.x2, x.y2) for x in boxes_b], dtype=np.float64)
+    return ~(center_distance_matrix(a, b) > radius)
+
+
+def candidate_pools_oracle(state: OracleTrackerState, frame_index: int, cfg: TrackerConfig):
+    """Tracks inactive at most memory_frames and backdrops at most
+    backdrop_frames old, as parallel candidate arrays."""
+    tracks = [
+        t for t in state.tracks.values()
+        if frame_index - t.last_active_frame <= cfg.memory_frames
+    ]
+    backdrops = [
+        b for b in state.backdrops if frame_index - b.frame <= cfg.backdrop_frames
+    ]
+    return tracks, backdrops
+
+
+def step_oracle(
+    state: OracleTrackerState,
+    frame_index: int,
+    detections: list[Detection],
+    cfg: TrackerConfig,
+) -> list[tuple[int, Detection]]:
+    """One association step.
+
+    Pipeline: confidence floor, class-agnostic duplicate-removal NMS,
+    similarity against tracks-within-memory plus live backdrops (class and
+    distance masking applied pre-softmax), then greedy claiming in
+    descending score order: match a free track, or be consumed by a
+    backdrop, or start a new track (score above beta_new), or become a
+    backdrop. Finally expired tracks and backdrops are purged.
+    """
+    if state.frame is not None and frame_index <= state.frame:
+        raise ValueError(
+            f"frame index must increase monotonically ({frame_index} after {state.frame})"
+        )
+    state.frame = frame_index
+
+    dets = [d for d in detections if d.score >= cfg.det_confidence]
+    if dets and cfg.duplicate_removal:
+        keep = nms_oracle(
+            [(d.box, d.score, d.class_id) for d in dets],
+            cfg.nms_threshold,
+            class_agnostic=True,
+        )
+        dets = [dets[i] for i in sorted(keep)]
+
+    tracks, backdrops = candidate_pools_oracle(state, frame_index, cfg)
+    n_tracks = len(tracks)
+
+    # best candidate and its similarity per detection (-inf: no candidate)
+    best = [0] * len(dets)
+    best_conf = [-np.inf] * len(dets)
+    if dets and (tracks or backdrops):
+        det_emb = np.stack([d.embedding for d in dets])
+        cand_emb = np.stack([t.embedding for t in tracks] + [b.embedding for b in backdrops])
+        allowed = np.ones((len(dets), len(cand_emb)), dtype=bool)
+        if cfg.same_class_only:
+            det_cls = np.array([d.class_id for d in dets])
+            cand_cls = np.array([t.class_id for t in tracks] + [b.class_id for b in backdrops])
+            allowed &= det_cls[:, None] == cand_cls[None, :]
+        if cfg.distance_gate is not None:
+            cand_boxes = [t.last_box for t in tracks] + [b.box for b in backdrops]
+            allowed &= within_oracle([d.box for d in dets], cand_boxes, cfg.distance_gate)
+        if cfg.similarity_metric == "bisoftmax":
+            sim = masked_bisoftmax_oracle(det_emb, cand_emb, allowed)
+        else:
+            sim = cosine_matrix(det_emb, cand_emb)
+            sim = np.where(allowed, sim, -np.inf)
+        best_j = np.argmax(sim, axis=1)
+        best = best_j.tolist()
+        best_conf = sim[np.arange(len(dets)), best_j].tolist()
+
+    # greedy in descending detection score, ties by input index
+    matches: list[tuple[int, Detection]] = []
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    claimed: set[int] = set()
+    m = cfg.momentum
+    for i in order:
+        det = dets[i]
+        handled = False
+        if best_conf[i] > cfg.beta_match and det.score > cfg.beta_obj:
+            j = best[i]
+            if j < n_tracks:
+                track = tracks[j]
+                if track.track_id not in claimed:
+                    # the momentum_update blend; both sides were validated
+                    # when their Detection was built
+                    track.embedding = m * det.embedding + (1.0 - m) * track.embedding
+                    track.last_box = det.box
+                    track.last_active_frame = frame_index
+                    track.history.append((frame_index, det.box, det.score))
+                    claimed.add(track.track_id)
+                    matches.append((track.track_id, det))
+                    handled = True
+            else:
+                handled = True  # consumed by a backdrop: no track touched
+        if not handled:
+            if det.score > cfg.beta_new:
+                track = Track(
+                    track_id=state.next_id,
+                    class_id=det.class_id,
+                    embedding=det.embedding.copy(),
+                    last_box=det.box,
+                    last_active_frame=frame_index,
+                    created_frame=frame_index,
+                    history=[(frame_index, det.box, det.score)],
+                )
+                state.tracks[track.track_id] = track
+                state.next_id += 1
+                claimed.add(track.track_id)
+                matches.append((track.track_id, det))
+            else:
+                state.backdrops.append(
+                    Backdrop(det.embedding.copy(), det.box, det.class_id, frame_index)
+                )
+
+    # purge expired state
+    for tid in [
+        tid for tid, t in state.tracks.items()
+        if frame_index - t.last_active_frame > cfg.memory_frames
+    ]:
+        state.retired[tid] = state.tracks.pop(tid)
+    state.backdrops = [
+        b for b in state.backdrops if frame_index - b.frame <= cfg.backdrop_frames
+    ]
+
+    if cfg.merge is not None:
+        merge_tracklets_oracle(state, cfg.merge)
+
+    matches.sort(key=lambda p: p[0])
+    return matches
+
+
+def merge_tracklets_oracle(state: OracleTrackerState, merge: MergeConfig) -> OracleTrackerState:
+    """Fold recently created tracks into matching vanished tracks.
+
+    A track created within the last t frames may be absorbed by an
+    inactive track of its class that was last active before the young
+    track was created, whose bi-softmax match score exceeds beta_merge and
+    whose last box lies within d_merge pixels. Each vanished track absorbs
+    at most one young track (best score wins); the young ID is retired and
+    its history relabeled.
+    """
+    if state.frame is None:
+        return state
+    now = state.frame
+    young = [
+        t for t in state.tracks.values()
+        if now - t.created_frame <= merge.t and t.last_active_frame == now
+    ]
+    vanished = [t for t in state.tracks.values() if t.last_active_frame < now]
+    if not young or not vanished:
+        return state
+
+    y_emb = np.stack([t.embedding for t in young])
+    v_emb = np.stack([t.embedding for t in vanished])
+    y_cls = np.array([t.class_id for t in young])
+    v_cls = np.array([t.class_id for t in vanished])
+    y_created = np.array([t.created_frame for t in young])
+    v_last = np.array([t.last_active_frame for t in vanished])
+    # a track that overlaps the vanished one in time would give one ID two
+    # boxes in a frame
+    allowed = (
+        (y_cls[:, None] == v_cls[None, :])
+        & (y_created[:, None] > v_last[None, :])
+        & within_oracle([t.last_box for t in young], [t.last_box for t in vanished], merge.d_merge)
+    )
+    if not allowed.any():
+        return state
+    sim = masked_bisoftmax_oracle(y_emb, v_emb, allowed)
+
+    # best young per vanished track, in descending score, ties by (i, j):
+    # nonzero lists pairs row-major and the sort is stable
+    ii, jj = np.nonzero(sim > merge.beta_merge)
+    order = np.argsort(-sim[ii, jj], kind="stable")
+    used_young: set[int] = set()
+    used_vanished: set[int] = set()
+    for i, j in zip(ii[order].tolist(), jj[order].tolist()):
+        if i in used_young or j in used_vanished:
+            continue
+        used_young.add(i)
+        used_vanished.add(j)
+        yt, vt = young[i], vanished[j]
+        vt.history.extend(yt.history)
+        vt.history.sort(key=lambda h: h[0])
+        vt.embedding = yt.embedding.copy()
+        vt.last_box = yt.last_box
+        vt.last_active_frame = yt.last_active_frame
+        del state.tracks[yt.track_id]
+    return state
+
+
+def iou_balanced_draw_oracle(
+    negatives: list[int],
+    max_ious: np.ndarray,
+    count: int,
+    n_bins: int,
+    upper: float,
+    rng: np.random.Generator,
+) -> list[int]:
+    """Round-robin draw across equal-width IoU bins over [0, upper)."""
+    edges = np.linspace(0.0, upper, n_bins + 1)
+    bins: list[list[int]] = [[] for _ in range(n_bins)]
+    for idx in negatives:
+        b = min(int(np.searchsorted(edges, max_ious[idx], side="right")) - 1, n_bins - 1)
+        b = max(b, 0)
+        bins[b].append(idx)
+    for b in bins:
+        rng.shuffle(b)
+    drawn: list[int] = []
+    while len(drawn) < count:
+        nonempty = [b for b in bins if b]
+        if not nonempty:
+            break
+        for b in nonempty:
+            if len(drawn) >= count:
+                break
+            drawn.append(b.pop())
+    return drawn
+
+
+def finish_oracle(state: OracleTrackerState, cfg: TrackerConfig):
+    """``Tracker.finish`` on an oracle state: live and retired histories,
+    interpolated if configured."""
+    histories = {t.track_id: list(t.history) for t in state.retired.values()}
+    histories.update({t.track_id: list(t.history) for t in state.tracks.values()})
+    if cfg.interpolate:
+        histories = interpolate_tracks(histories)
+    return histories

@@ -15,6 +15,7 @@ from embedtrack.contrastive import (
     SampleBatch,
     _aux_pairs,
     _embed_value_and_grad,
+    _iou_balanced_draw,
     assign_samples,
     aux_selection_margin,
     cross_frame_nn_accuracy,
@@ -33,6 +34,7 @@ from oracles import (
     aux_pairs_oracle,
     aux_selection_margin_oracle,
     embed_value_and_grad_oracle,
+    iou_balanced_draw_oracle,
     loss_total_oracle,
     positivity_oracle,
 )
@@ -537,3 +539,20 @@ class TestMatrixFormEquivalence:
         got = SampleBatch(key=key, ref=ref).positivity
         want = positivity_oracle(key, ref)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @given(st.data())
+    def test_iou_balanced_draw_equals_per_negative_binning(self, data):
+        # max IoUs on and around the bin edges, outside [0, upper) and NaN
+        n_bins = data.draw(st.integers(1, 4))
+        upper = data.draw(st.sampled_from([0.3, 0.5, 1.0]))
+        edges = np.linspace(0.0, upper, n_bins + 1).tolist()
+        values = st.sampled_from(edges + [-0.1, 0.0, upper + 0.2, float("nan")]) | st.floats(0, 1)
+        max_ious = np.array(data.draw(st.lists(values, min_size=1, max_size=30)))
+        negatives = data.draw(st.lists(st.integers(0, len(max_ious) - 1), unique=True))
+        count = data.draw(st.integers(0, len(negatives) + 2))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        got = _iou_balanced_draw(negatives, max_ious, count, n_bins, upper,
+                                 np.random.default_rng(seed))
+        want = iou_balanced_draw_oracle(negatives, max_ious, count, n_bins, upper,
+                                        np.random.default_rng(seed))
+        assert got == want

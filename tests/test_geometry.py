@@ -11,6 +11,7 @@ from embedtrack.geometry import (
     iou_matrix,
     nms,
 )
+from oracles import iou_matrix_oracle, nms_oracle
 
 _coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 _extent = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
@@ -190,3 +191,44 @@ class TestNms:
     def test_non_finite_score_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             nms([(BoundingBox(0, 0, 1, 1), np.nan, 0)], 0.5)
+
+
+# boxes on a coarse grid, so identical, nested, touching and zero-width
+# boxes are common
+_grid = st.integers(0, 12).map(float)
+_grid_boxes = st.lists(
+    st.builds(lambda x, y, w, h: BoundingBox(x, y, x + w, y + h), _grid, _grid,
+              st.integers(0, 6).map(float), st.integers(0, 6).map(float)),
+    max_size=12,
+)
+
+
+class TestAgainstDenseReferences:
+    """The sparse IoU and the one-pass NMS against the dense versions they
+    replaced (``tests/oracles.py``)."""
+
+    @given(_grid_boxes, _grid_boxes)
+    def test_iou_matrix_equals_dense_matrix(self, a, b):
+        ca = np.array([x.as_array() for x in a]).reshape(-1, 4)
+        cb = np.array([x.as_array() for x in b]).reshape(-1, 4)
+        got, want = iou_matrix(ca, cb), iou_matrix_oracle(ca, cb)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @given(_boxes, _boxes)
+    def test_iou_matrix_equals_dense_matrix_on_wide_boxes(self, a, b):
+        ca = np.array([x.as_array() for x in a]).reshape(-1, 4)
+        cb = np.array([x.as_array() for x in b]).reshape(-1, 4)
+        assert np.array_equal(iou_matrix(ca, cb), iou_matrix_oracle(ca, cb))
+
+    @given(st.data())
+    def test_nms_keeps_what_the_dense_loop_keeps(self, data):
+        boxes = data.draw(_grid_boxes)
+        scores = data.draw(st.lists(st.sampled_from([0.2, 0.5, 0.9]) | st.floats(0, 1),
+                                    min_size=len(boxes), max_size=len(boxes)))
+        classes = data.draw(st.lists(st.integers(0, 2), min_size=len(boxes),
+                                     max_size=len(boxes)))
+        dets = list(zip(boxes, scores, classes))
+        threshold = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0, 1))
+        for agnostic in (False, True):
+            assert nms(dets, threshold, class_agnostic=agnostic) == nms_oracle(
+                dets, threshold, class_agnostic=agnostic)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from embedtrack.similarity import (
+    _stable_softmax,
     bisoftmax_components,
     bisoftmax_matrix,
     cosine_matrix,
     masked_bisoftmax,
     validate_embeddings,
 )
+from oracles import masked_bisoftmax_oracle, stable_softmax_oracle
 
 
 def rand_emb(rng, n, d, scale=1.0):
@@ -147,3 +151,73 @@ class TestMaskedBisoftmax:
     def test_mask_shape_checked(self):
         with pytest.raises(ValueError, match="mask shape"):
             masked_bisoftmax(np.ones((2, 4)), np.ones((3, 4)), np.ones((2, 2), dtype=bool))
+
+
+def same_bits(a, b):
+    """Equal shape and the same float64 bit pattern in every entry."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Detection and candidate embeddings, tied rows and overflowing scales
+    included, and a mask that may leave rows or columns empty."""
+    n, m, d = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1.0, 10.0, 1e3, 1e155]))
+    cells = st.integers(-3, 3).map(float)
+    dets = scale * np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d))).reshape(n, d)
+    cands = scale * np.array(draw(st.lists(cells, min_size=m * d, max_size=m * d))).reshape(m, d)
+    allowed = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))).reshape(n, m)
+    return dets, cands, allowed
+
+
+class TestKernelMatchesTwoPassSoftmax:
+    """The one kernel against the two-pass softmax it replaced
+    (``tests/oracles.py``), bit for bit."""
+
+    @given(kernel_inputs())
+    @example((np.ones((2, 3)), np.ones((4, 3)), np.zeros((2, 4), dtype=bool)))
+    def test_masked(self, inputs):
+        dets, cands, allowed = inputs
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = masked_bisoftmax(dets, cands, allowed)
+            want = masked_bisoftmax_oracle(dets, cands, allowed)
+        assert same_bits(got, want)
+
+    @given(kernel_inputs())
+    def test_unmasked(self, inputs):
+        dets, cands, _ = inputs
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = dets @ cands.T
+            want_row = stable_softmax_oracle(logits, axis=1)
+            want_col = stable_softmax_oracle(logits, axis=0)
+            row, col = bisoftmax_components(dets, cands)
+            matrix = bisoftmax_matrix(dets, cands)
+        assert same_bits(row, want_row) and same_bits(col, want_col)
+        assert same_bits(matrix, 0.5 * (want_row + want_col))
+
+    def test_scale_1e3_case(self):
+        rng = np.random.default_rng(7)
+        a, b = rand_emb(rng, 4, 8, scale=1e3), rand_emb(rng, 5, 8, scale=1e3)
+        assert same_bits(bisoftmax_matrix(a, b),
+                         masked_bisoftmax_oracle(a, b, np.ones((4, 5), dtype=bool)))
+
+    @given(st.lists(st.sampled_from([0.0, 1.5, -2.0, 700.0, -800.0, np.inf, -np.inf, np.nan]),
+                    min_size=6, max_size=6), st.sampled_from([0, 1]))
+    def test_stable_softmax_on_non_finite_logits(self, cells, axis):
+        logits = np.array(cells).reshape(2, 3)
+        with np.errstate(invalid="ignore"):
+            assert same_bits(_stable_softmax(logits, axis), stable_softmax_oracle(logits, axis))
+
+    def test_each_input_validated_once(self, monkeypatch):
+        import embedtrack.similarity as sim
+
+        calls = []
+        real = sim.validate_embeddings
+        monkeypatch.setattr(sim, "validate_embeddings",
+                            lambda *a, **k: calls.append(k.get("name")) or real(*a, **k))
+        a = np.ones((2, 3))
+        sim.masked_bisoftmax(a, a, np.ones((2, 2), dtype=bool))
+        sim.bisoftmax_matrix(a, a)
+        sim.bisoftmax_components(a, a)
+        assert calls == ["detection embeddings", "candidate embeddings"] * 3

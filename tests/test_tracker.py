@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embedtrack import tracker as tracker_module
+from embedtrack.ablation import synth_tracker_config
 from embedtrack.geometry import BoundingBox, center_distance
 from embedtrack.metrics import TrackSet
 from embedtrack.synth import Scenario, WorldConfig, generate, track_scenario
 from embedtrack.tracker import (
     Detection,
     MergeConfig,
+    Track,
     Tracker,
     TrackerConfig,
     interpolate_tracks,
     merge_tracklets,
     momentum_update,
 )
+from oracles import OracleTrackerState, finish_oracle, step_oracle
 
 DIM = 8
 
@@ -396,3 +401,113 @@ class TestFinishAndInterpolate:
         t.step(2, [det(0, x=4)])
         out = t.finish()[1]
         assert [f for f, _, _ in out] == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# The array-resident tracker against the per-object tracker it replaced
+# (``tests/oracles.py``): every output and every piece of state, exactly.
+# ---------------------------------------------------------------------------
+
+
+def assert_same_state(state, oracle):
+    assert state.next_id == oracle.next_id and state.frame == oracle.frame
+    for got, want in ((state.tracks, oracle.tracks), (state.retired, oracle.retired)):
+        assert list(got) == list(want)
+        for a, b in zip(got.values(), want.values()):
+            assert (a.track_id, a.class_id, a.last_box, a.last_active_frame, a.created_frame) == (
+                b.track_id, b.class_id, b.last_box, b.last_active_frame, b.created_frame)
+            assert a.history == b.history
+            assert np.array_equal(a.embedding, b.embedding)
+    assert [(b.box, b.class_id, b.frame) for b in state.backdrops] == [
+        (b.box, b.class_id, b.frame) for b in oracle.backdrops]
+    for a, b in zip(state.backdrops, oracle.backdrops):
+        assert np.array_equal(a.embedding, b.embedding)
+
+
+def run_both(c, frames, inserts=None):
+    """Step the tracker and the oracle through ``frames`` (frame, detections)
+    and compare every frame's matches; ``inserts`` maps a frame to tracks
+    put into both states by hand before that frame."""
+    t, oracle = Tracker(c), OracleTrackerState()
+    handed_out = []  # (embedding array a caller saw, its values then)
+    for f, dets in frames:
+        for make in (inserts or {}).get(f, []):
+            for state in (t.state, oracle):
+                track = make()
+                state.tracks[track.track_id] = track
+        got = t.step(f, dets)
+        want = step_oracle(oracle, f, dets, c)
+        assert [(tid, id(d)) for tid, d in got] == [(tid, id(d)) for tid, d in want]
+        s = t.state
+        for obj in [*s.tracks.values(), *s.retired.values(), *s.backdrops]:
+            handed_out.append((obj.embedding, obj.embedding.copy()))
+    assert_same_state(t.state, oracle)
+    # the tracker never writes into an embedding array it has handed out
+    assert all(np.array_equal(a, b) for a, b in handed_out)
+    assert t.finish() == finish_oracle(oracle, c)
+    return t
+
+
+@st.composite
+def tracked_streams(draw):
+    """A tracker configuration and a few frames of detections: a handful of
+    integer-valued identity embeddings (so similarities tie), boxes on a
+    coarse grid (so NMS and the distance gate bite), tied scores, three
+    classes, frame gaps, and tracks inserted by hand."""
+    c = TrackerConfig(
+        beta_obj=0.35,
+        beta_match=draw(st.sampled_from([0.0, 0.3, 0.5])),
+        beta_new=0.5,
+        memory_frames=draw(st.integers(0, 3)),
+        backdrop_frames=draw(st.integers(0, 3)),
+        momentum=draw(st.sampled_from([0.0, 0.5, 0.8, 1.0])),
+        nms_threshold=draw(st.sampled_from([0.0, 0.4, 1.0])),
+        det_confidence=0.1,
+        same_class_only=draw(st.booleans()),
+        similarity_metric=draw(st.sampled_from(["bisoftmax", "cosine"])),
+        duplicate_removal=draw(st.booleans()),
+        distance_gate=draw(st.sampled_from([None, 12.0])),
+        merge=draw(st.sampled_from([None, MergeConfig(t=3, beta_merge=0.3, d_merge=30.0)])),
+        interpolate=draw(st.booleans()),
+    )
+    protos = 5.0 * np.eye(DIM)[:4]
+    frames, inserts, f = [], {}, 0
+    for _ in range(draw(st.integers(1, 7))):
+        f += draw(st.integers(1, 3))
+        dets = []
+        for _ in range(draw(st.integers(0, 6))):
+            noise = np.array(draw(st.lists(st.integers(-1, 1), min_size=DIM, max_size=DIM)))
+            x, y = 8.0 * draw(st.integers(0, 6)), 8.0 * draw(st.integers(0, 2))
+            dets.append(Detection(
+                box=BoundingBox(x, y, x + 10, y + 10),
+                class_id=draw(st.integers(0, 2)),
+                score=draw(st.sampled_from([0.05, 0.3, 0.45, 0.6, 0.9])),
+                embedding=protos[draw(st.integers(0, 3))] + noise,
+            ))
+        frames.append((f, dets))
+        if draw(st.integers(0, 5)) == 0:
+            tid, ident, at = 100 + f, draw(st.integers(0, 3)), f - 1
+            inserts[f] = [lambda tid=tid, ident=ident, at=at: Track(
+                tid, 0, protos[ident].copy(), BoundingBox(0, 0, 10, 10), at, at,
+                [(at, BoundingBox(0, 0, 10, 10), 0.9)])]
+    return c, frames, inserts
+
+
+@settings(max_examples=300, deadline=None)
+@given(tracked_streams())
+def test_step_equals_per_object_tracker(drawn):
+    run_both(*drawn)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"distance_gate": 20.0, "interpolate": True,
+     "merge": MergeConfig(t=10, beta_merge=0.5, d_merge=100.0)},
+    {"similarity_metric": "cosine", "memory_frames": 2, "backdrop_frames": 3},
+])
+def test_seeded_world_equals_per_object_tracker(overrides):
+    world = WorldConfig(n_identities=25, n_frames=60, dim=16, speed=6.0, sigma_e=0.2,
+                        jitter_sigma=2.0, fp_rate=0.05, n_distractors=6,
+                        occlusions=[(0, 10, 14), (3, 25, 30), (7, 40, 43)], seed=9)
+    frames = generate(world).detections
+    run_both(synth_tracker_config(**overrides), [(f, frames[f]) for f in sorted(frames)])
