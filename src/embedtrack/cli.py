@@ -16,8 +16,8 @@ import time
 
 from . import ablation
 from .config import PROFILE_NAMES, config_from_dict, load_profile
-from .formats import FormatError, _fmt, atomic_write, read_detections, read_mot, write_detections, write_mot
-from .metrics import EvalReport, per_class_report
+from .formats import FormatError, atomic_write, read_detections, read_mot, write_detections, write_mot
+from .metrics import EvalReport, ObjectEntry, TrackSet, per_class_report
 from .synth import WorldConfig, generate, track_scenario
 from .tracker import Tracker
 
@@ -63,44 +63,30 @@ def cmd_track(args) -> int:
             _, frames = read_detections(fp)
     except OSError as exc:
         raise CliError(str(exc), EXIT_DATA)
-    rows: list[str] = []
+    # the tracker emits one box per (frame, id), so entries skip add()'s
+    # duplicate scan
+    pred, scores = TrackSet(), {}
     track_ids: set[int] = set()
     for f in sorted(frames):
         for tid, det in tracker.step(f, frames[f]):
             track_ids.add(tid)
-            rows.append(_track_row(f, tid, det.box, det.score, det.class_id))
+            pred.frames.setdefault(f, []).append(ObjectEntry(tid, det.class_id, det.box))
+            scores[f, tid] = det.score
     # merging relabels IDs after the fact, so post-processed output is
     # written from what the tracker holds at the end
     if tracker.config.merge is not None or tracker.config.interpolate:
-        rows = _finished_rows(tracker)
+        class_of = {t.track_id: t.class_id for t in tracker.state.tracks.values()}
+        class_of.update({t.track_id: t.class_id for t in tracker.state.retired.values()})
+        pred, scores = TrackSet(), {}
+        for tid, hist in sorted(tracker.finish().items()):
+            for frame, box, score in hist:
+                pred.frames.setdefault(frame, []).append(ObjectEntry(tid, class_of[tid], box))
+                scores[frame, tid] = score
     with atomic_write(args.output) as fp:
-        for row in rows:
-            fp.write(row + "\n")
+        write_mot(fp, pred, scores=scores)
     elapsed = time.perf_counter() - start
     print(f"tracked {len(track_ids)} tracks in {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK
-
-
-def _track_row(frame: int, tid: int, box, score: float, class_id: int) -> str:
-    """One MOT track row; the score goes in the confidence column."""
-    return ",".join([
-        str(frame), str(tid),
-        _fmt(box.x1), _fmt(box.y1), _fmt(box.width), _fmt(box.height),
-        _fmt(score), str(class_id), "1.0",
-    ])
-
-
-def _finished_rows(tracker: Tracker) -> list[str]:
-    """Rows of ``tracker.finish()``, ordered by (frame, track id)."""
-    class_of = {t.track_id: t.class_id for t in tracker.state.tracks.values()}
-    class_of.update({t.track_id: t.class_id for t in tracker.state.retired.values()})
-    out = [
-        (frame, tid, box, score)
-        for tid, hist in tracker.finish().items()
-        for frame, box, score in hist
-    ]
-    out.sort(key=lambda r: (r[0], r[1]))
-    return [_track_row(f, tid, box, score, class_of[tid]) for f, tid, box, score in out]
 
 
 def _format_report(report: EvalReport) -> str:

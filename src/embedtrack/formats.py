@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Mapping
 from contextlib import contextmanager
 
 import numpy as np
@@ -116,7 +117,10 @@ def read_detections(fp) -> tuple[int, dict[int, list[Detection]]]:
     return dim, frames
 
 
-def trackset_to_mot_rows(ts: TrackSet, conf: float = 1.0) -> list[str]:
+def trackset_to_mot_rows(ts: TrackSet, conf: float = 1.0,
+                         scores: Mapping[tuple[int, int], float] | None = None) -> list[str]:
+    """MOT rows in frame order. The confidence column holds
+    ``scores[(frame, obj_id)]`` when ``scores`` is given, else ``conf``."""
     rows = []
     for f in sorted(ts.frames):
         for e in ts.frames[f]:
@@ -125,15 +129,16 @@ def trackset_to_mot_rows(ts: TrackSet, conf: float = 1.0) -> list[str]:
                 ",".join([
                     str(f), str(e.obj_id),
                     _fmt(b.x1), _fmt(b.y1), _fmt(b.width), _fmt(b.height),
-                    _fmt(conf), str(e.class_id),
+                    _fmt(conf if scores is None else scores[f, e.obj_id]), str(e.class_id),
                     _fmt(1.0 if e.visible else 0.0),
                 ])
             )
     return rows
 
 
-def write_mot(fp, ts: TrackSet, conf: float = 1.0) -> None:
-    for row in trackset_to_mot_rows(ts, conf):
+def write_mot(fp, ts: TrackSet, conf: float = 1.0,
+              scores: Mapping[tuple[int, int], float] | None = None) -> None:
+    for row in trackset_to_mot_rows(ts, conf, scores):
         fp.write(row + "\n")
 
 

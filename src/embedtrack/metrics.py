@@ -8,8 +8,11 @@ Conventions:
   prediction ID differs from its most recent previous match.
 - IDF1 uses a global trajectory-level optimal assignment on per-pair
   matched-frame counts.
-- HOTA matches per frame at each localization threshold alpha, maximizing
-  match count then total IoU, and averages over alpha in {0.05, ..., 0.95}.
+- HOTA follows Luiten et al. (IJCV 2021) as its reference code, TrackEval,
+  computes it: one matching per frame that maximizes the total IoU weighted
+  by each (gt id, pred id) pair's global alignment score, thresholded at
+  each localization threshold alpha in {0.05, ..., 0.95}; the per-alpha
+  scores are averaged.
 - Ground-truth entries flagged invisible are dropped from numerator and
   denominator before any matching.
 
@@ -17,14 +20,16 @@ How the work is shared:
 - Each metric turns a class's entries into per-frame id and (N, 4) box
   arrays once, with ids mapped to dense indices in sorted id order.
 - It streams the frames in order and computes one IoU matrix per frame,
-  dropped after that frame. CLEAR reads its carried-over pairs from it and
-  HOTA runs all 19 alpha matchings on it.
+  dropped after that frame. CLEAR reads its carried-over pairs from it.
+  HOTA keeps only its non-zero entries for a second pass: the first pass
+  sums the alignment scores, the second makes the one matching per frame.
 - Pairs are counted by id index: IDF1 adds each frame's overlapping pairs
-  into a (gt id, pred id) weight matrix with ``np.add.at``; HOTA keeps its
-  TPs as integer pair keys in frame order, and sums the association terms
-  left to right in that order.
-- A matching whose admissible pairs already form a matching is read off
-  without a solver call; it is the unique optimum. Every other matching
+  into a (gt id, pred id) weight matrix with ``np.add.at``; HOTA keeps each
+  matched pair once, as an integer pair key and its IoU, counts each
+  alpha's TPs per pair from the IoUs, and sums the association terms over
+  pairs, as TrackEval does.
+- A CLEAR matching whose admissible pairs already form a matching is read
+  off without a solver call; it is the unique optimum. Every other matching
   solves the full cost matrix.
 """
 
@@ -55,7 +60,7 @@ __all__ = [
 
 HOTA_ALPHAS = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
-_COUNT_DOMINANCE = 1000.0  # added to IoU weights so match count dominates
+_EPS = np.finfo(np.float64).eps  # TrackEval keeps matches with IoU >= alpha - eps
 
 
 @dataclass(frozen=True)
@@ -142,20 +147,16 @@ class HotaResult:
     asspr_sum: list[float] = field(default_factory=list)
 
 
-def _match(overlaps: np.ndarray, threshold: float,
-           count_first: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal bipartite matching among pairs with IoU >= threshold.
-
-    Maximizes total IoU; with count_first, maximizes the number of matches
-    first and total IoU second. Returns (gt rows, pred columns) in row order.
+def _match(overlaps: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal bipartite matching among pairs with IoU >= threshold,
+    maximizing total IoU. Returns (gt rows, pred columns) in row order.
     When every row and every column has at most one admissible pair, those
     pairs are the unique optimum and are returned without a solver call.
     """
     admissible = overlaps >= threshold
     if (admissible.sum(axis=0) <= 1).all() and (admissible.sum(axis=1) <= 1).all():
         return np.nonzero(admissible)
-    weights = overlaps + (_COUNT_DOMINANCE if count_first else 0.0)
-    rows, cols = linear_sum_assignment(np.where(admissible, -weights, 0.0))
+    rows, cols = linear_sum_assignment(np.where(admissible, -overlaps, 0.0))
     keep = admissible[rows, cols]
     return rows[keep], cols[keep]
 
@@ -222,7 +223,7 @@ def clear_mot(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> Clear
         rem_gt = np.setdiff1d(np.arange(len(gi)), rows)
         rem_pr = np.setdiff1d(np.arange(len(pi)), cols)
         if len(rem_gt) and len(rem_pr):
-            r, c = _match(overlaps[np.ix_(rem_gt, rem_pr)], iou_threshold, count_first=False)
+            r, c = _match(overlaps[np.ix_(rem_gt, rem_pr)], iou_threshold)
             rows = np.concatenate((rows, rem_gt[r]))
             cols = np.concatenate((cols, rem_pr[c]))
         num_matches += len(rows)
@@ -270,70 +271,98 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> Idf1Result
     return Idf1Result(score, idtp, idfp, idfn)
 
 
-def hota(gt: TrackSet, pred: TrackSet) -> HotaResult:
-    """HOTA with DetA/AssA decomposition, averaged over alpha."""
+def _hota_matches(gt: TrackSet, pred: TrackSet) -> tuple[np.ndarray, ...]:
+    """HOTA's matching as TrackEval computes it: a pre-pass sums, per
+    (gt id, pred id) pair, IoU / (row sum + column sum - IoU) over all
+    frames, which gives the alignment score A = sum / (n_gt_id + n_pred_id
+    - sum); then each frame is matched once, maximizing the total A * IoU.
+
+    Returns one key (gt index * number of pred ids + pred index) and the IoU
+    of each matched pair with non-zero IoU, in frame order, and the number
+    of boxes of each gt id and each pred id.
+    """
     frames, n_gt_ids, n_pr_ids = _frames(gt, pred)
     gt_total = np.zeros(n_gt_ids, dtype=np.int64)
     pr_total = np.zeros(n_pr_ids, dtype=np.int64)
-    # per alpha, one (gt index * n_pr_ids + pred index) key per TP, in frame order
-    tp_keys: list[list[np.ndarray]] = [[] for _ in HOTA_ALPHAS]
+    potential = np.zeros((n_gt_ids, n_pr_ids))
+    # per frame with both sides present: (gt indices, pred indices, rows,
+    # cols, IoU) of its non-zero IoU entries
+    overlaps = []
     for gi, gb, pi, pb in frames:
         gt_total[gi] += 1
         pr_total[pi] += 1
         if len(gi) == 0 or len(pi) == 0:
             continue
-        overlaps = iou_matrix(gb, pb)
-        for keys, alpha in zip(tp_keys, HOTA_ALPHAS):
-            r, c = _match(overlaps, alpha, count_first=True)
-            keys.append(gi[r] * n_pr_ids + pi[c])
-    n_gt_boxes = int(gt_total.sum())
-    n_pr_boxes = int(pr_total.sum())
+        ious = iou_matrix(gb, pb)
+        r, c = np.nonzero(ious)
+        v = ious[r, c]
+        # ids are unique within a frame, so no pair repeats in the update
+        potential[gi[r], pi[c]] += v / (ious.sum(axis=1)[r] + ious.sum(axis=0)[c] - v)
+        overlaps.append((gi, pi, r, c, v))
 
-    result = HotaResult(0, 0, 0, 0, 0, 0, 0)
-    deta_list, assa_list, hota_list = [], [], []
-    detre_list, detpr_list, assre_list, asspr_list = [], [], [], []
+    keys, matched_iou = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for gi, pi, r, c, v in overlaps:
+        g, p = gi[r], pi[c]
+        pot = potential[g, p]
+        score = np.zeros((len(gi), len(pi)))
+        score[r, c] = pot / (gt_total[g] + pr_total[p] - pot) * v
+        rows, cols = linear_sum_assignment(-score)
+        ious = np.zeros_like(score)
+        ious[r, c] = v
+        ious = ious[rows, cols]
+        hit = ious > 0  # a zero-IoU pair is no match at any alpha
+        keys.append(gi[rows[hit]] * n_pr_ids + pi[cols[hit]])
+        matched_iou.append(ious[hit])
+    return np.concatenate(keys), np.concatenate(matched_iou), gt_total, pr_total
 
-    for keys in tp_keys:
-        tp = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
-        _, inverse, counts = np.unique(tp, return_inverse=True, return_counts=True)
-        tpa = counts[inverse]
-        gt_n = gt_total[tp // n_pr_ids]  # tpa + fna
-        pr_n = pr_total[tp % n_pr_ids]  # tpa + fpa
-        n_tp = len(tp)
-        n_fn = n_gt_boxes - n_tp
-        n_fp = n_pr_boxes - n_tp
-        ass_sum = _sequential_sum(tpa / (gt_n + pr_n - tpa))
-        assre_sum = _sequential_sum(tpa / gt_n)
-        asspr_sum = _sequential_sum(tpa / pr_n)
-        deta = n_tp / (n_tp + n_fn + n_fp) if (n_tp + n_fn + n_fp) else 0.0
-        assa = ass_sum / n_tp if n_tp else 0.0
-        detre = n_tp / (n_tp + n_fn) if (n_tp + n_fn) else 0.0
-        detpr = n_tp / (n_tp + n_fp) if (n_tp + n_fp) else 0.0
-        assre = assre_sum / n_tp if n_tp else 0.0
-        asspr = asspr_sum / n_tp if n_tp else 0.0
 
-        result.tp.append(n_tp)
-        result.fn.append(n_fn)
-        result.fp.append(n_fp)
-        result.ass_sum.append(ass_sum)
-        result.assre_sum.append(assre_sum)
-        result.asspr_sum.append(asspr_sum)
-        deta_list.append(deta)
-        assa_list.append(assa)
-        hota_list.append(float(np.sqrt(deta * assa)))
-        detre_list.append(detre)
-        detpr_list.append(detpr)
-        assre_list.append(assre)
-        asspr_list.append(asspr)
+def hota(gt: TrackSet, pred: TrackSet) -> HotaResult:
+    """HOTA with DetA/AssA decomposition, averaged over alpha: the TPs at
+    alpha are the pairs of the one matching per frame with IoU >= alpha -
+    eps."""
+    keys, matched_iou, gt_total, pr_total = _hota_matches(gt, pred)
+    n_pr_ids = len(pr_total)
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    # a match counts at the first `level` alphas, those with IoU >= alpha - eps
+    level = np.searchsorted(np.array(HOTA_ALPHAS) - _EPS, matched_iou, side="right")
+    n_levels = len(HOTA_ALPHAS) + 1
+    per_level = np.bincount(inverse * n_levels + level, minlength=len(pairs) * n_levels)
+    # tpa[k, j]: matches of pair j that count at alpha k (level above k)
+    tpa = per_level.reshape(len(pairs), n_levels)[:, ::-1].cumsum(axis=1)[:, -2::-1].T
+    gt_n = gt_total[pairs // n_pr_ids]  # tpa + fna
+    pr_n = pr_total[pairs % n_pr_ids]  # tpa + fpa
+    tp = tpa.sum(axis=1)
+    raw = {
+        "tp": tp.tolist(),
+        "fn": (gt_total.sum() - tp).tolist(),
+        "fp": (pr_total.sum() - tp).tolist(),
+        "ass_sum": (tpa * (tpa / (gt_n + pr_n - tpa))).sum(axis=1).tolist(),
+        "assre_sum": (tpa * (tpa / gt_n)).sum(axis=1).tolist(),
+        "asspr_sum": (tpa * (tpa / pr_n)).sum(axis=1).tolist(),
+    }
+    return HotaResult(**_hota_means(**raw), **raw)
 
-    result.hota = float(np.mean(hota_list))
-    result.deta = float(np.mean(deta_list))
-    result.assa = float(np.mean(assa_list))
-    result.detre = float(np.mean(detre_list))
-    result.detpr = float(np.mean(detpr_list))
-    result.assre = float(np.mean(assre_list))
-    result.asspr = float(np.mean(asspr_list))
-    return result
+
+def _hota_means(tp, fn, fp, ass_sum, assre_sum, asspr_sum) -> dict[str, float]:
+    """The HOTA family from per-alpha counts and association sums, each
+    averaged over alpha; a ratio with a zero denominator is 0."""
+    tp, fn, fp, ass_sum, assre_sum, asspr_sum = np.array(
+        [tp, fn, fp, ass_sum, assre_sum, asspr_sum], dtype=np.float64)
+
+    def ratio(num, den):
+        return np.where(den > 0, num / np.maximum(den, 1), 0.0)
+
+    deta = ratio(tp, tp + fn + fp)
+    assa = ratio(ass_sum, tp)
+    return {
+        "hota": float(np.mean(np.sqrt(deta * assa))),
+        "deta": float(np.mean(deta)),
+        "assa": float(np.mean(assa)),
+        "detre": float(np.mean(ratio(tp, tp + fn))),
+        "detpr": float(np.mean(ratio(tp, tp + fp))),
+        "assre": float(np.mean(ratio(assre_sum, tp))),
+        "asspr": float(np.mean(ratio(asspr_sum, tp))),
+    }
 
 
 @dataclass
@@ -382,12 +411,8 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
     per_class: dict[int, ClassMetrics] = {}
     motas, idf1s = [], []
     agg = ClassMetrics()
-    hota_tp = np.zeros(len(HOTA_ALPHAS))
-    hota_fn = np.zeros(len(HOTA_ALPHAS))
-    hota_fp = np.zeros(len(HOTA_ALPHAS))
-    hota_ass = np.zeros(len(HOTA_ALPHAS))
-    hota_assre = np.zeros(len(HOTA_ALPHAS))
-    hota_asspr = np.zeros(len(HOTA_ALPHAS))
+    # per alpha: tp, fn, fp, ass_sum, assre_sum, asspr_sum summed over classes
+    hota_raw = np.zeros((6, len(HOTA_ALPHAS)))
     sum_iou_weighted = 0.0
     total_matches = 0
 
@@ -403,7 +428,7 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
             cm.idfp = cm.fp
             agg.fp += cm.fp
             agg.idfp += cm.idfp
-            hota_fp += cm.fp
+            hota_raw[2] += cm.fp
             per_class[c] = cm
             continue
         clear = clear_mot(gt_c, pr_c, iou_threshold)
@@ -428,12 +453,7 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
         agg.idtp += ident.idtp
         agg.idfp += ident.idfp
         agg.idfn += ident.idfn
-        hota_tp += np.array(h.tp)
-        hota_fn += np.array(h.fn)
-        hota_fp += np.array(h.fp)
-        hota_ass += np.array(h.ass_sum)
-        hota_assre += np.array(h.assre_sum)
-        hota_asspr += np.array(h.asspr_sum)
+        hota_raw += [h.tp, h.fn, h.fp, h.ass_sum, h.assre_sum, h.asspr_sum]
         sum_iou_weighted += clear.motp * clear.num_matches
         total_matches += clear.num_matches
 
@@ -442,23 +462,8 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
         agg.motp = sum_iou_weighted / total_matches if total_matches else 0.0
         denom = agg.idtp + 0.5 * agg.idfn + 0.5 * agg.idfp
         agg.idf1 = agg.idtp / denom if denom else 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            det_denom = hota_tp + hota_fn + hota_fp
-            deta = np.where(det_denom > 0, hota_tp / np.maximum(det_denom, 1), 0.0)
-            assa = np.where(hota_tp > 0, hota_ass / np.maximum(hota_tp, 1), 0.0)
-            assre = np.where(hota_tp > 0, hota_assre / np.maximum(hota_tp, 1), 0.0)
-            asspr = np.where(hota_tp > 0, hota_asspr / np.maximum(hota_tp, 1), 0.0)
-            detre_den = hota_tp + hota_fn
-            detpr_den = hota_tp + hota_fp
-            detre = np.where(detre_den > 0, hota_tp / np.maximum(detre_den, 1), 0.0)
-            detpr = np.where(detpr_den > 0, hota_tp / np.maximum(detpr_den, 1), 0.0)
-        agg.hota = float(np.mean(np.sqrt(deta * assa)))
-        agg.deta = float(np.mean(deta))
-        agg.assa = float(np.mean(assa))
-        agg.detre = float(np.mean(detre))
-        agg.detpr = float(np.mean(detpr))
-        agg.assre = float(np.mean(assre))
-        agg.asspr = float(np.mean(asspr))
+        for key, value in _hota_means(*hota_raw).items():
+            setattr(agg, key, value)
 
     mmota = float(np.mean(motas)) if motas else None
     midf1 = float(np.mean(idf1s)) if idf1s else None

@@ -51,11 +51,14 @@ def cosine_matrix(dets: np.ndarray, cands: np.ndarray) -> np.ndarray:
     return (n / n_norm[:, None]) @ (m / m_norm[:, None]).T
 
 
-def _stable_softmax(logits: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+def _stable_softmax(logits: np.ndarray, axis: int, out: np.ndarray | None = None,
+                    finite: np.ndarray | None = None) -> np.ndarray:
     """Softmax with per-slice max subtraction over the finite entries; the
     other entries, and slices with no finite entry, give 0. Written to
-    ``out`` when given, which may be ``logits`` itself."""
-    finite = np.isfinite(logits)
+    ``out`` when given, which may be ``logits`` itself. ``finite`` is
+    ``np.isfinite(logits)`` when the caller already has it."""
+    if finite is None:
+        finite = np.isfinite(logits)
     if not finite.all():
         logits = np.where(finite, logits, NEG_INF)
     shift = logits.max(axis=axis, keepdims=True)
@@ -87,8 +90,9 @@ def _bisoftmax_terms(
     logits = n @ m.T
     if allowed is not None and not allowed.all():
         logits[~allowed] = NEG_INF
-    row = _stable_softmax(logits, axis=1)
-    return row, _stable_softmax(logits, axis=0, out=logits)
+    finite = np.isfinite(logits)
+    row = _stable_softmax(logits, axis=1, finite=finite)
+    return row, _stable_softmax(logits, axis=0, out=logits, finite=finite)
 
 
 def _mean(row: np.ndarray, col: np.ndarray) -> np.ndarray:

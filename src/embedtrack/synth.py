@@ -83,23 +83,37 @@ class Scenario:
     config: WorldConfig
 
 
+# rise in the sum of squared prototype cosines that makes a repulsion step an
+# overshoot; converging runs rise by at most about 6e-14 from step to step
+_ENERGY_TOLERANCE = 1e-9
+
+
 def place_prototypes(n: int, dim: int, min_margin: float, rng: np.random.Generator,
                      iters: int = 200, eta: float = 0.1) -> np.ndarray:
     """Unit-norm prototypes spread by cosine repulsion.
 
     Iteratively pushes each vector away from the others (descent on the
     sum of squared pairwise cosines) with a fixed budget, then verifies
-    the achieved separation. Raises when the requested margin cannot be
-    met for this identity count and dimension.
+    the achieved separation. A step that raises that sum by more than
+    ``_ENERGY_TOLERANCE`` overshot: it is dropped and retried with half
+    the step size. Raises when the requested margin cannot be met for this
+    identity count and dimension.
     """
     p = rng.standard_normal((n, dim))
     p /= np.linalg.norm(p, axis=1, keepdims=True)
-    for _ in range(iters):
-        sim = p @ p.T
-        np.fill_diagonal(sim, 0.0)
-        p = p - eta * (sim @ p)
-        p /= np.linalg.norm(p, axis=1, keepdims=True)
     sim = p @ p.T
+    np.fill_diagonal(sim, 0.0)
+    energy = float(np.vdot(sim, sim))
+    for _ in range(iters):
+        q = p - eta * (sim @ p)
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        q_sim = q @ q.T
+        np.fill_diagonal(q_sim, 0.0)
+        q_energy = float(np.vdot(q_sim, q_sim))
+        if q_energy > energy + _ENERGY_TOLERANCE:
+            eta *= 0.5
+            continue
+        p, sim, energy = q, q_sim, q_energy
     np.fill_diagonal(sim, -1.0)
     achieved = 1.0 - float(sim.max())
     if n > 1 and achieved < min_margin:

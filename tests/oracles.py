@@ -53,20 +53,17 @@ def all_matchings(n_gt, n_pr):
             yield [(r, j) for j, r in enumerate(rows)]
 
 
-def best_matching(overlaps, threshold, count_first):
-    """Enumerate matchings; keep only pairs at or above the threshold.
-
-    With count_first, maximize (number of pairs, total IoU); otherwise
-    maximize total IoU alone. Returns the winning pair list.
+def best_matching(overlaps, threshold):
+    """Enumerate matchings; keep only pairs at or above the threshold and
+    maximize their total IoU. Returns the winning pair list.
     """
-    best_score = None
+    best_total = None
     best_pairs = []
     for m in all_matchings(*overlaps.shape):
         pairs = [(i, j) for i, j in m if overlaps[i, j] >= threshold]
         total = sum(overlaps[i, j] for i, j in pairs)
-        score = (len(pairs), total) if count_first else (total,)
-        if best_score is None or score > best_score:
-            best_score = score
+        if best_total is None or total > best_total:
+            best_total = total
             best_pairs = pairs
     return best_pairs
 
@@ -109,7 +106,7 @@ def clear_oracle(gt: TrackSet, pred: TrackSet, iou_threshold=0.5):
         rem_p = [j for j in range(len(prs)) if j not in used]
         if rem_g and rem_p:
             sub = overlaps[np.ix_(rem_g, rem_p)]
-            for r, c in best_matching(sub, iou_threshold, count_first=False):
+            for r, c in best_matching(sub, iou_threshold):
                 i, j = rem_g[r], rem_p[c]
                 matched[i] = j
                 used.add(j)
@@ -167,61 +164,121 @@ def idf1_oracle(gt: TrackSet, pred: TrackSet, iou_threshold=0.5):
     return dict(idf1=score, idtp=idtp, idfp=idfp, idfn=idfn)
 
 
-def hota_oracle(gt: TrackSet, pred: TrackSet):
-    gt_frames = gt.visible_frames()
-    pr_frames = pred.frames
-    n_gt = sum(len(v) for v in gt_frames.values())
-    n_pr = sum(len(v) for v in pr_frames.values())
-    frames = sorted(set(gt_frames) | set(pr_frames))
+def partial_matchings(n_gt, n_pr, row=0, used=frozenset()):
+    """Every injective partial matching as a list of (gt_idx, pred_idx),
+    the empty one included."""
+    if row == n_gt:
+        yield []
+        return
+    yield from partial_matchings(n_gt, n_pr, row + 1, used)
+    for j in range(n_pr):
+        if j not in used:
+            for rest in partial_matchings(n_gt, n_pr, row + 1, used | {j}):
+                yield [(row, j)] + rest
 
-    hotas, detas, assas = [], [], []
-    detres, detprs, assres, assprs = [], [], [], []
+
+HOTA_KEYS = ("hota", "deta", "assa", "detre", "detpr", "assre", "asspr")
+HOTA_EPS = np.finfo(float).eps  # a match counts at alpha when IoU >= alpha - eps
+TIE_TOLERANCE = 1e-12  # matching totals this close are tied optima
+
+
+def hota_from_matches(matches, gt_count, pr_count):
+    """HOTA sub-metrics from a list of (gt id, pred id, IoU) matches."""
+    n_gt = sum(gt_count.values())
+    n_pr = sum(pr_count.values())
+    per_alpha = defaultdict(list)
     for alpha in HOTA_ALPHAS:
-        tp_pairs = []
+        tp_pairs = [(g, p) for g, p, v in matches if v >= alpha - HOTA_EPS]
         pair_count = defaultdict(int)
-        gt_total = defaultdict(int)
-        pr_total = defaultdict(int)
-        for f in frames:
-            gts = gt_frames.get(f, [])
-            prs = pr_frames.get(f, [])
-            for g in gts:
-                gt_total[g.obj_id] += 1
-            for p in prs:
-                pr_total[p.obj_id] += 1
-            overlaps = pairwise_iou(gts, prs)
-            for i, j in best_matching(overlaps, alpha, count_first=True):
-                pair = (gts[i].obj_id, prs[j].obj_id)
-                tp_pairs.append(pair)
-                pair_count[pair] += 1
+        for pair in tp_pairs:
+            pair_count[pair] += 1
         n_tp = len(tp_pairs)
         n_fn = n_gt - n_tp
         n_fp = n_pr - n_tp
         ass = assre = asspr = 0.0
         for g, p in tp_pairs:
             tpa = pair_count[(g, p)]
-            fna = gt_total[g] - tpa
-            fpa = pr_total[p] - tpa
+            fna = gt_count[g] - tpa
+            fpa = pr_count[p] - tpa
             ass += tpa / (tpa + fna + fpa)
             assre += tpa / (tpa + fna)
             asspr += tpa / (tpa + fpa)
         deta = n_tp / (n_tp + n_fn + n_fp) if (n_tp + n_fn + n_fp) else 0.0
         assa = ass / n_tp if n_tp else 0.0
-        detas.append(deta)
-        assas.append(assa)
-        hotas.append(float(np.sqrt(deta * assa)))
-        detres.append(n_tp / (n_tp + n_fn) if (n_tp + n_fn) else 0.0)
-        detprs.append(n_tp / (n_tp + n_fp) if (n_tp + n_fp) else 0.0)
-        assres.append(assre / n_tp if n_tp else 0.0)
-        assprs.append(asspr / n_tp if n_tp else 0.0)
-    return dict(
-        hota=float(np.mean(hotas)),
-        deta=float(np.mean(detas)),
-        assa=float(np.mean(assas)),
-        detre=float(np.mean(detres)),
-        detpr=float(np.mean(detprs)),
-        assre=float(np.mean(assres)),
-        asspr=float(np.mean(assprs)),
-    )
+        per_alpha["hota"].append(float(np.sqrt(deta * assa)))
+        per_alpha["deta"].append(deta)
+        per_alpha["assa"].append(assa)
+        per_alpha["detre"].append(n_tp / (n_tp + n_fn) if (n_tp + n_fn) else 0.0)
+        per_alpha["detpr"].append(n_tp / (n_tp + n_fp) if (n_tp + n_fp) else 0.0)
+        per_alpha["assre"].append(assre / n_tp if n_tp else 0.0)
+        per_alpha["asspr"].append(asspr / n_tp if n_tp else 0.0)
+    return {key: float(np.mean(per_alpha[key])) for key in HOTA_KEYS}
+
+
+def hota_oracle(gt: TrackSet, pred: TrackSet):
+    """Every value HOTA can take under its published definition (Luiten et
+    al., IJCV 2021, as TrackEval computes it), one dict per distinct value.
+
+    The alignment score of a (gt id, pred id) pair is potential / (gt count
+    + pred count - potential), where the potential sums IoU / (row sum +
+    column sum - IoU) over the frames. Each frame takes a partial matching
+    that maximizes the total alignment-weighted IoU; the enumeration keeps
+    every tied optimum, and each combination of per-frame optima gives one
+    value.
+    """
+    gt_frames = gt.visible_frames()
+    pr_frames = pred.frames
+    gt_count = defaultdict(int)
+    pr_count = defaultdict(int)
+    potential = defaultdict(float)
+    per_frame = []
+    for f in sorted(set(gt_frames) | set(pr_frames)):
+        gts = gt_frames.get(f, [])
+        prs = pr_frames.get(f, [])
+        for g in gts:
+            gt_count[g.obj_id] += 1
+        for p in prs:
+            pr_count[p.obj_id] += 1
+        overlaps = pairwise_iou(gts, prs)
+        for i, g in enumerate(gts):
+            for j, p in enumerate(prs):
+                v = overlaps[i, j]
+                if v > 0:
+                    union = sum(overlaps[i, :]) + sum(overlaps[:, j]) - v
+                    potential[(g.obj_id, p.obj_id)] += v / union
+        per_frame.append((gts, prs, overlaps))
+    align = {
+        (g, p): pot / (gt_count[g] + pr_count[p] - pot)
+        for (g, p), pot in potential.items()
+    }
+
+    # per frame, each optimal matching as its sorted (gt id, pred id, IoU)
+    # pairs; zero-IoU pairs count at no alpha and are left out
+    optima = []
+    for gts, prs, overlaps in per_frame:
+        scored = []
+        for m in partial_matchings(len(gts), len(prs)):
+            pairs = [(gts[i].obj_id, prs[j].obj_id, overlaps[i, j])
+                     for i, j in m if overlaps[i, j] > 0]
+            total = sum(align[(g, p)] * v for g, p, v in pairs)
+            scored.append((total, tuple(sorted(pairs))))
+        best = max(total for total, _ in scored)
+        optima.append(sorted({pairs for total, pairs in scored
+                              if total >= best - TIE_TOLERANCE}))
+
+    values = []
+    for choice in itertools.product(*optima):
+        value = hota_from_matches([m for pairs in choice for m in pairs], gt_count, pr_count)
+        if value not in values:
+            values.append(value)
+    return values
+
+
+def hota_in_oracle(got, values, tol=1e-12) -> bool:
+    """Whether every HOTA sub-metric of ``got`` (a HotaResult or a dict) is
+    within ``tol`` of one value the oracle allows."""
+    get = got.get if isinstance(got, dict) else lambda key: getattr(got, key)
+    return any(all(abs(get(key) - want[key]) <= tol for key in HOTA_KEYS) for want in values)
 
 
 def random_instance(rng, max_ids=4, max_frames=5):
@@ -782,3 +839,18 @@ def finish_oracle(state: OracleTrackerState, cfg: TrackerConfig):
     if cfg.interpolate:
         histories = interpolate_tracks(histories)
     return histories
+
+
+def place_prototypes_oracle(n: int, dim: int, rng: np.random.Generator,
+                            iters: int = 200, eta: float = 0.1) -> np.ndarray:
+    """Prototype placement with a fixed step size: the loop that
+    ``synth.place_prototypes`` ran before it learnt to back off from a step
+    that raises the repulsion energy."""
+    p = rng.standard_normal((n, dim))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    for _ in range(iters):
+        sim = p @ p.T
+        np.fill_diagonal(sim, 0.0)
+        p = p - eta * (sim @ p)
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+    return p

@@ -107,6 +107,13 @@ class TestMotFiles:
         frames = [int(r.split(",")[0]) for r in rows]
         assert frames == sorted(frames)
 
+    def test_per_row_scores_fill_the_confidence_column(self):
+        ts = self.make_trackset()
+        scores = {(f, e.obj_id): 0.25 + f + e.obj_id / 8 for f, es in ts.frames.items() for e in es}
+        rows = trackset_to_mot_rows(ts, scores=scores)
+        got = {(int(r.split(",")[0]), int(r.split(",")[1])): float(r.split(",")[6]) for r in rows}
+        assert got == scores
+
     def test_short_row_rejected_with_line(self):
         with pytest.raises(FormatError, match="line 1"):
             read_mot(io.StringIO("0,1,5,5\n"))

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -15,7 +17,7 @@ from embedtrack.metrics import (
     idf1,
     per_class_report,
 )
-from oracles import clear_oracle, hota_oracle, idf1_oracle, random_instance
+from oracles import clear_oracle, hota_in_oracle, hota_oracle, idf1_oracle, random_instance
 
 
 def box(x, y, w=10.0, h=10.0):
@@ -203,9 +205,7 @@ class TestOracleEquivalence:
     def test_hota_matches_enumeration(self):
         for gt, pred in self.instances():
             got = hota(gt, pred)
-            want = hota_oracle(gt, pred)
-            for key in ("hota", "deta", "assa", "detre", "detpr", "assre", "asspr"):
-                assert abs(getattr(got, key) - want[key]) <= 1e-12, key
+            assert hota_in_oracle(got, hota_oracle(gt, pred))
 
 
 class TestPerClassReport:
@@ -267,13 +267,11 @@ class TestPerClassReport:
             )
 
 
-def solver_matching(overlaps, threshold, count_first):
+def solver_matching(overlaps, threshold):
     """The matching as the assignment solver gives it on the full cost
-    matrix: admissible pairs weighted by IoU (plus a count bonus), all
-    others 0."""
+    matrix: admissible pairs weighted by IoU, all others 0."""
     admissible = overlaps >= threshold
-    weights = overlaps + (1000.0 if count_first else 0.0)
-    rows, cols = linear_sum_assignment(np.where(admissible, -weights, 0.0))
+    rows, cols = linear_sum_assignment(np.where(admissible, -overlaps, 0.0))
     keep = admissible[rows, cols]
     return rows[keep].tolist(), cols[keep].tolist()
 
@@ -307,25 +305,96 @@ class TestMatchShortcut:
     """metrics._match reads a matching off directly when the admissible
     pairs already form one; that must be exactly the solver's answer."""
 
-    @given(iou_matrices(), _thresholds, st.booleans())
-    def test_equals_solver_on_random_matrices(self, overlaps, threshold, count_first):
-        rows, cols = metrics._match(overlaps, threshold, count_first)
-        assert (rows.tolist(), cols.tolist()) == solver_matching(overlaps, threshold, count_first)
+    @given(iou_matrices(), _thresholds)
+    def test_equals_solver_on_random_matrices(self, overlaps, threshold):
+        rows, cols = metrics._match(overlaps, threshold)
+        assert (rows.tolist(), cols.tolist()) == solver_matching(overlaps, threshold)
 
-    @given(matching_cases(), st.booleans())
-    def test_matching_graph_skips_the_solver(self, case, count_first):
+    @given(matching_cases())
+    def test_matching_graph_skips_the_solver(self, case):
         overlaps, threshold = case
-        want = solver_matching(overlaps, threshold, count_first)
+        want = solver_matching(overlaps, threshold)
         original = metrics.linear_sum_assignment
         metrics.linear_sum_assignment = None  # any solver call fails
         try:
-            rows, cols = metrics._match(overlaps, threshold, count_first)
+            rows, cols = metrics._match(overlaps, threshold)
         finally:
             metrics.linear_sum_assignment = original
         assert (rows.tolist(), cols.tolist()) == want
 
-    @given(_iou_values, st.booleans())
-    def test_single_pair_at_threshold_zero(self, value, count_first):
+    @given(_iou_values)
+    def test_single_pair_at_threshold_zero(self, value):
         overlaps = np.array([[value]])
-        rows, cols = metrics._match(overlaps, 0.0, count_first)
-        assert (rows.tolist(), cols.tolist()) == solver_matching(overlaps, 0.0, count_first) == ([0], [0])
+        rows, cols = metrics._match(overlaps, 0.0)
+        assert (rows.tolist(), cols.tolist()) == solver_matching(overlaps, 0.0) == ([0], [0])
+
+
+_grid_boxes = st.builds(
+    lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+    st.sampled_from([0.0, 5.0, 10.0, 25.0]),
+    st.sampled_from([0.0, 5.0]),
+    st.sampled_from([10.0, 15.0]),
+    st.sampled_from([10.0, 15.0]),
+)
+
+
+@st.composite
+def small_tracksets(draw):
+    """Up to three frames of up to three gt and three predicted objects on a
+    coarse grid, so that exactly repeated boxes and tied matchings are
+    common. At least one gt box is visible."""
+    gt, pred = TrackSet(), TrackSet()
+    for f in range(draw(st.integers(1, 3))):
+        for i in draw(st.sets(st.integers(0, 3), max_size=3)):
+            gt.add(f, ObjectEntry(i, 0, draw(_grid_boxes), draw(st.booleans() | st.just(True))))
+        for j in draw(st.sets(st.integers(0, 4), max_size=3)):
+            pred.add(f, ObjectEntry(10 + j, 0, draw(_grid_boxes)))
+    if gt.num_boxes() == 0:
+        gt.add(-1, ObjectEntry(0, 0, draw(_grid_boxes)))
+    return gt, pred
+
+
+class TestHotaProperties:
+    """HOTA on small random instances: the published single-matching
+    definition, checked against the brute-force oracle."""
+
+    @settings(deadline=None)
+    @given(small_tracksets())
+    def test_equals_oracle(self, sets):
+        assert hota_in_oracle(hota(*sets), hota_oracle(*sets))
+
+    @settings(deadline=None)
+    @given(small_tracksets())
+    def test_sub_metrics_in_unit_interval(self, sets):
+        r = hota(*sets)
+        for key in ("hota", "deta", "assa", "detre", "detpr", "assre", "asspr"):
+            assert 0.0 <= getattr(r, key) <= 1.0, key
+
+    @settings(deadline=None)
+    @given(small_tracksets())
+    def test_tp_pairs_nest_as_alpha_rises(self, sets):
+        keys, ious, _, _ = metrics._hota_matches(*sets)
+        tp_pairs = [Counter(keys[ious >= alpha - np.finfo(float).eps].tolist()) for alpha in HOTA_ALPHAS]
+        for looser, stricter in zip(tp_pairs, tp_pairs[1:]):
+            assert not stricter - looser
+        assert hota(*sets).tp == [sum(c.values()) for c in tp_pairs]
+
+    @settings(deadline=None)
+    @given(small_tracksets())
+    def test_one_solver_call_per_frame(self, sets):
+        gt, pred = sets
+        gt_frames = gt.visible_frames()
+        both = [f for f in gt_frames if gt_frames[f] and pred.frames.get(f)]
+        calls = []
+        original = metrics.linear_sum_assignment
+
+        def counted(cost):
+            calls.append(cost.shape)
+            return original(cost)
+
+        metrics.linear_sum_assignment = counted
+        try:
+            hota(gt, pred)
+        finally:
+            metrics.linear_sum_assignment = original
+        assert len(calls) <= len(both)

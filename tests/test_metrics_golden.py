@@ -2,8 +2,11 @@
 
 ``golden_report.json`` holds the report of each case below as the
 object-by-object evaluation (one IoU matrix per matching, per-pair Python
-loops) computed it. The per-frame array evaluation must reproduce every
-value with ``==``: a moved last digit fails.
+loops) computed it; the HOTA-family fields were pinned again when HOTA took
+its published single-matching form. The per-frame array evaluation must
+reproduce every value with ``==``: a moved last digit fails. On the cases
+small enough to enumerate, the pinned HOTA values are also ones the
+brute-force oracle allows.
 """
 
 import json
@@ -16,7 +19,7 @@ from embedtrack.ablation import synth_tracker_config
 from embedtrack.geometry import BoundingBox
 from embedtrack.metrics import ObjectEntry, TrackSet, per_class_report
 from embedtrack.synth import WorldConfig, generate, track_scenario
-from oracles import random_instance
+from oracles import hota_in_oracle, hota_oracle, random_instance
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_report.json")
 
@@ -98,6 +101,15 @@ def test_report_equals_golden_values(name, golden):
     assert got["aggregate"] == want["aggregate"]
     assert got["per_class"] == want["per_class"]
     assert (got["mmota"], got["midf1"]) == (want["mmota"], want["midf1"])
+
+
+@pytest.mark.parametrize("name", ["prediction_only_class", "ties"])
+def test_golden_hota_is_an_oracle_value(name, golden):
+    gt, pred = CASES[name]()
+    for c, want in golden[name]["per_class"].items():
+        gt_c, pred_c = gt.restrict_class(int(c)), pred.restrict_class(int(c))
+        if gt_c.num_boxes():
+            assert hota_in_oracle(want, hota_oracle(gt_c, pred_c)), c
 
 
 if __name__ == "__main__":

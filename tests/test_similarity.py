@@ -221,3 +221,12 @@ class TestKernelMatchesTwoPassSoftmax:
         sim.bisoftmax_matrix(a, a)
         sim.bisoftmax_components(a, a)
         assert calls == ["detection embeddings", "candidate embeddings"] * 3
+
+    def test_logits_checked_for_finiteness_once(self, monkeypatch):
+        shapes = []
+        real = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda x, *a, **k: shapes.append(np.shape(x)) or real(x, *a, **k))
+        dets, cands = np.ones((2, 4)), np.ones((3, 4))
+        masked_bisoftmax(dets, cands, np.ones((2, 3), dtype=bool))
+        bisoftmax_components(dets, cands)
+        assert shapes.count((2, 3)) == 2

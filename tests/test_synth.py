@@ -11,6 +11,7 @@ from embedtrack.synth import (
     subsample,
     track_scenario,
 )
+from oracles import place_prototypes_oracle
 
 
 def small_world(**kw):
@@ -46,6 +47,32 @@ class TestPlacePrototypes:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="cannot separate"):
             place_prototypes(50, 2, 0.5, rng)
+
+    # cases where the fixed-step loop converges; D=256 n=500 takes about a
+    # second per call, so it runs on one seed
+    CONVERGING = [(n, 16, seed) for n in (2, 10, 20, 50, 80) for seed in range(3)]
+    CONVERGING += [(200, 64, seed) for seed in range(3)] + [(500, 256, 0)]
+
+    @pytest.mark.parametrize("n,dim,seed", CONVERGING)
+    def test_converging_cases_equal_fixed_step_loop(self, n, dim, seed):
+        got = place_prototypes(n, dim, 0.0, np.random.default_rng(seed))
+        want = place_prototypes_oracle(n, dim, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [100, 120, 200])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_n_keeps_a_margin(self, n, seed):
+        p = place_prototypes(n, 16, 0.0, np.random.default_rng(seed))
+        sim = p @ p.T
+        np.fill_diagonal(sim, -1.0)
+        assert 1.0 - sim.max() >= 0.15
+
+
+def test_generate_builds_a_100_identity_world_at_default_margin():
+    cfg = small_world(n_identities=100, n_frames=2)
+    assert cfg.min_margin == WorldConfig().min_margin
+    scenario = generate(cfg)
+    assert len(scenario.prototypes) == 100
 
 
 class TestGenerate:
