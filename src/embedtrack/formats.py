@@ -14,6 +14,15 @@ Track/GT files follow the de-facto MOT layout, one object per line:
 
 Reals are serialized with shortest round-trip precision; write-then-read
 reproduces records exactly.
+
+The detection reader streams the file in chunks of ``CHUNK_LINES`` lines
+and never holds the whole text. Each chunk is parsed by one ``np.loadtxt``
+call with a structured dtype (integer frame and class, float score, box and
+embedding columns) and checked once per column: field count, finiteness,
+score range, box extent and non-decreasing frames, also across the chunk
+boundary. A chunk that numpy cannot parse or that fails a check is read
+again line by line, and that loop decides what is accepted and names the
+offending line in its ``FormatError``.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import os
 import tempfile
 from collections.abc import Mapping
 from contextlib import contextmanager
+from itertools import islice
 
 import numpy as np
 
@@ -40,6 +50,7 @@ __all__ = [
 ]
 
 DET_HEADER_PREFIX = "# embedtrack-detections v1 dim="
+CHUNK_LINES = 2048
 
 
 class FormatError(ValueError):
@@ -69,30 +80,66 @@ def write_detections(fp, frames: dict[int, list[Detection]], dim: int) -> None:
     """Write per-frame detections in frame order."""
     fp.write(f"{DET_HEADER_PREFIX}{dim}\n")
     for f in sorted(frames):
+        rows = []
         for d in frames[f]:
             if d.embedding.shape[0] != dim:
                 raise ValueError(
                     f"embedding dimension {d.embedding.shape[0]} does not match header dim {dim}"
                 )
             b = d.box
-            row = [str(f), str(d.class_id), _fmt(d.score),
-                   _fmt(b.x1), _fmt(b.y1), _fmt(b.x2), _fmt(b.y2)]
-            row.extend(_fmt(v) for v in d.embedding)
-            fp.write(" ".join(row) + "\n")
+            reals = [float(d.score), float(b.x1), float(b.y1), float(b.x2), float(b.y2)]
+            reals += d.embedding.tolist()
+            # a list's repr joins the repr of each float with ", " in one call
+            rows.append(f"{f} {d.class_id} " + repr(reals)[1:-1].replace(",", ""))
+        if rows:
+            fp.write("\n".join(rows) + "\n")
 
 
-def read_detections(fp) -> tuple[int, dict[int, list[Detection]]]:
-    """Parse a detection file; returns (dim, frame -> detections)."""
-    header = fp.readline().strip()
-    if not header.startswith(DET_HEADER_PREFIX):
-        raise FormatError("line 1: missing or invalid detection-file header")
+def _row_dtype(dim: int) -> np.dtype:
+    return np.dtype([("frame", np.int64), ("class_id", np.int64), ("score", np.float64),
+                     ("box", np.float64, (4,)), ("emb", np.float64, (dim,))])
+
+
+def _parse_chunk(lines: list[str], dim: int, last_frame: int | None) -> np.ndarray | None:
+    """The chunk's detection rows as a structured array, or None when numpy
+    cannot parse them or a value fails a check."""
+    rows = [line for line in lines if (s := line.lstrip()) and s[0] != "#"]
+    # the first row's field count bounds the size of what loadtxt allocates;
+    # loadtxt itself rejects any later row with another count
+    if not rows or len(rows[0].split()) != 7 + dim:
+        return None
     try:
-        dim = int(header[len(DET_HEADER_PREFIX):])
+        a = np.loadtxt(rows, dtype=_row_dtype(dim), comments=None, ndmin=1)
     except ValueError:
-        raise FormatError("line 1: invalid dimension in header") from None
-    frames: dict[int, list[Detection]] = {}
-    last_frame = None
-    for lineno, line in enumerate(fp, start=2):
+        return None
+    score, box, frame = a["score"], a["box"], a["frame"]
+    ok = (
+        np.isfinite(score).all() and np.isfinite(box).all() and np.isfinite(a["emb"]).all()
+        and ((score >= 0.0) & (score <= 1.0)).all()
+        and (box[:, 2] >= box[:, 0]).all() and (box[:, 3] >= box[:, 1]).all()
+        and (frame[1:] >= frame[:-1]).all()
+        and (last_frame is None or frame[0] >= last_frame)
+    )
+    return a if ok else None
+
+
+def _add_rows(a: np.ndarray, frames: dict[int, list[Detection]]) -> int:
+    """Add the detections of checked chunk rows to ``frames``; returns the
+    last frame index. Each detection gets its own copy of its embedding row:
+    row views would keep one large array per chunk alive, placed in fresh
+    pages rather than in freed small blocks (14 MB more peak RSS reading a
+    49 MB file after a world of that size was freed)."""
+    for f, c, s, b, e in zip(a["frame"].tolist(), a["class_id"].tolist(),
+                             a["score"].tolist(), a["box"].tolist(), a["emb"]):
+        frames.setdefault(f, []).append(Detection(BoundingBox(*b), c, s, e.copy()))
+    return f
+
+
+def _read_lines(lines: list[str], lineno: int, dim: int,
+                frames: dict[int, list[Detection]], last_frame: int | None) -> int | None:
+    """Read ``lines``, the first of which is line ``lineno`` of the file,
+    one at a time into ``frames``; returns the last frame index read."""
+    for lineno, line in enumerate(lines, start=lineno):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -114,6 +161,29 @@ def read_detections(fp) -> tuple[int, dict[int, list[Detection]]]:
             raise FormatError(f"line {lineno}: frame indices must be non-decreasing")
         last_frame = frame
         frames.setdefault(frame, []).append(det)
+    return last_frame
+
+
+def read_detections(fp) -> tuple[int, dict[int, list[Detection]]]:
+    """Parse a detection file; returns (dim, frame -> detections)."""
+    header = fp.readline().strip()
+    if not header.startswith(DET_HEADER_PREFIX):
+        raise FormatError("line 1: missing or invalid detection-file header")
+    try:
+        dim = int(header[len(DET_HEADER_PREFIX):])
+    except ValueError:
+        raise FormatError("line 1: invalid dimension in header") from None
+    frames: dict[int, list[Detection]] = {}
+    last_frame = None
+    lineno = 2
+    while lines := list(islice(fp, CHUNK_LINES)):
+        a = _parse_chunk(lines, dim, last_frame)
+        if a is None:
+            last_frame = _read_lines(lines, lineno, dim, frames, last_frame)
+        else:
+            last_frame = _add_rows(a, frames)
+        lineno += len(lines)
+        del lines, a  # the next chunk is read without this one alive
     return dim, frames
 
 

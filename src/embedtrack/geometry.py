@@ -8,6 +8,7 @@ extents are not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from operator import attrgetter
 
 import numpy as np
@@ -18,6 +19,7 @@ __all__ = [
     "iou_matrix",
     "center_distance",
     "center_distance_matrix",
+    "centers_within",
     "nms",
 ]
 
@@ -32,7 +34,7 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self) -> None:
-        if not all(np.isfinite([self.x1, self.y1, self.x2, self.y2])):
+        if not all((isfinite(self.x1), isfinite(self.y1), isfinite(self.x2), isfinite(self.y2))):
             raise ValueError(f"box coordinates must be finite: {self}")
         if self.x2 < self.x1 or self.y2 < self.y1:
             raise ValueError(f"box has negative extent: {self}")
@@ -128,6 +130,11 @@ def center_distance(a: BoundingBox, b: BoundingBox) -> float:
     return float(np.hypot(ax - bx, ay - by))
 
 
+def _centers(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    b = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    return 0.5 * (b[:, 0] + b[:, 2]), 0.5 * (b[:, 1] + b[:, 3])
+
+
 def center_distance_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise center distance between two (N, 4) / (M, 4) arrays of xyxy
     boxes, as an (N, M) float64 matrix.
@@ -135,11 +142,26 @@ def center_distance_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarr
     Uses the same float operations as ``center_distance``, so each entry
     equals the scalar result exactly.
     """
-    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    ax, ay = 0.5 * (a[:, 0] + a[:, 2]), 0.5 * (a[:, 1] + a[:, 3])
-    bx, by = 0.5 * (b[:, 0] + b[:, 2]), 0.5 * (b[:, 1] + b[:, 3])
+    ax, ay = _centers(boxes_a)
+    bx, by = _centers(boxes_b)
     return np.hypot(ax[:, None] - bx[None, :], ay[:, None] - by[None, :])
+
+
+def centers_within(boxes_a: np.ndarray, boxes_b: np.ndarray, radius: float) -> np.ndarray:
+    """(N, M) mask of the box pairs whose centers are at most ``radius``
+    apart, equal to ``~(center_distance_matrix(boxes_a, boxes_b) > radius)``.
+
+    A pair with |dx| or |dy| above the radius is ruled out without
+    ``np.hypot``: a faithfully rounded hypot is never below either leg.
+    """
+    ax, ay = _centers(boxes_a)
+    bx, by = _centers(boxes_b)
+    dx = ax[:, None] - bx[None, :]
+    dy = ay[:, None] - by[None, :]
+    out = ~((np.abs(dx) > radius) | (np.abs(dy) > radius))
+    k = np.flatnonzero(out)
+    out.ravel()[k] = ~(np.hypot(dx.ravel()[k], dy.ravel()[k]) > radius)
+    return out
 
 
 def nms(

@@ -9,6 +9,7 @@ greedily in descending detection-score order. No motion model anywhere.
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -17,7 +18,7 @@ import numpy as np
 
 # center_distance stays importable from this module: perfbench's tracer
 # wraps the names this module holds, and every one of them must exist.
-from .geometry import BoundingBox, center_distance, center_distance_matrix, nms  # noqa: F401
+from .geometry import BoundingBox, center_distance, centers_within, nms  # noqa: F401
 from .similarity import cosine_matrix, masked_bisoftmax, validate_embeddings
 
 __all__ = [
@@ -44,14 +45,14 @@ class Detection:
     embedding: np.ndarray
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
+        if not math.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
             raise ValueError(f"detection score must be in [0, 1], got {self.score}")
         self.embedding = np.asarray(self.embedding, dtype=np.float64)
         if self.embedding.ndim != 1:
             raise ValueError(
                 f"detection embedding must be 1-D, got shape {self.embedding.shape}"
             )
-        if not np.all(np.isfinite(self.embedding)):
+        if not np.isfinite(self.embedding).all():
             raise ValueError("detection embedding contains non-finite values")
 
 
@@ -253,7 +254,7 @@ def _within(boxes_a: list[BoundingBox], boxes_b: list[BoundingBox], radius: floa
     """(N, M) mask of box pairs whose centers are at most ``radius`` apart."""
     a = np.array([(x.x1, x.y1, x.x2, x.y2) for x in boxes_a], dtype=np.float64)
     b = np.array([(x.x1, x.y1, x.x2, x.y2) for x in boxes_b], dtype=np.float64)
-    return ~(center_distance_matrix(a, b) > radius)
+    return centers_within(a, b, radius)
 
 
 def _gather(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:

@@ -9,7 +9,9 @@ argsort, gradients scattered with ``np.add.at``. The association oracles
 are the per-object tracker that the array-resident ``embedtrack.tracker``
 replaced: candidate matrices stacked from ``Track`` objects every frame, a
 Python greedy claim loop, per-box NMS and the two-pass softmax; with them
-comes the per-negative IoU binning of ``sample_batch``.
+comes the per-negative IoU binning of ``sample_batch``. The detection-file
+oracles are the line-by-line reader and the per-float writer that the
+chunked ``embedtrack.formats`` reader and the bulk writer replaced.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from embedtrack.contrastive import POSITIVE, VARIANTS, LossConfig
+from embedtrack.formats import DET_HEADER_PREFIX, FormatError
 from embedtrack.geometry import BoundingBox, center_distance_matrix, iou
 from embedtrack.metrics import HOTA_ALPHAS, ObjectEntry, TrackSet
 from embedtrack.similarity import cosine_matrix, validate_embeddings
@@ -854,3 +857,59 @@ def place_prototypes_oracle(n: int, dim: int, rng: np.random.Generator,
         p = p - eta * (sim @ p)
         p /= np.linalg.norm(p, axis=1, keepdims=True)
     return p
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def write_detections_oracle(fp, frames: dict[int, list[Detection]], dim: int) -> None:
+    """Write per-frame detections in frame order."""
+    fp.write(f"{DET_HEADER_PREFIX}{dim}\n")
+    for f in sorted(frames):
+        for d in frames[f]:
+            if d.embedding.shape[0] != dim:
+                raise ValueError(
+                    f"embedding dimension {d.embedding.shape[0]} does not match header dim {dim}"
+                )
+            b = d.box
+            row = [str(f), str(d.class_id), _fmt(d.score),
+                   _fmt(b.x1), _fmt(b.y1), _fmt(b.x2), _fmt(b.y2)]
+            row.extend(_fmt(v) for v in d.embedding)
+            fp.write(" ".join(row) + "\n")
+
+
+def read_detections_oracle(fp) -> tuple[int, dict[int, list[Detection]]]:
+    """Parse a detection file; returns (dim, frame -> detections)."""
+    header = fp.readline().strip()
+    if not header.startswith(DET_HEADER_PREFIX):
+        raise FormatError("line 1: missing or invalid detection-file header")
+    try:
+        dim = int(header[len(DET_HEADER_PREFIX):])
+    except ValueError:
+        raise FormatError("line 1: invalid dimension in header") from None
+    frames: dict[int, list[Detection]] = {}
+    last_frame = None
+    for lineno, line in enumerate(fp, start=2):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 7 + dim:
+            raise FormatError(
+                f"line {lineno}: expected {7 + dim} fields, got {len(parts)}"
+            )
+        try:
+            frame = int(parts[0])
+            class_id = int(parts[1])
+            score = float(parts[2])
+            box = BoundingBox(*(float(p) for p in parts[3:7]))
+            emb = np.array([float(p) for p in parts[7:]], dtype=np.float64)
+            det = Detection(box, class_id, score, emb)
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
+        if last_frame is not None and frame < last_frame:
+            raise FormatError(f"line {lineno}: frame indices must be non-decreasing")
+        last_frame = frame
+        frames.setdefault(frame, []).append(det)
+    return dim, frames

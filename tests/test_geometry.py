@@ -48,6 +48,35 @@ class TestBoundingBox:
     def test_zero_area_allowed(self):
         assert BoundingBox(3, 3, 3, 3).area == 0.0
 
+    @pytest.mark.parametrize("coords, message", [
+        ((np.nan, 0, 1, 1), "box coordinates must be finite: BoundingBox(x1=nan, y1=0, x2=1, y2=1)"),
+        ((0, 0, np.inf, 1), "box coordinates must be finite: BoundingBox(x1=0, y1=0, x2=inf, y2=1)"),
+        ((0, -np.inf, 1, 1), "box coordinates must be finite: BoundingBox(x1=0, y1=-inf, x2=1, y2=1)"),
+        ((np.float32(np.nan), 0, 1, 1),
+         "box coordinates must be finite: BoundingBox(x1=np.float32(nan), y1=0, x2=1, y2=1)"),
+        ((np.float64(2), 0, 1, 1), "box has negative extent: BoundingBox(x1=np.float64(2.0), y1=0, x2=1, y2=1)"),
+        ((3, 0, 1, 1), "box has negative extent: BoundingBox(x1=3, y1=0, x2=1, y2=1)"),
+        ((0, 2, 1, 1), "box has negative extent: BoundingBox(x1=0, y1=2, x2=1, y2=1)"),
+    ])
+    def test_invalid_coordinates_name_the_box(self, coords, message):
+        with pytest.raises(ValueError) as exc:
+            BoundingBox(*coords)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("coords", [
+        (0, 0, 1, 1),
+        (np.int64(0), np.float32(0.5), np.float64(1.0), True),
+        (-1e308, -1e308, 1e308, 1e308),
+    ])
+    def test_int_and_numpy_scalar_coordinates_accepted(self, coords):
+        b = BoundingBox(*coords)
+        assert (b.x1, b.y1, b.x2, b.y2) == coords
+
+    @pytest.mark.parametrize("bad", [None, "a", 1 + 0j])
+    def test_non_real_coordinates_raise_type_error(self, bad):
+        with pytest.raises(TypeError):
+            BoundingBox(bad, 0, 2, 1)
+
 
 class TestIou:
     def test_identical(self):

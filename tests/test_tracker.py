@@ -18,7 +18,7 @@ from embedtrack.tracker import (
     merge_tracklets,
     momentum_update,
 )
-from oracles import OracleTrackerState, finish_oracle, step_oracle
+from oracles import OracleTrackerState, finish_oracle, step_oracle, within_oracle
 
 DIM = 8
 
@@ -84,6 +84,42 @@ class TestDetection:
     def test_embedding_must_be_one_dimensional(self, shape):
         with pytest.raises(ValueError, match="1-D"):
             det(0, embedding=np.ones(shape))
+
+    @pytest.mark.parametrize("score, message", [
+        (1.5, "detection score must be in [0, 1], got 1.5"),
+        (-0.1, "detection score must be in [0, 1], got -0.1"),
+        (np.float64(1.0000001), "detection score must be in [0, 1], got 1.0000001"),
+        (2, "detection score must be in [0, 1], got 2"),
+        (np.nan, "detection score must be in [0, 1], got nan"),
+        (np.inf, "detection score must be in [0, 1], got inf"),
+        (np.float32(-np.inf), "detection score must be in [0, 1], got -inf"),
+    ])
+    def test_invalid_score_message(self, score, message):
+        with pytest.raises(ValueError) as exc:
+            Detection(BoundingBox(0, 0, 1, 1), 0, score, np.ones(2))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("score", [0, 1, 0.0, 1.0, np.float32(0.5), np.float64(0.25), True])
+    def test_int_and_numpy_scalar_scores_kept_as_given(self, score):
+        d = Detection(BoundingBox(0, 0, 1, 1), 0, score, np.ones(2, dtype=np.float32))
+        assert d.score is score
+        assert d.embedding.dtype == np.float64 and d.embedding.shape == (2,)
+
+    @pytest.mark.parametrize("embedding, message", [
+        (np.ones((2, 2)), "detection embedding must be 1-D, got shape (2, 2)"),
+        (np.ones(()), "detection embedding must be 1-D, got shape ()"),
+        ([1.0, np.nan], "detection embedding contains non-finite values"),
+        ([1.0, -np.inf], "detection embedding contains non-finite values"),
+    ])
+    def test_invalid_embedding_message(self, embedding, message):
+        with pytest.raises(ValueError) as exc:
+            Detection(BoundingBox(0, 0, 1, 1), 0, 0.5, embedding)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("score", [None, "0.5"])
+    def test_non_real_score_raises_type_error(self, score):
+        with pytest.raises(TypeError):
+            Detection(BoundingBox(0, 0, 1, 1), 0, score, np.ones(2))
 
 
 def test_momentum_update_formula():
@@ -336,6 +372,39 @@ def _brute_force_within(boxes_a, boxes_b, radius):
         for j, b in enumerate(boxes_b):
             out[i, j] = center_distance(a, b) <= radius
     return out
+
+
+# boxes on a half-pixel grid, so centers often lie exactly a grid distance
+# (1, 5 = the 3-4-5 triangle, ...) apart
+_half = st.integers(-20, 20).map(lambda v: v / 2)
+_gate_boxes = st.lists(
+    st.builds(lambda x, y, w, h: BoundingBox(x, y, x + w, y + h), _half, _half,
+              st.integers(0, 8), st.integers(0, 8)),
+    max_size=8,
+)
+
+
+@given(_gate_boxes, _gate_boxes, st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5, 5.0, 7.5]),
+                                           st.floats(0.0, 30.0), st.integers(0, 63)))
+@settings(max_examples=300, deadline=None)
+def test_gate_prefilter_equals_oracle(boxes_a, boxes_b, radius):
+    if isinstance(radius, int):
+        # a radius exactly at one of the pair distances, when there is one
+        dist = [center_distance(a, b) for a in boxes_a for b in boxes_b]
+        radius = dist[radius % len(dist)] if dist else 1.0
+    got = tracker_module._within(boxes_a, boxes_b, radius)
+    want = within_oracle(boxes_a, boxes_b, radius)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_gate_keeps_pairs_exactly_at_the_radius():
+    a = [BoundingBox(0, 0, 2, 2)]  # center (1, 1)
+    # centers (4, 5): 3-4-5 triangle; (6, 1): |dx| = 5; (5.5, 1): |dx| = 4.5
+    b = [BoundingBox(3, 4, 5, 6), BoundingBox(5, 0, 7, 2), BoundingBox(5.5, 1, 5.5, 1)]
+    assert tracker_module._within(a, b, 5.0).tolist() == [[True, True, True]]
+    assert tracker_module._within(a, b, 4.5).tolist() == [[False, False, True]]
+    assert tracker_module._within(a, b, 4.0).tolist() == [[False, False, False]]
 
 
 def test_broadcast_gate_matches_brute_force(monkeypatch):
