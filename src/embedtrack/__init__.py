@@ -31,6 +31,7 @@ from .tracker import (
     interpolate_tracks,
     merge_tracklets,
     momentum_update,
+    run_sequence,
     step,
 )
 from .metrics import (

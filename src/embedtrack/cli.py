@@ -16,10 +16,10 @@ import time
 
 from . import ablation
 from .config import PROFILE_NAMES, config_from_dict, load_profile
-from .formats import FormatError, atomic_write, read_detections, read_mot, write_detections, write_mot
-from .metrics import EvalReport, ObjectEntry, TrackSet, per_class_report
-from .synth import WorldConfig, generate, track_scenario
-from .tracker import Tracker
+from .formats import atomic_write, read_detections, read_mot, write_detections, write_mot
+from .metrics import EvalReport, per_class_report
+from .synth import WorldConfig, generate
+from .tracker import TrackerConfig, run_sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,51 +41,25 @@ class Parser(argparse.ArgumentParser):
         raise CliError(message, EXIT_USAGE)
 
 
-def _load_tracker_config(args) -> "Tracker":
-    if args.profile:
-        cfg = load_profile(args.profile)
-    else:
-        cfg = config_from_dict({})
+def _load_tracker_config(args) -> TrackerConfig:
+    cfg = load_profile(args.profile) if args.profile else TrackerConfig()
     if args.config:
         with open(args.config) as fp:
-            overrides = json.load(fp)
-        merged = dataclasses.asdict(cfg)
-        merged.update(overrides)
-        cfg = config_from_dict(merged)
-    return Tracker(cfg)
+            cfg = config_from_dict(json.load(fp), base=cfg)
+    return cfg
 
 
 def cmd_track(args) -> int:
     start = time.perf_counter()
-    tracker = _load_tracker_config(args)
-    try:
-        with open(args.input) as fp:
-            _, frames = read_detections(fp)
-    except OSError as exc:
-        raise CliError(str(exc), EXIT_DATA)
-    # the tracker emits one box per (frame, id), so entries skip add()'s
-    # duplicate scan
-    pred, scores = TrackSet(), {}
-    track_ids: set[int] = set()
-    for f in sorted(frames):
-        for tid, det in tracker.step(f, frames[f]):
-            track_ids.add(tid)
-            pred.frames.setdefault(f, []).append(ObjectEntry(tid, det.class_id, det.box))
-            scores[f, tid] = det.score
-    # merging relabels IDs after the fact, so post-processed output is
-    # written from what the tracker holds at the end
-    if tracker.config.merge is not None or tracker.config.interpolate:
-        class_of = {t.track_id: t.class_id for t in tracker.state.tracks.values()}
-        class_of.update({t.track_id: t.class_id for t in tracker.state.retired.values()})
-        pred, scores = TrackSet(), {}
-        for tid, hist in sorted(tracker.finish().items()):
-            for frame, box, score in hist:
-                pred.frames.setdefault(frame, []).append(ObjectEntry(tid, class_of[tid], box))
-                scores[frame, tid] = score
+    cfg = _load_tracker_config(args)
+    with open(args.input) as fp:
+        _, frames = read_detections(fp)
+    pred, scores = run_sequence(frames, cfg)
     with atomic_write(args.output) as fp:
         write_mot(fp, pred, scores=scores)
     elapsed = time.perf_counter() - start
-    print(f"tracked {len(track_ids)} tracks in {elapsed:.3f}s", file=sys.stderr)
+    n_tracks = len({tid for _, tid in scores})
+    print(f"tracked {n_tracks} tracks in {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -99,16 +73,11 @@ def _format_report(report: EvalReport) -> str:
         return f"{v:8.4f}" if v is not None else f"{'-':>8}"
 
     lines = [header]
-    for c, m in sorted(report.per_class.items()):
+    for c, m in [*sorted(report.per_class.items()), ("all", report.aggregate)]:
         lines.append(
             f"{c:>8} {fmt(m.mota)} {fmt(m.idf1)} {fmt(m.hota)} {fmt(m.deta)} "
             f"{fmt(m.assa)} {m.fp:>6} {m.fn:>6} {m.idsw:>5} {m.mt:>4} {m.ml:>4}"
         )
-    a = report.aggregate
-    lines.append(
-        f"{'all':>8} {fmt(a.mota)} {fmt(a.idf1)} {fmt(a.hota)} {fmt(a.deta)} "
-        f"{fmt(a.assa)} {a.fp:>6} {a.fn:>6} {a.idsw:>5} {a.mt:>4} {a.ml:>4}"
-    )
     if report.mmota is not None:
         lines.append(f"mMOTA={report.mmota:.4f} mIDF1={report.midf1:.4f}")
     return "\n".join(lines)
@@ -136,13 +105,10 @@ def _machine_report(report: EvalReport) -> str:
 
 
 def cmd_eval(args) -> int:
-    try:
-        with open(args.gt) as fp:
-            gt = read_mot(fp)
-        with open(args.pred) as fp:
-            pred = read_mot(fp)
-    except OSError as exc:
-        raise CliError(str(exc), EXIT_DATA)
+    with open(args.gt) as fp:
+        gt = read_mot(fp)
+    with open(args.pred) as fp:
+        pred = read_mot(fp)
     gt_frames = set(gt.frames)
     pred_frames = set(pred.frames)
     if gt_frames and pred_frames and not (gt_frames & pred_frames):
@@ -156,24 +122,10 @@ def cmd_eval(args) -> int:
 
 
 def _world_from_args(args) -> WorldConfig:
+    cfg = WorldConfig()
     if args.config:
         with open(args.config) as fp:
-            data = json.load(fp)
-        valid = {f.name for f in dataclasses.fields(WorldConfig)}
-        unknown = set(data) - valid
-        if unknown:
-            raise CliError(f"unknown world config keys: {sorted(unknown)}", EXIT_DATA)
-        if "occlusions" in data:
-            data["occlusions"] = [tuple(o) for o in data["occlusions"]]
-        if "image_size" in data:
-            data["image_size"] = tuple(data["image_size"])
-        for key in ("box_size_range", "score_range", "fp_score_range",
-                    "distractor_score_range"):
-            if key in data:
-                data[key] = tuple(data[key])
-        cfg = WorldConfig(**data)
-    else:
-        cfg = WorldConfig()
+            cfg = WorldConfig.from_dict(json.load(fp))
     return dataclasses.replace(cfg, seed=args.seed)
 
 
@@ -278,13 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (FormatError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

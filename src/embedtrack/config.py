@@ -1,39 +1,67 @@
 """Loading tracker configurations from dataset profiles and JSON files.
 
 Profiles are data, not code: one JSON file per benchmark carrying that
-benchmark's association hyper-parameters. Unknown keys are rejected so a
-typo cannot silently fall back to a default.
+benchmark's association hyper-parameters. Every JSON config enters through
+``_from_dict``: unknown keys are rejected so a typo cannot silently fall
+back to a default, and each value is checked against its field's type.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from importlib import resources
 
-from .tracker import MergeConfig, TrackerConfig
+from .tracker import TrackerConfig
 
 __all__ = ["PROFILE_NAMES", "load_profile", "config_from_dict"]
 
 PROFILE_NAMES = ("mot17", "mot20", "dancetrack", "bdd100k", "waymo", "tao")
 
-_VALID_KEYS = {f.name for f in dataclasses.fields(TrackerConfig)}
-_MERGE_KEYS = {f.name for f in dataclasses.fields(MergeConfig)}
+
+def _checked(key: str, value, tp):
+    """``value`` checked against the type hint ``tp``; lists become tuples
+    where ``tp`` is a tuple and mappings become ``tp`` where it is a
+    dataclass. Raises a ValueError that names ``key``."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (types.UnionType, typing.Union):
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _checked(key, value, tp)
+    if dataclasses.is_dataclass(tp):
+        return _from_dict(tp, value, f"{key} config", path=f"{key}.")
+    if origin in (tuple, list):
+        if not isinstance(value, (list, tuple)) or (origin is tuple and len(value) != len(args)):
+            size = f"{len(args)} " if origin is tuple else ""
+            raise ValueError(f"{key} must be a list of {size}values, got {value!r}")
+        items = args if origin is tuple else args * len(value)
+        return origin(_checked(f"{key}[{i}]", v, a) for i, (v, a) in enumerate(zip(value, items)))
+    expected = (int, float) if tp is float else tp
+    if not isinstance(value, expected) or (tp is not bool and isinstance(value, bool)):
+        raise ValueError(f"{key} must be {tp.__name__}, got {value!r}")
+    return value
 
 
-def config_from_dict(data: dict) -> TrackerConfig:
-    """Build a TrackerConfig from a plain dict, rejecting unknown keys."""
-    unknown = set(data) - _VALID_KEYS
+def _from_dict(cls, data, name: str, base=None, path: str = ""):
+    """A ``cls`` dataclass built from the mapping ``data``, or ``base`` with
+    the given fields replaced. Errors call the document ``name`` and prefix
+    its keys with ``path``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(data).__name__}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ValueError(f"unknown tracker config keys: {sorted(unknown)}")
-    data = dict(data)
-    merge = data.get("merge")
-    if merge is not None:
-        unknown = set(merge) - _MERGE_KEYS
-        if unknown:
-            raise ValueError(f"unknown merge config keys: {sorted(unknown)}")
-        data["merge"] = MergeConfig(**merge)
-    return TrackerConfig(**data)
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    values = {k: _checked(path + k, v, hints[k]) for k, v in data.items()}
+    return cls(**values) if base is None else dataclasses.replace(base, **values)
+
+
+def config_from_dict(data: dict, base: TrackerConfig | None = None) -> TrackerConfig:
+    """Build a TrackerConfig from a plain dict, or override ``base`` with it."""
+    return _from_dict(TrackerConfig, data, "tracker config", base)
 
 
 def load_profile(name: str) -> TrackerConfig:

@@ -12,7 +12,7 @@ for checking them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,8 +38,6 @@ __all__ = [
     "make_toy_problem",
     "optimize_embeddings",
     "cross_frame_nn_accuracy",
-    "dump_batch",
-    "load_batch",
 ]
 
 POSITIVE = "positive"
@@ -563,48 +561,3 @@ def cross_frame_nn_accuracy(
         correct += int(np.sum(identity[cur] == identity[nearest]))
         total += cur.size
     return correct / total if total else 0.0
-
-
-# ---------------------------------------------------------------------------
-# Batch serialization (line-delimited text)
-# ---------------------------------------------------------------------------
-
-
-def _sample_line(tag: str, s: RegionSample) -> str:
-    ident = "-" if s.identity is None else str(s.identity)
-    emb = " ".join(repr(float(x)) for x in (s.embedding if s.embedding is not None else []))
-    box = " ".join(repr(float(v)) for v in (s.box.x1, s.box.y1, s.box.x2, s.box.y2))
-    return f"{tag} {box} {ident} {s.polarity} {repr(float(s.max_iou))} {emb}".rstrip()
-
-
-def dump_batch(batch: SampleBatch, fp) -> None:
-    """Write a batch as one sample per line: frame tag, box, identity,
-    polarity, max IoU, embedding components."""
-    for s in batch.key:
-        fp.write(_sample_line("key", s) + "\n")
-    for s in batch.ref:
-        fp.write(_sample_line("ref", s) + "\n")
-
-
-def load_batch(fp) -> SampleBatch:
-    """Inverse of dump_batch; reconstructs the positivity matrix."""
-    keys: list[RegionSample] = []
-    refs: list[RegionSample] = []
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) < 7:
-            raise ValueError(f"line {lineno}: malformed sample row")
-        tag = parts[0]
-        if tag not in ("key", "ref"):
-            raise ValueError(f"line {lineno}: unknown frame tag {tag!r}")
-        box = BoundingBox(*(float(p) for p in parts[1:5]))
-        ident = None if parts[5] == "-" else int(parts[5])
-        polarity = parts[6]
-        max_iou = float(parts[7])
-        emb = np.array([float(p) for p in parts[8:]]) if len(parts) > 8 else None
-        sample = RegionSample(box, ident, polarity, max_iou, emb)
-        (keys if tag == "key" else refs).append(sample)
-    return SampleBatch(key=keys, ref=refs)

@@ -387,11 +387,6 @@ class ClassMetrics:
     idfn: int = 0
     num_gt: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            k: v for k, v in self.__dict__.items()
-        }
-
 
 @dataclass
 class EvalReport:

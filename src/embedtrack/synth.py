@@ -14,9 +14,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import _from_dict
 from .geometry import BoundingBox
 from .metrics import ObjectEntry, TrackSet
-from .tracker import Detection, Tracker, TrackerConfig
+from .tracker import Detection, TrackerConfig, run_sequence
 
 __all__ = [
     "WorldConfig",
@@ -58,6 +59,12 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, low in (("dim", 1), ("n_classes", 1), ("n_identities", 1),
+                          ("n_distractors", 0), ("n_frames", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.tau > 0:
+            raise ValueError(f"tau must be > 0, got {self.tau}")
         for name in ("fp_rate", "fn_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -66,6 +73,12 @@ class WorldConfig:
             raise ValueError("noise sigmas must be >= 0")
         if self.motion not in ("static", "linear", "random_walk"):
             raise ValueError(f"unknown motion model {self.motion!r}")
+
+    @classmethod
+    def from_dict(cls, data) -> "WorldConfig":
+        """A world from a JSON document; unknown keys and values of the
+        wrong type raise ValueError."""
+        return _from_dict(cls, data, "world config")
 
 
 @dataclass
@@ -345,18 +358,4 @@ def oracle_tracks(scenario: Scenario, min_score: float = 0.5) -> TrackSet:
 
 def track_scenario(scenario: Scenario, config: TrackerConfig | None = None) -> TrackSet:
     """Run the appearance tracker over a scenario and collect predictions."""
-    tracker = Tracker(config)
-    pred = TrackSet()
-    for f in sorted(scenario.detections):
-        for tid, det in tracker.step(f, scenario.detections[f]):
-            pred.add(f, ObjectEntry(tid, det.class_id, det.box))
-    cfg = tracker.config
-    if cfg.merge is not None or cfg.interpolate:
-        # merging relabels IDs after the fact: take what the tracker holds
-        class_of = {t.track_id: t.class_id for t in tracker.state.retired.values()}
-        class_of.update({t.track_id: t.class_id for t in tracker.state.tracks.values()})
-        pred = TrackSet()
-        for tid, hist in tracker.finish().items():
-            for frame, box, _score in hist:
-                pred.add(frame, ObjectEntry(tid, class_of[tid], box))
-    return pred
+    return run_sequence(scenario.detections, config)[0]

@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # center_distance stays importable from this module: perfbench's tracer
 # wraps the names this module holds, and every one of them must exist.
 from .geometry import BoundingBox, center_distance, centers_within, nms  # noqa: F401
+from .metrics import ObjectEntry, TrackSet
 from .similarity import cosine_matrix, masked_bisoftmax, validate_embeddings
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "TrackerConfig",
     "TrackerState",
     "Tracker",
+    "run_sequence",
     "momentum_update",
     "merge_tracklets",
     "interpolate_tracks",
@@ -128,9 +130,6 @@ class TrackerConfig:
                 "low-confidence detections may spawn tracks",
                 stacklevel=2,
             )
-
-    def get_params(self) -> dict:
-        return asdict(self)
 
 
 class _Rows:
@@ -232,9 +231,6 @@ class Tracker:
         self.config = config or TrackerConfig()
         self.state = TrackerState()
 
-    def get_params(self) -> dict:
-        return self.config.get_params()
-
     def step(self, frame_index: int, detections: list[Detection]) -> list[tuple[int, Detection]]:
         """Process one frame; returns the confirmed (track_id, detection)
         pairs for this frame."""
@@ -248,6 +244,30 @@ class Tracker:
         if self.config.interpolate:
             histories = interpolate_tracks(histories)
         return histories
+
+
+def run_sequence(
+    frames: dict[int, list[Detection]],
+    config: TrackerConfig | None = None,
+) -> tuple[TrackSet, dict[tuple[int, int], float]]:
+    """Track a whole sequence: step a fresh Tracker over the frames in
+    sorted order, then return its final histories as a TrackSet, taken in
+    ascending track id, and each box's score by (frame, track id).
+
+    With merging and interpolation off the histories hold exactly what
+    step returned frame by frame, so this is the online output too.
+    """
+    tracker = Tracker(config)
+    for f in sorted(frames):
+        tracker.step(f, frames[f])
+    state = tracker.state
+    class_of = {t.track_id: t.class_id for t in (*state.retired.values(), *state.tracks.values())}
+    pred, scores = TrackSet(), {}
+    for tid, hist in sorted(tracker.finish().items()):
+        for frame, box, score in hist:
+            pred.add(frame, ObjectEntry(tid, class_of[tid], box))
+            scores[frame, tid] = score
+    return pred, scores
 
 
 def _within(boxes_a: list[BoundingBox], boxes_b: list[BoundingBox], radius: float) -> np.ndarray:

@@ -90,6 +90,13 @@ class TestTrackCommand:
                    "--output", str(tmp_path / "out.txt")])
         assert rc == EXIT_DATA
 
+    def test_directory_as_input_or_config_is_data_error(self, scenario_files, tmp_path):
+        det, _, _ = scenario_files
+        out = str(tmp_path / "o.txt")
+        assert main(["track", "--input", str(tmp_path), "--output", out]) == EXIT_DATA
+        assert main(["track", "--input", str(det), "--output", out,
+                     "--config", str(tmp_path)]) == EXIT_DATA
+
     def test_unknown_profile_is_usage_error(self, scenario_files, tmp_path):
         det, _, _ = scenario_files
         rc = main(["track", "--input", str(det),
@@ -122,6 +129,37 @@ def test_track_output_evaluates_for_every_profile(tmp_path, profile):
     assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == EXIT_OK
     keys = [tuple(line.split(",")[:2]) for line in pred.read_text().splitlines()]
     assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("command,document,key", [
+    ("track", {"merge": 5}, "merge config"),
+    ("track", {"beta_obj": "x"}, "beta_obj"),
+    ("track", {"memory_frames": None}, "memory_frames"),
+    ("track", {"distance_gate": "50"}, "distance_gate"),
+    ("track", {"merge": {"t": "a"}}, "merge.t"),
+    ("track", [], "tracker config"),
+    ("synth", [], "world config"),
+    ("synth", {"image_size": 5}, "image_size"),
+    ("synth", {"n_frames": "5"}, "n_frames"),
+    ("synth", {"box_size_range": [1]}, "box_size_range"),
+    ("synth", {"dim": 0}, "dim"),
+    ("synth", {"n_distractors": -2}, "n_distractors"),
+    ("ablate", {"n_frames": "5"}, "n_frames"),
+    ("ablate", {"image_size": 5}, "image_size"),
+])
+def test_malformed_config_is_data_error(scenario_files, tmp_path, capsys, command, document, key):
+    det, _, _ = scenario_files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(document))
+    out = str(tmp_path / "out")
+    argv = {
+        "track": ["track", "--input", str(det), "--output", out],
+        "synth": ["synth", "--detections", out, "--gt", str(tmp_path / "gt")],
+        "ablate": ["ablate", "--sweep", "metric=cosine", "--seeds", "0", "--output", out],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg)]) == EXIT_DATA
+    assert key in capsys.readouterr().err
 
 
 class TestEvalCommand:

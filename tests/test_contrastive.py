@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -19,9 +17,7 @@ from embedtrack.contrastive import (
     assign_samples,
     aux_selection_margin,
     cross_frame_nn_accuracy,
-    dump_batch,
     finite_difference_gradient,
-    load_batch,
     loss_aux,
     loss_embed,
     loss_total,
@@ -397,30 +393,6 @@ class TestToyOptimization:
         identity = np.array([0, 1, 0, 1])
         frame = np.array([0, 0, 1, 1])
         assert cross_frame_nn_accuracy(params, identity, frame) == 0.5
-
-
-class TestBatchSerialization:
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(0)
-        b = random_labeled_batch(rng, v=5, k=8, dim=6)
-        buf = io.StringIO()
-        dump_batch(b, buf)
-        buf.seek(0)
-        b2 = load_batch(buf)
-        assert np.array_equal(b.positivity, b2.positivity)
-        k1, r1 = b.embeddings()
-        k2, r2 = b2.embeddings()
-        assert np.array_equal(k1, k2) and np.array_equal(r1, r2)
-        assert [s.polarity for s in b.ref] == [s.polarity for s in b2.ref]
-        assert [s.max_iou for s in b.ref] == [s.max_iou for s in b2.ref]
-
-    def test_malformed_line_reports_number(self):
-        with pytest.raises(ValueError, match="line 1"):
-            load_batch(io.StringIO("key 0 0 1\n"))
-
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError, match="unknown frame tag"):
-            load_batch(io.StringIO("mid 0 0 1 1 - negative 0.0 1.0\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ small enough to enumerate, the pinned HOTA values are also ones the
 brute-force oracle allows.
 """
 
+import dataclasses
 import json
 import os
 
@@ -81,8 +82,8 @@ CASES = {
 def report_values(gt, pred) -> dict:
     rep = per_class_report(gt, pred)
     return {
-        "aggregate": rep.aggregate.as_dict(),
-        "per_class": {str(c): m.as_dict() for c, m in rep.per_class.items()},
+        "aggregate": dataclasses.asdict(rep.aggregate),
+        "per_class": {str(c): dataclasses.asdict(m) for c, m in rep.per_class.items()},
         "mmota": rep.mmota,
         "midf1": rep.midf1,
     }

@@ -33,6 +33,38 @@ class TestWorldConfig:
         with pytest.raises(ValueError, match="motion"):
             WorldConfig(motion="teleport")
 
+    @pytest.mark.parametrize("field,value", [
+        ("dim", 0), ("n_classes", 0), ("n_identities", 0), ("n_identities", -1),
+        ("n_distractors", -2), ("n_frames", -1), ("tau", 0.0), ("tau", -1.0),
+    ])
+    def test_impossible_world_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            WorldConfig(**{field: value})
+
+    def test_zero_frame_world_is_empty(self):
+        s = generate(WorldConfig(n_frames=0))
+        assert s.detections == {} and s.gt.frames == {}
+
+    def test_from_dict_turns_lists_into_tuples(self):
+        w = WorldConfig.from_dict({"image_size": [640, 480], "occlusions": [[0, 1, 2]]})
+        assert w == WorldConfig(image_size=(640, 480), occlusions=[(0, 1, 2)])
+
+    @pytest.mark.parametrize("data,message", [
+        ([], "world config must be a JSON object"),
+        ({"n_ids": 3}, "unknown world config keys"),
+        ({"n_frames": "5"}, "n_frames must be int"),
+        ({"n_frames": 5.0}, "n_frames must be int"),
+        ({"seed": True}, "seed must be int"),
+        ({"image_size": 5}, "image_size must be a list of 2 values"),
+        ({"box_size_range": [1]}, "box_size_range must be a list of 2 values"),
+        ({"score_range": [0.5, "x"]}, r"score_range\[1\] must be float"),
+        ({"occlusions": [[0, 1]]}, r"occlusions\[0\] must be a list of 3 values"),
+        ({"motion": 1}, "motion must be str"),
+    ])
+    def test_from_dict_names_the_bad_key(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            WorldConfig.from_dict(data)
+
 
 class TestPlacePrototypes:
     def test_unit_norm_and_separated(self):

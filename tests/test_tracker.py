@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from embedtrack import tracker as tracker_module
 from embedtrack.ablation import synth_tracker_config
+from embedtrack.config import PROFILE_NAMES, load_profile
 from embedtrack.geometry import BoundingBox, center_distance
 from embedtrack.metrics import TrackSet
 from embedtrack.synth import Scenario, WorldConfig, generate, track_scenario
@@ -17,6 +20,7 @@ from embedtrack.tracker import (
     interpolate_tracks,
     merge_tracklets,
     momentum_update,
+    run_sequence,
 )
 from oracles import OracleTrackerState, finish_oracle, step_oracle, within_oracle
 
@@ -63,12 +67,6 @@ class TestConfig:
     def test_low_beta_new_warns(self):
         with pytest.warns(UserWarning, match="beta_new"):
             TrackerConfig(beta_new=0.1, beta_obj=0.5)
-
-    def test_get_params_round_trips(self):
-        c = cfg(merge=MergeConfig())
-        p = Tracker(c).get_params()
-        assert p["beta_match"] == 0.5
-        assert p["merge"]["beta_merge"] == 0.5
 
 
 class TestDetection:
@@ -580,3 +578,52 @@ def test_seeded_world_equals_per_object_tracker(overrides):
                         occlusions=[(0, 10, 14), (3, 25, 30), (7, 40, 43)], seed=9)
     frames = generate(world).detections
     run_both(synth_tracker_config(**overrides), [(f, frames[f]) for f in sorted(frames)])
+
+
+@st.composite
+def small_worlds(draw):
+    """A small seeded world with clutter and occlusions, some of its frames
+    dropped (so tracks have gaps to interpolate), and a tracker config:
+    no config, or a benchmark profile or the synthetic settings, at times
+    with a short memory so that tracks retire."""
+    n_identities = draw(st.integers(1, 6))
+    n_frames = draw(st.integers(0, 20))
+    world = WorldConfig(
+        n_identities=n_identities, n_frames=n_frames, n_classes=draw(st.integers(1, 2)),
+        dim=draw(st.integers(8, 16)), speed=draw(st.sampled_from([0.0, 4.0, 20.0])),
+        sigma_e=draw(st.sampled_from([0.0, 0.3, 0.8])), jitter_sigma=1.0,
+        fp_rate=draw(st.sampled_from([0.0, 0.2])), n_distractors=draw(st.integers(0, 2)),
+        distractor_affinity=draw(st.sampled_from([0.0, 0.7])),
+        occlusions=[(draw(st.integers(0, n_identities - 1)), 3, 6)],
+        seed=draw(st.integers(0, 2**16)),
+    )
+    frames = generate(world).detections
+    if frames:
+        dropped = draw(st.sets(st.sampled_from(sorted(frames)), max_size=n_frames // 3))
+        frames = {f: dets for f, dets in frames.items() if f not in dropped}
+    profile = draw(st.sampled_from([None, "synth", *PROFILE_NAMES]))
+    if profile is None:
+        return frames, None
+    c = synth_tracker_config() if profile == "synth" else load_profile(profile)
+    memory = draw(st.sampled_from([c.memory_frames, 0, 2]))
+    return frames, dataclasses.replace(c, memory_frames=memory)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_worlds(), st.booleans())
+def test_run_sequence_is_the_online_output(drawn, postprocess):
+    frames, c = drawn
+    if c is not None and not postprocess:
+        c = dataclasses.replace(c, merge=None, interpolate=False)
+    pred, scores = run_sequence(frames, c)
+    got = [(f, e) for f in sorted(pred.frames) for e in pred.frames[f]]
+    keys = [(f, e.obj_id) for f, e in got]
+    assert len(keys) == len(set(keys)) == len(scores) and set(keys) == set(scores)
+    if c is not None and (c.merge is not None or c.interpolate):
+        return
+    t = Tracker(c)
+    online = [(f, tid, d) for f in sorted(frames) for tid, d in t.step(f, frames[f])]
+    assert [(f, e.obj_id, e.class_id, e.box) for f, e in got] == [
+        (f, tid, d.class_id, d.box) for f, tid, d in online]
+    assert all(e.box is d.box for (_, e), (_, _, d) in zip(got, online))
+    assert [scores[f, e.obj_id] for f, e in got] == [d.score for _, _, d in online]
