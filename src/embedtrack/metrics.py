@@ -17,17 +17,17 @@ Conventions:
   denominator before any matching.
 
 How the work is shared:
-- Each metric turns a class's entries into per-frame id and (N, 4) box
-  arrays once, with ids mapped to dense indices in sorted id order.
-- It streams the frames in order and computes one IoU matrix per frame,
-  dropped after that frame. CLEAR reads its carried-over pairs from it.
-  HOTA keeps only its non-zero entries for a second pass: the first pass
-  sums the alignment scores, the second makes the one matching per frame.
-- Pairs are counted by id index: IDF1 adds each frame's overlapping pairs
-  into a (gt id, pred id) weight matrix with ``np.add.at``; HOTA keeps each
-  matched pair once, as an integer pair key and its IoU, counts each
-  alpha's TPs per pair from the IoUs, and sums the association terms over
-  pairs, as TrackEval does.
+- ``per_class_report`` makes one pass per class. Each frame's entries
+  become dense gt and pred id indices (sorted id order) and (N, 4) box
+  arrays once; its IoU matrix is computed once, handed to three per-frame
+  accumulators (CLEAR, IDF1 and HOTA's alignment pre-pass) and dropped.
+  ``clear_mot``, ``idf1`` and ``hota`` each run the pass with their own
+  accumulator alone.
+- IDF1 counts each frame's pairs at or above the threshold into a
+  (gt id, pred id) matrix. HOTA keeps only the non-zero IoUs; once the
+  pass has summed the alignment scores, it matches each frame, keeps each
+  matched pair as an integer pair key and its IoU, and counts the TPs and
+  association terms per pair and alpha, as TrackEval does.
 - A CLEAR matching whose admissible pairs already form a matching is read
   off without a solver call; it is the unique optimum. Every other matching
   solves the full cost matrix.
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -78,11 +79,22 @@ class TrackSet:
 
     def __init__(self):
         self.frames: dict[int, list[ObjectEntry]] = {}
+        # the frame list last added to and its ids; one set, not one per
+        # frame, which would cost five times the lists' memory
+        self._open: tuple[list[ObjectEntry], set[int]] = ([], set())
 
     def add(self, frame: int, entry: ObjectEntry) -> None:
+        """O(1) while entries arrive frame by frame; an add to another frame,
+        or after ``frames[frame]`` was replaced or appended to directly,
+        reads that frame's ids anew."""
         bucket = self.frames.setdefault(frame, [])
-        if any(e.obj_id == entry.obj_id for e in bucket):
+        seen, ids = self._open
+        if seen is not bucket or len(ids) != len(bucket):
+            ids = {e.obj_id for e in bucket}
+            self._open = (bucket, ids)
+        if entry.obj_id in ids:
             raise ValueError(f"duplicate object id {entry.obj_id} in frame {frame}")
+        ids.add(entry.obj_id)
         bucket.append(entry)
 
     def visible_frames(self) -> dict[int, list[ObjectEntry]]:
@@ -189,158 +201,191 @@ def _frames(gt: TrackSet, pred: TrackSet) -> tuple[Iterator[tuple[np.ndarray, ..
     return stream, len(gt_ids), len(pr_ids)
 
 
-def clear_mot(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> ClearMotResult:
-    """CLEAR-MOT accumulation with match carry-over."""
+def _one_pass(gt: TrackSet, pred: TrackSet, *accumulators) -> list:
+    """Stream the frames once. Each accumulator is built from the numbers of
+    gt and pred ids and takes, per frame, (gt indices, pred indices, IoU
+    matrix), the matrix None when a side is empty. Returns the accumulators."""
     frames, n_gt_ids, n_pr_ids = _frames(gt, pred)
-    last_match = np.full(n_gt_ids, -1)  # gt index -> most recent matched pred index
-    slot = np.full(n_pr_ids, -1)  # pred index -> position in the current frame
-    gt_presence = np.zeros(n_gt_ids, dtype=np.int64)
-    gt_covered = np.zeros(n_gt_ids, dtype=np.int64)
-    fp = fn = idsw = 0
-    num_matches = 0
-    sum_iou = 0.0
-
+    accs = [make(n_gt_ids, n_pr_ids) for make in accumulators]
     for gi, gb, pi, pb in frames:
-        gt_presence[gi] += 1
-        if len(gi) == 0 or len(pi) == 0:
-            fn += len(gi)
-            fp += len(pi)
-            continue
-        overlaps = iou_matrix(gb, pb)
+        overlaps = iou_matrix(gb, pb) if len(gi) and len(pi) else None
+        for acc in accs:
+            acc.add(gi, pi, overlaps)
+    return accs
+
+
+class _Clear:
+    """CLEAR-MOT accumulation with match carry-over."""
+
+    def __init__(self, iou_threshold: float, n_gt_ids: int, n_pr_ids: int):
+        self.threshold = iou_threshold
+        self.last_match = np.full(n_gt_ids, -1)  # gt index -> most recent matched pred index
+        self.slot = np.full(n_pr_ids, -1)  # pred index -> position in the current frame
+        self.presence = np.zeros(n_gt_ids, dtype=np.int64)
+        self.covered = np.zeros(n_gt_ids, dtype=np.int64)
+        self.n_pr_boxes = self.idsw = self.num_matches = 0
+        self.sum_iou = 0.0
+
+    def add(self, gi: np.ndarray, pi: np.ndarray, overlaps: np.ndarray | None) -> None:
+        self.presence[gi] += 1
+        self.n_pr_boxes += len(pi)
+        if overlaps is None:
+            return
         # carry over surviving correspondences; two gt ids can share a
         # last-matched pred id, and the first in frame order keeps it
-        slot[pi] = np.arange(len(pi))
-        prev = last_match[gi]
-        carried = np.where(prev >= 0, slot[prev], -1)
-        slot[pi] = -1
+        self.slot[pi] = np.arange(len(pi))
+        prev = self.last_match[gi]
+        carried = np.where(prev >= 0, self.slot[prev], -1)
+        self.slot[pi] = -1
         rows = np.flatnonzero(carried >= 0)
         cols = carried[rows]
-        kept = overlaps[rows, cols] >= iou_threshold
+        kept = overlaps[rows, cols] >= self.threshold
         rows, cols = rows[kept], cols[kept]
         first = np.sort(np.unique(cols, return_index=True)[1])
         rows, cols = rows[first], cols[first]
 
-        rem_gt = np.setdiff1d(np.arange(len(gi)), rows)
-        rem_pr = np.setdiff1d(np.arange(len(pi)), cols)
+        rem_gt = np.flatnonzero(np.bincount(rows, minlength=len(gi)) == 0)
+        rem_pr = np.flatnonzero(np.bincount(cols, minlength=len(pi)) == 0)
         if len(rem_gt) and len(rem_pr):
-            r, c = _match(overlaps[np.ix_(rem_gt, rem_pr)], iou_threshold)
+            r, c = _match(overlaps[np.ix_(rem_gt, rem_pr)], self.threshold)
             rows = np.concatenate((rows, rem_gt[r]))
             cols = np.concatenate((cols, rem_pr[c]))
-        num_matches += len(rows)
-        sum_iou = _sequential_sum(overlaps[rows, cols], sum_iou)
+        self.num_matches += len(rows)
+        self.sum_iou = _sequential_sum(overlaps[rows, cols], self.sum_iou)
 
         gids, pids = gi[rows], pi[cols]
-        prev = last_match[gids]
-        idsw += int(np.count_nonzero((prev >= 0) & (prev != pids)))
-        last_match[gids] = pids
-        gt_covered[gids] += 1
-        fn += len(gi) - len(rows)
-        fp += len(pi) - len(rows)
+        prev = self.last_match[gids]
+        self.idsw += int(np.count_nonzero((prev >= 0) & (prev != pids)))
+        self.last_match[gids] = pids
+        self.covered[gids] += 1
 
-    ratio = gt_covered / gt_presence
-    mt = int(np.count_nonzero(ratio >= 0.8))
-    ml = int(np.count_nonzero(ratio <= 0.2))
-    num_gt = int(gt_presence.sum())
-    mota = 1.0 - (fn + fp + idsw) / num_gt
-    motp = sum_iou / num_matches if num_matches else 0.0
-    return ClearMotResult(mota, motp, fp, fn, idsw, mt, ml, num_gt, num_matches)
+    def result(self) -> ClearMotResult:
+        ratio = self.covered / self.presence
+        mt = int(np.count_nonzero(ratio >= 0.8))
+        ml = int(np.count_nonzero(ratio <= 0.2))
+        num_gt = int(self.presence.sum())
+        fn, fp = num_gt - self.num_matches, self.n_pr_boxes - self.num_matches
+        mota = 1.0 - (fn + fp + self.idsw) / num_gt
+        motp = self.sum_iou / self.num_matches if self.num_matches else 0.0
+        return ClearMotResult(mota, motp, fp, fn, self.idsw, mt, ml, num_gt, self.num_matches)
 
 
-def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> Idf1Result:
+class _Idf1:
     """Identification F1: global trajectory-level bipartite assignment."""
-    frames, n_gt_ids, n_pr_ids = _frames(gt, pred)
-    n_gt_boxes = n_pr_boxes = 0
-    # frames where both are present and overlap at least iou_threshold,
-    # per (gt id, pred id)
-    w = np.zeros((n_gt_ids, n_pr_ids))
-    for gi, gb, pi, pb in frames:
-        n_gt_boxes += len(gi)
-        n_pr_boxes += len(pi)
-        if len(gi) and len(pi):
-            r, c = np.nonzero(iou_matrix(gb, pb) >= iou_threshold)
-            np.add.at(w, (gi[r], pi[c]), 1.0)
-    idtp = 0
-    if w.any():
-        rows, cols = linear_sum_assignment(-w)
-        idtp = int(w[rows, cols].sum())
 
-    idfn = n_gt_boxes - idtp
-    idfp = n_pr_boxes - idtp
-    denom = idtp + 0.5 * idfn + 0.5 * idfp
-    score = idtp / denom if denom else 0.0
-    return Idf1Result(score, idtp, idfp, idfn)
+    def __init__(self, iou_threshold: float, n_gt_ids: int, n_pr_ids: int):
+        self.threshold = iou_threshold
+        self.n_gt_boxes = self.n_pr_boxes = 0
+        # frames with IoU >= iou_threshold, per (gt id, pred id)
+        self.w = np.zeros((n_gt_ids, n_pr_ids))
+
+    def add(self, gi: np.ndarray, pi: np.ndarray, overlaps: np.ndarray | None) -> None:
+        self.n_gt_boxes += len(gi)
+        self.n_pr_boxes += len(pi)
+        if overlaps is not None:
+            r, c = np.nonzero(overlaps >= self.threshold)
+            np.add.at(self.w, (gi[r], pi[c]), 1.0)
+
+    def result(self) -> Idf1Result:
+        idtp = 0
+        if self.w.any():
+            rows, cols = linear_sum_assignment(-self.w)
+            idtp = int(self.w[rows, cols].sum())
+        idfn, idfp = self.n_gt_boxes - idtp, self.n_pr_boxes - idtp
+        denom = idtp + 0.5 * idfn + 0.5 * idfp
+        score = idtp / denom if denom else 0.0
+        return Idf1Result(score, idtp, idfp, idfn)
 
 
-def _hota_matches(gt: TrackSet, pred: TrackSet) -> tuple[np.ndarray, ...]:
+class _Hota:
     """HOTA's matching as TrackEval computes it: a pre-pass sums, per
     (gt id, pred id) pair, IoU / (row sum + column sum - IoU) over all
     frames, which gives the alignment score A = sum / (n_gt_id + n_pred_id
     - sum); then each frame is matched once, maximizing the total A * IoU.
-
-    Returns one key (gt index * number of pred ids + pred index) and the IoU
-    of each matched pair with non-zero IoU, in frame order, and the number
-    of boxes of each gt id and each pred id.
     """
-    frames, n_gt_ids, n_pr_ids = _frames(gt, pred)
-    gt_total = np.zeros(n_gt_ids, dtype=np.int64)
-    pr_total = np.zeros(n_pr_ids, dtype=np.int64)
-    potential = np.zeros((n_gt_ids, n_pr_ids))
-    # per frame with both sides present: (gt indices, pred indices, rows,
-    # cols, IoU) of its non-zero IoU entries
-    overlaps = []
-    for gi, gb, pi, pb in frames:
-        gt_total[gi] += 1
-        pr_total[pi] += 1
-        if len(gi) == 0 or len(pi) == 0:
-            continue
-        ious = iou_matrix(gb, pb)
+
+    def __init__(self, n_gt_ids: int, n_pr_ids: int):
+        self.gt_total = np.zeros(n_gt_ids, dtype=np.int64)
+        self.pr_total = np.zeros(n_pr_ids, dtype=np.int64)
+        self.potential = np.zeros((n_gt_ids, n_pr_ids))
+        self.overlaps = []  # (gi, pi, rows, cols, IoU) of each frame's non-zero IoUs
+
+    def add(self, gi: np.ndarray, pi: np.ndarray, ious: np.ndarray | None) -> None:
+        self.gt_total[gi] += 1
+        self.pr_total[pi] += 1
+        if ious is None:
+            return
         r, c = np.nonzero(ious)
         v = ious[r, c]
         # ids are unique within a frame, so no pair repeats in the update
-        potential[gi[r], pi[c]] += v / (ious.sum(axis=1)[r] + ious.sum(axis=0)[c] - v)
-        overlaps.append((gi, pi, r, c, v))
+        self.potential[gi[r], pi[c]] += v / (ious.sum(axis=1)[r] + ious.sum(axis=0)[c] - v)
+        self.overlaps.append((gi, pi, r, c, v))
 
-    keys, matched_iou = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for gi, pi, r, c, v in overlaps:
-        g, p = gi[r], pi[c]
-        pot = potential[g, p]
-        score = np.zeros((len(gi), len(pi)))
-        score[r, c] = pot / (gt_total[g] + pr_total[p] - pot) * v
-        rows, cols = linear_sum_assignment(-score)
-        ious = np.zeros_like(score)
-        ious[r, c] = v
-        ious = ious[rows, cols]
-        hit = ious > 0  # a zero-IoU pair is no match at any alpha
-        keys.append(gi[rows[hit]] * n_pr_ids + pi[cols[hit]])
-        matched_iou.append(ious[hit])
-    return np.concatenate(keys), np.concatenate(matched_iou), gt_total, pr_total
+    def matches(self) -> tuple[np.ndarray, ...]:
+        """The second pass, run once: it releases the kept IoU entries.
+        Returns one key (gt index * number of pred ids + pred index) and the
+        IoU of each matched pair with non-zero IoU, in frame order, and the
+        number of boxes of each gt id and each pred id."""
+        keys, matched_iou = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+        frames, self.overlaps = self.overlaps, []
+        for gi, pi, r, c, v in frames:
+            g, p = gi[r], pi[c]
+            pot = self.potential[g, p]
+            score = np.zeros((len(gi), len(pi)))
+            score[r, c] = pot / (self.gt_total[g] + self.pr_total[p] - pot) * v
+            rows, cols = linear_sum_assignment(-score)
+            ious = np.zeros_like(score)
+            ious[r, c] = v
+            ious = ious[rows, cols]
+            hit = ious > 0  # a zero-IoU pair is no match at any alpha
+            keys.append(gi[rows[hit]] * len(self.pr_total) + pi[cols[hit]])
+            matched_iou.append(ious[hit])
+        return np.concatenate(keys), np.concatenate(matched_iou), self.gt_total, self.pr_total
+
+    def result(self) -> HotaResult:
+        keys, matched_iou, gt_total, pr_total = self.matches()
+        n_pr_ids = len(pr_total)
+        pairs, inverse = np.unique(keys, return_inverse=True)
+        # a match counts at the first `level` alphas, those with IoU >= alpha - eps
+        level = np.searchsorted(np.array(HOTA_ALPHAS) - _EPS, matched_iou, side="right")
+        n_levels = len(HOTA_ALPHAS) + 1
+        per_level = np.bincount(inverse * n_levels + level, minlength=len(pairs) * n_levels)
+        # tpa[k, j]: matches of pair j that count at alpha k (level above k)
+        tpa = per_level.reshape(len(pairs), n_levels)[:, ::-1].cumsum(axis=1)[:, -2::-1].T
+        gt_n = gt_total[pairs // n_pr_ids]  # tpa + fna
+        pr_n = pr_total[pairs % n_pr_ids]  # tpa + fpa
+        tp = tpa.sum(axis=1)
+        raw = {
+            "tp": tp.tolist(),
+            "fn": (gt_total.sum() - tp).tolist(),
+            "fp": (pr_total.sum() - tp).tolist(),
+            "ass_sum": (tpa * (tpa / (gt_n + pr_n - tpa))).sum(axis=1).tolist(),
+            "assre_sum": (tpa * (tpa / gt_n)).sum(axis=1).tolist(),
+            "asspr_sum": (tpa * (tpa / pr_n)).sum(axis=1).tolist(),
+        }
+        return HotaResult(**_hota_means(**raw), **raw)
+
+
+def clear_mot(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> ClearMotResult:
+    """CLEAR-MOT accumulation with match carry-over."""
+    return _one_pass(gt, pred, partial(_Clear, iou_threshold))[0].result()
+
+
+def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> Idf1Result:
+    """Identification F1: global trajectory-level bipartite assignment."""
+    return _one_pass(gt, pred, partial(_Idf1, iou_threshold))[0].result()
+
+
+def _hota_matches(gt: TrackSet, pred: TrackSet) -> tuple[np.ndarray, ...]:
+    """HOTA's matched pairs and box counts; see ``_Hota.matches``."""
+    return _one_pass(gt, pred, _Hota)[0].matches()
 
 
 def hota(gt: TrackSet, pred: TrackSet) -> HotaResult:
     """HOTA with DetA/AssA decomposition, averaged over alpha: the TPs at
     alpha are the pairs of the one matching per frame with IoU >= alpha -
     eps."""
-    keys, matched_iou, gt_total, pr_total = _hota_matches(gt, pred)
-    n_pr_ids = len(pr_total)
-    pairs, inverse = np.unique(keys, return_inverse=True)
-    # a match counts at the first `level` alphas, those with IoU >= alpha - eps
-    level = np.searchsorted(np.array(HOTA_ALPHAS) - _EPS, matched_iou, side="right")
-    n_levels = len(HOTA_ALPHAS) + 1
-    per_level = np.bincount(inverse * n_levels + level, minlength=len(pairs) * n_levels)
-    # tpa[k, j]: matches of pair j that count at alpha k (level above k)
-    tpa = per_level.reshape(len(pairs), n_levels)[:, ::-1].cumsum(axis=1)[:, -2::-1].T
-    gt_n = gt_total[pairs // n_pr_ids]  # tpa + fna
-    pr_n = pr_total[pairs % n_pr_ids]  # tpa + fpa
-    tp = tpa.sum(axis=1)
-    raw = {
-        "tp": tp.tolist(),
-        "fn": (gt_total.sum() - tp).tolist(),
-        "fp": (pr_total.sum() - tp).tolist(),
-        "ass_sum": (tpa * (tpa / (gt_n + pr_n - tpa))).sum(axis=1).tolist(),
-        "assre_sum": (tpa * (tpa / gt_n)).sum(axis=1).tolist(),
-        "asspr_sum": (tpa * (tpa / pr_n)).sum(axis=1).tolist(),
-    }
-    return HotaResult(**_hota_means(**raw), **raw)
+    return _one_pass(gt, pred, _Hota)[0].result()
 
 
 def _hota_means(tp, fn, fp, ass_sum, assre_sum, asspr_sum) -> dict[str, float]:
@@ -348,21 +393,11 @@ def _hota_means(tp, fn, fp, ass_sum, assre_sum, asspr_sum) -> dict[str, float]:
     averaged over alpha; a ratio with a zero denominator is 0."""
     tp, fn, fp, ass_sum, assre_sum, asspr_sum = np.array(
         [tp, fn, fp, ass_sum, assre_sum, asspr_sum], dtype=np.float64)
-
-    def ratio(num, den):
-        return np.where(den > 0, num / np.maximum(den, 1), 0.0)
-
-    deta = ratio(tp, tp + fn + fp)
-    assa = ratio(ass_sum, tp)
-    return {
-        "hota": float(np.mean(np.sqrt(deta * assa))),
-        "deta": float(np.mean(deta)),
-        "assa": float(np.mean(assa)),
-        "detre": float(np.mean(ratio(tp, tp + fn))),
-        "detpr": float(np.mean(ratio(tp, tp + fp))),
-        "assre": float(np.mean(ratio(assre_sum, tp))),
-        "asspr": float(np.mean(ratio(asspr_sum, tp))),
-    }
+    num = np.array([tp, ass_sum, tp, tp, assre_sum, asspr_sum])
+    den = np.array([tp + fn + fp, tp, tp + fn, tp + fp, tp, tp])
+    ratios = np.where(den > 0, num / np.maximum(den, 1), 0.0)  # DetA, AssA, DetRe, ..., AssPr
+    means = np.vstack([np.sqrt(ratios[0] * ratios[1]), ratios]).mean(axis=1)
+    return dict(zip(("hota", "deta", "assa", "detre", "detpr", "assre", "asspr"), means.tolist()))
 
 
 @dataclass
@@ -412,45 +447,28 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
     total_matches = 0
 
     for c in classes:
-        gt_c = gt.restrict_class(c)
-        pr_c = pred.restrict_class(c)
-        cm = ClassMetrics()
-        n_gt = gt_c.num_boxes()
-        cm.num_gt = n_gt
-        if n_gt == 0:
+        gt_c, pr_c = gt.restrict_class(c), pred.restrict_class(c)
+        cm = per_class[c] = ClassMetrics(num_gt=gt_c.num_boxes())
+        if cm.num_gt == 0:
             # predictions without any ground truth of this class: all FP
-            cm.fp = sum(len(v) for v in pr_c.frames.values())
-            cm.idfp = cm.fp
-            agg.fp += cm.fp
-            agg.idfp += cm.idfp
+            cm.fp = cm.idfp = sum(len(v) for v in pr_c.frames.values())
             hota_raw[2] += cm.fp
-            per_class[c] = cm
-            continue
-        clear = clear_mot(gt_c, pr_c, iou_threshold)
-        ident = idf1(gt_c, pr_c, iou_threshold)
-        h = hota(gt_c, pr_c)
-        cm.mota, cm.motp = clear.mota, clear.motp
-        cm.fp, cm.fn, cm.idsw = clear.fp, clear.fn, clear.idsw
-        cm.mt, cm.ml = clear.mt, clear.ml
-        cm.idf1, cm.idtp, cm.idfp, cm.idfn = ident.idf1, ident.idtp, ident.idfp, ident.idfn
-        cm.hota, cm.deta, cm.assa = h.hota, h.deta, h.assa
-        cm.detre, cm.detpr, cm.assre, cm.asspr = h.detre, h.detpr, h.assre, h.asspr
-        per_class[c] = cm
-        motas.append(clear.mota)
-        idf1s.append(ident.idf1)
-
-        agg.num_gt += n_gt
-        agg.fp += clear.fp
-        agg.fn += clear.fn
-        agg.idsw += clear.idsw
-        agg.mt += clear.mt
-        agg.ml += clear.ml
-        agg.idtp += ident.idtp
-        agg.idfp += ident.idfp
-        agg.idfn += ident.idfn
-        hota_raw += [h.tp, h.fn, h.fp, h.ass_sum, h.assre_sum, h.asspr_sum]
-        sum_iou_weighted += clear.motp * clear.num_matches
-        total_matches += clear.num_matches
+        else:
+            clear, ident, h = [acc.result() for acc in _one_pass(
+                gt_c, pr_c, partial(_Clear, iou_threshold), partial(_Idf1, iou_threshold), _Hota)]
+            cm.mota, cm.motp = clear.mota, clear.motp
+            cm.fp, cm.fn, cm.idsw = clear.fp, clear.fn, clear.idsw
+            cm.mt, cm.ml = clear.mt, clear.ml
+            cm.idf1, cm.idtp, cm.idfp, cm.idfn = ident.idf1, ident.idtp, ident.idfp, ident.idfn
+            cm.hota, cm.deta, cm.assa = h.hota, h.deta, h.assa
+            cm.detre, cm.detpr, cm.assre, cm.asspr = h.detre, h.detpr, h.assre, h.asspr
+            motas.append(clear.mota)
+            idf1s.append(ident.idf1)
+            hota_raw += [h.tp, h.fn, h.fp, h.ass_sum, h.assre_sum, h.asspr_sum]
+            sum_iou_weighted += clear.motp * clear.num_matches
+            total_matches += clear.num_matches
+        for key in ("num_gt", "fp", "fn", "idsw", "mt", "ml", "idtp", "idfp", "idfn"):
+            setattr(agg, key, getattr(agg, key) + getattr(cm, key))
 
     if agg.num_gt > 0:
         agg.mota = 1.0 - (agg.fn + agg.fp + agg.idsw) / agg.num_gt

@@ -89,6 +89,14 @@ class MergeConfig:
     beta_merge: float = 0.5
     d_merge: float = 50.0
 
+    def __post_init__(self) -> None:
+        if self.t < 0:
+            raise ValueError(f"merge t must be >= 0, got {self.t}")
+        if not 0.0 <= self.beta_merge <= 1.0:
+            raise ValueError(f"beta_merge must be in [0, 1], got {self.beta_merge}")
+        if not self.d_merge >= 0.0:
+            raise ValueError(f"d_merge must be >= 0, got {self.d_merge}")
+
 
 @dataclass
 class TrackerConfig:
@@ -114,14 +122,14 @@ class TrackerConfig:
     interpolate: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("beta_obj", "beta_match", "beta_new"):
+        for name in ("beta_obj", "beta_match", "beta_new", "momentum", "nms_threshold", "det_confidence"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.memory_frames < 0 or self.backdrop_frames < 0:
             raise ValueError("memory_frames and backdrop_frames must be >= 0")
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ValueError(f"momentum must be in [0, 1], got {self.momentum}")
+        if self.distance_gate is not None and not self.distance_gate >= 0.0:
+            raise ValueError(f"distance_gate must be >= 0, got {self.distance_gate}")
         if self.similarity_metric not in ("bisoftmax", "cosine"):
             raise ValueError(f"unknown similarity metric {self.similarity_metric!r}")
         if self.beta_new < self.beta_obj:

@@ -11,19 +11,36 @@ replaced: candidate matrices stacked from ``Track`` objects every frame, a
 Python greedy claim loop, per-box NMS and the two-pass softmax; with them
 comes the per-negative IoU binning of ``sample_batch``. The detection-file
 oracles are the line-by-line reader and the per-float writer that the
-chunked ``embedtrack.formats`` reader and the bulk writer replaced.
+chunked ``embedtrack.formats`` reader and the bulk writer replaced. The
+``separate_*`` metrics are the evaluation that ``per_class_report``'s one
+pass per class replaced: each metric converts every frame and computes its
+IoU matrix on its own.
 """
 
 import itertools
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from embedtrack.contrastive import POSITIVE, VARIANTS, LossConfig
 from embedtrack.formats import DET_HEADER_PREFIX, FormatError
-from embedtrack.geometry import BoundingBox, center_distance_matrix, iou
-from embedtrack.metrics import HOTA_ALPHAS, ObjectEntry, TrackSet
+from embedtrack.geometry import BoundingBox, center_distance_matrix, iou, iou_matrix
+from embedtrack.metrics import (
+    _EPS,
+    HOTA_ALPHAS,
+    ClassMetrics,
+    ClearMotResult,
+    EvalReport,
+    HotaResult,
+    Idf1Result,
+    ObjectEntry,
+    TrackSet,
+    _match,
+    _sequential_sum,
+)
 from embedtrack.similarity import cosine_matrix, validate_embeddings
 from embedtrack.tracker import (
     Backdrop,
@@ -913,3 +930,275 @@ def read_detections_oracle(fp) -> tuple[int, dict[int, list[Detection]]]:
         last_frame = frame
         frames.setdefault(frame, []).append(det)
     return dim, frames
+
+
+# The per-metric evaluation that the one shared pass per class in
+# ``embedtrack.metrics`` replaced, verbatim apart from the names: each
+# metric builds its own frame arrays and IoU matrices.
+
+
+def separate_frames(gt: TrackSet, pred: TrackSet) -> tuple[Iterator[tuple[np.ndarray, ...]], int, int]:
+    """Visible ground truth and all predictions, streamed as arrays in sorted
+    frame order: per frame (gt indices, gt boxes, pred indices, pred boxes),
+    with ids mapped to dense indices in sorted id order. Returns the stream
+    and the numbers of distinct gt and pred ids."""
+    order = sorted(set(gt.frames) | set(pred.frames))
+    gts = [[e for e in gt.frames.get(f, ()) if e.visible] for f in order]
+    prs = [pred.frames.get(f, []) for f in order]
+    gt_ids = np.unique([e.obj_id for entries in gts for e in entries])
+    if len(gt_ids) == 0:
+        raise ValueError("undefined MOTA denominator: ground truth contains no objects")
+    pr_ids = np.unique([e.obj_id for entries in prs for e in entries])
+
+    def arrays(entries, ids):
+        boxes = [(e.box.x1, e.box.y1, e.box.x2, e.box.y2) for e in entries]
+        return (np.searchsorted(ids, [e.obj_id for e in entries]),
+                np.array(boxes, dtype=np.float64).reshape(-1, 4))
+
+    stream = (arrays(g, gt_ids) + arrays(p, pr_ids) for g, p in zip(gts, prs))
+    return stream, len(gt_ids), len(pr_ids)
+
+
+def separate_clear_mot(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> ClearMotResult:
+    """CLEAR-MOT accumulation with match carry-over."""
+    frames, n_gt_ids, n_pr_ids = separate_frames(gt, pred)
+    last_match = np.full(n_gt_ids, -1)  # gt index -> most recent matched pred index
+    slot = np.full(n_pr_ids, -1)  # pred index -> position in the current frame
+    gt_presence = np.zeros(n_gt_ids, dtype=np.int64)
+    gt_covered = np.zeros(n_gt_ids, dtype=np.int64)
+    fp = fn = idsw = 0
+    num_matches = 0
+    sum_iou = 0.0
+
+    for gi, gb, pi, pb in frames:
+        gt_presence[gi] += 1
+        if len(gi) == 0 or len(pi) == 0:
+            fn += len(gi)
+            fp += len(pi)
+            continue
+        overlaps = iou_matrix(gb, pb)
+        # carry over surviving correspondences; two gt ids can share a
+        # last-matched pred id, and the first in frame order keeps it
+        slot[pi] = np.arange(len(pi))
+        prev = last_match[gi]
+        carried = np.where(prev >= 0, slot[prev], -1)
+        slot[pi] = -1
+        rows = np.flatnonzero(carried >= 0)
+        cols = carried[rows]
+        kept = overlaps[rows, cols] >= iou_threshold
+        rows, cols = rows[kept], cols[kept]
+        first = np.sort(np.unique(cols, return_index=True)[1])
+        rows, cols = rows[first], cols[first]
+
+        rem_gt = np.setdiff1d(np.arange(len(gi)), rows)
+        rem_pr = np.setdiff1d(np.arange(len(pi)), cols)
+        if len(rem_gt) and len(rem_pr):
+            r, c = _match(overlaps[np.ix_(rem_gt, rem_pr)], iou_threshold)
+            rows = np.concatenate((rows, rem_gt[r]))
+            cols = np.concatenate((cols, rem_pr[c]))
+        num_matches += len(rows)
+        sum_iou = _sequential_sum(overlaps[rows, cols], sum_iou)
+
+        gids, pids = gi[rows], pi[cols]
+        prev = last_match[gids]
+        idsw += int(np.count_nonzero((prev >= 0) & (prev != pids)))
+        last_match[gids] = pids
+        gt_covered[gids] += 1
+        fn += len(gi) - len(rows)
+        fp += len(pi) - len(rows)
+
+    ratio = gt_covered / gt_presence
+    mt = int(np.count_nonzero(ratio >= 0.8))
+    ml = int(np.count_nonzero(ratio <= 0.2))
+    num_gt = int(gt_presence.sum())
+    mota = 1.0 - (fn + fp + idsw) / num_gt
+    motp = sum_iou / num_matches if num_matches else 0.0
+    return ClearMotResult(mota, motp, fp, fn, idsw, mt, ml, num_gt, num_matches)
+
+
+def separate_idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> Idf1Result:
+    """Identification F1: global trajectory-level bipartite assignment."""
+    frames, n_gt_ids, n_pr_ids = separate_frames(gt, pred)
+    n_gt_boxes = n_pr_boxes = 0
+    # frames where both are present and overlap at least iou_threshold,
+    # per (gt id, pred id)
+    w = np.zeros((n_gt_ids, n_pr_ids))
+    for gi, gb, pi, pb in frames:
+        n_gt_boxes += len(gi)
+        n_pr_boxes += len(pi)
+        if len(gi) and len(pi):
+            r, c = np.nonzero(iou_matrix(gb, pb) >= iou_threshold)
+            np.add.at(w, (gi[r], pi[c]), 1.0)
+    idtp = 0
+    if w.any():
+        rows, cols = linear_sum_assignment(-w)
+        idtp = int(w[rows, cols].sum())
+
+    idfn = n_gt_boxes - idtp
+    idfp = n_pr_boxes - idtp
+    denom = idtp + 0.5 * idfn + 0.5 * idfp
+    score = idtp / denom if denom else 0.0
+    return Idf1Result(score, idtp, idfp, idfn)
+
+
+def separate_hota_matches(gt: TrackSet, pred: TrackSet) -> tuple[np.ndarray, ...]:
+    """HOTA's matching as TrackEval computes it: a pre-pass sums, per
+    (gt id, pred id) pair, IoU / (row sum + column sum - IoU) over all
+    frames, which gives the alignment score A = sum / (n_gt_id + n_pred_id
+    - sum); then each frame is matched once, maximizing the total A * IoU.
+
+    Returns one key (gt index * number of pred ids + pred index) and the IoU
+    of each matched pair with non-zero IoU, in frame order, and the number
+    of boxes of each gt id and each pred id.
+    """
+    frames, n_gt_ids, n_pr_ids = separate_frames(gt, pred)
+    gt_total = np.zeros(n_gt_ids, dtype=np.int64)
+    pr_total = np.zeros(n_pr_ids, dtype=np.int64)
+    potential = np.zeros((n_gt_ids, n_pr_ids))
+    # per frame with both sides present: (gt indices, pred indices, rows,
+    # cols, IoU) of its non-zero IoU entries
+    overlaps = []
+    for gi, gb, pi, pb in frames:
+        gt_total[gi] += 1
+        pr_total[pi] += 1
+        if len(gi) == 0 or len(pi) == 0:
+            continue
+        ious = iou_matrix(gb, pb)
+        r, c = np.nonzero(ious)
+        v = ious[r, c]
+        # ids are unique within a frame, so no pair repeats in the update
+        potential[gi[r], pi[c]] += v / (ious.sum(axis=1)[r] + ious.sum(axis=0)[c] - v)
+        overlaps.append((gi, pi, r, c, v))
+
+    keys, matched_iou = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for gi, pi, r, c, v in overlaps:
+        g, p = gi[r], pi[c]
+        pot = potential[g, p]
+        score = np.zeros((len(gi), len(pi)))
+        score[r, c] = pot / (gt_total[g] + pr_total[p] - pot) * v
+        rows, cols = linear_sum_assignment(-score)
+        ious = np.zeros_like(score)
+        ious[r, c] = v
+        ious = ious[rows, cols]
+        hit = ious > 0  # a zero-IoU pair is no match at any alpha
+        keys.append(gi[rows[hit]] * n_pr_ids + pi[cols[hit]])
+        matched_iou.append(ious[hit])
+    return np.concatenate(keys), np.concatenate(matched_iou), gt_total, pr_total
+
+
+def separate_hota(gt: TrackSet, pred: TrackSet) -> HotaResult:
+    """HOTA with DetA/AssA decomposition, averaged over alpha: the TPs at
+    alpha are the pairs of the one matching per frame with IoU >= alpha -
+    eps."""
+    keys, matched_iou, gt_total, pr_total = separate_hota_matches(gt, pred)
+    n_pr_ids = len(pr_total)
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    # a match counts at the first `level` alphas, those with IoU >= alpha - eps
+    level = np.searchsorted(np.array(HOTA_ALPHAS) - _EPS, matched_iou, side="right")
+    n_levels = len(HOTA_ALPHAS) + 1
+    per_level = np.bincount(inverse * n_levels + level, minlength=len(pairs) * n_levels)
+    # tpa[k, j]: matches of pair j that count at alpha k (level above k)
+    tpa = per_level.reshape(len(pairs), n_levels)[:, ::-1].cumsum(axis=1)[:, -2::-1].T
+    gt_n = gt_total[pairs // n_pr_ids]  # tpa + fna
+    pr_n = pr_total[pairs % n_pr_ids]  # tpa + fpa
+    tp = tpa.sum(axis=1)
+    raw = {
+        "tp": tp.tolist(),
+        "fn": (gt_total.sum() - tp).tolist(),
+        "fp": (pr_total.sum() - tp).tolist(),
+        "ass_sum": (tpa * (tpa / (gt_n + pr_n - tpa))).sum(axis=1).tolist(),
+        "assre_sum": (tpa * (tpa / gt_n)).sum(axis=1).tolist(),
+        "asspr_sum": (tpa * (tpa / pr_n)).sum(axis=1).tolist(),
+    }
+    return HotaResult(**separate_hota_means(**raw), **raw)
+
+
+def separate_hota_means(tp, fn, fp, ass_sum, assre_sum, asspr_sum) -> dict[str, float]:
+    """The HOTA family from per-alpha counts and association sums, each
+    averaged over alpha; a ratio with a zero denominator is 0."""
+    tp, fn, fp, ass_sum, assre_sum, asspr_sum = np.array(
+        [tp, fn, fp, ass_sum, assre_sum, asspr_sum], dtype=np.float64)
+
+    def ratio(num, den):
+        return np.where(den > 0, num / np.maximum(den, 1), 0.0)
+
+    deta = ratio(tp, tp + fn + fp)
+    assa = ratio(ass_sum, tp)
+    return {
+        "hota": float(np.mean(np.sqrt(deta * assa))),
+        "deta": float(np.mean(deta)),
+        "assa": float(np.mean(assa)),
+        "detre": float(np.mean(ratio(tp, tp + fn))),
+        "detpr": float(np.mean(ratio(tp, tp + fp))),
+        "assre": float(np.mean(ratio(assre_sum, tp))),
+        "asspr": float(np.mean(ratio(asspr_sum, tp))),
+    }
+
+
+def separate_per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> EvalReport:
+    """Evaluate each class independently and aggregate by summing counts.
+
+    Classes appearing only in predictions contribute their false positives
+    to the aggregate but are excluded from the mMOTA/mIDF1 class means.
+    """
+    classes = sorted(gt.class_ids() | pred.class_ids())
+    per_class: dict[int, ClassMetrics] = {}
+    motas, idf1s = [], []
+    agg = ClassMetrics()
+    # per alpha: tp, fn, fp, ass_sum, assre_sum, asspr_sum summed over classes
+    hota_raw = np.zeros((6, len(HOTA_ALPHAS)))
+    sum_iou_weighted = 0.0
+    total_matches = 0
+
+    for c in classes:
+        gt_c = gt.restrict_class(c)
+        pr_c = pred.restrict_class(c)
+        cm = ClassMetrics()
+        n_gt = gt_c.num_boxes()
+        cm.num_gt = n_gt
+        if n_gt == 0:
+            # predictions without any ground truth of this class: all FP
+            cm.fp = sum(len(v) for v in pr_c.frames.values())
+            cm.idfp = cm.fp
+            agg.fp += cm.fp
+            agg.idfp += cm.idfp
+            hota_raw[2] += cm.fp
+            per_class[c] = cm
+            continue
+        clear = separate_clear_mot(gt_c, pr_c, iou_threshold)
+        ident = separate_idf1(gt_c, pr_c, iou_threshold)
+        h = separate_hota(gt_c, pr_c)
+        cm.mota, cm.motp = clear.mota, clear.motp
+        cm.fp, cm.fn, cm.idsw = clear.fp, clear.fn, clear.idsw
+        cm.mt, cm.ml = clear.mt, clear.ml
+        cm.idf1, cm.idtp, cm.idfp, cm.idfn = ident.idf1, ident.idtp, ident.idfp, ident.idfn
+        cm.hota, cm.deta, cm.assa = h.hota, h.deta, h.assa
+        cm.detre, cm.detpr, cm.assre, cm.asspr = h.detre, h.detpr, h.assre, h.asspr
+        per_class[c] = cm
+        motas.append(clear.mota)
+        idf1s.append(ident.idf1)
+
+        agg.num_gt += n_gt
+        agg.fp += clear.fp
+        agg.fn += clear.fn
+        agg.idsw += clear.idsw
+        agg.mt += clear.mt
+        agg.ml += clear.ml
+        agg.idtp += ident.idtp
+        agg.idfp += ident.idfp
+        agg.idfn += ident.idfn
+        hota_raw += [h.tp, h.fn, h.fp, h.ass_sum, h.assre_sum, h.asspr_sum]
+        sum_iou_weighted += clear.motp * clear.num_matches
+        total_matches += clear.num_matches
+
+    if agg.num_gt > 0:
+        agg.mota = 1.0 - (agg.fn + agg.fp + agg.idsw) / agg.num_gt
+        agg.motp = sum_iou_weighted / total_matches if total_matches else 0.0
+        denom = agg.idtp + 0.5 * agg.idfn + 0.5 * agg.idfp
+        agg.idf1 = agg.idtp / denom if denom else 0.0
+        for key, value in separate_hota_means(*hota_raw).items():
+            setattr(agg, key, value)
+
+    mmota = float(np.mean(motas)) if motas else None
+    midf1 = float(np.mean(idf1s)) if idf1s else None
+    return EvalReport(per_class, agg, mmota, midf1)

@@ -162,6 +162,25 @@ def test_malformed_config_is_data_error(scenario_files, tmp_path, capsys, comman
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("document,key", [
+    ({"nms_threshold": 5}, "nms_threshold"),
+    ({"det_confidence": 2}, "det_confidence"),
+    ({"distance_gate": -1}, "distance_gate"),
+    ({"merge": {"t": -5}}, "merge t"),
+    ({"merge": {"beta_merge": 7}}, "beta_merge"),
+    ({"merge": {"d_merge": -0.5}}, "d_merge"),
+])
+def test_out_of_range_config_is_data_error(scenario_files, tmp_path, capsys, document, key):
+    det, _, _ = scenario_files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(document))
+    out = tmp_path / "out.txt"
+    capsys.readouterr()
+    assert main(["track", "--input", str(det), "--output", str(out), "--config", str(cfg)]) == EXIT_DATA
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestEvalCommand:
     def test_disjoint_ranges_warn(self, scenario_files, tmp_path, capsys):
         _, gt, _ = scenario_files

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -17,7 +19,18 @@ from embedtrack.metrics import (
     idf1,
     per_class_report,
 )
-from oracles import clear_oracle, hota_in_oracle, hota_oracle, idf1_oracle, random_instance
+from oracles import (
+    clear_oracle,
+    hota_in_oracle,
+    hota_oracle,
+    idf1_oracle,
+    random_instance,
+    separate_clear_mot,
+    separate_hota,
+    separate_hota_matches,
+    separate_idf1,
+    separate_per_class_report,
+)
 
 
 def box(x, y, w=10.0, h=10.0):
@@ -41,6 +54,37 @@ class TestTrackSet:
         ts.add(0, ObjectEntry(1, 0, box(0, 0)))
         with pytest.raises(ValueError, match="duplicate object id 1"):
             ts.add(0, ObjectEntry(1, 0, box(5, 5)))
+
+    def test_duplicate_rejected_after_direct_writes(self):
+        ts = TrackSet()
+        ts.add(0, ObjectEntry(1, 0, box(0, 0)))
+        ts.frames[0] = [ObjectEntry(2, 0, box(0, 0))]  # replaced, same length
+        with pytest.raises(ValueError, match="duplicate object id 2"):
+            ts.add(0, ObjectEntry(2, 0, box(5, 5)))
+        ts.add(0, ObjectEntry(1, 0, box(5, 5)))  # id 1 left frame 0 with the old list
+        ts.frames[0].append(ObjectEntry(3, 0, box(0, 0)))  # grown in place
+        with pytest.raises(ValueError, match="duplicate object id 3"):
+            ts.add(0, ObjectEntry(3, 0, box(5, 5)))
+        restricted = ts.restrict_class(0)  # fills frames without add()
+        with pytest.raises(ValueError, match="duplicate object id 1"):
+            restricted.add(0, ObjectEntry(1, 0, box(9, 9)))
+
+    @given(st.lists(st.tuples(st.sampled_from(["add", "replace", "append"]),
+                              st.integers(0, 2), st.integers(0, 3)), max_size=30))
+    def test_add_rejects_exactly_the_ids_in_the_frame(self, ops):
+        ts = TrackSet()
+        for op, f, i in ops:
+            entry = ObjectEntry(i, 0, box(0, 0))
+            if op == "replace":
+                ts.frames[f] = [entry]
+            elif op == "append":
+                ts.frames.setdefault(f, []).append(entry)
+            elif any(e.obj_id == i for e in ts.frames.get(f, ())):
+                with pytest.raises(ValueError, match=f"duplicate object id {i} in frame {f}"):
+                    ts.add(f, entry)
+            else:
+                ts.add(f, entry)
+                assert ts.frames[f][-1] is entry
 
     def test_invisible_entries_dropped(self):
         ts = TrackSet()
@@ -398,3 +442,102 @@ class TestHotaProperties:
         finally:
             metrics.linear_sum_assignment = original
         assert len(calls) <= len(both)
+
+
+@st.composite
+def multi_class_tracksets(draw):
+    """Up to four frames on the coarse grid over gt classes 0 and 1 and a
+    prediction-only class 2. Gt boxes may be invisible, and a frame may
+    hold no object of a class on either side. At least one gt box is
+    visible."""
+    gt, pred = TrackSet(), TrackSet()
+    for f in range(draw(st.integers(1, 4))):
+        for i in draw(st.sets(st.integers(0, 5), max_size=4)):
+            gt.add(f, ObjectEntry(i, i % 2, draw(_grid_boxes), draw(st.booleans())))
+        for j in draw(st.sets(st.integers(0, 8), max_size=4)):
+            pred.add(f, ObjectEntry(10 + j, j % 3, draw(_grid_boxes)))
+    if gt.num_boxes() == 0:
+        gt.add(-1, ObjectEntry(0, 0, draw(_grid_boxes)))
+    return gt, pred
+
+
+class TestSharedPass:
+    """per_class_report evaluates each class in one pass shared by CLEAR,
+    IDF1 and HOTA; it and each public metric must equal the per-metric
+    evaluation it replaced exactly."""
+
+    @settings(deadline=None)
+    @given(multi_class_tracksets())
+    def test_equals_separate_passes(self, sets):
+        assert per_class_report(*sets) == separate_per_class_report(*sets)
+        assert clear_mot(*sets) == separate_clear_mot(*sets)
+        assert idf1(*sets) == separate_idf1(*sets)
+        assert hota(*sets) == separate_hota(*sets)
+        for got, want in zip(metrics._hota_matches(*sets), separate_hota_matches(*sets)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(deadline=None)
+    @given(multi_class_tracksets())
+    def test_one_iou_matrix_per_frame_and_class(self, sets):
+        gt, pred = sets
+        want = 0
+        for c in gt.class_ids():
+            gt_c = gt.restrict_class(c).visible_frames()
+            pr_c = pred.restrict_class(c).frames
+            want += sum(1 for f, entries in gt_c.items() if entries and pr_c.get(f))
+        calls = []
+        original = metrics.iou_matrix
+
+        def counted(a, b):
+            calls.append((len(a), len(b)))
+            return original(a, b)
+
+        metrics.iou_matrix = counted
+        try:
+            per_class_report(gt, pred)
+        finally:
+            metrics.iou_matrix = original
+        assert len(calls) == want
+
+
+def sequence_sets(n_frames=300, n_ids=64, seed=0):
+    """Two classes of objects moving on straight lines for ``n_frames``
+    frames; predictions are jittered boxes, a tenth missing, under ids
+    that change every 75 frames, and a twentieth of the gt is invisible."""
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(0, 1500, (n_ids, 2))
+    velocity = rng.normal(0, 2, (n_ids, 2))
+    gt, pred = TrackSet(), TrackSet()
+    for f in range(n_frames):
+        xy = start + f * velocity
+        shifted = xy + rng.normal(0, 2, (n_ids, 2))
+        for i in range(n_ids):
+            x, y = xy[i]
+            gt.add(f, ObjectEntry(i, i % 2, BoundingBox(x, y, x + 40, y + 80), rng.random() < 0.95))
+            if rng.random() < 0.9:
+                x, y = shifted[i]
+                pred.add(f, ObjectEntry(i + 100 * (f // 75), i % 2, BoundingBox(x, y, x + 40, y + 80)))
+    return gt, pred
+
+
+def test_per_class_report_streams_its_iou_matrices():
+    """A 300-frame evaluation must not hold every frame's IoU matrix: the
+    tracemalloc peak stays below 0.75x the bytes of the largest class's
+    matrices over all frames. The per-metric evaluation this pass replaced
+    peaked at 0.57x on these sets; keeping the matrices costs at least
+    1x."""
+    gt, pred = sequence_sets()
+    dense = 0
+    for c in gt.class_ids():
+        gt_c, pr_c = gt.restrict_class(c).visible_frames(), pred.restrict_class(c).frames
+        dense = max(dense, sum(8 * len(v) * len(pr_c.get(f, ())) for f, v in gt_c.items()))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = per_class_report(gt, pred)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.aggregate.num_gt == gt.num_boxes()
+    assert peak - base < 0.75 * dense
