@@ -7,15 +7,13 @@ desk-scale verification.
 """
 
 from .geometry import BoundingBox, center_distance, iou, iou_matrix, nms
-from .similarity import bisoftmax_matrix, bisoftmax_components, cosine_matrix, masked_bisoftmax
+from .similarity import cosine_matrix, masked_bisoftmax
 from .contrastive import (
     LossConfig,
     RegionSample,
     SampleBatch,
     assign_samples,
     cross_frame_nn_accuracy,
-    loss_aux,
-    loss_embed,
     loss_total,
     make_toy_problem,
     optimize_embeddings,
@@ -50,7 +48,6 @@ from .synth import (
     iou_baseline_track,
     oracle_tracks,
     subsample,
-    track_scenario,
 )
 from .config import PROFILE_NAMES, load_profile
 

@@ -31,9 +31,8 @@ from .synth import (
     generate,
     iou_baseline_track,
     subsample,
-    track_scenario,
 )
-from .tracker import TrackerConfig
+from .tracker import TrackerConfig, run_sequence
 
 __all__ = [
     "random_batch",
@@ -248,7 +247,7 @@ def _run_row(world: WorldConfig, assignment: dict[str, str], seed: int) -> dict:
             backdrop_frames=1 if assignment.get("backdrops", "on") == "on" else 0,
             duplicate_removal=assignment.get("duplicate_removal", "on") == "on",
         )
-        pred = track_scenario(scenario, cfg)
+        pred = run_sequence(scenario.detections, cfg)
 
     report = per_class_report(scenario.gt, pred)
     agg = report.aggregate

@@ -54,11 +54,11 @@ def cmd_track(args) -> int:
     cfg = _load_tracker_config(args)
     with open(args.input) as fp:
         _, frames = read_detections(fp)
-    pred, scores = run_sequence(frames, cfg)
+    pred = run_sequence(frames, cfg)
     with atomic_write(args.output) as fp:
-        write_mot(fp, pred, scores=scores)
+        write_mot(fp, pred)
     elapsed = time.perf_counter() - start
-    n_tracks = len({tid for _, tid in scores})
+    n_tracks = len({e.obj_id for entries in pred.frames.values() for e in entries})
     print(f"tracked {n_tracks} tracks in {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK
 
@@ -87,9 +87,7 @@ def _machine_report(report: EvalReport) -> str:
     lines = []
 
     def emit(prefix: str, m) -> None:
-        for key in ("mota", "motp", "idf1", "hota", "deta", "assa", "detre",
-                    "detpr", "assre", "asspr", "fp", "fn", "idsw", "mt", "ml",
-                    "idtp", "idfp", "idfn", "num_gt"):
+        for key in (f.name for f in dataclasses.fields(m)):
             v = getattr(m, key)
             if v is None:
                 continue

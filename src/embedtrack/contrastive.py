@@ -28,8 +28,6 @@ __all__ = [
     "LossConfig",
     "assign_samples",
     "sample_batch",
-    "loss_embed",
-    "loss_aux",
     "loss_total",
     "finite_difference_gradient",
     "aux_selection_margin",
@@ -366,20 +364,6 @@ def _check_embeddings(batch: SampleBatch, embeddings):
     if key_emb.shape[0] != len(batch.key) or ref_emb.shape[0] != len(batch.ref):
         raise ValueError("embedding counts do not match batch sizes")
     return key_emb, ref_emb
-
-
-def loss_embed(batch: SampleBatch, embeddings=None, variant: str = "accumulated_multi") -> float:
-    """Contrastive embedding loss, mean over key samples with >= 1 positive."""
-    key_emb, ref_emb = _check_embeddings(batch, embeddings)
-    value, _, _ = _embed_value_and_grad(batch.positivity, key_emb, ref_emb, variant)
-    return value
-
-
-def loss_aux(batch: SampleBatch, embeddings=None, neg_ratio: int = 3) -> float:
-    """Auxiliary L2 loss on cosine similarity with hard negative mining."""
-    key_emb, ref_emb = _check_embeddings(batch, embeddings)
-    value, _, _ = _aux_value_and_grad(batch.positivity, key_emb, ref_emb, neg_ratio)
-    return value
 
 
 def loss_total(

@@ -18,18 +18,18 @@ reproduces records exactly.
 The detection reader streams the file in chunks of ``CHUNK_LINES`` lines
 and never holds the whole text. Each chunk is parsed by one ``np.loadtxt``
 call with a structured dtype (integer frame and class, float score, box and
-embedding columns) and checked once per column: field count, finiteness,
-score range, box extent and non-decreasing frames, also across the chunk
-boundary. A chunk that numpy cannot parse or that fails a check is read
-again line by line, and that loop decides what is accepted and names the
-offending line in its ``FormatError``.
+embedding columns); the field count and non-decreasing frames, also across
+the chunk boundary, are checked per column. Each value is checked once, by
+the ``BoundingBox`` and ``Detection`` constructors. A chunk that numpy
+cannot parse, that fails a check or whose values a constructor rejects is
+read again line by line, and that loop decides what is accepted and names
+the offending line in its ``FormatError``.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from collections.abc import Mapping
 from contextlib import contextmanager
 from itertools import islice
 
@@ -102,7 +102,7 @@ def _row_dtype(dim: int) -> np.dtype:
 
 def _parse_chunk(lines: list[str], dim: int, last_frame: int | None) -> np.ndarray | None:
     """The chunk's detection rows as a structured array, or None when numpy
-    cannot parse them or a value fails a check."""
+    cannot parse them or their frames decrease."""
     rows = [line for line in lines if (s := line.lstrip()) and s[0] != "#"]
     # the first row's field count bounds the size of what loadtxt allocates;
     # loadtxt itself rejects any later row with another count
@@ -112,23 +112,18 @@ def _parse_chunk(lines: list[str], dim: int, last_frame: int | None) -> np.ndarr
         a = np.loadtxt(rows, dtype=_row_dtype(dim), comments=None, ndmin=1)
     except ValueError:
         return None
-    score, box, frame = a["score"], a["box"], a["frame"]
-    ok = (
-        np.isfinite(score).all() and np.isfinite(box).all() and np.isfinite(a["emb"]).all()
-        and ((score >= 0.0) & (score <= 1.0)).all()
-        and (box[:, 2] >= box[:, 0]).all() and (box[:, 3] >= box[:, 1]).all()
-        and (frame[1:] >= frame[:-1]).all()
-        and (last_frame is None or frame[0] >= last_frame)
-    )
+    frame = a["frame"]
+    ok = (frame[1:] >= frame[:-1]).all() and (last_frame is None or frame[0] >= last_frame)
     return a if ok else None
 
 
 def _add_rows(a: np.ndarray, frames: dict[int, list[Detection]]) -> int:
-    """Add the detections of checked chunk rows to ``frames``; returns the
-    last frame index. Each detection gets its own copy of its embedding row:
-    row views would keep one large array per chunk alive, placed in fresh
-    pages rather than in freed small blocks (14 MB more peak RSS reading a
-    49 MB file after a world of that size was freed)."""
+    """Add the detections of parsed chunk rows to ``frames``; returns the
+    last frame index, or raises the ValueError of a constructor that rejects
+    a value. Each detection gets its own copy of its embedding row: row
+    views would keep one large array per chunk alive, placed in fresh pages
+    rather than in freed small blocks (14 MB more peak RSS reading a 49 MB
+    file after a world of that size was freed)."""
     for f, c, s, b, e in zip(a["frame"].tolist(), a["class_id"].tolist(),
                              a["score"].tolist(), a["box"].tolist(), a["emb"]):
         frames.setdefault(f, []).append(Detection(BoundingBox(*b), c, s, e.copy()))
@@ -181,16 +176,21 @@ def read_detections(fp) -> tuple[int, dict[int, list[Detection]]]:
         if a is None:
             last_frame = _read_lines(lines, lineno, dim, frames, last_frame)
         else:
-            last_frame = _add_rows(a, frames)
+            try:
+                last_frame = _add_rows(a, frames)
+            except ValueError:
+                # the line loop meets the same value and names its line; the
+                # rows already added never reach the caller
+                _read_lines(lines, lineno, dim, {}, last_frame)
+                raise
         lineno += len(lines)
         del lines, a  # the next chunk is read without this one alive
     return dim, frames
 
 
-def trackset_to_mot_rows(ts: TrackSet, conf: float = 1.0,
-                         scores: Mapping[tuple[int, int], float] | None = None) -> list[str]:
-    """MOT rows in frame order. The confidence column holds
-    ``scores[(frame, obj_id)]`` when ``scores`` is given, else ``conf``."""
+def trackset_to_mot_rows(ts: TrackSet) -> list[str]:
+    """MOT rows in frame order; the confidence column holds each entry's
+    score."""
     rows = []
     for f in sorted(ts.frames):
         for e in ts.frames[f]:
@@ -199,16 +199,14 @@ def trackset_to_mot_rows(ts: TrackSet, conf: float = 1.0,
                 ",".join([
                     str(f), str(e.obj_id),
                     _fmt(b.x1), _fmt(b.y1), _fmt(b.width), _fmt(b.height),
-                    _fmt(conf if scores is None else scores[f, e.obj_id]), str(e.class_id),
-                    _fmt(1.0 if e.visible else 0.0),
+                    _fmt(e.score), str(e.class_id), _fmt(1.0 if e.visible else 0.0),
                 ])
             )
     return rows
 
 
-def write_mot(fp, ts: TrackSet, conf: float = 1.0,
-              scores: Mapping[tuple[int, int], float] | None = None) -> None:
-    for row in trackset_to_mot_rows(ts, conf, scores):
+def write_mot(fp, ts: TrackSet) -> None:
+    for row in trackset_to_mot_rows(ts):
         fp.write(row + "\n")
 
 

@@ -64,14 +64,16 @@ HOTA_ALPHAS = tuple(round(0.05 * i, 2) for i in range(1, 20))
 _EPS = np.finfo(np.float64).eps  # TrackEval keeps matches with IoU >= alpha - eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectEntry:
-    """One object in one frame."""
+    """One object in one frame; ``score`` is the box's confidence (1.0 for
+    ground truth)."""
 
     obj_id: int
     class_id: int
     box: BoundingBox
     visible: bool = True
+    score: float = 1.0
 
 
 class TrackSet:
@@ -374,11 +376,6 @@ def clear_mot(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> Clear
 def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> Idf1Result:
     """Identification F1: global trajectory-level bipartite assignment."""
     return _one_pass(gt, pred, partial(_Idf1, iou_threshold))[0].result()
-
-
-def _hota_matches(gt: TrackSet, pred: TrackSet) -> tuple[np.ndarray, ...]:
-    """HOTA's matched pairs and box counts; see ``_Hota.matches``."""
-    return _one_pass(gt, pred, _Hota)[0].matches()
 
 
 def hota(gt: TrackSet, pred: TrackSet) -> HotaResult:

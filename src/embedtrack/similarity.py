@@ -13,8 +13,6 @@ import numpy as np
 __all__ = [
     "validate_embeddings",
     "cosine_matrix",
-    "bisoftmax_components",
-    "bisoftmax_matrix",
     "masked_bisoftmax",
 ]
 
@@ -95,35 +93,19 @@ def _bisoftmax_terms(
     return row, _stable_softmax(logits, axis=0, out=logits, finite=finite)
 
 
-def _mean(row: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """0.5 * (row + col), in the memory of ``row``."""
+def masked_bisoftmax(
+    dets: np.ndarray, cands: np.ndarray, allowed: np.ndarray | None = None
+) -> np.ndarray:
+    """(N, M) bi-directional softmax similarity: the mean of the row-wise
+    softmax (over candidates) and the column-wise softmax (over detections)
+    of the raw dot products.
+
+    ``allowed`` is an optional (N, M) boolean mask; disallowed pairs get
+    -inf logits so each softmax normalizes over admissible pairs only.
+    Entries whose pair is disallowed, and rows/columns with no admissible
+    pair at all, come back as 0. Without a mask every entry is in (0, 1].
+    """
+    row, col = _bisoftmax_terms(dets, cands, allowed)
     row += col
     row *= 0.5
     return row
-
-
-def bisoftmax_components(dets: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise and column-wise softmax terms of the bi-softmax.
-
-    Row term (i, :) sums to 1 over candidates; column term (:, j) sums to
-    1 over detections. Raw dot-product logits, max-subtracted for overflow
-    safety.
-    """
-    return _bisoftmax_terms(dets, cands)
-
-
-def bisoftmax_matrix(dets: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """(N, M) bi-directional softmax similarity; every entry in (0, 1]."""
-    return _mean(*_bisoftmax_terms(dets, cands))
-
-
-def masked_bisoftmax(dets: np.ndarray, cands: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Bi-softmax with inadmissible (detection, candidate) pairs removed
-    before normalization.
-
-    ``allowed`` is an (N, M) boolean mask; disallowed pairs get -inf
-    logits so each softmax normalizes over admissible pairs only.
-    Entries whose pair is disallowed, and rows/columns with no admissible
-    pair at all, come back as 0.
-    """
-    return _mean(*_bisoftmax_terms(dets, cands, allowed))

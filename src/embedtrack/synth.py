@@ -17,7 +17,7 @@ import numpy as np
 from .config import _from_dict
 from .geometry import BoundingBox
 from .metrics import ObjectEntry, TrackSet
-from .tracker import Detection, TrackerConfig, run_sequence
+from .tracker import Detection
 
 __all__ = [
     "WorldConfig",
@@ -27,7 +27,6 @@ __all__ = [
     "subsample",
     "iou_baseline_track",
     "oracle_tracks",
-    "track_scenario",
 ]
 
 
@@ -354,8 +353,3 @@ def oracle_tracks(scenario: Scenario, min_score: float = 0.5) -> TrackSet:
                 tid = ident + 1
             pred.add(f, ObjectEntry(tid, d.class_id, d.box))
     return pred
-
-
-def track_scenario(scenario: Scenario, config: TrackerConfig | None = None) -> TrackSet:
-    """Run the appearance tracker over a scenario and collect predictions."""
-    return run_sequence(scenario.detections, config)[0]

@@ -254,13 +254,10 @@ class Tracker:
         return histories
 
 
-def run_sequence(
-    frames: dict[int, list[Detection]],
-    config: TrackerConfig | None = None,
-) -> tuple[TrackSet, dict[tuple[int, int], float]]:
+def run_sequence(frames: dict[int, list[Detection]], config: TrackerConfig | None = None) -> TrackSet:
     """Track a whole sequence: step a fresh Tracker over the frames in
-    sorted order, then return its final histories as a TrackSet, taken in
-    ascending track id, and each box's score by (frame, track id).
+    sorted order, then return its final histories as a TrackSet, added in
+    (frame, track id) order, each entry carrying its box's score.
 
     With merging and interpolation off the histories hold exactly what
     step returned frame by frame, so this is the online output too.
@@ -270,12 +267,13 @@ def run_sequence(
         tracker.step(f, frames[f])
     state = tracker.state
     class_of = {t.track_id: t.class_id for t in (*state.retired.values(), *state.tracks.values())}
-    pred, scores = TrackSet(), {}
-    for tid, hist in sorted(tracker.finish().items()):
-        for frame, box, score in hist:
-            pred.add(frame, ObjectEntry(tid, class_of[tid], box))
-            scores[frame, tid] = score
-    return pred, scores
+    # frame-major adds keep each TrackSet.add O(1)
+    rows = sorted(((frame, tid, box, score) for tid, hist in tracker.finish().items()
+                   for frame, box, score in hist), key=operator.itemgetter(0, 1))
+    pred = TrackSet()
+    for frame, tid, box, score in rows:
+        pred.add(frame, ObjectEntry(tid, class_of[tid], box, score=score))
+    return pred
 
 
 def _within(boxes_a: list[BoundingBox], boxes_b: list[BoundingBox], radius: float) -> np.ndarray:

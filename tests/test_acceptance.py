@@ -19,21 +19,20 @@ from embedtrack.cli import main
 from embedtrack.contrastive import (
     LossConfig,
     cross_frame_nn_accuracy,
-    loss_embed,
+    loss_total,
     make_toy_problem,
     optimize_embeddings,
 )
 from embedtrack.geometry import BoundingBox
 from embedtrack.metrics import clear_mot, hota, idf1, per_class_report
-from embedtrack.similarity import bisoftmax_components, bisoftmax_matrix
+from embedtrack.similarity import _bisoftmax_terms, masked_bisoftmax
 from embedtrack.synth import (
     WorldConfig,
     generate,
     iou_baseline_track,
     subsample,
-    track_scenario,
 )
-from embedtrack.tracker import Detection, Track, Tracker, TrackerConfig
+from embedtrack.tracker import Detection, Track, Tracker, TrackerConfig, run_sequence
 from oracles import clear_oracle, hota_in_oracle, hota_oracle, idf1_oracle, random_instance
 from test_contrastive import random_labeled_batch
 
@@ -67,7 +66,7 @@ def test_single_positive_loss_equals_naive_formula():
                 per_pos.append(-np.log(np.exp(dots[i, p]) / denom))
             naive_terms.append(np.mean(per_pos))
         want = float(np.mean(naive_terms))
-        got = loss_embed(b, variant="single_positive")
+        got = loss_total(b, cfg=LossConfig(gamma1=1.0, gamma2=0.0, variant="single_positive"))[0]
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -77,17 +76,17 @@ def test_bidirectional_softmax_invariants():
         n, m, d = rng.integers(1, 8), rng.integers(1, 8), 6
         a = rng.standard_normal((n, d))
         b = rng.standard_normal((m, d))
-        sim = bisoftmax_matrix(a, b)
+        sim = masked_bisoftmax(a, b)
         assert np.all(sim > 0.0) and np.all(sim <= 1.0)
-        row, col = bisoftmax_components(a, b)
+        row, col = _bisoftmax_terms(a, b)
         assert np.max(np.abs(row.sum(axis=1) - 1.0)) <= 1e-12
         assert np.max(np.abs(col.sum(axis=0) - 1.0)) <= 1e-12
         # adding a constant to every dot product must not move the matrix
         c = float(rng.uniform(-20, 20))
         a2 = np.hstack([a, np.full((n, 1), 2.0)])
         b2 = np.hstack([b, np.full((m, 1), c / 2.0)])
-        assert np.max(np.abs(bisoftmax_matrix(a2, b2) - sim)) <= 1e-12
-    single = bisoftmax_matrix(rng.standard_normal((1, 6)), rng.standard_normal((1, 6)))
+        assert np.max(np.abs(masked_bisoftmax(a2, b2) - sim)) <= 1e-12
+    single = masked_bisoftmax(rng.standard_normal((1, 6)), rng.standard_normal((1, 6)))
     assert single[0, 0] == 1.0
 
 
@@ -99,7 +98,7 @@ def test_perfect_detections_give_perfect_tracking():
     # detections are exact ground-truth boxes; duplicate-removal NMS would
     # only delete genuinely overlapping objects
     cfg = synth_tracker_config(duplicate_removal=False)
-    pred = track_scenario(scenario, cfg)
+    pred = run_sequence(scenario.detections, cfg)
     rep = per_class_report(scenario.gt, pred)
     elapsed = time.perf_counter() - start
     assert rep.aggregate.mota == 1.0
@@ -136,11 +135,11 @@ def test_noisy_scenario_ablation_directions():
         scenario = generate(standard_noisy_world(seed))
         for metric, sink in (("bisoftmax", idf1_bis), ("cosine", idf1_cos)):
             cfg = synth_tracker_config(similarity_metric=metric)
-            rep = per_class_report(scenario.gt, track_scenario(scenario, cfg))
+            rep = per_class_report(scenario.gt, run_sequence(scenario.detections, cfg))
             sink.append(rep.aggregate.idf1)
         for frames, sink in ((1, idsw_on), (0, idsw_off)):
             cfg = synth_tracker_config(backdrop_frames=frames)
-            rep = per_class_report(scenario.gt, track_scenario(scenario, cfg))
+            rep = per_class_report(scenario.gt, run_sequence(scenario.detections, cfg))
             sink.append(rep.aggregate.idsw)
     assert np.mean(idf1_bis) > np.mean(idf1_cos), (
         f"bisoftmax {np.mean(idf1_bis):.4f} vs cosine {np.mean(idf1_cos):.4f}"
@@ -175,7 +174,7 @@ def test_appearance_tracking_robust_to_frame_rate():
     cfg = synth_tracker_config()
 
     def scores(s):
-        app = per_class_report(s.gt, track_scenario(s, cfg)).aggregate.idf1
+        app = per_class_report(s.gt, run_sequence(s.detections, cfg)).aggregate.idf1
         loc = per_class_report(s.gt, iou_baseline_track(s)).aggregate.idf1
         return app, loc
 

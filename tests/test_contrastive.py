@@ -18,8 +18,6 @@ from embedtrack.contrastive import (
     aux_selection_margin,
     cross_frame_nn_accuracy,
     finite_difference_gradient,
-    loss_aux,
-    loss_embed,
     loss_total,
     make_toy_problem,
     optimize_embeddings,
@@ -206,7 +204,7 @@ class TestLossValues:
             per = self.naive_per_positive(b, key_emb, ref_emb)
             active = [r for r in per if r]
             want = np.mean([np.mean(r) for r in active])
-            got = loss_embed(b, variant="single_positive")
+            got = loss_total(b, cfg=LossConfig(gamma1=1.0, gamma2=0.0, variant="single_positive"))[0]
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_naive_multi_sums_per_positive_terms(self):
@@ -217,7 +215,7 @@ class TestLossValues:
             per = self.naive_per_positive(b, key_emb, ref_emb)
             active = [r for r in per if r]
             want = np.mean([np.sum(r) for r in active])
-            got = loss_embed(b, variant="naive_multi")
+            got = loss_total(b, cfg=LossConfig(gamma1=1.0, gamma2=0.0, variant="naive_multi"))[0]
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_accumulated_matches_naive_formula(self):
@@ -240,7 +238,7 @@ class TestLossValues:
                 )
                 terms.append(np.log1p(s))
             want = np.mean(terms)
-            got = loss_embed(b, variant="accumulated_multi")
+            got = loss_total(b, cfg=LossConfig(gamma1=1.0, gamma2=0.0, variant="accumulated_multi"))[0]
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_variants_coincide_with_one_positive_per_key(self):
@@ -254,7 +252,7 @@ class TestLossValues:
                 ref=[pos(0, rng.standard_normal(dim))]
                 + [neg(rng.standard_normal(dim)) for _ in range(4)],
             )
-            vals = [loss_embed(b, variant=v)
+            vals = [loss_total(b, cfg=LossConfig(gamma1=1.0, gamma2=0.0, variant=v))[0]
                     for v in ("single_positive", "naive_multi", "accumulated_multi")]
             assert abs(vals[0] - vals[1]) <= 1e-12
             assert abs(vals[0] - vals[2]) <= 1e-12
@@ -262,11 +260,12 @@ class TestLossValues:
     def test_no_positive_pairs_rejected(self):
         b = SampleBatch(key=[neg([1.0, 0.0])], ref=[neg([0.0, 1.0])])
         with pytest.raises(ValueError, match="no positive pairs"):
-            loss_embed(b)
+            loss_total(b, cfg=LossConfig(gamma1=1.0, gamma2=0.0))[0]
 
     def test_no_negatives_gives_zero_accumulated_loss(self):
         b = SampleBatch(key=[pos(0, [1.0, 0.0])], ref=[pos(0, [0.5, 0.5])])
-        assert loss_embed(b, variant="accumulated_multi") == 0.0
+        cfg = LossConfig(gamma1=1.0, gamma2=0.0, variant="accumulated_multi")
+        assert loss_total(b, cfg=cfg)[0] == 0.0
 
 
 class TestAuxLoss:
@@ -277,7 +276,8 @@ class TestAuxLoss:
         # pairs: positive cos=1 target 1; negatives cos 0 and 1/sqrt(2),
         # both kept (ratio 3 x 1 positive > 2 negatives)
         want = ((1 - 1) ** 2 + 0.0**2 + (1 / np.sqrt(2)) ** 2) / 3
-        assert loss_aux(b) == pytest.approx(want, abs=1e-12)
+        got = loss_total(b, cfg=LossConfig(gamma1=0.0, gamma2=1.0))[0]
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_hard_negative_selection_keeps_highest_cosine(self):
         key = [pos(0, [1.0, 0.0])]
@@ -287,7 +287,8 @@ class TestAuxLoss:
         b = SampleBatch(key=key, ref=ref)
         # ratio 3: keep the three negatives closest to the key
         want = (0.0 + sum(np.cos(t) ** 2 for t in (0.1, 0.5, 1.0))) / 4
-        assert loss_aux(b, neg_ratio=3) == pytest.approx(want, abs=1e-12)
+        got = loss_total(b, cfg=LossConfig(gamma1=0.0, gamma2=1.0, aux_neg_ratio=3))[0]
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_selection_margin_reported(self):
         key = [pos(0, [1.0, 0.0])]
@@ -306,7 +307,7 @@ class TestAuxLoss:
     def test_zero_norm_rejected(self):
         b = SampleBatch(key=[pos(0, [0.0, 0.0])], ref=[pos(0, [1.0, 0.0])])
         with pytest.raises(ValueError, match="zero-norm"):
-            loss_aux(b)
+            loss_total(b, cfg=LossConfig(gamma1=0.0, gamma2=1.0))[0]
 
 
 class TestGradients:

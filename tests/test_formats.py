@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import os
@@ -339,9 +340,12 @@ class TestMotFiles:
         assert frames == sorted(frames)
 
     def test_per_row_scores_fill_the_confidence_column(self):
-        ts = self.make_trackset()
-        scores = {(f, e.obj_id): 0.25 + f + e.obj_id / 8 for f, es in ts.frames.items() for e in es}
-        rows = trackset_to_mot_rows(ts, scores=scores)
+        ts = TrackSet()
+        for f, es in self.make_trackset().frames.items():
+            for e in es:
+                ts.add(f, dataclasses.replace(e, score=0.25 + f + e.obj_id / 8))
+        scores = {(f, e.obj_id): e.score for f, es in ts.frames.items() for e in es}
+        rows = trackset_to_mot_rows(ts)
         got = {(int(r.split(",")[0]), int(r.split(",")[1])): float(r.split(",")[6]) for r in rows}
         assert got == scores
 

@@ -417,7 +417,7 @@ class TestHotaProperties:
     @settings(deadline=None)
     @given(small_tracksets())
     def test_tp_pairs_nest_as_alpha_rises(self, sets):
-        keys, ious, _, _ = metrics._hota_matches(*sets)
+        keys, ious, _, _ = metrics._one_pass(*sets, metrics._Hota)[0].matches()
         tp_pairs = [Counter(keys[ious >= alpha - np.finfo(float).eps].tolist()) for alpha in HOTA_ALPHAS]
         for looser, stricter in zip(tp_pairs, tp_pairs[1:]):
             assert not stricter - looser
@@ -473,7 +473,8 @@ class TestSharedPass:
         assert clear_mot(*sets) == separate_clear_mot(*sets)
         assert idf1(*sets) == separate_idf1(*sets)
         assert hota(*sets) == separate_hota(*sets)
-        for got, want in zip(metrics._hota_matches(*sets), separate_hota_matches(*sets)):
+        got_matches = metrics._one_pass(*sets, metrics._Hota)[0].matches()
+        for got, want in zip(got_matches, separate_hota_matches(*sets)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @settings(deadline=None)

@@ -19,7 +19,8 @@ import pytest
 from embedtrack.ablation import synth_tracker_config
 from embedtrack.geometry import BoundingBox
 from embedtrack.metrics import ObjectEntry, TrackSet, per_class_report
-from embedtrack.synth import WorldConfig, generate, track_scenario
+from embedtrack.synth import WorldConfig, generate
+from embedtrack.tracker import run_sequence
 from oracles import hota_in_oracle, hota_oracle, random_instance
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_report.json")
@@ -44,7 +45,7 @@ def synth_case():
         seed=5,
     )
     scenario = generate(world)
-    return scenario.gt, track_scenario(scenario, synth_tracker_config())
+    return scenario.gt, run_sequence(scenario.detections, synth_tracker_config())
 
 
 def prediction_only_class_case():

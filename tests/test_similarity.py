@@ -4,9 +4,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from embedtrack.similarity import (
+    _bisoftmax_terms,
     _stable_softmax,
-    bisoftmax_components,
-    bisoftmax_matrix,
     cosine_matrix,
     masked_bisoftmax,
     validate_embeddings,
@@ -63,17 +62,17 @@ class TestCosineMatrix:
 class TestBisoftmax:
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(3)
-        m = bisoftmax_matrix(rand_emb(rng, 6, 8), rand_emb(rng, 9, 8))
+        m = masked_bisoftmax(rand_emb(rng, 6, 8), rand_emb(rng, 9, 8))
         assert np.all(m > 0.0) and np.all(m <= 1.0)
 
     def test_single_pair_is_exactly_one(self):
         rng = np.random.default_rng(4)
-        m = bisoftmax_matrix(rand_emb(rng, 1, 8), rand_emb(rng, 1, 8))
+        m = masked_bisoftmax(rand_emb(rng, 1, 8), rand_emb(rng, 1, 8))
         assert m.shape == (1, 1) and m[0, 0] == 1.0
 
     def test_component_normalization(self):
         rng = np.random.default_rng(5)
-        row, col = bisoftmax_components(rand_emb(rng, 4, 8), rand_emb(rng, 7, 8))
+        row, col = _bisoftmax_terms(rand_emb(rng, 4, 8), rand_emb(rng, 7, 8))
         assert np.allclose(row.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(col.sum(axis=0), 1.0, atol=1e-12)
 
@@ -85,29 +84,29 @@ class TestBisoftmax:
         c = 37.5
         a2 = np.hstack([a, np.full((5, 1), 5.0)])
         b2 = np.hstack([b, np.full((6, 1), c / 5.0)])
-        assert np.allclose(bisoftmax_matrix(a, b), bisoftmax_matrix(a2, b2), atol=1e-12)
+        assert np.allclose(masked_bisoftmax(a, b), masked_bisoftmax(a2, b2), atol=1e-12)
 
     def test_overflow_safe(self):
         rng = np.random.default_rng(7)
-        m = bisoftmax_matrix(rand_emb(rng, 4, 8, scale=1e3), rand_emb(rng, 5, 8, scale=1e3))
+        m = masked_bisoftmax(rand_emb(rng, 4, 8, scale=1e3), rand_emb(rng, 5, 8, scale=1e3))
         assert np.all(np.isfinite(m))
 
     def test_mutual_nearest_neighbor_scores_high(self):
         # orthogonal one-hot embeddings: every pair is mutually nearest
         e = 10.0 * np.eye(4)
-        m = bisoftmax_matrix(e, e)
+        m = masked_bisoftmax(e, e)
         assert np.all(np.diag(m) > 0.99)
         assert np.all(m[~np.eye(4, dtype=bool)] < 0.01)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            bisoftmax_matrix(np.zeros((0, 4)), np.ones((2, 4)))
+            masked_bisoftmax(np.zeros((0, 4)), np.ones((2, 4)))
         with pytest.raises(ValueError, match="at least one"):
-            bisoftmax_matrix(np.ones((2, 4)), np.zeros((0, 4)))
+            masked_bisoftmax(np.ones((2, 4)), np.zeros((0, 4)))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            bisoftmax_matrix(np.ones((2, 4)), np.ones((2, 5)))
+            masked_bisoftmax(np.ones((2, 4)), np.ones((2, 5)))
 
 
 class TestMaskedBisoftmax:
@@ -115,7 +114,7 @@ class TestMaskedBisoftmax:
         rng = np.random.default_rng(8)
         a, b = rand_emb(rng, 5, 8), rand_emb(rng, 6, 8)
         mask = np.ones((5, 6), dtype=bool)
-        assert np.allclose(masked_bisoftmax(a, b, mask), bisoftmax_matrix(a, b), atol=1e-15)
+        assert np.allclose(masked_bisoftmax(a, b, mask), masked_bisoftmax(a, b), atol=1e-15)
 
     def test_disallowed_entries_zero(self):
         rng = np.random.default_rng(9)
@@ -191,15 +190,15 @@ class TestKernelMatchesTwoPassSoftmax:
             logits = dets @ cands.T
             want_row = stable_softmax_oracle(logits, axis=1)
             want_col = stable_softmax_oracle(logits, axis=0)
-            row, col = bisoftmax_components(dets, cands)
-            matrix = bisoftmax_matrix(dets, cands)
+            row, col = _bisoftmax_terms(dets, cands)
+            matrix = masked_bisoftmax(dets, cands)
         assert same_bits(row, want_row) and same_bits(col, want_col)
         assert same_bits(matrix, 0.5 * (want_row + want_col))
 
     def test_scale_1e3_case(self):
         rng = np.random.default_rng(7)
         a, b = rand_emb(rng, 4, 8, scale=1e3), rand_emb(rng, 5, 8, scale=1e3)
-        assert same_bits(bisoftmax_matrix(a, b),
+        assert same_bits(masked_bisoftmax(a, b),
                          masked_bisoftmax_oracle(a, b, np.ones((4, 5), dtype=bool)))
 
     @given(st.lists(st.sampled_from([0.0, 1.5, -2.0, 700.0, -800.0, np.inf, -np.inf, np.nan]),
@@ -218,8 +217,8 @@ class TestKernelMatchesTwoPassSoftmax:
                             lambda *a, **k: calls.append(k.get("name")) or real(*a, **k))
         a = np.ones((2, 3))
         sim.masked_bisoftmax(a, a, np.ones((2, 2), dtype=bool))
-        sim.bisoftmax_matrix(a, a)
-        sim.bisoftmax_components(a, a)
+        sim.masked_bisoftmax(a, a)
+        sim._bisoftmax_terms(a, a)
         assert calls == ["detection embeddings", "candidate embeddings"] * 3
 
     def test_logits_checked_for_finiteness_once(self, monkeypatch):
@@ -228,5 +227,5 @@ class TestKernelMatchesTwoPassSoftmax:
         monkeypatch.setattr(np, "isfinite", lambda x, *a, **k: shapes.append(np.shape(x)) or real(x, *a, **k))
         dets, cands = np.ones((2, 4)), np.ones((3, 4))
         masked_bisoftmax(dets, cands, np.ones((2, 3), dtype=bool))
-        bisoftmax_components(dets, cands)
+        _bisoftmax_terms(dets, cands)
         assert shapes.count((2, 3)) == 2

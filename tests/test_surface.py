@@ -1,0 +1,83 @@
+"""The public surface: every exported name resolves, the names folded into
+one entry point stay gone, and the benchmark's tracer (``perfbench/``) can
+still wrap every name it looks up and put each one back."""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import pkgutil
+import sys
+from pathlib import Path
+
+import pytest
+
+import embedtrack
+from embedtrack import formats, geometry, metrics, tracker
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(embedtrack.__path__))
+
+REMOVED = {
+    "similarity": ("bisoftmax_matrix", "bisoftmax_components", "_mean"),
+    "contrastive": ("loss_embed", "loss_aux"),
+    "synth": ("track_scenario",),
+    "metrics": ("_hota_matches",),
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    mod = importlib.import_module(f"embedtrack.{name}")
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+
+def test_package_exports_resolve_to_their_modules():
+    tree = ast.parse(Path(embedtrack.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        source = importlib.import_module(f"embedtrack.{node.module}")
+        for alias in node.names:
+            assert getattr(embedtrack, alias.name) is getattr(source, alias.name), alias.name
+
+
+def test_removed_names_are_gone():
+    for name, gone in REMOVED.items():
+        mod = importlib.import_module(f"embedtrack.{name}")
+        for attr in gone:
+            assert not hasattr(mod, attr) and not hasattr(embedtrack, attr), f"{name}.{attr}"
+            assert attr not in getattr(mod, "__all__", ())
+    for fn in (formats.trackset_to_mot_rows, formats.write_mot):
+        assert not {"conf", "scores"} & set(inspect.signature(fn).parameters)
+
+
+def _tracing(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the class is built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_on_this_package_and_restores_every_attribute(monkeypatch):
+    owners = [importlib.import_module(f"embedtrack.{m}") for m in MODULES] + [tracker.Tracker]
+    before = {(owner, attr): value for owner in owners for attr, value in vars(owner).items()}
+    tracing = _tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_embedtrack(tracer)
+        patched = {key for key, value in before.items() if vars(key[0]).get(key[1]) is not value}
+    finally:
+        tracer.uninstall()
+    # the names the tracer wraps because the tracker and the metrics call them
+    assert {
+        (tracker, "step"), (tracker.Tracker, "finish"), (tracker, "momentum_update"),
+        (tracker, "center_distance"), (tracker, "masked_bisoftmax"), (tracker, "cosine_matrix"),
+        (tracker, "nms"), (metrics, "clear_mot"), (metrics, "idf1"), (metrics, "hota"),
+        (metrics, "iou_matrix"), (geometry, "iou_matrix"),
+    } <= patched
+    after = {(owner, attr): value for owner in owners for attr, value in vars(owner).items()}
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []

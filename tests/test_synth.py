@@ -9,8 +9,8 @@ from embedtrack.synth import (
     oracle_tracks,
     place_prototypes,
     subsample,
-    track_scenario,
 )
+from embedtrack.tracker import run_sequence
 from oracles import place_prototypes_oracle
 
 
@@ -227,7 +227,7 @@ class TestReferenceTrackers:
         from embedtrack.ablation import synth_tracker_config
 
         s = generate(small_world(n_frames=30))
-        rep = per_class_report(s.gt, track_scenario(s, synth_tracker_config()))
+        rep = per_class_report(s.gt, run_sequence(s.detections, synth_tracker_config()))
         assert rep.aggregate.idf1 == 1.0
         assert rep.aggregate.idsw == 0
 
@@ -236,7 +236,7 @@ class TestReferenceTrackers:
 
         s = generate(small_world(n_frames=20, occlusions=[(0, 5, 7)]))
         cfg = synth_tracker_config(interpolate=True)
-        pred = track_scenario(s, cfg)
+        pred = run_sequence(s.detections, cfg)
         tid = next(
             e.obj_id for e in pred.frames[4]
         )  # sole class, occluded object present before the gap

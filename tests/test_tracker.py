@@ -10,7 +10,7 @@ from embedtrack.ablation import synth_tracker_config
 from embedtrack.config import PROFILE_NAMES, load_profile
 from embedtrack.geometry import BoundingBox, center_distance
 from embedtrack.metrics import TrackSet
-from embedtrack.synth import Scenario, WorldConfig, generate, track_scenario
+from embedtrack.synth import Scenario, WorldConfig, generate
 from embedtrack.tracker import (
     Detection,
     MergeConfig,
@@ -357,7 +357,7 @@ class TestMerge:
         d = {0: [det(0, x=0), det(0, x=60)], 1: [det(0, x=2)], 2: [det(0, x=4)]}
         scenario = Scenario(TrackSet(), d, {}, np.zeros((1, DIM)), WorldConfig(dim=DIM))
         c = cfg(merge=MergeConfig(beta_merge=0.3, d_merge=100.0), interpolate=True)
-        pred = track_scenario(scenario, c)
+        pred = run_sequence(scenario.detections, c)
         keys = [(f, e.obj_id) for f, es in pred.frames.items() for e in es]
         assert len(keys) == len(set(keys))
         assert sorted({tid for _, tid in keys}) == [1, 2]
@@ -615,10 +615,10 @@ def test_run_sequence_is_the_online_output(drawn, postprocess):
     frames, c = drawn
     if c is not None and not postprocess:
         c = dataclasses.replace(c, merge=None, interpolate=False)
-    pred, scores = run_sequence(frames, c)
+    pred = run_sequence(frames, c)
     got = [(f, e) for f in sorted(pred.frames) for e in pred.frames[f]]
     keys = [(f, e.obj_id) for f, e in got]
-    assert len(keys) == len(set(keys)) == len(scores) and set(keys) == set(scores)
+    assert len(keys) == len(set(keys))
     if c is not None and (c.merge is not None or c.interpolate):
         return
     t = Tracker(c)
@@ -626,4 +626,15 @@ def test_run_sequence_is_the_online_output(drawn, postprocess):
     assert [(f, e.obj_id, e.class_id, e.box) for f, e in got] == [
         (f, tid, d.class_id, d.box) for f, tid, d in online]
     assert all(e.box is d.box for (_, e), (_, _, d) in zip(got, online))
-    assert [scores[f, e.obj_id] for f, e in got] == [d.score for _, _, d in online]
+    assert [e.score for _, e in got] == [d.score for _, _, d in online]
+
+
+def test_run_sequence_adds_in_frame_then_track_order():
+    """The output is added frame by frame, ids ascending within a frame,
+    so each TrackSet.add stays on the frame it added to last."""
+    frames = {0: [det(0)], 5: [det(0), det(2, x=100.0)]}
+    frames.update({f: [det(1, x=50.0, cls=1)] for f in (1, 2, 3)})
+    pred = run_sequence(frames, TrackerConfig())
+    assert list(pred.frames) == [0, 1, 2, 3, 5]
+    assert {f: [e.obj_id for e in es] for f, es in pred.frames.items()} == {
+        0: [1], 1: [2], 2: [2], 3: [2], 5: [1, 3]}
