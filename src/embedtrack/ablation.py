@@ -47,28 +47,20 @@ __all__ = [
 ]
 
 
-def random_batch(
-    v: int,
-    k: int,
-    dim: int,
-    rng: np.random.Generator,
-    n_identities: int = 3,
-    scale: float = 1.0,
-) -> SampleBatch:
-    """A random labeled batch with gaussian embeddings, guaranteed to
-    contain at least one positive pair."""
+def random_batch(v: int, k: int, dim: int, rng: np.random.Generator) -> SampleBatch:
+    """A random labeled batch over three identities with standard normal
+    embeddings, guaranteed to contain at least one positive pair."""
     unit = BoundingBox(0, 0, 1, 1)
 
     def samples(count: int) -> list[RegionSample]:
         out = []
         for _ in range(count):
             if rng.random() < 0.6:
-                ident = int(rng.integers(n_identities))
-                out.append(RegionSample(unit, ident, POSITIVE, 1.0,
-                                        scale * rng.standard_normal(dim)))
+                out.append(RegionSample(unit, int(rng.integers(3)), POSITIVE, 1.0,
+                                        rng.standard_normal(dim)))
             else:
                 out.append(RegionSample(unit, None, NEGATIVE, float(rng.uniform(0, 0.3)),
-                                        scale * rng.standard_normal(dim)))
+                                        rng.standard_normal(dim)))
         return out
 
     for _ in range(100):
@@ -91,13 +83,11 @@ def gradient_check(
     k: int = 10,
     n_batches: int = 50,
     seed: int = 0,
-    cfg: LossConfig | None = None,
-    h: float = 1e-5,
     tolerance: float = 1e-6,
     corrupt: bool = False,
 ) -> GradCheckResult:
-    """Compare analytic gradients of the total loss to central finite
-    differences over random batches.
+    """Compare analytic gradients of the default total loss to central
+    finite differences over random batches.
 
     Relative error uses max(|analytic|, |numeric|, 1e-3) as denominator so
     near-zero components are judged on an absolute scale. Batches where
@@ -108,7 +98,10 @@ def gradient_check(
     ``corrupt`` perturbs the analytic gradient before comparison; it
     exists as a negative control for the checker itself.
     """
-    cfg = cfg or LossConfig()
+    for name, value in (("dims", min(dims, default=0)), ("v", v), ("k", k), ("n_batches", n_batches)):
+        if value < 1:
+            raise ValueError(f"gradient_check {name} must be >= 1, got {value}")
+    cfg = LossConfig()
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = 0
@@ -116,12 +109,12 @@ def gradient_check(
         dim = dims[checked % len(dims)]
         batch = random_batch(v, k, dim, rng)
         emb = batch.embeddings()
-        if cfg.gamma2 > 0 and aux_selection_margin(batch, emb, cfg.aux_neg_ratio) < 1e-3:
+        if aux_selection_margin(batch, emb, cfg.aux_neg_ratio) < 1e-3:
             continue
         _, (gk, gr) = loss_total(batch, emb, cfg)
         if corrupt:
             gk = gk + 1e-3
-        fk, fr = finite_difference_gradient(batch, emb, cfg, h=h)
+        fk, fr = finite_difference_gradient(batch, emb, cfg)
         for a, f in ((gk, fk), (gr, fr)):
             denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-3)
             worst = max(worst, float(np.max(np.abs(a - f) / denom)))

@@ -44,6 +44,12 @@ IGNORED = "ignored"
 
 VARIANTS = ("single_positive", "naive_multi", "accumulated_multi")
 
+# reference negatives are drawn round-robin from _N_IOU_BINS equal-width
+# bins over [0, _NEG_IOU_UPPER)
+_N_IOU_BINS, _NEG_IOU_UPPER = 3, 0.3
+_FD_STEP = 1e-5  # of the central differences in finite_difference_gradient
+_TOY_INIT_SCALE = 0.1  # of the toy problem's random initial embeddings
+
 
 @dataclass
 class RegionSample:
@@ -172,15 +178,12 @@ def sample_batch(
     ref_samples: Sequence[RegionSample],
     rng_seed: int,
     sizes: tuple[int, int] = (128, 256),
-    ref_pos_ratio: float = 1.0,
-    n_iou_bins: int = 3,
-    neg_iou_upper: float = 0.3,
 ) -> SampleBatch:
     """Subsample labeled regions into a training batch.
 
     Key samples are drawn uniformly from all non-ignored candidates.
-    Reference positives are drawn uniformly; reference negatives use
-    IoU-balanced sampling (equal-width bins over [0, neg_iou_upper),
+    Reference positives, half the batch, are drawn uniformly; reference
+    negatives use IoU-balanced sampling (equal-width bins over [0, 0.3),
     round-robin across non-empty bins). Partial fill is allowed when a
     pool is short. Deterministic under a fixed seed.
     """
@@ -197,13 +200,12 @@ def sample_batch(
     key_idx = rng.permutation(len(key_pool))[:v_size]
     keys = [key_pool[i] for i in sorted(key_idx)]
 
-    n_pos_target = int(round(k_size * ref_pos_ratio / (1.0 + ref_pos_ratio)))
-    n_pos = min(len(ref_pos), n_pos_target)
+    n_pos = min(len(ref_pos), round(k_size / 2))
     pos_idx = list(rng.permutation(np.array(ref_pos))[:n_pos])
 
     n_neg = min(len(ref_neg), k_size - n_pos)
     max_ious = np.array([s.max_iou for s in ref_samples])
-    neg_idx = _iou_balanced_draw(ref_neg, max_ious, n_neg, n_iou_bins, neg_iou_upper, rng)
+    neg_idx = _iou_balanced_draw(ref_neg, max_ious, n_neg, _N_IOU_BINS, _NEG_IOU_UPPER, rng)
 
     refs = [ref_samples[i] for i in sorted(int(i) for i in pos_idx + neg_idx)]
     return SampleBatch(key=keys, ref=refs)
@@ -406,27 +408,24 @@ def finite_difference_gradient(
     batch: SampleBatch,
     embeddings,
     cfg: LossConfig,
-    h: float = 1e-5,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference gradient of loss_total, the independent oracle
     for the analytic gradients. The embeddings are checked once; each
     perturbed evaluation skips the check."""
     key_emb, ref_emb = _check_embeddings(batch, embeddings)
-    cfg = cfg or LossConfig()
     grads = []
-    for which in (0, 1):
-        base = key_emb if which == 0 else ref_emb
+    for base in (key_emb, ref_emb):
         g = np.zeros_like(base)
         for idx in np.ndindex(base.shape):
             orig = base[idx]
-            base[idx] = orig + h
+            base[idx] = orig + _FD_STEP
             up, _ = _loss_total(batch.positivity, key_emb, ref_emb, cfg)
-            base[idx] = orig - h
+            base[idx] = orig - _FD_STEP
             down, _ = _loss_total(batch.positivity, key_emb, ref_emb, cfg)
             base[idx] = orig
-            g[idx] = (up - down) / (2 * h)
+            g[idx] = (up - down) / (2 * _FD_STEP)
         grads.append(g)
-    return grads[0], grads[1]
+    return tuple(grads)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +457,6 @@ def make_toy_problem(
     n_frames: int,
     dim: int,
     seed: int,
-    init_scale: float = 0.1,
 ) -> ToyProblem:
     """Build consecutive-frame batches where every identity appears once
     per frame; embeddings start as small random vectors."""
@@ -466,7 +464,7 @@ def make_toy_problem(
         raise ValueError("need at least two identities for negatives to exist")
     rng = np.random.default_rng(seed)
     n_samples = n_identities * n_frames
-    params = init_scale * rng.standard_normal((n_samples, dim))
+    params = _TOY_INIT_SCALE * rng.standard_normal((n_samples, dim))
     identity = np.tile(np.arange(n_identities), n_frames)
     frame = np.repeat(np.arange(n_frames), n_identities)
     unit = BoundingBox(0, 0, 1, 1)

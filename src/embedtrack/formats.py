@@ -46,7 +46,6 @@ __all__ = [
     "read_detections",
     "write_mot",
     "read_mot",
-    "trackset_to_mot_rows",
 ]
 
 DET_HEADER_PREFIX = "# embedtrack-detections v1 dim="
@@ -167,7 +166,9 @@ def read_detections(fp) -> tuple[int, dict[int, list[Detection]]]:
     try:
         dim = int(header[len(DET_HEADER_PREFIX):])
     except ValueError:
-        raise FormatError("line 1: invalid dimension in header") from None
+        dim = 0
+    if dim < 1:
+        raise FormatError("line 1: invalid dimension in header")
     frames: dict[int, list[Detection]] = {}
     last_frame = None
     lineno = 2
@@ -188,26 +189,17 @@ def read_detections(fp) -> tuple[int, dict[int, list[Detection]]]:
     return dim, frames
 
 
-def trackset_to_mot_rows(ts: TrackSet) -> list[str]:
-    """MOT rows in frame order; the confidence column holds each entry's
-    score."""
-    rows = []
+def write_mot(fp, ts: TrackSet) -> None:
+    """Write MOT rows in frame order; the confidence column holds each
+    entry's score."""
     for f in sorted(ts.frames):
         for e in ts.frames[f]:
             b = e.box
-            rows.append(
-                ",".join([
-                    str(f), str(e.obj_id),
-                    _fmt(b.x1), _fmt(b.y1), _fmt(b.width), _fmt(b.height),
-                    _fmt(e.score), str(e.class_id), _fmt(1.0 if e.visible else 0.0),
-                ])
-            )
-    return rows
-
-
-def write_mot(fp, ts: TrackSet) -> None:
-    for row in trackset_to_mot_rows(ts):
-        fp.write(row + "\n")
+            fp.write(",".join([
+                str(f), str(e.obj_id),
+                _fmt(b.x1), _fmt(b.y1), _fmt(b.width), _fmt(b.height),
+                _fmt(e.score), str(e.class_id), _fmt(1.0 if e.visible else 0.0),
+            ]) + "\n")
 
 
 def read_mot(fp) -> TrackSet:

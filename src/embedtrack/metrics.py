@@ -19,14 +19,15 @@ Conventions:
 How the work is shared:
 - ``per_class_report`` makes one pass per class. Each frame's entries
   become dense gt and pred id indices (sorted id order) and (N, 4) box
-  arrays once; its IoU matrix is computed once, handed to three per-frame
-  accumulators (CLEAR, IDF1 and HOTA's alignment pre-pass) and dropped.
-  ``clear_mot``, ``idf1`` and ``hota`` each run the pass with their own
-  accumulator alone.
-- IDF1 counts each frame's pairs at or above the threshold into a
-  (gt id, pred id) matrix. HOTA keeps only the non-zero IoUs; once the
-  pass has summed the alignment scores, it matches each frame, keeps each
-  matched pair as an integer pair key and its IoU, and counts the TPs and
+  arrays once; its IoU matrix is computed once, handed to two per-frame
+  accumulators (CLEAR, and the identity store that IDF1 and HOTA read)
+  and dropped. ``clear_mot``, ``idf1`` and ``hota`` each run the pass with
+  one accumulator.
+- The identity store keeps each frame's non-zero IoUs and sums HOTA's
+  alignment scores. IDF1 counts, per (gt id, pred id) pair, the kept IoUs
+  at or above its threshold; every threshold is above 0, so no pair it
+  counts was dropped. HOTA then matches each frame, keeps each matched
+  pair as an integer pair key and its IoU, and counts the TPs and
   association terms per pair and alpha, as TrackEval does.
 - A CLEAR matching whose admissible pairs already form a matching is read
   off without a solver call; it is the unique optimum. Every other matching
@@ -151,8 +152,7 @@ class HotaResult:
     detpr: float
     assre: float
     asspr: float
-    # per-alpha raw material, used for count-sum aggregation across classes
-    alphas: tuple = HOTA_ALPHAS
+    # per alpha in HOTA_ALPHAS, for count-sum aggregation across classes
     tp: list[int] = field(default_factory=list)
     fn: list[int] = field(default_factory=list)
     fp: list[int] = field(default_factory=list)
@@ -272,38 +272,13 @@ class _Clear:
         return ClearMotResult(mota, motp, fp, fn, self.idsw, mt, ml, num_gt, self.num_matches)
 
 
-class _Idf1:
-    """Identification F1: global trajectory-level bipartite assignment."""
-
-    def __init__(self, iou_threshold: float, n_gt_ids: int, n_pr_ids: int):
-        self.threshold = iou_threshold
-        self.n_gt_boxes = self.n_pr_boxes = 0
-        # frames with IoU >= iou_threshold, per (gt id, pred id)
-        self.w = np.zeros((n_gt_ids, n_pr_ids))
-
-    def add(self, gi: np.ndarray, pi: np.ndarray, overlaps: np.ndarray | None) -> None:
-        self.n_gt_boxes += len(gi)
-        self.n_pr_boxes += len(pi)
-        if overlaps is not None:
-            r, c = np.nonzero(overlaps >= self.threshold)
-            np.add.at(self.w, (gi[r], pi[c]), 1.0)
-
-    def result(self) -> Idf1Result:
-        idtp = 0
-        if self.w.any():
-            rows, cols = linear_sum_assignment(-self.w)
-            idtp = int(self.w[rows, cols].sum())
-        idfn, idfp = self.n_gt_boxes - idtp, self.n_pr_boxes - idtp
-        denom = idtp + 0.5 * idfn + 0.5 * idfp
-        score = idtp / denom if denom else 0.0
-        return Idf1Result(score, idtp, idfp, idfn)
-
-
-class _Hota:
-    """HOTA's matching as TrackEval computes it: a pre-pass sums, per
-    (gt id, pred id) pair, IoU / (row sum + column sum - IoU) over all
-    frames, which gives the alignment score A = sum / (n_gt_id + n_pred_id
-    - sum); then each frame is matched once, maximizing the total A * IoU.
+class _Ids:
+    """The identity store that IDF1 and HOTA both read: the box count of
+    each gt and pred id, and each frame's non-zero IoUs. HOTA's matching is
+    TrackEval's: a pre-pass sums, per (gt id, pred id) pair, IoU / (row
+    sum + column sum - IoU) over all frames, which gives the alignment
+    score A = sum / (n_gt_id + n_pred_id - sum); then each frame is matched
+    once, maximizing the total A * IoU.
     """
 
     def __init__(self, n_gt_ids: int, n_pr_ids: int):
@@ -322,6 +297,21 @@ class _Hota:
         # ids are unique within a frame, so no pair repeats in the update
         self.potential[gi[r], pi[c]] += v / (ious.sum(axis=1)[r] + ious.sum(axis=0)[c] - v)
         self.overlaps.append((gi, pi, r, c, v))
+
+    def idf1(self, iou_threshold: float) -> Idf1Result:
+        """IDF1 from the kept IoUs; call it before ``hota``, which releases them."""
+        shape = (len(self.gt_total), len(self.pr_total))
+        keys = [(gi[r] * shape[1] + pi[c])[v >= iou_threshold] for gi, pi, r, c, v in self.overlaps]
+        keys = np.concatenate([np.zeros(0, dtype=np.int64), *keys])
+        w = np.bincount(keys, minlength=shape[0] * shape[1]).reshape(shape)
+        idtp = 0
+        if w.any():
+            rows, cols = linear_sum_assignment(-w)
+            idtp = int(w[rows, cols].sum())
+        idfn, idfp = int(self.gt_total.sum()) - idtp, int(self.pr_total.sum()) - idtp
+        denom = idtp + 0.5 * idfn + 0.5 * idfp
+        score = idtp / denom if denom else 0.0
+        return Idf1Result(score, idtp, idfp, idfn)
 
     def matches(self) -> tuple[np.ndarray, ...]:
         """The second pass, run once: it releases the kept IoU entries.
@@ -344,7 +334,7 @@ class _Hota:
             matched_iou.append(ious[hit])
         return np.concatenate(keys), np.concatenate(matched_iou), self.gt_total, self.pr_total
 
-    def result(self) -> HotaResult:
+    def hota(self) -> HotaResult:
         keys, matched_iou, gt_total, pr_total = self.matches()
         n_pr_ids = len(pr_total)
         pairs, inverse = np.unique(keys, return_inverse=True)
@@ -368,21 +358,28 @@ class _Hota:
         return HotaResult(**_hota_means(**raw), **raw)
 
 
+def _check_iou_threshold(iou_threshold: float) -> None:
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+
+
 def clear_mot(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> ClearMotResult:
     """CLEAR-MOT accumulation with match carry-over."""
+    _check_iou_threshold(iou_threshold)
     return _one_pass(gt, pred, partial(_Clear, iou_threshold))[0].result()
 
 
 def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> Idf1Result:
     """Identification F1: global trajectory-level bipartite assignment."""
-    return _one_pass(gt, pred, partial(_Idf1, iou_threshold))[0].result()
+    _check_iou_threshold(iou_threshold)
+    return _one_pass(gt, pred, _Ids)[0].idf1(iou_threshold)
 
 
 def hota(gt: TrackSet, pred: TrackSet) -> HotaResult:
     """HOTA with DetA/AssA decomposition, averaged over alpha: the TPs at
     alpha are the pairs of the one matching per frame with IoU >= alpha -
     eps."""
-    return _one_pass(gt, pred, _Hota)[0].result()
+    return _one_pass(gt, pred, _Ids)[0].hota()
 
 
 def _hota_means(tp, fn, fp, ass_sum, assre_sum, asspr_sum) -> dict[str, float]:
@@ -434,6 +431,7 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
     Classes appearing only in predictions contribute their false positives
     to the aggregate but are excluded from the mMOTA/mIDF1 class means.
     """
+    _check_iou_threshold(iou_threshold)
     classes = sorted(gt.class_ids() | pred.class_ids())
     per_class: dict[int, ClassMetrics] = {}
     motas, idf1s = [], []
@@ -451,8 +449,8 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
             cm.fp = cm.idfp = sum(len(v) for v in pr_c.frames.values())
             hota_raw[2] += cm.fp
         else:
-            clear, ident, h = [acc.result() for acc in _one_pass(
-                gt_c, pr_c, partial(_Clear, iou_threshold), partial(_Idf1, iou_threshold), _Hota)]
+            clear, ids = _one_pass(gt_c, pr_c, partial(_Clear, iou_threshold), _Ids)
+            clear, ident, h = clear.result(), ids.idf1(iou_threshold), ids.hota()
             cm.mota, cm.motp = clear.mota, clear.motp
             cm.fp, cm.fn, cm.idsw = clear.fp, clear.fn, clear.idsw
             cm.mt, cm.ml = clear.mt, clear.ml

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import _from_dict
-from .geometry import BoundingBox
+from .geometry import BoundingBox, iou_matrix
 from .metrics import ObjectEntry, TrackSet
 from .tracker import Detection
 
@@ -72,6 +72,20 @@ class WorldConfig:
             raise ValueError("noise sigmas must be >= 0")
         if self.motion not in ("static", "linear", "random_walk"):
             raise ValueError(f"unknown motion model {self.motion!r}")
+        for name, top in (("score_range", 1.0), ("fp_score_range", 1.0),
+                          ("distractor_score_range", 1.0), ("box_size_range", np.inf)):
+            lo, hi = getattr(self, name)
+            if not 0.0 <= lo <= hi <= top:
+                raise ValueError(f"{name} must satisfy 0 <= low <= high <= {top}, got {(lo, hi)}")
+        # centres reflect one largest box size inside each border; false
+        # positives are centred 50 pixels inside
+        twice, least = 2 * self.box_size_range[1], (100.0 if self.fp_rate > 0 else 0.0)
+        if not all(twice < side < np.inf and side >= least for side in self.image_size):
+            raise ValueError("image_size sides must be finite, more than twice box_size_range[1] and "
+                             f"at least 100 if fp_rate > 0, got {self.image_size}")
+        if not all(0 <= i < self.n_identities and first <= last for i, first, last in self.occlusions):
+            raise ValueError("occlusions need 0 <= identity < n_identities and first <= last "
+                             f"in each (identity, first, last), got {self.occlusions}")
 
     @classmethod
     def from_dict(cls, data) -> "WorldConfig":
@@ -98,10 +112,13 @@ class Scenario:
 # rise in the sum of squared prototype cosines that makes a repulsion step an
 # overshoot; converging runs rise by at most about 6e-14 from step to step
 _ENERGY_TOLERANCE = 1e-9
+_REPULSION_STEPS, _REPULSION_ETA = 200, 0.1  # step budget, first step size
+# the least detection score of the IoU baseline and the oracle, and the
+# baseline's least IoU with a box of the previous frame
+_MIN_SCORE, _BASELINE_MATCH_IOU = 0.5, 0.3
 
 
-def place_prototypes(n: int, dim: int, min_margin: float, rng: np.random.Generator,
-                     iters: int = 200, eta: float = 0.1) -> np.ndarray:
+def place_prototypes(n: int, dim: int, min_margin: float, rng: np.random.Generator) -> np.ndarray:
     """Unit-norm prototypes spread by cosine repulsion.
 
     Iteratively pushes each vector away from the others (descent on the
@@ -116,7 +133,8 @@ def place_prototypes(n: int, dim: int, min_margin: float, rng: np.random.Generat
     sim = p @ p.T
     np.fill_diagonal(sim, 0.0)
     energy = float(np.vdot(sim, sim))
-    for _ in range(iters):
+    eta = _REPULSION_ETA
+    for _ in range(_REPULSION_STEPS):
         q = p - eta * (sim @ p)
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         q_sim = q @ q.T
@@ -298,23 +316,20 @@ def subsample(scenario: Scenario, keep_every_k: int) -> Scenario:
     return Scenario(gt, detections, det_identity, scenario.prototypes, cfg)
 
 
-def iou_baseline_track(scenario: Scenario, iou_match_threshold: float = 0.3,
-                       min_score: float = 0.5) -> TrackSet:
+def iou_baseline_track(scenario: Scenario) -> TrackSet:
     """Location-only baseline: greedy IoU matching against the previous
     frame's boxes; unmatched detections start new tracks. Used as the
     motion/location reference in frame-rate ablations."""
-    from .geometry import iou_matrix as _ioum
-
     pred = TrackSet()
     prev: list[tuple[int, BoundingBox]] = []  # (track_id, last box)
     next_id = 1
     for f in sorted(scenario.detections):
-        dets = [d for d in scenario.detections[f] if d.score >= min_score]
+        dets = [d for d in scenario.detections[f] if d.score >= _MIN_SCORE]
         assigned: list[tuple[int, Detection]] = []
         used: set[int] = set()
         order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
         if prev and dets:
-            overlaps = _ioum(
+            overlaps = iou_matrix(
                 np.stack([dets[i].box.as_array() for i in range(len(dets))]),
                 np.stack([b.as_array() for _, b in prev]),
             )
@@ -324,7 +339,7 @@ def iou_baseline_track(scenario: Scenario, iou_match_threshold: float = 0.3,
                 masked = overlaps[i].copy()
                 masked[list(used)] = -1.0
                 j = int(np.argmax(masked))
-                if masked[j] >= iou_match_threshold:
+                if masked[j] >= _BASELINE_MATCH_IOU:
                     tid = prev[j][0]
                     used.add(j)
             if tid is None:
@@ -337,14 +352,14 @@ def iou_baseline_track(scenario: Scenario, iou_match_threshold: float = 0.3,
     return pred
 
 
-def oracle_tracks(scenario: Scenario, min_score: float = 0.5) -> TrackSet:
+def oracle_tracks(scenario: Scenario) -> TrackSet:
     """Tracking-oracle predictions: detections associated by their true
     identities; false positives each get a fresh singleton track."""
     pred = TrackSet()
     next_fp_id = 10_000_000
     for f in sorted(scenario.detections):
         for d, ident in zip(scenario.detections[f], scenario.det_identity[f]):
-            if d.score < min_score:
+            if d.score < _MIN_SCORE:
                 continue
             if ident is None:
                 tid = next_fp_id

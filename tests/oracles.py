@@ -905,6 +905,8 @@ def read_detections_oracle(fp) -> tuple[int, dict[int, list[Detection]]]:
         dim = int(header[len(DET_HEADER_PREFIX):])
     except ValueError:
         raise FormatError("line 1: invalid dimension in header") from None
+    if dim < 1:
+        raise FormatError("line 1: invalid dimension in header")
     frames: dict[int, list[Detection]] = {}
     last_frame = None
     for lineno, line in enumerate(fp, start=2):

@@ -200,6 +200,13 @@ class TestEvalCommand:
         bad.write_text("0,1\n")
         assert main(["eval", "--gt", str(gt), "--pred", str(bad)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("iou", ["0", "-1", "nan", "1.5"])
+    def test_iou_outside_unit_interval_is_data_error(self, scenario_files, capsys, iou):
+        _, gt, _ = scenario_files
+        capsys.readouterr()
+        assert main(["eval", "--gt", str(gt), "--pred", str(gt), f"--iou={iou}"]) == EXIT_DATA
+        assert "iou_threshold must be in (0, 1]" in capsys.readouterr().err
+
 
 class TestAblateCommand:
     def test_small_sweep_writes_csv(self, tmp_path):
@@ -237,6 +244,18 @@ class TestGradcheckCommand:
                    "--keys", "4", "--refs", "6", "--corrupt"])
         assert rc == EXIT_INVARIANT
         assert capsys.readouterr().out.startswith("FAIL")
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--keys", "0", "v"), ("--refs", "0", "k"), ("--batches", "0", "n_batches"),
+        ("--dims", "0", "dims"), ("--dims", "4,0", "dims"), ("--keys", "-1", "v"),
+    ])
+    def test_size_below_one_is_data_error(self, capsys, flag, value, name):
+        rc = main(["gradcheck", "--dims", "4", "--batches", "3", "--keys", "4", "--refs", "6",
+                   f"{flag}={value}"])
+        assert rc == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"gradient_check {name} must be >= 1" in captured.err
 
 
 class TestUsageErrors:

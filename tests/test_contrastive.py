@@ -171,7 +171,7 @@ class TestSampleBatchDraw:
     def test_reference_ratio_roughly_balanced(self):
         rng = np.random.default_rng(3)
         key, ref = self.labeled(rng, n=200)
-        b = sample_batch(key, ref, rng_seed=0, sizes=(16, 40), ref_pos_ratio=1.0)
+        b = sample_batch(key, ref, rng_seed=0, sizes=(16, 40))
         n_pos = sum(1 for s in b.ref if s.polarity == POSITIVE)
         assert abs(n_pos - len(b.ref) / 2) <= 1
 

@@ -17,7 +17,6 @@ from embedtrack.formats import (
     atomic_write,
     read_detections,
     read_mot,
-    trackset_to_mot_rows,
     write_detections,
     write_mot,
 )
@@ -52,6 +51,13 @@ class TestDetectionFiles:
     def test_bad_header_dimension(self):
         with pytest.raises(FormatError, match="line 1"):
             read_detections(io.StringIO("# embedtrack-detections v1 dim=abc\n"))
+
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_header_dimension_below_one_rejected(self, dim):
+        # a file of empty embeddings would track by boxes alone
+        text = f"# embedtrack-detections v1 dim={dim}\n0 0 0.5 0 0 1 1\n"
+        with pytest.raises(FormatError, match="line 1: invalid dimension in header"):
+            read_detections(io.StringIO(text))
 
     def test_field_count_mismatch_names_line(self):
         text = "# embedtrack-detections v1 dim=2\n0 0 0.5 0 0 1 1 0.1\n"
@@ -335,7 +341,9 @@ class TestMotFiles:
                 assert a.visible == b.visible
 
     def test_rows_sorted_by_frame(self):
-        rows = trackset_to_mot_rows(self.make_trackset())
+        buf = io.StringIO()
+        write_mot(buf, self.make_trackset())
+        rows = buf.getvalue().splitlines()
         frames = [int(r.split(",")[0]) for r in rows]
         assert frames == sorted(frames)
 
@@ -345,7 +353,9 @@ class TestMotFiles:
             for e in es:
                 ts.add(f, dataclasses.replace(e, score=0.25 + f + e.obj_id / 8))
         scores = {(f, e.obj_id): e.score for f, es in ts.frames.items() for e in es}
-        rows = trackset_to_mot_rows(ts)
+        buf = io.StringIO()
+        write_mot(buf, ts)
+        rows = buf.getvalue().splitlines()
         got = {(int(r.split(",")[0]), int(r.split(",")[1])): float(r.split(",")[6]) for r in rows}
         assert got == scores
 

@@ -167,6 +167,15 @@ class TestClearMotKnownValues:
             clear_mot(gt, pred)
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), 1.5])
+def test_iou_threshold_outside_unit_interval_rejected(threshold):
+    # at 0 or below, disjoint boxes would match; above 1 or nan, none would
+    gt, pred = make_sets([(0, 1, box(0, 0))], [(0, 1, box(500, 500))])
+    for evaluate in (per_class_report, clear_mot, idf1):
+        with pytest.raises(ValueError, match="iou_threshold"):
+            evaluate(gt, pred, threshold)
+
+
 class TestIdf1KnownValues:
     def test_perfect(self):
         gt, pred = make_sets(
@@ -417,7 +426,7 @@ class TestHotaProperties:
     @settings(deadline=None)
     @given(small_tracksets())
     def test_tp_pairs_nest_as_alpha_rises(self, sets):
-        keys, ious, _, _ = metrics._one_pass(*sets, metrics._Hota)[0].matches()
+        keys, ious, _, _ = metrics._one_pass(*sets, metrics._Ids)[0].matches()
         tp_pairs = [Counter(keys[ious >= alpha - np.finfo(float).eps].tolist()) for alpha in HOTA_ALPHAS]
         for looser, stricter in zip(tp_pairs, tp_pairs[1:]):
             assert not stricter - looser
@@ -467,13 +476,13 @@ class TestSharedPass:
     evaluation it replaced exactly."""
 
     @settings(deadline=None)
-    @given(multi_class_tracksets())
-    def test_equals_separate_passes(self, sets):
-        assert per_class_report(*sets) == separate_per_class_report(*sets)
-        assert clear_mot(*sets) == separate_clear_mot(*sets)
-        assert idf1(*sets) == separate_idf1(*sets)
+    @given(multi_class_tracksets(), st.sampled_from([0.05, 0.3, 0.5, 0.75, 1.0]))
+    def test_equals_separate_passes(self, sets, iou_threshold):
+        assert per_class_report(*sets, iou_threshold) == separate_per_class_report(*sets, iou_threshold)
+        assert clear_mot(*sets, iou_threshold) == separate_clear_mot(*sets, iou_threshold)
+        assert idf1(*sets, iou_threshold) == separate_idf1(*sets, iou_threshold)
         assert hota(*sets) == separate_hota(*sets)
-        got_matches = metrics._one_pass(*sets, metrics._Hota)[0].matches()
+        got_matches = metrics._one_pass(*sets, metrics._Ids)[0].matches()
         for got, want in zip(got_matches, separate_hota_matches(*sets)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 

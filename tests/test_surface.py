@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import embedtrack
-from embedtrack import formats, geometry, metrics, tracker
+from embedtrack import geometry, metrics, tracker
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(embedtrack.__path__))
 
@@ -21,7 +21,22 @@ REMOVED = {
     "similarity": ("bisoftmax_matrix", "bisoftmax_components", "_mean"),
     "contrastive": ("loss_embed", "loss_aux"),
     "synth": ("track_scenario",),
-    "metrics": ("_hota_matches",),
+    "metrics": ("_hota_matches", "_Hota", "_Idf1"),
+    "formats": ("trackset_to_mot_rows",),
+}
+
+# parameters that only ever took one value; they are module constants now
+REMOVED_PARAMETERS = {
+    ("formats", "write_mot"): ("conf", "scores"),
+    ("synth", "place_prototypes"): ("iters", "eta"),
+    ("synth", "iou_baseline_track"): ("iou_match_threshold", "min_score"),
+    ("synth", "oracle_tracks"): ("min_score",),
+    ("contrastive", "sample_batch"): ("ref_pos_ratio", "n_iou_bins", "neg_iou_upper"),
+    ("contrastive", "make_toy_problem"): ("init_scale",),
+    ("contrastive", "finite_difference_gradient"): ("h",),
+    ("ablation", "gradient_check"): ("cfg", "h"),
+    ("ablation", "random_batch"): ("n_identities", "scale"),
+    ("metrics", "HotaResult"): ("alphas",),
 }
 
 
@@ -47,8 +62,12 @@ def test_removed_names_are_gone():
         for attr in gone:
             assert not hasattr(mod, attr) and not hasattr(embedtrack, attr), f"{name}.{attr}"
             assert attr not in getattr(mod, "__all__", ())
-    for fn in (formats.trackset_to_mot_rows, formats.write_mot):
-        assert not {"conf", "scores"} & set(inspect.signature(fn).parameters)
+
+
+@pytest.mark.parametrize("owner,gone", REMOVED_PARAMETERS.items(), ids=lambda v: ".".join(v))
+def test_removed_parameters_are_gone(owner, gone):
+    fn = getattr(importlib.import_module(f"embedtrack.{owner[0]}"), owner[1])
+    assert not set(gone) & set(inspect.signature(fn).parameters)
 
 
 def _tracing(monkeypatch):

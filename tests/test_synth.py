@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,10 +38,37 @@ class TestWorldConfig:
     @pytest.mark.parametrize("field,value", [
         ("dim", 0), ("n_classes", 0), ("n_identities", 0), ("n_identities", -1),
         ("n_distractors", -2), ("n_frames", -1), ("tau", 0.0), ("tau", -1.0),
+        ("score_range", (0.9, 0.8)), ("score_range", (-0.1, 0.5)),
+        ("fp_score_range", (0.2, 1.5)), ("distractor_score_range", (float("nan"), 0.4)),
+        ("box_size_range", (-1.0, 10.0)), ("box_size_range", (50.0, 40.0)),
+        ("image_size", (160.0, 1000.0)), ("image_size", (1000.0, 100.0)),
+        ("image_size", (float("inf"), 1000.0)), ("image_size", (float("nan"), 1000.0)),
+        ("occlusions", [(10, 0, 5)]), ("occlusions", [(-1, 0, 5)]),
+        ("occlusions", [(0, 1, 2), (0, 5, 4)]),
     ])
     def test_impossible_world_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             WorldConfig(**{field: value})
+
+    def test_false_positive_worlds_need_100_pixel_sides(self):
+        small = dict(n_frames=5, dim=4, box_size_range=(10.0, 20.0))
+        WorldConfig(image_size=(41.0, 99.0), **small)
+        with pytest.raises(ValueError, match="image_size"):
+            WorldConfig(fp_rate=0.5, image_size=(200.0, 99.0), **small)
+
+    @pytest.mark.parametrize("world", [
+        dict(image_size=(160.5, 160.5)),
+        dict(image_size=(100.0, 100.0), box_size_range=(10.0, 20.0), fp_rate=0.5),
+        dict(box_size_range=(0.0, 0.0), score_range=(1.0, 1.0), fp_rate=0.5,
+             fp_score_range=(0.0, 0.0), n_distractors=2, distractor_score_range=(0.3, 0.3)),
+        dict(occlusions=[(0, 3, 3), (9, 0, 500)]),
+    ])
+    def test_worlds_at_the_limits_generate_finite_boxes(self, world):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = generate(WorldConfig(n_frames=20, dim=8, **world))
+        boxes = [d.box.as_array() for dets in s.detections.values() for d in dets]
+        assert np.isfinite(boxes).all()
 
     def test_zero_frame_world_is_empty(self):
         s = generate(WorldConfig(n_frames=0))
