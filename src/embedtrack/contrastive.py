@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, iou_matrix
+from .geometry import BoundingBox, box_array, iou_matrix
 from .similarity import validate_embeddings
 
 __all__ = [
@@ -105,8 +105,11 @@ class LossConfig:
     variant: str = "accumulated_multi"
 
     def __post_init__(self) -> None:
-        if self.gamma1 < 0 or self.gamma2 < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name in ("gamma1", "gamma2"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not isinstance(self.aux_neg_ratio, (int, np.integer)) or self.aux_neg_ratio < 0:
+            raise ValueError(f"aux_neg_ratio must be an int >= 0, got {self.aux_neg_ratio!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
 
@@ -128,10 +131,7 @@ def assign_samples(
         raise ValueError(f"alpha2 ({alpha2}) must not exceed alpha1 ({alpha1})")
     if not gts:
         return [RegionSample(r, None, NEGATIVE, 0.0) for r in regions]
-    overlaps = iou_matrix(
-        np.stack([r.as_array() for r in regions]) if regions else np.zeros((0, 4)),
-        np.stack([g[0].as_array() for g in gts]),
-    )
+    overlaps = iou_matrix(box_array(regions), box_array(g[0] for g in gts))
     out: list[RegionSample] = []
     for i, region in enumerate(regions):
         best = int(np.argmax(overlaps[i]))  # argmax takes the first max: lower gt index

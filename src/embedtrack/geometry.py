@@ -2,11 +2,14 @@
 
 Boxes are (x1, y1, x2, y2) in continuous image coordinates, origin
 top-left, no "+1" pixel convention. Zero-area boxes are legal, negative
-extents are not.
+extents are not. ``box_array`` is the one conversion from ``BoundingBox``
+objects to an (N, 4) array; the matrix functions and ``nms`` take such
+arrays.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import isfinite
 from operator import attrgetter
@@ -15,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "BoundingBox",
+    "box_array",
     "iou",
     "iou_matrix",
     "center_distance",
@@ -64,6 +68,12 @@ class BoundingBox:
 
 
 _xyxy = attrgetter("x1", "y1", "x2", "y2")
+
+
+def box_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
+    """The (N, 4) float64 array of xyxy coordinates of ``boxes``, one row
+    per box in order; (0, 4) for no boxes."""
+    return np.array(list(map(_xyxy, boxes)), dtype=np.float64).reshape(-1, 4)
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -164,44 +174,36 @@ def centers_within(boxes_a: np.ndarray, boxes_b: np.ndarray, radius: float) -> n
     return out
 
 
-def nms(
-    dets: list[tuple[BoundingBox, float, int]],
-    iou_threshold: float,
-    class_agnostic: bool = False,
-) -> list[int]:
-    """Greedy non-maximum suppression over (box, score, class_id) triples.
+def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list[int]:
+    """Greedy class-agnostic non-maximum suppression over an (N, 4) array
+    of xyxy boxes and their (N,) scores: a kept box suppresses every
+    lower-ranked box whose IoU with it exceeds ``iou_threshold``.
 
-    Suppression is intra-class by default; with ``class_agnostic=True`` a
-    kept box suppresses overlapping boxes of any class (inter-class NMS).
-    Returns indices into ``dets`` in descending score order; score ties
+    Returns indices into ``boxes`` in descending score order; score ties
     break toward the lower input index.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    if not dets:
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    scores = np.asarray(scores, dtype=np.float64)
+    if not len(scores):
         return []
-    boxes, scores, classes = zip(*dets)
-    scores = np.array(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValueError("nms requires finite scores")
     # stable sort keeps lower input index first among equal scores
     order = np.argsort(-scores, kind="stable")
-    coords = np.array(list(map(_xyxy, boxes)), dtype=np.float64).reshape(-1, 4)
-    i, j = _x_overlapping_pairs(coords)
-    over = _pair_iou(coords.take(i, axis=0), coords.take(j, axis=0)) > iou_threshold
-    if not class_agnostic:
-        classes = np.array(classes)
-        over &= classes[i] == classes[j]
+    i, j = _x_overlapping_pairs(boxes)
+    over = _pair_iou(boxes.take(i, axis=0), boxes.take(j, axis=0)) > iou_threshold
     if not over.any():
         return order.tolist()
-    overlap = np.zeros((len(dets), len(dets)), dtype=bool)
+    overlap = np.zeros((len(boxes), len(boxes)), dtype=bool)
     overlap[i[over], j[over]] = True
     overlap |= overlap.T
 
     # The overlap relation is symmetric, so a kept box is never suppressed
     # later, and a box that overlaps no other box is kept and suppresses
     # nothing: only the rows of boxes with an overlap need the greedy pass.
-    suppressed = np.zeros(len(dets), dtype=bool)
+    suppressed = np.zeros(len(boxes), dtype=bool)
     for i in order[overlap.any(axis=1)[order]].tolist():
         if not suppressed[i]:
             suppressed |= overlap[i]

@@ -43,7 +43,7 @@ from functools import partial
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BoundingBox, iou_matrix
+from .geometry import BoundingBox, box_array, iou_matrix
 
 __all__ = [
     "ObjectEntry",
@@ -195,9 +195,8 @@ def _frames(gt: TrackSet, pred: TrackSet) -> tuple[Iterator[tuple[np.ndarray, ..
     pr_ids = np.unique([e.obj_id for entries in prs for e in entries])
 
     def arrays(entries, ids):
-        boxes = [(e.box.x1, e.box.y1, e.box.x2, e.box.y2) for e in entries]
         return (np.searchsorted(ids, [e.obj_id for e in entries]),
-                np.array(boxes, dtype=np.float64).reshape(-1, 4))
+                box_array(e.box for e in entries))
 
     stream = (arrays(g, gt_ids) + arrays(p, pr_ids) for g, p in zip(gts, prs))
     return stream, len(gt_ids), len(pr_ids)

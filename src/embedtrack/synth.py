@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import _from_dict
-from .geometry import BoundingBox, iou_matrix
+from .geometry import BoundingBox, box_array, iou_matrix
 from .metrics import ObjectEntry, TrackSet
 from .tracker import Detection
 
@@ -62,14 +62,19 @@ class WorldConfig:
                           ("n_distractors", 0), ("n_frames", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        for name in ("fp_rate", "fn_rate"):
+        for name in ("speed", "min_margin"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        for name in ("fp_rate", "fn_rate", "distractor_affinity"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.sigma_e < 0 or self.jitter_sigma < 0 or self.walk_sigma < 0:
-            raise ValueError("noise sigmas must be >= 0")
+        for name in ("sigma_e", "jitter_sigma", "walk_sigma"):
+            v = getattr(self, name)
+            if not 0.0 <= v < np.inf:
+                raise ValueError(f"noise sigmas must be finite and >= 0, got {name}={v}")
         if self.motion not in ("static", "linear", "random_walk"):
             raise ValueError(f"unknown motion model {self.motion!r}")
         for name, top in (("score_range", 1.0), ("fp_score_range", 1.0),
@@ -329,10 +334,7 @@ def iou_baseline_track(scenario: Scenario) -> TrackSet:
         used: set[int] = set()
         order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
         if prev and dets:
-            overlaps = iou_matrix(
-                np.stack([dets[i].box.as_array() for i in range(len(dets))]),
-                np.stack([b.as_array() for _, b in prev]),
-            )
+            overlaps = iou_matrix(box_array(d.box for d in dets), box_array(b for _, b in prev))
         for i in order:
             tid = None
             if prev and dets:

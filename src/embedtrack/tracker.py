@@ -18,7 +18,7 @@ import numpy as np
 
 # center_distance stays importable from this module: perfbench's tracer
 # wraps the names this module holds, and every one of them must exist.
-from .geometry import BoundingBox, center_distance, centers_within, nms  # noqa: F401
+from .geometry import BoundingBox, box_array, center_distance, centers_within, nms  # noqa: F401
 from .metrics import ObjectEntry, TrackSet
 from .similarity import cosine_matrix, masked_bisoftmax, validate_embeddings
 
@@ -114,7 +114,6 @@ class TrackerConfig:
     momentum: float = 0.8
     nms_threshold: float = 0.65
     det_confidence: float = 0.1
-    same_class_only: bool = True
     similarity_metric: str = "bisoftmax"  # or "cosine" (ablation only)
     duplicate_removal: bool = True
     distance_gate: float | None = None
@@ -142,22 +141,24 @@ class TrackerConfig:
 
 class _Rows:
     """Tracks or backdrops as parallel arrays: row i holds the embedding,
-    class, frame (the last active one for a track) and creation frame of
-    ``objs[i]``."""
+    class, box (the last one for a track), frame (the last active one for
+    a track) and creation frame of ``objs[i]``."""
 
-    def __init__(self, objs: list, emb: np.ndarray, cls: np.ndarray,
+    def __init__(self, objs: list, emb: np.ndarray, cls: np.ndarray, box: np.ndarray,
                  frame: np.ndarray, created: np.ndarray):
-        self.objs, self.emb, self.cls, self.frame, self.created = objs, emb, cls, frame, created
+        self.objs, self.emb, self.cls, self.box = objs, emb, cls, box
+        self.frame, self.created = frame, created
 
     @classmethod
-    def of(cls, objs: list, frame_attr: str, created_attr: str) -> "_Rows":
+    def of(cls, objs: list, box_attr: str, frame_attr: str, created_attr: str) -> "_Rows":
         if not objs:
             empty = np.empty(0, dtype=np.int64)
-            return cls([], np.empty((0, 0)), empty, empty, empty)
+            return cls([], np.empty((0, 0)), empty, np.empty((0, 4)), empty, empty)
         return cls(
             objs,
             np.array([o.embedding for o in objs], dtype=np.float64),
             np.array([o.class_id for o in objs]),
+            box_array(getattr(o, box_attr) for o in objs),
             np.array([getattr(o, frame_attr) for o in objs], dtype=np.int64),
             np.array([getattr(o, created_attr) for o in objs], dtype=np.int64),
         )
@@ -166,7 +167,8 @@ class _Rows:
         """Whether ``objs`` are exactly the objects these rows describe."""
         return len(objs) == len(self.objs) and all(map(operator.is_, objs, self.objs))
 
-    def extend(self, objs: list, emb: np.ndarray, cls: np.ndarray, frame: int) -> None:
+    def extend(self, objs: list, emb: np.ndarray, cls: np.ndarray, box: np.ndarray,
+               frame: int) -> None:
         """Append rows created at ``frame``."""
         if not objs:
             return
@@ -175,13 +177,14 @@ class _Rows:
         if self.objs:
             emb = np.concatenate([self.emb, emb])
             cls = np.concatenate([self.cls, cls])
+            box = np.concatenate([self.box, box])
             frame = np.concatenate([self.frame, frame])
             created = np.concatenate([self.created, created])
         else:
             # the new objects hold views of emb, and step writes rows in place
             emb = emb.copy()
         self.objs = self.objs + objs
-        self.emb, self.cls, self.frame, self.created = emb, cls, frame, created
+        self.emb, self.cls, self.box, self.frame, self.created = emb, cls, box, frame, created
 
     def select(self, keep: np.ndarray) -> None:
         """Keep the rows where the boolean ``keep`` is set."""
@@ -189,6 +192,7 @@ class _Rows:
             return
         self.objs = [self.objs[i] for i in np.flatnonzero(keep)]
         self.emb, self.cls = self.emb.compress(keep, axis=0), self.cls[keep]
+        self.box = self.box.compress(keep, axis=0)
         self.frame, self.created = self.frame[keep], self.created[keep]
 
 
@@ -217,19 +221,23 @@ def _rows(state: TrackerState) -> tuple[_Rows, _Rows]:
     tracks, backdrops = state._track_rows, state._backdrop_rows
     if tracks is None or not tracks.mirrors(state.tracks.values()):
         tracks = state._track_rows = _Rows.of(
-            list(state.tracks.values()), "last_active_frame", "created_frame")
+            list(state.tracks.values()), "last_box", "last_active_frame", "created_frame")
     if backdrops is None or not backdrops.mirrors(state.backdrops):
-        backdrops = state._backdrop_rows = _Rows.of(list(state.backdrops), "frame", "frame")
+        backdrops = state._backdrop_rows = _Rows.of(list(state.backdrops), "box", "frame", "frame")
     return tracks, backdrops
 
 
 def momentum_update(old: np.ndarray, new: np.ndarray, m: float) -> np.ndarray:
-    """Exponential update m * new + (1 - m) * old, no renormalization."""
+    """Exponential update m * new + (1 - m) * old, no renormalization;
+    row by row for (N, D) inputs, a (D,) result for 1-D inputs."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"momentum must be in [0, 1], got {m}")
-    old = validate_embeddings(old)[0]
-    new = validate_embeddings(new, dim=old.shape[0])[0]
-    return m * new + (1.0 - m) * old
+    old_rows = validate_embeddings(old)
+    new_rows = validate_embeddings(new, dim=old_rows.shape[1])
+    if new_rows.shape != old_rows.shape:
+        raise ValueError(f"momentum_update got {len(new_rows)} new rows for {len(old_rows)} old")
+    out = m * new_rows + (1.0 - m) * old_rows
+    return out[0] if np.ndim(old) == 1 else out
 
 
 class Tracker:
@@ -276,13 +284,6 @@ def run_sequence(frames: dict[int, list[Detection]], config: TrackerConfig | Non
     return pred
 
 
-def _within(boxes_a: list[BoundingBox], boxes_b: list[BoundingBox], radius: float) -> np.ndarray:
-    """(N, M) mask of box pairs whose centers are at most ``radius`` apart."""
-    a = np.array([(x.x1, x.y1, x.x2, x.y2) for x in boxes_a], dtype=np.float64)
-    b = np.array([(x.x1, x.y1, x.x2, x.y2) for x in boxes_b], dtype=np.float64)
-    return centers_within(a, b, radius)
-
-
 def _gather(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Rows ``idx`` of each ``(array, idx)`` part, stacked in order; an
     array is used as it is when all its rows are taken."""
@@ -313,18 +314,17 @@ def step(
     tracks, backdrops = _rows(state)
 
     dets = [d for d in detections if d.score >= cfg.det_confidence]
-    if dets and cfg.duplicate_removal:
-        keep = nms(
-            [(d.box, d.score, d.class_id) for d in dets],
-            cfg.nms_threshold,
-            class_agnostic=True,
-        )
-        if len(keep) < len(dets):
-            dets = [dets[i] for i in sorted(keep)]
     n = len(dets)
     matches: list[tuple[int, Detection]] = []
     if n:
         scores = np.array([d.score for d in dets], dtype=np.float64)
+        det_box = box_array(d.box for d in dets)
+        if cfg.duplicate_removal:
+            keep = nms(det_box, scores, cfg.nms_threshold)
+            if len(keep) < n:
+                keep.sort()
+                dets, n = [dets[i] for i in keep], len(keep)
+                scores, det_box = scores[keep], det_box[keep]
         det_cls = np.array([d.class_id for d in dets])
         det_emb = np.array([d.embedding for d in dets])
 
@@ -338,14 +338,11 @@ def step(
         best_conf = np.full(n, -np.inf)
         if n_tracks or len(cand_b):
             cand_emb = _gather([(tracks.emb, cand_t), (backdrops.emb, cand_b)])
-            allowed = np.ones((n, len(cand_emb)), dtype=bool)
-            if cfg.same_class_only:
-                cand_cls = _gather([(tracks.cls, cand_t), (backdrops.cls, cand_b)])
-                allowed &= det_cls[:, None] == cand_cls[None, :]
+            cand_cls = _gather([(tracks.cls, cand_t), (backdrops.cls, cand_b)])
+            allowed = det_cls[:, None] == cand_cls[None, :]
             if cfg.distance_gate is not None:
-                cand_boxes = ([tracks.objs[r].last_box for r in cand_t.tolist()]
-                              + [backdrops.objs[r].box for r in cand_b.tolist()])
-                allowed &= _within([d.box for d in dets], cand_boxes, cfg.distance_gate)
+                cand_box = _gather([(tracks.box, cand_t), (backdrops.box, cand_b)])
+                allowed &= centers_within(det_box, cand_box, cfg.distance_gate)
             if cfg.similarity_metric == "bisoftmax":
                 sim = masked_bisoftmax(det_emb, cand_emb, allowed)
             else:
@@ -367,15 +364,15 @@ def step(
         free = ~(won | (eligible & (o_best >= n_tracks)))
         spawn = free & (o_score > cfg.beta_new)
 
-        # Matched tracks: one momentum row update (the momentum_update blend;
-        # both sides were validated when their Detection was built). Tracks
-        # and backdrops made here hold views of this frame's arrays; purge
-        # gives a retired track a copy, so no old frame's array stays alive.
+        # Matched tracks: one momentum update of their rows. Tracks and
+        # backdrops made here hold views of this frame's arrays; purge gives
+        # a retired track a copy, so no old frame's array stays alive.
         di, rows = order[won], cand_t[o_best[won]]
         if rows.size:
-            m = cfg.momentum
-            blend = m * det_emb.take(di, axis=0) + (1.0 - m) * tracks.emb.take(rows, axis=0)
+            blend = momentum_update(tracks.emb.take(rows, axis=0), det_emb.take(di, axis=0),
+                                    cfg.momentum)
             tracks.emb[rows] = blend
+            tracks.box[rows] = det_box.take(di, axis=0)
             tracks.frame[rows] = frame_index
             for i, r, emb in zip(di.tolist(), rows.tolist(), blend):
                 det, track = dets[i], tracks.objs[r]
@@ -399,7 +396,7 @@ def step(
             )
             for k, (i, e) in enumerate(zip(si, emb))
         ]
-        tracks.extend(born, emb, det_cls[si], frame_index)
+        tracks.extend(born, emb, det_cls[si], det_box.take(si, axis=0), frame_index)
         for i, track in zip(si, born):
             state.tracks[track.track_id] = track
             matches.append((track.track_id, dets[i]))
@@ -409,7 +406,7 @@ def step(
         emb = det_emb.take(bi, axis=0)
         backdrops.extend(
             [Backdrop(e, dets[i].box, dets[i].class_id, frame_index) for i, e in zip(bi, emb)],
-            emb, det_cls[bi], frame_index,
+            emb, det_cls[bi], det_box.take(bi, axis=0), frame_index,
         )
 
     # purge expired state
@@ -454,8 +451,7 @@ def merge_tracklets(state: TrackerState, merge: MergeConfig) -> TrackerState:
     allowed = (
         (rows.cls[young][:, None] == rows.cls[vanished][None, :])
         & (rows.created[young][:, None] > rows.frame[vanished][None, :])
-        & _within([rows.objs[r].last_box for r in young.tolist()],
-                  [rows.objs[r].last_box for r in vanished.tolist()], merge.d_merge)
+        & centers_within(rows.box[young], rows.box[vanished], merge.d_merge)
     )
     if not allowed.any():
         return state
@@ -480,7 +476,7 @@ def merge_tracklets(state: TrackerState, merge: MergeConfig) -> TrackerState:
         vt.embedding = yt.embedding.copy()
         vt.last_box = yt.last_box
         vt.last_active_frame = yt.last_active_frame
-        rows.emb[v], rows.frame[v] = rows.emb[y], rows.frame[y]
+        rows.emb[v], rows.box[v], rows.frame[v] = rows.emb[y], rows.box[y], rows.frame[y]
         keep[y] = False
         del state.tracks[yt.track_id]
     rows.select(keep)

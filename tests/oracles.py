@@ -685,11 +685,9 @@ def step_oracle(
     if dets and (tracks or backdrops):
         det_emb = np.stack([d.embedding for d in dets])
         cand_emb = np.stack([t.embedding for t in tracks] + [b.embedding for b in backdrops])
-        allowed = np.ones((len(dets), len(cand_emb)), dtype=bool)
-        if cfg.same_class_only:
-            det_cls = np.array([d.class_id for d in dets])
-            cand_cls = np.array([t.class_id for t in tracks] + [b.class_id for b in backdrops])
-            allowed &= det_cls[:, None] == cand_cls[None, :]
+        det_cls = np.array([d.class_id for d in dets])
+        cand_cls = np.array([t.class_id for t in tracks] + [b.class_id for b in backdrops])
+        allowed = det_cls[:, None] == cand_cls[None, :]
         if cfg.distance_gate is not None:
             cand_boxes = [t.last_box for t in tracks] + [b.box for b in backdrops]
             allowed &= within_oracle([d.box for d in dets], cand_boxes, cfg.distance_gate)

@@ -180,6 +180,21 @@ class TestSampleBatchDraw:
             sample_batch([neg([1.0])], [neg([1.0])], rng_seed=0)
 
 
+class TestLossConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("gamma1", float("nan")), ("gamma1", float("inf")), ("gamma1", -0.5),
+        ("gamma2", float("inf")), ("gamma2", float("nan")), ("gamma2", -1.0),
+        ("aux_neg_ratio", -1), ("aux_neg_ratio", 1.5),
+    ])
+    def test_invalid_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LossConfig(**{field: value})
+
+    def test_zero_weights_and_ratio_allowed(self):
+        cfg = LossConfig(gamma1=0.0, gamma2=0, aux_neg_ratio=np.int64(0))
+        assert (cfg.gamma1, cfg.gamma2, cfg.aux_neg_ratio) == (0.0, 0, 0)
+
+
 class TestLossValues:
     """Direct algebraic formulas, written out naively, as the reference."""
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from embedtrack.geometry import (
     BoundingBox,
+    box_array,
     center_distance,
     center_distance_matrix,
     iou,
@@ -159,67 +160,80 @@ class TestCenterDistanceMatrix:
         assert center_distance_matrix(a, b).tolist() == [[5.0]]
 
 
+class TestBoxArray:
+    def test_empty_input(self):
+        out = box_array([])
+        assert out.shape == (0, 4) and out.dtype == np.float64
+
+    def test_generator_input(self):
+        boxes = [BoundingBox(0, 1, 2, 3), BoundingBox(4.5, 5, 6, 7.25)]
+        assert box_array(b for b in boxes).tolist() == [[0, 1, 2, 3], [4.5, 5, 6, 7.25]]
+
+    @given(_boxes.filter(bool))
+    def test_equals_stacked_as_array(self, boxes):
+        got, want = box_array(boxes), np.stack([b.as_array() for b in boxes])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _nms(dets, threshold):
+    """``nms`` on (box, score) pairs, passed as a box array and a score array."""
+    return nms(box_array(b for b, _ in dets), np.array([s for _, s in dets]), threshold)
+
+
 class TestNms:
     def boxes(self):
         return [
-            (BoundingBox(0, 0, 10, 10), 0.9, 0),
-            (BoundingBox(1, 1, 11, 11), 0.8, 0),  # heavy overlap with first
-            (BoundingBox(50, 50, 60, 60), 0.7, 0),
+            (BoundingBox(0, 0, 10, 10), 0.9),
+            (BoundingBox(1, 1, 11, 11), 0.8),  # heavy overlap with first
+            (BoundingBox(50, 50, 60, 60), 0.7),
         ]
 
     def test_suppresses_overlapping_lower_score(self):
-        assert nms(self.boxes(), 0.5) == [0, 2]
+        assert _nms(self.boxes(), 0.5) == [0, 2]
 
     def test_high_threshold_keeps_everything(self):
-        assert nms(self.boxes(), 0.99) == [0, 1, 2]
+        assert _nms(self.boxes(), 0.99) == [0, 1, 2]
 
     def test_result_ordered_by_score(self):
         dets = list(reversed(self.boxes()))
-        keep = nms(dets, 0.5)
+        keep = _nms(dets, 0.5)
         scores = [dets[i][1] for i in keep]
         assert scores == sorted(scores, reverse=True)
 
     def test_score_ties_prefer_lower_index(self):
         dets = [
-            (BoundingBox(0, 0, 10, 10), 0.5, 0),
-            (BoundingBox(0, 0, 10, 10), 0.5, 0),
+            (BoundingBox(0, 0, 10, 10), 0.5),
+            (BoundingBox(0, 0, 10, 10), 0.5),
         ]
-        assert nms(dets, 0.3) == [0]
+        assert _nms(dets, 0.3) == [0]
 
     def test_boundary_overlap_not_suppressed(self):
         # suppression requires IoU strictly above the threshold
         a = BoundingBox(0, 0, 10, 10)
         b = BoundingBox(0, 5, 10, 15)  # IoU = 1/3
-        dets = [(a, 0.9, 0), (b, 0.8, 0)]
-        assert nms(dets, 1 / 3) == [0, 1]
-
-    def test_per_class_by_default(self):
-        dets = [
-            (BoundingBox(0, 0, 10, 10), 0.9, 0),
-            (BoundingBox(1, 1, 11, 11), 0.8, 1),
-        ]
-        assert nms(dets, 0.5) == [0, 1]
-        assert nms(dets, 0.5, class_agnostic=True) == [0]
+        dets = [(a, 0.9), (b, 0.8)]
+        assert _nms(dets, 1 / 3) == [0, 1]
 
     def test_suppressed_box_cannot_suppress(self):
         # chain: a suppresses b; b overlaps c but c must survive
         dets = [
-            (BoundingBox(0, 0, 10, 10), 0.9, 0),
-            (BoundingBox(4, 0, 14, 10), 0.8, 0),
-            (BoundingBox(9, 0, 19, 10), 0.7, 0),
+            (BoundingBox(0, 0, 10, 10), 0.9),
+            (BoundingBox(4, 0, 14, 10), 0.8),
+            (BoundingBox(9, 0, 19, 10), 0.7),
         ]
-        assert nms(dets, 0.3) == [0, 2]
+        assert _nms(dets, 0.3) == [0, 2]
 
     def test_empty_input(self):
-        assert nms([], 0.5) == []
+        assert nms(np.empty((0, 4)), np.empty(0), 0.5) == []
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError, match="iou_threshold"):
-            nms(self.boxes(), 1.5)
+            _nms(self.boxes(), 1.5)
 
     def test_non_finite_score_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            nms([(BoundingBox(0, 0, 1, 1), np.nan, 0)], 0.5)
+            _nms([(BoundingBox(0, 0, 1, 1), np.nan)], 0.5)
 
 
 # boxes on a coarse grid, so identical, nested, touching and zero-width
@@ -258,6 +272,5 @@ class TestAgainstDenseReferences:
                                      max_size=len(boxes)))
         dets = list(zip(boxes, scores, classes))
         threshold = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0, 1))
-        for agnostic in (False, True):
-            assert nms(dets, threshold, class_agnostic=agnostic) == nms_oracle(
-                dets, threshold, class_agnostic=agnostic)
+        assert nms(box_array(boxes), np.array(scores), threshold) == nms_oracle(
+            dets, threshold, class_agnostic=True)

@@ -23,6 +23,7 @@ REMOVED = {
     "synth": ("track_scenario",),
     "metrics": ("_hota_matches", "_Hota", "_Idf1"),
     "formats": ("trackset_to_mot_rows",),
+    "tracker": ("_within",),
 }
 
 # parameters that only ever took one value; they are module constants now
@@ -37,6 +38,8 @@ REMOVED_PARAMETERS = {
     ("ablation", "gradient_check"): ("cfg", "h"),
     ("ablation", "random_batch"): ("n_identities", "scale"),
     ("metrics", "HotaResult"): ("alphas",),
+    ("geometry", "nms"): ("class_agnostic",),
+    ("tracker", "TrackerConfig"): ("same_class_only",),
 }
 
 

@@ -45,6 +45,10 @@ class TestWorldConfig:
         ("image_size", (float("inf"), 1000.0)), ("image_size", (float("nan"), 1000.0)),
         ("occlusions", [(10, 0, 5)]), ("occlusions", [(-1, 0, 5)]),
         ("occlusions", [(0, 1, 2), (0, 5, 4)]),
+        ("tau", float("inf")), ("tau", float("nan")), ("sigma_e", float("nan")),
+        ("sigma_e", float("inf")), ("jitter_sigma", float("inf")), ("speed", float("nan")),
+        ("speed", float("inf")), ("walk_sigma", float("inf")), ("min_margin", float("nan")),
+        ("distractor_affinity", 1.5), ("distractor_affinity", -0.5),
     ])
     def test_impossible_world_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

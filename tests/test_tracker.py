@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from embedtrack import tracker as tracker_module
 from embedtrack.ablation import synth_tracker_config
 from embedtrack.config import PROFILE_NAMES, load_profile
-from embedtrack.geometry import BoundingBox, center_distance
+from embedtrack.geometry import BoundingBox, box_array, center_distance, centers_within
 from embedtrack.metrics import TrackSet
 from embedtrack.synth import Scenario, WorldConfig, generate
 from embedtrack.tracker import (
@@ -128,6 +128,35 @@ def test_momentum_update_formula():
         momentum_update(old, new, 1.2)
 
 
+def test_momentum_update_is_row_wise():
+    rng = np.random.default_rng(0)
+    old, new = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    out = momentum_update(old, new, 0.3)
+    assert out.shape == (3, 4)
+    assert np.array_equal(out, 0.3 * new + (1.0 - 0.3) * old)
+    # a 1-D input gives the same bits as its row
+    row = momentum_update(old[1], new[1], 0.3)
+    assert row.shape == (4,) and np.array_equal(row, out[1])
+    assert momentum_update(np.ones((3, 4)), np.zeros((3, 4)), 0.5).tolist() == [[0.5] * 4] * 3
+    with pytest.raises(ValueError, match="rows"):
+        momentum_update(old, new[:2], 0.3)
+
+
+def test_step_blends_matched_tracks_with_one_momentum_update(monkeypatch):
+    calls = []
+
+    def counting(old, new, m):
+        calls.append(len(old))
+        return momentum_update(old, new, m)
+
+    monkeypatch.setattr(tracker_module, "momentum_update", counting)
+    t = Tracker(cfg())
+    t.step(0, [det(0), det(1, x=100)])
+    t.step(1, [det(0), det(1, x=100)])
+    t.step(2, [det(0), det(1, x=100)])
+    assert calls == [2, 2]
+
+
 class TestStep:
     def test_cold_start_creates_tracks_above_beta_new(self):
         t = Tracker(cfg())
@@ -225,19 +254,13 @@ class TestStep:
         out = t.step(1, [det(0, cls=1)])  # identical appearance, other class
         assert out == [(2, out[0][1])]
 
-    def test_class_agnostic_matching_when_disabled(self):
-        t = Tracker(cfg(same_class_only=False))
-        t.step(0, [det(0, cls=0)])
-        [(tid, _)] = t.step(1, [det(0, cls=1)])
-        assert tid == 1
-
     def test_duplicate_removal_is_class_agnostic(self):
         t = Tracker(cfg())
         out = t.step(0, [det(0, 0.9, cls=0), det(1, 0.8, cls=1)])  # same box
         assert len(out) == 1
 
     def test_duplicate_removal_can_be_disabled(self):
-        t = Tracker(cfg(duplicate_removal=False, same_class_only=False))
+        t = Tracker(cfg(duplicate_removal=False))
         out = t.step(0, [det(0, 0.9, cls=0), det(1, 0.8, cls=1)])
         assert len(out) == 2
 
@@ -364,11 +387,12 @@ class TestMerge:
 
 
 def _brute_force_within(boxes_a, boxes_b, radius):
-    """The distance gate pair by pair with the scalar center_distance."""
+    """The distance gate pair by pair with the scalar center_distance, on
+    two (N, 4) / (M, 4) box arrays."""
     out = np.zeros((len(boxes_a), len(boxes_b)), dtype=bool)
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):
-            out[i, j] = center_distance(a, b) <= radius
+            out[i, j] = center_distance(BoundingBox(*a), BoundingBox(*b)) <= radius
     return out
 
 
@@ -390,7 +414,7 @@ def test_gate_prefilter_equals_oracle(boxes_a, boxes_b, radius):
         # a radius exactly at one of the pair distances, when there is one
         dist = [center_distance(a, b) for a in boxes_a for b in boxes_b]
         radius = dist[radius % len(dist)] if dist else 1.0
-    got = tracker_module._within(boxes_a, boxes_b, radius)
+    got = centers_within(box_array(boxes_a), box_array(boxes_b), radius)
     want = within_oracle(boxes_a, boxes_b, radius)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -400,9 +424,10 @@ def test_gate_keeps_pairs_exactly_at_the_radius():
     a = [BoundingBox(0, 0, 2, 2)]  # center (1, 1)
     # centers (4, 5): 3-4-5 triangle; (6, 1): |dx| = 5; (5.5, 1): |dx| = 4.5
     b = [BoundingBox(3, 4, 5, 6), BoundingBox(5, 0, 7, 2), BoundingBox(5.5, 1, 5.5, 1)]
-    assert tracker_module._within(a, b, 5.0).tolist() == [[True, True, True]]
-    assert tracker_module._within(a, b, 4.5).tolist() == [[False, False, True]]
-    assert tracker_module._within(a, b, 4.0).tolist() == [[False, False, False]]
+    a, b = box_array(a), box_array(b)
+    assert centers_within(a, b, 5.0).tolist() == [[True, True, True]]
+    assert centers_within(a, b, 4.5).tolist() == [[False, False, True]]
+    assert centers_within(a, b, 4.0).tolist() == [[False, False, False]]
 
 
 def test_broadcast_gate_matches_brute_force(monkeypatch):
@@ -425,7 +450,7 @@ def test_broadcast_gate_matches_brute_force(monkeypatch):
         return t, steps
 
     fast, fast_steps = run()
-    monkeypatch.setattr(tracker_module, "_within", _brute_force_within)
+    monkeypatch.setattr(tracker_module, "centers_within", _brute_force_within)
     slow, slow_steps = run()
     assert fast_steps == slow_steps
     assert fast.finish() == slow.finish()
@@ -530,7 +555,6 @@ def tracked_streams(draw):
         momentum=draw(st.sampled_from([0.0, 0.5, 0.8, 1.0])),
         nms_threshold=draw(st.sampled_from([0.0, 0.4, 1.0])),
         det_confidence=0.1,
-        same_class_only=draw(st.booleans()),
         similarity_metric=draw(st.sampled_from(["bisoftmax", "cosine"])),
         duplicate_removal=draw(st.booleans()),
         distance_gate=draw(st.sampled_from([None, 12.0])),
