@@ -25,7 +25,6 @@ from .similarity import cosine_matrix, masked_bisoftmax, validate_embeddings
 __all__ = [
     "Detection",
     "Track",
-    "Backdrop",
     "MergeConfig",
     "TrackerConfig",
     "TrackerState",
@@ -60,25 +59,17 @@ class Detection:
 
 @dataclass
 class Track:
-    """Persistent identity with a momentum-smoothed embedding."""
+    """Persistent identity: id, class and (frame, box, score) history. A
+    live track's association state is a row of ``TrackerState.live``."""
 
     track_id: int
     class_id: int
-    embedding: np.ndarray
-    last_box: BoundingBox
-    last_active_frame: int
-    created_frame: int
     history: list[tuple[int, BoundingBox, float]] = field(default_factory=list)
 
 
-@dataclass
-class Backdrop:
-    """Unmatched detection kept as a matching candidate for a few frames."""
-
-    embedding: np.ndarray
-    box: BoundingBox
-    class_id: int
-    frame: int
+def _check_window(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {value!r}")
 
 
 @dataclass
@@ -90,8 +81,7 @@ class MergeConfig:
     d_merge: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError(f"merge t must be >= 0, got {self.t}")
+        _check_window("merge t", self.t)
         if not 0.0 <= self.beta_merge <= 1.0:
             raise ValueError(f"beta_merge must be in [0, 1], got {self.beta_merge}")
         if not self.d_merge >= 0.0:
@@ -125,8 +115,8 @@ class TrackerConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.memory_frames < 0 or self.backdrop_frames < 0:
-            raise ValueError("memory_frames and backdrop_frames must be >= 0")
+        _check_window("memory_frames", self.memory_frames)
+        _check_window("backdrop_frames", self.backdrop_frames)
         if self.distance_gate is not None and not self.distance_gate >= 0.0:
             raise ValueError(f"distance_gate must be >= 0, got {self.distance_gate}")
         if self.similarity_metric not in ("bisoftmax", "cosine"):
@@ -140,59 +130,41 @@ class TrackerConfig:
 
 
 class _Rows:
-    """Tracks or backdrops as parallel arrays: row i holds the embedding,
-    class, box (the last one for a track), frame (the last active one for
-    a track) and creation frame of ``objs[i]``."""
+    """Live tracks or backdrops as parallel arrays: row i holds the track
+    id (-1 for a backdrop), embedding, class, box (a track's last one),
+    frame (a track's last active one) and creation frame."""
 
-    def __init__(self, objs: list, emb: np.ndarray, cls: np.ndarray, box: np.ndarray,
-                 frame: np.ndarray, created: np.ndarray):
-        self.objs, self.emb, self.cls, self.box = objs, emb, cls, box
-        self.frame, self.created = frame, created
+    def __init__(self) -> None:
+        empty = np.empty(0, dtype=np.int64)
+        self.tid, self.cls, self.frame, self.created = empty, empty, empty, empty
+        self.emb, self.box = np.empty((0, 0)), np.empty((0, 4))
 
-    @classmethod
-    def of(cls, objs: list, box_attr: str, frame_attr: str, created_attr: str) -> "_Rows":
-        if not objs:
-            empty = np.empty(0, dtype=np.int64)
-            return cls([], np.empty((0, 0)), empty, np.empty((0, 4)), empty, empty)
-        return cls(
-            objs,
-            np.array([o.embedding for o in objs], dtype=np.float64),
-            np.array([o.class_id for o in objs]),
-            box_array(getattr(o, box_attr) for o in objs),
-            np.array([getattr(o, frame_attr) for o in objs], dtype=np.int64),
-            np.array([getattr(o, created_attr) for o in objs], dtype=np.int64),
-        )
+    def __len__(self) -> int:
+        return len(self.tid)
 
-    def mirrors(self, objs) -> bool:
-        """Whether ``objs`` are exactly the objects these rows describe."""
-        return len(objs) == len(self.objs) and all(map(operator.is_, objs, self.objs))
-
-    def extend(self, objs: list, emb: np.ndarray, cls: np.ndarray, box: np.ndarray,
+    def extend(self, tid: np.ndarray, emb: np.ndarray, cls: np.ndarray, box: np.ndarray,
                frame: int) -> None:
         """Append rows created at ``frame``."""
-        if not objs:
+        if not len(tid):
             return
-        frame = np.full(len(objs), frame, dtype=np.int64)
+        frame = np.full(len(tid), frame, dtype=np.int64)
         created = frame.copy()
-        if self.objs:
+        if len(self):
+            tid = np.concatenate([self.tid, tid])
             emb = np.concatenate([self.emb, emb])
             cls = np.concatenate([self.cls, cls])
             box = np.concatenate([self.box, box])
             frame = np.concatenate([self.frame, frame])
             created = np.concatenate([self.created, created])
-        else:
-            # the new objects hold views of emb, and step writes rows in place
-            emb = emb.copy()
-        self.objs = self.objs + objs
-        self.emb, self.cls, self.box, self.frame, self.created = emb, cls, box, frame, created
+        self.tid, self.emb, self.cls, self.box = tid, emb, cls, box
+        self.frame, self.created = frame, created
 
     def select(self, keep: np.ndarray) -> None:
         """Keep the rows where the boolean ``keep`` is set."""
         if keep.all():
             return
-        self.objs = [self.objs[i] for i in np.flatnonzero(keep)]
-        self.emb, self.cls = self.emb.compress(keep, axis=0), self.cls[keep]
-        self.box = self.box.compress(keep, axis=0)
+        self.tid, self.cls = self.tid[keep], self.cls[keep]
+        self.emb, self.box = self.emb.compress(keep, axis=0), self.box.compress(keep, axis=0)
         self.frame, self.created = self.frame[keep], self.created[keep]
 
 
@@ -200,31 +172,18 @@ class _Rows:
 class TrackerState:
     """Mutable per-sequence state; one instance per video.
 
-    ``step`` and ``merge_tracklets`` keep the live tracks and backdrops as
-    arrays too, row for row in the order of ``tracks`` and ``backdrops``.
-    Tracks or backdrops added or removed by other code are picked up: the
-    arrays are rebuilt when they no longer describe the same objects. A
-    field of a live ``Track`` changed in place by other code is not.
+    ``tracks`` and ``retired`` map ids to identity records. Association
+    state is held once, in rows: ``live`` has one row per live track, in
+    the order of ``tracks``, and ``backdrops`` one per backdrop. Only
+    ``step`` and ``merge_tracklets`` add or remove tracks and rows.
     """
 
     tracks: dict[int, Track] = field(default_factory=dict)
     retired: dict[int, Track] = field(default_factory=dict)
-    backdrops: list[Backdrop] = field(default_factory=list)
+    live: _Rows = field(default_factory=_Rows)
+    backdrops: _Rows = field(default_factory=_Rows)
     next_id: int = 1
     frame: int | None = None
-    _track_rows: _Rows | None = field(default=None, init=False, repr=False, compare=False)
-    _backdrop_rows: _Rows | None = field(default=None, init=False, repr=False, compare=False)
-
-
-def _rows(state: TrackerState) -> tuple[_Rows, _Rows]:
-    """The state's track and backdrop arrays, rebuilt where stale."""
-    tracks, backdrops = state._track_rows, state._backdrop_rows
-    if tracks is None or not tracks.mirrors(state.tracks.values()):
-        tracks = state._track_rows = _Rows.of(
-            list(state.tracks.values()), "last_box", "last_active_frame", "created_frame")
-    if backdrops is None or not backdrops.mirrors(state.backdrops):
-        backdrops = state._backdrop_rows = _Rows.of(list(state.backdrops), "box", "frame", "frame")
-    return tracks, backdrops
 
 
 def momentum_update(old: np.ndarray, new: np.ndarray, m: float) -> np.ndarray:
@@ -310,8 +269,15 @@ def step(
         raise ValueError(
             f"frame index must increase monotonically ({frame_index} after {state.frame})"
         )
+    live, backdrops = state.live, state.backdrops
+    dims = {len(d.embedding) for d in detections}
+    held = live if len(live) else backdrops
+    if len(held):
+        dims.add(held.emb.shape[1])
+    if len(dims) > 1:
+        raise ValueError(f"frame {frame_index}: embedding dimensions {sorted(dims)} differ "
+                         "among its detections and the tracker's rows")
     state.frame = frame_index
-    tracks, backdrops = _rows(state)
 
     dets = [d for d in detections if d.score >= cfg.det_confidence]
     n = len(dets)
@@ -330,18 +296,18 @@ def step(
 
         # candidates: tracks inactive at most memory_frames, then backdrops
         # at most backdrop_frames old
-        cand_t = np.flatnonzero(frame_index - tracks.frame <= cfg.memory_frames)
+        cand_t = np.flatnonzero(frame_index - live.frame <= cfg.memory_frames)
         cand_b = np.flatnonzero(frame_index - backdrops.frame <= cfg.backdrop_frames)
         n_tracks = len(cand_t)
         # best candidate and its similarity per detection (-inf: no candidate)
         best = np.zeros(n, dtype=np.intp)
         best_conf = np.full(n, -np.inf)
         if n_tracks or len(cand_b):
-            cand_emb = _gather([(tracks.emb, cand_t), (backdrops.emb, cand_b)])
-            cand_cls = _gather([(tracks.cls, cand_t), (backdrops.cls, cand_b)])
+            cand_emb = _gather([(live.emb, cand_t), (backdrops.emb, cand_b)])
+            cand_cls = _gather([(live.cls, cand_t), (backdrops.cls, cand_b)])
             allowed = det_cls[:, None] == cand_cls[None, :]
             if cfg.distance_gate is not None:
-                cand_box = _gather([(tracks.box, cand_t), (backdrops.box, cand_b)])
+                cand_box = _gather([(live.box, cand_t), (backdrops.box, cand_b)])
                 allowed &= centers_within(det_box, cand_box, cfg.distance_gate)
             if cfg.similarity_metric == "bisoftmax":
                 sim = masked_bisoftmax(det_emb, cand_emb, allowed)
@@ -364,61 +330,39 @@ def step(
         free = ~(won | (eligible & (o_best >= n_tracks)))
         spawn = free & (o_score > cfg.beta_new)
 
-        # Matched tracks: one momentum update of their rows. Tracks and
-        # backdrops made here hold views of this frame's arrays; purge gives
-        # a retired track a copy, so no old frame's array stays alive.
+        # matched tracks: one momentum update of their rows
         di, rows = order[won], cand_t[o_best[won]]
         if rows.size:
-            blend = momentum_update(tracks.emb.take(rows, axis=0), det_emb.take(di, axis=0),
-                                    cfg.momentum)
-            tracks.emb[rows] = blend
-            tracks.box[rows] = det_box.take(di, axis=0)
-            tracks.frame[rows] = frame_index
-            for i, r, emb in zip(di.tolist(), rows.tolist(), blend):
-                det, track = dets[i], tracks.objs[r]
-                track.embedding = emb
-                track.last_box = det.box
-                track.last_active_frame = frame_index
-                track.history.append((frame_index, det.box, det.score))
-                matches.append((track.track_id, det))
+            live.emb[rows] = momentum_update(live.emb.take(rows, axis=0),
+                                             det_emb.take(di, axis=0), cfg.momentum)
+            live.box[rows] = det_box.take(di, axis=0)
+            live.frame[rows] = frame_index
+            for i, tid in zip(di.tolist(), live.tid[rows].tolist()):
+                det = dets[i]
+                state.tracks[tid].history.append((frame_index, det.box, det.score))
+                matches.append((tid, det))
 
-        si = order[spawn].tolist()
-        emb = det_emb.take(si, axis=0)
-        born = [
-            Track(
-                track_id=state.next_id + k,
-                class_id=dets[i].class_id,
-                embedding=e,
-                last_box=dets[i].box,
-                last_active_frame=frame_index,
-                created_frame=frame_index,
-                history=[(frame_index, dets[i].box, dets[i].score)],
-            )
-            for k, (i, e) in enumerate(zip(si, emb))
-        ]
-        tracks.extend(born, emb, det_cls[si], det_box.take(si, axis=0), frame_index)
-        for i, track in zip(si, born):
-            state.tracks[track.track_id] = track
-            matches.append((track.track_id, dets[i]))
-        state.next_id += len(born)
+        si = order[spawn]
+        tids = np.arange(state.next_id, state.next_id + len(si))
+        live.extend(tids, det_emb.take(si, axis=0), det_cls[si], det_box.take(si, axis=0),
+                    frame_index)
+        for tid, i in zip(tids.tolist(), si.tolist()):
+            det = dets[i]
+            state.tracks[tid] = Track(tid, det.class_id, [(frame_index, det.box, det.score)])
+            matches.append((tid, det))
+        state.next_id += len(si)
 
-        bi = order[free & ~spawn].tolist()
-        emb = det_emb.take(bi, axis=0)
-        backdrops.extend(
-            [Backdrop(e, dets[i].box, dets[i].class_id, frame_index) for i, e in zip(bi, emb)],
-            emb, det_cls[bi], det_box.take(bi, axis=0), frame_index,
-        )
+        bi = order[free & ~spawn]
+        backdrops.extend(np.full(len(bi), -1), det_emb.take(bi, axis=0), det_cls[bi],
+                         det_box.take(bi, axis=0), frame_index)
 
     # purge expired state
-    expired = frame_index - tracks.frame > cfg.memory_frames
+    expired = frame_index - live.frame > cfg.memory_frames
     if expired.any():
-        for r in np.flatnonzero(expired).tolist():
-            track = tracks.objs[r]
-            track.embedding = track.embedding.copy()
-            state.retired[track.track_id] = state.tracks.pop(track.track_id)
-        tracks.select(~expired)
+        for tid in live.tid[expired].tolist():
+            state.retired[tid] = state.tracks.pop(tid)
+        live.select(~expired)
     backdrops.select(frame_index - backdrops.frame <= cfg.backdrop_frames)
-    state.backdrops = list(backdrops.objs)
 
     if cfg.merge is not None:
         merge_tracklets(state, cfg.merge)
@@ -434,13 +378,14 @@ def merge_tracklets(state: TrackerState, merge: MergeConfig) -> TrackerState:
     inactive track of its class that was last active before the young
     track was created, whose bi-softmax match score exceeds beta_merge and
     whose last box lies within d_merge pixels. Each vanished track absorbs
-    at most one young track (best score wins); the young ID is retired and
-    its history relabeled.
+    at most one young track (best score wins), taking over its history and
+    its row's embedding, box and frame; the young ID is dropped, not
+    retired.
     """
     if state.frame is None:
         return state
     now = state.frame
-    rows, _ = _rows(state)
+    rows = state.live
     young = np.flatnonzero((now - rows.created <= merge.t) & (rows.frame == now))
     vanished = np.flatnonzero(rows.frame < now)
     if not young.size or not vanished.size:
@@ -463,22 +408,18 @@ def merge_tracklets(state: TrackerState, merge: MergeConfig) -> TrackerState:
     order = np.argsort(-sim[ii, jj], kind="stable")
     used_young: set[int] = set()
     used_vanished: set[int] = set()
-    keep = np.ones(len(rows.objs), dtype=bool)
+    keep = np.ones(len(rows), dtype=bool)
     for i, j in zip(ii[order].tolist(), jj[order].tolist()):
         if i in used_young or j in used_vanished:
             continue
         used_young.add(i)
         used_vanished.add(j)
         y, v = young[i], vanished[j]
-        yt, vt = rows.objs[y], rows.objs[v]
-        vt.history.extend(yt.history)
-        vt.history.sort(key=lambda h: h[0])
-        vt.embedding = yt.embedding.copy()
-        vt.last_box = yt.last_box
-        vt.last_active_frame = yt.last_active_frame
+        history = state.tracks[rows.tid[v].item()].history
+        history.extend(state.tracks.pop(rows.tid[y].item()).history)
+        history.sort(key=lambda h: h[0])
         rows.emb[v], rows.box[v], rows.frame[v] = rows.emb[y], rows.box[y], rows.frame[y]
         keep[y] = False
-        del state.tracks[yt.track_id]
     rows.select(keep)
     return state
 

@@ -7,7 +7,8 @@ loops that the matrix-form losses in ``embedtrack.contrastive`` replaced:
 one Python iteration per key row, hard negatives chosen by a full stable
 argsort, gradients scattered with ``np.add.at``. The association oracles
 are the per-object tracker that the array-resident ``embedtrack.tracker``
-replaced: candidate matrices stacked from ``Track`` objects every frame, a
+replaced: candidate matrices stacked every frame from its own ``Track``
+and ``Backdrop`` records (embedding, last box and frames as fields), a
 Python greedy claim loop, per-box NMS and the two-pass softmax; with them
 comes the per-negative IoU binning of ``sample_batch``. The detection-file
 oracles are the line-by-line reader and the per-float writer that the
@@ -42,14 +43,7 @@ from embedtrack.metrics import (
     _sequential_sum,
 )
 from embedtrack.similarity import cosine_matrix, validate_embeddings
-from embedtrack.tracker import (
-    Backdrop,
-    Detection,
-    MergeConfig,
-    Track,
-    TrackerConfig,
-    interpolate_tracks,
-)
+from embedtrack.tracker import Detection, MergeConfig, TrackerConfig, interpolate_tracks
 
 NEG_INF = -np.inf
 
@@ -613,6 +607,29 @@ def nms_oracle(
         mask[i] = False
         suppressed |= mask
     return keep
+
+
+@dataclass
+class Track:
+    """Persistent identity with a momentum-smoothed embedding."""
+
+    track_id: int
+    class_id: int
+    embedding: np.ndarray
+    last_box: BoundingBox
+    last_active_frame: int
+    created_frame: int
+    history: list[tuple[int, BoundingBox, float]] = field(default_factory=list)
+
+
+@dataclass
+class Backdrop:
+    """Unmatched detection kept as a matching candidate for a few frames."""
+
+    embedding: np.ndarray
+    box: BoundingBox
+    class_id: int
+    frame: int
 
 
 @dataclass

@@ -32,7 +32,7 @@ from embedtrack.synth import (
     iou_baseline_track,
     subsample,
 )
-from embedtrack.tracker import Detection, Track, Tracker, TrackerConfig, run_sequence
+from embedtrack.tracker import Detection, Tracker, TrackerConfig, run_sequence
 from oracles import clear_oracle, hota_in_oracle, hota_oracle, idf1_oracle, random_instance
 from test_contrastive import random_labeled_batch
 
@@ -220,13 +220,13 @@ def test_association_throughput():
     cfg = TrackerConfig(memory_frames=10_000, backdrop_frames=1,
                         det_confidence=0.0, nms_threshold=0.99)
     tracker = Tracker(cfg)
-    for i in range(500):
+    tracks = []
+    for _ in range(500):
         x, y = rng.uniform(0, 900, 2)
-        box = BoundingBox(x, y, x + 50, y + 50)
-        tracker.state.tracks[i] = Track(i, 0, rng.standard_normal(dim), box,
-                                        0, 0, [(0, box, 0.9)])
-    tracker.state.next_id = 500
-    tracker.state.frame = 0
+        tracks.append(Detection(BoundingBox(x, y, x + 50, y + 50), 0, 0.9,
+                                rng.standard_normal(dim)))
+    tracker.step(0, tracks)
+    assert len(tracker.state.tracks) == 500
 
     n_frames = 50
     frames = []

@@ -23,10 +23,11 @@ REMOVED = {
     "synth": ("track_scenario",),
     "metrics": ("_hota_matches", "_Hota", "_Idf1"),
     "formats": ("trackset_to_mot_rows",),
-    "tracker": ("_within",),
+    "tracker": ("_within", "Backdrop", "_rows"),
 }
 
-# parameters that only ever took one value; they are module constants now
+# removed parameters and fields; most only ever took one value and are
+# module constants now
 REMOVED_PARAMETERS = {
     ("formats", "write_mot"): ("conf", "scores"),
     ("synth", "place_prototypes"): ("iters", "eta"),
@@ -40,6 +41,8 @@ REMOVED_PARAMETERS = {
     ("metrics", "HotaResult"): ("alphas",),
     ("geometry", "nms"): ("class_agnostic",),
     ("tracker", "TrackerConfig"): ("same_class_only",),
+    # association state lives in the tracker's rows, not on the track
+    ("tracker", "Track"): ("embedding", "last_box", "last_active_frame", "created_frame"),
 }
 
 

@@ -14,7 +14,6 @@ from embedtrack.synth import Scenario, WorldConfig, generate
 from embedtrack.tracker import (
     Detection,
     MergeConfig,
-    Track,
     Tracker,
     TrackerConfig,
     interpolate_tracks,
@@ -67,6 +66,24 @@ class TestConfig:
     def test_low_beta_new_warns(self):
         with pytest.warns(UserWarning, match="beta_new"):
             TrackerConfig(beta_new=0.1, beta_obj=0.5)
+
+    @pytest.mark.parametrize("name", ["memory_frames", "backdrop_frames"])
+    @pytest.mark.parametrize("value", [np.nan, 2.5, -1, np.float64(3.0), "3"])
+    def test_windows_must_be_ints_of_at_least_zero(self, name, value):
+        with pytest.raises(ValueError) as exc:
+            TrackerConfig(**{name: value})
+        assert str(exc.value) == f"{name} must be an int >= 0, got {value!r}"
+
+    @pytest.mark.parametrize("value", [np.nan, 2.5, -1, "3"])
+    def test_merge_window_must_be_an_int_of_at_least_zero(self, value):
+        with pytest.raises(ValueError) as exc:
+            MergeConfig(t=value)
+        assert str(exc.value) == f"merge t must be an int >= 0, got {value!r}"
+
+    @pytest.mark.parametrize("value", [0, 7, np.int64(3)])
+    def test_int_windows_accepted(self, value):
+        c = TrackerConfig(memory_frames=value, backdrop_frames=value, merge=MergeConfig(t=value))
+        assert c.memory_frames == c.backdrop_frames == c.merge.t == value
 
 
 class TestDetection:
@@ -181,7 +198,8 @@ class TestStep:
         [(tid0, _)] = t.step(0, [det(0)])
         [(tid1, _)] = t.step(1, [det(0, x=5.0)])
         assert tid0 == tid1
-        assert t.state.tracks[tid1].last_box.x1 == 5.0
+        assert t.state.tracks[tid1].history[-1][1].x1 == 5.0
+        assert t.state.live.tid.tolist() == [tid1] and t.state.live.box[0, 0] == 5.0
 
     def test_match_requires_score_above_beta_obj(self):
         t = Tracker(cfg())
@@ -196,7 +214,8 @@ class TestStep:
         new = emb(0) + np.eye(DIM)[1] * 2.0
         t.step(1, [det(0, embedding=new)])
         want = 0.8 * new + 0.2 * emb(0)
-        assert np.allclose(t.state.tracks[1].embedding, want, atol=1e-12)
+        assert t.state.live.tid.tolist() == [1]
+        assert np.allclose(t.state.live.emb[0], want, atol=1e-12)
 
     def test_new_identity_starts_new_track(self):
         t = Tracker(cfg())
@@ -294,6 +313,28 @@ class TestStep:
         t.step(3, [det(0)])
         with pytest.raises(ValueError, match="monotonically"):
             t.step(3, [det(0)])
+
+    @pytest.mark.parametrize("gap", [1, 5])  # candidates present, tracks out of memory
+    def test_other_embedding_dimension_rejected_before_any_change(self, gap):
+        t = Tracker(cfg(memory_frames=2))
+        t.step(0, [det(0), det(1, 0.4, x=100)])
+        wide = det(0, embedding=np.ones(2 * DIM))
+        with pytest.raises(ValueError) as exc:
+            t.step(gap, [wide])
+        assert str(exc.value) == (f"frame {gap}: embedding dimensions [{DIM}, {2 * DIM}] "
+                                  "differ among its detections and the tracker's rows")
+        assert t.state.frame == 0 and sorted(t.state.tracks) == [1]
+        # the same frame, with valid detections, is accepted
+        assert [tid for tid, _ in t.step(gap, [det(0)])] == [1 if gap == 1 else 2]
+
+    def test_detections_of_one_frame_share_a_dimension(self):
+        t = Tracker(cfg())
+        with pytest.raises(ValueError, match=r"frame 4: embedding dimensions \[8, 16\]"):
+            t.step(4, [det(0), det(1, x=100, embedding=np.ones(16))])
+        assert t.state.frame is None and not t.state.tracks
+        # with no rows held, a frame may start a new dimension
+        assert len(t.step(4, [det(1, x=100, embedding=np.ones(16))])) == 1
+        assert t.state.live.emb.shape == (1, 16)
 
     def test_gap_in_frame_indices_allowed(self):
         t = Tracker(cfg(memory_frames=10))
@@ -504,38 +545,36 @@ class TestFinishAndInterpolate:
 def assert_same_state(state, oracle):
     assert state.next_id == oracle.next_id and state.frame == oracle.frame
     for got, want in ((state.tracks, oracle.tracks), (state.retired, oracle.retired)):
-        assert list(got) == list(want)
-        for a, b in zip(got.values(), want.values()):
-            assert (a.track_id, a.class_id, a.last_box, a.last_active_frame, a.created_frame) == (
-                b.track_id, b.class_id, b.last_box, b.last_active_frame, b.created_frame)
-            assert a.history == b.history
-            assert np.array_equal(a.embedding, b.embedding)
-    assert [(b.box, b.class_id, b.frame) for b in state.backdrops] == [
-        (b.box, b.class_id, b.frame) for b in oracle.backdrops]
-    for a, b in zip(state.backdrops, oracle.backdrops):
-        assert np.array_equal(a.embedding, b.embedding)
+        assert [(t.track_id, t.class_id, t.history) for t in got.values()] == [
+            (t.track_id, t.class_id, t.history) for t in want.values()]
+    # the live rows, row for row in the order of the oracle's live tracks
+    live, tracks = state.live, list(oracle.tracks.values())
+    assert live.tid.tolist() == [t.track_id for t in tracks]
+    assert live.cls.tolist() == [t.class_id for t in tracks]
+    assert live.frame.tolist() == [t.last_active_frame for t in tracks]
+    assert live.created.tolist() == [t.created_frame for t in tracks]
+    assert [BoundingBox(*b) for b in live.box.tolist()] == [t.last_box for t in tracks]
+    assert all(np.array_equal(a, t.embedding) for a, t in zip(live.emb, tracks))
+    rows, backdrops = state.backdrops, oracle.backdrops
+    assert rows.tid.tolist() == [-1] * len(backdrops)
+    assert rows.cls.tolist() == [b.class_id for b in backdrops]
+    assert rows.frame.tolist() == rows.created.tolist() == [b.frame for b in backdrops]
+    assert [BoundingBox(*b) for b in rows.box.tolist()] == [b.box for b in backdrops]
+    assert all(np.array_equal(a, b.embedding) for a, b in zip(rows.emb, backdrops))
 
 
-def run_both(c, frames, inserts=None):
+def run_both(c, frames):
     """Step the tracker and the oracle through ``frames`` (frame, detections)
-    and compare every frame's matches; ``inserts`` maps a frame to tracks
-    put into both states by hand before that frame."""
+    and compare every frame's matches and the final state."""
     t, oracle = Tracker(c), OracleTrackerState()
-    handed_out = []  # (embedding array a caller saw, its values then)
+    given = [(d.embedding, d.embedding.copy()) for _, dets in frames for d in dets]
     for f, dets in frames:
-        for make in (inserts or {}).get(f, []):
-            for state in (t.state, oracle):
-                track = make()
-                state.tracks[track.track_id] = track
         got = t.step(f, dets)
         want = step_oracle(oracle, f, dets, c)
         assert [(tid, id(d)) for tid, d in got] == [(tid, id(d)) for tid, d in want]
-        s = t.state
-        for obj in [*s.tracks.values(), *s.retired.values(), *s.backdrops]:
-            handed_out.append((obj.embedding, obj.embedding.copy()))
     assert_same_state(t.state, oracle)
-    # the tracker never writes into an embedding array it has handed out
-    assert all(np.array_equal(a, b) for a, b in handed_out)
+    # the tracker never writes into a detection's embedding
+    assert all(np.array_equal(a, b) for a, b in given)
     assert t.finish() == finish_oracle(oracle, c)
     return t
 
@@ -545,7 +584,7 @@ def tracked_streams(draw):
     """A tracker configuration and a few frames of detections: a handful of
     integer-valued identity embeddings (so similarities tie), boxes on a
     coarse grid (so NMS and the distance gate bite), tied scores, three
-    classes, frame gaps, and tracks inserted by hand."""
+    classes and frame gaps."""
     c = TrackerConfig(
         beta_obj=0.35,
         beta_match=draw(st.sampled_from([0.0, 0.3, 0.5])),
@@ -562,7 +601,7 @@ def tracked_streams(draw):
         interpolate=draw(st.booleans()),
     )
     protos = 5.0 * np.eye(DIM)[:4]
-    frames, inserts, f = [], {}, 0
+    frames, f = [], 0
     for _ in range(draw(st.integers(1, 7))):
         f += draw(st.integers(1, 3))
         dets = []
@@ -576,12 +615,7 @@ def tracked_streams(draw):
                 embedding=protos[draw(st.integers(0, 3))] + noise,
             ))
         frames.append((f, dets))
-        if draw(st.integers(0, 5)) == 0:
-            tid, ident, at = 100 + f, draw(st.integers(0, 3)), f - 1
-            inserts[f] = [lambda tid=tid, ident=ident, at=at: Track(
-                tid, 0, protos[ident].copy(), BoundingBox(0, 0, 10, 10), at, at,
-                [(at, BoundingBox(0, 0, 10, 10), 0.9)])]
-    return c, frames, inserts
+    return c, frames
 
 
 @settings(max_examples=300, deadline=None)
