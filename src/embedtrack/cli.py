@@ -41,6 +41,11 @@ class Parser(argparse.ArgumentParser):
         raise CliError(message, EXIT_USAGE)
 
 
+def int_list(text: str) -> tuple[int, ...]:
+    """argparse type of a comma-separated int list; empty items are skipped."""
+    return tuple(int(s) for s in text.split(",") if s)
+
+
 def _load_tracker_config(args) -> TrackerConfig:
     cfg = load_profile(args.profile) if args.profile else TrackerConfig()
     if args.config:
@@ -143,13 +148,12 @@ def cmd_synth(args) -> int:
 
 def cmd_ablate(args) -> int:
     sweep = ablation.parse_sweep(args.sweep)
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    if not seeds:
+    if not args.seeds:
         raise CliError("at least one seed required", EXIT_USAGE)
     world = None
     if args.config:
         world = _world_from_args(args)
-    rows = ablation.run_ablation(sweep, seeds, world)
+    rows = ablation.run_ablation(sweep, list(args.seeds), world)
     with atomic_write(args.output) as fp:
         writer = csv.DictWriter(fp, fieldnames=ablation.ABLATION_COLUMNS)
         writer.writeheader()
@@ -159,9 +163,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
     result = ablation.gradient_check(
-        dims=dims,
+        dims=args.dims,
         v=args.keys,
         k=args.refs,
         n_batches=args.batches,
@@ -204,13 +207,13 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("ablate", help="run an ablation sweep to CSV")
     p.add_argument("--sweep", required=True, help='e.g. "metric=bisoftmax,cosine backdrops=on,off"')
-    p.add_argument("--seeds", default="0,1,2", help="comma-separated seed list")
+    p.add_argument("--seeds", type=int_list, default="0,1,2", help="comma-separated seed list")
     p.add_argument("--config", help="JSON world config (default: standard noisy scenario)")
     p.add_argument("--output", required=True, help="output CSV path")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="check analytic gradients vs finite differences")
-    p.add_argument("--dims", default="4,16,64")
+    p.add_argument("--dims", type=int_list, default="4,16,64", help="comma-separated dimensions")
     p.add_argument("--keys", type=int, default=6, help="key samples per batch")
     p.add_argument("--refs", type=int, default=10, help="reference samples per batch")
     p.add_argument("--batches", type=int, default=50)

@@ -31,7 +31,6 @@ __all__ = [
     "loss_total",
     "finite_difference_gradient",
     "aux_selection_margin",
-    "IndexedBatch",
     "ToyProblem",
     "make_toy_problem",
     "optimize_embeddings",
@@ -44,6 +43,9 @@ IGNORED = "ignored"
 
 VARIANTS = ("single_positive", "naive_multi", "accumulated_multi")
 
+# a region is positive above _ALPHA1 max IoU with ground truth, negative below _ALPHA2
+_ALPHA1, _ALPHA2 = 0.7, 0.3
+_BATCH_SIZES = (128, 256)  # key and reference samples drawn per batch
 # reference negatives are drawn round-robin from _N_IOU_BINS equal-width
 # bins over [0, _NEG_IOU_UPPER)
 _N_IOU_BINS, _NEG_IOU_UPPER = 3, 0.3
@@ -117,18 +119,14 @@ class LossConfig:
 def assign_samples(
     regions: Sequence[BoundingBox],
     gts: Sequence[tuple[BoundingBox, int]],
-    alpha1: float = 0.7,
-    alpha2: float = 0.3,
 ) -> list[RegionSample]:
     """Label regions positive/negative/ignored by max IoU against ground truth.
 
     A region is positive (with the identity of its best-overlapping ground
-    truth) if max IoU > alpha1, negative if max IoU < alpha2, ignored in
+    truth) if max IoU > 0.7, negative if max IoU < 0.3, ignored in
     between. IoU ties break toward the lower ground-truth index. With no
     ground truths every region is negative with max_iou 0.
     """
-    if alpha2 > alpha1:
-        raise ValueError(f"alpha2 ({alpha2}) must not exceed alpha1 ({alpha1})")
     if not gts:
         return [RegionSample(r, None, NEGATIVE, 0.0) for r in regions]
     overlaps = iou_matrix(box_array(regions), box_array(g[0] for g in gts))
@@ -136,9 +134,9 @@ def assign_samples(
     for i, region in enumerate(regions):
         best = int(np.argmax(overlaps[i]))  # argmax takes the first max: lower gt index
         miou = float(overlaps[i, best])
-        if miou > alpha1:
+        if miou > _ALPHA1:
             out.append(RegionSample(region, gts[best][1], POSITIVE, miou))
-        elif miou < alpha2:
+        elif miou < _ALPHA2:
             out.append(RegionSample(region, None, NEGATIVE, miou))
         else:
             out.append(RegionSample(region, None, IGNORED, miou))
@@ -177,9 +175,9 @@ def sample_batch(
     key_samples: Sequence[RegionSample],
     ref_samples: Sequence[RegionSample],
     rng_seed: int,
-    sizes: tuple[int, int] = (128, 256),
 ) -> SampleBatch:
-    """Subsample labeled regions into a training batch.
+    """Subsample labeled regions into a training batch of at most 128 key
+    and 256 reference samples.
 
     Key samples are drawn uniformly from all non-ignored candidates.
     Reference positives, half the batch, are drawn uniformly; reference
@@ -188,7 +186,7 @@ def sample_batch(
     pool is short. Deterministic under a fixed seed.
     """
     rng = np.random.default_rng(rng_seed)
-    v_size, k_size = sizes
+    v_size, k_size = _BATCH_SIZES
 
     key_pool = [s for s in key_samples if s.polarity != IGNORED]
     ref_pos = [i for i, s in enumerate(ref_samples) if s.polarity == POSITIVE]
@@ -234,11 +232,7 @@ def _embed_value_and_grad(
     samples that have at least one positive. All rows at once: one (V, K)
     pair-weight matrix W gives the gradients W @ ref_emb and W.T @ key_emb.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown loss variant {variant!r}")
     active = positivity.any(axis=1)
-    if not active.any():
-        raise ValueError("batch has no positive pairs")
     inv_n = 1.0 / np.count_nonzero(active)
     # A row with no negative has loss log(1 + 0) = 0: it counts in n, adds nothing.
     live = np.flatnonzero(active & ~positivity.all(axis=1))
@@ -293,8 +287,6 @@ def _aux_pairs(
     """All positive pairs plus the neg_ratio x |positives| hardest negatives
     (highest cosine). Returns (rows, cols, targets)."""
     pi, pj = np.nonzero(positivity)
-    if pi.size == 0:
-        raise ValueError("batch has no positive pairs")
     ni, nj = np.nonzero(~positivity)
     n_hard = min(ni.size, neg_ratio * pi.size)
     order = _hardest(cos[ni, nj], n_hard)
@@ -336,14 +328,14 @@ def _aux_value_and_grad(
     return value, g_key, g_ref
 
 
-def aux_selection_margin(batch: SampleBatch, embeddings=None, neg_ratio: int = 3) -> float:
+def aux_selection_margin(batch: SampleBatch, embeddings, neg_ratio: int) -> float:
     """Cosine gap at the hard-negative cutoff of the auxiliary loss.
 
     The aux loss is non-smooth where the hard-negative selection changes;
     finite-difference gradient checks should only run where this margin is
     comfortably positive. Returns inf when no negative is excluded.
     """
-    key_emb, ref_emb = embeddings if embeddings is not None else batch.embeddings()
+    key_emb, ref_emb = embeddings
     cos, _, _ = _cosine_and_norms(key_emb, ref_emb)
     n_pos = np.count_nonzero(batch.positivity)
     vals = cos[~batch.positivity]
@@ -356,22 +348,21 @@ def aux_selection_margin(batch: SampleBatch, embeddings=None, neg_ratio: int = 3
     return float(part[k[1]] - part[k[0]])
 
 
-def _check_embeddings(batch: SampleBatch, embeddings):
-    if embeddings is None:
-        key_emb, ref_emb = batch.embeddings()
-    else:
-        key_emb, ref_emb = embeddings
+def _check_embeddings(batch: SampleBatch, embeddings, cfg: LossConfig):
+    """The one check of the loss entries: the embeddings fit the batch, and
+    a loss term that is weighted has a positive pair to score."""
+    key_emb, ref_emb = embeddings
     key_emb = validate_embeddings(key_emb, name="key embeddings")
     ref_emb = validate_embeddings(ref_emb, dim=key_emb.shape[1], name="ref embeddings")
     if key_emb.shape[0] != len(batch.key) or ref_emb.shape[0] != len(batch.ref):
         raise ValueError("embedding counts do not match batch sizes")
+    if (cfg.gamma1 > 0 or cfg.gamma2 > 0) and not batch.positivity.any():
+        raise ValueError("batch has no positive pairs")
     return key_emb, ref_emb
 
 
 def loss_total(
-    batch: SampleBatch,
-    embeddings=None,
-    cfg: LossConfig | None = None,
+    batch: SampleBatch, embeddings, cfg: LossConfig
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Weighted total loss and its analytic gradient w.r.t. all embeddings.
 
@@ -380,8 +371,8 @@ def loss_total(
     gamma1 * embedding loss + gamma2 * auxiliary loss. Constituents with a
     zero weight are skipped entirely.
     """
-    key_emb, ref_emb = _check_embeddings(batch, embeddings)
-    return _loss_total(batch.positivity, key_emb, ref_emb, cfg or LossConfig())
+    key_emb, ref_emb = _check_embeddings(batch, embeddings, cfg)
+    return _loss_total(batch.positivity, key_emb, ref_emb, cfg)
 
 
 def _loss_total(
@@ -405,14 +396,12 @@ def _loss_total(
 
 
 def finite_difference_gradient(
-    batch: SampleBatch,
-    embeddings,
-    cfg: LossConfig,
+    batch: SampleBatch, embeddings, cfg: LossConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference gradient of loss_total, the independent oracle
     for the analytic gradients. The embeddings are checked once; each
     perturbed evaluation skips the check."""
-    key_emb, ref_emb = _check_embeddings(batch, embeddings)
+    key_emb, ref_emb = _check_embeddings(batch, embeddings, cfg)
     grads = []
     for base in (key_emb, ref_emb):
         g = np.zeros_like(base)
@@ -434,20 +423,12 @@ def finite_difference_gradient(
 
 
 @dataclass
-class IndexedBatch:
-    """A sample batch whose embeddings live in a shared parameter matrix."""
-
-    batch: SampleBatch
-    key_ids: np.ndarray
-    ref_ids: np.ndarray
-
-
-@dataclass
 class ToyProblem:
-    """A small multi-frame world for optimizing embeddings directly."""
+    """A small multi-frame world for optimizing embeddings directly: each pair
+    of consecutive frames is ``batch`` over frame t's and t+1's rows of ``params``."""
 
-    params: np.ndarray  # (n_samples, D) free embedding parameters
-    batches: list[IndexedBatch]
+    params: np.ndarray  # (n_samples, D) free embedding parameters, frame-major
+    batch: SampleBatch
     identity: np.ndarray  # (n_samples,) instance id per sample
     frame: np.ndarray  # (n_samples,) frame index per sample
 
@@ -458,7 +439,7 @@ def make_toy_problem(
     dim: int,
     seed: int,
 ) -> ToyProblem:
-    """Build consecutive-frame batches where every identity appears once
+    """Build the consecutive-frame batch where every identity appears once
     per frame; embeddings start as small random vectors."""
     if n_identities < 2:
         raise ValueError("need at least two identities for negatives to exist")
@@ -468,20 +449,8 @@ def make_toy_problem(
     identity = np.tile(np.arange(n_identities), n_frames)
     frame = np.repeat(np.arange(n_frames), n_identities)
     unit = BoundingBox(0, 0, 1, 1)
-
-    def frame_samples(t: int) -> list[RegionSample]:
-        return [
-            RegionSample(unit, int(i), POSITIVE, 1.0)
-            for i in range(n_identities)
-        ]
-
-    batches = []
-    for t in range(n_frames - 1):
-        b = SampleBatch(key=frame_samples(t), ref=frame_samples(t + 1))
-        key_ids = np.arange(n_identities) + t * n_identities
-        ref_ids = np.arange(n_identities) + (t + 1) * n_identities
-        batches.append(IndexedBatch(b, key_ids, ref_ids))
-    return ToyProblem(params, batches, identity, frame)
+    samples = [RegionSample(unit, i, POSITIVE, 1.0) for i in range(n_identities)]
+    return ToyProblem(params, SampleBatch(key=samples, ref=samples), identity, frame)
 
 
 def optimize_embeddings(
@@ -489,31 +458,31 @@ def optimize_embeddings(
     cfg: LossConfig,
     steps: int,
     lr: float,
-    rng_seed: int = 0,
+    rng_seed: int,
 ) -> tuple[np.ndarray, list[tuple[int, float]]]:
     """Plain gradient descent on the total loss, embeddings as free
     parameters.
 
-    Each step visits every batch in a seed-shuffled order, accumulates the
-    mean gradient into the shared parameter matrix and takes one descent
-    step. Deterministic under a fixed seed. Raises on divergence (loss
-    above 1e9 or non-finite), naming the step.
+    Each step visits every consecutive-frame pair in a seed-shuffled order,
+    accumulates the mean gradient into the parameter matrix and takes one
+    descent step. Deterministic under a fixed seed. Raises on divergence
+    (loss above 1e9 or non-finite), naming the step.
     """
     rng = np.random.default_rng(rng_seed)
     params = problem.params.copy()
     trace: list[tuple[int, float]] = []
-    n = len(problem.batches)
+    m = len(problem.batch.key)  # rows per frame
+    n = int(problem.frame.max(initial=0))  # consecutive-frame pairs
     for step in range(steps):
         order = rng.permutation(n)
         grad = np.zeros_like(params)
         total = 0.0
-        for bi in order:
-            ib = problem.batches[bi]
-            emb = (params[ib.key_ids], params[ib.ref_ids])
-            value, (gk, gr) = loss_total(ib.batch, emb, cfg)
+        for t in order:
+            key, ref = slice(t * m, (t + 1) * m), slice((t + 1) * m, (t + 2) * m)
+            value, (gk, gr) = loss_total(problem.batch, (params[key], params[ref]), cfg)
             total += value / n
-            np.add.at(grad, ib.key_ids, gk / n)
-            np.add.at(grad, ib.ref_ids, gr / n)
+            grad[key] += gk / n
+            grad[ref] += gr / n
         if not np.isfinite(total) or total > 1e9:
             raise RuntimeError(f"embedding optimization diverged at step {step} (loss={total})")
         trace.append((step, total))

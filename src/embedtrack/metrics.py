@@ -175,7 +175,7 @@ def _match(overlaps: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarr
     return rows[keep], cols[keep]
 
 
-def _sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
+def _sequential_sum(values: np.ndarray, start: float) -> float:
     """Left-to-right sum, the float additions of a Python loop; np.sum adds
     pairwise, which can move the last digit."""
     return float(np.cumsum(np.concatenate(([start], values)))[-1])

@@ -123,6 +123,11 @@ _REPULSION_STEPS, _REPULSION_ETA = 200, 0.1  # step budget, first step size
 _MIN_SCORE, _BASELINE_MATCH_IOU = 0.5, 0.3
 
 
+def _margin(unit: np.ndarray) -> float:
+    """1 minus the largest cosine between two unit-norm rows; inf for fewer than two rows."""
+    return 1.0 - float((unit @ unit.T)[~np.eye(len(unit), dtype=bool)].max(initial=-np.inf))
+
+
 def place_prototypes(n: int, dim: int, min_margin: float, rng: np.random.Generator) -> np.ndarray:
     """Unit-norm prototypes spread by cosine repulsion.
 
@@ -149,9 +154,8 @@ def place_prototypes(n: int, dim: int, min_margin: float, rng: np.random.Generat
             eta *= 0.5
             continue
         p, sim, energy = q, q_sim, q_energy
-    np.fill_diagonal(sim, -1.0)
-    achieved = 1.0 - float(sim.max())
-    if n > 1 and achieved < min_margin:
+    achieved = _margin(p)
+    if achieved < min_margin:
         raise ValueError(
             f"cannot separate {n} prototypes on a {dim}-dimensional sphere "
             f"with margin {min_margin} (achieved {achieved:.4f})"
@@ -207,7 +211,8 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
 
     Prototypes are normally placed by repulsion; passing them explicitly
     (e.g. identity means from a trained embedding space) skips placement
-    but not the margin check.
+    but not the checks: each row needs a finite non-zero norm, and the
+    normalized rows must meet ``cfg.min_margin``.
     """
     rng = np.random.default_rng(cfg.seed)
     n_proto = cfg.n_identities + cfg.n_distractors
@@ -219,7 +224,12 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
             raise ValueError(
                 f"prototypes must have shape ({n_proto}, {cfg.dim}), got {prototypes.shape}"
             )
-        prototypes = prototypes / np.linalg.norm(prototypes, axis=1, keepdims=True)
+        norms = np.linalg.norm(prototypes, axis=1, keepdims=True)
+        if (bad := np.flatnonzero(~((norms > 0) & (norms < np.inf)))).size:
+            raise ValueError(f"prototype row {bad[0]} is zero or not finite")
+        prototypes = prototypes / norms
+        if (margin := _margin(prototypes)) < cfg.min_margin:
+            raise ValueError(f"prototypes have margin {margin:.4f}, below min_margin {cfg.min_margin}")
     if cfg.n_distractors and cfg.distractor_affinity > 0:
         # lookalike clutter: pull each distractor prototype toward a real one
         a = cfg.distractor_affinity

@@ -46,6 +46,8 @@ class Detection:
     embedding: np.ndarray
 
     def __post_init__(self) -> None:
+        if isinstance(self.class_id, bool) or not isinstance(self.class_id, (int, np.integer)):
+            raise ValueError(f"detection class_id must be an int, got {self.class_id!r}")
         if not math.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
             raise ValueError(f"detection score must be in [0, 1], got {self.score}")
         self.embedding = np.asarray(self.embedding, dtype=np.float64)
@@ -64,7 +66,7 @@ class Track:
 
     track_id: int
     class_id: int
-    history: list[tuple[int, BoundingBox, float]] = field(default_factory=list)
+    history: list[tuple[int, BoundingBox, float]]
 
 
 def _check_window(name: str, value) -> None:
@@ -202,8 +204,8 @@ def momentum_update(old: np.ndarray, new: np.ndarray, m: float) -> np.ndarray:
 class Tracker:
     """Stateful per-sequence tracker; feed frames in order via step()."""
 
-    def __init__(self, config: TrackerConfig | None = None):
-        self.config = config or TrackerConfig()
+    def __init__(self, config: TrackerConfig):
+        self.config = config
         self.state = TrackerState()
 
     def step(self, frame_index: int, detections: list[Detection]) -> list[tuple[int, Detection]]:
@@ -221,7 +223,7 @@ class Tracker:
         return histories
 
 
-def run_sequence(frames: dict[int, list[Detection]], config: TrackerConfig | None = None) -> TrackSet:
+def run_sequence(frames: dict[int, list[Detection]], config: TrackerConfig) -> TrackSet:
     """Track a whole sequence: step a fresh Tracker over the frames in
     sorted order, then return its final histories as a TrackSet, added in
     (frame, track id) order, each entry carrying its box's score.

@@ -66,7 +66,7 @@ def test_single_positive_loss_equals_naive_formula():
                 per_pos.append(-np.log(np.exp(dots[i, p]) / denom))
             naive_terms.append(np.mean(per_pos))
         want = float(np.mean(naive_terms))
-        got = loss_total(b, cfg=LossConfig(gamma1=1.0, gamma2=0.0, variant="single_positive"))[0]
+        got = loss_total(b, b.embeddings(), LossConfig(gamma1=1.0, gamma2=0.0, variant="single_positive"))[0]
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 

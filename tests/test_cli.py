@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from embedtrack.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
+from embedtrack.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, int_list, main
 from embedtrack.config import PROFILE_NAMES, config_from_dict, load_profile
 from embedtrack.tracker import MergeConfig
 
@@ -230,6 +230,24 @@ class TestAblateCommand:
         rc = main(["ablate", "--sweep", "metric=cosine", "--seeds", "",
                    "--output", str(tmp_path / "x.csv")])
         assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["ablate", "--sweep", "metric=cosine", "--seeds", "a"], "--seeds"),
+    (["ablate", "--sweep", "metric=cosine", "--seeds", "0,1.5"], "--seeds"),
+    (["gradcheck", "--dims", "4,x"], "--dims"),
+    (["--seed", "x", "gradcheck"], "--seed"),
+])
+def test_non_int_list_item_is_usage_error(tmp_path, capsys, argv, flag):
+    if argv[0] == "ablate":
+        argv = argv + ["--output", str(tmp_path / "x.csv")]
+    assert main(argv) == EXIT_USAGE
+    assert f"argument {flag}: invalid " in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_int_list_skips_empty_items():
+    assert int_list("4,,16,") == (4, 16) and int_list("") == ()
 
 
 class TestGradcheckCommand:

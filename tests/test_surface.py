@@ -19,7 +19,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(embedtrack.__path__))
 
 REMOVED = {
     "similarity": ("bisoftmax_matrix", "bisoftmax_components", "_mean"),
-    "contrastive": ("loss_embed", "loss_aux"),
+    "contrastive": ("loss_embed", "loss_aux", "IndexedBatch"),
     "synth": ("track_scenario",),
     "metrics": ("_hota_matches", "_Hota", "_Idf1"),
     "formats": ("trackset_to_mot_rows",),
@@ -33,9 +33,12 @@ REMOVED_PARAMETERS = {
     ("synth", "place_prototypes"): ("iters", "eta"),
     ("synth", "iou_baseline_track"): ("iou_match_threshold", "min_score"),
     ("synth", "oracle_tracks"): ("min_score",),
-    ("contrastive", "sample_batch"): ("ref_pos_ratio", "n_iou_bins", "neg_iou_upper"),
+    ("contrastive", "assign_samples"): ("alpha1", "alpha2"),
+    ("contrastive", "sample_batch"): ("ref_pos_ratio", "n_iou_bins", "neg_iou_upper", "sizes"),
     ("contrastive", "make_toy_problem"): ("init_scale",),
     ("contrastive", "finite_difference_gradient"): ("h",),
+    # every consecutive-frame pair of the toy problem is the same batch
+    ("contrastive", "ToyProblem"): ("batches",),
     ("ablation", "gradient_check"): ("cfg", "h"),
     ("ablation", "random_batch"): ("n_identities", "scale"),
     ("metrics", "HotaResult"): ("alphas",),

@@ -212,6 +212,24 @@ class TestGenerate:
         with pytest.raises(ValueError, match="prototypes must have shape"):
             generate(small_world(), prototypes=np.eye(3))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("value", [0.0, float("nan"), float("inf"), 1e200])
+    def test_explicit_prototype_row_without_finite_norm_rejected(self, value):
+        p = np.eye(16)[:5]
+        p[3] = value  # 1e200 squared overflows the norm
+        with pytest.raises(ValueError, match="prototype row 3 is zero or not finite"):
+            generate(small_world(), prototypes=p)
+
+    def test_explicit_prototypes_margin_checked(self):
+        p = np.eye(16)[:5]
+        p[4] = 2.0 * p[1]  # a duplicate once normalized: margin 0
+        with pytest.raises(ValueError, match="margin 0.0000, below min_margin 0.5"):
+            generate(small_world(min_margin=0.5), prototypes=p)
+        p[4] = p[1] + np.eye(16)[5]  # cosine 1/sqrt(2) with row 1
+        assert generate(small_world(min_margin=0.25), prototypes=p).prototypes.shape == (5, 16)
+        with pytest.raises(ValueError, match="below min_margin 0.3"):
+            generate(small_world(min_margin=0.3), prototypes=p)
+
     def test_explicit_prototypes_used(self):
         p = np.eye(16)[:5] * 3.0  # normalized internally
         s = generate(small_world(), prototypes=p)

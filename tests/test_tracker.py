@@ -131,6 +131,17 @@ class TestDetection:
             Detection(BoundingBox(0, 0, 1, 1), 0, 0.5, embedding)
         assert str(exc.value) == message
 
+    # a class id the writers would put in a file that the readers reject
+    @pytest.mark.parametrize("class_id", [1.5, True, np.bool_(False), "a", None, np.float64(1.0)])
+    def test_non_int_class_id_rejected(self, class_id):
+        with pytest.raises(ValueError) as exc:
+            Detection(BoundingBox(0, 0, 1, 1), class_id, 0.5, np.ones(2))
+        assert str(exc.value) == f"detection class_id must be an int, got {class_id!r}"
+
+    @pytest.mark.parametrize("class_id", [0, 7, np.int64(2), np.int32(3)])
+    def test_int_and_numpy_integer_class_ids_kept(self, class_id):
+        assert Detection(BoundingBox(0, 0, 1, 1), class_id, 0.5, np.ones(2)).class_id is class_id
+
     @pytest.mark.parametrize("score", [None, "0.5"])
     def test_non_real_score_raises_type_error(self, score):
         with pytest.raises(TypeError):
@@ -642,7 +653,7 @@ def test_seeded_world_equals_per_object_tracker(overrides):
 def small_worlds(draw):
     """A small seeded world with clutter and occlusions, some of its frames
     dropped (so tracks have gaps to interpolate), and a tracker config:
-    no config, or a benchmark profile or the synthetic settings, at times
+    the default config, or a benchmark profile or the synthetic settings, at times
     with a short memory so that tracks retire."""
     n_identities = draw(st.integers(1, 6))
     n_frames = draw(st.integers(0, 20))
@@ -661,7 +672,7 @@ def small_worlds(draw):
         frames = {f: dets for f, dets in frames.items() if f not in dropped}
     profile = draw(st.sampled_from([None, "synth", *PROFILE_NAMES]))
     if profile is None:
-        return frames, None
+        return frames, TrackerConfig()
     c = synth_tracker_config() if profile == "synth" else load_profile(profile)
     memory = draw(st.sampled_from([c.memory_frames, 0, 2]))
     return frames, dataclasses.replace(c, memory_frames=memory)
@@ -671,13 +682,13 @@ def small_worlds(draw):
 @given(small_worlds(), st.booleans())
 def test_run_sequence_is_the_online_output(drawn, postprocess):
     frames, c = drawn
-    if c is not None and not postprocess:
+    if not postprocess:
         c = dataclasses.replace(c, merge=None, interpolate=False)
     pred = run_sequence(frames, c)
     got = [(f, e) for f in sorted(pred.frames) for e in pred.frames[f]]
     keys = [(f, e.obj_id) for f, e in got]
     assert len(keys) == len(set(keys))
-    if c is not None and (c.merge is not None or c.interpolate):
+    if c.merge is not None or c.interpolate:
         return
     t = Tracker(c)
     online = [(f, tid, d) for f in sorted(frames) for tid, d in t.step(f, frames[f])]
