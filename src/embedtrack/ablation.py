@@ -189,7 +189,6 @@ def standard_noisy_world(seed: int = 0) -> WorldConfig:
         n_identities=12,
         n_frames=100,
         dim=16,
-        motion="linear",
         speed=4.0,
         sigma_e=0.25,
         jitter_sigma=1.0,

@@ -13,7 +13,7 @@ Track/GT files follow the de-facto MOT layout, one object per line:
     frame,id,x,y,w,h,conf,class_id,visibility
 
 Reals are serialized with shortest round-trip precision; write-then-read
-reproduces records exactly.
+reproduces records exactly, but for MOT scores, which are not read.
 
 The detection reader streams the file in chunks of ``CHUNK_LINES`` lines
 and never holds the whole text. Each chunk is parsed by one ``np.loadtxt``
@@ -58,12 +58,18 @@ class FormatError(ValueError):
 
 @contextmanager
 def atomic_write(path: str):
-    """Write to a temp file in the target directory, then rename."""
+    """Write to a temp file in the target directory, then rename; the file
+    gets the mode ``open(path, "w")`` would: the old file's, or 0o666 less the umask."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fp:
             yield fp
+        try:
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+        except FileNotFoundError:
+            os.umask(umask := os.umask(0))
+            os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -207,6 +213,7 @@ def read_mot(fp) -> TrackSet:
 
     The visibility column maps to the entry's visible flag (> 0 means
     visible); prediction files written by this package always carry 1.0.
+    The confidence column is not read: entries carry score 1.0.
     """
     ts = TrackSet()
     for lineno, line in enumerate(fp, start=1):
@@ -224,9 +231,8 @@ def read_mot(fp) -> TrackSet:
             visibility = float(parts[8]) if len(parts) > 8 else 1.0
             if w < 0 or h < 0:
                 raise ValueError("negative box extent")
-            entry = ObjectEntry(obj_id, class_id, BoundingBox.from_xywh(x, y, w, h),
-                                visible=visibility > 0)
+            ts.add(frame, ObjectEntry(obj_id, class_id, BoundingBox.from_xywh(x, y, w, h),
+                                      visible=visibility > 0))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
-        ts.add(frame, entry)
     return ts

@@ -38,21 +38,15 @@ class WorldConfig:
     n_frames: int = 100
     n_classes: int = 1
     image_size: tuple[float, float] = (1000.0, 1000.0)
-    motion: str = "linear"  # static | linear | random_walk
-    speed: float = 3.0  # pixels per frame, linear motion
-    walk_sigma: float = 2.0
+    speed: float = 3.0  # pixels per frame
     box_size_range: tuple[float, float] = (40.0, 80.0)
     dim: int = 32
-    tau: float = 10.0  # logit temperature: embeddings are tau * unit vectors
     min_margin: float = 0.05  # required 1 - max cross-prototype cosine
     sigma_e: float = 0.0  # embedding noise before renormalization
     fp_rate: float = 0.0  # per-identity per-frame random false-positive rate
     fn_rate: float = 0.0
     jitter_sigma: float = 0.0  # box coordinate noise, pixels
-    score_range: tuple[float, float] = (0.85, 0.99)
-    fp_score_range: tuple[float, float] = (0.2, 0.7)
     n_distractors: int = 0  # persistent low-score clutter objects
-    distractor_score_range: tuple[float, float] = (0.15, 0.45)
     distractor_affinity: float = 0.0  # 0 = independent clutter, near 1 = lookalike of a real identity
     occlusions: list[tuple[int, int, int]] = field(default_factory=list)  # (identity, first, last)
     seed: int = 0
@@ -65,23 +59,17 @@ class WorldConfig:
         for name in ("speed", "min_margin"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 < self.tau < np.inf:
-            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         for name in ("fp_rate", "fn_rate", "distractor_affinity"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        for name in ("sigma_e", "jitter_sigma", "walk_sigma"):
+        for name in ("sigma_e", "jitter_sigma"):
             v = getattr(self, name)
             if not 0.0 <= v < np.inf:
                 raise ValueError(f"noise sigmas must be finite and >= 0, got {name}={v}")
-        if self.motion not in ("static", "linear", "random_walk"):
-            raise ValueError(f"unknown motion model {self.motion!r}")
-        for name, top in (("score_range", 1.0), ("fp_score_range", 1.0),
-                          ("distractor_score_range", 1.0), ("box_size_range", np.inf)):
-            lo, hi = getattr(self, name)
-            if not 0.0 <= lo <= hi <= top:
-                raise ValueError(f"{name} must satisfy 0 <= low <= high <= {top}, got {(lo, hi)}")
+        lo, hi = self.box_size_range
+        if not 0.0 <= lo <= hi:
+            raise ValueError(f"box_size_range must satisfy 0 <= low <= high <= inf, got {(lo, hi)}")
         # centres reflect one largest box size inside each border; false
         # positives are centred 50 pixels inside
         twice, least = 2 * self.box_size_range[1], (100.0 if self.fp_rate > 0 else 0.0)
@@ -121,6 +109,10 @@ _REPULSION_STEPS, _REPULSION_ETA = 200, 0.1  # step budget, first step size
 # the least detection score of the IoU baseline and the oracle, and the
 # baseline's least IoU with a box of the previous frame
 _MIN_SCORE, _BASELINE_MATCH_IOU = 0.5, 0.3
+# embedding norm (the logit temperature: embeddings are _TAU * unit vectors)
+# and the detection score ranges of identities, false positives and distractors
+_TAU = 10.0
+_SCORE_RANGE, _FP_SCORE_RANGE, _DISTRACTOR_SCORE_RANGE = (0.85, 0.99), (0.2, 0.7), (0.15, 0.45)
 
 
 def _margin(unit: np.ndarray) -> float:
@@ -172,34 +164,27 @@ def _jitter_box(box: BoundingBox, sigma: float, rng: np.random.Generator) -> Bou
     return BoundingBox(x1, y1, x2, y2)
 
 
-def _noisy_embedding(proto: np.ndarray, sigma_e: float, tau: float,
-                     rng: np.random.Generator) -> np.ndarray:
+def _noisy_embedding(proto: np.ndarray, sigma_e: float, rng: np.random.Generator) -> np.ndarray:
     e = proto + (rng.normal(0.0, sigma_e, size=proto.shape) if sigma_e > 0 else 0.0)
     norm = np.linalg.norm(e)
     if norm == 0.0:
         e = proto
         norm = 1.0
-    return tau * e / norm
+    return _TAU * e / norm
 
 
 def _positions(cfg: WorldConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Center trajectories, shape (n, n_frames, 2), reflected at borders."""
+    """Center trajectories, shape (n, n_frames, 2): straight lines at
+    ``cfg.speed`` in a random direction, reflected at borders."""
     w, h = cfg.image_size
     margin = cfg.box_size_range[1]
     lo, hi = np.array([margin, margin]), np.array([w - margin, h - margin])
     start = rng.uniform(lo, hi, size=(n, 2))
     pos = np.zeros((n, cfg.n_frames, 2))
-    if cfg.motion == "static":
-        pos[:] = start[:, None, :]
-    elif cfg.motion == "linear":
-        theta = rng.uniform(0, 2 * np.pi, size=n)
-        vel = cfg.speed * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        for t in range(cfg.n_frames):
-            pos[:, t] = start + t * vel
-    else:  # random_walk
-        steps = rng.normal(0.0, cfg.walk_sigma, size=(n, cfg.n_frames, 2))
-        steps[:, 0] = 0.0
-        pos = start[:, None, :] + np.cumsum(steps, axis=1)
+    theta = rng.uniform(0, 2 * np.pi, size=n)
+    vel = cfg.speed * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    for t in range(cfg.n_frames):
+        pos[:, t] = start + t * vel
     # reflect into [lo, hi] (triangle-wave fold)
     span = hi - lo
     folded = np.abs(np.mod(pos - lo, 2 * span) - span)
@@ -275,8 +260,8 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
                 Detection(
                     box=_jitter_box(box, cfg.jitter_sigma, rng),
                     class_id=int(classes[i]),
-                    score=float(rng.uniform(*cfg.score_range)),
-                    embedding=_noisy_embedding(prototypes[i], cfg.sigma_e, cfg.tau, rng),
+                    score=float(rng.uniform(*_SCORE_RANGE)),
+                    embedding=_noisy_embedding(prototypes[i], cfg.sigma_e, rng),
                 )
             )
             idents.append(i)
@@ -286,8 +271,8 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
                 Detection(
                     box=box_at(j, t),
                     class_id=int(classes[d % cfg.n_identities]),
-                    score=float(rng.uniform(*cfg.distractor_score_range)),
-                    embedding=_noisy_embedding(prototypes[j], cfg.sigma_e, cfg.tau, rng),
+                    score=float(rng.uniform(*_DISTRACTOR_SCORE_RANGE)),
+                    embedding=_noisy_embedding(prototypes[j], cfg.sigma_e, rng),
                 )
             )
             idents.append(None)
@@ -302,8 +287,8 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
                     Detection(
                         box=BoundingBox(cx - w2, cy - h2, cx + w2, cy + h2),
                         class_id=int(rng.integers(cfg.n_classes)),
-                        score=float(rng.uniform(*cfg.fp_score_range)),
-                        embedding=cfg.tau * e / np.linalg.norm(e),
+                        score=float(rng.uniform(*_FP_SCORE_RANGE)),
+                        embedding=_TAU * e / np.linalg.norm(e),
                     )
                 )
                 idents.append(None)

@@ -245,11 +245,10 @@ def run_sequence(frames: dict[int, list[Detection]], config: TrackerConfig) -> T
     return pred
 
 
-def _gather(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Rows ``idx`` of each ``(array, idx)`` part, stacked in order; an
-    array is used as it is when all its rows are taken."""
-    parts = [a if len(idx) == len(a) else a.take(idx, axis=0) for a, idx in parts if len(idx)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows of ``a`` then those of ``b``; an empty one may have any
+    row shape."""
+    return b if not len(a) else a if not len(b) else np.concatenate([a, b])
 
 
 def step(
@@ -260,12 +259,13 @@ def step(
 ) -> list[tuple[int, Detection]]:
     """One association step.
 
-    Pipeline: confidence floor, class-agnostic duplicate-removal NMS,
-    similarity against tracks-within-memory plus live backdrops (class and
-    distance masking applied pre-softmax), then greedy claiming in
-    descending score order: match a free track, or be consumed by a
-    backdrop, or start a new track (score above beta_new), or become a
-    backdrop. Finally expired tracks and backdrops are purged.
+    Pipeline: purge of tracks inactive more than memory_frames and of
+    backdrops older than backdrop_frames, confidence floor, class-agnostic
+    duplicate-removal NMS, similarity against the remaining tracks plus
+    backdrops (class and distance masking applied pre-softmax), then greedy
+    claiming in descending score order: match a free track, or be consumed
+    by a backdrop, or start a new track (score above beta_new), or become a
+    backdrop. The frame is checked before any state changes.
     """
     if state.frame is not None and frame_index <= state.frame:
         raise ValueError(
@@ -279,7 +279,17 @@ def step(
     if len(dims) > 1:
         raise ValueError(f"frame {frame_index}: embedding dimensions {sorted(dims)} differ "
                          "among its detections and the tracker's rows")
+    if cfg.similarity_metric == "cosine" and not all(d.embedding.any() for d in detections):
+        raise ValueError(f"frame {frame_index}: cosine similarity needs non-zero embeddings")
     state.frame = frame_index
+
+    # purge expired state: every row left is a candidate
+    expired = frame_index - live.frame > cfg.memory_frames
+    if expired.any():
+        for tid in live.tid[expired].tolist():
+            state.retired[tid] = state.tracks.pop(tid)
+        live.select(~expired)
+    backdrops.select(frame_index - backdrops.frame <= cfg.backdrop_frames)
 
     dets = [d for d in detections if d.score >= cfg.det_confidence]
     n = len(dets)
@@ -296,21 +306,15 @@ def step(
         det_cls = np.array([d.class_id for d in dets])
         det_emb = np.array([d.embedding for d in dets])
 
-        # candidates: tracks inactive at most memory_frames, then backdrops
-        # at most backdrop_frames old
-        cand_t = np.flatnonzero(frame_index - live.frame <= cfg.memory_frames)
-        cand_b = np.flatnonzero(frame_index - backdrops.frame <= cfg.backdrop_frames)
-        n_tracks = len(cand_t)
+        n_tracks = len(live)  # candidates: live tracks, then backdrops
         # best candidate and its similarity per detection (-inf: no candidate)
         best = np.zeros(n, dtype=np.intp)
         best_conf = np.full(n, -np.inf)
-        if n_tracks or len(cand_b):
-            cand_emb = _gather([(live.emb, cand_t), (backdrops.emb, cand_b)])
-            cand_cls = _gather([(live.cls, cand_t), (backdrops.cls, cand_b)])
-            allowed = det_cls[:, None] == cand_cls[None, :]
+        if n_tracks or len(backdrops):
+            cand_emb = _stack(live.emb, backdrops.emb)
+            allowed = det_cls[:, None] == _stack(live.cls, backdrops.cls)[None, :]
             if cfg.distance_gate is not None:
-                cand_box = _gather([(live.box, cand_t), (backdrops.box, cand_b)])
-                allowed &= centers_within(det_box, cand_box, cfg.distance_gate)
+                allowed &= centers_within(det_box, _stack(live.box, backdrops.box), cfg.distance_gate)
             if cfg.similarity_metric == "bisoftmax":
                 sim = masked_bisoftmax(det_emb, cand_emb, allowed)
             else:
@@ -333,7 +337,7 @@ def step(
         spawn = free & (o_score > cfg.beta_new)
 
         # matched tracks: one momentum update of their rows
-        di, rows = order[won], cand_t[o_best[won]]
+        di, rows = order[won], o_best[won]
         if rows.size:
             live.emb[rows] = momentum_update(live.emb.take(rows, axis=0),
                                              det_emb.take(di, axis=0), cfg.momentum)
@@ -357,14 +361,6 @@ def step(
         bi = order[free & ~spawn]
         backdrops.extend(np.full(len(bi), -1), det_emb.take(bi, axis=0), det_cls[bi],
                          det_box.take(bi, axis=0), frame_index)
-
-    # purge expired state
-    expired = frame_index - live.frame > cfg.memory_frames
-    if expired.any():
-        for tid in live.tid[expired].tolist():
-            state.retired[tid] = state.tracks.pop(tid)
-        live.select(~expired)
-    backdrops.select(frame_index - backdrops.frame <= cfg.backdrop_frames)
 
     if cfg.merge is not None:
         merge_tracklets(state, cfg.merge)

@@ -92,8 +92,7 @@ def test_bidirectional_softmax_invariants():
 
 def test_perfect_detections_give_perfect_tracking():
     start = time.perf_counter()
-    world = WorldConfig(n_identities=20, n_frames=200, dim=32, tau=10.0,
-                        min_margin=0.05, motion="linear", seed=0)
+    world = WorldConfig(n_identities=20, n_frames=200, dim=32, min_margin=0.05, seed=0)
     scenario = generate(world)
     # detections are exact ground-truth boxes; duplicate-removal NMS would
     # only delete genuinely overlapping objects
@@ -168,8 +167,7 @@ def test_multi_positive_loss_matches_or_beats_single_positive():
 
 
 def test_appearance_tracking_robust_to_frame_rate():
-    world = WorldConfig(n_identities=15, n_frames=300, dim=32,
-                        motion="linear", speed=4.0, seed=0)
+    world = WorldConfig(n_identities=15, n_frames=300, dim=32, speed=4.0, seed=0)
     scenario = generate(world)
     cfg = synth_tracker_config()
 

@@ -146,6 +146,7 @@ def test_track_output_evaluates_for_every_profile(tmp_path, profile):
     ("synth", {"n_distractors": -2}, "n_distractors"),
     ("ablate", {"n_frames": "5"}, "n_frames"),
     ("ablate", {"image_size": 5}, "image_size"),
+    ("synth", {"motion": "linear"}, "unknown world config keys: ['motion']"),
 ])
 def test_malformed_config_is_data_error(scenario_files, tmp_path, capsys, command, document, key):
     det, _, _ = scenario_files

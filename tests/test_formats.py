@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import io
 import os
+import stat
 import tracemalloc
 from unittest import mock
 
@@ -372,6 +373,10 @@ class TestMotFiles:
         e = ts.frames[0][0]
         assert e.obj_id == 7 and e.class_id == 0 and e.visible
 
+    def test_repeated_frame_and_id_rejected_with_line(self):
+        with pytest.raises(FormatError, match="line 3: duplicate object id 1 in frame 0"):
+            read_mot(io.StringIO("0,1,0,0,5,5\n0,2,0,0,5,5\n0,1,9,9,5,5\n"))
+
     def test_visibility_zero_marks_invisible(self):
         ts = read_mot(io.StringIO("0,1,0,0,5,5,1.0,0,0.0\n"))
         assert not ts.frames[0][0].visible
@@ -393,9 +398,23 @@ class TestAtomicWrite:
         assert not p.exists()
         assert os.listdir(tmp_path) == []
 
+    def test_new_file_gets_the_mode_of_plain_open(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            with atomic_write(str(tmp_path / "out.txt")) as fp:
+                fp.write("x")
+        finally:
+            os.umask(umask)
+        modes = {stat.S_IMODE((tmp_path / n).stat().st_mode) for n in ("plain.txt", "out.txt")}
+        assert modes == {0o644}
+
     def test_overwrites_existing(self, tmp_path):
         p = tmp_path / "out.txt"
         p.write_text("old")
+        p.chmod(0o640)
         with atomic_write(str(p)) as fp:
             fp.write("new")
         assert p.read_text() == "new"
+        assert stat.S_IMODE(p.stat().st_mode) == 0o640

@@ -23,7 +23,7 @@ REMOVED = {
     "synth": ("track_scenario",),
     "metrics": ("_hota_matches", "_Hota", "_Idf1"),
     "formats": ("trackset_to_mot_rows",),
-    "tracker": ("_within", "Backdrop", "_rows"),
+    "tracker": ("_within", "Backdrop", "_rows", "_gather"),
 }
 
 # removed parameters and fields; most only ever took one value and are
@@ -46,6 +46,9 @@ REMOVED_PARAMETERS = {
     ("tracker", "TrackerConfig"): ("same_class_only",),
     # association state lives in the tracker's rows, not on the track
     ("tracker", "Track"): ("embedding", "last_box", "last_active_frame", "created_frame"),
+    # objects move linearly; the embedding norm and score ranges are constants
+    ("synth", "WorldConfig"): ("motion", "walk_sigma", "tau", "score_range", "fp_score_range",
+                               "distractor_score_range"),
 }
 
 

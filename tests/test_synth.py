@@ -5,6 +5,7 @@ import pytest
 
 from embedtrack.metrics import per_class_report
 from embedtrack.synth import (
+    _TAU,
     WorldConfig,
     generate,
     iou_baseline_track,
@@ -31,23 +32,16 @@ class TestWorldConfig:
         with pytest.raises(ValueError, match="sigmas"):
             WorldConfig(sigma_e=-0.1)
 
-    def test_unknown_motion_rejected(self):
-        with pytest.raises(ValueError, match="motion"):
-            WorldConfig(motion="teleport")
-
     @pytest.mark.parametrize("field,value", [
         ("dim", 0), ("n_classes", 0), ("n_identities", 0), ("n_identities", -1),
-        ("n_distractors", -2), ("n_frames", -1), ("tau", 0.0), ("tau", -1.0),
-        ("score_range", (0.9, 0.8)), ("score_range", (-0.1, 0.5)),
-        ("fp_score_range", (0.2, 1.5)), ("distractor_score_range", (float("nan"), 0.4)),
+        ("n_distractors", -2), ("n_frames", -1), ("sigma_e", float("nan")),
+        ("sigma_e", float("inf")), ("jitter_sigma", float("inf")), ("speed", float("nan")),
+        ("speed", float("inf")), ("min_margin", float("nan")),
         ("box_size_range", (-1.0, 10.0)), ("box_size_range", (50.0, 40.0)),
         ("image_size", (160.0, 1000.0)), ("image_size", (1000.0, 100.0)),
         ("image_size", (float("inf"), 1000.0)), ("image_size", (float("nan"), 1000.0)),
         ("occlusions", [(10, 0, 5)]), ("occlusions", [(-1, 0, 5)]),
         ("occlusions", [(0, 1, 2), (0, 5, 4)]),
-        ("tau", float("inf")), ("tau", float("nan")), ("sigma_e", float("nan")),
-        ("sigma_e", float("inf")), ("jitter_sigma", float("inf")), ("speed", float("nan")),
-        ("speed", float("inf")), ("walk_sigma", float("inf")), ("min_margin", float("nan")),
         ("distractor_affinity", 1.5), ("distractor_affinity", -0.5),
     ])
     def test_impossible_world_rejected(self, field, value):
@@ -63,8 +57,7 @@ class TestWorldConfig:
     @pytest.mark.parametrize("world", [
         dict(image_size=(160.5, 160.5)),
         dict(image_size=(100.0, 100.0), box_size_range=(10.0, 20.0), fp_rate=0.5),
-        dict(box_size_range=(0.0, 0.0), score_range=(1.0, 1.0), fp_rate=0.5,
-             fp_score_range=(0.0, 0.0), n_distractors=2, distractor_score_range=(0.3, 0.3)),
+        dict(box_size_range=(0.0, 0.0), fp_rate=0.5, n_distractors=2),
         dict(occlusions=[(0, 3, 3), (9, 0, 500)]),
     ])
     def test_worlds_at_the_limits_generate_finite_boxes(self, world):
@@ -90,9 +83,11 @@ class TestWorldConfig:
         ({"seed": True}, "seed must be int"),
         ({"image_size": 5}, "image_size must be a list of 2 values"),
         ({"box_size_range": [1]}, "box_size_range must be a list of 2 values"),
-        ({"score_range": [0.5, "x"]}, r"score_range\[1\] must be float"),
+        ({"box_size_range": [40.0, "x"]}, r"box_size_range\[1\] must be float"),
         ({"occlusions": [[0, 1]]}, r"occlusions\[0\] must be a list of 3 values"),
-        ({"motion": 1}, "motion must be str"),
+        ({"motion": "linear", "walk_sigma": 2.0, "tau": 10.0, "score_range": [0.85, 0.99],
+          "fp_score_range": [0.2, 0.7], "distractor_score_range": [0.15, 0.45]},
+         "unknown world config keys"),
     ])
     def test_from_dict_names_the_bad_key(self, data, message):
         with pytest.raises(ValueError, match=message):
@@ -156,10 +151,10 @@ class TestGenerate:
         assert not np.array_equal(a.prototypes, b.prototypes)
 
     def test_embedding_norm_is_tau(self):
-        s = generate(small_world(tau=10.0, sigma_e=0.3))
+        s = generate(small_world(sigma_e=0.3))
         for dets in s.detections.values():
             for d in dets:
-                assert np.linalg.norm(d.embedding) == pytest.approx(10.0, abs=1e-9)
+                assert np.linalg.norm(d.embedding) == pytest.approx(_TAU, abs=1e-9)
 
     def test_clean_world_one_detection_per_identity(self):
         s = generate(small_world())
@@ -201,7 +196,7 @@ class TestGenerate:
             assert cos_near > 0.85
 
     def test_boxes_stay_inside_image(self):
-        s = generate(small_world(motion="linear", speed=20.0, n_frames=200))
+        s = generate(small_world(speed=20.0, n_frames=200))
         w, h = s.config.image_size
         for entries in s.gt.frames.values():
             for e in entries:
@@ -263,12 +258,12 @@ class TestReferenceTrackers:
         assert rep.aggregate.idsw == 0
 
     def test_iou_baseline_good_on_slow_clean_world(self):
-        s = generate(small_world(motion="linear", speed=1.0, n_frames=30))
+        s = generate(small_world(speed=1.0, n_frames=30))
         rep = per_class_report(s.gt, iou_baseline_track(s))
         assert rep.aggregate.idf1 > 0.95
 
     def test_iou_baseline_fragments_under_subsampling(self):
-        s = generate(small_world(motion="linear", speed=4.0, n_frames=120))
+        s = generate(small_world(speed=4.0, n_frames=120))
         full = per_class_report(s.gt, iou_baseline_track(s)).aggregate.idf1
         sub = subsample(s, 30)
         dropped = per_class_report(sub.gt, iou_baseline_track(sub)).aggregate.idf1

@@ -377,6 +377,17 @@ class TestStep:
         a, b = run(), run()
         assert [[tid for tid, _ in fr] for fr in a] == [[tid for tid, _ in fr] for fr in b]
 
+    @pytest.mark.parametrize("score", [0.9, 0.05])  # above and below det_confidence
+    def test_zero_embedding_rejected_before_any_change_in_cosine_mode(self, score):
+        t = Tracker(cfg(similarity_metric="cosine"))
+        t.step(0, [det(0)])
+        zero = det(1, score, x=100, embedding=np.zeros(DIM))
+        with pytest.raises(ValueError, match="frame 1: cosine similarity needs non-zero"):
+            t.step(1, [det(0), zero])
+        assert t.state.frame == 0 and sorted(t.state.tracks) == [1]
+        # the same frame, without the zero embedding, is accepted
+        assert [tid for tid, _ in t.step(1, [det(0)])] == [1]
+
     def test_cosine_metric_supported(self):
         t = Tracker(cfg(similarity_metric="cosine"))
         t.step(0, [det(0)])
