@@ -110,8 +110,9 @@ class LossConfig:
         for name in ("gamma1", "gamma2"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not isinstance(self.aux_neg_ratio, (int, np.integer)) or self.aux_neg_ratio < 0:
-            raise ValueError(f"aux_neg_ratio must be an int >= 0, got {self.aux_neg_ratio!r}")
+        ratio = self.aux_neg_ratio
+        if isinstance(ratio, bool) or not isinstance(ratio, (int, np.integer)) or ratio < 0:
+            raise ValueError(f"aux_neg_ratio must be an int >= 0, got {ratio!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
 
@@ -465,21 +466,25 @@ def optimize_embeddings(
 
     Each step visits every consecutive-frame pair in a seed-shuffled order,
     accumulates the mean gradient into the parameter matrix and takes one
-    descent step. Deterministic under a fixed seed. Raises on divergence
-    (loss above 1e9 or non-finite), naming the step.
+    descent step. Deterministic under a fixed seed. Each pair is checked
+    once, before the first step. Raises on divergence (loss above 1e9 or
+    non-finite), naming the step.
     """
     rng = np.random.default_rng(rng_seed)
-    params = problem.params.copy()
+    params = np.array(problem.params, dtype=np.float64)
     trace: list[tuple[int, float]] = []
     m = len(problem.batch.key)  # rows per frame
     n = int(problem.frame.max(initial=0))  # consecutive-frame pairs
+    pairs = [(slice(t * m, (t + 1) * m), slice((t + 1) * m, (t + 2) * m)) for t in range(n)]
+    for key, ref in pairs:
+        _check_embeddings(problem.batch, (params[key], params[ref]), cfg)
     for step in range(steps):
         order = rng.permutation(n)
         grad = np.zeros_like(params)
         total = 0.0
         for t in order:
-            key, ref = slice(t * m, (t + 1) * m), slice((t + 1) * m, (t + 2) * m)
-            value, (gk, gr) = loss_total(problem.batch, (params[key], params[ref]), cfg)
+            key, ref = pairs[t]
+            value, (gk, gr) = _loss_total(problem.batch.positivity, params[key], params[ref], cfg)
             total += value / n
             grad[key] += gk / n
             grad[ref] += gr / n

@@ -212,7 +212,8 @@ def read_mot(fp) -> TrackSet:
     """Parse a MOT-style file into a TrackSet.
 
     The visibility column maps to the entry's visible flag (> 0 means
-    visible); prediction files written by this package always carry 1.0.
+    visible, and a non-finite value is an error); prediction files written
+    by this package always carry 1.0.
     The confidence column is not read: entries carry score 1.0.
     """
     ts = TrackSet()
@@ -229,6 +230,8 @@ def read_mot(fp) -> TrackSet:
             x, y, w, h = (float(p) for p in parts[2:6])
             class_id = int(parts[7]) if len(parts) > 7 else 0
             visibility = float(parts[8]) if len(parts) > 8 else 1.0
+            if not np.isfinite(visibility):
+                raise ValueError(f"non-finite visibility {parts[8].strip()}")
             if w < 0 or h < 0:
                 raise ValueError("negative box extent")
             ts.add(frame, ObjectEntry(obj_id, class_id, BoundingBox.from_xywh(x, y, w, h),

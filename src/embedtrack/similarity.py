@@ -69,28 +69,19 @@ def _stable_softmax(logits: np.ndarray, axis: int, out: np.ndarray | None = None
     return e
 
 
-def _bisoftmax_terms(
-    dets: np.ndarray, cands: np.ndarray, allowed: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The one bi-softmax kernel: validated inputs, raw dot-product logits,
-    pairs outside ``allowed`` (every pair when None) set to -inf, then the
-    row-wise and the column-wise softmax."""
-    n = validate_embeddings(dets, name="detection embeddings")
-    m = validate_embeddings(cands, dim=n.shape[1], name="candidate embeddings")
-    if n.shape[0] == 0 or m.shape[0] == 0:
-        raise ValueError("bi-softmax requires at least one detection and one candidate")
-    if allowed is not None:
-        allowed = np.asarray(allowed, dtype=bool)
-        if allowed.shape != (n.shape[0], m.shape[0]):
-            raise ValueError(
-                f"mask shape {allowed.shape} does not match ({n.shape[0]}, {m.shape[0]})"
-            )
+def _bisoftmax(n: np.ndarray, m: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
+    """The one bi-softmax kernel, on checked float64 (N, D) and (M, D)
+    arrays with N, M >= 1 and an (N, M) boolean mask or None: raw
+    dot-product logits, pairs outside ``allowed`` set to -inf, then the
+    mean of the row-wise and the column-wise softmax."""
     logits = n @ m.T
     if allowed is not None and not allowed.all():
         logits[~allowed] = NEG_INF
     finite = np.isfinite(logits)
     row = _stable_softmax(logits, axis=1, finite=finite)
-    return row, _stable_softmax(logits, axis=0, out=logits, finite=finite)
+    row += _stable_softmax(logits, axis=0, out=logits, finite=finite)
+    row *= 0.5
+    return row
 
 
 def masked_bisoftmax(
@@ -105,7 +96,14 @@ def masked_bisoftmax(
     Entries whose pair is disallowed, and rows/columns with no admissible
     pair at all, come back as 0. Without a mask every entry is in (0, 1].
     """
-    row, col = _bisoftmax_terms(dets, cands, allowed)
-    row += col
-    row *= 0.5
-    return row
+    n = validate_embeddings(dets, name="detection embeddings")
+    m = validate_embeddings(cands, dim=n.shape[1], name="candidate embeddings")
+    if n.shape[0] == 0 or m.shape[0] == 0:
+        raise ValueError("bi-softmax requires at least one detection and one candidate")
+    if allowed is not None:
+        allowed = np.asarray(allowed, dtype=bool)
+        if allowed.shape != (n.shape[0], m.shape[0]):
+            raise ValueError(
+                f"mask shape {allowed.shape} does not match ({n.shape[0]}, {m.shape[0]})"
+            )
+    return _bisoftmax(n, m, allowed)

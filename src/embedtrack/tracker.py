@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# center_distance stays importable from this module: perfbench's tracer
-# wraps the names this module holds, and every one of them must exist.
+# center_distance, masked_bisoftmax and validate_embeddings go uncalled here but stay:
+# perfbench's tracer wraps the names this module holds, and each one must exist.
 from .geometry import BoundingBox, box_array, center_distance, centers_within, nms  # noqa: F401
 from .metrics import ObjectEntry, TrackSet
-from .similarity import cosine_matrix, masked_bisoftmax, validate_embeddings
+from .similarity import _bisoftmax, cosine_matrix, masked_bisoftmax, validate_embeddings  # noqa: F401
 
 __all__ = [
     "Detection",
@@ -51,9 +51,9 @@ class Detection:
         if not math.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
             raise ValueError(f"detection score must be in [0, 1], got {self.score}")
         self.embedding = np.asarray(self.embedding, dtype=np.float64)
-        if self.embedding.ndim != 1:
+        if self.embedding.ndim != 1 or not self.embedding.size:
             raise ValueError(
-                f"detection embedding must be 1-D, got shape {self.embedding.shape}"
+                f"detection embedding must be 1-D and non-empty, got shape {self.embedding.shape}"
             )
         if not np.isfinite(self.embedding).all():
             raise ValueError("detection embedding contains non-finite values")
@@ -70,7 +70,7 @@ class Track:
 
 
 def _check_window(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)) or value < 0:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
         raise ValueError(f"{name} must be an int >= 0, got {value!r}")
 
 
@@ -188,6 +188,11 @@ class TrackerState:
     frame: int | None = None
 
 
+def _momentum(old: np.ndarray, new: np.ndarray, m: float) -> np.ndarray:
+    """The momentum kernel, on checked arrays of one shape and m in [0, 1]."""
+    return m * new + (1.0 - m) * old
+
+
 def momentum_update(old: np.ndarray, new: np.ndarray, m: float) -> np.ndarray:
     """Exponential update m * new + (1 - m) * old, no renormalization;
     row by row for (N, D) inputs, a (D,) result for 1-D inputs."""
@@ -197,7 +202,7 @@ def momentum_update(old: np.ndarray, new: np.ndarray, m: float) -> np.ndarray:
     new_rows = validate_embeddings(new, dim=old_rows.shape[1])
     if new_rows.shape != old_rows.shape:
         raise ValueError(f"momentum_update got {len(new_rows)} new rows for {len(old_rows)} old")
-    out = m * new_rows + (1.0 - m) * old_rows
+    out = _momentum(old_rows, new_rows, m)
     return out[0] if np.ndim(old) == 1 else out
 
 
@@ -279,7 +284,11 @@ def step(
     if len(dims) > 1:
         raise ValueError(f"frame {frame_index}: embedding dimensions {sorted(dims)} differ "
                          "among its detections and the tracker's rows")
-    if cfg.similarity_metric == "cosine" and not all(d.embedding.any() for d in detections):
+    # the one check of the frame's embeddings: the kernels below trust them
+    emb = np.array([d.embedding for d in detections] or np.empty((0, 0)), dtype=np.float64)
+    if emb.ndim != 2 or not np.isfinite(emb).all():
+        raise ValueError(f"frame {frame_index}: detection embeddings must be 1-D and finite")
+    if cfg.similarity_metric == "cosine" and not emb.any(axis=1).all():
         raise ValueError(f"frame {frame_index}: cosine similarity needs non-zero embeddings")
     state.frame = frame_index
 
@@ -291,20 +300,17 @@ def step(
         live.select(~expired)
     backdrops.select(frame_index - backdrops.frame <= cfg.backdrop_frames)
 
-    dets = [d for d in detections if d.score >= cfg.det_confidence]
-    n = len(dets)
+    scores = np.array([d.score for d in detections], dtype=np.float64)
+    idx = np.flatnonzero(scores >= cfg.det_confidence)  # rows of the frame's arrays
     matches: list[tuple[int, Detection]] = []
-    if n:
-        scores = np.array([d.score for d in dets], dtype=np.float64)
-        det_box = box_array(d.box for d in dets)
+    if len(idx):
+        det_box = box_array(detections[i].box for i in idx.tolist())
         if cfg.duplicate_removal:
-            keep = nms(det_box, scores, cfg.nms_threshold)
-            if len(keep) < n:
-                keep.sort()
-                dets, n = [dets[i] for i in keep], len(keep)
-                scores, det_box = scores[keep], det_box[keep]
+            keep = np.sort(nms(det_box, scores[idx], cfg.nms_threshold))
+            idx, det_box = idx[keep], det_box[keep]
+        n, dets = len(idx), [detections[i] for i in idx.tolist()]
+        scores, det_emb = scores[idx], emb[idx]
         det_cls = np.array([d.class_id for d in dets])
-        det_emb = np.array([d.embedding for d in dets])
 
         n_tracks = len(live)  # candidates: live tracks, then backdrops
         # best candidate and its similarity per detection (-inf: no candidate)
@@ -316,7 +322,7 @@ def step(
             if cfg.distance_gate is not None:
                 allowed &= centers_within(det_box, _stack(live.box, backdrops.box), cfg.distance_gate)
             if cfg.similarity_metric == "bisoftmax":
-                sim = masked_bisoftmax(det_emb, cand_emb, allowed)
+                sim = _bisoftmax(det_emb, cand_emb, allowed)
             else:
                 sim = cosine_matrix(det_emb, cand_emb)
                 sim = np.where(allowed, sim, -np.inf)
@@ -339,8 +345,8 @@ def step(
         # matched tracks: one momentum update of their rows
         di, rows = order[won], o_best[won]
         if rows.size:
-            live.emb[rows] = momentum_update(live.emb.take(rows, axis=0),
-                                             det_emb.take(di, axis=0), cfg.momentum)
+            live.emb[rows] = _momentum(live.emb.take(rows, axis=0), det_emb.take(di, axis=0),
+                                       cfg.momentum)
             live.box[rows] = det_box.take(di, axis=0)
             live.frame[rows] = frame_index
             for i, tid in zip(di.tolist(), live.tid[rows].tolist()):
@@ -398,7 +404,7 @@ def merge_tracklets(state: TrackerState, merge: MergeConfig) -> TrackerState:
     )
     if not allowed.any():
         return state
-    sim = masked_bisoftmax(rows.emb[young], rows.emb[vanished], allowed)
+    sim = _bisoftmax(rows.emb[young], rows.emb[vanished], allowed)
 
     # best young per vanished track, in descending score, ties by (i, j):
     # nonzero lists pairs row-major and the sort is stable

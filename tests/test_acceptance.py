@@ -25,7 +25,7 @@ from embedtrack.contrastive import (
 )
 from embedtrack.geometry import BoundingBox
 from embedtrack.metrics import clear_mot, hota, idf1, per_class_report
-from embedtrack.similarity import _bisoftmax_terms, masked_bisoftmax
+from embedtrack.similarity import _stable_softmax, masked_bisoftmax
 from embedtrack.synth import (
     WorldConfig,
     generate,
@@ -78,9 +78,10 @@ def test_bidirectional_softmax_invariants():
         b = rng.standard_normal((m, d))
         sim = masked_bisoftmax(a, b)
         assert np.all(sim > 0.0) and np.all(sim <= 1.0)
-        row, col = _bisoftmax_terms(a, b)
+        row, col = _stable_softmax(a @ b.T, axis=1), _stable_softmax(a @ b.T, axis=0)
         assert np.max(np.abs(row.sum(axis=1) - 1.0)) <= 1e-12
         assert np.max(np.abs(col.sum(axis=0) - 1.0)) <= 1e-12
+        assert np.array_equal(sim, 0.5 * (row + col))
         # adding a constant to every dot product must not move the matrix
         c = float(rng.uniform(-20, 20))
         a2 = np.hstack([a, np.full((n, 1), 2.0)])

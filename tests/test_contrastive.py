@@ -182,7 +182,7 @@ class TestLossConfig:
     @pytest.mark.parametrize("field,value", [
         ("gamma1", float("nan")), ("gamma1", float("inf")), ("gamma1", -0.5),
         ("gamma2", float("inf")), ("gamma2", float("nan")), ("gamma2", -1.0),
-        ("aux_neg_ratio", -1), ("aux_neg_ratio", 1.5),
+        ("aux_neg_ratio", -1), ("aux_neg_ratio", 1.5), ("aux_neg_ratio", True),
     ])
     def test_invalid_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -398,6 +398,40 @@ class TestToyOptimization:
     def test_needs_two_identities(self):
         with pytest.raises(ValueError, match="two identities"):
             make_toy_problem(1, n_frames=3, dim=4, seed=0)
+
+    @pytest.mark.parametrize("steps", [1, 7])
+    def test_each_pair_checked_once_per_run(self, monkeypatch, steps):
+        """The entry check runs once per consecutive-frame pair, before the
+        first step; the steps call the unchecked kernel."""
+        import embedtrack.contrastive as c
+
+        checks, validations = [], []
+        check, validate = c._check_embeddings, c.validate_embeddings
+        monkeypatch.setattr(c, "_check_embeddings", lambda *a: checks.append(1) or check(*a))
+        monkeypatch.setattr(c, "validate_embeddings",
+                            lambda *a, **k: validations.append(1) or validate(*a, **k))
+        monkeypatch.setattr(c, "loss_total", lambda *a: pytest.fail("checked entry called"))
+        p = make_toy_problem(4, n_frames=5, dim=8, seed=0)
+        _, trace = optimize_embeddings(p, LossConfig(), steps=steps, lr=0.5, rng_seed=0)
+        assert len(trace) == steps and len(checks) == 4 and len(validations) == 8
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda p: p.params.__setitem__((0, 2), np.nan), "key embeddings contain non-finite"),
+        (lambda p: p.params.__setitem__((19, 0), np.inf), "ref embeddings contain non-finite"),
+        (lambda p: setattr(p, "params", p.params[:-1]), "embedding counts do not match"),
+        (lambda p: setattr(p, "batch", SampleBatch(key=[neg([1.0])] * 4, ref=[neg([1.0])] * 4)),
+         "batch has no positive pairs"),
+    ])
+    def test_bad_input_rejected_before_the_first_step(self, monkeypatch, spoil, message):
+        import embedtrack.contrastive as c
+
+        p = make_toy_problem(4, n_frames=5, dim=8, seed=0)
+        spoil(p)
+        before = p.params.copy()
+        monkeypatch.setattr(c, "_loss_total", lambda *a: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match=message):
+            optimize_embeddings(p, LossConfig(), steps=3, lr=0.5, rng_seed=0)
+        assert np.array_equal(p.params, before, equal_nan=True)
 
     def test_divergence_reported_with_step(self):
         p = make_toy_problem(4, n_frames=5, dim=8, seed=0)

@@ -381,6 +381,20 @@ class TestMotFiles:
         ts = read_mot(io.StringIO("0,1,0,0,5,5,1.0,0,0.0\n"))
         assert not ts.frames[0][0].visible
 
+    @pytest.mark.parametrize("visibility, visible", [("-1", False), ("-0.5", False), ("0", False),
+                                                     ("0.25", True), ("1", True)])
+    def test_finite_visibility_above_zero_marks_visible(self, visibility, visible):
+        ts = read_mot(io.StringIO(f"0,1,0,0,5,5,1.0,0,{visibility}\n"))
+        assert ts.frames[0][0].visible is visible
+
+    # a NaN would drop a ground-truth box from both sides of the evaluation
+    @pytest.mark.parametrize("visibility", ["nan", "inf", "-inf", " NaN"])
+    def test_non_finite_visibility_names_its_line(self, visibility):
+        text = "0,1,0,0,5,5,1.0,0,1\n" + f"1,1,0,0,5,5,1.0,0,{visibility}\n"
+        with pytest.raises(FormatError) as exc:
+            read_mot(io.StringIO(text))
+        assert str(exc.value) == f"line 2: non-finite visibility {visibility.strip()}"
+
 
 class TestAtomicWrite:
     def test_writes_file(self, tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from embedtrack.similarity import (
-    _bisoftmax_terms,
+    _bisoftmax,
     _stable_softmax,
     cosine_matrix,
     masked_bisoftmax,
@@ -72,9 +72,12 @@ class TestBisoftmax:
 
     def test_component_normalization(self):
         rng = np.random.default_rng(5)
-        row, col = _bisoftmax_terms(rand_emb(rng, 4, 8), rand_emb(rng, 7, 8))
+        a, b = rand_emb(rng, 4, 8), rand_emb(rng, 7, 8)
+        row, col = _stable_softmax(a @ b.T, axis=1), _stable_softmax(a @ b.T, axis=0)
         assert np.allclose(row.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(col.sum(axis=0), 1.0, atol=1e-12)
+        # the kernel is the mean of exactly these two terms
+        assert np.array_equal(_bisoftmax(a, b, None), 0.5 * (row + col))
 
     def test_shift_invariance(self):
         # appending a constant coordinate adds the same constant to every
@@ -190,10 +193,11 @@ class TestKernelMatchesTwoPassSoftmax:
             logits = dets @ cands.T
             want_row = stable_softmax_oracle(logits, axis=1)
             want_col = stable_softmax_oracle(logits, axis=0)
-            row, col = _bisoftmax_terms(dets, cands)
+            row, col = _stable_softmax(logits, axis=1), _stable_softmax(logits, axis=0)
             matrix = masked_bisoftmax(dets, cands)
+            kernel = _bisoftmax(dets, cands, None)
         assert same_bits(row, want_row) and same_bits(col, want_col)
-        assert same_bits(matrix, 0.5 * (want_row + want_col))
+        assert same_bits(matrix, 0.5 * (want_row + want_col)) and same_bits(kernel, matrix)
 
     def test_scale_1e3_case(self):
         rng = np.random.default_rng(7)
@@ -209,6 +213,8 @@ class TestKernelMatchesTwoPassSoftmax:
             assert same_bits(_stable_softmax(logits, axis), stable_softmax_oracle(logits, axis))
 
     def test_each_input_validated_once(self, monkeypatch):
+        """The entry checks each input once; the kernel behind it checks
+        nothing and trusts its arrays."""
         import embedtrack.similarity as sim
 
         calls = []
@@ -218,8 +224,9 @@ class TestKernelMatchesTwoPassSoftmax:
         a = np.ones((2, 3))
         sim.masked_bisoftmax(a, a, np.ones((2, 2), dtype=bool))
         sim.masked_bisoftmax(a, a)
-        sim._bisoftmax_terms(a, a)
-        assert calls == ["detection embeddings", "candidate embeddings"] * 3
+        sim._bisoftmax(a, a, None)
+        sim._bisoftmax(a, a, np.ones((2, 2), dtype=bool))
+        assert calls == ["detection embeddings", "candidate embeddings"] * 2
 
     def test_logits_checked_for_finiteness_once(self, monkeypatch):
         shapes = []
@@ -227,5 +234,5 @@ class TestKernelMatchesTwoPassSoftmax:
         monkeypatch.setattr(np, "isfinite", lambda x, *a, **k: shapes.append(np.shape(x)) or real(x, *a, **k))
         dets, cands = np.ones((2, 4)), np.ones((3, 4))
         masked_bisoftmax(dets, cands, np.ones((2, 3), dtype=bool))
-        _bisoftmax_terms(dets, cands)
+        _bisoftmax(dets, cands, None)
         assert shapes.count((2, 3)) == 2

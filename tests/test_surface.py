@@ -18,7 +18,7 @@ from embedtrack import geometry, metrics, tracker
 MODULES = sorted(m.name for m in pkgutil.iter_modules(embedtrack.__path__))
 
 REMOVED = {
-    "similarity": ("bisoftmax_matrix", "bisoftmax_components", "_mean"),
+    "similarity": ("bisoftmax_matrix", "bisoftmax_components", "_mean", "_bisoftmax_terms"),
     "contrastive": ("loss_embed", "loss_aux", "IndexedBatch"),
     "synth": ("track_scenario",),
     "metrics": ("_hota_matches", "_Hota", "_Idf1"),

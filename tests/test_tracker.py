@@ -68,13 +68,13 @@ class TestConfig:
             TrackerConfig(beta_new=0.1, beta_obj=0.5)
 
     @pytest.mark.parametrize("name", ["memory_frames", "backdrop_frames"])
-    @pytest.mark.parametrize("value", [np.nan, 2.5, -1, np.float64(3.0), "3"])
+    @pytest.mark.parametrize("value", [np.nan, 2.5, -1, np.float64(3.0), "3", True, False])
     def test_windows_must_be_ints_of_at_least_zero(self, name, value):
         with pytest.raises(ValueError) as exc:
             TrackerConfig(**{name: value})
         assert str(exc.value) == f"{name} must be an int >= 0, got {value!r}"
 
-    @pytest.mark.parametrize("value", [np.nan, 2.5, -1, "3"])
+    @pytest.mark.parametrize("value", [np.nan, 2.5, -1, "3", True, False])
     def test_merge_window_must_be_an_int_of_at_least_zero(self, value):
         with pytest.raises(ValueError) as exc:
             MergeConfig(t=value)
@@ -95,7 +95,7 @@ class TestDetection:
         with pytest.raises(ValueError, match="non-finite"):
             det(0, embedding=np.array([np.nan] * DIM))
 
-    @pytest.mark.parametrize("shape", [(1, DIM), (2, DIM), ()])
+    @pytest.mark.parametrize("shape", [(1, DIM), (2, DIM), (), (0,)])
     def test_embedding_must_be_one_dimensional(self, shape):
         with pytest.raises(ValueError, match="1-D"):
             det(0, embedding=np.ones(shape))
@@ -121,10 +121,12 @@ class TestDetection:
         assert d.embedding.dtype == np.float64 and d.embedding.shape == (2,)
 
     @pytest.mark.parametrize("embedding, message", [
-        (np.ones((2, 2)), "detection embedding must be 1-D, got shape (2, 2)"),
-        (np.ones(()), "detection embedding must be 1-D, got shape ()"),
+        (np.ones((2, 2)), "detection embedding must be 1-D and non-empty, got shape (2, 2)"),
+        (np.ones(()), "detection embedding must be 1-D and non-empty, got shape ()"),
         ([1.0, np.nan], "detection embedding contains non-finite values"),
         ([1.0, -np.inf], "detection embedding contains non-finite values"),
+        # every admissible pair would score a logit of 0
+        (np.array([]), "detection embedding must be 1-D and non-empty, got shape (0,)"),
     ])
     def test_invalid_embedding_message(self, embedding, message):
         with pytest.raises(ValueError) as exc:
@@ -171,13 +173,17 @@ def test_momentum_update_is_row_wise():
 
 
 def test_step_blends_matched_tracks_with_one_momentum_update(monkeypatch):
+    """One call of the momentum kernel per frame with a match; the checked
+    entry momentum_update is not called."""
     calls = []
+    kernel = tracker_module._momentum
 
     def counting(old, new, m):
         calls.append(len(old))
-        return momentum_update(old, new, m)
+        return kernel(old, new, m)
 
-    monkeypatch.setattr(tracker_module, "momentum_update", counting)
+    monkeypatch.setattr(tracker_module, "_momentum", counting)
+    monkeypatch.setattr(tracker_module, "momentum_update", lambda *a: pytest.fail("entry called"))
     t = Tracker(cfg())
     t.step(0, [det(0), det(1, x=100)])
     t.step(1, [det(0), det(1, x=100)])
@@ -387,6 +393,54 @@ class TestStep:
         assert t.state.frame == 0 and sorted(t.state.tracks) == [1]
         # the same frame, without the zero embedding, is accepted
         assert [tid for tid, _ in t.step(1, [det(0)])] == [1]
+
+    # a detection's embedding spoiled after Detection checked it; the first
+    # frame has no candidates, so nothing downstream would see it
+    SPOILED = [
+        ("nan", lambda d: d.embedding.__setitem__(3, np.nan)),
+        ("inf", lambda d: d.embedding.__setitem__(0, np.inf)),
+        ("-inf", lambda d: d.embedding.__setitem__(7, -np.inf)),
+    ]
+
+    @pytest.mark.parametrize("metric", ["bisoftmax", "cosine"])
+    @pytest.mark.parametrize("spoil", [s for _, s in SPOILED], ids=[n for n, _ in SPOILED])
+    def test_spoiled_embedding_rejected_before_any_change_on_the_first_frame(self, spoil, metric):
+        t = Tracker(cfg(similarity_metric=metric))
+        bad = det(0)
+        spoil(bad)
+        with pytest.raises(ValueError) as exc:
+            t.step(0, [det(1, x=100), bad])
+        assert str(exc.value) == "frame 0: detection embeddings must be 1-D and finite"
+        assert t.state.frame is None and not t.state.tracks and not len(t.state.live)
+        # a retry of the frame with the embedding mended succeeds
+        assert [tid for tid, _ in t.step(0, [det(1, x=100), det(0)])] == [1, 2]
+        assert np.isfinite(t.state.live.emb).all()
+
+    @pytest.mark.parametrize("score", [0.9, 0.4, 0.05])  # above beta_new, below it, below the floor
+    @pytest.mark.parametrize("spoil", [s for _, s in SPOILED], ids=[n for n, _ in SPOILED])
+    def test_spoiled_embedding_rejected_before_any_change_on_a_later_frame(self, spoil, score):
+        t = Tracker(cfg(merge=MergeConfig(t=10, beta_merge=0.5, d_merge=100.0)))
+        t.step(0, [det(0), det(1, 0.4, x=100)])
+        rows = [r.emb.copy() for r in (t.state.live, t.state.backdrops)]
+        history = list(t.state.tracks[1].history)
+        bad = det(0, score)
+        spoil(bad)
+        with pytest.raises(ValueError, match="frame 1: detection embeddings must be 1-D and finite"):
+            t.step(1, [bad])
+        assert t.state.frame == 0 and sorted(t.state.tracks) == [1]
+        assert t.state.tracks[1].history == history
+        assert all(np.array_equal(r.emb, e) for r, e in zip((t.state.live, t.state.backdrops), rows))
+        # a retry of the frame with the embedding mended succeeds
+        assert [tid for tid, _ in t.step(1, [det(0, score)])] == ([] if score < 0.1 else [1])
+
+    def test_embedding_reshaped_after_construction_rejected_before_any_change(self):
+        t = Tracker(cfg())
+        t.step(0, [det(0)])
+        bad = det(0)
+        bad.embedding = bad.embedding[:, None]
+        with pytest.raises(ValueError, match="frame 1: detection embeddings must be 1-D and finite"):
+            t.step(1, [bad])
+        assert t.state.frame == 0 and t.state.tracks[1].history[-1][0] == 0
 
     def test_cosine_metric_supported(self):
         t = Tracker(cfg(similarity_metric="cosine"))
@@ -718,3 +772,32 @@ def test_run_sequence_adds_in_frame_then_track_order():
     assert list(pred.frames) == [0, 1, 2, 3, 5]
     assert {f: [e.obj_id for e in es] for f, es in pred.frames.items()} == {
         0: [1], 1: [2], 2: [2], 3: [2], 5: [1, 3]}
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"distance_gate": 20.0, "interpolate": True,
+     "merge": MergeConfig(t=10, beta_merge=0.5, d_merge=100.0)},
+])
+def test_run_sequence_reaches_no_embedding_validation(monkeypatch, overrides):
+    """The frame is checked once, at step's ingress: the association and
+    the merge call the bi-softmax and momentum kernels, never a checked
+    entry."""
+    from embedtrack import similarity
+
+    world = WorldConfig(n_identities=25, n_frames=60, dim=16, speed=6.0, sigma_e=0.2,
+                        jitter_sigma=2.0, fp_rate=0.05, n_distractors=6,
+                        occlusions=[(0, 10, 14), (3, 25, 30), (7, 40, 43)], seed=9)
+    frames = generate(world).detections
+    validations, kernels = [], []
+    for mod in (similarity, tracker_module):
+        real = mod.validate_embeddings
+        monkeypatch.setattr(mod, "validate_embeddings",
+                            lambda *a, _real=real, **k: validations.append(1) or _real(*a, **k))
+    for name in ("_bisoftmax", "_momentum"):
+        real = getattr(tracker_module, name)
+        monkeypatch.setattr(tracker_module, name,
+                            lambda *a, _real=real, _name=name: kernels.append(_name) or _real(*a))
+    pred = run_sequence(frames, synth_tracker_config(**overrides))
+    assert validations == [] and pred.frames
+    assert kernels.count("_bisoftmax") >= len(frames) - 1 and "_momentum" in kernels
