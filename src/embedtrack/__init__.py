@@ -21,7 +21,6 @@ from .contrastive import (
 )
 from .tracker import (
     Detection,
-    MergeConfig,
     Track,
     Tracker,
     TrackerConfig,

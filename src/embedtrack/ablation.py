@@ -16,6 +16,7 @@ from .contrastive import (
     SampleBatch,
     POSITIVE,
     NEGATIVE,
+    VARIANTS,
     aux_selection_margin,
     cross_frame_nn_accuracy,
     finite_difference_gradient,
@@ -130,7 +131,7 @@ SWEEP_KEYS = {
     "metric": ("bisoftmax", "cosine"),
     "backdrops": ("on", "off"),
     "duplicate_removal": ("on", "off"),
-    "loss": ("single_positive", "naive_multi", "accumulated_multi"),
+    "loss": VARIANTS,
     "subsample": None,  # positive integers
     "baseline": ("appearance", "iou"),
 }
@@ -171,7 +172,6 @@ def synth_tracker_config(**overrides) -> TrackerConfig:
     base = dict(
         beta_new=0.8,
         beta_obj=0.5,
-        beta_match=0.5,
         memory_frames=10,
         backdrop_frames=1,
         momentum=0.8,
@@ -237,8 +237,9 @@ def _run_row(world: WorldConfig, assignment: dict[str, str], seed: int) -> dict:
         cfg = synth_tracker_config(
             similarity_metric=assignment.get("metric", "bisoftmax"),
             backdrop_frames=1 if assignment.get("backdrops", "on") == "on" else 0,
-            duplicate_removal=assignment.get("duplicate_removal", "on") == "on",
         )
+        if assignment.get("duplicate_removal", "on") == "off":
+            cfg = replace(cfg, nms_threshold=1.0)  # no IoU exceeds 1.0: NMS keeps every box
         pred = run_sequence(scenario.detections, cfg)
 
     report = per_class_report(scenario.gt, pred)

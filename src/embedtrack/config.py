@@ -23,16 +23,13 @@ PROFILE_NAMES = ("mot17", "mot20", "dancetrack", "bdd100k", "waymo", "tao")
 
 def _checked(key: str, value, tp):
     """``value`` checked against the type hint ``tp``; lists become tuples
-    where ``tp`` is a tuple and mappings become ``tp`` where it is a
-    dataclass. Raises a ValueError that names ``key``."""
+    where ``tp`` is a tuple. Raises a ValueError that names ``key``."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):
         if value is None and type(None) in args:
             return None
         (tp,) = [a for a in args if a is not type(None)]
         return _checked(key, value, tp)
-    if dataclasses.is_dataclass(tp):
-        return _from_dict(tp, value, f"{key} config", path=f"{key}.")
     if origin in (tuple, list):
         if not isinstance(value, (list, tuple)) or (origin is tuple and len(value) != len(args)):
             size = f"{len(args)} " if origin is tuple else ""
@@ -45,17 +42,16 @@ def _checked(key: str, value, tp):
     return value
 
 
-def _from_dict(cls, data, name: str, base=None, path: str = ""):
-    """A ``cls`` dataclass built from the mapping ``data``, or ``base`` with
-    the given fields replaced. Errors call the document ``name`` and prefix
-    its keys with ``path``."""
+def _from_dict(cls, data, name: str, base=None):
+    """A ``cls`` dataclass built from the flat mapping ``data``, or ``base``
+    with the given fields replaced. Errors call the document ``name``."""
     if not isinstance(data, dict):
         raise ValueError(f"{name} must be a JSON object, got {type(data).__name__}")
     hints = typing.get_type_hints(cls)
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-    values = {k: _checked(path + k, v, hints[k]) for k, v in data.items()}
+    values = {k: _checked(k, v, hints[k]) for k, v in data.items()}
     return cls(**values) if base is None else dataclasses.replace(base, **values)
 
 

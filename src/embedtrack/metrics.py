@@ -37,7 +37,7 @@ How the work is shared:
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -153,12 +153,12 @@ class HotaResult:
     assre: float
     asspr: float
     # per alpha in HOTA_ALPHAS, for count-sum aggregation across classes
-    tp: list[int] = field(default_factory=list)
-    fn: list[int] = field(default_factory=list)
-    fp: list[int] = field(default_factory=list)
-    ass_sum: list[float] = field(default_factory=list)
-    assre_sum: list[float] = field(default_factory=list)
-    asspr_sum: list[float] = field(default_factory=list)
+    tp: list[int]
+    fn: list[int]
+    fp: list[int]
+    ass_sum: list[float]
+    assre_sum: list[float]
+    asspr_sum: list[float]
 
 
 def _match(overlaps: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:

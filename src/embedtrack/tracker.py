@@ -22,10 +22,13 @@ from .geometry import BoundingBox, box_array, center_distance, centers_within, n
 from .metrics import ObjectEntry, TrackSet
 from .similarity import _bisoftmax, cosine_matrix, masked_bisoftmax, validate_embeddings  # noqa: F401
 
+_BETA_MATCH = 0.5  # a detection matches its best candidate above this similarity
+# merge_tracklets' window (frames), match score and radius (pixels)
+_MERGE_WINDOW, _BETA_MERGE, _MERGE_RADIUS = 10, 0.5, 50.0
+
 __all__ = [
     "Detection",
     "Track",
-    "MergeConfig",
     "TrackerConfig",
     "TrackerState",
     "Tracker",
@@ -69,27 +72,6 @@ class Track:
     history: list[tuple[int, BoundingBox, float]]
 
 
-def _check_window(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be an int >= 0, got {value!r}")
-
-
-@dataclass
-class MergeConfig:
-    """Near-online tracklet merging parameters (window, score, distance)."""
-
-    t: int = 10
-    beta_merge: float = 0.5
-    d_merge: float = 50.0
-
-    def __post_init__(self) -> None:
-        _check_window("merge t", self.t)
-        if not 0.0 <= self.beta_merge <= 1.0:
-            raise ValueError(f"beta_merge must be in [0, 1], got {self.beta_merge}")
-        if not self.d_merge >= 0.0:
-            raise ValueError(f"d_merge must be >= 0, got {self.d_merge}")
-
-
 @dataclass
 class TrackerConfig:
     """All association and track-management thresholds.
@@ -99,26 +81,26 @@ class TrackerConfig:
     """
 
     beta_obj: float = 0.35
-    beta_match: float = 0.5
     beta_new: float = 0.5
     memory_frames: int = 10  # inactive tracks kept this many frames (K)
     backdrop_frames: int = 1  # backdrop lifetime in frames (L)
     momentum: float = 0.8
-    nms_threshold: float = 0.65
+    nms_threshold: float = 0.65  # 1.0 keeps every box
     det_confidence: float = 0.1
     similarity_metric: str = "bisoftmax"  # or "cosine" (ablation only)
-    duplicate_removal: bool = True
     distance_gate: float | None = None
-    merge: MergeConfig | None = None
+    merge: bool = False  # fold young tracks into vanished ones (merge_tracklets)
     interpolate: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("beta_obj", "beta_match", "beta_new", "momentum", "nms_threshold", "det_confidence"):
+        for name in ("beta_obj", "beta_new", "momentum", "nms_threshold", "det_confidence"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        _check_window("memory_frames", self.memory_frames)
-        _check_window("backdrop_frames", self.backdrop_frames)
+        for name in ("memory_frames", "backdrop_frames"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+                raise ValueError(f"{name} must be an int >= 0, got {v!r}")
         if self.distance_gate is not None and not self.distance_gate >= 0.0:
             raise ValueError(f"distance_gate must be >= 0, got {self.distance_gate}")
         if self.similarity_metric not in ("bisoftmax", "cosine"):
@@ -276,6 +258,9 @@ def step(
         raise ValueError(
             f"frame index must increase monotonically ({frame_index} after {state.frame})"
         )
+    # the one check of the frame's embeddings: the kernels below trust them
+    if any(d.embedding.ndim != 1 for d in detections):
+        raise ValueError(f"frame {frame_index}: detection embeddings must be 1-D and finite")
     live, backdrops = state.live, state.backdrops
     dims = {len(d.embedding) for d in detections}
     held = live if len(live) else backdrops
@@ -284,9 +269,8 @@ def step(
     if len(dims) > 1:
         raise ValueError(f"frame {frame_index}: embedding dimensions {sorted(dims)} differ "
                          "among its detections and the tracker's rows")
-    # the one check of the frame's embeddings: the kernels below trust them
     emb = np.array([d.embedding for d in detections] or np.empty((0, 0)), dtype=np.float64)
-    if emb.ndim != 2 or not np.isfinite(emb).all():
+    if not np.isfinite(emb).all():
         raise ValueError(f"frame {frame_index}: detection embeddings must be 1-D and finite")
     if cfg.similarity_metric == "cosine" and not emb.any(axis=1).all():
         raise ValueError(f"frame {frame_index}: cosine similarity needs non-zero embeddings")
@@ -305,9 +289,8 @@ def step(
     matches: list[tuple[int, Detection]] = []
     if len(idx):
         det_box = box_array(detections[i].box for i in idx.tolist())
-        if cfg.duplicate_removal:
-            keep = np.sort(nms(det_box, scores[idx], cfg.nms_threshold))
-            idx, det_box = idx[keep], det_box[keep]
+        keep = np.sort(nms(det_box, scores[idx], cfg.nms_threshold))
+        idx, det_box = idx[keep], det_box[keep]
         n, dets = len(idx), [detections[i] for i in idx.tolist()]
         scores, det_emb = scores[idx], emb[idx]
         det_cls = np.array([d.class_id for d in dets])
@@ -335,7 +318,7 @@ def step(
         # become backdrops
         order = np.argsort(-scores, kind="stable")
         o_best, o_score = best[order], scores[order]
-        eligible = (best_conf[order] > cfg.beta_match) & (o_score > cfg.beta_obj)
+        eligible = (best_conf[order] > _BETA_MATCH) & (o_score > cfg.beta_obj)
         to_track = np.flatnonzero(eligible & (o_best < n_tracks))
         won = np.zeros(n, dtype=bool)
         won[to_track[np.unique(o_best[to_track], return_index=True)[1]]] = True
@@ -368,29 +351,29 @@ def step(
         backdrops.extend(np.full(len(bi), -1), det_emb.take(bi, axis=0), det_cls[bi],
                          det_box.take(bi, axis=0), frame_index)
 
-    if cfg.merge is not None:
-        merge_tracklets(state, cfg.merge)
+    if cfg.merge:
+        merge_tracklets(state)
 
     matches.sort(key=operator.itemgetter(0))
     return matches
 
 
-def merge_tracklets(state: TrackerState, merge: MergeConfig) -> TrackerState:
+def merge_tracklets(state: TrackerState) -> TrackerState:
     """Fold recently created tracks into matching vanished tracks.
 
-    A track created within the last t frames may be absorbed by an
-    inactive track of its class that was last active before the young
-    track was created, whose bi-softmax match score exceeds beta_merge and
-    whose last box lies within d_merge pixels. Each vanished track absorbs
-    at most one young track (best score wins), taking over its history and
-    its row's embedding, box and frame; the young ID is dropped, not
-    retired.
+    A track created within the last _MERGE_WINDOW frames may be absorbed
+    by an inactive track of its class that was last active before the
+    young track was created, whose bi-softmax match score exceeds
+    _BETA_MERGE and whose last box lies within _MERGE_RADIUS pixels. Each
+    vanished track absorbs at most one young track (best score wins),
+    taking over its history and its row's embedding, box and frame; the
+    young ID is dropped, not retired.
     """
     if state.frame is None:
         return state
     now = state.frame
     rows = state.live
-    young = np.flatnonzero((now - rows.created <= merge.t) & (rows.frame == now))
+    young = np.flatnonzero((now - rows.created <= _MERGE_WINDOW) & (rows.frame == now))
     vanished = np.flatnonzero(rows.frame < now)
     if not young.size or not vanished.size:
         return state
@@ -400,7 +383,7 @@ def merge_tracklets(state: TrackerState, merge: MergeConfig) -> TrackerState:
     allowed = (
         (rows.cls[young][:, None] == rows.cls[vanished][None, :])
         & (rows.created[young][:, None] > rows.frame[vanished][None, :])
-        & centers_within(rows.box[young], rows.box[vanished], merge.d_merge)
+        & centers_within(rows.box[young], rows.box[vanished], _MERGE_RADIUS)
     )
     if not allowed.any():
         return state
@@ -408,7 +391,7 @@ def merge_tracklets(state: TrackerState, merge: MergeConfig) -> TrackerState:
 
     # best young per vanished track, in descending score, ties by (i, j):
     # nonzero lists pairs row-major and the sort is stable
-    ii, jj = np.nonzero(sim > merge.beta_merge)
+    ii, jj = np.nonzero(sim > _BETA_MERGE)
     order = np.argsort(-sim[ii, jj], kind="stable")
     used_young: set[int] = set()
     used_vanished: set[int] = set()
@@ -420,8 +403,8 @@ def merge_tracklets(state: TrackerState, merge: MergeConfig) -> TrackerState:
         used_vanished.add(j)
         y, v = young[i], vanished[j]
         history = state.tracks[rows.tid[v].item()].history
+        # created[young] > frame[vanished] keeps the joined history in frame order
         history.extend(state.tracks.pop(rows.tid[y].item()).history)
-        history.sort(key=lambda h: h[0])
         rows.emb[v], rows.box[v], rows.frame[v] = rows.emb[y], rows.box[y], rows.frame[y]
         keep[y] = False
     rows.select(keep)

@@ -43,7 +43,15 @@ from embedtrack.metrics import (
     _sequential_sum,
 )
 from embedtrack.similarity import cosine_matrix, validate_embeddings
-from embedtrack.tracker import Detection, MergeConfig, TrackerConfig, interpolate_tracks
+from embedtrack.tracker import (
+    _BETA_MATCH,
+    _BETA_MERGE,
+    _MERGE_RADIUS,
+    _MERGE_WINDOW,
+    Detection,
+    TrackerConfig,
+    interpolate_tracks,
+)
 
 NEG_INF = -np.inf
 
@@ -685,7 +693,7 @@ def step_oracle(
     state.frame = frame_index
 
     dets = [d for d in detections if d.score >= cfg.det_confidence]
-    if dets and cfg.duplicate_removal:
+    if dets:
         keep = nms_oracle(
             [(d.box, d.score, d.class_id) for d in dets],
             cfg.nms_threshold,
@@ -725,7 +733,7 @@ def step_oracle(
     for i in order:
         det = dets[i]
         handled = False
-        if best_conf[i] > cfg.beta_match and det.score > cfg.beta_obj:
+        if best_conf[i] > _BETA_MATCH and det.score > cfg.beta_obj:
             j = best[i]
             if j < n_tracks:
                 track = tracks[j]
@@ -771,29 +779,29 @@ def step_oracle(
         b for b in state.backdrops if frame_index - b.frame <= cfg.backdrop_frames
     ]
 
-    if cfg.merge is not None:
-        merge_tracklets_oracle(state, cfg.merge)
+    if cfg.merge:
+        merge_tracklets_oracle(state)
 
     matches.sort(key=lambda p: p[0])
     return matches
 
 
-def merge_tracklets_oracle(state: OracleTrackerState, merge: MergeConfig) -> OracleTrackerState:
+def merge_tracklets_oracle(state: OracleTrackerState) -> OracleTrackerState:
     """Fold recently created tracks into matching vanished tracks.
 
-    A track created within the last t frames may be absorbed by an
-    inactive track of its class that was last active before the young
-    track was created, whose bi-softmax match score exceeds beta_merge and
-    whose last box lies within d_merge pixels. Each vanished track absorbs
-    at most one young track (best score wins); the young ID is retired and
-    its history relabeled.
+    A track created within the last _MERGE_WINDOW frames may be absorbed
+    by an inactive track of its class that was last active before the
+    young track was created, whose bi-softmax match score exceeds
+    _BETA_MERGE and whose last box lies within _MERGE_RADIUS pixels. Each
+    vanished track absorbs at most one young track (best score wins); the
+    young ID is retired and its history relabeled.
     """
     if state.frame is None:
         return state
     now = state.frame
     young = [
         t for t in state.tracks.values()
-        if now - t.created_frame <= merge.t and t.last_active_frame == now
+        if now - t.created_frame <= _MERGE_WINDOW and t.last_active_frame == now
     ]
     vanished = [t for t in state.tracks.values() if t.last_active_frame < now]
     if not young or not vanished:
@@ -810,7 +818,7 @@ def merge_tracklets_oracle(state: OracleTrackerState, merge: MergeConfig) -> Ora
     allowed = (
         (y_cls[:, None] == v_cls[None, :])
         & (y_created[:, None] > v_last[None, :])
-        & within_oracle([t.last_box for t in young], [t.last_box for t in vanished], merge.d_merge)
+        & within_oracle([t.last_box for t in young], [t.last_box for t in vanished], _MERGE_RADIUS)
     )
     if not allowed.any():
         return state
@@ -818,7 +826,7 @@ def merge_tracklets_oracle(state: OracleTrackerState, merge: MergeConfig) -> Ora
 
     # best young per vanished track, in descending score, ties by (i, j):
     # nonzero lists pairs row-major and the sort is stable
-    ii, jj = np.nonzero(sim > merge.beta_merge)
+    ii, jj = np.nonzero(sim > _BETA_MERGE)
     order = np.argsort(-sim[ii, jj], kind="stable")
     used_young: set[int] = set()
     used_vanished: set[int] = set()

@@ -96,8 +96,9 @@ def test_perfect_detections_give_perfect_tracking():
     world = WorldConfig(n_identities=20, n_frames=200, dim=32, min_margin=0.05, seed=0)
     scenario = generate(world)
     # detections are exact ground-truth boxes; duplicate-removal NMS would
-    # only delete genuinely overlapping objects
-    cfg = synth_tracker_config(duplicate_removal=False)
+    # only delete genuinely overlapping objects, so a threshold of 1.0 keeps
+    # every box
+    cfg = synth_tracker_config(nms_threshold=1.0)
     pred = run_sequence(scenario.detections, cfg)
     rep = per_class_report(scenario.gt, pred)
     elapsed = time.perf_counter() - start

@@ -5,14 +5,13 @@ import pytest
 
 from embedtrack.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, int_list, main
 from embedtrack.config import PROFILE_NAMES, config_from_dict, load_profile
-from embedtrack.tracker import MergeConfig
 
 
 class TestProfiles:
     def test_all_profiles_load(self):
         for name in PROFILE_NAMES:
             cfg = load_profile(name)
-            assert 0.0 <= cfg.beta_match <= 1.0
+            assert 0.0 <= cfg.beta_obj <= cfg.beta_new <= 1.0
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError, match="unknown profile"):
@@ -22,7 +21,7 @@ class TestProfiles:
         for name in ("mot17", "mot20"):
             cfg = load_profile(name)
             assert cfg.distance_gate is not None
-            assert isinstance(cfg.merge, MergeConfig)
+            assert cfg.merge is True
             assert cfg.interpolate
 
     def test_open_vocabulary_profile_disables_backdrops(self):
@@ -31,8 +30,13 @@ class TestProfiles:
     def test_config_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown tracker config keys"):
             config_from_dict({"beta_matchh": 0.5})
-        with pytest.raises(ValueError, match="unknown merge config keys"):
-            config_from_dict({"merge": {"window": 3}})
+        # removed fields: the match score is a constant and a threshold of
+        # 1.0 turns duplicate removal off
+        for key in ("beta_match", "duplicate_removal"):
+            with pytest.raises(ValueError, match=f"unknown tracker config keys: \\['{key}'\\]"):
+                config_from_dict({key: 0.5})
+        with pytest.raises(ValueError, match="merge must be bool"):
+            config_from_dict({"merge": {"t": 3}})
 
 
 @pytest.fixture
@@ -132,11 +136,11 @@ def test_track_output_evaluates_for_every_profile(tmp_path, profile):
 
 
 @pytest.mark.parametrize("command,document,key", [
-    ("track", {"merge": 5}, "merge config"),
+    ("track", {"merge": 5}, "merge must be bool"),
     ("track", {"beta_obj": "x"}, "beta_obj"),
     ("track", {"memory_frames": None}, "memory_frames"),
     ("track", {"distance_gate": "50"}, "distance_gate"),
-    ("track", {"merge": {"t": "a"}}, "merge.t"),
+    ("track", {"merge": {"t": 10, "beta_merge": 0.5, "d_merge": 50.0}}, "merge must be bool"),
     ("track", [], "tracker config"),
     ("synth", [], "world config"),
     ("synth", {"image_size": 5}, "image_size"),
@@ -147,6 +151,8 @@ def test_track_output_evaluates_for_every_profile(tmp_path, profile):
     ("ablate", {"n_frames": "5"}, "n_frames"),
     ("ablate", {"image_size": 5}, "image_size"),
     ("synth", {"motion": "linear"}, "unknown world config keys: ['motion']"),
+    ("track", {"beta_match": 0.5}, "unknown tracker config keys: ['beta_match']"),
+    ("track", {"duplicate_removal": False}, "unknown tracker config keys: ['duplicate_removal']"),
 ])
 def test_malformed_config_is_data_error(scenario_files, tmp_path, capsys, command, document, key):
     det, _, _ = scenario_files
@@ -167,9 +173,6 @@ def test_malformed_config_is_data_error(scenario_files, tmp_path, capsys, comman
     ({"nms_threshold": 5}, "nms_threshold"),
     ({"det_confidence": 2}, "det_confidence"),
     ({"distance_gate": -1}, "distance_gate"),
-    ({"merge": {"t": -5}}, "merge t"),
-    ({"merge": {"beta_merge": 7}}, "beta_merge"),
-    ({"merge": {"d_merge": -0.5}}, "d_merge"),
 ])
 def test_out_of_range_config_is_data_error(scenario_files, tmp_path, capsys, document, key):
     det, _, _ = scenario_files

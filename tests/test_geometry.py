@@ -274,3 +274,20 @@ class TestAgainstDenseReferences:
         threshold = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0, 1))
         assert nms(box_array(boxes), np.array(scores), threshold) == nms_oracle(
             dets, threshold, class_agnostic=True)
+
+
+@given(st.data())
+def test_nms_at_threshold_one_keeps_every_box(data):
+    """No computed IoU exceeds 1.0, so NMS at 1.0 suppresses nothing and
+    returns every index in descending score order: the tracker's way to
+    switch duplicate removal off."""
+    drawn = data.draw(_boxes | _grid_boxes)
+    # each drawn box with an identical copy, a nested half and a zero-area sliver
+    derived = [
+        b for x in drawn for b in (x, BoundingBox(x.x1, x.y1, (x.x1 + x.x2) / 2, x.y2),
+                                   BoundingBox(x.x1, x.y1, x.x1, x.y2))
+    ]
+    boxes = data.draw(st.permutations(drawn + derived))
+    scores = np.array(data.draw(st.lists(st.sampled_from([0.2, 0.5, 0.9]) | st.floats(0, 1),
+                                         min_size=len(boxes), max_size=len(boxes))))
+    assert nms(box_array(boxes), scores, 1.0) == np.argsort(-scores, kind="stable").tolist()

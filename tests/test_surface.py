@@ -23,7 +23,7 @@ REMOVED = {
     "synth": ("track_scenario",),
     "metrics": ("_hota_matches", "_Hota", "_Idf1"),
     "formats": ("trackset_to_mot_rows",),
-    "tracker": ("_within", "Backdrop", "_rows", "_gather"),
+    "tracker": ("_within", "Backdrop", "_rows", "_gather", "MergeConfig"),
 }
 
 # removed parameters and fields; most only ever took one value and are
@@ -43,7 +43,10 @@ REMOVED_PARAMETERS = {
     ("ablation", "random_batch"): ("n_identities", "scale"),
     ("metrics", "HotaResult"): ("alphas",),
     ("geometry", "nms"): ("class_agnostic",),
-    ("tracker", "TrackerConfig"): ("same_class_only",),
+    # the match score and the merge window, score and radius are constants;
+    # nms_threshold=1.0 keeps every box
+    ("tracker", "TrackerConfig"): ("same_class_only", "beta_match", "duplicate_removal"),
+    ("tracker", "merge_tracklets"): ("merge",),
     # association state lives in the tracker's rows, not on the track
     ("tracker", "Track"): ("embedding", "last_box", "last_active_frame", "created_frame"),
     # objects move linearly; the embedding norm and score ranges are constants

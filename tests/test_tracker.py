@@ -13,11 +13,9 @@ from embedtrack.metrics import TrackSet
 from embedtrack.synth import Scenario, WorldConfig, generate
 from embedtrack.tracker import (
     Detection,
-    MergeConfig,
     Tracker,
     TrackerConfig,
     interpolate_tracks,
-    merge_tracklets,
     momentum_update,
     run_sequence,
 )
@@ -43,7 +41,7 @@ def det(i, score=0.9, x=0.0, cls=0, embedding=None):
 
 
 def cfg(**kw):
-    base = dict(beta_obj=0.35, beta_match=0.5, beta_new=0.5,
+    base = dict(beta_obj=0.35, beta_new=0.5,
                 memory_frames=10, backdrop_frames=1, momentum=0.8,
                 det_confidence=0.1, nms_threshold=0.65)
     base.update(kw)
@@ -52,8 +50,8 @@ def cfg(**kw):
 
 class TestConfig:
     def test_threshold_range_checked(self):
-        with pytest.raises(ValueError, match="beta_match"):
-            TrackerConfig(beta_match=1.5)
+        with pytest.raises(ValueError, match="beta_new"):
+            TrackerConfig(beta_new=1.5)
 
     def test_momentum_range_checked(self):
         with pytest.raises(ValueError, match="momentum"):
@@ -74,16 +72,10 @@ class TestConfig:
             TrackerConfig(**{name: value})
         assert str(exc.value) == f"{name} must be an int >= 0, got {value!r}"
 
-    @pytest.mark.parametrize("value", [np.nan, 2.5, -1, "3", True, False])
-    def test_merge_window_must_be_an_int_of_at_least_zero(self, value):
-        with pytest.raises(ValueError) as exc:
-            MergeConfig(t=value)
-        assert str(exc.value) == f"merge t must be an int >= 0, got {value!r}"
-
     @pytest.mark.parametrize("value", [0, 7, np.int64(3)])
     def test_int_windows_accepted(self, value):
-        c = TrackerConfig(memory_frames=value, backdrop_frames=value, merge=MergeConfig(t=value))
-        assert c.memory_frames == c.backdrop_frames == c.merge.t == value
+        c = TrackerConfig(memory_frames=value, backdrop_frames=value)
+        assert c.memory_frames == c.backdrop_frames == value
 
 
 class TestDetection:
@@ -296,7 +288,7 @@ class TestStep:
         assert len(out) == 1
 
     def test_duplicate_removal_can_be_disabled(self):
-        t = Tracker(cfg(duplicate_removal=False))
+        t = Tracker(cfg(nms_threshold=1.0))  # no IoU exceeds 1.0
         out = t.step(0, [det(0, 0.9, cls=0), det(1, 0.8, cls=1)])
         assert len(out) == 2
 
@@ -419,7 +411,7 @@ class TestStep:
     @pytest.mark.parametrize("score", [0.9, 0.4, 0.05])  # above beta_new, below it, below the floor
     @pytest.mark.parametrize("spoil", [s for _, s in SPOILED], ids=[n for n, _ in SPOILED])
     def test_spoiled_embedding_rejected_before_any_change_on_a_later_frame(self, spoil, score):
-        t = Tracker(cfg(merge=MergeConfig(t=10, beta_merge=0.5, d_merge=100.0)))
+        t = Tracker(cfg(merge=True))
         t.step(0, [det(0), det(1, 0.4, x=100)])
         rows = [r.emb.copy() for r in (t.state.live, t.state.backdrops)]
         history = list(t.state.tracks[1].history)
@@ -442,6 +434,19 @@ class TestStep:
             t.step(1, [bad])
         assert t.state.frame == 0 and t.state.tracks[1].history[-1][0] == 0
 
+    def test_reshaped_embedding_beside_a_valid_one_names_the_frame(self):
+        t = Tracker(cfg())
+        t.step(0, [det(0)])
+        bad = det(1, x=100)
+        bad.embedding = bad.embedding[:, None]
+        with pytest.raises(ValueError) as exc:
+            t.step(1, [det(0), bad])
+        assert str(exc.value) == "frame 1: detection embeddings must be 1-D and finite"
+        assert t.state.frame == 0 and sorted(t.state.tracks) == [1] and len(t.state.live) == 1
+        # a retry of the frame with the embedding mended succeeds
+        bad.embedding = bad.embedding[:, 0]
+        assert [tid for tid, _ in t.step(1, [det(0), bad])] == [1, 2]
+
     def test_cosine_metric_supported(self):
         t = Tracker(cfg(similarity_metric="cosine"))
         t.step(0, [det(0)])
@@ -450,53 +455,50 @@ class TestStep:
 
 
 class TestMerge:
+    # merge_tracklets folds within 50 px; a tighter association gate makes
+    # a returning object spawn a young track that merging can fold back
     def test_young_track_folds_into_vanished(self):
-        # the association distance gate blocks direct re-association, so the
-        # detection spawns a new track; the wider merge radius then folds it
-        # back into the vanished one
-        t = Tracker(cfg(distance_gate=50.0,
-                        merge=MergeConfig(t=10, beta_merge=0.5, d_merge=100.0)))
+        t = Tracker(cfg(distance_gate=20.0, merge=True))
         t.step(0, [det(0, x=0)])
         t.step(1, [])  # track 1 misses a frame -> vanished
-        t.step(2, [det(0, x=60)])
+        t.step(2, [det(0, x=50)])  # centers exactly 50 px apart
         assert sorted(t.state.tracks) == [1]
         frames = [f for f, _, _ in t.state.tracks[1].history]
         assert frames == [0, 2]
 
     def test_merge_respects_distance(self):
-        t = Tracker(cfg(distance_gate=50.0,
-                        merge=MergeConfig(t=10, beta_merge=0.5, d_merge=100.0)))
+        t = Tracker(cfg(distance_gate=20.0, merge=True))
         t.step(0, [det(0, x=0)])
         t.step(1, [])
-        t.step(2, [det(0, x=500)])
+        t.step(2, [det(0, x=50.5)])
         assert sorted(t.state.tracks) == [1, 2]
 
     def test_merge_respects_class(self):
-        t = Tracker(cfg(merge=MergeConfig()))
+        t = Tracker(cfg(merge=True))
         t.step(0, [det(0, cls=0)])
         t.step(1, [])
         t.step(2, [det(0, x=5, cls=1)])
         assert sorted(t.state.tracks) == [1, 2]
 
     def test_vanished_absorbs_single_best(self):
-        state_cfg = cfg(merge=None)
-        t = Tracker(state_cfg)
+        t = Tracker(cfg(distance_gate=20.0, merge=True))
         t.step(0, [det(0, x=0)])
         t.step(1, [])
-        a = Detection(BoundingBox(0, 0, 10, 10), 0, 0.9, emb(0))
-        b = Detection(BoundingBox(20, 0, 30, 10), 0, 0.8, emb(0) * 0.5)
-        t.step(2, [a, b])
-        merge_tracklets(t.state, MergeConfig(t=10, beta_merge=0.3, d_merge=100.0))
-        assert len(t.state.tracks) == 2  # only one young track absorbed
-
+        # both spawn young tracks that score above 0.5 against track 1; the
+        # closer appearance wins though it spawned second
+        b = Detection(BoundingBox(40, 0, 50, 10), 0, 0.9, emb(0) * 0.9)
+        a = Detection(BoundingBox(30, 0, 40, 10), 0, 0.8, emb(0))
+        t.step(2, [b, a])
+        assert sorted(t.state.tracks) == [1, 2]  # only one young track absorbed
+        assert t.state.tracks[1].history[-1][1] is a.box
 
     def test_merge_skips_track_overlapping_in_time(self):
         # two lookalikes spawn together; one continues, the other vanishes.
         # The continuing track lived alongside the vanished one, so folding
         # it in would give one ID two boxes at frame 0.
-        d = {0: [det(0, x=0), det(0, x=60)], 1: [det(0, x=2)], 2: [det(0, x=4)]}
+        d = {0: [det(0, x=0), det(0, x=40)], 1: [det(0, x=2)], 2: [det(0, x=4)]}
         scenario = Scenario(TrackSet(), d, {}, np.zeros((1, DIM)), WorldConfig(dim=DIM))
-        c = cfg(merge=MergeConfig(beta_merge=0.3, d_merge=100.0), interpolate=True)
+        c = cfg(merge=True, interpolate=True)
         pred = run_sequence(scenario.detections, c)
         keys = [(f, e.obj_id) for f, es in pred.frames.items() for e in es]
         assert len(keys) == len(set(keys))
@@ -555,8 +557,7 @@ def test_broadcast_gate_matches_brute_force(monkeypatch):
     frames = generate(world).detections
     # a gate tighter than the merge radius, so occluded objects come back as
     # young tracks that merging then folds into their vanished ones
-    c = cfg(distance_gate=20.0, merge=MergeConfig(t=10, beta_merge=0.5, d_merge=100.0),
-            interpolate=True)
+    c = cfg(distance_gate=20.0, merge=True, interpolate=True)
 
     def run():
         t = Tracker(c)
@@ -663,7 +664,6 @@ def tracked_streams(draw):
     classes and frame gaps."""
     c = TrackerConfig(
         beta_obj=0.35,
-        beta_match=draw(st.sampled_from([0.0, 0.3, 0.5])),
         beta_new=0.5,
         memory_frames=draw(st.integers(0, 3)),
         backdrop_frames=draw(st.integers(0, 3)),
@@ -671,9 +671,8 @@ def tracked_streams(draw):
         nms_threshold=draw(st.sampled_from([0.0, 0.4, 1.0])),
         det_confidence=0.1,
         similarity_metric=draw(st.sampled_from(["bisoftmax", "cosine"])),
-        duplicate_removal=draw(st.booleans()),
         distance_gate=draw(st.sampled_from([None, 12.0])),
-        merge=draw(st.sampled_from([None, MergeConfig(t=3, beta_merge=0.3, d_merge=30.0)])),
+        merge=draw(st.booleans()),
         interpolate=draw(st.booleans()),
     )
     protos = 5.0 * np.eye(DIM)[:4]
@@ -702,8 +701,7 @@ def test_step_equals_per_object_tracker(drawn):
 
 @pytest.mark.parametrize("overrides", [
     {},
-    {"distance_gate": 20.0, "interpolate": True,
-     "merge": MergeConfig(t=10, beta_merge=0.5, d_merge=100.0)},
+    {"distance_gate": 20.0, "interpolate": True, "merge": True},
     {"similarity_metric": "cosine", "memory_frames": 2, "backdrop_frames": 3},
 ])
 def test_seeded_world_equals_per_object_tracker(overrides):
@@ -748,12 +746,12 @@ def small_worlds(draw):
 def test_run_sequence_is_the_online_output(drawn, postprocess):
     frames, c = drawn
     if not postprocess:
-        c = dataclasses.replace(c, merge=None, interpolate=False)
+        c = dataclasses.replace(c, merge=False, interpolate=False)
     pred = run_sequence(frames, c)
     got = [(f, e) for f in sorted(pred.frames) for e in pred.frames[f]]
     keys = [(f, e.obj_id) for f, e in got]
     assert len(keys) == len(set(keys))
-    if c.merge is not None or c.interpolate:
+    if c.merge or c.interpolate:
         return
     t = Tracker(c)
     online = [(f, tid, d) for f in sorted(frames) for tid, d in t.step(f, frames[f])]
@@ -776,8 +774,7 @@ def test_run_sequence_adds_in_frame_then_track_order():
 
 @pytest.mark.parametrize("overrides", [
     {},
-    {"distance_gate": 20.0, "interpolate": True,
-     "merge": MergeConfig(t=10, beta_merge=0.5, d_merge=100.0)},
+    {"distance_gate": 20.0, "interpolate": True, "merge": True},
 ])
 def test_run_sequence_reaches_no_embedding_validation(monkeypatch, overrides):
     """The frame is checked once, at step's ingress: the association and
