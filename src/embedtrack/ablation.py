@@ -27,7 +27,6 @@ from .contrastive import (
 from .geometry import BoundingBox
 from .metrics import per_class_report
 from .synth import (
-    Scenario,
     WorldConfig,
     generate,
     iou_baseline_track,

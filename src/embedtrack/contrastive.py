@@ -7,6 +7,12 @@ supported (single-positive InfoNCE, its naive multi-positive sum, and the
 accumulated multi-positive form), plus an auxiliary L2 loss on cosine
 similarity. Gradients are analytic; a finite-difference helper is provided
 for checking them.
+
+The loss kernels take a stack of pairs: (..., V, D) key and (..., K, D)
+reference embeddings that share one (V, K) positivity, scored slice by
+slice in one call. ``loss_total`` passes one pair, ``optimize_embeddings``
+every consecutive-frame pair of a step, and ``finite_difference_gradient``
+its perturbed copies of one pair.
 """
 
 from __future__ import annotations
@@ -50,6 +56,10 @@ _BATCH_SIZES = (128, 256)  # key and reference samples drawn per batch
 # bins over [0, _NEG_IOU_UPPER)
 _N_IOU_BINS, _NEG_IOU_UPPER = 3, 0.3
 _FD_STEP = 1e-5  # of the central differences in finite_difference_gradient
+# floats of embeddings and (V, K) cells that one stacked call of
+# finite_difference_gradient scores: its temporaries stay near those of one
+# large loss_total call
+_FD_STACK_FLOATS = 2**16
 _TOY_INIT_SCALE = 0.1  # of the toy problem's random initial embeddings
 
 
@@ -220,8 +230,11 @@ def _embed_value_and_grad(
     key_emb: np.ndarray,
     ref_emb: np.ndarray,
     variant: str,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Embedding loss with analytic gradients w.r.t. both embedding sets.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Embedding loss with analytic gradients w.r.t. both embedding sets,
+    for a stack of (..., V, D) key and (..., K, D) reference embeddings
+    that share one (V, K) positivity. Returns the (...) losses and the
+    gradients in the shapes of the embeddings.
 
     Per key sample with P positives and negatives N (all non-positive
     reference samples), the accumulated form is
@@ -231,78 +244,86 @@ def _embed_value_and_grad(
     single-positive variant averages the per-positive InfoNCE losses, the
     naive multi-positive variant sums them. Result is the mean over key
     samples that have at least one positive. All rows at once: one (V, K)
-    pair-weight matrix W gives the gradients W @ ref_emb and W.T @ key_emb.
+    pair-weight matrix W per slice gives the gradients W @ ref_emb and
+    W.T @ key_emb. The row sets come from the positivity, once per call.
     """
     active = positivity.any(axis=1)
     inv_n = 1.0 / np.count_nonzero(active)
     # A row with no negative has loss log(1 + 0) = 0: it counts in n, adds nothing.
     live = np.flatnonzero(active & ~positivity.all(axis=1))
     pos = positivity[live]
-    v = key_emb[live]
-    dots = v @ ref_emb.T  # (rows, K)
-    bmax = dots.max(axis=1, where=~pos, initial=-np.inf)
-    eb = np.exp(dots - bmax[:, None], out=np.zeros_like(dots), where=~pos)
-    sb = eb.sum(axis=1)  # eb / sb: softmax over negative dots, 0 on positives
+    v = key_emb[..., live, :]
+    dots = v @ ref_emb.swapaxes(-1, -2)  # (..., rows, K)
+    bmax = dots.max(axis=-1, where=~pos, initial=-np.inf)
+    eb = np.exp(dots - bmax[..., None], out=np.zeros_like(dots), where=~pos)
+    sb = eb.sum(axis=-1)  # eb / sb: softmax over negative dots, 0 on positives
     if variant == "accumulated_multi":
-        amin = dots.min(axis=1, where=pos, initial=np.inf)
-        ea = np.exp(amin[:, None] - dots, out=np.zeros_like(dots), where=pos)
-        sa = ea.sum(axis=1)
+        amin = dots.min(axis=-1, where=pos, initial=np.inf)
+        ea = np.exp(amin[..., None] - dots, out=np.zeros_like(dots), where=pos)
+        sa = ea.sum(axis=-1)
         # L = log(1 + exp(lse(-a) + lse(b)))
         z = (bmax - amin) + np.log(sa) + np.log(sb)
         L = np.logaddexp(0.0, z)
         w = np.exp(z - L)  # total pair weight, = S / (1 + S)
-        total = inv_n * L.sum()
+        total = inv_n * L.sum(axis=-1)
         # sum_p w_pn per negative n minus sum_n w_pn per positive p
-        W = (inv_n * w / sb)[:, None] * eb - (inv_n * w / sa)[:, None] * ea
+        W = (inv_n * w / sb)[..., None] * eb - (inv_n * w / sa)[..., None] * ea
     else:
         # per-positive InfoNCE: L_p = log(1 + sum_n exp(b_n - a_p))
-        x = (bmax + np.log(sb))[:, None] - dots
+        x = (bmax + np.log(sb))[..., None] - dots
         Lp = np.logaddexp(0.0, x, out=np.zeros_like(dots), where=pos)
         wp = np.exp(x - Lp, out=np.zeros_like(dots), where=pos)  # per-positive negative weight
         scale = inv_n / (pos.sum(axis=1, keepdims=True) if variant == "single_positive" else 1)
-        total = (scale * Lp).sum()
-        W = scale * (wp.sum(axis=1, keepdims=True) / sb[:, None] * eb - wp)
+        total = (scale * Lp).reshape(dots.shape[:-2] + (pos.size,)).sum(axis=-1)
+        W = scale * (wp.sum(axis=-1, keepdims=True) / sb[..., None] * eb - wp)
     g_key = np.zeros_like(key_emb)
-    g_key[live] = W @ ref_emb
-    return float(total), g_key, W.T @ v
+    g_key[..., live, :] = W @ ref_emb
+    return total, g_key, W.swapaxes(-1, -2) @ v
 
 
 def _hardest(vals: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the n largest values, largest first and ties by lower
-    index: np.argsort(-vals, kind="stable")[:n] without sorting the rest."""
+    """Per row of vals (..., N), the indices of its n largest values,
+    largest first and ties by lower index:
+    np.argsort(-vals, axis=-1, kind="stable")[..., :n] without sorting the rest."""
     if n == 0:
-        return np.zeros(0, dtype=np.intp)
+        return np.zeros(vals.shape[:-1] + (0,), dtype=np.intp)
     keys = -vals
-    cut = np.partition(keys, n - 1)[n - 1]
-    above = np.flatnonzero(keys < cut)
-    ties = np.flatnonzero(keys == cut)[: n - above.size]
-    sel = np.concatenate([above, ties])
-    return sel[np.argsort(keys[sel], kind="stable")]
+    cut = np.partition(keys, n - 1, axis=-1)[..., n - 1 : n]
+    above, ties = keys < cut, keys == cut
+    spare = n - np.count_nonzero(above, axis=-1, keepdims=True)  # places left for ties
+    if (np.count_nonzero(ties, axis=-1, keepdims=True) > spare).any():
+        ties &= np.cumsum(ties, axis=-1) <= spare  # the lowest-index ties fill them
+    sel = np.nonzero(above | ties)[-1].reshape(vals.shape[:-1] + (n,))
+    order = np.argsort(np.take_along_axis(keys, sel, axis=-1), axis=-1, kind="stable")
+    return np.take_along_axis(sel, order, axis=-1)
 
 
 def _aux_pairs(
     positivity: np.ndarray,
     cos: np.ndarray,
     neg_ratio: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """All positive pairs plus the neg_ratio x |positives| hardest negatives
-    (highest cosine). Returns (rows, cols, targets)."""
-    pi, pj = np.nonzero(positivity)
-    ni, nj = np.nonzero(~positivity)
-    n_hard = min(ni.size, neg_ratio * pi.size)
-    order = _hardest(cos[ni, nj], n_hard)
-    rows = np.concatenate([pi, ni[order]])
-    cols = np.concatenate([pj, nj[order]])
-    targets = np.concatenate([np.ones(pi.size), np.zeros(n_hard)])
-    return rows, cols, targets
+    (highest cosine) of each (V, K) slice of cos (..., V, K). Returns
+    (cells, targets): the pairs as (..., pairs) flat indices into a slice's
+    V x K cells, row-major, positives first; and the (pairs,) targets."""
+    pos = np.flatnonzero(positivity)
+    neg = np.flatnonzero(~positivity)
+    n_hard = min(neg.size, neg_ratio * pos.size)
+    lead = cos.shape[:-2]
+    hard = neg[_hardest(cos.reshape(lead + (positivity.size,))[..., neg], n_hard)]
+    cells = np.concatenate([np.broadcast_to(pos, lead + pos.shape), hard], axis=-1)
+    targets = np.concatenate([np.ones(pos.size), np.zeros(n_hard)])
+    return cells, targets
 
 
 def _cosine_and_norms(key_emb: np.ndarray, ref_emb: np.ndarray):
-    kn = np.linalg.norm(key_emb, axis=1)
-    rn = np.linalg.norm(ref_emb, axis=1)
+    """(..., V, K) cosines of each slice and the (..., V), (..., K) norms."""
+    kn = np.linalg.norm(key_emb, axis=-1)
+    rn = np.linalg.norm(ref_emb, axis=-1)
     if np.any(kn == 0) or np.any(rn == 0):
         raise ValueError("zero-norm embedding in auxiliary loss")
-    cos = (key_emb / kn[:, None]) @ (ref_emb / rn[:, None]).T
+    cos = (key_emb / kn[..., None]) @ (ref_emb / rn[..., None]).swapaxes(-1, -2)
     return cos, kn, rn
 
 
@@ -311,21 +332,25 @@ def _aux_value_and_grad(
     key_emb: np.ndarray,
     ref_emb: np.ndarray,
     neg_ratio: int,
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Auxiliary L2 loss (cos - c)^2 with analytic gradients; mean over all
-    positive pairs and the hard-mined negatives. The selected pairs are
-    unique, so their coefficients scatter into dense (V, K) matrices."""
+    positive pairs and the hard-mined negatives. Stacks as
+    _embed_value_and_grad does. The selected pairs are unique, so their
+    coefficients scatter into dense (..., V, K) matrices."""
     cos, kn, rn = _cosine_and_norms(key_emb, ref_emb)
-    rows, cols, targets = _aux_pairs(positivity, cos, neg_ratio)
-    c = cos[rows, cols]
+    cells, targets = _aux_pairs(positivity, cos, neg_ratio)
+    flat = cos.shape[:-2] + (positivity.size,)
+    c = np.take_along_axis(cos.reshape(flat), cells, axis=-1)
     resid = c - targets
-    value = float(np.mean(resid**2))
-    coef = 2.0 * resid / rows.size
+    value = np.mean(resid**2, axis=-1)
+    coef = 2.0 * resid / cells.shape[-1]
+    rows, cols = np.divmod(cells, cos.shape[-1])
+    norms = np.take_along_axis(kn, rows, axis=-1) * np.take_along_axis(rn, cols, axis=-1)
     A, B = np.zeros((2,) + cos.shape)
-    A[rows, cols] = coef / (kn[rows] * rn[cols])
-    B[rows, cols] = coef * c
-    g_key = A @ ref_emb - (B.sum(axis=1) / kn**2)[:, None] * key_emb
-    g_ref = A.T @ key_emb - (B.sum(axis=0) / rn**2)[:, None] * ref_emb
+    np.put_along_axis(A.reshape(flat), cells, coef / norms, axis=-1)
+    np.put_along_axis(B.reshape(flat), cells, coef * c, axis=-1)
+    g_key = A @ ref_emb - (B.sum(axis=-1) / kn**2)[..., None] * key_emb
+    g_ref = A.swapaxes(-1, -2) @ key_emb - (B.sum(axis=-2) / rn**2)[..., None] * ref_emb
     return value, g_key, g_ref
 
 
@@ -373,14 +398,18 @@ def loss_total(
     zero weight are skipped entirely.
     """
     key_emb, ref_emb = _check_embeddings(batch, embeddings, cfg)
-    return _loss_total(batch.positivity, key_emb, ref_emb, cfg)
+    value, grads = _loss_total(batch.positivity, key_emb, ref_emb, cfg)
+    return float(value), grads
 
 
 def _loss_total(
     positivity: np.ndarray, key_emb: np.ndarray, ref_emb: np.ndarray, cfg: LossConfig
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """``loss_total`` on embeddings that ``_check_embeddings`` accepted."""
-    value = 0.0
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """``loss_total`` on embeddings that ``_check_embeddings`` accepted, for
+    a stack of (..., V, D) key and (..., K, D) reference embeddings that
+    share one (V, K) positivity: the (...) values and both gradients. Each
+    slice gets the bits of a call on that slice alone."""
+    value = np.zeros(key_emb.shape[:-2])
     g_key = np.zeros_like(key_emb)
     g_ref = np.zeros_like(ref_emb)
     if cfg.gamma1 > 0:
@@ -400,21 +429,25 @@ def finite_difference_gradient(
     batch: SampleBatch, embeddings, cfg: LossConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference gradient of loss_total, the independent oracle
-    for the analytic gradients. The embeddings are checked once; each
-    perturbed evaluation skips the check."""
+    for the analytic gradients. The embeddings are checked once; the
+    perturbed evaluations skip the check and run as stacks: each entry of
+    a chunk is moved up in one slice and down in another, and a stack holds
+    at most _FD_STACK_FLOATS floats."""
     key_emb, ref_emb = _check_embeddings(batch, embeddings, cfg)
+    chunk = max(1, _FD_STACK_FLOATS // (2 * (key_emb.size + ref_emb.size + batch.positivity.size)))
     grads = []
-    for base in (key_emb, ref_emb):
-        g = np.zeros_like(base)
-        for idx in np.ndindex(base.shape):
-            orig = base[idx]
-            base[idx] = orig + _FD_STEP
-            up, _ = _loss_total(batch.positivity, key_emb, ref_emb, cfg)
-            base[idx] = orig - _FD_STEP
-            down, _ = _loss_total(batch.positivity, key_emb, ref_emb, cfg)
-            base[idx] = orig
-            g[idx] = (up - down) / (2 * _FD_STEP)
-        grads.append(g)
+    for moved, base in enumerate((key_emb, ref_emb)):
+        g = np.empty(base.size)
+        for start in range(0, base.size, chunk):
+            idx = np.arange(start, min(start + chunk, base.size))
+            n = idx.size
+            stacks = [np.repeat(e[None], 2 * n, axis=0) for e in (key_emb, ref_emb)]
+            entries = stacks[moved].reshape(2 * n, base.size)  # a view: writes move the stack
+            entries[np.arange(n), idx] = base.flat[idx] + _FD_STEP
+            entries[np.arange(n, 2 * n), idx] = base.flat[idx] - _FD_STEP
+            value, _ = _loss_total(batch.positivity, *stacks, cfg)
+            g[idx] = (value[:n] - value[n:]) / (2 * _FD_STEP)
+        grads.append(g.reshape(base.shape))
     return tuple(grads)
 
 
@@ -464,34 +497,37 @@ def optimize_embeddings(
     """Plain gradient descent on the total loss, embeddings as free
     parameters.
 
-    Each step visits every consecutive-frame pair in a seed-shuffled order,
-    accumulates the mean gradient into the parameter matrix and takes one
-    descent step. Deterministic under a fixed seed. Each pair is checked
-    once, before the first step. Raises on divergence (loss above 1e9 or
-    non-finite), naming the step.
+    Each step scores every consecutive-frame pair in one stacked kernel
+    call, sums the mean loss in a seed-shuffled pair order, accumulates the
+    mean gradient into the parameter matrix and takes one descent step.
+    Deterministic under a fixed seed. Each pair is checked once, before the
+    first step. Raises on divergence (loss above 1e9 or non-finite), naming
+    the step.
     """
     rng = np.random.default_rng(rng_seed)
     params = np.array(problem.params, dtype=np.float64)
     trace: list[tuple[int, float]] = []
     m = len(problem.batch.key)  # rows per frame
     n = int(problem.frame.max(initial=0))  # consecutive-frame pairs
-    pairs = [(slice(t * m, (t + 1) * m), slice((t + 1) * m, (t + 2) * m)) for t in range(n)]
-    for key, ref in pairs:
-        _check_embeddings(problem.batch, (params[key], params[ref]), cfg)
+    rows = [params[t * m:(t + 1) * m] for t in range(n + 1)]  # per frame
+    for key, ref in zip(rows, rows[1:]):
+        _check_embeddings(problem.batch, (key, ref), cfg)
+    frames = params[: (n + 1) * m].reshape(n + 1, m, params.shape[1])  # a view: steps move params
     for step in range(steps):
         order = rng.permutation(n)
-        grad = np.zeros_like(params)
+        value, (gk, gr) = _loss_total(problem.batch.positivity, frames[:-1], frames[1:], cfg)
+        shares = (value / n).tolist()
         total = 0.0
-        for t in order:
-            key, ref = pairs[t]
-            value, (gk, gr) = _loss_total(problem.batch.positivity, params[key], params[ref], cfg)
-            total += value / n
-            grad[key] += gk / n
-            grad[ref] += gr / n
+        for t in order:  # the trace's bits depend on this order
+            total += shares[t]
         if not np.isfinite(total) or total > 1e9:
             raise RuntimeError(f"embedding optimization diverged at step {step} (loss={total})")
         trace.append((step, total))
-        params -= lr * grad
+        # each frame is the key of one pair and the reference of the one before
+        grad = np.zeros_like(frames)
+        grad[:-1] += gk / n
+        grad[1:] += gr / n
+        frames -= lr * grad
     return params, trace
 
 

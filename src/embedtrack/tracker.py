@@ -101,6 +101,10 @@ class TrackerConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
                 raise ValueError(f"{name} must be an int >= 0, got {v!r}")
+        for name in ("merge", "interpolate"):
+            v = getattr(self, name)
+            if not isinstance(v, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {v!r}")
         if self.distance_gate is not None and not self.distance_gate >= 0.0:
             raise ValueError(f"distance_gate must be >= 0, got {self.distance_gate}")
         if self.similarity_metric not in ("bisoftmax", "cosine"):

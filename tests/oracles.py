@@ -5,17 +5,19 @@ The metric oracles enumerate matchings explicitly instead of calling an
 assignment solver. The contrastive-loss oracles are the per-key-sample
 loops that the matrix-form losses in ``embedtrack.contrastive`` replaced:
 one Python iteration per key row, hard negatives chosen by a full stable
-argsort, gradients scattered with ``np.add.at``. The association oracles
-are the per-object tracker that the array-resident ``embedtrack.tracker``
-replaced: candidate matrices stacked every frame from its own ``Track``
-and ``Backdrop`` records (embedding, last box and frames as fields), a
-Python greedy claim loop, per-box NMS and the two-pass softmax; with them
-comes the per-negative IoU binning of ``sample_batch``. The detection-file
-oracles are the line-by-line reader and the per-float writer that the
-chunked ``embedtrack.formats`` reader and the bulk writer replaced. The
-``separate_*`` metrics are the evaluation that ``per_class_report``'s one
-pass per class replaced: each metric converts every frame and computes its
-IoU matrix on its own.
+argsort, gradients scattered with ``np.add.at``. The trainer oracles are
+the loops that stacked calls of the loss kernel replaced: a kernel call per
+consecutive-frame pair, and two per perturbed embedding entry. The
+association oracles are the per-object tracker that the array-resident
+``embedtrack.tracker`` replaced: candidate matrices stacked every frame
+from its own ``Track`` and ``Backdrop`` records (embedding, last box and
+frames as fields), a Python greedy claim loop, per-box NMS and the
+two-pass softmax; with them comes the per-negative IoU binning of
+``sample_batch``. The detection-file oracles are the line-by-line reader
+and the per-float writer that the chunked ``embedtrack.formats`` reader
+and the bulk writer replaced. The ``separate_*`` metrics are the
+evaluation that ``per_class_report``'s one pass per class replaced: each
+metric converts every frame and computes its IoU matrix on its own.
 """
 
 import itertools
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from embedtrack.contrastive import POSITIVE, VARIANTS, LossConfig
+from embedtrack.contrastive import _FD_STEP, POSITIVE, VARIANTS, LossConfig, _loss_total
 from embedtrack.formats import DET_HEADER_PREFIX, FormatError
 from embedtrack.geometry import BoundingBox, center_distance_matrix, iou, iou_matrix
 from embedtrack.metrics import (
@@ -517,6 +519,52 @@ def loss_total_oracle(positivity, key_emb, ref_emb, cfg: LossConfig | None = Non
         g_key += cfg.gamma2 * gk
         g_ref += cfg.gamma2 * gr
     return value, (g_key, g_ref)
+
+
+def optimize_embeddings_oracle(problem, cfg, steps, lr, rng_seed):
+    """``optimize_embeddings`` with one kernel call per consecutive-frame
+    pair, visited in the seed-shuffled order, the gradient accumulated pair
+    by pair."""
+    rng = np.random.default_rng(rng_seed)
+    params = np.array(problem.params, dtype=np.float64)
+    trace = []
+    m = len(problem.batch.key)
+    n = int(problem.frame.max(initial=0))
+    pairs = [(slice(t * m, (t + 1) * m), slice((t + 1) * m, (t + 2) * m)) for t in range(n)]
+    for step in range(steps):
+        order = rng.permutation(n)
+        grad = np.zeros_like(params)
+        total = 0.0
+        for t in order:
+            key, ref = pairs[t]
+            value, (gk, gr) = _loss_total(problem.batch.positivity, params[key], params[ref], cfg)
+            total += float(value) / n
+            grad[key] += gk / n
+            grad[ref] += gr / n
+        if not np.isfinite(total) or total > 1e9:
+            raise RuntimeError(f"embedding optimization diverged at step {step} (loss={total})")
+        trace.append((step, total))
+        params -= lr * grad
+    return params, trace
+
+
+def finite_difference_gradient_oracle(positivity, key_emb, ref_emb, cfg):
+    """Central differences with two kernel calls per embedding entry, the
+    entry moved in place and put back."""
+    key_emb, ref_emb = key_emb.copy(), ref_emb.copy()
+    grads = []
+    for base in (key_emb, ref_emb):
+        g = np.zeros_like(base)
+        for idx in np.ndindex(base.shape):
+            orig = base[idx]
+            base[idx] = orig + _FD_STEP
+            up, _ = _loss_total(positivity, key_emb, ref_emb, cfg)
+            base[idx] = orig - _FD_STEP
+            down, _ = _loss_total(positivity, key_emb, ref_emb, cfg)
+            base[idx] = orig
+            g[idx] = (up - down) / (2 * _FD_STEP)
+        grads.append(g)
+    return tuple(grads)
 
 
 def stable_softmax_oracle(logits: np.ndarray, axis: int) -> np.ndarray:

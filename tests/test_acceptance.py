@@ -9,10 +9,8 @@ determinism and association throughput.
 
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from embedtrack.ablation import gradient_check, standard_noisy_world, synth_tracker_config
 from embedtrack.cli import main

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from embedtrack.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, int_list, main

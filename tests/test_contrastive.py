@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from embedtrack.contrastive import (
@@ -14,6 +14,7 @@ from embedtrack.contrastive import (
     _aux_pairs,
     _embed_value_and_grad,
     _iou_balanced_draw,
+    _loss_total,
     assign_samples,
     aux_selection_margin,
     cross_frame_nn_accuracy,
@@ -28,8 +29,10 @@ from oracles import (
     aux_pairs_oracle,
     aux_selection_margin_oracle,
     embed_value_and_grad_oracle,
+    finite_difference_gradient_oracle,
     iou_balanced_draw_oracle,
     loss_total_oracle,
+    optimize_embeddings_oracle,
     positivity_oracle,
 )
 
@@ -529,7 +532,8 @@ class TestMatrixFormEquivalence:
         values = st.lists(st.integers(-2, 2), min_size=v * k, max_size=v * k)
         cos = np.array(data.draw(values), dtype=float).reshape(v, k)
         neg_ratio = data.draw(st.sampled_from([0, 1, 2, 3, v * k]))
-        got = _aux_pairs(positivity, cos, neg_ratio)
+        cells, targets = _aux_pairs(positivity, cos, neg_ratio)
+        got = (*np.divmod(cells, k), targets)
         want = aux_pairs_oracle(positivity, cos, neg_ratio)
         for g, w in zip(got, want):
             assert np.array_equal(g, w) and g.dtype == w.dtype
@@ -577,3 +581,108 @@ class TestMatrixFormEquivalence:
         want = iou_balanced_draw_oracle(negatives, max_ious, count, n_bins, upper,
                                         np.random.default_rng(seed))
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# One kernel over a stack of pairs against the same calls one slice at a time
+# ---------------------------------------------------------------------------
+
+GAMMAS = ((0.25, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
+
+
+class TestStackedKernel:
+    @given(labeled_batches(), st.integers(1, 4), st.integers(0, 4), st.data())
+    def test_loss_total_on_a_stack_equals_one_slice_at_a_time(self, drawn, stack, neg_ratio, data):
+        # small integer embeddings repeat cosines, so each slice has its own
+        # ties at the hard-negative cutoff
+        key_labels, ref_labels, dim, _ = drawn
+        positivity = build_batch(*drawn).positivity
+        assume(positivity.any())
+        row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+        key_emb, ref_emb = (
+            np.array([[data.draw(row) for _ in labels] for _ in range(stack)], dtype=float)
+            for labels in (key_labels, ref_labels))
+        for variant in VARIANTS:
+            for gamma1, gamma2 in GAMMAS:
+                cfg = LossConfig(gamma1=gamma1, gamma2=gamma2, aux_neg_ratio=neg_ratio,
+                                 variant=variant)
+                value, (gk, gr) = _loss_total(positivity, key_emb, ref_emb, cfg)
+                assert value.shape == (stack,)
+                for s in range(stack):
+                    want, (wk, wr) = _loss_total(positivity, key_emb[s], ref_emb[s], cfg)
+                    assert value[s] == want
+                    assert np.array_equal(gk[s], wk) and np.array_equal(gr[s], wr)
+
+    @given(st.data())
+    def test_hard_negative_selection_on_a_stack_equals_stable_argsort(self, data):
+        stack, v, k = (data.draw(st.integers(1, n)) for n in (4, 6, 8))
+        cells = st.lists(st.booleans(), min_size=v * k, max_size=v * k).filter(any)
+        positivity = np.array(data.draw(cells)).reshape(v, k)
+        values = st.lists(st.integers(-2, 2), min_size=stack * v * k, max_size=stack * v * k)
+        cos = np.array(data.draw(values), dtype=float).reshape(stack, v, k)
+        neg_ratio = data.draw(st.sampled_from([0, 1, 2, 3, v * k]))
+        got, targets = _aux_pairs(positivity, cos, neg_ratio)
+        for s in range(stack):
+            rows, cols, want = aux_pairs_oracle(positivity, cos[s], neg_ratio)
+            assert np.array_equal(got[s], rows * k + cols) and np.array_equal(targets, want)
+
+
+class TestStackedCallers:
+    """The trainer and the finite differences give the bits of the loops
+    that called the kernel once per pair and twice per entry."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("gammas", GAMMAS[:3])
+    # one frame has no pair, two frames one
+    @pytest.mark.parametrize("ids, frames, dim", [(4, 5, 8), (3, 2, 4), (5, 1, 3)])
+    def test_optimize_equals_per_pair_loop(self, variant, gammas, ids, frames, dim):
+        p = make_toy_problem(ids, n_frames=frames, dim=dim, seed=frames)
+        cfg = LossConfig(gamma1=gammas[0], gamma2=gammas[1], variant=variant)
+        params, trace = optimize_embeddings(p, cfg, steps=15, lr=0.5, rng_seed=ids)
+        want_params, want_trace = optimize_embeddings_oracle(p, cfg, steps=15, lr=0.5, rng_seed=ids)
+        assert np.array_equal(params, want_params)
+        assert trace == want_trace
+
+    @staticmethod
+    def spy_on_stacks(monkeypatch):
+        """The stack size of each kernel call finite_difference_gradient makes."""
+        import embedtrack.contrastive as c
+
+        sizes, kernel = [], c._loss_total
+
+        def spy(positivity, key_emb, ref_emb, cfg):
+            sizes.append(len(key_emb))
+            return kernel(positivity, key_emb, ref_emb, cfg)
+
+        monkeypatch.setattr(c, "_loss_total", spy)
+        return sizes
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    # the key's 8 entries are more than, as many as and fewer than a chunk;
+    # the reference's 24 fill four, three and three chunks
+    @pytest.mark.parametrize("chunk", [7, 8, 9])
+    def test_finite_differences_equal_per_entry_loop(self, monkeypatch, variant, chunk):
+        import embedtrack.contrastive as c
+
+        b = build_batch([0], [0, None, 1], 8, seed=chunk)
+        emb = b.embeddings()
+        per_slice = b.positivity.size + emb[0].size + emb[1].size
+        monkeypatch.setattr(c, "_FD_STACK_FLOATS", 2 * chunk * per_slice)
+        sizes = self.spy_on_stacks(monkeypatch)
+        cfg = LossConfig(variant=variant)
+        fk, fr = finite_difference_gradient(b, emb, cfg)
+        wk, wr = finite_difference_gradient_oracle(b.positivity, *emb, cfg)
+        assert np.array_equal(fk, wk) and np.array_equal(fr, wr)
+        chunks = [[chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0) for n in (8, 24)]
+        assert sizes == [2 * n for n in chunks[0] + chunks[1]]
+
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_stacks_stay_within_the_float_budget(self, monkeypatch, dim):
+        import embedtrack.contrastive as c
+
+        b = random_labeled_batch(np.random.default_rng(dim), v=6, k=10, dim=dim)
+        emb = b.embeddings()
+        sizes = self.spy_on_stacks(monkeypatch)
+        finite_difference_gradient(b, emb, LossConfig())
+        per_slice = b.positivity.size + emb[0].size + emb[1].size
+        assert 2 < max(sizes) and max(sizes) * per_slice <= c._FD_STACK_FLOATS

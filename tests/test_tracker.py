@@ -72,6 +72,19 @@ class TestConfig:
             TrackerConfig(**{name: value})
         assert str(exc.value) == f"{name} must be an int >= 0, got {value!r}"
 
+    # a truthy string such as "off" would switch the stage on
+    @pytest.mark.parametrize("name", ["merge", "interpolate"])
+    @pytest.mark.parametrize("value", ["off", "true", 1, 0, None, 1.0])
+    def test_switches_must_be_bools(self, name, value):
+        with pytest.raises(ValueError) as exc:
+            TrackerConfig(**{name: value})
+        assert str(exc.value) == f"{name} must be a bool, got {value!r}"
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+    def test_bool_switches_accepted(self, value):
+        c = TrackerConfig(merge=value, interpolate=value)
+        assert c.merge is value and c.interpolate is value
+
     @pytest.mark.parametrize("value", [0, 7, np.int64(3)])
     def test_int_windows_accepted(self, value):
         c = TrackerConfig(memory_frames=value, backdrop_frames=value)
