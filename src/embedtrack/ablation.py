@@ -6,6 +6,7 @@ IoU baseline on synthetic scenarios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,12 +96,16 @@ def gradient_check(
     its cutoff are redrawn: the loss is non-smooth there and finite
     differences are not a valid oracle at such points.
 
-    ``corrupt`` perturbs the analytic gradient before comparison; it
-    exists as a negative control for the checker itself.
+    The check passes when the worst relative error over all batches is
+    below ``tolerance``, which must be finite and > 0. ``corrupt``
+    perturbs the analytic gradient before comparison; it exists as a
+    negative control for the checker itself.
     """
     for name, value in (("dims", min(dims, default=0)), ("v", v), ("k", k), ("n_batches", n_batches)):
         if value < 1:
             raise ValueError(f"gradient_check {name} must be >= 1, got {value}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"gradient_check tolerance must be finite and > 0, got {tolerance}")
     cfg = LossConfig()
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -17,7 +17,7 @@ import time
 from . import ablation
 from .config import PROFILE_NAMES, config_from_dict, load_profile
 from .formats import atomic_write, read_detections, read_mot, write_detections, write_mot
-from .metrics import EvalReport, per_class_report
+from .metrics import EvalReport, _check_iou_threshold, per_class_report
 from .synth import WorldConfig, generate
 from .tracker import TrackerConfig, run_sequence
 
@@ -108,6 +108,7 @@ def _machine_report(report: EvalReport) -> str:
 
 
 def cmd_eval(args) -> int:
+    _check_iou_threshold(args.iou)
     with open(args.gt) as fp:
         gt = read_mot(fp)
     with open(args.pred) as fp:

@@ -252,7 +252,9 @@ def _embed_value_and_grad(
     # A row with no negative has loss log(1 + 0) = 0: it counts in n, adds nothing.
     live = np.flatnonzero(active & ~positivity.all(axis=1))
     pos = positivity[live]
-    v = key_emb[..., live, :]
+    # take, not key_emb[..., live, :]: that index puts the stack axis innermost,
+    # and matmul then sums a slice in another order than on the slice alone
+    v = key_emb.take(live, axis=-2)
     dots = v @ ref_emb.swapaxes(-1, -2)  # (..., rows, K)
     bmax = dots.max(axis=-1, where=~pos, initial=-np.inf)
     eb = np.exp(dots - bmax[..., None], out=np.zeros_like(dots), where=~pos)

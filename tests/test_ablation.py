@@ -57,6 +57,12 @@ class TestGradientCheck:
         assert r.passed
         assert r.n_batches == 4
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        # nan failed correct gradients, inf passed any gradient
+        with pytest.raises(ValueError, match="gradient_check tolerance must be finite and > 0"):
+            gradient_check(dims=(4,), v=4, k=6, n_batches=1, tolerance=tolerance)
+
 
 class TestRunAblation:
     def small_world(self):

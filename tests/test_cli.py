@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embedtrack.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, int_list, main
 from embedtrack.config import PROFILE_NAMES, config_from_dict, load_profile
@@ -134,6 +140,41 @@ def test_track_output_evaluates_for_every_profile(tmp_path, profile):
     assert len(keys) == len(set(keys))
 
 
+@st.composite
+def tiny_worlds(draw):
+    """A world document of a few identities and frames, with drawn
+    embedding noise, false positives and occlusions. Identity 0 is never
+    occluded, so every world has ground truth to score."""
+    n_ids, n_frames = draw(st.integers(1, 4)), draw(st.integers(2, 12))
+    frame = st.integers(0, n_frames - 1)
+    occluded = st.tuples(st.integers(1, max(n_ids - 1, 1)), frame, frame)
+    occlusions = draw(st.lists(occluded, max_size=3 if n_ids > 1 else 0))
+    return {"n_identities": n_ids, "n_frames": n_frames, "dim": 8,
+            "sigma_e": draw(st.floats(0.0, 0.5)), "fp_rate": draw(st.floats(0.0, 0.2)),
+            "occlusions": [[i, min(a, b), max(a, b)] for i, a, b in occlusions]}
+
+
+@settings(max_examples=10, deadline=None)
+@given(tiny_worlds(), st.integers(0, 2**16))
+def test_track_then_eval_for_every_profile_on_drawn_worlds(world, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, det, gt, pred = (Path(tmp) / n for n in ("world.json", "det.txt", "gt.txt", "pred.txt"))
+        cfg_path.write_text(json.dumps(world))
+        assert main(["--seed", str(seed), "synth", "--config", str(cfg_path),
+                     "--detections", str(det), "--gt", str(gt)]) == EXIT_OK
+        for profile in PROFILE_NAMES:
+            assert main(["track", "--input", str(det), "--output", str(pred),
+                         "--profile", profile]) == EXIT_OK
+            keys = [tuple(line.split(",")[:2]) for line in pred.read_text().splitlines()]
+            assert len(keys) == len(set(keys))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["eval", "--gt", str(gt), "--pred", str(pred), "--machine"]) == EXIT_OK
+            scores = dict(line.split("=") for line in out.getvalue().splitlines() if line.startswith("all."))
+            assert 0.0 <= float(scores["all.idf1"]) <= 1.0
+            assert 0.0 <= float(scores["all.hota"]) <= 1.0
+
+
 @pytest.mark.parametrize("command,document,key", [
     ("track", {"merge": 5}, "merge must be bool"),
     ("track", {"beta_obj": "x"}, "beta_obj"),
@@ -210,6 +251,13 @@ class TestEvalCommand:
         assert main(["eval", "--gt", str(gt), "--pred", str(gt), f"--iou={iou}"]) == EXIT_DATA
         assert "iou_threshold must be in (0, 1]" in capsys.readouterr().err
 
+    def test_iou_checked_before_the_files_are_opened(self, tmp_path, capsys):
+        nope = str(tmp_path / "nope.txt")
+        assert main(["eval", "--gt", nope, "--pred", nope, "--iou", "1.5"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "iou_threshold must be in (0, 1], got 1.5" in err
+        assert "nope.txt" not in err
+
 
 class TestAblateCommand:
     def test_small_sweep_writes_csv(self, tmp_path):
@@ -277,6 +325,15 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"gradient_check {name} must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "0", "-1", "inf"])
+    def test_tolerance_not_finite_and_positive_is_data_error(self, capsys, tolerance):
+        rc = main(["gradcheck", "--dims", "4", "--batches", "1", "--keys", "4", "--refs", "6",
+                   f"--tolerance={tolerance}"])
+        assert rc == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gradient_check tolerance must be finite and > 0" in captured.err
 
 
 class TestUsageErrors:
