@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .contrastive import (
+    _AUX_NEG_RATIO,
     LossConfig,
     RegionSample,
     SampleBatch,
@@ -114,7 +115,7 @@ def gradient_check(
         dim = dims[checked % len(dims)]
         batch = random_batch(v, k, dim, rng)
         emb = batch.embeddings()
-        if aux_selection_margin(batch, emb, cfg.aux_neg_ratio) < 1e-3:
+        if aux_selection_margin(batch, emb, _AUX_NEG_RATIO) < 1e-3:
             continue
         _, (gk, gr) = loss_total(batch, emb, cfg)
         if corrupt:

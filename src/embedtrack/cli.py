@@ -83,8 +83,7 @@ def _format_report(report: EvalReport) -> str:
             f"{c:>8} {fmt(m.mota)} {fmt(m.idf1)} {fmt(m.hota)} {fmt(m.deta)} "
             f"{fmt(m.assa)} {m.fp:>6} {m.fn:>6} {m.idsw:>5} {m.mt:>4} {m.ml:>4}"
         )
-    if report.mmota is not None:
-        lines.append(f"mMOTA={report.mmota:.4f} mIDF1={report.midf1:.4f}")
+    lines.append(f"mMOTA={report.mmota:.4f} mIDF1={report.midf1:.4f}")
     return "\n".join(lines)
 
 
@@ -101,9 +100,8 @@ def _machine_report(report: EvalReport) -> str:
     for c, m in sorted(report.per_class.items()):
         emit(f"class.{c}", m)
     emit("all", report.aggregate)
-    if report.mmota is not None:
-        lines.append(f"all.mmota={report.mmota!r}")
-        lines.append(f"all.midf1={report.midf1!r}")
+    lines.append(f"all.mmota={report.mmota!r}")
+    lines.append(f"all.midf1={report.midf1!r}")
     return "\n".join(lines)
 
 

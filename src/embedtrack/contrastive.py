@@ -61,6 +61,7 @@ _FD_STEP = 1e-5  # of the central differences in finite_difference_gradient
 # large loss_total call
 _FD_STACK_FLOATS = 2**16
 _TOY_INIT_SCALE = 0.1  # of the toy problem's random initial embeddings
+_AUX_NEG_RATIO = 3  # hardest negatives the auxiliary loss keeps per positive pair
 
 
 @dataclass
@@ -107,22 +108,18 @@ class SampleBatch:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     """Weights and variant selection for the total objective."""
 
     gamma1: float = 0.25
     gamma2: float = 1.0
-    aux_neg_ratio: int = 3
     variant: str = "accumulated_multi"
 
     def __post_init__(self) -> None:
         for name in ("gamma1", "gamma2"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        ratio = self.aux_neg_ratio
-        if isinstance(ratio, bool) or not isinstance(ratio, (int, np.integer)) or ratio < 0:
-            raise ValueError(f"aux_neg_ratio must be an int >= 0, got {ratio!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
 
@@ -420,7 +417,7 @@ def _loss_total(
         g_key += cfg.gamma1 * gk
         g_ref += cfg.gamma1 * gr
     if cfg.gamma2 > 0:
-        v, gk, gr = _aux_value_and_grad(positivity, key_emb, ref_emb, cfg.aux_neg_ratio)
+        v, gk, gr = _aux_value_and_grad(positivity, key_emb, ref_emb, _AUX_NEG_RATIO)
         value += cfg.gamma2 * v
         g_key += cfg.gamma2 * gk
         g_ref += cfg.gamma2 * gr

@@ -202,7 +202,7 @@ def _frames(gt: TrackSet, pred: TrackSet) -> tuple[Iterator[tuple[np.ndarray, ..
     prs = [pred.frames.get(f, []) for f in order]
     gt_ids = np.unique([e.obj_id for entries in gts for e in entries])
     if len(gt_ids) == 0:
-        raise ValueError("undefined MOTA denominator: ground truth contains no objects")
+        raise ValueError("ground truth has no visible objects")
     pr_ids = np.unique([e.obj_id for entries in prs for e in entries])
 
     def arrays(entries, ids):
@@ -431,8 +431,8 @@ class ClassMetrics:
 class EvalReport:
     per_class: dict[int, ClassMetrics]
     aggregate: ClassMetrics
-    mmota: float | None
-    midf1: float | None
+    mmota: float
+    midf1: float
 
 
 def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> EvalReport:
@@ -440,6 +440,8 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
 
     Classes appearing only in predictions contribute their false positives
     to the aggregate but are excluded from the mMOTA/mIDF1 class means.
+    Raises when no class has a visible ground-truth box, as ``clear_mot``,
+    ``idf1`` and ``hota`` do.
     """
     _check_iou_threshold(iou_threshold)
     classes = sorted(gt.class_ids() | pred.class_ids())
@@ -475,14 +477,12 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
         for key in ("num_gt", "fp", "fn", "idsw", "mt", "ml", "idtp", "idfp", "idfn"):
             setattr(agg, key, getattr(agg, key) + getattr(cm, key))
 
-    if agg.num_gt > 0:
-        agg.mota = 1.0 - (agg.fn + agg.fp + agg.idsw) / agg.num_gt
-        agg.motp = sum_iou_weighted / total_matches if total_matches else 0.0
-        denom = agg.idtp + 0.5 * agg.idfn + 0.5 * agg.idfp
-        agg.idf1 = agg.idtp / denom if denom else 0.0
-        for key, value in _hota_means(*hota_raw).items():
-            setattr(agg, key, value)
-
-    mmota = float(np.mean(motas)) if motas else None
-    midf1 = float(np.mean(idf1s)) if idf1s else None
-    return EvalReport(per_class, agg, mmota, midf1)
+    if agg.num_gt == 0:
+        raise ValueError("ground truth has no visible objects")
+    agg.mota = 1.0 - (agg.fn + agg.fp + agg.idsw) / agg.num_gt
+    agg.motp = sum_iou_weighted / total_matches if total_matches else 0.0
+    denom = agg.idtp + 0.5 * agg.idfn + 0.5 * agg.idfp
+    agg.idf1 = agg.idtp / denom if denom else 0.0
+    for key, value in _hota_means(*hota_raw).items():
+        setattr(agg, key, value)
+    return EvalReport(per_class, agg, float(np.mean(motas)), float(np.mean(idf1s)))

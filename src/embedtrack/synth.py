@@ -29,17 +29,18 @@ __all__ = [
     "oracle_tracks",
 ]
 
+_BOX_SIZE_RANGE = (40.0, 80.0)  # of box widths and heights, pixels
 
-@dataclass
+
+@dataclass(frozen=True)
 class WorldConfig:
-    """Knobs for one synthetic world."""
+    """Knobs for one synthetic world; frozen, so a variant comes from ``replace``."""
 
     n_identities: int = 10
     n_frames: int = 100
     n_classes: int = 1
     image_size: tuple[float, float] = (1000.0, 1000.0)
     speed: float = 3.0  # pixels per frame
-    box_size_range: tuple[float, float] = (40.0, 80.0)
     dim: int = 32
     min_margin: float = 0.05  # required 1 - max cross-prototype cosine
     sigma_e: float = 0.0  # embedding noise before renormalization
@@ -67,15 +68,12 @@ class WorldConfig:
             v = getattr(self, name)
             if not 0.0 <= v < np.inf:
                 raise ValueError(f"noise sigmas must be finite and >= 0, got {name}={v}")
-        lo, hi = self.box_size_range
-        if not 0.0 <= lo <= hi:
-            raise ValueError(f"box_size_range must satisfy 0 <= low <= high <= inf, got {(lo, hi)}")
         # centres reflect one largest box size inside each border; false
-        # positives are centred 50 pixels inside
-        twice, least = 2 * self.box_size_range[1], (100.0 if self.fp_rate > 0 else 0.0)
-        if not all(twice < side < np.inf and side >= least for side in self.image_size):
-            raise ValueError("image_size sides must be finite, more than twice box_size_range[1] and "
-                             f"at least 100 if fp_rate > 0, got {self.image_size}")
+        # positives are centred 50 pixels inside, which this leaves room for
+        least = 2 * _BOX_SIZE_RANGE[1]
+        if not all(least < side < np.inf for side in self.image_size):
+            raise ValueError(f"image_size sides must be finite and more than {least:g}, "
+                             f"got {self.image_size}")
         if not all(0 <= i < self.n_identities and first <= last for i, first, last in self.occlusions):
             raise ValueError("occlusions need 0 <= identity < n_identities and first <= last "
                              f"in each (identity, first, last), got {self.occlusions}")
@@ -177,7 +175,7 @@ def _positions(cfg: WorldConfig, n: int, rng: np.random.Generator) -> np.ndarray
     """Center trajectories, shape (n, n_frames, 2): straight lines at
     ``cfg.speed`` in a random direction, reflected at borders."""
     w, h = cfg.image_size
-    margin = cfg.box_size_range[1]
+    margin = _BOX_SIZE_RANGE[1]
     lo, hi = np.array([margin, margin]), np.array([w - margin, h - margin])
     start = rng.uniform(lo, hi, size=(n, 2))
     pos = np.zeros((n, cfg.n_frames, 2))
@@ -225,7 +223,7 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
             mixed = a * target + (1.0 - a) * prototypes[j]
             prototypes[j] = mixed / np.linalg.norm(mixed)
 
-    sizes = rng.uniform(*cfg.box_size_range, size=(n_proto, 2))
+    sizes = rng.uniform(*_BOX_SIZE_RANGE, size=(n_proto, 2))
     centers = _positions(cfg, n_proto, rng)
     classes = np.arange(cfg.n_identities) % cfg.n_classes
 
@@ -281,7 +279,7 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
                 if rng.random() >= cfg.fp_rate:
                     continue
                 cx, cy = rng.uniform([50, 50], [img_w - 50, img_h - 50])
-                w2, h2 = rng.uniform(*cfg.box_size_range, size=2) / 2.0
+                w2, h2 = rng.uniform(*_BOX_SIZE_RANGE, size=2) / 2.0
                 e = rng.standard_normal(cfg.dim)
                 dets.append(
                     Detection(

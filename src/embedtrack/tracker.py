@@ -72,12 +72,13 @@ class Track:
     history: list[tuple[int, BoundingBox, float]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackerConfig:
     """All association and track-management thresholds.
 
     Defaults follow the BDD100K benchmark profile; other profiles ship as
-    data files in embedtrack.profiles.
+    data files in embedtrack.profiles. Frozen, so a variant comes from
+    ``dataclasses.replace``, which checks it again.
     """
 
     beta_obj: float = 0.35
@@ -278,6 +279,9 @@ def step(
         raise ValueError(f"frame {frame_index}: detection embeddings must be 1-D and finite")
     if cfg.similarity_metric == "cosine" and not emb.any(axis=1).all():
         raise ValueError(f"frame {frame_index}: cosine similarity needs non-zero embeddings")
+    scores = np.array([d.score for d in detections], dtype=np.float64)
+    if not ((scores >= 0.0) & (scores <= 1.0)).all():  # NaN fails both
+        raise ValueError(f"frame {frame_index}: detection scores must be in [0, 1]")
     state.frame = frame_index
 
     # purge expired state: every row left is a candidate
@@ -288,7 +292,6 @@ def step(
         live.select(~expired)
     backdrops.select(frame_index - backdrops.frame <= cfg.backdrop_frames)
 
-    scores = np.array([d.score for d in detections], dtype=np.float64)
     idx = np.flatnonzero(scores >= cfg.det_confidence)  # rows of the frame's arrays
     matches: list[tuple[int, Detection]] = []
     if len(idx):

@@ -503,7 +503,8 @@ def positivity_oracle(key, ref):
 
 def loss_total_oracle(positivity, key_emb, ref_emb, cfg: LossConfig | None = None):
     """gamma1 * embedding loss + gamma2 * auxiliary loss from the per-row
-    references, with a constituent skipped when its weight is zero."""
+    references, with a constituent skipped when its weight is zero. The
+    auxiliary loss keeps three hard negatives per positive pair."""
     cfg = cfg or LossConfig()
     value = 0.0
     g_key = np.zeros_like(key_emb)
@@ -514,7 +515,7 @@ def loss_total_oracle(positivity, key_emb, ref_emb, cfg: LossConfig | None = Non
         g_key += cfg.gamma1 * gk
         g_ref += cfg.gamma1 * gr
     if cfg.gamma2 > 0:
-        v, gk, gr = aux_value_and_grad_oracle(positivity, key_emb, ref_emb, cfg.aux_neg_ratio)
+        v, gk, gr = aux_value_and_grad_oracle(positivity, key_emb, ref_emb, 3)
         value += cfg.gamma2 * v
         g_key += cfg.gamma2 * gk
         g_ref += cfg.gamma2 * gr
@@ -1020,7 +1021,7 @@ def separate_frames(gt: TrackSet, pred: TrackSet) -> tuple[Iterator[tuple[np.nda
     prs = [pred.frames.get(f, []) for f in order]
     gt_ids = np.unique([e.obj_id for entries in gts for e in entries])
     if len(gt_ids) == 0:
-        raise ValueError("undefined MOTA denominator: ground truth contains no objects")
+        raise ValueError("ground truth has no visible objects")
     pr_ids = np.unique([e.obj_id for entries in prs for e in entries])
 
     def arrays(entries, ids):

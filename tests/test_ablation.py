@@ -8,8 +8,11 @@ from embedtrack.ablation import (
     random_batch,
     run_ablation,
     standard_noisy_world,
+    synth_tracker_config,
 )
-from embedtrack.synth import WorldConfig
+from embedtrack.metrics import per_class_report
+from embedtrack.synth import WorldConfig, generate, iou_baseline_track, subsample
+from embedtrack.tracker import run_sequence
 
 
 class TestParseSweep:
@@ -90,6 +93,37 @@ class TestRunAblation:
         a = run_ablation({"metric": ["bisoftmax"]}, [0], self.small_world())
         b = run_ablation({"metric": ["bisoftmax"]}, [0], self.small_world())
         assert a == b
+
+    def test_baseline_duplicate_removal_and_subsample_rows_equal_the_direct_pipeline(self):
+        # crowded enough that duplicate removal drops true boxes: every arm moves a score
+        world = WorldConfig(n_identities=5, n_frames=12, dim=8, image_size=(200.0, 200.0),
+                            fp_rate=0.3, speed=5.0, seed=0)
+        sweep = {"baseline": ["appearance", "iou"], "duplicate_removal": ["on", "off"],
+                 "subsample": ["1", "2"]}
+        rows = run_ablation(sweep, [0], world)
+        assert [[r[k] for k in sweep] for r in rows] == [
+            [b, d, k] for b in sweep["baseline"] for d in sweep["duplicate_removal"]
+            for k in sweep["subsample"]]
+        scores = {}
+        for row in rows:
+            scenario = subsample(generate(world), int(row["subsample"]))
+            if row["baseline"] == "iou":
+                pred = iou_baseline_track(scenario)
+            else:
+                nms = 0.65 if row["duplicate_removal"] == "on" else 1.0
+                pred = run_sequence(scenario.detections, synth_tracker_config(nms_threshold=nms))
+            agg = per_class_report(scenario.gt, pred).aggregate
+            want = {"mota": f"{agg.mota:.6f}", "idf1": f"{agg.idf1:.6f}",
+                    "hota": f"{agg.hota:.6f}", "idsw": str(agg.idsw)}
+            assert row == {"metric": "-", "backdrops": "-", "loss": "-", "seed": 0,
+                           "nn_acc": "", **{k: row[k] for k in sweep}, **want}
+            scores[row["baseline"], row["duplicate_removal"], row["subsample"]] = want
+        for k in sweep["subsample"]:
+            # the IoU baseline runs no duplicate removal; the appearance tracker does
+            assert scores["iou", "on", k] == scores["iou", "off", k]
+            assert scores["appearance", "on", k] != scores["appearance", "off", k]
+        for b in sweep["baseline"]:
+            assert scores[b, "on", "1"] != scores[b, "on", "2"]
 
     def test_default_world_is_noisy(self):
         w = standard_noisy_world(0)

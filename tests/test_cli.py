@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import re
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -193,6 +195,8 @@ def test_track_then_eval_for_every_profile_on_drawn_worlds(world, seed):
     ("synth", {"motion": "linear"}, "unknown world config keys: ['motion']"),
     ("track", {"beta_match": 0.5}, "unknown tracker config keys: ['beta_match']"),
     ("track", {"duplicate_removal": False}, "unknown tracker config keys: ['duplicate_removal']"),
+    # box sizes are a constant now
+    ("synth", {"box_size_range": [40.0, 80.0]}, "unknown world config keys: ['box_size_range']"),
 ])
 def test_malformed_config_is_data_error(scenario_files, tmp_path, capsys, command, document, key):
     det, _, _ = scenario_files
@@ -257,6 +261,20 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "iou_threshold must be in (0, 1], got 1.5" in err
         assert "nope.txt" not in err
+
+    def test_ground_truth_with_no_visible_object_is_data_error(self, tmp_path, capsys):
+        # one identity, occluded in every frame; false positives give predictions
+        world = tmp_path / "world.json"
+        world.write_text(json.dumps({"n_identities": 1, "n_frames": 6, "dim": 4, "fp_rate": 1.0,
+                                     "occlusions": [[0, 0, 5]]}))
+        det, gt, pred = (str(tmp_path / name) for name in ("det.txt", "gt.txt", "pred.txt"))
+        assert main(["synth", "--config", str(world), "--detections", det, "--gt", gt]) == EXIT_OK
+        assert main(["track", "--input", det, "--output", pred]) == EXIT_OK
+        assert Path(pred).read_text()
+        capsys.readouterr()
+        assert main(["eval", "--gt", gt, "--pred", pred, "--machine"]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == "" and "error: ground truth has no visible objects" in err
 
 
 class TestAblateCommand:
@@ -334,6 +352,27 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "gradient_check tolerance must be finite and > 0" in captured.err
+
+
+def readme_command_lines() -> list[list[str]]:
+    """The ``embedtrack`` lines of the README's command-line block, with
+    backslash continuations joined, split as a shell would."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Command line\n\n```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("embedtrack ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # a renamed flag or a removed config key fails here, not in the docs
+    commands = readme_command_lines()
+    names = {argv[2] if argv[0] == "--seed" else argv[0] for argv in commands}
+    assert names == {"synth", "track", "eval", "ablate", "gradcheck"}
+    monkeypatch.chdir(tmp_path)
+    Path("world.json").write_text(json.dumps({"n_identities": 4, "n_frames": 12, "dim": 8}))
+    Path("overrides.json").write_text(json.dumps({"momentum": 0.5}))
+    for argv in commands:
+        assert main(argv) == EXIT_OK, (argv, capsys.readouterr().err)
 
 
 class TestUsageErrors:

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from embedtrack.contrastive import (
+    _AUX_NEG_RATIO,
     IGNORED,
     NEGATIVE,
     POSITIVE,
@@ -12,6 +15,7 @@ from embedtrack.contrastive import (
     RegionSample,
     SampleBatch,
     _aux_pairs,
+    _aux_value_and_grad,
     _embed_value_and_grad,
     _iou_balanced_draw,
     _loss_total,
@@ -28,6 +32,7 @@ from embedtrack.geometry import BoundingBox
 from oracles import (
     aux_pairs_oracle,
     aux_selection_margin_oracle,
+    aux_value_and_grad_oracle,
     embed_value_and_grad_oracle,
     finite_difference_gradient_oracle,
     iou_balanced_draw_oracle,
@@ -185,19 +190,31 @@ class TestLossConfig:
     @pytest.mark.parametrize("field,value", [
         ("gamma1", float("nan")), ("gamma1", float("inf")), ("gamma1", -0.5),
         ("gamma2", float("inf")), ("gamma2", float("nan")), ("gamma2", -1.0),
-        ("aux_neg_ratio", -1), ("aux_neg_ratio", 1.5), ("aux_neg_ratio", True),
     ])
     def test_invalid_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             LossConfig(**{field: value})
+        # a variant is built by replace, which checks it again
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(LossConfig(), **{field: value})
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown loss variant 'x'"):
             LossConfig(variant="x")
 
-    def test_zero_weights_and_ratio_allowed(self):
-        cfg = LossConfig(gamma1=0.0, gamma2=0, aux_neg_ratio=np.int64(0))
-        assert (cfg.gamma1, cfg.gamma2, cfg.aux_neg_ratio) == (0.0, 0, 0)
+    def test_zero_weights_allowed(self):
+        cfg = LossConfig(gamma1=0.0, gamma2=0)
+        assert (cfg.gamma1, cfg.gamma2) == (0.0, 0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("gamma1", -1.0), ("gamma2", 0.5), ("variant", "x"), ("variant", "naive_multi"),
+    ])
+    def test_fields_cannot_be_assigned(self, field, value):
+        # an assigned field would skip the checks: variant="x" scored naive_multi
+        cfg = LossConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert cfg == LossConfig()
 
 
 class TestLossValues:
@@ -305,9 +322,9 @@ class TestAuxLoss:
             neg([np.cos(t), np.sin(t)]) for t in (0.1, 0.5, 1.0, 1.4, 1.5)
         ]
         b = SampleBatch(key=key, ref=ref)
-        # ratio 3: keep the three negatives closest to the key
+        # three negatives per positive: keep the three closest to the key
         want = (0.0 + sum(np.cos(t) ** 2 for t in (0.1, 0.5, 1.0))) / 4
-        got = loss_total(b, b.embeddings(), LossConfig(gamma1=0.0, gamma2=1.0, aux_neg_ratio=3))[0]
+        got = loss_total(b, b.embeddings(), LossConfig(gamma1=0.0, gamma2=1.0))[0]
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_selection_margin_reported(self):
@@ -340,7 +357,7 @@ class TestGradients:
         while checked < 8:
             b = random_labeled_batch(rng, v=4, k=7, dim=5)
             emb = b.embeddings()
-            if aux_selection_margin(b, emb, cfg.aux_neg_ratio) < 1e-3:
+            if aux_selection_margin(b, emb, _AUX_NEG_RATIO) < 1e-3:
                 continue
             _, (gk, gr) = loss_total(b, emb, cfg)
             fk, fr = finite_difference_gradient(b, emb, cfg)
@@ -491,10 +508,15 @@ class TestMatrixFormEquivalence:
     def test_loss_total_matches_per_row_oracle(self, drawn, neg_ratio):
         b = build_batch(*drawn)
         emb = b.embeddings()
+        if b.positivity.any():
+            # loss_total keeps three negatives per positive; the kernel takes any ratio
+            got = _aux_value_and_grad(b.positivity, *emb, neg_ratio)
+            want = aux_value_and_grad_oracle(b.positivity, *emb, neg_ratio)
+            for g, w in zip(got, want):
+                assert_close(g, w)
         for variant in VARIANTS:
             for gamma1, gamma2 in ((0.25, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)):
-                cfg = LossConfig(gamma1=gamma1, gamma2=gamma2, aux_neg_ratio=neg_ratio,
-                                 variant=variant)
+                cfg = LossConfig(gamma1=gamma1, gamma2=gamma2, variant=variant)
                 if not b.positivity.any() and (gamma1 or gamma2):
                     with pytest.raises(ValueError, match="no positive pairs"):
                         loss_total(b, emb, cfg)
@@ -602,10 +624,15 @@ class TestStackedKernel:
         key_emb, ref_emb = (
             np.array([[data.draw(row) for _ in labels] for _ in range(stack)], dtype=float)
             for labels in (key_labels, ref_labels))
+        # loss_total keeps three negatives per positive; the kernel takes any ratio
+        value, gk, gr = _aux_value_and_grad(positivity, key_emb, ref_emb, neg_ratio)
+        for s in range(stack):
+            want, wk, wr = _aux_value_and_grad(positivity, key_emb[s], ref_emb[s], neg_ratio)
+            assert value[s] == want
+            assert np.array_equal(gk[s], wk) and np.array_equal(gr[s], wr)
         for variant in VARIANTS:
             for gamma1, gamma2 in GAMMAS:
-                cfg = LossConfig(gamma1=gamma1, gamma2=gamma2, aux_neg_ratio=neg_ratio,
-                                 variant=variant)
+                cfg = LossConfig(gamma1=gamma1, gamma2=gamma2, variant=variant)
                 value, (gk, gr) = _loss_total(positivity, key_emb, ref_emb, cfg)
                 assert value.shape == (stack,)
                 for s in range(stack):

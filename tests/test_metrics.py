@@ -163,8 +163,20 @@ class TestClearMotKnownValues:
     def test_empty_ground_truth_rejected(self):
         gt, pred = TrackSet(), TrackSet()
         pred.add(0, ObjectEntry(1, 0, box(0, 0)))
-        with pytest.raises(ValueError, match="undefined MOTA denominator"):
+        with pytest.raises(ValueError, match="ground truth has no visible objects"):
             clear_mot(gt, pred)
+
+    @pytest.mark.parametrize("evaluate", [clear_mot, idf1, hota, per_class_report])
+    def test_ground_truth_with_no_visible_object_rejected(self, evaluate):
+        # every class of the ground truth is invisible in every frame
+        gt, pred = TrackSet(), TrackSet()
+        for f in range(3):
+            gt.add(f, ObjectEntry(0, 0, box(0, 0), visible=False))
+            gt.add(f, ObjectEntry(1, 1, box(50, 0), visible=False))
+            pred.add(f, ObjectEntry(5, 0, box(0, 0)))
+        with pytest.raises(ValueError) as exc:
+            evaluate(gt, pred)
+        assert str(exc.value) == "ground truth has no visible objects"
 
 
 @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), 1.5])

@@ -49,9 +49,11 @@ REMOVED_PARAMETERS = {
     ("tracker", "merge_tracklets"): ("merge",),
     # association state lives in the tracker's rows, not on the track
     ("tracker", "Track"): ("embedding", "last_box", "last_active_frame", "created_frame"),
-    # objects move linearly; the embedding norm and score ranges are constants
+    # objects move linearly; the embedding norm, score ranges and box sizes are constants
     ("synth", "WorldConfig"): ("motion", "walk_sigma", "tau", "score_range", "fp_score_range",
-                               "distractor_score_range"),
+                               "distractor_score_range", "box_size_range"),
+    # the auxiliary loss keeps three hard negatives per positive pair
+    ("contrastive", "LossConfig"): ("aux_neg_ratio",),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -37,7 +38,7 @@ class TestWorldConfig:
         ("n_distractors", -2), ("n_frames", -1), ("sigma_e", float("nan")),
         ("sigma_e", float("inf")), ("jitter_sigma", float("inf")), ("speed", float("nan")),
         ("speed", float("inf")), ("min_margin", float("nan")),
-        ("box_size_range", (-1.0, 10.0)), ("box_size_range", (50.0, 40.0)),
+        ("image_size", (1000.0, 160.0)), ("image_size", (1000.0, -1000.0)),
         ("image_size", (160.0, 1000.0)), ("image_size", (1000.0, 100.0)),
         ("image_size", (float("inf"), 1000.0)), ("image_size", (float("nan"), 1000.0)),
         ("occlusions", [(10, 0, 5)]), ("occlusions", [(-1, 0, 5)]),
@@ -47,17 +48,31 @@ class TestWorldConfig:
     def test_impossible_world_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             WorldConfig(**{field: value})
+        # a variant is built by replace, which checks it again
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(WorldConfig(), **{field: value})
 
     def test_false_positive_worlds_need_100_pixel_sides(self):
-        small = dict(n_frames=5, dim=4, box_size_range=(10.0, 20.0))
-        WorldConfig(image_size=(41.0, 99.0), **small)
-        with pytest.raises(ValueError, match="image_size"):
-            WorldConfig(fp_rate=0.5, image_size=(200.0, 99.0), **small)
+        # false positives are centred 50 pixels inside each border; every
+        # side must exceed twice the largest box size, 160, which covers that
+        WorldConfig(fp_rate=0.5, image_size=(160.5, 160.5))
+        for side in (99.0, 160.0):
+            with pytest.raises(ValueError, match="image_size sides must be finite and more than 160"):
+                WorldConfig(fp_rate=0.5, image_size=(200.0, side))
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_frames", -1), ("image_size", (100.0, 100.0)), ("occlusions", []), ("seed", 3),
+    ])
+    def test_fields_cannot_be_assigned(self, field, value):
+        world = WorldConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(world, field, value)
+        assert world == WorldConfig()
 
     @pytest.mark.parametrize("world", [
         dict(image_size=(160.5, 160.5)),
-        dict(image_size=(100.0, 100.0), box_size_range=(10.0, 20.0), fp_rate=0.5),
-        dict(box_size_range=(0.0, 0.0), fp_rate=0.5, n_distractors=2),
+        dict(image_size=(160.5, 160.5), fp_rate=0.5, n_distractors=2),
+        dict(image_size=(1e6, 160.5), fp_rate=0.5, speed=1e4),
         dict(occlusions=[(0, 3, 3), (9, 0, 500)]),
     ])
     def test_worlds_at_the_limits_generate_finite_boxes(self, world):
@@ -82,12 +97,13 @@ class TestWorldConfig:
         ({"n_frames": 5.0}, "n_frames must be int"),
         ({"seed": True}, "seed must be int"),
         ({"image_size": 5}, "image_size must be a list of 2 values"),
-        ({"box_size_range": [1]}, "box_size_range must be a list of 2 values"),
-        ({"box_size_range": [40.0, "x"]}, r"box_size_range\[1\] must be float"),
+        ({"image_size": [1000.0]}, "image_size must be a list of 2 values"),
+        ({"image_size": [1000.0, "x"]}, r"image_size\[1\] must be float"),
         ({"occlusions": [[0, 1]]}, r"occlusions\[0\] must be a list of 3 values"),
         ({"motion": "linear", "walk_sigma": 2.0, "tau": 10.0, "score_range": [0.85, 0.99],
           "fp_score_range": [0.2, 0.7], "distractor_score_range": [0.15, 0.45]},
          "unknown world config keys"),
+        ({"box_size_range": [40.0, 80.0]}, r"unknown world config keys: \['box_size_range'\]"),
     ])
     def test_from_dict_names_the_bad_key(self, data, message):
         with pytest.raises(ValueError, match=message):

@@ -90,6 +90,26 @@ class TestConfig:
         c = TrackerConfig(memory_frames=value, backdrop_frames=value)
         assert c.memory_frames == c.backdrop_frames == value
 
+    # an assigned field would skip the checks: similarity_metric="dot" ran cosine
+    @pytest.mark.parametrize("name,value", [
+        ("nms_threshold", 5.0), ("similarity_metric", "dot"), ("merge", "off"), ("momentum", 0.5),
+    ])
+    def test_fields_cannot_be_assigned(self, name, value):
+        c = TrackerConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, value)
+        assert c == TrackerConfig()
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("nms_threshold", 5.0, "nms_threshold must be in"),
+        ("similarity_metric", "dot", "unknown similarity metric"),
+        ("merge", "off", "merge must be a bool"),
+        ("memory_frames", -1, "memory_frames must be an int"),
+    ])
+    def test_replace_checks_the_variant(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(TrackerConfig(), **{name: value})
+
 
 class TestDetection:
     def test_score_range_checked(self):
@@ -459,6 +479,22 @@ class TestStep:
         # a retry of the frame with the embedding mended succeeds
         bad.embedding = bad.embedding[:, 0]
         assert [tid for tid, _ in t.step(1, [det(0), bad])] == [1, 2]
+
+    @pytest.mark.parametrize("score", [7.0, -0.5, np.nan, np.inf])
+    def test_score_changed_after_construction_rejected_before_any_change(self, score):
+        t = Tracker(cfg(merge=True))
+        t.step(0, [det(0), det(1, 0.4, x=100)])
+        history = list(t.state.tracks[1].history)
+        bad = det(0)
+        bad.score = score
+        with pytest.raises(ValueError) as exc:
+            t.step(1, [det(2, x=200), bad])
+        assert str(exc.value) == "frame 1: detection scores must be in [0, 1]"
+        assert t.state.frame == 0 and sorted(t.state.tracks) == [1]
+        assert t.state.tracks[1].history == history and len(t.state.backdrops) == 1
+        # a retry of the frame with the score mended succeeds
+        bad.score = 0.9
+        assert [tid for tid, _ in t.step(1, [det(2, x=200), bad])] == [1, 2]
 
     def test_cosine_metric_supported(self):
         t = Tracker(cfg(similarity_metric="cosine"))
