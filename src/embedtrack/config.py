@@ -22,20 +22,21 @@ PROFILE_NAMES = ("mot17", "mot20", "dancetrack", "bdd100k", "waymo", "tao")
 
 
 def _checked(key: str, value, tp):
-    """``value`` checked against the type hint ``tp``; lists become tuples
-    where ``tp`` is a tuple. Raises a ValueError that names ``key``."""
+    """``value`` checked against the type hint ``tp``; lists become tuples,
+    of any length for ``tuple[X, ...]``. Raises a ValueError naming ``key``."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):
         if value is None and type(None) in args:
             return None
         (tp,) = [a for a in args if a is not type(None)]
         return _checked(key, value, tp)
-    if origin in (tuple, list):
-        if not isinstance(value, (list, tuple)) or (origin is tuple and len(value) != len(args)):
-            size = f"{len(args)} " if origin is tuple else ""
+    if origin is tuple:
+        variadic = args[-1] is Ellipsis
+        if not isinstance(value, (list, tuple)) or (not variadic and len(value) != len(args)):
+            size = "" if variadic else f"{len(args)} "
             raise ValueError(f"{key} must be a list of {size}values, got {value!r}")
-        items = args if origin is tuple else args * len(value)
-        return origin(_checked(f"{key}[{i}]", v, a) for i, (v, a) in enumerate(zip(value, items)))
+        items = args[:1] * len(value) if variadic else args
+        return tuple(_checked(f"{key}[{i}]", v, a) for i, (v, a) in enumerate(zip(value, items)))
     expected = (int, float) if tp is float else tp
     if not isinstance(value, expected) or (tp is not bool and isinstance(value, bool)):
         raise ValueError(f"{key} must be {tp.__name__}, got {value!r}")

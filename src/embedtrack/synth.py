@@ -10,7 +10,7 @@ persistent low-confidence distractors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,10 @@ __all__ = [
 _BOX_SIZE_RANGE = (40.0, 80.0)  # of box widths and heights, pixels
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     """Knobs for one synthetic world; frozen, so a variant comes from ``replace``."""
@@ -49,14 +53,18 @@ class WorldConfig:
     jitter_sigma: float = 0.0  # box coordinate noise, pixels
     n_distractors: int = 0  # persistent low-score clutter objects
     distractor_affinity: float = 0.0  # 0 = independent clutter, near 1 = lookalike of a real identity
-    occlusions: list[tuple[int, int, int]] = field(default_factory=list)  # (identity, first, last)
+    # (identity, first, last) ints; any sequence of such entries, held as tuples
+    occlusions: tuple[tuple[int, int, int], ...] = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
         for name, low in (("dim", 1), ("n_classes", 1), ("n_identities", 1),
-                          ("n_distractors", 0), ("n_frames", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+                          ("n_distractors", 0), ("n_frames", 0), ("seed", 0)):
+            v = getattr(self, name)
+            if not _is_int(v):
+                raise ValueError(f"{name} must be an int, got {v!r}")
+            if v < low:
+                raise ValueError(f"{name} must be >= {low}, got {v}")
         for name in ("speed", "min_margin"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -74,9 +82,12 @@ class WorldConfig:
         if not all(least < side < np.inf for side in self.image_size):
             raise ValueError(f"image_size sides must be finite and more than {least:g}, "
                              f"got {self.image_size}")
-        if not all(0 <= i < self.n_identities and first <= last for i, first, last in self.occlusions):
-            raise ValueError("occlusions need 0 <= identity < n_identities and first <= last "
-                             f"in each (identity, first, last), got {self.occlusions}")
+        occlusions = tuple(map(tuple, self.occlusions))
+        if not all(len(o) == 3 and all(map(_is_int, o)) and 0 <= o[0] < self.n_identities
+                   and o[1] <= o[2] for o in occlusions):
+            raise ValueError("occlusions need (identity, first, last) ints with 0 <= identity "
+                             f"< n_identities and first <= last, got {self.occlusions!r}")
+        object.__setattr__(self, "occlusions", occlusions)
 
     @classmethod
     def from_dict(cls, data) -> "WorldConfig":

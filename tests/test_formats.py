@@ -309,9 +309,6 @@ class TestDetectionWriter:
                 Detection(BoundingBox(1.5, 2.5, 3.5, 4.5), 1, np.float32(0.7), np.ones(4) * 0.1)],
             1: [],
         }
-        f32 = Detection(BoundingBox(0, 0, 1, 1), 0, 0, np.zeros(4))
-        f32.embedding = np.linspace(0.1, 0.9, 4, dtype=np.float32)  # bypasses the float64 coercion
-        dets[1].append(f32)
         got, want = io.StringIO(), io.StringIO()
         write_detections(got, dets, 4)
         write_detections_oracle(want, dets, 4)

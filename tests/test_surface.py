@@ -1,13 +1,17 @@
 """The public surface: every exported name resolves, the names folded into
-one entry point stay gone, and the benchmark's tracer (``perfbench/``) can
-still wrap every name it looks up and put each one back."""
+one entry point stay gone, a checked dataclass stays as its checks found
+it, and the benchmark's tracer (``perfbench/``) can still wrap every name
+it looks up and put each one back."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import pkgutil
 import sys
+import textwrap
+import typing
 from pathlib import Path
 
 import pytest
@@ -85,6 +89,46 @@ def test_removed_names_are_gone():
 def test_removed_parameters_are_gone(owner, gone):
     fn = getattr(importlib.import_module(f"embedtrack.{owner[0]}"), owner[1])
     assert not set(gone) & set(inspect.signature(fn).parameters)
+
+
+DATACLASSES = sorted(
+    (cls for m in MODULES for cls in vars(importlib.import_module(f"embedtrack.{m}")).values()
+     if dataclasses.is_dataclass(cls) and cls.__module__ == f"embedtrack.{m}"),
+    key=lambda cls: cls.__qualname__)
+
+# checked dataclasses that stay mutable, with the reason
+MUTABLE_CHECKED = {
+    "RegionSample": "the benchmark's proposal_frame assigns each sample's embedding",
+}
+
+
+def _raises(method) -> bool:
+    tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
+    return any(isinstance(node, ast.Raise) for node in ast.walk(tree))
+
+
+def _mutable_types(tp) -> set:
+    """The list, dict and set types anywhere in the type hint ``tp``."""
+    found = {typing.get_origin(tp) or tp} & {list, dict, set}
+    for arg in typing.get_args(tp):
+        found |= _mutable_types(arg)
+    return found
+
+
+def test_checked_dataclasses_are_frozen():
+    """A dataclass whose fields can be assigned after ``__post_init__``
+    checked them holds what no check saw."""
+    checked = [cls for cls in DATACLASSES
+               if "__post_init__" in vars(cls) and _raises(cls.__post_init__)]
+    assert {cls.__name__ for cls in checked if not cls.__dataclass_params__.frozen} == set(MUTABLE_CHECKED)
+
+
+@pytest.mark.parametrize("cls", [c for c in DATACLASSES if c.__dataclass_params__.frozen],
+                         ids=lambda c: c.__name__)
+def test_frozen_dataclasses_hold_no_mutable_containers(cls):
+    hints = typing.get_type_hints(cls)
+    found = {f.name: _mutable_types(hints[f.name]) for f in dataclasses.fields(cls)}
+    assert {name: types for name, types in found.items() if types} == {}
 
 
 def _tracing(monkeypatch):

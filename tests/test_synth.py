@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -43,7 +44,7 @@ class TestWorldConfig:
         ("image_size", (float("inf"), 1000.0)), ("image_size", (float("nan"), 1000.0)),
         ("occlusions", [(10, 0, 5)]), ("occlusions", [(-1, 0, 5)]),
         ("occlusions", [(0, 1, 2), (0, 5, 4)]),
-        ("distractor_affinity", 1.5), ("distractor_affinity", -0.5),
+        ("distractor_affinity", 1.5), ("distractor_affinity", -0.5), ("seed", -1),
     ])
     def test_impossible_world_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -51,6 +52,50 @@ class TestWorldConfig:
         # a variant is built by replace, which checks it again
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(WorldConfig(), **{field: value})
+
+    # each of these built, then failed inside generate
+    @pytest.mark.parametrize("field,value", [
+        ("n_identities", 2.0), ("n_frames", 10.0), ("n_classes", 1.0), ("dim", 8.0),
+        ("dim", np.float64(8.0)), ("n_distractors", 1.0), ("seed", 1.5), ("seed", True),
+        ("n_frames", "5"),
+    ])
+    def test_counts_must_be_ints(self, field, value):
+        with pytest.raises(ValueError) as exc:
+            WorldConfig(**{field: value})
+        assert str(exc.value) == f"{field} must be an int, got {value!r}"
+
+    @pytest.mark.parametrize("occlusions", [
+        [(0, 1.5, 3)], [(0.0, 1, 3)], [(0, 1, True)], [(0, 1)], [(0, 1, 2, 3)], ["abc"],
+    ])
+    def test_occlusion_entries_must_be_three_ints(self, occlusions):
+        with pytest.raises(ValueError) as exc:
+            WorldConfig(occlusions=occlusions)
+        assert str(exc.value) == ("occlusions need (identity, first, last) ints with 0 <= identity "
+                                  f"< n_identities and first <= last, got {occlusions!r}")
+
+    def test_numpy_ints_make_the_same_world(self):
+        ints = dict(n_identities=3, n_frames=6, dim=4, n_distractors=1, seed=2, occlusions=[(1, 2, 3)])
+        numpy_ints = {k: np.int32(v) for k, v in ints.items() if k != "occlusions"}
+        numpy_ints["occlusions"] = [tuple(map(np.int64, ints["occlusions"][0]))]
+        a, b = generate(WorldConfig(**ints)), generate(WorldConfig(**numpy_ints))
+        assert a.gt.frames == b.gt.frames
+        for f, dets in a.detections.items():
+            assert [(d.box, d.score) for d in dets] == [(d.box, d.score) for d in b.detections[f]]
+            assert all(np.array_equal(d.embedding, e.embedding) for d, e in zip(dets, b.detections[f]))
+
+    def test_occlusions_held_as_tuples(self):
+        given = [[0, 1, 2], (1, 3, 4)]
+        w = WorldConfig(occlusions=given)
+        assert w.occlusions == ((0, 1, 2), (1, 3, 4))
+        given[0].append(9)
+        given.append((7, 3, 1))
+        assert w.occlusions == ((0, 1, 2), (1, 3, 4))
+        assert hash(w) == hash(WorldConfig(occlusions=((0, 1, 2), (1, 3, 4))))
+        assert dataclasses.replace(w, seed=1).occlusions == w.occlusions
+
+    def test_asdict_json_round_trip(self):
+        w = WorldConfig(image_size=(640.0, 480.0), occlusions=[(0, 1, 2), (3, 4, 9)], seed=5)
+        assert WorldConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(w)))) == w
 
     def test_false_positive_worlds_need_100_pixel_sides(self):
         # false positives are centred 50 pixels inside each border; every
@@ -104,6 +149,8 @@ class TestWorldConfig:
           "fp_score_range": [0.2, 0.7], "distractor_score_range": [0.15, 0.45]},
          "unknown world config keys"),
         ({"box_size_range": [40.0, 80.0]}, r"unknown world config keys: \['box_size_range'\]"),
+        ({"occlusions": 5}, "occlusions must be a list of values"),
+        ({"occlusions": [[0, 1.5, 3]]}, r"occlusions\[0\]\[1\] must be int"),
     ])
     def test_from_dict_names_the_bad_key(self, data, message):
         with pytest.raises(ValueError, match=message):
