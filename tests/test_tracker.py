@@ -449,16 +449,37 @@ class TestStep:
         # the same frame, without the zero embedding, is accepted
         assert [tid for tid, _ in t.step(1, [det(0)])] == [1]
 
-    # step does not check a detection again: one cannot change after it was checked
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_spoiled_embedding_rejected_before_any_change(self, value):
-        t = Tracker(cfg())
-        t.step(0, [det(0)])
-        good = det(0)
+    # step does not check a detection again: its embedding cannot be spoiled
+    # after Detection checked it, so a frame holding it is tracked as built
+    SPOILED = [
+        ("nan", lambda d: d.embedding.__setitem__(3, np.nan)),
+        ("inf", lambda d: d.embedding.__setitem__(0, np.inf)),
+        ("-inf", lambda d: d.embedding.__setitem__(7, -np.inf)),
+    ]
+
+    @pytest.mark.parametrize("metric", ["bisoftmax", "cosine"])
+    @pytest.mark.parametrize("spoil", [s for _, s in SPOILED], ids=[n for n, _ in SPOILED])
+    def test_spoiled_embedding_rejected_before_any_change_on_the_first_frame(self, spoil, metric):
+        t = Tracker(cfg(similarity_metric=metric))
+        bad = det(0)
         with pytest.raises(ValueError, match="read-only"):
-            good.embedding[3] = value
-        assert [tid for tid, _ in t.step(1, [good])] == [1]
+            spoil(bad)
+        assert np.array_equal(bad.embedding, det(0).embedding)
+        assert t.state.frame is None and not t.state.tracks and not len(t.state.live)
+        assert [tid for tid, _ in t.step(0, [det(1, x=100), bad])] == [1, 2]
         assert np.isfinite(t.state.live.emb).all()
+
+    @pytest.mark.parametrize("score", [0.9, 0.4, 0.05])  # above beta_new, below it, below the floor
+    @pytest.mark.parametrize("spoil", [s for _, s in SPOILED], ids=[n for n, _ in SPOILED])
+    def test_spoiled_embedding_rejected_before_any_change_on_a_later_frame(self, spoil, score):
+        t = Tracker(cfg(merge=True))
+        t.step(0, [det(0), det(1, 0.4, x=100)])
+        bad = det(0, score)
+        with pytest.raises(ValueError, match="read-only"):
+            spoil(bad)
+        assert np.array_equal(bad.embedding, det(0, score).embedding)
+        assert [tid for tid, _ in t.step(1, [bad])] == ([] if score < 0.1 else [1])
+        assert all(np.isfinite(r.emb).all() for r in (t.state.live, t.state.backdrops))
 
     def test_embedding_reshaped_after_construction_rejected_before_any_change(self):
         t = Tracker(cfg())
@@ -467,7 +488,17 @@ class TestStep:
         with pytest.raises(dataclasses.FrozenInstanceError):
             good.embedding = good.embedding[:, None]
         assert good.embedding.shape == (DIM,)
-        assert [tid for tid, _ in t.step(1, [det(1, x=100), good])] == [1, 2]
+        assert [tid for tid, _ in t.step(1, [good])] == [1]
+
+    def test_reshaped_embedding_beside_a_valid_one_names_the_frame(self):
+        t = Tracker(cfg())
+        t.step(0, [det(0)])
+        bad = det(1, x=100)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bad.embedding = bad.embedding[:, None]
+        assert bad.embedding.shape == (DIM,)
+        assert t.state.frame == 0 and sorted(t.state.tracks) == [1] and len(t.state.live) == 1
+        assert [tid for tid, _ in t.step(1, [det(0), bad])] == [1, 2]
 
     @pytest.mark.parametrize("score", [7.0, -0.5, np.nan, np.inf])
     def test_score_changed_after_construction_rejected_before_any_change(self, score):
