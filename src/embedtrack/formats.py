@@ -19,11 +19,13 @@ The detection reader streams the file in chunks of ``CHUNK_LINES`` lines
 and never holds the whole text. Each chunk is parsed by one ``np.loadtxt``
 call with a structured dtype (integer frame and class, float score, box and
 embedding columns); the field count and non-decreasing frames, also across
-the chunk boundary, are checked per column. Each value is checked once, by
-the ``BoundingBox`` and ``Detection`` constructors. A chunk that numpy
-cannot parse, that fails a check or whose values a constructor rejects is
-read again line by line, and that loop decides what is accepted and names
-the offending line in its ``FormatError``.
+the chunk boundary, are checked per column. Each frame's rows of a chunk are
+then checked once, as arrays, by ``tracker.detections_from_arrays`` under
+the rules of the ``BoundingBox`` and ``Detection`` constructors, the
+check that ``synth.generate`` also uses. A chunk that numpy cannot parse,
+that fails a check or whose values break a rule is read again line by
+line, and that loop decides what is accepted and names the offending line
+in its ``FormatError``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .geometry import BoundingBox
 from .metrics import ObjectEntry, TrackSet
-from .tracker import Detection
+from .tracker import Detection, detections_from_arrays
 
 __all__ = [
     "FormatError",
@@ -123,13 +125,18 @@ def _parse_chunk(lines: list[str], dim: int, last_frame: int | None) -> np.ndarr
 
 
 def _add_rows(a: np.ndarray, frames: dict[int, list[Detection]]) -> int:
-    """Add the detections of parsed chunk rows to ``frames``; returns the
-    last frame index, or raises the ValueError of a constructor that rejects
-    a value. Each ``Detection`` copies its embedding row out of the chunk."""
-    for f, c, s, b, e in zip(a["frame"].tolist(), a["class_id"].tolist(),
-                             a["score"].tolist(), a["box"].tolist(), a["emb"]):
-        frames.setdefault(f, []).append(Detection(BoundingBox(*b), c, s, e))
-    return f
+    """Add the detections of parsed chunk rows to ``frames``, one frame's
+    rows at a time through ``detections_from_arrays``, which copies their
+    embeddings out of the chunk; returns the last frame index, or raises the
+    ValueError of the first row that breaks a rule."""
+    frame = a["frame"]
+    # frames do not decrease, so each frame's rows are one run
+    cuts = (np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(a)]):
+        rows = a[lo:hi]
+        frames.setdefault(int(frame[lo]), []).extend(
+            detections_from_arrays(rows["box"], rows["class_id"], rows["score"], rows["emb"]))
+    return int(frame[-1])
 
 
 def _read_lines(lines: list[str], lineno: int, dim: int,

@@ -3,8 +3,8 @@
 Boxes are (x1, y1, x2, y2) in continuous image coordinates, origin
 top-left, no "+1" pixel convention. Zero-area boxes are legal, negative
 extents are not. ``box_array`` is the one conversion from ``BoundingBox``
-objects to an (N, 4) array; the matrix functions and ``nms`` take such
-arrays.
+objects to an (N, 4) array, and ``boxes_from_array`` the one conversion
+back; the matrix functions and ``nms`` take such arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "BoundingBox",
     "box_array",
+    "boxes_from_array",
     "iou",
     "iou_matrix",
     "center_distance",
@@ -28,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box with x2 >= x1 and y2 >= y1."""
 
@@ -68,12 +69,42 @@ class BoundingBox:
 
 
 _xyxy = attrgetter("x1", "y1", "x2", "y2")
+# BoundingBox's slot setters: they store a field past the frozen __setattr__
+# and __post_init__, for coordinates that boxes_from_array has checked
+_BOX_SLOTS = tuple(getattr(BoundingBox, name).__set__ for name in ("x1", "y1", "x2", "y2"))
 
 
 def box_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
     """The (N, 4) float64 array of xyxy coordinates of ``boxes``, one row
     per box in order; (0, 4) for no boxes."""
     return np.array(list(map(_xyxy, boxes)), dtype=np.float64).reshape(-1, 4)
+
+
+def boxes_from_array(xyxy: np.ndarray) -> list[BoundingBox]:
+    """The ``BoundingBox`` of each row of an (N, 4) array of xyxy
+    coordinates, with Python float fields.
+
+    The array is checked once, under the rules of ``BoundingBox``, and the
+    boxes are then built without checking each one again. When a row breaks
+    a rule, every box is built through the constructor, so the first bad
+    row raises the constructor's message.
+    """
+    a = np.asarray(xyxy, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != 4:
+        raise ValueError(f"boxes must be an (N, 4) array, got shape {a.shape}")
+    rows = a.tolist()
+    if not (np.isfinite(a).all() and (a[:, 2] >= a[:, 0]).all() and (a[:, 3] >= a[:, 1]).all()):
+        return [BoundingBox(*r) for r in rows]
+    set_x1, set_y1, set_x2, set_y2 = _BOX_SLOTS
+    out = []
+    for x1, y1, x2, y2 in rows:
+        box = object.__new__(BoundingBox)
+        set_x1(box, x1)
+        set_y1(box, y1)
+        set_x2(box, x2)
+        set_y2(box, y2)
+        out.append(box)
+    return out
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

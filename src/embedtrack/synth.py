@@ -6,6 +6,10 @@ metric behavior and ablation directions can all be checked at desk scale.
 Noise knobs mirror the common failure modes of appearance tracking:
 occlusion spans, box jitter, embedding noise, random false positives and
 persistent low-confidence distractors.
+
+``generate`` builds a world one frame at a time: the frame's random draws
+first, object by object, then its boxes, embeddings, scores and classes as
+arrays.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import _from_dict
-from .geometry import BoundingBox, box_array, iou_matrix
+from .geometry import BoundingBox, box_array, boxes_from_array, iou_matrix
 from .metrics import ObjectEntry, TrackSet
-from .tracker import Detection
+from .tracker import Detection, detections_from_arrays
 
 __all__ = [
     "WorldConfig",
@@ -79,9 +83,13 @@ class WorldConfig:
         # centres reflect one largest box size inside each border; false
         # positives are centred 50 pixels inside, which this leaves room for
         least = 2 * _BOX_SIZE_RANGE[1]
-        if not all(least < side < np.inf for side in self.image_size):
+        image_size = tuple(self.image_size)
+        if len(image_size) != 2:
+            raise ValueError(f"image_size must have 2 sides, got {self.image_size!r}")
+        if not all(least < side < np.inf for side in image_size):
             raise ValueError(f"image_size sides must be finite and more than {least:g}, "
                              f"got {self.image_size}")
+        object.__setattr__(self, "image_size", image_size)
         occlusions = tuple(map(tuple, self.occlusions))
         if not all(len(o) == 3 and all(map(_is_int, o)) and 0 <= o[0] < self.n_identities
                    and o[1] <= o[2] for o in occlusions):
@@ -164,22 +172,10 @@ def place_prototypes(n: int, dim: int, min_margin: float, rng: np.random.Generat
     return p
 
 
-def _jitter_box(box: BoundingBox, sigma: float, rng: np.random.Generator) -> BoundingBox:
-    if sigma == 0.0:
-        return box
-    c = box.as_array() + rng.normal(0.0, sigma, size=4)
-    x1, x2 = sorted((c[0], c[2]))
-    y1, y2 = sorted((c[1], c[3]))
-    return BoundingBox(x1, y1, x2, y2)
-
-
-def _noisy_embedding(proto: np.ndarray, sigma_e: float, rng: np.random.Generator) -> np.ndarray:
-    e = proto + (rng.normal(0.0, sigma_e, size=proto.shape) if sigma_e > 0 else 0.0)
-    norm = np.linalg.norm(e)
-    if norm == 0.0:
-        e = proto
-        norm = 1.0
-    return _TAU * e / norm
+def _row_norms(e: np.ndarray) -> np.ndarray:
+    """Each row's norm as an (N, 1) column, to the bit ``np.linalg.norm``
+    of the row alone, ``sqrt(row.dot(row))``; ``axis=1`` sums in another order."""
+    return np.sqrt(e[:, None, :] @ e[:, :, None])[:, 0]
 
 
 def _positions(cfg: WorldConfig, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -207,9 +203,16 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
     (e.g. identity means from a trained embedding space) skips placement
     but not the checks: each row needs a finite non-zero norm, and the
     normalized rows must meet ``cfg.min_margin``.
+
+    Each frame draws per visible identity its false negative, jitter,
+    score and embedding noise; per distractor its score and noise; per
+    false-positive slot its draw, then a false positive's centre, size,
+    embedding, class and score. It is then computed from those draws as
+    arrays, and ``detections_from_arrays`` checks and builds it.
     """
     rng = np.random.default_rng(cfg.seed)
-    n_proto = cfg.n_identities + cfg.n_distractors
+    n_id = cfg.n_identities
+    n_proto = n_id + cfg.n_distractors
     if prototypes is None:
         prototypes = place_prototypes(n_proto, cfg.dim, cfg.min_margin, rng)
     else:
@@ -229,80 +232,86 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
         a = cfg.distractor_affinity
         prototypes = prototypes.copy()
         for d in range(cfg.n_distractors):
-            j = cfg.n_identities + d
-            target = prototypes[d % cfg.n_identities]
+            j = n_id + d
+            target = prototypes[d % n_id]
             mixed = a * target + (1.0 - a) * prototypes[j]
             prototypes[j] = mixed / np.linalg.norm(mixed)
 
     sizes = rng.uniform(*_BOX_SIZE_RANGE, size=(n_proto, 2))
-    centers = _positions(cfg, n_proto, rng)
-    classes = np.arange(cfg.n_identities) % cfg.n_classes
+    # xyxy corners of every identity and distractor box, (n_frames, n_proto, 4)
+    centers = _positions(cfg, n_proto, rng).transpose(1, 0, 2)
+    half = sizes / 2.0
+    corners = np.concatenate([centers - half, centers + half], axis=2)
+    # a distractor takes the class of the identity it may imitate
+    classes = np.arange(n_proto) % n_id % cfg.n_classes
+    gt_classes = classes[:n_id].tolist()
 
     occluded: dict[int, set[int]] = {}
     for ident, first, last in cfg.occlusions:
         for t in range(first, last + 1):
             occluded.setdefault(t, set()).add(ident)
 
-    def box_at(i: int, t: int) -> BoundingBox:
-        cx, cy = centers[i, t]
-        w2, h2 = sizes[i] / 2.0
-        return BoundingBox(cx - w2, cy - h2, cx + w2, cy + h2)
-
     gt = TrackSet()
     detections: dict[int, list[Detection]] = {}
     det_identity: dict[int, list[int | None]] = {}
     img_w, img_h = cfg.image_size
+    fp_low, fp_high = (50.0, 50.0), (img_w - 50.0, img_h - 50.0)  # false-positive centres
 
     for t in range(cfg.n_frames):
-        dets: list[Detection] = []
-        idents: list[int | None] = []
         hidden = occluded.get(t, set())
-        for i in range(cfg.n_identities):
-            box = box_at(i, t)
-            visible = i not in hidden
-            gt.add(t, ObjectEntry(i, int(classes[i]), box, visible))
-            if not visible:
+        # ids 0..n_id-1 are unique, so the entries skip TrackSet.add
+        gt.frames[t] = [ObjectEntry(i, c, box, i not in hidden) for i, (c, box) in
+                        enumerate(zip(gt_classes, boxes_from_array(corners[t, :n_id])))]
+
+        rows: list[int] = []  # the prototype row of each identity or distractor detection
+        jitter: list[np.ndarray] = []
+        noise: list[np.ndarray] = []
+        scores: list[float] = []
+        for i in range(n_id):
+            if i in hidden or (cfg.fn_rate > 0 and rng.random() < cfg.fn_rate):
                 continue
-            if cfg.fn_rate > 0 and rng.random() < cfg.fn_rate:
-                continue
-            dets.append(
-                Detection(
-                    box=_jitter_box(box, cfg.jitter_sigma, rng),
-                    class_id=int(classes[i]),
-                    score=float(rng.uniform(*_SCORE_RANGE)),
-                    embedding=_noisy_embedding(prototypes[i], cfg.sigma_e, rng),
-                )
-            )
-            idents.append(i)
-        for d in range(cfg.n_distractors):
-            j = cfg.n_identities + d
-            dets.append(
-                Detection(
-                    box=box_at(j, t),
-                    class_id=int(classes[d % cfg.n_identities]),
-                    score=float(rng.uniform(*_DISTRACTOR_SCORE_RANGE)),
-                    embedding=_noisy_embedding(prototypes[j], cfg.sigma_e, rng),
-                )
-            )
-            idents.append(None)
+            rows.append(i)
+            if cfg.jitter_sigma != 0.0:
+                jitter.append(rng.normal(0.0, cfg.jitter_sigma, size=4))
+            scores.append(rng.uniform(*_SCORE_RANGE))
+            if cfg.sigma_e > 0:
+                noise.append(rng.normal(0.0, cfg.sigma_e, size=cfg.dim))
+        n_seen = len(rows)
+        for j in range(n_id, n_proto):
+            rows.append(j)
+            scores.append(rng.uniform(*_DISTRACTOR_SCORE_RANGE))
+            if cfg.sigma_e > 0:
+                noise.append(rng.normal(0.0, cfg.sigma_e, size=cfg.dim))
+        fps = []
         if cfg.fp_rate > 0:
-            for _ in range(cfg.n_identities):
+            for _ in range(n_id):
                 if rng.random() >= cfg.fp_rate:
                     continue
-                cx, cy = rng.uniform([50, 50], [img_w - 50, img_h - 50])
-                w2, h2 = rng.uniform(*_BOX_SIZE_RANGE, size=2) / 2.0
-                e = rng.standard_normal(cfg.dim)
-                dets.append(
-                    Detection(
-                        box=BoundingBox(cx - w2, cy - h2, cx + w2, cy + h2),
-                        class_id=int(rng.integers(cfg.n_classes)),
-                        score=float(rng.uniform(*_FP_SCORE_RANGE)),
-                        embedding=_TAU * e / np.linalg.norm(e),
-                    )
-                )
-                idents.append(None)
-        detections[t] = dets
-        det_identity[t] = idents
+                fps.append((rng.uniform(fp_low, fp_high), rng.uniform(*_BOX_SIZE_RANGE, size=2),
+                            rng.standard_normal(cfg.dim), rng.integers(cfg.n_classes)))
+                scores.append(rng.uniform(*_FP_SCORE_RANGE))
+
+        boxes = corners[t, rows]
+        if jitter:
+            c = boxes[:n_seen] + np.array(jitter)
+            boxes[:n_seen] = np.concatenate(
+                [np.minimum(c[:, :2], c[:, 2:]), np.maximum(c[:, :2], c[:, 2:])], axis=1)
+        proto = prototypes[rows]
+        e = proto + (np.reshape(noise, (-1, cfg.dim)) if cfg.sigma_e > 0 else 0.0)
+        norm = _row_norms(e)
+        if (zero := np.flatnonzero(norm == 0.0)).size:
+            e[zero], norm[zero] = proto[zero], 1.0
+        emb = _TAU * e / norm
+        cls = classes[rows]
+        if fps:
+            fp_center, fp_size, fp_e, fp_cls = map(np.array, zip(*fps))
+            fp_half = fp_size / 2.0
+            boxes = np.concatenate([boxes, np.concatenate([fp_center - fp_half,
+                                                           fp_center + fp_half], axis=1)])
+            emb = np.concatenate([emb, _TAU * fp_e / _row_norms(fp_e)])
+            cls = np.concatenate([cls, fp_cls])
+        detections[t] = detections_from_arrays(boxes, cls, np.array(scores), emb)
+        det_identity[t] = rows[:n_seen] + [None] * (len(scores) - n_seen)
     return Scenario(gt, detections, det_identity, prototypes, cfg)
 
 

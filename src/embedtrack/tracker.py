@@ -18,7 +18,8 @@ import numpy as np
 
 # center_distance, masked_bisoftmax and validate_embeddings go uncalled here but stay:
 # perfbench's tracer wraps the names this module holds, and each one must exist.
-from .geometry import BoundingBox, box_array, center_distance, centers_within, nms  # noqa: F401
+from .geometry import BoundingBox, box_array, boxes_from_array, centers_within, nms
+from .geometry import center_distance  # noqa: F401
 from .metrics import ObjectEntry, TrackSet
 from .similarity import _bisoftmax, cosine_matrix, masked_bisoftmax, validate_embeddings  # noqa: F401
 
@@ -28,6 +29,7 @@ _MERGE_WINDOW, _BETA_MERGE, _MERGE_RADIUS = 10, 0.5, 50.0
 
 __all__ = [
     "Detection",
+    "detections_from_arrays",
     "Track",
     "TrackerConfig",
     "TrackerState",
@@ -42,7 +44,9 @@ __all__ = [
 @dataclass(frozen=True, slots=True)
 class Detection:
     """One frame observation: box, class, confidence and embedding; frozen,
-    and the embedding is its own read-only float64 copy, as checked."""
+    and the embedding is a checked read-only float64 array that no caller's
+    array aliases: the constructor's own copy, or a row of the frame's copy
+    that ``detections_from_arrays`` makes."""
 
     box: BoundingBox
     class_id: int
@@ -56,7 +60,8 @@ class Detection:
             raise ValueError(f"detection score must be in [0, 1], got {self.score}")
         # a copy: a row view would keep a whole parsed chunk alive, in fresh
         # pages rather than freed small blocks (14 MB more peak RSS reading a
-        # 49 MB detection file after a world of that size was freed)
+        # 49 MB detection file after a world of that size was freed); one
+        # frame's block, as detections_from_arrays makes, stays small enough
         emb = np.array(self.embedding, dtype=np.float64)
         if emb.ndim != 1 or not emb.size:
             raise ValueError(
@@ -66,6 +71,48 @@ class Detection:
             raise ValueError("detection embedding contains non-finite values")
         emb.flags.writeable = False
         object.__setattr__(self, "embedding", emb)
+
+
+# Detection's slot setters: they store a field past the frozen __setattr__
+# and __post_init__, for values that detections_from_arrays has checked
+_DETECTION_SLOTS = tuple(getattr(Detection, name).__set__
+                         for name in ("box", "class_id", "score", "embedding"))
+
+
+def detections_from_arrays(boxes: np.ndarray, class_ids: np.ndarray, scores: np.ndarray,
+                           embeddings: np.ndarray) -> list[Detection]:
+    """One frame's detections from an (N, 4) array of xyxy boxes, N integer
+    class ids, N scores and an (N, D) embedding array.
+
+    Each array is checked once, under the rules of ``BoundingBox`` and
+    ``Detection``, and the embeddings are copied into one read-only float64
+    block of which each detection holds a row. When a row breaks a rule,
+    every detection is built through the constructors, so the first bad row
+    raises the constructor's message.
+    """
+    cls = np.asarray(class_ids)
+    scores = np.asarray(scores, dtype=np.float64)
+    emb = np.array(embeddings, dtype=np.float64)  # the frame's block; see Detection's copy
+    n = len(cls)
+    if cls.ndim != 1 or np.shape(boxes) != (n, 4) or scores.shape != (n,) or emb.shape[:1] != (n,):
+        raise ValueError("a frame needs an (N, 4) box array and N class ids, scores and embedding "
+                         f"rows, got shapes {np.shape(boxes)}, {cls.shape}, {scores.shape} and "
+                         f"{emb.shape}")
+    if not (cls.dtype.kind in "iu" and emb.ndim == 2 and emb.shape[1]
+            and ((scores >= 0.0) & (scores <= 1.0)).all() and np.isfinite(emb).all()):
+        return [Detection(BoundingBox(*b), c, s, e) for b, c, s, e in
+                zip(np.asarray(boxes, dtype=np.float64).tolist(), cls.tolist(), scores.tolist(), emb)]
+    emb.flags.writeable = False
+    set_box, set_class, set_score, set_embedding = _DETECTION_SLOTS
+    out = []
+    for b, c, s, e in zip(boxes_from_array(boxes), cls.tolist(), scores.tolist(), emb):
+        d = object.__new__(Detection)
+        set_box(d, b)
+        set_class(d, c)
+        set_score(d, s)
+        set_embedding(d, e)
+        out.append(d)
+    return out
 
 
 @dataclass
@@ -271,14 +318,21 @@ def step(
         )
     # each Detection checked itself; what is left spans the frame's detections
     live, backdrops = state.live, state.backdrops
-    dims = {len(d.embedding) for d in detections}
+    dims = {d.embedding.size for d in detections}
     held = live if len(live) else backdrops
     if len(held):
         dims.add(held.emb.shape[1])
     if len(dims) > 1:
         raise ValueError(f"frame {frame_index}: embedding dimensions {sorted(dims)} differ "
                          "among its detections and the tracker's rows")
-    emb = np.array([d.embedding for d in detections] or np.empty((0, 0)), dtype=np.float64)
+    try:
+        emb = np.array([d.embedding for d in detections] or np.empty((0, 0)), dtype=np.float64)
+    except ValueError:  # embeddings of one size but not one shape
+        emb = None
+    if emb is None or emb.ndim != 2:
+        # numpy lets a read-only array be reshaped in place
+        raise ValueError(f"frame {frame_index}: detection embeddings must be 1-D, got shapes "
+                         f"{sorted({d.embedding.shape for d in detections})}")
     if cfg.similarity_metric == "cosine" and not emb.any(axis=1).all():
         raise ValueError(f"frame {frame_index}: cosine similarity needs non-zero embeddings")
     state.frame = frame_index

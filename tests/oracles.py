@@ -17,7 +17,9 @@ two-pass softmax; with them comes the per-negative IoU binning of
 and the per-float writer that the chunked ``embedtrack.formats`` reader
 and the bulk writer replaced. The ``separate_*`` metrics are the
 evaluation that ``per_class_report``'s one pass per class replaced: each
-metric converts every frame and computes its IoU matrix on its own.
+metric converts every frame and computes its IoU matrix on its own. The
+world oracle is the per-detection ``synth.generate`` that the per-frame
+arrays replaced.
 """
 
 import itertools
@@ -45,6 +47,18 @@ from embedtrack.metrics import (
     _sequential_sum,
 )
 from embedtrack.similarity import cosine_matrix, validate_embeddings
+from embedtrack.synth import (
+    _BOX_SIZE_RANGE,
+    _DISTRACTOR_SCORE_RANGE,
+    _FP_SCORE_RANGE,
+    _SCORE_RANGE,
+    _TAU,
+    Scenario,
+    WorldConfig,
+    _margin,
+    _positions,
+    place_prototypes,
+)
 from embedtrack.tracker import (
     _BETA_MATCH,
     _BETA_MERGE,
@@ -946,6 +960,129 @@ def place_prototypes_oracle(n: int, dim: int, rng: np.random.Generator,
         p = p - eta * (sim @ p)
         p /= np.linalg.norm(p, axis=1, keepdims=True)
     return p
+
+
+# The per-detection world generation that ``synth.generate``'s per-frame
+# arrays replaced: one ``BoundingBox`` and ``Detection`` built and checked per
+# object, each embedding normalized by ``np.linalg.norm`` of its own row.
+
+
+def _jitter_box_oracle(box: BoundingBox, sigma: float, rng: np.random.Generator) -> BoundingBox:
+    if sigma == 0.0:
+        return box
+    c = box.as_array() + rng.normal(0.0, sigma, size=4)
+    x1, x2 = sorted((c[0], c[2]))
+    y1, y2 = sorted((c[1], c[3]))
+    return BoundingBox(x1, y1, x2, y2)
+
+
+def _noisy_embedding_oracle(proto: np.ndarray, sigma_e: float, rng: np.random.Generator) -> np.ndarray:
+    e = proto + (rng.normal(0.0, sigma_e, size=proto.shape) if sigma_e > 0 else 0.0)
+    norm = np.linalg.norm(e)
+    if norm == 0.0:
+        e = proto
+        norm = 1.0
+    return _TAU * e / norm
+
+
+def generate_oracle(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario:
+    """``synth.generate`` one object at a time, with the same random draws
+    in the same order."""
+    rng = np.random.default_rng(cfg.seed)
+    n_proto = cfg.n_identities + cfg.n_distractors
+    if prototypes is None:
+        prototypes = place_prototypes(n_proto, cfg.dim, cfg.min_margin, rng)
+    else:
+        prototypes = np.asarray(prototypes, dtype=np.float64)
+        if prototypes.shape != (n_proto, cfg.dim):
+            raise ValueError(
+                f"prototypes must have shape ({n_proto}, {cfg.dim}), got {prototypes.shape}"
+            )
+        norms = np.linalg.norm(prototypes, axis=1, keepdims=True)
+        if (bad := np.flatnonzero(~((norms > 0) & (norms < np.inf)))).size:
+            raise ValueError(f"prototype row {bad[0]} is zero or not finite")
+        prototypes = prototypes / norms
+        if (margin := _margin(prototypes)) < cfg.min_margin:
+            raise ValueError(f"prototypes have margin {margin:.4f}, below min_margin {cfg.min_margin}")
+    if cfg.n_distractors and cfg.distractor_affinity > 0:
+        a = cfg.distractor_affinity
+        prototypes = prototypes.copy()
+        for d in range(cfg.n_distractors):
+            j = cfg.n_identities + d
+            target = prototypes[d % cfg.n_identities]
+            mixed = a * target + (1.0 - a) * prototypes[j]
+            prototypes[j] = mixed / np.linalg.norm(mixed)
+
+    sizes = rng.uniform(*_BOX_SIZE_RANGE, size=(n_proto, 2))
+    centers = _positions(cfg, n_proto, rng)
+    classes = np.arange(cfg.n_identities) % cfg.n_classes
+
+    occluded: dict[int, set[int]] = {}
+    for ident, first, last in cfg.occlusions:
+        for t in range(first, last + 1):
+            occluded.setdefault(t, set()).add(ident)
+
+    def box_at(i: int, t: int) -> BoundingBox:
+        cx, cy = centers[i, t]
+        w2, h2 = sizes[i] / 2.0
+        return BoundingBox(cx - w2, cy - h2, cx + w2, cy + h2)
+
+    gt = TrackSet()
+    detections: dict[int, list[Detection]] = {}
+    det_identity: dict[int, list[int | None]] = {}
+    img_w, img_h = cfg.image_size
+
+    for t in range(cfg.n_frames):
+        dets: list[Detection] = []
+        idents: list[int | None] = []
+        hidden = occluded.get(t, set())
+        for i in range(cfg.n_identities):
+            box = box_at(i, t)
+            visible = i not in hidden
+            gt.add(t, ObjectEntry(i, int(classes[i]), box, visible))
+            if not visible:
+                continue
+            if cfg.fn_rate > 0 and rng.random() < cfg.fn_rate:
+                continue
+            dets.append(
+                Detection(
+                    box=_jitter_box_oracle(box, cfg.jitter_sigma, rng),
+                    class_id=int(classes[i]),
+                    score=float(rng.uniform(*_SCORE_RANGE)),
+                    embedding=_noisy_embedding_oracle(prototypes[i], cfg.sigma_e, rng),
+                )
+            )
+            idents.append(i)
+        for d in range(cfg.n_distractors):
+            j = cfg.n_identities + d
+            dets.append(
+                Detection(
+                    box=box_at(j, t),
+                    class_id=int(classes[d % cfg.n_identities]),
+                    score=float(rng.uniform(*_DISTRACTOR_SCORE_RANGE)),
+                    embedding=_noisy_embedding_oracle(prototypes[j], cfg.sigma_e, rng),
+                )
+            )
+            idents.append(None)
+        if cfg.fp_rate > 0:
+            for _ in range(cfg.n_identities):
+                if rng.random() >= cfg.fp_rate:
+                    continue
+                cx, cy = rng.uniform([50, 50], [img_w - 50, img_h - 50])
+                w2, h2 = rng.uniform(*_BOX_SIZE_RANGE, size=2) / 2.0
+                e = rng.standard_normal(cfg.dim)
+                dets.append(
+                    Detection(
+                        box=BoundingBox(cx - w2, cy - h2, cx + w2, cy + h2),
+                        class_id=int(rng.integers(cfg.n_classes)),
+                        score=float(rng.uniform(*_FP_SCORE_RANGE)),
+                        embedding=_TAU * e / np.linalg.norm(e),
+                    )
+                )
+                idents.append(None)
+        detections[t] = dets
+        det_identity[t] = idents
+    return Scenario(gt, detections, det_identity, prototypes, cfg)
 
 
 def _fmt(x: float) -> str:

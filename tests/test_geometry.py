@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from embedtrack.geometry import (
     BoundingBox,
     box_array,
+    boxes_from_array,
     center_distance,
     center_distance_matrix,
     iou,
@@ -77,6 +78,32 @@ class TestBoundingBox:
     def test_non_real_coordinates_raise_type_error(self, bad):
         with pytest.raises(TypeError):
             BoundingBox(bad, 0, 2, 1)
+
+
+class TestBoxesFromArray:
+    @given(_boxes)
+    def test_inverts_box_array(self, boxes):
+        got = boxes_from_array(box_array(boxes))
+        assert got == boxes
+        assert all(type(v) is float for b in got for v in (b.x1, b.y1, b.x2, b.y2))
+
+    # the message the constructor raises for the first bad row
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 0, 1, 1], [3, 0, 1, 1], [0, np.nan, 1, 1]],
+         "box has negative extent: BoundingBox(x1=3.0, y1=0.0, x2=1.0, y2=1.0)"),
+        ([[0, 0, 1, 1], [0, 0, np.inf, 1], [0, 2, 1, 1]],
+         "box coordinates must be finite: BoundingBox(x1=0.0, y1=0.0, x2=inf, y2=1.0)"),
+        ([[0, 2, 1, 1]], "box has negative extent: BoundingBox(x1=0.0, y1=2.0, x2=1.0, y2=1.0)"),
+    ])
+    def test_first_bad_row_raises_the_constructor_message(self, rows, message):
+        with pytest.raises(ValueError) as exc:
+            boxes_from_array(np.array(rows, dtype=np.float64))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 5), (1, 2, 4)])
+    def test_needs_an_n_by_4_array(self, shape):
+        with pytest.raises(ValueError, match=r"boxes must be an \(N, 4\) array, got shape"):
+            boxes_from_array(np.zeros(shape))
 
 
 class TestIou:

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embedtrack.metrics import per_class_report
 from embedtrack.synth import (
@@ -16,7 +19,7 @@ from embedtrack.synth import (
     subsample,
 )
 from embedtrack.tracker import run_sequence
-from oracles import place_prototypes_oracle
+from oracles import generate_oracle, place_prototypes_oracle
 
 
 def small_world(**kw):
@@ -45,6 +48,7 @@ class TestWorldConfig:
         ("occlusions", [(10, 0, 5)]), ("occlusions", [(-1, 0, 5)]),
         ("occlusions", [(0, 1, 2), (0, 5, 4)]),
         ("distractor_affinity", 1.5), ("distractor_affinity", -0.5), ("seed", -1),
+        ("image_size", (1000.0,)), ("image_size", (1000.0, 1000.0, 1000.0)),
     ])
     def test_impossible_world_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -92,6 +96,15 @@ class TestWorldConfig:
         assert w.occlusions == ((0, 1, 2), (1, 3, 4))
         assert hash(w) == hash(WorldConfig(occlusions=((0, 1, 2), (1, 3, 4))))
         assert dataclasses.replace(w, seed=1).occlusions == w.occlusions
+
+    def test_image_size_held_as_a_tuple(self):
+        given = [640.0, 480.0]
+        w = WorldConfig(image_size=given)
+        assert w.image_size == (640.0, 480.0)
+        given.append(1.0)
+        assert w.image_size == (640.0, 480.0)
+        assert hash(w) == hash(WorldConfig(image_size=(640.0, 480.0)))
+        assert generate(dataclasses.replace(w, n_frames=2)).config.image_size == (640.0, 480.0)
 
     def test_asdict_json_round_trip(self):
         w = WorldConfig(image_size=(640.0, 480.0), occlusions=[(0, 1, 2), (3, 4, 9)], seed=5)
@@ -292,6 +305,76 @@ class TestGenerate:
         p = np.eye(16)[:5] * 3.0  # normalized internally
         s = generate(small_world(), prototypes=p)
         assert np.allclose(s.prototypes, np.eye(16)[:5], atol=1e-12)
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _zero_or(high: float):
+    """0, or a positive float up to ``high``."""
+    return st.just(0.0) | st.floats(1e-3, high)
+
+
+def assert_same_world(got, want):
+    """Each detection's box, class, score and embedding, the true
+    identities, every ground-truth entry and the prototypes are equal to
+    the bit; classes are Python ints on both sides."""
+    assert got.detections.keys() == want.detections.keys()
+    for f, dets in want.detections.items():
+        assert [(_bits(dataclasses.astuple(d.box)), d.class_id, type(d.class_id), _bits(d.score),
+                 _bits(d.embedding)) for d in got.detections[f]] == \
+               [(_bits(dataclasses.astuple(d.box)), d.class_id, type(d.class_id), _bits(d.score),
+                 _bits(d.embedding)) for d in dets], f"frame {f}"
+    assert got.det_identity == want.det_identity
+    assert got.gt.frames.keys() == want.gt.frames.keys()
+    for f, entries in want.gt.frames.items():
+        assert [(e.obj_id, e.class_id, _bits(dataclasses.astuple(e.box)), e.visible, e.score)
+                for e in got.gt.frames[f]] == \
+               [(e.obj_id, e.class_id, _bits(dataclasses.astuple(e.box)), e.visible, e.score)
+                for e in entries], f"frame {f}"
+    assert _bits(got.prototypes) == _bits(want.prototypes)
+    assert got.config == want.config
+
+
+class TestSameWorldAsThePerDetectionGenerator:
+    def test_crowded_world(self):
+        # the benchmark's crowded world, cut to 30 frames
+        rng = np.random.default_rng([5, 20])
+        occlusions = []
+        for _ in range(20):
+            first = int(rng.integers(0, 28))
+            occlusions.append((int(rng.integers(100)), first, first + int(rng.integers(5, 20))))
+        world = WorldConfig(n_identities=100, n_distractors=20, distractor_affinity=0.5,
+                            n_frames=30, dim=64, sigma_e=0.15, jitter_sigma=1.0, fp_rate=0.02,
+                            occlusions=occlusions, seed=5)
+        assert_same_world(generate(world), generate_oracle(world))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_drawn_worlds(self, data):
+        draw = data.draw
+        n_ids, n_frames = draw(st.integers(1, 6)), draw(st.integers(0, 12))
+        n_dis, dim = draw(st.integers(0, 3)), draw(st.integers(1, 9))
+        frame = st.integers(0, max(n_frames - 1, 0))
+        occlusions = [(i, min(a, b), max(a, b)) for i, a, b in
+                      draw(st.lists(st.tuples(st.integers(0, n_ids - 1), frame, frame), max_size=3))]
+        world = WorldConfig(
+            n_identities=n_ids, n_frames=n_frames, n_classes=draw(st.integers(1, 3)), dim=dim,
+            n_distractors=n_dis, distractor_affinity=draw(_zero_or(1.0)),
+            fn_rate=draw(_zero_or(1.0)), jitter_sigma=draw(_zero_or(5.0)),
+            sigma_e=draw(_zero_or(2.0)), fp_rate=draw(_zero_or(1.0)),
+            occlusions=occlusions, seed=draw(st.integers(0, 2**16)))
+        prototypes = None
+        if draw(st.booleans()):
+            prototypes = np.random.default_rng(world.seed).standard_normal((n_ids + n_dis, dim))
+        try:
+            want = generate_oracle(world, prototypes)
+        except ValueError as exc:  # prototypes that cannot be separated or miss the margin
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                generate(world, prototypes)
+            return
+        assert_same_world(generate(world, prototypes), want)
 
 
 class TestSubsample:

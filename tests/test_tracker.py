@@ -15,6 +15,7 @@ from embedtrack.tracker import (
     Detection,
     Tracker,
     TrackerConfig,
+    detections_from_arrays,
     interpolate_tracks,
     momentum_update,
     run_sequence,
@@ -202,6 +203,89 @@ class TestDetection:
     def test_replace_checks_the_variant(self, name, value, message):
         with pytest.raises(ValueError) as exc:
             dataclasses.replace(det(0), **{name: value})
+        assert str(exc.value) == message
+
+
+def frame_arrays(changes=()):
+    """A valid three-detection frame as the arrays ``detections_from_arrays``
+    takes; a change maps a field, or a (field, index) pair, to a value."""
+    arrays = dict(boxes=np.array([[0.0, 0, 10, 10], [20, 0, 30, 10], [40, 0, 50, 10]]),
+                  class_ids=np.array([0, 1, 0]), scores=np.array([0.9, 0.5, 0.3]),
+                  embeddings=np.arange(3.0 * DIM).reshape(3, DIM) / 10.0)
+    for key, value in dict(changes).items():
+        if isinstance(key, tuple):
+            arrays[key[0]][key[1]] = value
+        else:
+            arrays[key] = value
+    return arrays
+
+
+class TestDetectionsFromArrays:
+    def test_equals_the_constructors(self):
+        a = frame_arrays()
+        got = detections_from_arrays(**a)
+        want = [Detection(BoundingBox(*b), c, s, e) for b, c, s, e in
+                zip(a["boxes"].tolist(), a["class_ids"].tolist(), a["scores"].tolist(), a["embeddings"])]
+        assert [(d.box, d.class_id, type(d.class_id), d.score, type(d.score), d.embedding.tolist())
+                for d in got] == \
+               [(d.box, d.class_id, int, d.score, float, d.embedding.tolist()) for d in want]
+        assert [type(v) for d in got for v in dataclasses.astuple(d.box)] == [float] * 12
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_embeddings_are_read_only_and_do_not_alias_the_input(self, dtype):
+        given = (np.arange(3.0 * DIM).reshape(3, DIM) / 10.0).astype(dtype)
+        dets = detections_from_arrays(**frame_arrays({"embeddings": given}))
+        for d, row in zip(dets, given):
+            assert d.embedding.dtype == np.float64 and d.embedding.shape == (DIM,)
+            assert not d.embedding.flags.writeable and not np.shares_memory(d.embedding, given)
+            assert np.array_equal(d.embedding, row)
+            with pytest.raises(ValueError, match="assignment destination is read-only"):
+                d.embedding[0] = 5.0
+        assert given.flags.writeable
+        given[:] = 5.0
+        assert dets[1].embedding[0] == np.float64(dtype(DIM / 10.0))
+
+    def test_empty_frame(self):
+        assert detections_from_arrays(np.empty((0, 4)), np.empty(0, dtype=int), np.empty(0),
+                                      np.empty((0, DIM))) == []
+
+    @pytest.mark.parametrize("changes", [
+        {"scores": np.array([0.9, 0.5])}, {"boxes": np.zeros((3, 5))},
+        {"embeddings": np.zeros((2, DIM))}, {"class_ids": np.zeros((3, 1), dtype=int)},
+    ])
+    def test_row_counts_and_box_width_must_agree(self, changes):
+        with pytest.raises(ValueError, match=r"^a frame needs an \(N, 4\) box array and N class ids"):
+            detections_from_arrays(**frame_arrays(changes))
+
+    # the message each constructor raises for the first bad row
+    @pytest.mark.parametrize("changes, message", [
+        ({("embeddings", (1, 2)): np.nan}, "detection embedding contains non-finite values"),
+        ({("embeddings", (2, 0)): -np.inf}, "detection embedding contains non-finite values"),
+        ({("scores", 1): 1.5}, "detection score must be in [0, 1], got 1.5"),
+        ({("scores", 2): -0.1}, "detection score must be in [0, 1], got -0.1"),
+        ({("scores", 1): np.nan}, "detection score must be in [0, 1], got nan"),
+        ({("boxes", 1): [30.0, 0, 20, 10]},
+         "box has negative extent: BoundingBox(x1=30.0, y1=0.0, x2=20.0, y2=10.0)"),
+        ({("boxes", 2): [40.0, 10, 50, 0]},
+         "box has negative extent: BoundingBox(x1=40.0, y1=10.0, x2=50.0, y2=0.0)"),
+        ({("boxes", (1, 2)): np.inf}, "box coordinates must be finite: BoundingBox(x1=20.0, y1=0.0, x2=inf, y2=10.0)"),
+        ({("boxes", (2, 0)): np.nan}, "box coordinates must be finite: BoundingBox(x1=nan, y1=0.0, x2=50.0, y2=10.0)"),
+        ({"class_ids": np.array([True, False, True])}, "detection class_id must be an int, got True"),
+        ({"class_ids": np.array([0.0, 1.5, 0.0])}, "detection class_id must be an int, got 0.0"),
+        ({"embeddings": np.ones((3, 0))}, "detection embedding must be 1-D and non-empty, got shape (0,)"),
+        ({"embeddings": np.ones(3)}, "detection embedding must be 1-D and non-empty, got shape ()"),
+        ({"embeddings": np.ones((3, DIM, 1))},
+         f"detection embedding must be 1-D and non-empty, got shape ({DIM}, 1)"),
+        # an earlier row's fault wins over a later row's, whatever its field
+        ({("scores", 1): 1.5, ("boxes", 2): [50.0, 0, 40, 10]}, "detection score must be in [0, 1], got 1.5"),
+        ({("boxes", 1): [30.0, 0, 20, 10], ("embeddings", (2, 0)): np.nan},
+         "box has negative extent: BoundingBox(x1=30.0, y1=0.0, x2=20.0, y2=10.0)"),
+        ({("embeddings", (1, 0)): np.nan, ("boxes", 2): [50.0, 0, 40, 10]},
+         "detection embedding contains non-finite values"),
+    ])
+    def test_first_bad_row_raises_the_constructor_message(self, changes, message):
+        with pytest.raises(ValueError) as exc:
+            detections_from_arrays(**frame_arrays(changes))
         assert str(exc.value) == message
 
 
@@ -499,6 +583,22 @@ class TestStep:
         assert bad.embedding.shape == (DIM,)
         assert t.state.frame == 0 and sorted(t.state.tracks) == [1] and len(t.state.live) == 1
         assert [tid for tid, _ in t.step(1, [det(0), bad])] == [1, 2]
+
+    def test_embedding_reshaped_in_place_names_the_frame_before_any_change(self):
+        # numpy lets a read-only array's shape be assigned
+        t = Tracker(cfg())
+        t.step(0, [det(0)])
+        bad = det(0, x=1.0)
+        bad.embedding.shape = (DIM, 1)
+        for frame in ([bad], [det(1, x=100), bad]):
+            with pytest.raises(ValueError) as exc:
+                t.step(1, frame)
+            assert str(exc.value).startswith("frame 1: detection embeddings must be 1-D, got shapes")
+            assert f"({DIM}, 1)" in str(exc.value)
+            assert t.state.frame == 0 and sorted(t.state.tracks) == [1] and len(t.state.live) == 1
+            assert t.state.tracks[1].history == [(0, det(0).box, 0.9)]
+        bad.embedding.shape = (DIM,)
+        assert [tid for tid, _ in t.step(1, [bad])] == [1]
 
     @pytest.mark.parametrize("score", [7.0, -0.5, np.nan, np.inf])
     def test_score_changed_after_construction_rejected_before_any_change(self, score):
