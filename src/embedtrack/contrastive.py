@@ -118,8 +118,9 @@ class LossConfig:
 
     def __post_init__(self) -> None:
         for name in ("gamma1", "gamma2"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if isinstance(v, (bool, np.bool_)) or not 0.0 <= v < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
 
@@ -138,17 +139,11 @@ def assign_samples(
     if not gts:
         return [RegionSample(r, None, NEGATIVE, 0.0) for r in regions]
     overlaps = iou_matrix(box_array(regions), box_array(g[0] for g in gts))
-    out: list[RegionSample] = []
-    for i, region in enumerate(regions):
-        best = int(np.argmax(overlaps[i]))  # argmax takes the first max: lower gt index
-        miou = float(overlaps[i, best])
-        if miou > _ALPHA1:
-            out.append(RegionSample(region, gts[best][1], POSITIVE, miou))
-        elif miou < _ALPHA2:
-            out.append(RegionSample(region, None, NEGATIVE, miou))
-        else:
-            out.append(RegionSample(region, None, IGNORED, miou))
-    return out
+    best = overlaps.argmax(axis=1)  # argmax takes the first max: lower gt index
+    miou = overlaps.max(axis=1)
+    band = 1 + (miou > _ALPHA1) - (miou < _ALPHA2)  # 0, 1, 2: negative, ignored, positive
+    return [RegionSample(r, gts[b][1] if k == 2 else None, (NEGATIVE, IGNORED, POSITIVE)[k], m)
+            for r, b, k, m in zip(regions, best.tolist(), band.tolist(), miou.tolist())]
 
 
 def _iou_balanced_draw(
@@ -159,24 +154,18 @@ def _iou_balanced_draw(
     upper: float,
     rng: np.random.Generator,
 ) -> list[int]:
-    """Round-robin draw across equal-width IoU bins over [0, upper)."""
+    """Round-robin draw across equal-width IoU bins over [0, upper): each
+    bin is shuffled, then round r pops the r-th last entry of every bin
+    that still has one, bins in order."""
     edges = np.linspace(0.0, upper, n_bins + 1)
-    which = np.searchsorted(edges, max_ious[negatives], side="right") - 1
-    bins: list[list[int]] = [[] for _ in range(n_bins)]
-    for idx, b in zip(negatives, np.clip(which, 0, n_bins - 1).tolist()):
-        bins[b].append(idx)
+    negatives = np.asarray(negatives, dtype=np.intp)
+    which = np.clip(np.searchsorted(edges, max_ious[negatives], side="right") - 1, 0, n_bins - 1)
+    bins = [negatives[which == b] for b in range(n_bins)]
     for b in bins:
         rng.shuffle(b)
-    drawn: list[int] = []
-    while len(drawn) < count:
-        nonempty = [b for b in bins if b]
-        if not nonempty:
-            break
-        for b in nonempty:
-            if len(drawn) >= count:
-                break
-            drawn.append(b.pop())
-    return drawn
+    rounds = np.concatenate([np.arange(b.size)[::-1] for b in bins])
+    order = np.lexsort((np.repeat(np.arange(n_bins), [b.size for b in bins]), rounds))
+    return np.concatenate(bins)[order][:count].tolist()
 
 
 def sample_batch(

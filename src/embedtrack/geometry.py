@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 from math import isfinite
 from operator import attrgetter
 
@@ -77,7 +78,9 @@ _BOX_SLOTS = tuple(getattr(BoundingBox, name).__set__ for name in ("x1", "y1", "
 def box_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
     """The (N, 4) float64 array of xyxy coordinates of ``boxes``, one row
     per box in order; (0, 4) for no boxes."""
-    return np.array(list(map(_xyxy, boxes)), dtype=np.float64).reshape(-1, 4)
+    boxes = list(boxes)
+    coords = chain.from_iterable(map(_xyxy, boxes))
+    return np.fromiter(coords, dtype=np.float64, count=4 * len(boxes)).reshape(-1, 4)
 
 
 def boxes_from_array(xyxy: np.ndarray) -> list[BoundingBox]:

@@ -70,15 +70,16 @@ class WorldConfig:
             if v < low:
                 raise ValueError(f"{name} must be >= {low}, got {v}")
         for name in ("speed", "min_margin"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if isinstance(v, (bool, np.bool_)) or not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         for name in ("fp_rate", "fn_rate", "distractor_affinity"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if isinstance(v, (bool, np.bool_)) or not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         for name in ("sigma_e", "jitter_sigma"):
             v = getattr(self, name)
-            if not 0.0 <= v < np.inf:
+            if isinstance(v, (bool, np.bool_)) or not 0.0 <= v < np.inf:
                 raise ValueError(f"noise sigmas must be finite and >= 0, got {name}={v}")
         # centres reflect one largest box size inside each border; false
         # positives are centred 50 pixels inside, which this leaves room for
@@ -185,11 +186,9 @@ def _positions(cfg: WorldConfig, n: int, rng: np.random.Generator) -> np.ndarray
     margin = _BOX_SIZE_RANGE[1]
     lo, hi = np.array([margin, margin]), np.array([w - margin, h - margin])
     start = rng.uniform(lo, hi, size=(n, 2))
-    pos = np.zeros((n, cfg.n_frames, 2))
     theta = rng.uniform(0, 2 * np.pi, size=n)
     vel = cfg.speed * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    for t in range(cfg.n_frames):
-        pos[:, t] = start + t * vel
+    pos = start[:, None] + np.arange(cfg.n_frames)[:, None] * vel[:, None]
     # reflect into [lo, hi] (triangle-wave fold)
     span = hi - lo
     folded = np.abs(np.mod(pos - lo, 2 * span) - span)
@@ -230,12 +229,8 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
     if cfg.n_distractors and cfg.distractor_affinity > 0:
         # lookalike clutter: pull each distractor prototype toward a real one
         a = cfg.distractor_affinity
-        prototypes = prototypes.copy()
-        for d in range(cfg.n_distractors):
-            j = n_id + d
-            target = prototypes[d % n_id]
-            mixed = a * target + (1.0 - a) * prototypes[j]
-            prototypes[j] = mixed / np.linalg.norm(mixed)
+        mixed = a * prototypes[np.arange(cfg.n_distractors) % n_id] + (1.0 - a) * prototypes[n_id:]
+        prototypes = np.concatenate([prototypes[:n_id], mixed / _row_norms(mixed)])
 
     sizes = rng.uniform(*_BOX_SIZE_RANGE, size=(n_proto, 2))
     # xyxy corners of every identity and distractor box, (n_frames, n_proto, 4)
@@ -246,10 +241,9 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
     classes = np.arange(n_proto) % n_id % cfg.n_classes
     gt_classes = classes[:n_id].tolist()
 
-    occluded: dict[int, set[int]] = {}
+    occluded = np.zeros((cfg.n_frames, n_id), dtype=bool)  # spans are clipped to frames >= 0
     for ident, first, last in cfg.occlusions:
-        for t in range(first, last + 1):
-            occluded.setdefault(t, set()).add(ident)
+        occluded[max(first, 0):max(last + 1, 0), ident] = True
 
     gt = TrackSet()
     detections: dict[int, list[Detection]] = {}
@@ -258,17 +252,17 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
     fp_low, fp_high = (50.0, 50.0), (img_w - 50.0, img_h - 50.0)  # false-positive centres
 
     for t in range(cfg.n_frames):
-        hidden = occluded.get(t, set())
+        hidden = occluded[t].tolist()
         # ids 0..n_id-1 are unique, so the entries skip TrackSet.add
-        gt.frames[t] = [ObjectEntry(i, c, box, i not in hidden) for i, (c, box) in
-                        enumerate(zip(gt_classes, boxes_from_array(corners[t, :n_id])))]
+        gt.frames[t] = [ObjectEntry(i, c, box, not h) for i, (c, box, h) in
+                        enumerate(zip(gt_classes, boxes_from_array(corners[t, :n_id]), hidden))]
 
         rows: list[int] = []  # the prototype row of each identity or distractor detection
         jitter: list[np.ndarray] = []
         noise: list[np.ndarray] = []
         scores: list[float] = []
         for i in range(n_id):
-            if i in hidden or (cfg.fn_rate > 0 and rng.random() < cfg.fn_rate):
+            if hidden[i] or (cfg.fn_rate > 0 and rng.random() < cfg.fn_rate):
                 continue
             rows.append(i)
             if cfg.jitter_sigma != 0.0:

@@ -149,7 +149,7 @@ class TrackerConfig:
     def __post_init__(self) -> None:
         for name in ("beta_obj", "beta_new", "momentum", "nms_threshold", "det_confidence"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if isinstance(v, (bool, np.bool_)) or not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         for name in ("memory_frames", "backdrop_frames"):
             v = getattr(self, name)
@@ -159,8 +159,9 @@ class TrackerConfig:
             v = getattr(self, name)
             if not isinstance(v, (bool, np.bool_)):
                 raise ValueError(f"{name} must be a bool, got {v!r}")
-        if self.distance_gate is not None and not self.distance_gate >= 0.0:
-            raise ValueError(f"distance_gate must be >= 0, got {self.distance_gate}")
+        gate = self.distance_gate
+        if gate is not None and (isinstance(gate, (bool, np.bool_)) or not gate >= 0.0):
+            raise ValueError(f"distance_gate must be >= 0, got {gate}")
         if self.similarity_metric not in ("bisoftmax", "cosine"):
             raise ValueError(f"unknown similarity metric {self.similarity_metric!r}")
         if self.beta_new < self.beta_obj:

@@ -30,7 +30,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from embedtrack.contrastive import _FD_STEP, POSITIVE, VARIANTS, LossConfig, _loss_total
+from embedtrack.contrastive import (
+    _FD_STEP,
+    IGNORED,
+    NEGATIVE,
+    POSITIVE,
+    VARIANTS,
+    LossConfig,
+    RegionSample,
+    _loss_total,
+)
 from embedtrack.formats import DET_HEADER_PREFIX, FormatError
 from embedtrack.geometry import BoundingBox, center_distance_matrix, iou, iou_matrix
 from embedtrack.metrics import (
@@ -56,7 +65,6 @@ from embedtrack.synth import (
     Scenario,
     WorldConfig,
     _margin,
-    _positions,
     place_prototypes,
 )
 from embedtrack.tracker import (
@@ -908,6 +916,25 @@ def merge_tracklets_oracle(state: OracleTrackerState) -> OracleTrackerState:
     return state
 
 
+def assign_samples_oracle(regions, gts) -> list[RegionSample]:
+    """``contrastive.assign_samples`` one region at a time, each labelled
+    from its own row of the region x ground-truth IoU matrix."""
+    if not gts:
+        return [RegionSample(r, None, NEGATIVE, 0.0) for r in regions]
+    overlaps = iou_matrix_oracle([r.as_array() for r in regions], [g.as_array() for g, _ in gts])
+    out: list[RegionSample] = []
+    for i, region in enumerate(regions):
+        best = int(np.argmax(overlaps[i]))  # argmax takes the first max: lower gt index
+        miou = float(overlaps[i, best])
+        if miou > 0.7:
+            out.append(RegionSample(region, gts[best][1], POSITIVE, miou))
+        elif miou < 0.3:
+            out.append(RegionSample(region, None, NEGATIVE, miou))
+        else:
+            out.append(RegionSample(region, None, IGNORED, miou))
+    return out
+
+
 def iou_balanced_draw_oracle(
     negatives: list[int],
     max_ious: np.ndarray,
@@ -985,6 +1012,23 @@ def _noisy_embedding_oracle(proto: np.ndarray, sigma_e: float, rng: np.random.Ge
     return _TAU * e / norm
 
 
+def positions_oracle(cfg: WorldConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``synth._positions`` one frame at a time: the same draws, each
+    frame's centres from start + t * velocity, then the border fold."""
+    w, h = cfg.image_size
+    margin = _BOX_SIZE_RANGE[1]
+    lo, hi = np.array([margin, margin]), np.array([w - margin, h - margin])
+    start = rng.uniform(lo, hi, size=(n, 2))
+    pos = np.zeros((n, cfg.n_frames, 2))
+    theta = rng.uniform(0, 2 * np.pi, size=n)
+    vel = cfg.speed * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    for t in range(cfg.n_frames):
+        pos[:, t] = start + t * vel
+    span = hi - lo
+    folded = np.abs(np.mod(pos - lo, 2 * span) - span)
+    return lo + np.minimum(folded, span)
+
+
 def generate_oracle(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario:
     """``synth.generate`` one object at a time, with the same random draws
     in the same order."""
@@ -1014,7 +1058,7 @@ def generate_oracle(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> S
             prototypes[j] = mixed / np.linalg.norm(mixed)
 
     sizes = rng.uniform(*_BOX_SIZE_RANGE, size=(n_proto, 2))
-    centers = _positions(cfg, n_proto, rng)
+    centers = positions_oracle(cfg, n_proto, rng)
     classes = np.arange(cfg.n_identities) % cfg.n_classes
 
     occluded: dict[int, set[int]] = {}

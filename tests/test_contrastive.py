@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from embedtrack.contrastive import (
@@ -30,6 +30,7 @@ from embedtrack.contrastive import (
 )
 from embedtrack.geometry import BoundingBox
 from oracles import (
+    assign_samples_oracle,
     aux_pairs_oracle,
     aux_selection_margin_oracle,
     aux_value_and_grad_oracle,
@@ -42,6 +43,9 @@ from oracles import (
 )
 
 UNIT = BoundingBox(0, 0, 1, 1)
+# boxes on a small integer grid, zero widths and heights included
+GRID_BOXES = st.builds(lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+                       st.integers(0, 12), st.integers(0, 12), st.integers(0, 8), st.integers(0, 8))
 
 
 def pos(ident, emb):
@@ -110,6 +114,25 @@ class TestAssignSamples:
     def test_no_ground_truth_all_negative(self):
         out = assign_samples([UNIT, UNIT], [])
         assert all(s.polarity == NEGATIVE and s.max_iou == 0.0 for s in out)
+
+    def test_bands_are_strict(self):
+        gt = [(BoundingBox(0, 0, 10, 10), 3)]
+        out = assign_samples([BoundingBox(0, 0, 10, 7), BoundingBox(0, 0, 10, 3)], gt)
+        assert [(s.max_iou, s.polarity) for s in out] == [(0.7, IGNORED), (0.3, IGNORED)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(GRID_BOXES, max_size=12), st.lists(st.tuples(GRID_BOXES, st.integers(0, 3)), max_size=5))
+    @example([BoundingBox(0, 0, 10, 7), BoundingBox(0, 0, 10, 3), BoundingBox(0, 0, 10, 8)],
+             [(BoundingBox(0, 0, 10, 10), 1)])  # IoU exactly 0.7 and 0.3, then 0.8
+    @example([BoundingBox(0, 0, 10, 9)], [(BoundingBox(20, 0, 30, 9), 4), (BoundingBox(0, 0, 10, 10), 5),
+                                          (BoundingBox(0, 0, 10, 10), 6)])  # a tie between gts 1 and 2
+    @example([], [(UNIT, 0)])
+    @example([UNIT, UNIT], [])
+    def test_matches_per_region_oracle(self, regions, gts):
+        # small integer boxes repeat IoUs, so regions tie between gts and land on the band edges
+        def fields(samples):
+            return [(s.box, s.identity, s.polarity, s.max_iou, type(s.max_iou)) for s in samples]
+        assert fields(assign_samples(regions, gts)) == fields(assign_samples_oracle(regions, gts))
 
 
 class TestSampleBatch:

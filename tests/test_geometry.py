@@ -187,6 +187,11 @@ class TestCenterDistanceMatrix:
         assert center_distance_matrix(a, b).tolist() == [[5.0]]
 
 
+# Python floats and ints, np.float32 and np.float64 fields, mixed within a box
+_typed_coord = st.builds(lambda v, tp: tp(v / 8), st.integers(-10**6, 10**6),
+                         st.sampled_from([float, int, np.float32, np.float64]))
+
+
 class TestBoxArray:
     def test_empty_input(self):
         out = box_array([])
@@ -195,6 +200,15 @@ class TestBoxArray:
     def test_generator_input(self):
         boxes = [BoundingBox(0, 1, 2, 3), BoundingBox(4.5, 5, 6, 7.25)]
         assert box_array(b for b in boxes).tolist() == [[0, 1, 2, 3], [4.5, 5, 6, 7.25]]
+
+    @given(st.lists(st.tuples(*[_typed_coord] * 4), max_size=6))
+    def test_equals_the_conversion_of_a_list_of_tuples(self, fields):
+        boxes = [BoundingBox(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+                 for x1, y1, x2, y2 in fields]
+        want = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+        got = box_array(iter(boxes))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @given(_boxes.filter(bool))
     def test_equals_stacked_as_array(self, boxes):

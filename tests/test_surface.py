@@ -14,10 +14,11 @@ import textwrap
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import embedtrack
-from embedtrack import geometry, metrics, tracker
+from embedtrack import contrastive, geometry, metrics, synth, tracker
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(embedtrack.__path__))
 
@@ -129,6 +130,29 @@ def test_frozen_dataclasses_hold_no_mutable_containers(cls):
     hints = typing.get_type_hints(cls)
     found = {f.name: _mutable_types(hints[f.name]) for f in dataclasses.fields(cls)}
     assert {name: types for name, types in found.items() if types} == {}
+
+
+# the float fields of the configs built in Python: JSON values pass
+# config._checked first, which rejects a bool where a float belongs
+CONFIG_FLOAT_FIELDS = [
+    (cls, f.name) for cls in (tracker.TrackerConfig, synth.WorldConfig, contrastive.LossConfig)
+    for f in dataclasses.fields(cls) if typing.get_type_hints(cls)[f.name] in (float, float | None)]
+
+
+@pytest.mark.parametrize("cls,name", CONFIG_FLOAT_FIELDS, ids=lambda v: getattr(v, "__name__", v))
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+def test_config_float_fields_reject_bools(cls, name, value):
+    # momentum=True would keep no past embedding; distance_gate=True is a 1-pixel gate
+    for build in (cls, lambda **kw: dataclasses.replace(cls(), **kw)):
+        with pytest.raises(ValueError, match=rf"\b{name}\b") as exc:
+            build(**{name: value})
+        assert str(exc.value).endswith(str(value))
+
+
+def test_config_float_fields_are_all_found():
+    # six tracker fields with distance_gate, seven world fields, two loss weights
+    assert [len([c for c, _ in CONFIG_FLOAT_FIELDS if c is cls]) for cls in
+            (tracker.TrackerConfig, synth.WorldConfig, contrastive.LossConfig)] == [6, 7, 2]
 
 
 def _tracing(monkeypatch):

@@ -356,7 +356,7 @@ class TestSameWorldAsThePerDetectionGenerator:
         draw = data.draw
         n_ids, n_frames = draw(st.integers(1, 6)), draw(st.integers(0, 12))
         n_dis, dim = draw(st.integers(0, 3)), draw(st.integers(1, 9))
-        frame = st.integers(0, max(n_frames - 1, 0))
+        frame = st.integers(-3, n_frames + 3)  # spans may start before frame 0 or end after the last
         occlusions = [(i, min(a, b), max(a, b)) for i, a, b in
                       draw(st.lists(st.tuples(st.integers(0, n_ids - 1), frame, frame), max_size=3))]
         world = WorldConfig(
