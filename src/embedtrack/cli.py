@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import ablation
-from .config import PROFILE_NAMES, config_from_dict, load_profile
+from .config import PROFILE_NAMES, _from_dict, config_from_dict, load_profile
 from .formats import atomic_write, read_detections, read_mot, write_detections, write_mot
 from .metrics import EvalReport, _check_iou_threshold, per_class_report
 from .synth import WorldConfig, generate
@@ -124,11 +124,14 @@ def cmd_eval(args) -> int:
 
 
 def _world_from_args(args) -> WorldConfig:
-    cfg = WorldConfig()
+    """The --config or default world, seeded by --seed: a document's own seed must match."""
+    world = WorldConfig(seed=args.seed)
     if args.config:
         with open(args.config) as fp:
-            cfg = WorldConfig.from_dict(json.load(fp))
-    return dataclasses.replace(cfg, seed=args.seed)
+            world = _from_dict(WorldConfig, json.load(fp), "world config", world)
+    if world.seed != args.seed:
+        raise CliError(f"world config seed {world.seed} differs from --seed {args.seed}", EXIT_DATA)
+    return world
 
 
 def cmd_synth(args) -> int:
@@ -150,8 +153,9 @@ def cmd_ablate(args) -> int:
     if not args.seeds:
         raise CliError("at least one seed required", EXIT_USAGE)
     world = None
-    if args.config:
-        world = _world_from_args(args)
+    if args.config:  # each run is seeded from --seeds, whatever seed the document names
+        with open(args.config) as fp:
+            world = WorldConfig.from_dict(json.load(fp))
     rows = ablation.run_ablation(sweep, list(args.seeds), world)
     with atomic_write(args.output) as fp:
         writer = csv.DictWriter(fp, fieldnames=ablation.ABLATION_COLUMNS)

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import check_fields, check_range
 from .geometry import BoundingBox, box_array, iou_matrix
 from .similarity import validate_embeddings
 
@@ -117,10 +118,8 @@ class LossConfig:
     variant: str = "accumulated_multi"
 
     def __post_init__(self) -> None:
-        for name in ("gamma1", "gamma2"):
-            v = getattr(self, name)
-            if isinstance(v, (bool, np.bool_)) or not 0.0 <= v < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        check_fields(self)
+        check_range(self, ("gamma1", "gamma2"), lambda v: 0.0 <= v < np.inf, "finite and >= 0")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
 

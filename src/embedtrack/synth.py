@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import _from_dict
+from .config import _from_dict, check_fields, check_range
 from .geometry import BoundingBox, box_array, boxes_from_array, iou_matrix
 from .metrics import ObjectEntry, TrackSet
 from .tracker import Detection, detections_from_arrays
@@ -34,10 +34,6 @@ __all__ = [
 ]
 
 _BOX_SIZE_RANGE = (40.0, 80.0)  # of box widths and heights, pixels
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -57,51 +53,34 @@ class WorldConfig:
     jitter_sigma: float = 0.0  # box coordinate noise, pixels
     n_distractors: int = 0  # persistent low-score clutter objects
     distractor_affinity: float = 0.0  # 0 = independent clutter, near 1 = lookalike of a real identity
-    # (identity, first, last) ints; any sequence of such entries, held as tuples
+    # (identity, first, last) ints; a list, tuple or array of such entries, held as tuples
     occlusions: tuple[tuple[int, int, int], ...] = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, low in (("dim", 1), ("n_classes", 1), ("n_identities", 1),
-                          ("n_distractors", 0), ("n_frames", 0), ("seed", 0)):
-            v = getattr(self, name)
-            if not _is_int(v):
-                raise ValueError(f"{name} must be an int, got {v!r}")
-            if v < low:
-                raise ValueError(f"{name} must be >= {low}, got {v}")
-        for name in ("speed", "min_margin"):
-            v = getattr(self, name)
-            if isinstance(v, (bool, np.bool_)) or not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-        for name in ("fp_rate", "fn_rate", "distractor_affinity"):
-            v = getattr(self, name)
-            if isinstance(v, (bool, np.bool_)) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        check_fields(self)
+        check_range(self, ("dim", "n_classes", "n_identities"), lambda v: v >= 1, ">= 1")
+        check_range(self, ("n_distractors", "n_frames", "seed"), lambda v: v >= 0, ">= 0")
+        check_range(self, ("speed", "min_margin"), lambda v: -np.inf < v < np.inf, "finite")
+        check_range(self, ("fp_rate", "fn_rate", "distractor_affinity"), lambda v: 0.0 <= v <= 1.0,
+                    "in [0, 1]")
         for name in ("sigma_e", "jitter_sigma"):
             v = getattr(self, name)
-            if isinstance(v, (bool, np.bool_)) or not 0.0 <= v < np.inf:
+            if not 0.0 <= v < np.inf:
                 raise ValueError(f"noise sigmas must be finite and >= 0, got {name}={v}")
         # centres reflect one largest box size inside each border; false
         # positives are centred 50 pixels inside, which this leaves room for
         least = 2 * _BOX_SIZE_RANGE[1]
-        image_size = tuple(self.image_size)
-        if len(image_size) != 2:
-            raise ValueError(f"image_size must have 2 sides, got {self.image_size!r}")
-        if not all(least < side < np.inf for side in image_size):
+        if not all(least < side < np.inf for side in self.image_size):
             raise ValueError(f"image_size sides must be finite and more than {least:g}, "
                              f"got {self.image_size}")
-        object.__setattr__(self, "image_size", image_size)
-        occlusions = tuple(map(tuple, self.occlusions))
-        if not all(len(o) == 3 and all(map(_is_int, o)) and 0 <= o[0] < self.n_identities
-                   and o[1] <= o[2] for o in occlusions):
+        if not all(0 <= o[0] < self.n_identities and o[1] <= o[2] for o in self.occlusions):
             raise ValueError("occlusions need (identity, first, last) ints with 0 <= identity "
                              f"< n_identities and first <= last, got {self.occlusions!r}")
-        object.__setattr__(self, "occlusions", occlusions)
 
     @classmethod
     def from_dict(cls, data) -> "WorldConfig":
-        """A world from a JSON document; unknown keys and values of the
-        wrong type raise ValueError."""
+        """A world from a JSON document; an unknown key or a bad value raises ValueError."""
         return _from_dict(cls, data, "world config")
 
 

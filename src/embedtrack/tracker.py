@@ -9,13 +9,12 @@ greedily in descending detection-score order. No motion model anywhere.
 
 from __future__ import annotations
 
-import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TrackerConfig
 # center_distance, masked_bisoftmax and validate_embeddings go uncalled here but stay:
 # perfbench's tracer wraps the names this module holds, and each one must exist.
 from .geometry import BoundingBox, box_array, boxes_from_array, centers_within, nms
@@ -56,7 +55,7 @@ class Detection:
     def __post_init__(self) -> None:
         if isinstance(self.class_id, bool) or not isinstance(self.class_id, (int, np.integer)):
             raise ValueError(f"detection class_id must be an int, got {self.class_id!r}")
-        if not math.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
+        if isinstance(self.score, (bool, np.bool_)) or not 0.0 <= self.score <= 1.0:
             raise ValueError(f"detection score must be in [0, 1], got {self.score}")
         # a copy: a row view would keep a whole parsed chunk alive, in fresh
         # pages rather than freed small blocks (14 MB more peak RSS reading a
@@ -91,14 +90,16 @@ def detections_from_arrays(boxes: np.ndarray, class_ids: np.ndarray, scores: np.
     raises the constructor's message.
     """
     cls = np.asarray(class_ids)
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
+    if scores.dtype != bool:  # a bool score stays one, for Detection to reject
+        scores = scores.astype(np.float64, copy=False)
     emb = np.array(embeddings, dtype=np.float64)  # the frame's block; see Detection's copy
     n = len(cls)
     if cls.ndim != 1 or np.shape(boxes) != (n, 4) or scores.shape != (n,) or emb.shape[:1] != (n,):
         raise ValueError("a frame needs an (N, 4) box array and N class ids, scores and embedding "
                          f"rows, got shapes {np.shape(boxes)}, {cls.shape}, {scores.shape} and "
                          f"{emb.shape}")
-    if not (cls.dtype.kind in "iu" and emb.ndim == 2 and emb.shape[1]
+    if not (cls.dtype.kind in "iu" and scores.dtype != bool and emb.ndim == 2 and emb.shape[1]
             and ((scores >= 0.0) & (scores <= 1.0)).all() and np.isfinite(emb).all()):
         return [Detection(BoundingBox(*b), c, s, e) for b, c, s, e in
                 zip(np.asarray(boxes, dtype=np.float64).tolist(), cls.tolist(), scores.tolist(), emb)]
@@ -123,53 +124,6 @@ class Track:
     track_id: int
     class_id: int
     history: list[tuple[int, BoundingBox, float]]
-
-
-@dataclass(frozen=True)
-class TrackerConfig:
-    """All association and track-management thresholds.
-
-    Defaults follow the BDD100K benchmark profile; other profiles ship as
-    data files in embedtrack.profiles. Frozen, so a variant comes from
-    ``dataclasses.replace``, which checks it again.
-    """
-
-    beta_obj: float = 0.35
-    beta_new: float = 0.5
-    memory_frames: int = 10  # inactive tracks kept this many frames (K)
-    backdrop_frames: int = 1  # backdrop lifetime in frames (L)
-    momentum: float = 0.8
-    nms_threshold: float = 0.65  # 1.0 keeps every box
-    det_confidence: float = 0.1
-    similarity_metric: str = "bisoftmax"  # or "cosine" (ablation only)
-    distance_gate: float | None = None
-    merge: bool = False  # fold young tracks into vanished ones (merge_tracklets)
-    interpolate: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("beta_obj", "beta_new", "momentum", "nms_threshold", "det_confidence"):
-            v = getattr(self, name)
-            if isinstance(v, (bool, np.bool_)) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        for name in ("memory_frames", "backdrop_frames"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
-                raise ValueError(f"{name} must be an int >= 0, got {v!r}")
-        for name in ("merge", "interpolate"):
-            v = getattr(self, name)
-            if not isinstance(v, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a bool, got {v!r}")
-        gate = self.distance_gate
-        if gate is not None and (isinstance(gate, (bool, np.bool_)) or not gate >= 0.0):
-            raise ValueError(f"distance_gate must be >= 0, got {gate}")
-        if self.similarity_metric not in ("bisoftmax", "cosine"):
-            raise ValueError(f"unknown similarity metric {self.similarity_metric!r}")
-        if self.beta_new < self.beta_obj:
-            warnings.warn(
-                f"beta_new ({self.beta_new}) < beta_obj ({self.beta_obj}); "
-                "low-confidence detections may spawn tracks",
-                stacklevel=2,
-            )
 
 
 class _Rows:

@@ -229,6 +229,29 @@ def test_out_of_range_config_is_data_error(scenario_files, tmp_path, capsys, doc
     assert not out.exists()
 
 
+def test_world_document_seed_must_agree_with_the_seed_flag(tmp_path, capsys):
+    world = {"n_identities": 3, "n_frames": 6, "dim": 8, "sigma_e": 0.2}
+    seeded, unseeded = tmp_path / "seeded.json", tmp_path / "unseeded.json"
+    seeded.write_text(json.dumps(dict(world, seed=5)))
+    unseeded.write_text(json.dumps(world))
+
+    def synth(det, *argv):
+        return main([*argv, "--detections", str(det), "--gt", str(tmp_path / "gt.txt")])
+
+    det, det_unseeded = tmp_path / "det.txt", tmp_path / "det-unseeded.txt"
+    capsys.readouterr()
+    # --seed defaults to 0, not the document's 5
+    assert synth(det, "synth", "--config", str(seeded)) == EXIT_DATA and not det.exists()
+    assert "world config seed 5 differs from --seed 0" in capsys.readouterr().err
+    assert synth(det, "--seed", "5", "synth", "--config", str(seeded)) == EXIT_OK
+    assert synth(det_unseeded, "--seed", "5", "synth", "--config", str(unseeded)) == EXIT_OK
+    assert det.read_bytes() == det_unseeded.read_bytes()
+    # ablate seeds each run from --seeds, whatever seed the document names
+    out = tmp_path / "ablation.csv"
+    assert main(["ablate", "--sweep", "metric=cosine", "--seeds", "1", "--config", str(seeded),
+                 "--output", str(out)]) == EXIT_OK
+
+
 class TestEvalCommand:
     def test_disjoint_ranges_warn(self, scenario_files, tmp_path, capsys):
         _, gt, _ = scenario_files

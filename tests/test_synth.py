@@ -66,16 +66,20 @@ class TestWorldConfig:
     def test_counts_must_be_ints(self, field, value):
         with pytest.raises(ValueError) as exc:
             WorldConfig(**{field: value})
-        assert str(exc.value) == f"{field} must be an int, got {value!r}"
+        assert str(exc.value) == f"{field} must be int, got {value!r}"
 
-    @pytest.mark.parametrize("occlusions", [
-        [(0, 1.5, 3)], [(0.0, 1, 3)], [(0, 1, True)], [(0, 1)], [(0, 1, 2, 3)], ["abc"],
+    @pytest.mark.parametrize("occlusions,message", [
+        ([(0, 1.5, 3)], "occlusions[0][1] must be int, got 1.5"),
+        ([(0.0, 1, 3)], "occlusions[0][0] must be int, got 0.0"),
+        ([(0, 1, True)], "occlusions[0][2] must be int, got True"),
+        ([(0, 1)], "occlusions[0] must be a list of 3 values, got (0, 1)"),
+        ([(0, 1, 2, 3)], "occlusions[0] must be a list of 3 values, got (0, 1, 2, 3)"),
+        (["abc"], "occlusions[0] must be a list of 3 values, got 'abc'"),
     ])
-    def test_occlusion_entries_must_be_three_ints(self, occlusions):
+    def test_occlusion_entries_must_be_three_ints(self, occlusions, message):
         with pytest.raises(ValueError) as exc:
             WorldConfig(occlusions=occlusions)
-        assert str(exc.value) == ("occlusions need (identity, first, last) ints with 0 <= identity "
-                                  f"< n_identities and first <= last, got {occlusions!r}")
+        assert str(exc.value) == message
 
     def test_numpy_ints_make_the_same_world(self):
         ints = dict(n_identities=3, n_frames=6, dim=4, n_distractors=1, seed=2, occlusions=[(1, 2, 3)])

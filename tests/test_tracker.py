@@ -71,7 +71,8 @@ class TestConfig:
     def test_windows_must_be_ints_of_at_least_zero(self, name, value):
         with pytest.raises(ValueError) as exc:
             TrackerConfig(**{name: value})
-        assert str(exc.value) == f"{name} must be an int >= 0, got {value!r}"
+        rule = "an int >= 0" if value == -1 else "int"
+        assert str(exc.value) == f"{name} must be {rule}, got {value!r}"
 
     # a truthy string such as "off" would switch the stage on
     @pytest.mark.parametrize("name", ["merge", "interpolate"])
@@ -79,7 +80,7 @@ class TestConfig:
     def test_switches_must_be_bools(self, name, value):
         with pytest.raises(ValueError) as exc:
             TrackerConfig(**{name: value})
-        assert str(exc.value) == f"{name} must be a bool, got {value!r}"
+        assert str(exc.value) == f"{name} must be bool, got {value!r}"
 
     @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
     def test_bool_switches_accepted(self, value):
@@ -104,7 +105,7 @@ class TestConfig:
     @pytest.mark.parametrize("name,value,message", [
         ("nms_threshold", 5.0, "nms_threshold must be in"),
         ("similarity_metric", "dot", "unknown similarity metric"),
-        ("merge", "off", "merge must be a bool"),
+        ("merge", "off", "merge must be bool"),
         ("memory_frames", -1, "memory_frames must be an int"),
     ])
     def test_replace_checks_the_variant(self, name, value, message):
@@ -134,13 +135,16 @@ class TestDetection:
         (np.nan, "detection score must be in [0, 1], got nan"),
         (np.inf, "detection score must be in [0, 1], got inf"),
         (np.float32(-np.inf), "detection score must be in [0, 1], got -inf"),
+        # a bool is no score, though it compares as 0 or 1
+        (True, "detection score must be in [0, 1], got True"),
+        (np.False_, "detection score must be in [0, 1], got False"),
     ])
     def test_invalid_score_message(self, score, message):
         with pytest.raises(ValueError) as exc:
             Detection(BoundingBox(0, 0, 1, 1), 0, score, np.ones(2))
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("score", [0, 1, 0.0, 1.0, np.float32(0.5), np.float64(0.25), True])
+    @pytest.mark.parametrize("score", [0, 1, 0.0, 1.0, np.float32(0.5), np.float64(0.25)])
     def test_int_and_numpy_scalar_scores_kept_as_given(self, score):
         d = Detection(BoundingBox(0, 0, 1, 1), 0, score, np.ones(2, dtype=np.float32))
         assert d.score is score
@@ -271,6 +275,7 @@ class TestDetectionsFromArrays:
         ({("boxes", (1, 2)): np.inf}, "box coordinates must be finite: BoundingBox(x1=20.0, y1=0.0, x2=inf, y2=10.0)"),
         ({("boxes", (2, 0)): np.nan}, "box coordinates must be finite: BoundingBox(x1=nan, y1=0.0, x2=50.0, y2=10.0)"),
         ({"class_ids": np.array([True, False, True])}, "detection class_id must be an int, got True"),
+        ({"scores": np.array([True, True, False])}, "detection score must be in [0, 1], got True"),
         ({"class_ids": np.array([0.0, 1.5, 0.0])}, "detection class_id must be an int, got 0.0"),
         ({"embeddings": np.ones((3, 0))}, "detection embedding must be 1-D and non-empty, got shape (0,)"),
         ({"embeddings": np.ones(3)}, "detection embedding must be 1-D and non-empty, got shape ()"),
