@@ -116,7 +116,7 @@ def _from_dict(cls, data, name: str, base=None):
     except AttributeError:
         raise ValueError(f"{name} must be a JSON object, got {type(data).__name__}") from None
     if unknown:
-        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {name} keys: {sorted(unknown, key=str)}")
     return cls(**data) if base is None else dataclasses.replace(base, **data)
 
 

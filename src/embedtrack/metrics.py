@@ -17,21 +17,33 @@ Conventions:
   denominator before any matching.
 
 How the work is shared:
-- ``per_class_report`` makes one pass per class. Each frame's entries
-  become dense gt and pred id indices (sorted id order) and (N, 4) box
-  arrays once; its IoU matrix is computed once, handed to two per-frame
-  accumulators (CLEAR, and the identity store that IDF1 and HOTA read)
-  and dropped. ``clear_mot``, ``idf1`` and ``hota`` each run the pass with
-  one accumulator.
-- The identity store keeps each frame's non-zero IoUs and sums HOTA's
-  alignment scores. IDF1 counts, per (gt id, pred id) pair, the kept IoUs
+- ``per_class_report`` makes one pass per class. Each frame's ids are read
+  once into arrays, which give both the sorted distinct ids and the dense
+  gt and pred id indices, and its boxes become (N, 4) arrays once; its IoU
+  matrix is computed once, handed to two per-frame accumulators (CLEAR,
+  and the identity store that IDF1 and HOTA read) and dropped.
+  ``clear_mot``, ``idf1`` and ``hota`` each run the pass with one
+  accumulator. A report of one class passes the given sets as they are
+  and takes that class's HOTA family and MOTA and IDF1 means as the
+  aggregate's, exactly: zeros + x == x, and the mean of one value is that
+  value (MOTP keeps its own formula).
+- CLEAR matches the whole frame when no gt box in it has a previous match.
+- The identity store keeps each frame's non-zero IoUs and their shares of
+  HOTA's alignment sums, and nothing for a (gt id, pred id) pair that never
+  overlaps: the sums and counts live on the sorted overlapping pairs, and
+  each pair's shares are added frame by frame, to the bits of a dense
+  accumulation. IDF1 counts, per pair, the kept IoUs
   at or above its threshold; every threshold is above 0, so no pair it
   counts was dropped. HOTA then matches each frame, keeps each matched
   pair as an integer pair key and its IoU, and counts the TPs and
   association terms per pair and alpha, as TrackEval does.
-- A CLEAR matching whose admissible pairs already form a matching is read
-  off without a solver call; it is the unique optimum. Every other matching
-  solves the full cost matrix.
+- IDF1 needs only the largest total, which every optimum shares: each gt
+  id keeps the best of the pred ids that only it scores (and each pred id
+  likewise), a pair then alone in its row and its column is taken, and the
+  solver runs on the rest, compacted to its rows and columns.
+- CLEAR and HOTA choose which pairs match, so they solve the full cost
+  matrix, except that a CLEAR matching whose admissible pairs already form
+  a matching is read off without a solver call; it is the unique optimum.
 - Every solve goes through ``linear_sum_assignment`` below, the one solver
   entry, which tests and the benchmark's tracer replace. It imports scipy's
   solver at its first call, so tracking, synthesis and training never load
@@ -42,7 +54,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -66,6 +79,7 @@ __all__ = [
 HOTA_ALPHAS = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 _EPS = np.finfo(np.float64).eps  # TrackEval keeps matches with IoU >= alpha - eps
+_obj_id = attrgetter("obj_id")
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,6 +206,22 @@ def _sequential_sum(values: np.ndarray, start: float) -> float:
     return float(np.cumsum(np.concatenate(([start], values)))[-1])
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, which is sorted in
+    place: ``np.unique``'s answer without its per-call overhead, which a
+    small frame notices, or its copy, which a long sequence does."""
+    values.sort()
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+
+
+def _id_indices(frames: list[list[ObjectEntry]]) -> tuple[list[np.ndarray], int]:
+    """Each frame's object ids as indices into the sorted distinct ids, and
+    the number of distinct ids."""
+    ids = [np.fromiter(map(_obj_id, entries), np.int64, len(entries)) for entries in frames]
+    distinct = _distinct(np.concatenate([np.zeros(0, np.int64), *ids]))
+    return [np.searchsorted(distinct, x) for x in ids], len(distinct)
+
+
 def _frames(gt: TrackSet, pred: TrackSet) -> tuple[Iterator[tuple[np.ndarray, ...]], int, int]:
     """Visible ground truth and all predictions, streamed as arrays in sorted
     frame order: per frame (gt indices, gt boxes, pred indices, pred boxes),
@@ -200,17 +230,13 @@ def _frames(gt: TrackSet, pred: TrackSet) -> tuple[Iterator[tuple[np.ndarray, ..
     order = sorted(set(gt.frames) | set(pred.frames))
     gts = [[e for e in gt.frames.get(f, ()) if e.visible] for f in order]
     prs = [pred.frames.get(f, []) for f in order]
-    gt_ids = np.unique([e.obj_id for entries in gts for e in entries])
-    if len(gt_ids) == 0:
+    gt_indices, n_gt_ids = _id_indices(gts)
+    if n_gt_ids == 0:
         raise ValueError("ground truth has no visible objects")
-    pr_ids = np.unique([e.obj_id for entries in prs for e in entries])
-
-    def arrays(entries, ids):
-        return (np.searchsorted(ids, [e.obj_id for e in entries]),
-                box_array(e.box for e in entries))
-
-    stream = (arrays(g, gt_ids) + arrays(p, pr_ids) for g, p in zip(gts, prs))
-    return stream, len(gt_ids), len(pr_ids)
+    pr_indices, n_pr_ids = _id_indices(prs)
+    stream = ((gi, box_array(e.box for e in g), pi, box_array(e.box for e in p))
+              for g, gi, p, pi in zip(gts, gt_indices, prs, pr_indices))
+    return stream, n_gt_ids, n_pr_ids
 
 
 def _one_pass(gt: TrackSet, pred: TrackSet, *accumulators) -> list:
@@ -243,25 +269,28 @@ class _Clear:
         self.n_pr_boxes += len(pi)
         if overlaps is None:
             return
-        # carry over surviving correspondences; two gt ids can share a
-        # last-matched pred id, and the first in frame order keeps it
-        self.slot[pi] = np.arange(len(pi))
         prev = self.last_match[gi]
-        carried = np.where(prev >= 0, self.slot[prev], -1)
-        self.slot[pi] = -1
-        rows = np.flatnonzero(carried >= 0)
-        cols = carried[rows]
-        kept = overlaps[rows, cols] >= self.threshold
-        rows, cols = rows[kept], cols[kept]
-        first = np.sort(np.unique(cols, return_index=True)[1])
-        rows, cols = rows[first], cols[first]
+        if (prev >= 0).any():
+            # carry over surviving correspondences; two gt ids can share a
+            # last-matched pred id, and the first in frame order keeps it
+            self.slot[pi] = np.arange(len(pi))
+            carried = np.where(prev >= 0, self.slot[prev], -1)
+            self.slot[pi] = -1
+            rows = np.flatnonzero(carried >= 0)
+            cols = carried[rows]
+            kept = overlaps[rows, cols] >= self.threshold
+            rows, cols = rows[kept], cols[kept]
+            first = np.sort(np.unique(cols, return_index=True)[1])
+            rows, cols = rows[first], cols[first]
 
-        rem_gt = np.flatnonzero(np.bincount(rows, minlength=len(gi)) == 0)
-        rem_pr = np.flatnonzero(np.bincount(cols, minlength=len(pi)) == 0)
-        if len(rem_gt) and len(rem_pr):
-            r, c = _match(overlaps[np.ix_(rem_gt, rem_pr)], self.threshold)
-            rows = np.concatenate((rows, rem_gt[r]))
-            cols = np.concatenate((cols, rem_pr[c]))
+            rem_gt = np.flatnonzero(np.bincount(rows, minlength=len(gi)) == 0)
+            rem_pr = np.flatnonzero(np.bincount(cols, minlength=len(pi)) == 0)
+            if len(rem_gt) and len(rem_pr):
+                r, c = _match(overlaps[np.ix_(rem_gt, rem_pr)], self.threshold)
+                rows = np.concatenate((rows, rem_gt[r]))
+                cols = np.concatenate((cols, rem_pr[c]))
+        else:  # nothing to carry over: the whole frame is matched
+            rows, cols = _match(overlaps, self.threshold)
         self.num_matches += len(rows)
         self.sum_iou = _sequential_sum(overlaps[rows, cols], self.sum_iou)
 
@@ -282,42 +311,96 @@ class _Clear:
         return ClearMotResult(mota, motp, fp, fn, self.idsw, mt, ml, num_gt, self.num_matches)
 
 
+def _best_of_sole(a: np.ndarray, w: np.ndarray, sole: np.ndarray) -> np.ndarray:
+    """A mask over pairs (a, b) with weights ``w`` that drops, among the
+    ``sole`` pairs (those whose b has no other pair), all but one of the
+    largest weight per a. Such a b adds weight only when matched to its a,
+    which takes at most one of them, so the largest total of a matching
+    stays the same."""
+    idx = np.flatnonzero(sole)
+    idx = idx[np.lexsort((-w[idx], a[idx]))]  # by a, the largest weight first
+    first = np.ones(len(idx), dtype=bool)
+    first[1:] = a[idx][1:] != a[idx][:-1]
+    keep = ~sole
+    keep[idx[first]] = True
+    return keep
+
+
+def _max_matching_total(rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> int:
+    """The largest total of the integer weights ``w`` > 0 of distinct pairs
+    (rows, cols) over the matchings among them, as the solver finds it on
+    the dense matrix of every row and column. Each side first keeps the
+    best of the pairs that only it scores (``_best_of_sole``); a pair then
+    alone in its row and its column is in some optimum, and the solver runs
+    on what is left, compacted to its rows and columns."""
+    keep = (_best_of_sole(rows, w, np.bincount(cols)[cols] == 1)
+            & _best_of_sole(cols, w, np.bincount(rows)[rows] == 1))
+    rows, cols, w = rows[keep], cols[keep], w[keep]
+    alone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
+    total = int(w[alone].sum())
+    rows, cols, w = rows[~alone], cols[~alone], w[~alone]
+    if len(w):
+        r = np.searchsorted(_distinct(rows.copy()), rows)
+        c = np.searchsorted(_distinct(cols.copy()), cols)
+        dense = np.zeros((r.max() + 1, c.max() + 1))
+        dense[r, c] = w
+        r, c = linear_sum_assignment(-dense)
+        total += int(dense[r, c].sum())
+    return total
+
+
 class _Ids:
     """The identity store that IDF1 and HOTA both read: the box count of
-    each gt and pred id, and each frame's non-zero IoUs. HOTA's matching is
-    TrackEval's: a pre-pass sums, per (gt id, pred id) pair, IoU / (row
-    sum + column sum - IoU) over all frames, which gives the alignment
-    score A = sum / (n_gt_id + n_pred_id - sum); then each frame is matched
-    once, maximizing the total A * IoU.
+    each gt and pred id, and each frame's non-zero IoUs with their shares
+    of HOTA's alignment sums. HOTA's matching is TrackEval's: a pre-pass
+    sums, per (gt id, pred id) pair, IoU / (row sum + column sum - IoU)
+    over all frames, which gives the alignment score A = sum / (n_gt_id +
+    n_pred_id - sum); then each frame is matched once, maximizing the total
+    A * IoU. Sums and counts are kept per pair that has a non-zero IoU,
+    never over every (gt id, pred id) pair.
     """
 
     def __init__(self, n_gt_ids: int, n_pr_ids: int):
         self.gt_total = np.zeros(n_gt_ids, dtype=np.int64)
         self.pr_total = np.zeros(n_pr_ids, dtype=np.int64)
-        self.potential = np.zeros((n_gt_ids, n_pr_ids))
-        self.overlaps = []  # (gi, pi, rows, cols, IoU) of each frame's non-zero IoUs
+        # (gi, pi, flat positions, IoU, alignment share) of each frame's non-zero IoUs
+        self.overlaps = []
 
     def add(self, gi: np.ndarray, pi: np.ndarray, ious: np.ndarray | None) -> None:
         self.gt_total[gi] += 1
         self.pr_total[pi] += 1
         if ious is None:
             return
-        r, c = np.nonzero(ious)
-        v = ious[r, c]
-        # ids are unique within a frame, so no pair repeats in the update
-        self.potential[gi[r], pi[c]] += v / (ious.sum(axis=1)[r] + ious.sum(axis=0)[c] - v)
-        self.overlaps.append((gi, pi, r, c, v))
+        flat = np.flatnonzero(ious)
+        r, c = np.divmod(flat, len(pi))
+        v = ious.ravel()[flat]
+        share = v / (ious.sum(axis=1)[r] + ious.sum(axis=0)[c] - v)
+        self.overlaps.append((gi, pi, flat, v, share))
+
+    def _keys(self, gi: np.ndarray, pi: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """A frame's kept entries as gt indices, pred indices and pair keys
+        (gt index * number of pred ids + pred index)."""
+        r, c = np.divmod(flat, len(pi))
+        g, p = gi[r], pi[c]
+        return g, p, g * len(self.pr_total) + p
+
+    @cached_property
+    def _pairs(self) -> np.ndarray:
+        """The sorted distinct pair keys of the kept entries."""
+        keys = (self._keys(gi, pi, flat)[2] for gi, pi, flat, _, _ in self.overlaps)
+        return _distinct(np.concatenate([np.zeros(0, dtype=np.int64), *keys]))
 
     def idf1(self, iou_threshold: float) -> Idf1Result:
-        """IDF1 from the kept IoUs; call it before ``hota``, which releases them."""
-        shape = (len(self.gt_total), len(self.pr_total))
-        keys = [(gi[r] * shape[1] + pi[c])[v >= iou_threshold] for gi, pi, r, c, v in self.overlaps]
-        keys = np.concatenate([np.zeros(0, dtype=np.int64), *keys])
-        w = np.bincount(keys, minlength=shape[0] * shape[1]).reshape(shape)
-        idtp = 0
-        if w.any():
-            rows, cols = linear_sum_assignment(-w)
-            idtp = int(w[rows, cols].sum())
+        """IDF1 from the per-pair counts of kept IoUs at or above the
+        threshold; call it before ``matches``, which releases them."""
+        pairs = self._pairs
+        counts = np.zeros(len(pairs), dtype=np.int64)
+        for gi, pi, flat, v, _ in self.overlaps:  # a pair occurs once in a frame
+            key = self._keys(gi, pi, flat)[2]
+            counts[np.searchsorted(pairs, key[v >= iou_threshold])] += 1
+        hit = counts > 0
+        gt_of, pr_of = np.divmod(pairs[hit], len(self.pr_total))
+        idtp = _max_matching_total(gt_of, pr_of, counts[hit])
         idfn, idfp = int(self.gt_total.sum()) - idtp, int(self.pr_total.sum()) - idtp
         denom = idtp + 0.5 * idfn + 0.5 * idfp
         score = idtp / denom if denom else 0.0
@@ -328,44 +411,56 @@ class _Ids:
         Returns one key (gt index * number of pred ids + pred index) and the
         IoU of each matched pair with non-zero IoU, in frame order, and the
         number of boxes of each gt id and each pred id."""
+        pairs = self._pairs
+        # each pair's shares added frame by frame, as a dense accumulation adds them
+        potential = np.zeros(len(pairs))
+        for gi, pi, flat, _, share in self.overlaps:  # a pair occurs once in a frame
+            potential[np.searchsorted(pairs, self._keys(gi, pi, flat)[2])] += share
         keys, matched_iou = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         frames, self.overlaps = self.overlaps, []
-        for gi, pi, r, c, v in frames:
-            g, p = gi[r], pi[c]
-            pot = self.potential[g, p]
+        for gi, pi, flat, v, _ in frames:
+            g, p, key = self._keys(gi, pi, flat)
+            pot = potential[np.searchsorted(pairs, key)]
             score = np.zeros((len(gi), len(pi)))
-            score[r, c] = pot / (self.gt_total[g] + self.pr_total[p] - pot) * v
+            score.ravel()[flat] = pot / (self.gt_total[g] + self.pr_total[p] - pot) * v
             rows, cols = linear_sum_assignment(-score)
             ious = np.zeros_like(score)
-            ious[r, c] = v
+            ious.ravel()[flat] = v
             ious = ious[rows, cols]
             hit = ious > 0  # a zero-IoU pair is no match at any alpha
             keys.append(gi[rows[hit]] * len(self.pr_total) + pi[cols[hit]])
             matched_iou.append(ious[hit])
         return np.concatenate(keys), np.concatenate(matched_iou), self.gt_total, self.pr_total
 
-    def hota(self) -> HotaResult:
+    def hota_counts(self) -> np.ndarray:
+        """The (6, alphas) float64 rows tp, fn, fp, ass_sum, assre_sum and
+        asspr_sum, per alpha in HOTA_ALPHAS."""
         keys, matched_iou, gt_total, pr_total = self.matches()
         n_pr_ids = len(pr_total)
-        pairs, inverse = np.unique(keys, return_inverse=True)
+        pairs = _distinct(keys.copy())
+        inverse = np.searchsorted(pairs, keys)
         # a match counts at the first `level` alphas, those with IoU >= alpha - eps
         level = np.searchsorted(np.array(HOTA_ALPHAS) - _EPS, matched_iou, side="right")
         n_levels = len(HOTA_ALPHAS) + 1
-        per_level = np.bincount(inverse * n_levels + level, minlength=len(pairs) * n_levels)
-        # tpa[k, j]: matches of pair j that count at alpha k (level above k)
-        tpa = per_level.reshape(len(pairs), n_levels)[:, ::-1].cumsum(axis=1)[:, -2::-1].T
-        gt_n = gt_total[pairs // n_pr_ids]  # tpa + fna
-        pr_n = pr_total[pairs % n_pr_ids]  # tpa + fpa
-        tp = tpa.sum(axis=1)
-        raw = {
-            "tp": tp.tolist(),
-            "fn": (gt_total.sum() - tp).tolist(),
-            "fp": (pr_total.sum() - tp).tolist(),
-            "ass_sum": (tpa * (tpa / (gt_n + pr_n - tpa))).sum(axis=1).tolist(),
-            "assre_sum": (tpa * (tpa / gt_n)).sum(axis=1).tolist(),
-            "asspr_sum": (tpa * (tpa / pr_n)).sum(axis=1).tolist(),
-        }
-        return HotaResult(**_hota_means(**raw), **raw)
+        # per_level[j, m]: matches of pair j at level n_levels - 1 - m, as
+        # exact floats; summed from the left in place, column m then holds
+        # tpa, the matches that count at the m-th alpha from the top
+        bins = inverse * n_levels + (n_levels - 1 - level)
+        per_level = np.bincount(bins, weights=np.ones(len(bins)), minlength=len(pairs) * n_levels)
+        per_level = per_level.reshape(len(pairs), n_levels)
+        tpa = np.cumsum(per_level, axis=1, out=per_level)[:, :-1]
+        gt_n = gt_total[pairs // n_pr_ids].astype(np.float64)[:, None]  # tpa + fna
+        pr_n = pr_total[pairs % n_pr_ids].astype(np.float64)[:, None]  # tpa + fpa
+        # each sum adds over the pairs in pair order; the products are made
+        # in one buffer
+        q = gt_n + pr_n - tpa
+        sums = []
+        for den in (q, gt_n, pr_n):  # ass_sum, assre_sum, asspr_sum
+            np.divide(tpa, den, out=q)
+            q *= tpa
+            sums.append(q.sum(axis=0))
+        tp = tpa.sum(axis=0)
+        return np.array([tp, gt_total.sum() - tp, pr_total.sum() - tp, *sums])[:, ::-1]
 
 
 def _check_iou_threshold(iou_threshold: float) -> None:
@@ -389,19 +484,25 @@ def hota(gt: TrackSet, pred: TrackSet) -> HotaResult:
     """HOTA with DetA/AssA decomposition, averaged over alpha: the TPs at
     alpha are the pairs of the one matching per frame with IoU >= alpha -
     eps."""
-    return _one_pass(gt, pred, _Ids)[0].hota()
+    counts = _one_pass(gt, pred, _Ids)[0].hota_counts()
+    tp, fn, fp = counts[:3].astype(np.int64).tolist()
+    ass_sum, assre_sum, asspr_sum = counts[3:].tolist()
+    return HotaResult(**_hota_means(counts), tp=tp, fn=fn, fp=fp, ass_sum=ass_sum,
+                      assre_sum=assre_sum, asspr_sum=asspr_sum)
 
 
-def _hota_means(tp, fn, fp, ass_sum, assre_sum, asspr_sum) -> dict[str, float]:
-    """The HOTA family from per-alpha counts and association sums, each
-    averaged over alpha; a ratio with a zero denominator is 0."""
-    tp, fn, fp, ass_sum, assre_sum, asspr_sum = np.array(
-        [tp, fn, fp, ass_sum, assre_sum, asspr_sum], dtype=np.float64)
+_HOTA_FAMILY = ("hota", "deta", "assa", "detre", "detpr", "assre", "asspr")
+
+
+def _hota_means(counts: np.ndarray) -> dict[str, float]:
+    """The HOTA family from the (6, alphas) rows of ``_Ids.hota_counts``,
+    each averaged over alpha; a ratio with a zero denominator is 0."""
+    tp, fn, fp, ass_sum, assre_sum, asspr_sum = counts
     num = np.array([tp, ass_sum, tp, tp, assre_sum, asspr_sum])
     den = np.array([tp + fn + fp, tp, tp + fn, tp + fp, tp, tp])
     ratios = np.where(den > 0, num / np.maximum(den, 1), 0.0)  # DetA, AssA, DetRe, ..., AssPr
     means = np.vstack([np.sqrt(ratios[0] * ratios[1]), ratios]).mean(axis=1)
-    return dict(zip(("hota", "deta", "assa", "detre", "detpr", "assre", "asspr"), means.tolist()))
+    return dict(zip(_HOTA_FAMILY, means.tolist()))
 
 
 @dataclass
@@ -454,7 +555,7 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
     total_matches = 0
 
     for c in classes:
-        gt_c, pr_c = gt.restrict_class(c), pred.restrict_class(c)
+        gt_c, pr_c = (gt, pred) if len(classes) == 1 else (gt.restrict_class(c), pred.restrict_class(c))
         cm = per_class[c] = ClassMetrics(num_gt=gt_c.num_boxes())
         if cm.num_gt == 0:
             # predictions without any ground truth of this class: all FP
@@ -462,16 +563,16 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
             hota_raw[2] += cm.fp
         else:
             clear, ids = _one_pass(gt_c, pr_c, partial(_Clear, iou_threshold), _Ids)
-            clear, ident, h = clear.result(), ids.idf1(iou_threshold), ids.hota()
+            clear, ident, counts = clear.result(), ids.idf1(iou_threshold), ids.hota_counts()
             cm.mota, cm.motp = clear.mota, clear.motp
             cm.fp, cm.fn, cm.idsw = clear.fp, clear.fn, clear.idsw
             cm.mt, cm.ml = clear.mt, clear.ml
             cm.idf1, cm.idtp, cm.idfp, cm.idfn = ident.idf1, ident.idtp, ident.idfp, ident.idfn
-            cm.hota, cm.deta, cm.assa = h.hota, h.deta, h.assa
-            cm.detre, cm.detpr, cm.assre, cm.asspr = h.detre, h.detpr, h.assre, h.asspr
+            for key, value in _hota_means(counts).items():
+                setattr(cm, key, value)
             motas.append(clear.mota)
             idf1s.append(ident.idf1)
-            hota_raw += [h.tp, h.fn, h.fp, h.ass_sum, h.assre_sum, h.asspr_sum]
+            hota_raw += counts
             sum_iou_weighted += clear.motp * clear.num_matches
             total_matches += clear.num_matches
         for key in ("num_gt", "fp", "fn", "idsw", "mt", "ml", "idtp", "idfp", "idfn"):
@@ -483,6 +584,12 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
     agg.motp = sum_iou_weighted / total_matches if total_matches else 0.0
     denom = agg.idtp + 0.5 * agg.idfn + 0.5 * agg.idfp
     agg.idf1 = agg.idtp / denom if denom else 0.0
-    for key, value in _hota_means(*hota_raw).items():
+    if len(classes) == 1:
+        # zeros + x == x and a mean of one value is that value, so the one
+        # class's HOTA family and means are the aggregate's, to the bit
+        means, mmota, midf1 = {k: getattr(cm, k) for k in _HOTA_FAMILY}, motas[0], idf1s[0]
+    else:
+        means, mmota, midf1 = _hota_means(hota_raw), float(np.mean(motas)), float(np.mean(idf1s))
+    for key, value in means.items():
         setattr(agg, key, value)
-    return EvalReport(per_class, agg, float(np.mean(motas)), float(np.mean(idf1s)))
+    return EvalReport(per_class, agg, mmota, midf1)

@@ -54,15 +54,21 @@ def _stable_softmax(logits: np.ndarray, axis: int, out: np.ndarray | None = None
     """Softmax with per-slice max subtraction over the finite entries; the
     other entries, and slices with no finite entry, give 0. Written to
     ``out`` when given, which may be ``logits`` itself. ``finite`` is
-    ``np.isfinite(logits)`` when the caller already has it."""
+    ``np.isfinite(logits)`` when the caller already has it. Only finite
+    entries are shifted and exponentiated: numpy's vectorised exp takes a
+    slow path for -inf."""
     if finite is None:
         finite = np.isfinite(logits)
-    if not finite.all():
-        logits = np.where(finite, logits, NEG_INF)
-    shift = logits.max(axis=axis, keepdims=True)
-    shift[shift == NEG_INF] = 0.0  # exp(-inf) = 0 handles such a slice
-    e = np.subtract(logits, shift, out=out)
-    np.exp(e, out=e)
+    if finite.all():
+        e = np.subtract(logits, logits.max(axis=axis, keepdims=True), out=out)
+        np.exp(e, out=e)
+    else:
+        shift = logits.max(axis=axis, keepdims=True, initial=NEG_INF, where=finite)
+        e = np.zeros_like(logits) if out is None else out
+        np.subtract(logits, shift, out=e, where=finite)
+        np.exp(e, out=e, where=finite)
+        if out is not None:
+            e[~finite] = 0.0
     denom = e.sum(axis=axis, keepdims=True)
     denom[denom == 0.0] = 1.0  # a slice with no finite entry is all zeros
     e /= denom

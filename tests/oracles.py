@@ -52,7 +52,6 @@ from embedtrack.metrics import (
     Idf1Result,
     ObjectEntry,
     TrackSet,
-    _match,
     _sequential_sum,
 )
 from embedtrack.similarity import cosine_matrix, validate_embeddings
@@ -1189,7 +1188,23 @@ def read_detections_oracle(fp) -> tuple[int, dict[int, list[Detection]]]:
 
 # The per-metric evaluation that the one shared pass per class in
 # ``embedtrack.metrics`` replaced, verbatim apart from the names: each
-# metric builds its own frame arrays and IoU matrices.
+# metric builds its own frame arrays and IoU matrices, and each solve runs
+# on the full matrix: CLEAR's through ``separate_match``, IDF1's on the
+# dense (gt id, pred id) count matrix, HOTA's on each frame's score matrix.
+
+
+def separate_match(overlaps: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal bipartite matching among pairs with IoU >= threshold,
+    maximizing total IoU. Returns (gt rows, pred columns) in row order.
+    When every row and every column has at most one admissible pair, those
+    pairs are the unique optimum and are returned without a solver call.
+    """
+    admissible = overlaps >= threshold
+    if (admissible.sum(axis=0) <= 1).all() and (admissible.sum(axis=1) <= 1).all():
+        return np.nonzero(admissible)
+    rows, cols = linear_sum_assignment(np.where(admissible, -overlaps, 0.0))
+    keep = admissible[rows, cols]
+    return rows[keep], cols[keep]
 
 
 def separate_frames(gt: TrackSet, pred: TrackSet) -> tuple[Iterator[tuple[np.ndarray, ...]], int, int]:
@@ -1248,7 +1263,7 @@ def separate_clear_mot(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5)
         rem_gt = np.setdiff1d(np.arange(len(gi)), rows)
         rem_pr = np.setdiff1d(np.arange(len(pi)), cols)
         if len(rem_gt) and len(rem_pr):
-            r, c = _match(overlaps[np.ix_(rem_gt, rem_pr)], iou_threshold)
+            r, c = separate_match(overlaps[np.ix_(rem_gt, rem_pr)], iou_threshold)
             rows = np.concatenate((rows, rem_gt[r]))
             cols = np.concatenate((cols, rem_pr[c]))
         num_matches += len(rows)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embedtrack.config import TrackerConfig, _from_dict
+from embedtrack.config import TrackerConfig, _from_dict, config_from_dict
 from embedtrack.contrastive import LossConfig
 from embedtrack.synth import WorldConfig
 
@@ -81,4 +81,16 @@ def test_numpy_scalars_lists_and_arrays_give_equal_configs(given, same):
 def test_type_errors_name_the_field(build, message):
     with pytest.raises(ValueError) as exc:
         build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("data,message", [
+    ({1: 0.5, "x": 0.5}, "unknown tracker config keys: [1, 'x']"),
+    ({"zeta": 1, None: 2, (1, 2): 3}, "unknown tracker config keys: [(1, 2), None, 'zeta']"),
+    ({"b": 1, "a": 2}, "unknown tracker config keys: ['a', 'b']"),
+])
+def test_unknown_keys_of_mixed_types_are_a_value_error(data, message):
+    # sorting such keys by their own order raised a bare TypeError
+    with pytest.raises(ValueError) as exc:
+        config_from_dict(data)
     assert str(exc.value) == message

@@ -29,6 +29,7 @@ from oracles import (
     separate_hota,
     separate_hota_matches,
     separate_idf1,
+    separate_match,
     separate_per_class_report,
 )
 
@@ -374,6 +375,8 @@ class TestMatchShortcut:
     def test_equals_solver_on_random_matrices(self, overlaps, threshold):
         rows, cols = metrics._match(overlaps, threshold)
         assert (rows.tolist(), cols.tolist()) == solver_matching(overlaps, threshold)
+        # and the copy the separate_* oracles solve with
+        assert [x.tolist() for x in separate_match(overlaps, threshold)] == [rows.tolist(), cols.tolist()]
 
     @given(matching_cases())
     def test_matching_graph_skips_the_solver(self, case):
@@ -466,13 +469,13 @@ class TestHotaProperties:
 
 
 @st.composite
-def multi_class_tracksets(draw):
-    """Up to four frames on the coarse grid over gt classes 0 and 1 and a
-    prediction-only class 2. Gt boxes may be invisible, and a frame may
-    hold no object of a class on either side. At least one gt box is
+def multi_class_tracksets(draw, max_frames=4):
+    """Up to ``max_frames`` frames on the coarse grid over gt classes 0 and
+    1 and a prediction-only class 2. Gt boxes may be invisible, and a frame
+    may hold no object of a class on either side. At least one gt box is
     visible."""
     gt, pred = TrackSet(), TrackSet()
-    for f in range(draw(st.integers(1, 4))):
+    for f in range(draw(st.integers(1, max_frames))):
         for i in draw(st.sets(st.integers(0, 5), max_size=4)):
             gt.add(f, ObjectEntry(i, i % 2, draw(_grid_boxes), draw(st.booleans())))
         for j in draw(st.sets(st.integers(0, 8), max_size=4)):
@@ -522,6 +525,56 @@ class TestSharedPass:
         assert len(calls) == want
 
 
+_grid_tie_draws = small_tracksets() | multi_class_tracksets()
+_report_thresholds = st.sampled_from([0.05, 0.3, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def count_pairs(draw):
+    """Distinct (row, col) pairs with small positive integer counts, as
+    IDF1 counts them per (gt id, pred id): ties are common, and a row or a
+    column often holds several pairs that no other row or column scores."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    cells = sorted(draw(st.sets(st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+                                min_size=1)))
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(cells), max_size=len(cells)))
+    rows, cols = np.array(cells).T
+    return rows, cols, np.array(counts), (n_rows, n_cols)
+
+
+class TestSolvesEqualTheFullMatrix:
+    """IDF1 solves only what its pair counts leave open, and a one-class
+    report takes its aggregate from its class. The oracles solve every
+    full matrix: the pairs HOTA matches, the IDF1 totals and the reports
+    must be equal to theirs."""
+
+    @given(count_pairs())
+    def test_idf1_total_equals_dense_solve(self, case):
+        rows, cols, counts, shape = case
+        dense = np.zeros(shape)
+        dense[rows, cols] = counts
+        r, c = linear_sum_assignment(-dense)
+        assert metrics._max_matching_total(rows, cols, counts) == int(dense[r, c].sum())
+
+    @settings(deadline=None)
+    @given(_grid_tie_draws, _report_thresholds)
+    def test_idf1_equals_dense_solve_on_grid_ties(self, sets, iou_threshold):
+        assert idf1(*sets, iou_threshold) == separate_idf1(*sets, iou_threshold)
+
+    @settings(deadline=None)
+    @given(_grid_tie_draws)
+    def test_hota_pairs_equal_full_frame_solves(self, sets):
+        got_matches = metrics._one_pass(*sets, metrics._Ids)[0].matches()
+        for got, want in zip(got_matches, separate_hota_matches(*sets)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(deadline=None)
+    @given(small_tracksets() | multi_class_tracksets(max_frames=1), _report_thresholds)
+    def test_one_class_and_one_frame_reports(self, sets, iou_threshold):
+        assert per_class_report(*sets, iou_threshold) == separate_per_class_report(*sets, iou_threshold)
+        assert clear_mot(*sets, iou_threshold) == separate_clear_mot(*sets, iou_threshold)
+
+
 def sequence_sets(n_frames=300, n_ids=64, seed=0):
     """Two classes of objects moving on straight lines for ``n_frames``
     frames; predictions are jittered boxes, a tenth missing, under ids
@@ -563,3 +616,40 @@ def test_per_class_report_streams_its_iou_matrices():
         tracemalloc.stop()
     assert report.aggregate.num_gt == gt.num_boxes()
     assert peak - base < 0.75 * dense
+
+
+def fragmenting_sets(n_ids=100, n_frames=100, life=2, seed=0):
+    """One class of ``n_ids`` objects on a coarse grid, one box apart;
+    predictions are jittered boxes under a new id every ``life`` frames,
+    as a tracker that keeps losing its tracks would give: 5,000 pred ids
+    at the defaults."""
+    rng = np.random.default_rng(seed)
+    gt, pred = TrackSet(), TrackSet()
+    for f in range(n_frames):
+        for i in range(n_ids):
+            x, y = 100.0 * (i % 10) + f, 100.0 * (i // 10)
+            gt.add(f, ObjectEntry(i, 0, BoundingBox(x, y, x + 40, y + 80)))
+            dx, dy = rng.normal(0, 2, 2)
+            box = BoundingBox(x + dx, y + dy, x + dx + 40, y + dy + 80)
+            pred.add(f, ObjectEntry(i + n_ids * (f // life), 0, box))
+    return gt, pred
+
+
+def test_identity_sums_are_kept_per_pair_not_per_id_pair():
+    """A fragmenting prediction must not cost a dense (gt id, pred id)
+    matrix: the tracemalloc peak stays below n_gt_ids * n_pred_ids * 8
+    bytes, the size of one float64 such matrix."""
+    gt, pred = fragmenting_sets()
+    n_gt = len({e.obj_id for v in gt.frames.values() for e in v})
+    n_pred = len({e.obj_id for v in pred.frames.values() for e in v})
+    assert (n_gt, n_pred) == (100, 5000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = per_class_report(gt, pred)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.aggregate.idtp == 100 * 2  # each gt id keeps one two-frame fragment
+    assert peak - base < n_gt * n_pred * 8
