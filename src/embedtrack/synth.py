@@ -7,9 +7,9 @@ Noise knobs mirror the common failure modes of appearance tracking:
 occlusion spans, box jitter, embedding noise, random false positives and
 persistent low-confidence distractors.
 
-``generate`` builds a world one frame at a time: the frame's random draws
-first, object by object, then its boxes, embeddings, scores and classes as
-arrays.
+``generate`` builds a world one frame at a time, drawing each kind of
+per-frame value as one block from its own random stream, then computing
+the frame's boxes, embeddings, scores and classes as arrays.
 """
 
 from __future__ import annotations
@@ -182,11 +182,16 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
     but not the checks: each row needs a finite non-zero norm, and the
     normalized rows must meet ``cfg.min_margin``.
 
-    Each frame draws per visible identity its false negative, jitter,
-    score and embedding noise; per distractor its score and noise; per
-    false-positive slot its draw, then a false positive's centre, size,
-    embedding, class and score. It is then computed from those draws as
-    arrays, and ``detections_from_arrays`` checks and builds it.
+    The seed's generator places the prototypes and draws the box sizes and
+    trajectories. Each frame then draws one block from each of five
+    streams spawned from ``SeedSequence(cfg.seed)``, whatever the knob
+    values: a false-negative value per identity, four jitter values per
+    identity, a score per identity then per distractor, a noise row per
+    identity and distractor, and a value per false-positive slot followed
+    by the centres, sizes, embeddings, classes and scores of the slots
+    below ``fp_rate``. Seen identities and distractors take their rows; the
+    frame is computed from them as arrays, and ``detections_from_arrays``
+    checks and builds it.
     """
     rng = np.random.default_rng(cfg.seed)
     n_id = cfg.n_identities
@@ -229,62 +234,38 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
     det_identity: dict[int, list[int | None]] = {}
     img_w, img_h = cfg.image_size
     fp_low, fp_high = (50.0, 50.0), (img_w - 50.0, img_h - 50.0)  # false-positive centres
+    # one stream per kind of per-frame draw: a new kind takes a new child and
+    # moves no existing draw, and no knob moves the draws of another kind
+    fn, jitter, score, noise, fp = map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(5))
 
     for t in range(cfg.n_frames):
-        hidden = occluded[t].tolist()
         # ids 0..n_id-1 are unique, so the entries skip TrackSet.add
         gt.frames[t] = [ObjectEntry(i, c, box, not h) for i, (c, box, h) in
-                        enumerate(zip(gt_classes, boxes_from_array(corners[t, :n_id]), hidden))]
-
-        rows: list[int] = []  # the prototype row of each identity or distractor detection
-        jitter: list[np.ndarray] = []
-        noise: list[np.ndarray] = []
-        scores: list[float] = []
-        for i in range(n_id):
-            if hidden[i] or (cfg.fn_rate > 0 and rng.random() < cfg.fn_rate):
-                continue
-            rows.append(i)
-            if cfg.jitter_sigma != 0.0:
-                jitter.append(rng.normal(0.0, cfg.jitter_sigma, size=4))
-            scores.append(rng.uniform(*_SCORE_RANGE))
-            if cfg.sigma_e > 0:
-                noise.append(rng.normal(0.0, cfg.sigma_e, size=cfg.dim))
-        n_seen = len(rows)
-        for j in range(n_id, n_proto):
-            rows.append(j)
-            scores.append(rng.uniform(*_DISTRACTOR_SCORE_RANGE))
-            if cfg.sigma_e > 0:
-                noise.append(rng.normal(0.0, cfg.sigma_e, size=cfg.dim))
-        fps = []
-        if cfg.fp_rate > 0:
-            for _ in range(n_id):
-                if rng.random() >= cfg.fp_rate:
-                    continue
-                fps.append((rng.uniform(fp_low, fp_high), rng.uniform(*_BOX_SIZE_RANGE, size=2),
-                            rng.standard_normal(cfg.dim), rng.integers(cfg.n_classes)))
-                scores.append(rng.uniform(*_FP_SCORE_RANGE))
-
-        boxes = corners[t, rows]
-        if jitter:
-            c = boxes[:n_seen] + np.array(jitter)
-            boxes[:n_seen] = np.concatenate(
-                [np.minimum(c[:, :2], c[:, 2:]), np.maximum(c[:, :2], c[:, 2:])], axis=1)
+                        enumerate(zip(gt_classes, boxes_from_array(corners[t, :n_id]), occluded[t].tolist()))]
+        # each identity and distractor draws a row of every block; the seen
+        # identities and the distractors take theirs
+        seen = np.flatnonzero(~occluded[t] & (fn.random(n_id) >= cfg.fn_rate))
+        rows = np.concatenate([seen, np.arange(n_id, n_proto)])  # prototype row per detection
+        c = corners[t, :n_id] + cfg.jitter_sigma * jitter.standard_normal((n_id, 4))
+        c = np.concatenate([np.minimum(c[:, :2], c[:, 2:]), np.maximum(c[:, :2], c[:, 2:])], axis=1)
+        boxes = np.concatenate([c, corners[t, n_id:]])[rows]
+        scores = np.concatenate([score.uniform(*_SCORE_RANGE, n_id),
+                                 score.uniform(*_DISTRACTOR_SCORE_RANGE, cfg.n_distractors)])[rows]
         proto = prototypes[rows]
-        e = proto + (np.reshape(noise, (-1, cfg.dim)) if cfg.sigma_e > 0 else 0.0)
+        e = proto + cfg.sigma_e * noise.standard_normal((n_proto, cfg.dim))[rows]
         norm = _row_norms(e)
         if (zero := np.flatnonzero(norm == 0.0)).size:
             e[zero], norm[zero] = proto[zero], 1.0
-        emb = _TAU * e / norm
-        cls = classes[rows]
-        if fps:
-            fp_center, fp_size, fp_e, fp_cls = map(np.array, zip(*fps))
-            fp_half = fp_size / 2.0
-            boxes = np.concatenate([boxes, np.concatenate([fp_center - fp_half,
-                                                           fp_center + fp_half], axis=1)])
-            emb = np.concatenate([emb, _TAU * fp_e / _row_norms(fp_e)])
-            cls = np.concatenate([cls, fp_cls])
-        detections[t] = detections_from_arrays(boxes, cls, np.array(scores), emb)
-        det_identity[t] = rows[:n_seen] + [None] * (len(scores) - n_seen)
+        n_fp = np.count_nonzero(fp.random(n_id) < cfg.fp_rate)
+        fp_center = fp.uniform(fp_low, fp_high, size=(n_fp, 2))
+        fp_half = fp.uniform(*_BOX_SIZE_RANGE, size=(n_fp, 2)) / 2.0
+        fp_e = fp.standard_normal((n_fp, cfg.dim))
+        cls = np.concatenate([classes[rows], fp.integers(cfg.n_classes, size=n_fp)])
+        scores = np.concatenate([scores, fp.uniform(*_FP_SCORE_RANGE, size=n_fp)])
+        boxes = np.concatenate([boxes, np.concatenate([fp_center - fp_half, fp_center + fp_half], axis=1)])
+        emb = np.concatenate([_TAU * e / norm, _TAU * fp_e / _row_norms(fp_e)])
+        detections[t] = detections_from_arrays(boxes, cls, scores, emb)
+        det_identity[t] = seen.tolist() + [None] * (cfg.n_distractors + n_fp)
     return Scenario(gt, detections, det_identity, prototypes, cfg)
 
 

@@ -988,22 +988,22 @@ def place_prototypes_oracle(n: int, dim: int, rng: np.random.Generator,
     return p
 
 
-# The per-detection world generation that ``synth.generate``'s per-frame
-# arrays replaced: one ``BoundingBox`` and ``Detection`` built and checked per
-# object, each embedding normalized by ``np.linalg.norm`` of its own row.
+# ``synth.generate`` one object at a time, the reference for its per-frame
+# arrays: one ``BoundingBox`` and ``Detection`` built and checked per object,
+# each embedding normalized by ``np.linalg.norm`` of its own row. Each object
+# draws its values one call at a time from the stream of their kind, so its
+# draw sits where its row sits in ``generate``'s block.
 
 
 def _jitter_box_oracle(box: BoundingBox, sigma: float, rng: np.random.Generator) -> BoundingBox:
-    if sigma == 0.0:
-        return box
-    c = box.as_array() + rng.normal(0.0, sigma, size=4)
+    c = box.as_array() + sigma * rng.standard_normal(4)
     x1, x2 = sorted((c[0], c[2]))
     y1, y2 = sorted((c[1], c[3]))
     return BoundingBox(x1, y1, x2, y2)
 
 
 def _noisy_embedding_oracle(proto: np.ndarray, sigma_e: float, rng: np.random.Generator) -> np.ndarray:
-    e = proto + (rng.normal(0.0, sigma_e, size=proto.shape) if sigma_e > 0 else 0.0)
+    e = proto + sigma_e * rng.standard_normal(proto.shape)
     norm = np.linalg.norm(e)
     if norm == 0.0:
         e = proto
@@ -1029,8 +1029,8 @@ def positions_oracle(cfg: WorldConfig, n: int, rng: np.random.Generator) -> np.n
 
 
 def generate_oracle(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario:
-    """``synth.generate`` one object at a time, with the same random draws
-    in the same order."""
+    """``synth.generate`` one object at a time, each drawing its values from
+    the stream of their kind in the order of ``generate``'s blocks."""
     rng = np.random.default_rng(cfg.seed)
     n_proto = cfg.n_identities + cfg.n_distractors
     if prototypes is None:
@@ -1074,6 +1074,7 @@ def generate_oracle(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> S
     detections: dict[int, list[Detection]] = {}
     det_identity: dict[int, list[int | None]] = {}
     img_w, img_h = cfg.image_size
+    fn, jitter, score, noise, fp = map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(5))
 
     for t in range(cfg.n_frames):
         dets: list[Detection] = []
@@ -1083,46 +1084,42 @@ def generate_oracle(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> S
             box = box_at(i, t)
             visible = i not in hidden
             gt.add(t, ObjectEntry(i, int(classes[i]), box, visible))
-            if not visible:
-                continue
-            if cfg.fn_rate > 0 and rng.random() < cfg.fn_rate:
-                continue
-            dets.append(
-                Detection(
-                    box=_jitter_box_oracle(box, cfg.jitter_sigma, rng),
-                    class_id=int(classes[i]),
-                    score=float(rng.uniform(*_SCORE_RANGE)),
-                    embedding=_noisy_embedding_oracle(prototypes[i], cfg.sigma_e, rng),
-                )
-            )
-            idents.append(i)
+            # every identity draws from each stream, seen or not
+            missed = fn.random() < cfg.fn_rate
+            jittered = _jitter_box_oracle(box, cfg.jitter_sigma, jitter)
+            p = float(score.uniform(*_SCORE_RANGE))
+            e = _noisy_embedding_oracle(prototypes[i], cfg.sigma_e, noise)
+            if visible and not missed:
+                dets.append(Detection(box=jittered, class_id=int(classes[i]), score=p, embedding=e))
+                idents.append(i)
         for d in range(cfg.n_distractors):
             j = cfg.n_identities + d
             dets.append(
                 Detection(
                     box=box_at(j, t),
                     class_id=int(classes[d % cfg.n_identities]),
-                    score=float(rng.uniform(*_DISTRACTOR_SCORE_RANGE)),
-                    embedding=_noisy_embedding_oracle(prototypes[j], cfg.sigma_e, rng),
+                    score=float(score.uniform(*_DISTRACTOR_SCORE_RANGE)),
+                    embedding=_noisy_embedding_oracle(prototypes[j], cfg.sigma_e, noise),
                 )
             )
             idents.append(None)
-        if cfg.fp_rate > 0:
-            for _ in range(cfg.n_identities):
-                if rng.random() >= cfg.fp_rate:
-                    continue
-                cx, cy = rng.uniform([50, 50], [img_w - 50, img_h - 50])
-                w2, h2 = rng.uniform(*_BOX_SIZE_RANGE, size=2) / 2.0
-                e = rng.standard_normal(cfg.dim)
-                dets.append(
-                    Detection(
-                        box=BoundingBox(cx - w2, cy - h2, cx + w2, cy + h2),
-                        class_id=int(rng.integers(cfg.n_classes)),
-                        score=float(rng.uniform(*_FP_SCORE_RANGE)),
-                        embedding=_TAU * e / np.linalg.norm(e),
-                    )
+        # every slot draws; then each kind of false-positive value in turn,
+        # one false positive after another
+        n_fp = sum(fp.random() < cfg.fp_rate for _ in range(cfg.n_identities))
+        centers_fp = [fp.uniform([50, 50], [img_w - 50, img_h - 50]) for _ in range(n_fp)]
+        halves = [fp.uniform(*_BOX_SIZE_RANGE, size=2) / 2.0 for _ in range(n_fp)]
+        embeddings = [fp.standard_normal(cfg.dim) for _ in range(n_fp)]
+        fp_classes = [int(fp.integers(cfg.n_classes)) for _ in range(n_fp)]
+        for (cx, cy), (w2, h2), e, c in zip(centers_fp, halves, embeddings, fp_classes):
+            dets.append(
+                Detection(
+                    box=BoundingBox(cx - w2, cy - h2, cx + w2, cy + h2),
+                    class_id=c,
+                    score=float(fp.uniform(*_FP_SCORE_RANGE)),
+                    embedding=_TAU * e / np.linalg.norm(e),
                 )
-                idents.append(None)
+            )
+            idents.append(None)
         detections[t] = dets
         det_identity[t] = idents
     return Scenario(gt, detections, det_identity, prototypes, cfg)

@@ -3,8 +3,12 @@
 ``golden_report.json`` holds the report of each case below as the
 object-by-object evaluation (one IoU matrix per matching, per-pair Python
 loops) computed it; the HOTA-family fields were pinned again when HOTA took
-its published single-matching form. The per-frame array evaluation must
-reproduce every value with ``==``: a moved last digit fails. On the cases
+its published single-matching form, and the ``synth`` case again when the
+synthetic world came to draw each kind of per-frame value from its own
+stream. The per-frame array evaluation must reproduce every value with
+``==``: a moved last digit fails. Every pinned case is also what the
+class-by-class reference ``oracles.separate_per_class_report`` computes, and
+regeneration refuses to write a case on which the two disagree. On the cases
 small enough to enumerate, the pinned HOTA values are also ones the
 brute-force oracle allows.
 """
@@ -21,7 +25,7 @@ from embedtrack.geometry import BoundingBox
 from embedtrack.metrics import ObjectEntry, TrackSet, per_class_report
 from embedtrack.synth import WorldConfig, generate
 from embedtrack.tracker import run_sequence
-from oracles import hota_in_oracle, hota_oracle, random_instance
+from oracles import hota_in_oracle, hota_oracle, random_instance, separate_per_class_report
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_report.json")
 
@@ -80,8 +84,8 @@ CASES = {
 }
 
 
-def report_values(gt, pred) -> dict:
-    rep = per_class_report(gt, pred)
+def report_values(gt, pred, report=per_class_report) -> dict:
+    rep = report(gt, pred)
     return {
         "aggregate": dataclasses.asdict(rep.aggregate),
         "per_class": {str(c): dataclasses.asdict(m) for c, m in rep.per_class.items()},
@@ -105,6 +109,11 @@ def test_report_equals_golden_values(name, golden):
     assert (got["mmota"], got["midf1"]) == (want["mmota"], want["midf1"])
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_values_are_the_separate_references(name, golden):
+    assert report_values(*CASES[name](), separate_per_class_report) == golden[name]
+
+
 @pytest.mark.parametrize("name", ["prediction_only_class", "ties"])
 def test_golden_hota_is_an_oracle_value(name, golden):
     gt, pred = CASES[name]()
@@ -116,7 +125,13 @@ def test_golden_hota_is_an_oracle_value(name, golden):
 
 if __name__ == "__main__":
     # Regenerate the golden file. Only do this on purpose, with a reason.
-    values = {name: report_values(*make()) for name, make in sorted(CASES.items())}
+    values = {}
+    for name, make in sorted(CASES.items()):
+        gt, pred = make()
+        values[name] = report_values(gt, pred)
+        if values[name] != report_values(gt, pred, separate_per_class_report):
+            raise SystemExit(f"case {name!r}: per_class_report and the separate reference "
+                             "disagree; nothing written")
     with open(GOLDEN_PATH, "w") as fp:
         json.dump(values, fp, indent=1, sort_keys=True)
         fp.write("\n")

@@ -8,8 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embedtrack.ablation import standard_noisy_world
 from embedtrack.metrics import per_class_report
 from embedtrack.synth import (
+    _DISTRACTOR_SCORE_RANGE,
+    _FP_SCORE_RANGE,
+    _SCORE_RANGE,
     _TAU,
     WorldConfig,
     generate,
@@ -379,6 +383,101 @@ class TestSameWorldAsThePerDetectionGenerator:
                 generate(world, prototypes)
             return
         assert_same_world(generate(world, prototypes), want)
+
+
+@st.composite
+def paired_worlds(draw):
+    """A small world with every kind of per-frame draw; dim 8 fits every
+    prototype, so placement never fails."""
+    n_ids = draw(st.integers(1, 5))
+    return WorldConfig(
+        n_identities=n_ids, n_frames=draw(st.integers(1, 10)), n_classes=draw(st.integers(1, 3)),
+        dim=8, n_distractors=draw(st.integers(0, 3)), distractor_affinity=draw(_zero_or(1.0)),
+        fn_rate=draw(_zero_or(1.0)), jitter_sigma=draw(_zero_or(5.0)), sigma_e=draw(_zero_or(2.0)),
+        fp_rate=draw(_zero_or(1.0)), seed=draw(st.integers(0, 2**16)))
+
+
+def _by_object(scenario) -> dict:
+    """Each detection's box, class, score and embedding bits, keyed by
+    (frame, identity) for an identity, (frame, n_identities + n) for the
+    n-th distractor and (frame, ("fp", n)) for the n-th false positive."""
+    n_id, n_dis = scenario.config.n_identities, scenario.config.n_distractors
+    out = {}
+    for f, dets in scenario.detections.items():
+        idents = scenario.det_identity[f]
+        n_seen = len(idents) - idents.count(None)
+        keys = idents[:n_seen] + list(range(n_id, n_id + n_dis))
+        keys += [("fp", n) for n in range(len(dets) - len(keys))]
+        out.update(((f, k), (_bits(dataclasses.astuple(d.box)), d.class_id, _bits(d.score),
+                             _bits(d.embedding))) for k, d in zip(keys, dets))
+    return out
+
+
+class TestPairedWorlds:
+    """Each kind of per-frame draw has its own stream, so a knob moves only
+    the draws of its own kind."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(paired_worlds(), st.floats(1e-3, 2.0))
+    def test_embedding_noise_moves_no_other_draw(self, world, sigma_e):
+        clean = generate(dataclasses.replace(world, sigma_e=0.0))
+        noisy = generate(dataclasses.replace(world, sigma_e=sigma_e))
+        assert noisy.det_identity == clean.det_identity
+        for f, dets in clean.detections.items():
+            assert [(_bits(dataclasses.astuple(d.box)), _bits(d.score), d.class_id)
+                    for d in noisy.detections[f]] == \
+                   [(_bits(dataclasses.astuple(d.box)), _bits(d.score), d.class_id) for d in dets]
+
+    @settings(max_examples=40, deadline=None)
+    @given(paired_worlds(), st.data())
+    def test_an_occlusion_moves_no_other_detection(self, world, data):
+        ident = data.draw(st.integers(0, world.n_identities - 1))
+        first = data.draw(st.integers(0, world.n_frames - 1))
+        last = data.draw(st.integers(first, world.n_frames - 1))
+        want = {k: v for k, v in _by_object(generate(world)).items()
+                if not (k[1] == ident and first <= k[0] <= last)}
+        assert _by_object(generate(dataclasses.replace(world, occlusions=[(ident, first, last)]))) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(paired_worlds(), st.floats(0.0, 1.0))
+    def test_false_positives_move_no_object_detection(self, world, other):
+        def objects(rate):
+            scenario = generate(dataclasses.replace(world, fp_rate=rate))
+            return {k: v for k, v in _by_object(scenario).items() if not isinstance(k[1], tuple)}
+
+        assert objects(other) == objects(world.fp_rate)
+
+
+def test_world_statistics_over_20_seeds_match_their_analytic_values():
+    """Detections per frame, the identities' mean score and the mean cosine
+    between an identity's detection and its prototype on
+    ``standard_noisy_world(0..19)``, each within a few standard errors of
+    its analytic value; every score lies in its kind's range."""
+    world = standard_noisy_world(0)
+    hidden = sum(last - first + 1 for _, first, last in world.occlusions)
+    seen = (world.n_identities * world.n_frames - hidden) / world.n_frames * (1.0 - world.fn_rate)
+    want_per_frame = seen + world.n_distractors + world.n_identities * world.fp_rate  # 18.45
+    n_frames, n_dets, id_scores, cosines = 0, 0, [], []
+    for seed in range(20):
+        s = generate(standard_noisy_world(seed))
+        for f, dets in s.detections.items():
+            n_frames, n_dets = n_frames + 1, n_dets + len(dets)
+            idents = s.det_identity[f]
+            n_seen = len(idents) - idents.count(None)
+            scores = np.array([d.score for d in dets])
+            assert ((_SCORE_RANGE[0] <= scores[:n_seen]) & (scores[:n_seen] < _SCORE_RANGE[1])).all()
+            clutter = scores[n_seen:n_seen + world.n_distractors]
+            assert ((_DISTRACTOR_SCORE_RANGE[0] <= clutter) & (clutter < _DISTRACTOR_SCORE_RANGE[1])).all()
+            fps = scores[n_seen + world.n_distractors:]
+            assert ((_FP_SCORE_RANGE[0] <= fps) & (fps < _FP_SCORE_RANGE[1])).all()
+            id_scores.extend(scores[:n_seen])
+            cosines.extend(d.embedding @ s.prototypes[i] / _TAU for d, i in zip(dets, idents[:n_seen]))
+    # standard errors: about 0.017 detections, 0.0003 score and 0.0005 cosine
+    assert n_dets / n_frames == pytest.approx(want_per_frame, abs=0.1)
+    assert np.mean(id_scores) == pytest.approx(np.mean(_SCORE_RANGE), abs=0.002)
+    # the noise of D dimensions at sigma_e makes a draw's squared norm about
+    # 1 + sigma_e^2 D, with the prototype's component still about 1
+    assert np.mean(cosines) == pytest.approx(1.0 / np.sqrt(1.0 + world.sigma_e**2 * world.dim), abs=0.01)
 
 
 class TestSubsample:

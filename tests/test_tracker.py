@@ -2,11 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from embedtrack import tracker as tracker_module
-from embedtrack.ablation import synth_tracker_config
+from embedtrack.ablation import standard_noisy_world, synth_tracker_config
 from embedtrack.config import PROFILE_NAMES, load_profile
 from embedtrack.geometry import BoundingBox, box_array, center_distance, centers_within
 from embedtrack.metrics import TrackSet
@@ -931,6 +931,24 @@ def test_run_sequence_is_the_online_output(drawn, postprocess):
         (f, tid, d.class_id, d.box) for f, tid, d in online]
     assert all(e.box is d.box for (_, e), (_, _, d) in zip(got, online))
     assert [e.score for _, e in got] == [d.score for _, _, d in online]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**16), st.integers(0, 2**16), st.sampled_from(["synth", "mot17", "cosine"]))
+def test_detection_order_does_not_change_matches(seed, order_seed, arm):
+    """Permuting each frame's detections, all with distinct scores, leaves
+    every (frame, track id, box) row of the output as it was."""
+    frames = generate(dataclasses.replace(standard_noisy_world(seed), n_frames=30)).detections
+    assume(all(len({d.score for d in dets}) == len(dets) for dets in frames.values()))
+    rng = np.random.default_rng(order_seed)
+    permuted = {f: [dets[i] for i in rng.permutation(len(dets))] for f, dets in frames.items()}
+    c = {"synth": synth_tracker_config(), "mot17": load_profile("mot17"),
+         "cosine": synth_tracker_config(similarity_metric="cosine")}[arm]
+
+    def rows(pred):
+        return [(f, e.obj_id, e.box) for f in sorted(pred.frames) for e in pred.frames[f]]
+
+    assert rows(run_sequence(permuted, c)) == rows(run_sequence(frames, c))
 
 
 def test_run_sequence_adds_in_frame_then_track_order():
