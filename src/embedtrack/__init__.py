@@ -6,7 +6,7 @@ CLEAR/IDF1/HOTA evaluation, and a synthetic scenario generator for
 desk-scale verification.
 """
 
-from .geometry import BoundingBox, center_distance, iou, iou_matrix, nms
+from .geometry import BoundingBox, center_distance, iou_matrix, nms
 from .similarity import cosine_matrix, masked_bisoftmax
 from .contrastive import (
     LossConfig,

@@ -21,10 +21,8 @@ __all__ = [
     "BoundingBox",
     "box_array",
     "boxes_from_array",
-    "iou",
     "iou_matrix",
     "center_distance",
-    "center_distance_matrix",
     "centers_within",
     "nms",
 ]
@@ -110,20 +108,6 @@ def boxes_from_array(xyxy: np.ndarray) -> list[BoundingBox]:
     return out
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes. Returns 0.0 when the union
-    is degenerate (never NaN)."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of each row pair ``a[k]``, ``b[k]`` of two (K, 4) float64 arrays
     of xyxy boxes; degenerate unions give 0."""
@@ -179,21 +163,11 @@ def _centers(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (b[:, 0] + b[:, 2]), 0.5 * (b[:, 1] + b[:, 3])
 
 
-def center_distance_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Pairwise center distance between two (N, 4) / (M, 4) arrays of xyxy
-    boxes, as an (N, M) float64 matrix.
-
-    Uses the same float operations as ``center_distance``, so each entry
-    equals the scalar result exactly.
-    """
-    ax, ay = _centers(boxes_a)
-    bx, by = _centers(boxes_b)
-    return np.hypot(ax[:, None] - bx[None, :], ay[:, None] - by[None, :])
-
-
 def centers_within(boxes_a: np.ndarray, boxes_b: np.ndarray, radius: float) -> np.ndarray:
     """(N, M) mask of the box pairs whose centers are at most ``radius``
-    apart, equal to ``~(center_distance_matrix(boxes_a, boxes_b) > radius)``.
+    apart: ``not np.hypot(dx, dy) > radius``, with the center differences
+    dx and dy made by the float operations of ``center_distance``, so entry
+    (i, j) is ``not center_distance(a_i, b_j) > radius`` exactly.
 
     A pair with |dx| or |dy| above the radius is ruled out without
     ``np.hypot``: a faithfully rounded hypot is never below either leg.

@@ -23,19 +23,21 @@ How the work is shared:
   matrix is computed once, handed to two per-frame accumulators (CLEAR,
   and the identity store that IDF1 and HOTA read) and dropped.
   ``clear_mot``, ``idf1`` and ``hota`` each run the pass with one
-  accumulator. A report of one class passes the given sets as they are
-  and takes that class's HOTA family and MOTA and IDF1 means as the
-  aggregate's, exactly: zeros + x == x, and the mean of one value is that
-  value (MOTP keeps its own formula).
+  accumulator. A report of one class passes the given sets as they are,
+  without ``restrict_class``, and aggregates as every report does; its
+  aggregate HOTA family, mMOTA and mIDF1 then equal that class's own
+  values bit for bit (zeros + x == x, and the mean of one value is that
+  value), which the tests check.
 - CLEAR matches the whole frame when no gt box in it has a previous match.
-- The identity store keeps each frame's non-zero IoUs and their shares of
-  HOTA's alignment sums, and nothing for a (gt id, pred id) pair that never
-  overlaps: the sums and counts live on the sorted overlapping pairs, and
-  each pair's shares are added frame by frame, to the bits of a dense
-  accumulation. IDF1 counts, per pair, the kept IoUs
-  at or above its threshold; every threshold is above 0, so no pair it
-  counts was dropped. HOTA then matches each frame, keeps each matched
-  pair as an integer pair key and its IoU, and counts the TPs and
+- The identity store keeps each frame's non-zero IoUs, their shares of
+  HOTA's alignment sums and their integer pair keys (gt index * number of
+  pred ids + pred index, worked out once as the frame is added), and
+  nothing for a (gt id, pred id) pair that never overlaps: the sums and
+  counts live on the sorted overlapping pairs, and each pair's shares are
+  added frame by frame, to the bits of a dense accumulation. IDF1 counts,
+  per pair, the kept IoUs at or above its threshold; every threshold is
+  above 0, so no pair it counts was dropped. HOTA then matches each frame,
+  keeps each matched pair's key and IoU, and counts the TPs and
   association terms per pair and alpha, as TrackEval does.
 - IDF1 needs only the largest total, which every optimum shares: each gt
   id keeps the best of the pred ids that only it scores (and each pred id
@@ -136,7 +138,7 @@ class TrackSet:
         return out
 
     def num_boxes(self) -> int:
-        return sum(len(e) for e in self.visible_frames().values())
+        return sum(e.visible for entries in self.frames.values() for e in entries)
 
 
 @dataclass
@@ -363,7 +365,8 @@ class _Ids:
     def __init__(self, n_gt_ids: int, n_pr_ids: int):
         self.gt_total = np.zeros(n_gt_ids, dtype=np.int64)
         self.pr_total = np.zeros(n_pr_ids, dtype=np.int64)
-        # (gi, pi, flat positions, IoU, alignment share) of each frame's non-zero IoUs
+        # (IoU matrix shape, flat positions, pair keys, IoU, alignment share)
+        # of each frame's non-zero IoUs
         self.overlaps = []
 
     def add(self, gi: np.ndarray, pi: np.ndarray, ious: np.ndarray | None) -> None:
@@ -375,19 +378,12 @@ class _Ids:
         r, c = np.divmod(flat, len(pi))
         v = ious.ravel()[flat]
         share = v / (ious.sum(axis=1)[r] + ious.sum(axis=0)[c] - v)
-        self.overlaps.append((gi, pi, flat, v, share))
-
-    def _keys(self, gi: np.ndarray, pi: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """A frame's kept entries as gt indices, pred indices and pair keys
-        (gt index * number of pred ids + pred index)."""
-        r, c = np.divmod(flat, len(pi))
-        g, p = gi[r], pi[c]
-        return g, p, g * len(self.pr_total) + p
+        self.overlaps.append((ious.shape, flat, gi[r] * len(self.pr_total) + pi[c], v, share))
 
     @cached_property
     def _pairs(self) -> np.ndarray:
         """The sorted distinct pair keys of the kept entries."""
-        keys = (self._keys(gi, pi, flat)[2] for gi, pi, flat, _, _ in self.overlaps)
+        keys = (key for _, _, key, _, _ in self.overlaps)
         return _distinct(np.concatenate([np.zeros(0, dtype=np.int64), *keys]))
 
     def idf1(self, iou_threshold: float) -> Idf1Result:
@@ -395,8 +391,7 @@ class _Ids:
         threshold; call it before ``matches``, which releases them."""
         pairs = self._pairs
         counts = np.zeros(len(pairs), dtype=np.int64)
-        for gi, pi, flat, v, _ in self.overlaps:  # a pair occurs once in a frame
-            key = self._keys(gi, pi, flat)[2]
+        for _, _, key, v, _ in self.overlaps:  # a pair occurs once in a frame
             counts[np.searchsorted(pairs, key[v >= iou_threshold])] += 1
         hit = counts > 0
         gt_of, pr_of = np.divmod(pairs[hit], len(self.pr_total))
@@ -414,21 +409,21 @@ class _Ids:
         pairs = self._pairs
         # each pair's shares added frame by frame, as a dense accumulation adds them
         potential = np.zeros(len(pairs))
-        for gi, pi, flat, _, share in self.overlaps:  # a pair occurs once in a frame
-            potential[np.searchsorted(pairs, self._keys(gi, pi, flat)[2])] += share
+        for _, _, key, _, share in self.overlaps:  # a pair occurs once in a frame
+            potential[np.searchsorted(pairs, key)] += share
         keys, matched_iou = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         frames, self.overlaps = self.overlaps, []
-        for gi, pi, flat, v, _ in frames:
-            g, p, key = self._keys(gi, pi, flat)
+        for shape, flat, key, v, _ in frames:
             pot = potential[np.searchsorted(pairs, key)]
-            score = np.zeros((len(gi), len(pi)))
+            g, p = np.divmod(key, len(self.pr_total))
+            score = np.zeros(shape)
             score.ravel()[flat] = pot / (self.gt_total[g] + self.pr_total[p] - pot) * v
             rows, cols = linear_sum_assignment(-score)
-            ious = np.zeros_like(score)
+            ious = np.zeros(shape)
             ious.ravel()[flat] = v
             ious = ious[rows, cols]
             hit = ious > 0  # a zero-IoU pair is no match at any alpha
-            keys.append(gi[rows[hit]] * len(self.pr_total) + pi[cols[hit]])
+            keys.append(key[np.searchsorted(flat, rows[hit] * shape[1] + cols[hit])])
             matched_iou.append(ious[hit])
         return np.concatenate(keys), np.concatenate(matched_iou), self.gt_total, self.pr_total
 
@@ -584,12 +579,6 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
     agg.motp = sum_iou_weighted / total_matches if total_matches else 0.0
     denom = agg.idtp + 0.5 * agg.idfn + 0.5 * agg.idfp
     agg.idf1 = agg.idtp / denom if denom else 0.0
-    if len(classes) == 1:
-        # zeros + x == x and a mean of one value is that value, so the one
-        # class's HOTA family and means are the aggregate's, to the bit
-        means, mmota, midf1 = {k: getattr(cm, k) for k in _HOTA_FAMILY}, motas[0], idf1s[0]
-    else:
-        means, mmota, midf1 = _hota_means(hota_raw), float(np.mean(motas)), float(np.mean(idf1s))
-    for key, value in means.items():
+    for key, value in _hota_means(hota_raw).items():
         setattr(agg, key, value)
-    return EvalReport(per_class, agg, mmota, midf1)
+    return EvalReport(per_class, agg, float(np.mean(motas)), float(np.mean(idf1s)))

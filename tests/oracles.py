@@ -19,7 +19,9 @@ and the bulk writer replaced. The ``separate_*`` metrics are the
 evaluation that ``per_class_report``'s one pass per class replaced: each
 metric converts every frame and computes its IoU matrix on its own. The
 world oracle is the per-detection ``synth.generate`` that the per-frame
-arrays replaced.
+arrays replaced. The geometry oracles are the scalar ``iou`` and the
+dense ``center_distance_matrix``: the references for ``iou_matrix`` and
+``centers_within``, and called by no code of the package.
 """
 
 import itertools
@@ -41,7 +43,7 @@ from embedtrack.contrastive import (
     _loss_total,
 )
 from embedtrack.formats import DET_HEADER_PREFIX, FormatError
-from embedtrack.geometry import BoundingBox, center_distance_matrix, iou, iou_matrix
+from embedtrack.geometry import BoundingBox, iou_matrix
 from embedtrack.metrics import (
     _EPS,
     HOTA_ALPHAS,
@@ -77,6 +79,20 @@ from embedtrack.tracker import (
 )
 
 NEG_INF = -np.inf
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection over union of two boxes, one at a time. Returns 0.0
+    when the union is degenerate (never NaN)."""
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
 
 
 def pairwise_iou(gts, prs):
@@ -719,6 +735,18 @@ class OracleTrackerState:
     backdrops: list[Backdrop] = field(default_factory=list)
     next_id: int = 1
     frame: int | None = None
+
+
+def center_distance_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """Pairwise center distance between two (N, 4) / (M, 4) arrays of xyxy
+    boxes, as an (N, M) float64 matrix, by the float operations of
+    ``geometry.center_distance``, so each entry equals the scalar result
+    exactly."""
+    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
+    ax, ay = 0.5 * (a[:, 0] + a[:, 2]), 0.5 * (a[:, 1] + a[:, 3])
+    bx, by = 0.5 * (b[:, 0] + b[:, 2]), 0.5 * (b[:, 1] + b[:, 3])
+    return np.hypot(ax[:, None] - bx[None, :], ay[:, None] - by[None, :])
 
 
 def within_oracle(boxes_a: list[BoundingBox], boxes_b: list[BoundingBox], radius: float) -> np.ndarray:

@@ -37,6 +37,11 @@ class TestParseSweep:
         with pytest.raises(ValueError, match="malformed sweep token"):
             parse_sweep("metric")
 
+    @pytest.mark.parametrize("spec", ["metric=", "metric=,"])
+    def test_key_without_values(self, spec):
+        with pytest.raises(ValueError, match="sweep key 'metric' has no values"):
+            parse_sweep(spec)
+
     def test_empty_spec(self):
         with pytest.raises(ValueError, match="empty sweep"):
             parse_sweep("   ")

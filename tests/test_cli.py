@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import re
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embedtrack.ablation import standard_noisy_world
 from embedtrack.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, int_list, main
 from embedtrack.config import PROFILE_NAMES, config_from_dict, load_profile
 
@@ -285,6 +288,20 @@ class TestEvalCommand:
         assert "iou_threshold must be in (0, 1], got 1.5" in err
         assert "nope.txt" not in err
 
+    def test_machine_report_of_a_class_seen_only_in_predictions(self, tmp_path, capsys):
+        # class 1 has a predicted box and no ground truth: its counts print,
+        # its unset scores (MOTA, IDF1, HOTA, ...) do not
+        gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
+        gt.write_text("0,1,0,0,10,10,1,0,1\n1,1,0,0,10,10,1,0,1\n")
+        pred.write_text("0,1,0,0,10,10,1,0,1\n1,1,0,0,10,10,1,0,1\n0,2,50,50,10,10,1,1,1\n")
+        capsys.readouterr()
+        assert main(["eval", "--gt", str(gt), "--pred", str(pred), "--machine"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("class.1.")] == [
+            "class.1.fp=1", "class.1.fn=0", "class.1.idsw=0", "class.1.mt=0", "class.1.ml=0",
+            "class.1.idtp=0", "class.1.idfp=1", "class.1.idfn=0", "class.1.num_gt=0"]
+        assert "class.0.mota=1.0" in lines and "all.fp=1" in lines
+
     def test_ground_truth_with_no_visible_object_is_data_error(self, tmp_path, capsys):
         # one identity, occluded in every frame; false positives give predictions
         world = tmp_path / "world.json"
@@ -404,3 +421,60 @@ class TestUsageErrors:
 
     def test_missing_required_argument(self):
         assert main(["track", "--input", "x"]) == EXIT_USAGE
+
+
+# sha256 of what the CLI writes on two worlds: the synth detection and
+# ground-truth files, the track file of no profile and of each profile, and
+# eval --machine's stdout on that track file. A change that moves one byte
+# of synth, track or eval output on these worlds fails here.
+_DEFAULT_TRACK = ("fbefdcf2cde4997d80821e5b473e9cdc8cea998d94b650c701ca63fb3827cea4",
+                  "7b39f229702f8166e9465b435c315177a1875958a99a762054512ad408800044")
+_NOISY_FULL = ("265f6084c0368693271ab7c4034fb7f38aae0ae1451dceaf079db37242db8c91",
+               "731cdb0f512afe4a13f4078dad524be4089e87ca14d423c36a50ffe69e51c4f8")
+_NOISY_GATED = ("479543c95eead451a584d998a943c323e46999a6ad44b49e513bf22a218439b0",
+                "aa91e68b01c74ed270b946593332eb63f5dbeda5a3be510ff228cd80e6ba5566")
+DIGESTS = {
+    # synth --seed 0, the default world
+    "default": (0, None, "de6eef529b7e7a12e658e0ce566f22c1d9a1ad19cfdd36eed89086e2261b41b3",
+                "685878dd6351885a9105625ddc0658b99e270fba486857c647678cce59e7c58b",
+                dict.fromkeys([None, *PROFILE_NAMES], _DEFAULT_TRACK)),
+    # standard_noisy_world(3) as a --config document, synth --seed 3
+    "noisy": (3, standard_noisy_world(3), "d9fbc60cc0aeef1b17bc5a675cf070b24ddb96ca0ae47b4911f13a19e377708c",
+              "1b80793939cf93b829513103d45f5f1c5aca323586709045aba684e4d8af640d", {
+                  None: _NOISY_FULL, "bdd100k": _NOISY_FULL,
+                  "mot17": _NOISY_GATED, "mot20": _NOISY_GATED,
+                  "dancetrack": ("b3e2881a0149a91128849d853ec2423f5fc03d7838844b605e2a846f7560f14b",
+                                 "7d704939b418fc65ce1d37f8f0452460c9cebf100c83f49a082e9f69881d60d3"),
+                  "waymo": ("1bf3e4140e41962cde5d944b98e4f0c806d15be7c316721e9b0f7b0aaf529c76",
+                            "6ceead2810a81eaf3fb27853bb24f7b5e2f6aeec7e5b88385c758fbe459f70a1"),
+                  "tao": ("2e6ceac21e2a9045aed2a5b11a05ef2f64f805b7547ca53149b8f6fd1119b3eb",
+                          "54893bd93d21141150e53e915e6f076db427cc6182b617a6c7007cac1cc21461"),
+              }),
+}
+
+
+@pytest.mark.parametrize("world", DIGESTS)
+def test_cli_outputs_keep_their_digests(world, tmp_path, capsys):
+    seed, config, det_digest, gt_digest, tracks = DIGESTS[world]
+    assert set(tracks) == {None, *PROFILE_NAMES}
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    det, gt = tmp_path / "det.txt", tmp_path / "gt.txt"
+    argv = ["--seed", str(seed), "synth", "--detections", str(det), "--gt", str(gt)]
+    if config is not None:
+        doc = dataclasses.asdict(config)  # occlusions become lists
+        (tmp_path / "world.json").write_text(json.dumps(doc))
+        argv += ["--config", str(tmp_path / "world.json")]
+    assert main(argv) == EXIT_OK
+    assert (sha(det.read_bytes()), sha(gt.read_bytes())) == (det_digest, gt_digest)
+    got = {}
+    for profile in tracks:
+        pred = tmp_path / f"pred_{profile}.txt"
+        assert main(["track", "--input", str(det), "--output", str(pred),
+                     *(["--profile", profile] if profile else [])]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["eval", "--gt", str(gt), "--pred", str(pred), "--machine"]) == EXIT_OK
+        got[profile] = (sha(pred.read_bytes()), sha(capsys.readouterr().out.encode()))
+    assert got == tracks

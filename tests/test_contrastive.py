@@ -489,6 +489,14 @@ class TestToyOptimization:
         frame = np.array([0, 0, 1, 1])
         assert cross_frame_nn_accuracy(params, identity, frame) == 0.5
 
+    def test_nn_accuracy_skips_a_frame_whose_next_frame_is_missing(self):
+        # frame 1 has no frame 2; only frame 3's samples look ahead, to frame 4,
+        # and both of them point at the wrong identity
+        params = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        identity = np.array([0, 1, 0, 1, 0, 1])
+        frame = np.array([1, 1, 3, 3, 4, 4])
+        assert cross_frame_nn_accuracy(params, identity, frame) == 0.0
+
 
 # ---------------------------------------------------------------------------
 # Matrix-form losses against the per-row reference loops in tests/oracles.py

@@ -365,6 +365,14 @@ class TestMotFiles:
         with pytest.raises(FormatError, match="line 1"):
             read_mot(io.StringIO("0,1,5,5,-2,10,1,0,1\n"))
 
+    def test_blank_and_comment_lines_skipped(self):
+        ts = read_mot(io.StringIO("# frame,id,x,y,w,h\n\n0,7,1,2,3,4\n   \n  # note\n1,7,2,2,3,4\n"))
+        assert {f: [e.obj_id for e in es] for f, es in ts.frames.items()} == {0: [7], 1: [7]}
+
+    def test_line_numbers_count_skipped_lines(self):
+        with pytest.raises(FormatError, match="line 3"):
+            read_mot(io.StringIO("# header\n\n0,1,5,5\n"))
+
     def test_minimal_six_field_rows_accepted(self):
         ts = read_mot(io.StringIO("0,7,1,2,3,4\n"))
         e = ts.frames[0][0]

@@ -8,12 +8,10 @@ from embedtrack.geometry import (
     box_array,
     boxes_from_array,
     center_distance,
-    center_distance_matrix,
-    iou,
     iou_matrix,
     nms,
 )
-from oracles import iou_matrix_oracle, nms_oracle
+from oracles import center_distance_matrix, iou, iou_matrix_oracle, nms_oracle
 
 _coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 _extent = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)

@@ -575,6 +575,19 @@ class TestSolvesEqualTheFullMatrix:
         assert clear_mot(*sets, iou_threshold) == separate_clear_mot(*sets, iou_threshold)
 
 
+@settings(deadline=None)
+@given(small_tracksets(), _report_thresholds)
+def test_one_class_report_aggregates_to_its_class_bit_for_bit(sets, iou_threshold):
+    """A report of one class sums its one class's counts as every report
+    does: the aggregate's MOTA, IDF1 and HOTA family and the class means
+    are that class's own values, to the bit."""
+    rep = per_class_report(*sets, iou_threshold)
+    (cm,) = rep.per_class.values()
+    keys = ("mota", "idf1", "hota", "deta", "assa", "detre", "detpr", "assre", "asspr")
+    assert [getattr(rep.aggregate, k) for k in keys] == [getattr(cm, k) for k in keys]
+    assert (rep.mmota, rep.midf1) == (cm.mota, cm.idf1)
+
+
 def sequence_sets(n_frames=300, n_ids=64, seed=0):
     """Two classes of objects moving on straight lines for ``n_frames``
     frames; predictions are jittered boxes, a tenth missing, under ids

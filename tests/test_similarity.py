@@ -29,6 +29,10 @@ class TestValidateEmbeddings:
         with pytest.raises(ValueError, match="non-finite"):
             validate_embeddings(np.array([[1.0, np.nan]]))
 
+    def test_more_than_two_dimensions_rejected(self):
+        with pytest.raises(ValueError, match=r"detection embeddings must be a 2-D array, got shape \(2, 2, 2\)"):
+            cosine_matrix(np.ones((2, 2, 2)), np.ones((2, 2)))
+
 
 class TestCosineMatrix:
     def test_matches_manual_computation(self):

@@ -29,6 +29,7 @@ REMOVED = {
     "metrics": ("_hota_matches", "_Hota", "_Idf1"),
     "formats": ("trackset_to_mot_rows",),
     "tracker": ("_within", "Backdrop", "_rows", "_gather", "MergeConfig"),
+    "geometry": ("iou", "center_distance_matrix"),
 }
 
 # removed parameters and fields; most only ever took one value and are

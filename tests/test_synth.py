@@ -506,6 +506,34 @@ class TestReferenceTrackers:
         assert rep.aggregate.idf1 == 1.0
         assert rep.aggregate.idsw == 0
 
+    def test_oracle_drops_low_scores_and_numbers_false_positives_in_frame_order(self):
+        # distractors score 0.15-0.45 and false positives 0.2-0.7, so some
+        # of both fall below the 0.5 floor and some false positives clear it
+        s = generate(small_world(n_frames=30, fp_rate=0.3, n_distractors=2, n_classes=2))
+        pred = oracle_tracks(s)
+        fresh, n_dropped = [], 0
+        for f in sorted(s.detections):
+            pairs = list(zip(s.detections[f], s.det_identity[f]))
+            kept = [(d, ident) for d, ident in pairs if d.score >= 0.5]
+            n_dropped += len(pairs) - len(kept)
+            entries = pred.frames.get(f, [])
+            assert [(e.box, e.class_id) for e in entries] == [(d.box, d.class_id) for d, _ in kept]
+            for e, (_, ident) in zip(entries, kept):
+                if ident is None:
+                    fresh.append(e.obj_id)
+                else:
+                    assert e.obj_id == ident + 1
+        assert n_dropped > 0 and fresh
+        assert fresh == list(range(10_000_000, 10_000_000 + len(fresh)))
+
+    def test_oracle_floor_keeps_a_score_of_exactly_one_half(self):
+        s = generate(small_world(n_frames=2))
+        d = s.detections[1][0]
+        s.detections[1] = [dataclasses.replace(d, score=0.5),
+                           dataclasses.replace(d, score=float(np.nextafter(0.5, 0.0)))]
+        s.det_identity[1] = [None, None]
+        assert [(e.obj_id, e.box) for e in oracle_tracks(s).frames[1]] == [(10_000_000, d.box)]
+
     def test_iou_baseline_good_on_slow_clean_world(self):
         s = generate(small_world(speed=1.0, n_frames=30))
         rep = per_class_report(s.gt, iou_baseline_track(s))
