@@ -52,10 +52,6 @@ class BoundingBox:
         return self.y2 - self.y1
 
     @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
 

@@ -23,11 +23,13 @@ How the work is shared:
   matrix is computed once, handed to two per-frame accumulators (CLEAR,
   and the identity store that IDF1 and HOTA read) and dropped.
   ``clear_mot``, ``idf1`` and ``hota`` each run the pass with one
-  accumulator. A report of one class passes the given sets as they are,
-  without ``restrict_class``, and aggregates as every report does; its
-  aggregate HOTA family, mMOTA and mIDF1 then equal that class's own
-  values bit for bit (zeros + x == x, and the mean of one value is that
-  value), which the tests check.
+  accumulator. A report of one class skips ``restrict_class``.
+- One scorer serves every class and the aggregate: ``_clear_result`` gives
+  MOTA and MOTP from CLEAR's counts, ``_idf1_result`` IDF1 from the
+  identity counts, and ``_class_metrics`` a report row from the two and
+  the HOTA rows. The aggregate is the score of its classes' summed counts,
+  its MOTP their matches' weighted mean; a one-class report's aggregate
+  scores other than MOTP equal its class's to the bit, as the tests check.
 - CLEAR matches the whole frame when no gt box in it has a previous match.
 - The identity store keeps each frame's non-zero IoUs, their shares of
   HOTA's alignment sums and their integer pair keys (gt index * number of
@@ -119,12 +121,6 @@ class TrackSet:
         ids.add(entry.obj_id)
         bucket.append(entry)
 
-    def visible_frames(self) -> dict[int, list[ObjectEntry]]:
-        return {
-            f: [e for e in entries if e.visible]
-            for f, entries in self.frames.items()
-        }
-
     def class_ids(self) -> set[int]:
         return {e.class_id for entries in self.frames.values() for e in entries}
 
@@ -143,8 +139,8 @@ class TrackSet:
 
 @dataclass
 class ClearMotResult:
-    mota: float
-    motp: float
+    mota: float | None  # None for a report's class seen only in predictions
+    motp: float | None
     fp: int
     fn: int
     idsw: int
@@ -156,7 +152,7 @@ class ClearMotResult:
 
 @dataclass
 class Idf1Result:
-    idf1: float
+    idf1: float | None  # None for a report's class seen only in predictions
     idtp: int
     idfp: int
     idfn: int
@@ -304,13 +300,23 @@ class _Clear:
 
     def result(self) -> ClearMotResult:
         ratio = self.covered / self.presence
-        mt = int(np.count_nonzero(ratio >= 0.8))
-        ml = int(np.count_nonzero(ratio <= 0.2))
-        num_gt = int(self.presence.sum())
-        fn, fp = num_gt - self.num_matches, self.n_pr_boxes - self.num_matches
-        mota = 1.0 - (fn + fp + self.idsw) / num_gt
-        motp = self.sum_iou / self.num_matches if self.num_matches else 0.0
-        return ClearMotResult(mota, motp, fp, fn, self.idsw, mt, ml, num_gt, self.num_matches)
+        num_gt, n = int(self.presence.sum()), self.num_matches
+        return _clear_result(self.n_pr_boxes - n, num_gt - n, self.idsw, int(np.count_nonzero(ratio >= 0.8)),
+                             int(np.count_nonzero(ratio <= 0.2)), num_gt, n, self.sum_iou)
+
+
+def _clear_result(fp: int, fn: int, idsw: int, mt: int, ml: int, num_gt: int, num_matches: int,
+                  sum_iou: float) -> ClearMotResult:
+    """MOTA and MOTP from CLEAR's counts and the matches' summed IoU."""
+    mota = 1.0 - (fn + fp + idsw) / num_gt
+    motp = sum_iou / num_matches if num_matches else 0.0
+    return ClearMotResult(mota, motp, fp, fn, idsw, mt, ml, num_gt, num_matches)
+
+
+def _idf1_result(idtp: int, idfp: int, idfn: int) -> Idf1Result:
+    """IDF1 from the identity counts."""
+    denom = idtp + 0.5 * idfn + 0.5 * idfp
+    return Idf1Result(idtp / denom if denom else 0.0, idtp, idfp, idfn)
 
 
 def _best_of_sole(a: np.ndarray, w: np.ndarray, sole: np.ndarray) -> np.ndarray:
@@ -396,10 +402,7 @@ class _Ids:
         hit = counts > 0
         gt_of, pr_of = np.divmod(pairs[hit], len(self.pr_total))
         idtp = _max_matching_total(gt_of, pr_of, counts[hit])
-        idfn, idfp = int(self.gt_total.sum()) - idtp, int(self.pr_total.sum()) - idtp
-        denom = idtp + 0.5 * idfn + 0.5 * idfp
-        score = idtp / denom if denom else 0.0
-        return Idf1Result(score, idtp, idfp, idfn)
+        return _idf1_result(idtp, int(self.pr_total.sum()) - idtp, int(self.gt_total.sum()) - idtp)
 
     def matches(self) -> tuple[np.ndarray, ...]:
         """The second pass, run once: it releases the kept IoU entries.
@@ -531,8 +534,17 @@ class EvalReport:
     midf1: float
 
 
+def _class_metrics(clear: ClearMotResult, ident: Idf1Result, counts: np.ndarray) -> ClassMetrics:
+    """A class's or the aggregate's metrics from its CLEAR and IDF1 results
+    and its HOTA rows; one without ground truth keeps its scores None."""
+    return ClassMetrics(clear.mota, clear.motp, ident.idf1, **(_hota_means(counts) if clear.num_gt else {}),
+                        fp=clear.fp, fn=clear.fn, idsw=clear.idsw, mt=clear.mt, ml=clear.ml,
+                        idtp=ident.idtp, idfp=ident.idfp, idfn=ident.idfn, num_gt=clear.num_gt)
+
+
 def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> EvalReport:
-    """Evaluate each class independently and aggregate by summing counts.
+    """Evaluate each class independently; the aggregate is the score of the
+    classes' summed counts, with MOTP their matches' weighted mean.
 
     Classes appearing only in predictions contribute their false positives
     to the aggregate but are excluded from the mMOTA/mIDF1 class means.
@@ -541,44 +553,25 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
     """
     _check_iou_threshold(iou_threshold)
     classes = sorted(gt.class_ids() | pred.class_ids())
-    per_class: dict[int, ClassMetrics] = {}
-    motas, idf1s = [], []
-    agg = ClassMetrics()
-    # per alpha: tp, fn, fp, ass_sum, assre_sum, asspr_sum summed over classes
-    hota_raw = np.zeros((6, len(HOTA_ALPHAS)))
-    sum_iou_weighted = 0.0
-    total_matches = 0
-
+    parts = {}  # class -> (CLEAR result, IDF1 result, HOTA rows)
     for c in classes:
         gt_c, pr_c = (gt, pred) if len(classes) == 1 else (gt.restrict_class(c), pred.restrict_class(c))
-        cm = per_class[c] = ClassMetrics(num_gt=gt_c.num_boxes())
-        if cm.num_gt == 0:
-            # predictions without any ground truth of this class: all FP
-            cm.fp = cm.idfp = sum(len(v) for v in pr_c.frames.values())
-            hota_raw[2] += cm.fp
-        else:
+        if gt_c.num_boxes():
             clear, ids = _one_pass(gt_c, pr_c, partial(_Clear, iou_threshold), _Ids)
-            clear, ident, counts = clear.result(), ids.idf1(iou_threshold), ids.hota_counts()
-            cm.mota, cm.motp = clear.mota, clear.motp
-            cm.fp, cm.fn, cm.idsw = clear.fp, clear.fn, clear.idsw
-            cm.mt, cm.ml = clear.mt, clear.ml
-            cm.idf1, cm.idtp, cm.idfp, cm.idfn = ident.idf1, ident.idtp, ident.idfp, ident.idfn
-            for key, value in _hota_means(counts).items():
-                setattr(cm, key, value)
-            motas.append(clear.mota)
-            idf1s.append(ident.idf1)
-            hota_raw += counts
-            sum_iou_weighted += clear.motp * clear.num_matches
-            total_matches += clear.num_matches
-        for key in ("num_gt", "fp", "fn", "idsw", "mt", "ml", "idtp", "idfp", "idfn"):
-            setattr(agg, key, getattr(agg, key) + getattr(cm, key))
-
-    if agg.num_gt == 0:
+            parts[c] = clear.result(), ids.idf1(iou_threshold), ids.hota_counts()
+        else:  # predictions without any ground truth of this class: all FP, and no score
+            fp = sum(map(len, pr_c.frames.values()))
+            counts = np.zeros((6, len(HOTA_ALPHAS)))
+            counts[2] = fp
+            parts[c] = ClearMotResult(None, None, fp, 0, 0, 0, 0, 0, 0), Idf1Result(None, 0, fp, 0), counts
+    scored = [(clear, ident) for clear, ident, _ in parts.values() if clear.num_gt]
+    if not scored:
         raise ValueError("ground truth has no visible objects")
-    agg.mota = 1.0 - (agg.fn + agg.fp + agg.idsw) / agg.num_gt
-    agg.motp = sum_iou_weighted / total_matches if total_matches else 0.0
-    denom = agg.idtp + 0.5 * agg.idfn + 0.5 * agg.idfp
-    agg.idf1 = agg.idtp / denom if denom else 0.0
-    for key, value in _hota_means(hota_raw).items():
-        setattr(agg, key, value)
-    return EvalReport(per_class, agg, float(np.mean(motas)), float(np.mean(idf1s)))
+    clears, idents, counts = zip(*parts.values())
+    clear_counts = zip(*[(r.fp, r.fn, r.idsw, r.mt, r.ml, r.num_gt, r.num_matches) for r in clears])
+    sum_iou = sum(r.motp * r.num_matches for r in clears if r.num_matches)
+    ident_counts = zip(*[(r.idtp, r.idfp, r.idfn) for r in idents])
+    aggregate = _class_metrics(_clear_result(*map(sum, clear_counts), sum_iou),
+                               _idf1_result(*map(sum, ident_counts)), sum(counts))
+    return EvalReport({c: _class_metrics(*p) for c, p in parts.items()}, aggregate,
+                      float(np.mean([r.mota for r, _ in scored])), float(np.mean([r.idf1 for _, r in scored])))

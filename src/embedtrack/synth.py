@@ -298,19 +298,16 @@ def iou_baseline_track(scenario: Scenario) -> TrackSet:
     for f in sorted(scenario.detections):
         dets = [d for d in scenario.detections[f] if d.score >= _MIN_SCORE]
         assigned: list[tuple[int, Detection]] = []
-        used: set[int] = set()
         order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
         if prev and dets:
             overlaps = iou_matrix(box_array(d.box for d in dets), box_array(b for _, b in prev))
         for i in order:
             tid = None
             if prev and dets:
-                masked = overlaps[i].copy()
-                masked[list(used)] = -1.0
-                j = int(np.argmax(masked))
-                if masked[j] >= _BASELINE_MATCH_IOU:
+                j = int(np.argmax(overlaps[i]))
+                if overlaps[i, j] >= _BASELINE_MATCH_IOU:
                     tid = prev[j][0]
-                    used.add(j)
+                    overlaps[:, j] = -1.0  # claimed: below any IoU for every later row
             if tid is None:
                 tid = next_id
                 next_id += 1

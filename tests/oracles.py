@@ -19,9 +19,11 @@ and the bulk writer replaced. The ``separate_*`` metrics are the
 evaluation that ``per_class_report``'s one pass per class replaced: each
 metric converts every frame and computes its IoU matrix on its own. The
 world oracle is the per-detection ``synth.generate`` that the per-frame
-arrays replaced. The geometry oracles are the scalar ``iou`` and the
-dense ``center_distance_matrix``: the references for ``iou_matrix`` and
-``centers_within``, and called by no code of the package.
+arrays replaced. The geometry oracles are the scalar ``iou`` with the
+box ``area`` it needs and the dense ``center_distance_matrix``: the
+references for ``iou_matrix`` and ``centers_within``, and called by no code
+of the package. ``visible_frames`` gives the metric oracles each frame's
+visible ground truth.
 """
 
 import itertools
@@ -81,6 +83,10 @@ from embedtrack.tracker import (
 NEG_INF = -np.inf
 
 
+def area(b: BoundingBox) -> float:
+    return b.width * b.height
+
+
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes, one at a time. Returns 0.0
     when the union is degenerate (never NaN)."""
@@ -89,10 +95,15 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    union = a.area + b.area - inter
+    union = area(a) + area(b) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def visible_frames(ts: TrackSet) -> dict[int, list[ObjectEntry]]:
+    """Each frame's visible entries; a frame with none keeps an empty list."""
+    return {f: [e for e in entries if e.visible] for f, entries in ts.frames.items()}
 
 
 def pairwise_iou(gts, prs):
@@ -130,7 +141,7 @@ def best_matching(overlaps, threshold):
 
 
 def clear_oracle(gt: TrackSet, pred: TrackSet, iou_threshold=0.5):
-    gt_frames = gt.visible_frames()
+    gt_frames = visible_frames(gt)
     pr_frames = pred.frames
     num_gt = sum(len(v) for v in gt_frames.values())
     frames = sorted(set(gt_frames) | set(pr_frames))
@@ -196,7 +207,7 @@ def clear_oracle(gt: TrackSet, pred: TrackSet, iou_threshold=0.5):
 
 
 def idf1_oracle(gt: TrackSet, pred: TrackSet, iou_threshold=0.5):
-    gt_frames = gt.visible_frames()
+    gt_frames = visible_frames(gt)
     pr_frames = pred.frames
     n_gt = sum(len(v) for v in gt_frames.values())
     n_pr = sum(len(v) for v in pr_frames.values())
@@ -287,7 +298,7 @@ def hota_oracle(gt: TrackSet, pred: TrackSet):
     every tied optimum, and each combination of per-frame optima gives one
     value.
     """
-    gt_frames = gt.visible_frames()
+    gt_frames = visible_frames(gt)
     pr_frames = pred.frames
     gt_count = defaultdict(int)
     pr_count = defaultdict(int)

@@ -54,6 +54,30 @@ class TestRandomBatch:
             b = random_batch(4, 6, 8, rng)
             assert b.positivity.any()
 
+    def test_raises_after_a_hundred_batches_without_a_positive_pair(self):
+        class AllNegative:
+            """A generator whose every sample comes out negative (0.9 >= 0.6)."""
+
+            draws = 0
+
+            def random(self):
+                self.draws += 1
+                return 0.9
+
+            def uniform(self, low, high):
+                return low
+
+            def standard_normal(self, size):
+                return np.ones(size)
+
+            def integers(self, high):
+                return 0
+
+        rng = AllNegative()
+        with pytest.raises(RuntimeError, match="failed to draw a batch with positive pairs"):
+            random_batch(4, 6, 8, rng)
+        assert rng.draws == 100 * (4 + 6)
+
 
 class TestGradientCheck:
     def test_negative_control_fails(self):

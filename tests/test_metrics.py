@@ -31,6 +31,7 @@ from oracles import (
     separate_idf1,
     separate_match,
     separate_per_class_report,
+    visible_frames,
 )
 
 
@@ -451,7 +452,7 @@ class TestHotaProperties:
     @given(small_tracksets())
     def test_one_solver_call_per_frame(self, sets):
         gt, pred = sets
-        gt_frames = gt.visible_frames()
+        gt_frames = visible_frames(gt)
         both = [f for f in gt_frames if gt_frames[f] and pred.frames.get(f)]
         calls = []
         original = metrics.linear_sum_assignment
@@ -507,7 +508,7 @@ class TestSharedPass:
         gt, pred = sets
         want = 0
         for c in gt.class_ids():
-            gt_c = gt.restrict_class(c).visible_frames()
+            gt_c = visible_frames(gt.restrict_class(c))
             pr_c = pred.restrict_class(c).frames
             want += sum(1 for f, entries in gt_c.items() if entries and pr_c.get(f))
         calls = []
@@ -617,7 +618,7 @@ def test_per_class_report_streams_its_iou_matrices():
     gt, pred = sequence_sets()
     dense = 0
     for c in gt.class_ids():
-        gt_c, pr_c = gt.restrict_class(c).visible_frames(), pred.restrict_class(c).frames
+        gt_c, pr_c = visible_frames(gt.restrict_class(c)), pred.restrict_class(c).frames
         dense = max(dense, sum(8 * len(v) * len(pr_c.get(f, ())) for f, v in gt_c.items()))
     gc.collect()
     tracemalloc.start()

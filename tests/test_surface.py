@@ -1,7 +1,8 @@
-"""The public surface: every exported name resolves, the names folded into
-one entry point stay gone, a checked dataclass stays as its checks found
-it, and the benchmark's tracer (``perfbench/``) can still wrap every name
-it looks up and put each one back."""
+"""The public surface: every exported name resolves, the names, parameters
+and class attributes folded away stay gone, the number of defaulted
+parameters and fields is pinned, a checked dataclass stays as its checks
+found it, and the benchmark's tracer (``perfbench/``) can still wrap every
+name it looks up and put each one back."""
 
 import ast
 import dataclasses
@@ -63,6 +64,19 @@ REMOVED_PARAMETERS = {
 }
 
 
+# removed methods and properties of classes that stay; each is a test
+# reference in tests/oracles.py now
+REMOVED_ATTRIBUTES = {
+    ("metrics", "TrackSet"): ("visible_frames",),
+    ("geometry", "BoundingBox"): ("area",),
+}
+
+# function-parameter defaults plus class fields with a default, over every
+# module of the package; a change that adds or removes an option changes
+# this number and says why
+DEFAULTED = 79
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_resolves(name):
     mod = importlib.import_module(f"embedtrack.{name}")
@@ -91,6 +105,27 @@ def test_removed_names_are_gone():
 def test_removed_parameters_are_gone(owner, gone):
     fn = getattr(importlib.import_module(f"embedtrack.{owner[0]}"), owner[1])
     assert not set(gone) & set(inspect.signature(fn).parameters)
+
+
+@pytest.mark.parametrize("owner,gone", REMOVED_ATTRIBUTES.items(), ids=lambda v: ".".join(v))
+def test_removed_attributes_are_gone(owner, gone):
+    cls = getattr(importlib.import_module(f"embedtrack.{owner[0]}"), owner[1])
+    assert [attr for attr in gone if hasattr(cls, attr)] == []
+
+
+def _defaulted(tree: ast.AST) -> int:
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def test_defaulted_parameters_and_fields_are_pinned():
+    sources = sorted(Path(embedtrack.__file__).parent.glob("*.py"))
+    assert sum(_defaulted(ast.parse(path.read_text())) for path in sources) == DEFAULTED
 
 
 DATACLASSES = sorted(

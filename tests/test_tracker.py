@@ -15,8 +15,10 @@ from embedtrack.tracker import (
     Detection,
     Tracker,
     TrackerConfig,
+    TrackerState,
     detections_from_arrays,
     interpolate_tracks,
+    merge_tracklets,
     momentum_update,
     run_sequence,
 )
@@ -675,6 +677,12 @@ class TestMerge:
         keys = [(f, e.obj_id) for f, es in pred.frames.items() for e in es]
         assert len(keys) == len(set(keys))
         assert sorted({tid for _, tid in keys}) == [1, 2]
+
+    def test_state_before_any_frame_is_returned_as_it_is(self):
+        state = TrackerState()
+        assert merge_tracklets(state) is state
+        assert (state.tracks, state.retired, state.next_id, state.frame) == ({}, {}, 1, None)
+        assert len(state.live) == len(state.backdrops) == 0
 
 
 def _brute_force_within(boxes_a, boxes_b, radius):
