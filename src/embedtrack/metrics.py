@@ -17,30 +17,31 @@ Conventions:
   denominator before any matching.
 
 How the work is shared:
-- ``per_class_report`` makes one pass per class. Each frame's ids are read
-  once into arrays, which give both the sorted distinct ids and the dense
-  gt and pred id indices, and its boxes become (N, 4) arrays once; its IoU
-  matrix is computed once, handed to two per-frame accumulators (CLEAR,
-  and the identity store that IDF1 and HOTA read) and dropped.
-  ``clear_mot``, ``idf1`` and ``hota`` each run the pass with one
-  accumulator. A report of one class skips ``restrict_class``.
-- One scorer serves every class and the aggregate: ``_clear_result`` gives
-  MOTA and MOTP from CLEAR's counts, ``_idf1_result`` IDF1 from the
-  identity counts, and ``_class_metrics`` a report row from the two and
-  the HOTA rows. The aggregate is the score of its classes' summed counts,
-  its MOTP their matches' weighted mean; a one-class report's aggregate
-  scores other than MOTP equal its class's to the bit, as the tests check.
-- CLEAR matches the whole frame when no gt box in it has a previous match.
-- The identity store keeps each frame's non-zero IoUs, their shares of
-  HOTA's alignment sums and their integer pair keys (gt index * number of
-  pred ids + pred index, worked out once as the frame is added), and
-  nothing for a (gt id, pred id) pair that never overlaps: the sums and
+- Every evaluation is one pass over the frames. Each side's classes and
+  ids are read once, into each entry's index among the side's sorted
+  distinct (class, id) pairs: one id in two classes is two identities.
+  Each frame splits into cells, the boxes of one class in frame order; a
+  cell's IoU matrix is computed once, handed to CLEAR and to the identity
+  store that IDF1 and HOTA read, and dropped. Both keep their counts per
+  class, and a class's pairs stay contiguous in (gt id, pred id) order, so
+  each class gets the matrices, solves and sums it would get alone.
+  ``per_class_report`` runs both; ``clear_mot``, ``idf1`` and ``hota`` run
+  one, with every box in one class.
+- One scorer serves every class and the aggregate: ``_clear_result``
+  (MOTA, MOTP), ``_idf1_result`` (IDF1) and ``_hota_means`` (the HOTA
+  family, of every class and the aggregate in one call). The aggregate is
+  the score of its classes' summed counts, its MOTP their matches'
+  weighted mean. A class without visible ground truth keeps a row whose
+  scores are None.
+- CLEAR matches the whole cell when no gt box in it has a previous match.
+- The identity store keeps each cell's non-zero IoUs, their shares of
+  HOTA's alignment sums and their pair keys (gt index * number of pred ids
+  + pred index), and nothing for a pair that never overlaps: sums and
   counts live on the sorted overlapping pairs, and each pair's shares are
   added frame by frame, to the bits of a dense accumulation. IDF1 counts,
-  per pair, the kept IoUs at or above its threshold; every threshold is
-  above 0, so no pair it counts was dropped. HOTA then matches each frame,
-  keeps each matched pair's key and IoU, and counts the TPs and
-  association terms per pair and alpha, as TrackEval does.
+  per pair, the kept IoUs at or above its threshold (every threshold is
+  above 0); HOTA matches each cell and counts the TPs and association
+  terms per pair and alpha, as TrackEval does.
 - IDF1 needs only the largest total, which every optimum shares: each gt
   id keeps the best of the pred ids that only it scores (and each pred id
   likewise), a pair then alone in its row and its column is taken, and the
@@ -56,9 +57,9 @@ How the work is shared:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain, pairwise
 from operator import attrgetter
 
 import numpy as np
@@ -82,8 +83,13 @@ __all__ = [
 
 HOTA_ALPHAS = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
-_EPS = np.finfo(np.float64).eps  # TrackEval keeps matches with IoU >= alpha - eps
+_EPS = np.finfo(np.float64).eps
+_ALPHA_FLOORS = np.array(HOTA_ALPHAS) - _EPS  # TrackEval keeps matches with IoU >= alpha - eps
+# column m sums levels 0..m of a row of per-level counts
+_SUM_FROM_LEFT = np.triu(np.ones((len(HOTA_ALPHAS) + 1, len(HOTA_ALPHAS))))
 _obj_id = attrgetter("obj_id")
+_class_id = attrgetter("class_id")
+_box = attrgetter("box")
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,25 +127,10 @@ class TrackSet:
         ids.add(entry.obj_id)
         bucket.append(entry)
 
-    def class_ids(self) -> set[int]:
-        return {e.class_id for entries in self.frames.values() for e in entries}
-
-    def restrict_class(self, class_id: int) -> "TrackSet":
-        # ids are already unique per frame here, so the entries skip add()
-        out = TrackSet()
-        for f, entries in self.frames.items():
-            kept = [e for e in entries if e.class_id == class_id]
-            if kept:
-                out.frames[f] = kept
-        return out
-
-    def num_boxes(self) -> int:
-        return sum(e.visible for entries in self.frames.values() for e in entries)
-
 
 @dataclass
 class ClearMotResult:
-    mota: float | None  # None for a report's class seen only in predictions
+    mota: float | None  # None for a report's class without visible ground truth
     motp: float | None
     fp: int
     fn: int
@@ -152,7 +143,7 @@ class ClearMotResult:
 
 @dataclass
 class Idf1Result:
-    idf1: float | None  # None for a report's class seen only in predictions
+    idf1: float | None  # None for a report's class without visible ground truth
     idtp: int
     idfp: int
     idfn: int
@@ -212,61 +203,71 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
 
 
-def _id_indices(frames: list[list[ObjectEntry]]) -> tuple[list[np.ndarray], int]:
-    """Each frame's object ids as indices into the sorted distinct ids, and
-    the number of distinct ids."""
-    ids = [np.fromiter(map(_obj_id, entries), np.int64, len(entries)) for entries in frames]
-    distinct = _distinct(np.concatenate([np.zeros(0, np.int64), *ids]))
-    return [np.searchsorted(distinct, x) for x in ids], len(distinct)
+def _dense(frames: list[list[ObjectEntry]], by_class: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's index into the sorted distinct (class, id) pairs of
+    ``frames``, in frame order, and the class of each pair; every entry is
+    in class 0 unless ``by_class``. Each class and id is read once."""
+    n = sum(map(len, frames))
+    ids = np.fromiter(map(_obj_id, chain.from_iterable(frames)), np.int64, n)
+    cls = np.fromiter(map(_class_id, chain.from_iterable(frames)), np.int64, n) if by_class else np.zeros(n, int)
+    by_pair = np.lexsort((ids, cls))
+    cls, ids = cls[by_pair], ids[by_pair]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (cls[1:] != cls[:-1]) | (ids[1:] != ids[:-1])
+    index = np.empty(n, dtype=np.int64)
+    index[by_pair] = np.cumsum(new) - 1
+    return index, cls[new]
 
 
-def _frames(gt: TrackSet, pred: TrackSet) -> tuple[Iterator[tuple[np.ndarray, ...]], int, int]:
-    """Visible ground truth and all predictions, streamed as arrays in sorted
-    frame order: per frame (gt indices, gt boxes, pred indices, pred boxes),
-    with ids mapped to dense indices in sorted id order. Returns the stream
-    and the numbers of distinct gt and pred ids."""
+def _one_pass(gt: TrackSet, pred: TrackSet, by_class: bool, *accumulators) -> list:
+    """Stream visible ground truth and all predictions once, cell by cell
+    in sorted frame order. Each accumulator is built from the class index
+    of each gt index, the box counts of each gt and pred index and of each
+    class on either side, and takes (class index, gt indices, pred
+    indices, IoU matrix) of each cell with boxes on both sides. Without
+    ``by_class`` every box is in one class. Returns the sorted classes,
+    then the accumulators."""
     order = sorted(set(gt.frames) | set(pred.frames))
     gts = [[e for e in gt.frames.get(f, ()) if e.visible] for f in order]
     prs = [pred.frames.get(f, []) for f in order]
-    gt_indices, n_gt_ids = _id_indices(gts)
-    if n_gt_ids == 0:
+    (gi, g_cls), (pi, p_cls) = _dense(gts, by_class), _dense(prs, by_class)
+    if len(gi) == 0:
         raise ValueError("ground truth has no visible objects")
-    pr_indices, n_pr_ids = _id_indices(prs)
-    stream = ((gi, box_array(e.box for e in g), pi, box_array(e.box for e in p))
-              for g, gi, p, pi in zip(gts, gt_indices, prs, pr_indices))
-    return stream, n_gt_ids, n_pr_ids
-
-
-def _one_pass(gt: TrackSet, pred: TrackSet, *accumulators) -> list:
-    """Stream the frames once. Each accumulator is built from the numbers of
-    gt and pred ids and takes, per frame, (gt indices, pred indices, IoU
-    matrix), the matrix None when a side is empty. Returns the accumulators."""
-    frames, n_gt_ids, n_pr_ids = _frames(gt, pred)
-    accs = [make(n_gt_ids, n_pr_ids) for make in accumulators]
-    for gi, gb, pi, pb in frames:
-        overlaps = iou_matrix(gb, pb) if len(gi) and len(pi) else None
-        for acc in accs:
-            acc.add(gi, pi, overlaps)
-    return accs
+    # a class whose ground truth is all invisible still gets its row
+    hidden = [e.class_id for v in gt.frames.values() for e in v if not e.visible] if by_class else []
+    classes = _distinct(np.concatenate((g_cls, p_cls, np.array(hidden, int))))
+    g_class, p_class = np.searchsorted(classes, g_cls), np.searchsorted(classes, p_cls)
+    totals = np.bincount(gi, minlength=len(g_class)), np.bincount(pi, minlength=len(p_class))
+    n_boxes = [np.bincount(c, t, len(classes)).astype(int).tolist() for c, t in zip((g_class, p_class), totals)]
+    accs = [make(g_class, *totals, *n_boxes) for make in accumulators]
+    g0 = p0 = 0
+    for g, p in zip(gts, prs):
+        gi_f, pi_f = gi[g0:g0 + len(g)], pi[p0:p0 + len(p)]
+        g0, p0 = g0 + len(g), p0 + len(p)
+        gk, pk = g_class[gi_f], p_class[pi_f]
+        gb, pb = box_array(map(_box, g)), box_array(map(_box, p))
+        for k in np.bincount(np.concatenate((gk, pk)), minlength=len(classes)).nonzero()[0].tolist():
+            gr, pr = (gk == k).nonzero()[0], (pk == k).nonzero()[0]
+            if len(gr) and len(pr):
+                overlaps = iou_matrix(gb.take(gr, 0), pb.take(pr, 0))
+                for acc in accs:
+                    acc.add(k, gi_f[gr], pi_f[pr], overlaps)
+    return [classes.tolist(), *accs]
 
 
 class _Clear:
     """CLEAR-MOT accumulation with match carry-over."""
 
-    def __init__(self, iou_threshold: float, n_gt_ids: int, n_pr_ids: int):
+    def __init__(self, iou_threshold: float, gt_class: np.ndarray, gt_total: np.ndarray, pr_total: np.ndarray,
+                 gt_boxes: list[int], pr_boxes: list[int]):
         self.threshold = iou_threshold
-        self.last_match = np.full(n_gt_ids, -1)  # gt index -> most recent matched pred index
-        self.slot = np.full(n_pr_ids, -1)  # pred index -> position in the current frame
-        self.presence = np.zeros(n_gt_ids, dtype=np.int64)
-        self.covered = np.zeros(n_gt_ids, dtype=np.int64)
-        self.n_pr_boxes = self.idsw = self.num_matches = 0
-        self.sum_iou = 0.0
+        self.gt_class, self.presence, self.gt_boxes, self.pr_boxes = gt_class, gt_total, gt_boxes, pr_boxes
+        self.last_match = np.full(len(gt_class), -1)  # gt index -> most recent matched pred index
+        self.slot = np.full(len(pr_total), -1)  # pred index -> position in the current frame
+        self.covered = np.zeros(len(gt_class), dtype=np.int64)
+        self.idsw, self.sum_iou = [0] * len(gt_boxes), [0.0] * len(gt_boxes)  # per class
 
-    def add(self, gi: np.ndarray, pi: np.ndarray, overlaps: np.ndarray | None) -> None:
-        self.presence[gi] += 1
-        self.n_pr_boxes += len(pi)
-        if overlaps is None:
-            return
+    def add(self, k: int, gi: np.ndarray, pi: np.ndarray, overlaps: np.ndarray) -> None:
         prev = self.last_match[gi]
         if (prev >= 0).any():
             # carry over surviving correspondences; two gt ids can share a
@@ -287,36 +288,37 @@ class _Clear:
                 r, c = _match(overlaps[np.ix_(rem_gt, rem_pr)], self.threshold)
                 rows = np.concatenate((rows, rem_gt[r]))
                 cols = np.concatenate((cols, rem_pr[c]))
-        else:  # nothing to carry over: the whole frame is matched
+        else:  # nothing to carry over: the whole cell is matched
             rows, cols = _match(overlaps, self.threshold)
-        self.num_matches += len(rows)
-        self.sum_iou = _sequential_sum(overlaps[rows, cols], self.sum_iou)
+        self.sum_iou[k] = _sequential_sum(overlaps[rows, cols], self.sum_iou[k])
 
         gids, pids = gi[rows], pi[cols]
         prev = self.last_match[gids]
-        self.idsw += int(np.count_nonzero((prev >= 0) & (prev != pids)))
+        self.idsw[k] += int(np.count_nonzero((prev >= 0) & (prev != pids)))
         self.last_match[gids] = pids
         self.covered[gids] += 1
 
-    def result(self) -> ClearMotResult:
+    def results(self) -> list[ClearMotResult]:
         ratio = self.covered / self.presence
-        num_gt, n = int(self.presence.sum()), self.num_matches
-        return _clear_result(self.n_pr_boxes - n, num_gt - n, self.idsw, int(np.count_nonzero(ratio >= 0.8)),
-                             int(np.count_nonzero(ratio <= 0.2)), num_gt, n, self.sum_iou)
+        matches, mt, ml = (np.bincount(self.gt_class, w, len(self.gt_boxes)).astype(np.int64).tolist()
+                           for w in (self.covered, ratio >= 0.8, ratio <= 0.2))
+        return [_clear_result(p - m, g - m, *rest, g, m, u) for p, g, m, u, *rest in
+                zip(self.pr_boxes, self.gt_boxes, matches, self.sum_iou, self.idsw, mt, ml)]
 
 
 def _clear_result(fp: int, fn: int, idsw: int, mt: int, ml: int, num_gt: int, num_matches: int,
                   sum_iou: float) -> ClearMotResult:
-    """MOTA and MOTP from CLEAR's counts and the matches' summed IoU."""
-    mota = 1.0 - (fn + fp + idsw) / num_gt
-    motp = sum_iou / num_matches if num_matches else 0.0
+    """MOTA and MOTP from CLEAR's counts and the matches' summed IoU; both
+    are None without ground truth."""
+    mota = 1.0 - (fn + fp + idsw) / num_gt if num_gt else None
+    motp = (sum_iou / num_matches if num_matches else 0.0) if num_gt else None
     return ClearMotResult(mota, motp, fp, fn, idsw, mt, ml, num_gt, num_matches)
 
 
 def _idf1_result(idtp: int, idfp: int, idfn: int) -> Idf1Result:
-    """IDF1 from the identity counts."""
+    """IDF1 from the identity counts; None without ground truth."""
     denom = idtp + 0.5 * idfn + 0.5 * idfp
-    return Idf1Result(idtp / denom if denom else 0.0, idtp, idfp, idfn)
+    return Idf1Result(idtp / denom if idtp + idfn else None, idtp, idfp, idfn)
 
 
 def _best_of_sole(a: np.ndarray, w: np.ndarray, sole: np.ndarray) -> np.ndarray:
@@ -359,64 +361,61 @@ def _max_matching_total(rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> in
 
 class _Ids:
     """The identity store that IDF1 and HOTA both read: the box count of
-    each gt and pred id, and each frame's non-zero IoUs with their shares
+    each gt and pred id, and each cell's non-zero IoUs with their shares
     of HOTA's alignment sums. HOTA's matching is TrackEval's: a pre-pass
     sums, per (gt id, pred id) pair, IoU / (row sum + column sum - IoU)
     over all frames, which gives the alignment score A = sum / (n_gt_id +
-    n_pred_id - sum); then each frame is matched once, maximizing the total
-    A * IoU. Sums and counts are kept per pair that has a non-zero IoU,
-    never over every (gt id, pred id) pair.
-    """
+    n_pred_id - sum); then each cell is matched once, maximizing the total
+    A * IoU."""
 
-    def __init__(self, n_gt_ids: int, n_pr_ids: int):
-        self.gt_total = np.zeros(n_gt_ids, dtype=np.int64)
-        self.pr_total = np.zeros(n_pr_ids, dtype=np.int64)
-        # (IoU matrix shape, flat positions, pair keys, IoU, alignment share)
-        # of each frame's non-zero IoUs
+    def __init__(self, gt_class: np.ndarray, gt_total: np.ndarray, pr_total: np.ndarray,
+                 gt_boxes: list[int], pr_boxes: list[int]):
+        self.gt_total, self.pr_total, self.gt_boxes, self.pr_boxes = gt_total, pr_total, gt_boxes, pr_boxes
+        self.starts = np.searchsorted(gt_class, np.arange(len(gt_boxes) + 1))  # each class's first gt index
+        # per cell: (IoU matrix shape, [flat positions, pair keys], [IoU, share])
         self.overlaps = []
 
-    def add(self, gi: np.ndarray, pi: np.ndarray, ious: np.ndarray | None) -> None:
-        self.gt_total[gi] += 1
-        self.pr_total[pi] += 1
-        if ious is None:
-            return
+    def add(self, k: int, gi: np.ndarray, pi: np.ndarray, ious: np.ndarray) -> None:
         flat = np.flatnonzero(ious)
         r, c = np.divmod(flat, len(pi))
         v = ious.ravel()[flat]
         share = v / (ious.sum(axis=1)[r] + ious.sum(axis=0)[c] - v)
-        self.overlaps.append((ious.shape, flat, gi[r] * len(self.pr_total) + pi[c], v, share))
+        self.overlaps.append((ious.shape, np.array((flat, gi[r] * len(self.pr_total) + pi[c])), np.array((v, share))))
 
     @cached_property
     def _pairs(self) -> np.ndarray:
         """The sorted distinct pair keys of the kept entries."""
-        keys = (key for _, _, key, _, _ in self.overlaps)
+        keys = (key for _, (_, key), _ in self.overlaps)
         return _distinct(np.concatenate([np.zeros(0, dtype=np.int64), *keys]))
 
-    def idf1(self, iou_threshold: float) -> Idf1Result:
-        """IDF1 from the per-pair counts of kept IoUs at or above the
-        threshold; call it before ``matches``, which releases them."""
+    def idf1(self, iou_threshold: float) -> list[Idf1Result]:
+        """IDF1 of each class from the per-pair counts of kept IoUs at or
+        above the threshold; call it before ``matches``, which drops them."""
         pairs = self._pairs
         counts = np.zeros(len(pairs), dtype=np.int64)
-        for _, _, key, v, _ in self.overlaps:  # a pair occurs once in a frame
+        for _, (_, key), (v, _) in self.overlaps:  # a pair occurs once in a cell
             counts[np.searchsorted(pairs, key[v >= iou_threshold])] += 1
         hit = counts > 0
         gt_of, pr_of = np.divmod(pairs[hit], len(self.pr_total))
-        idtp = _max_matching_total(gt_of, pr_of, counts[hit])
-        return _idf1_result(idtp, int(self.pr_total.sum()) - idtp, int(self.gt_total.sum()) - idtp)
+        counts = counts[hit]
+        spans = pairwise(np.searchsorted(gt_of, self.starts).tolist())
+        idtp = [_max_matching_total(gt_of[a:b], pr_of[a:b], counts[a:b]) for a, b in spans]
+        return [_idf1_result(t, p - t, g - t) for t, g, p in zip(idtp, self.gt_boxes, self.pr_boxes)]
 
     def matches(self) -> tuple[np.ndarray, ...]:
-        """The second pass, run once: it releases the kept IoU entries.
-        Returns one key (gt index * number of pred ids + pred index) and the
-        IoU of each matched pair with non-zero IoU, in frame order, and the
-        number of boxes of each gt id and each pred id."""
+        """The second pass, run once: it drops each cell's kept entries as it
+        reads them. Returns the key and the IoU of each matched pair with
+        non-zero IoU, in cell order, and the box count of each gt and pred
+        index."""
         pairs = self._pairs
         # each pair's shares added frame by frame, as a dense accumulation adds them
         potential = np.zeros(len(pairs))
-        for _, _, key, _, share in self.overlaps:  # a pair occurs once in a frame
+        for _, (_, key), (_, share) in self.overlaps:  # a pair occurs once in a cell
             potential[np.searchsorted(pairs, key)] += share
         keys, matched_iou = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-        frames, self.overlaps = self.overlaps, []
-        for shape, flat, key, v, _ in frames:
+        cells, self.overlaps = self.overlaps[::-1], []
+        while cells:
+            shape, (flat, key), (v, _) = cells.pop()
             pot = potential[np.searchsorted(pairs, key)]
             g, p = np.divmod(key, len(self.pr_total))
             score = np.zeros(shape)
@@ -431,34 +430,36 @@ class _Ids:
         return np.concatenate(keys), np.concatenate(matched_iou), self.gt_total, self.pr_total
 
     def hota_counts(self) -> np.ndarray:
-        """The (6, alphas) float64 rows tp, fn, fp, ass_sum, assre_sum and
-        asspr_sum, per alpha in HOTA_ALPHAS."""
+        """The (classes, 6, alphas) float64 rows tp, fn, fp, ass_sum,
+        assre_sum and asspr_sum of each class, per alpha in HOTA_ALPHAS."""
         keys, matched_iou, gt_total, pr_total = self.matches()
-        n_pr_ids = len(pr_total)
         pairs = _distinct(keys.copy())
         inverse = np.searchsorted(pairs, keys)
         # a match counts at the first `level` alphas, those with IoU >= alpha - eps
-        level = np.searchsorted(np.array(HOTA_ALPHAS) - _EPS, matched_iou, side="right")
+        level = np.searchsorted(_ALPHA_FLOORS, matched_iou, side="right")
         n_levels = len(HOTA_ALPHAS) + 1
-        # per_level[j, m]: matches of pair j at level n_levels - 1 - m, as
-        # exact floats; summed from the left in place, column m then holds
+        # per_level[j, m]: matches of pair j at level n_levels - 1 - m; summed
+        # from the left (exactly: they are small integers), column m holds
         # tpa, the matches that count at the m-th alpha from the top
         bins = inverse * n_levels + (n_levels - 1 - level)
         per_level = np.bincount(bins, weights=np.ones(len(bins)), minlength=len(pairs) * n_levels)
-        per_level = per_level.reshape(len(pairs), n_levels)
-        tpa = np.cumsum(per_level, axis=1, out=per_level)[:, :-1]
-        gt_n = gt_total[pairs // n_pr_ids].astype(np.float64)[:, None]  # tpa + fna
-        pr_n = pr_total[pairs % n_pr_ids].astype(np.float64)[:, None]  # tpa + fpa
-        # each sum adds over the pairs in pair order; the products are made
-        # in one buffer
+        tpa = per_level.reshape(len(pairs), n_levels) @ _SUM_FROM_LEFT
+        del per_level  # the sums below peak without it
+        gt_of, pr_of = np.divmod(pairs, len(pr_total))
+        gt_n = gt_total[gt_of].astype(np.float64)[:, None]  # tpa + fna
+        pr_n = pr_total[pr_of].astype(np.float64)[:, None]  # tpa + fpa
+        spans = list(pairwise(np.searchsorted(gt_of, self.starts).tolist()))  # each class's pairs
+        # each class's sums add over its pairs in pair order; the products
+        # are made in one buffer
         q = gt_n + pr_n - tpa
         sums = []
         for den in (q, gt_n, pr_n):  # ass_sum, assre_sum, asspr_sum
             np.divide(tpa, den, out=q)
             q *= tpa
-            sums.append(q.sum(axis=0))
-        tp = tpa.sum(axis=0)
-        return np.array([tp, gt_total.sum() - tp, pr_total.sum() - tp, *sums])[:, ::-1]
+            sums.append([q[a:b].sum(axis=0) for a, b in spans])
+        tps = [tpa[a:b].sum(axis=0) for a, b in spans]
+        return np.array([[tp, g - tp, p - tp, *rest] for tp, g, p, *rest in
+                         zip(tps, self.gt_boxes, self.pr_boxes, *sums)])[:, :, ::-1]
 
 
 def _check_iou_threshold(iou_threshold: float) -> None:
@@ -469,38 +470,41 @@ def _check_iou_threshold(iou_threshold: float) -> None:
 def clear_mot(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> ClearMotResult:
     """CLEAR-MOT accumulation with match carry-over."""
     _check_iou_threshold(iou_threshold)
-    return _one_pass(gt, pred, partial(_Clear, iou_threshold))[0].result()
+    return _one_pass(gt, pred, False, partial(_Clear, iou_threshold))[1].results()[0]
 
 
 def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> Idf1Result:
     """Identification F1: global trajectory-level bipartite assignment."""
     _check_iou_threshold(iou_threshold)
-    return _one_pass(gt, pred, _Ids)[0].idf1(iou_threshold)
+    return _one_pass(gt, pred, False, _Ids)[1].idf1(iou_threshold)[0]
 
 
 def hota(gt: TrackSet, pred: TrackSet) -> HotaResult:
     """HOTA with DetA/AssA decomposition, averaged over alpha: the TPs at
     alpha are the pairs of the one matching per frame with IoU >= alpha -
     eps."""
-    counts = _one_pass(gt, pred, _Ids)[0].hota_counts()
-    tp, fn, fp = counts[:3].astype(np.int64).tolist()
-    ass_sum, assre_sum, asspr_sum = counts[3:].tolist()
-    return HotaResult(**_hota_means(counts), tp=tp, fn=fn, fp=fp, ass_sum=ass_sum,
+    counts = _one_pass(gt, pred, False, _Ids)[1].hota_counts()
+    tp, fn, fp = counts[0, :3].astype(np.int64).tolist()
+    ass_sum, assre_sum, asspr_sum = counts[0, 3:].tolist()
+    return HotaResult(**_hota_means(counts)[0], tp=tp, fn=fn, fp=fp, ass_sum=ass_sum,
                       assre_sum=assre_sum, asspr_sum=asspr_sum)
 
 
-_HOTA_FAMILY = ("hota", "deta", "assa", "detre", "detpr", "assre", "asspr")
+_HOTA_FAMILY = ("hota", "deta", "detre", "detpr", "assa", "assre", "asspr")  # _hota_means' row order
 
 
-def _hota_means(counts: np.ndarray) -> dict[str, float]:
-    """The HOTA family from the (6, alphas) rows of ``_Ids.hota_counts``,
-    each averaged over alpha; a ratio with a zero denominator is 0."""
-    tp, fn, fp, ass_sum, assre_sum, asspr_sum = counts
-    num = np.array([tp, ass_sum, tp, tp, assre_sum, asspr_sum])
-    den = np.array([tp + fn + fp, tp, tp + fn, tp + fp, tp, tp])
-    ratios = np.where(den > 0, num / np.maximum(den, 1), 0.0)  # DetA, AssA, DetRe, ..., AssPr
-    means = np.vstack([np.sqrt(ratios[0] * ratios[1]), ratios]).mean(axis=1)
-    return dict(zip(_HOTA_FAMILY, means.tolist()))
+def _hota_means(counts: np.ndarray) -> list[dict[str, float]]:
+    """The HOTA family of each (6, alphas) block of ``counts``, as
+    ``_Ids.hota_counts`` gives them, each averaged over alpha; a ratio with
+    a zero denominator is 0, which is its numerator over 1."""
+    tp, fn, fp = counts[:, 0:1], counts[:, 1:2], counts[:, 2:3]
+    ratios = np.empty((len(counts), 7, counts.shape[2]))
+    det = np.concatenate((tp + fn + fp, tp + fn, tp + fp), axis=1)
+    np.divide(tp, np.maximum(det, 1, out=det), out=ratios[:, 1:4])  # DetA, DetRe, DetPr
+    np.divide(counts[:, 3:], np.maximum(tp, 1), out=ratios[:, 4:])  # AssA, AssRe, AssPr
+    np.sqrt(ratios[:, 1] * ratios[:, 4], out=ratios[:, 0])
+    means = np.add.reduce(ratios, axis=2) / counts.shape[2]  # what ndarray.mean computes
+    return [dict(zip(_HOTA_FAMILY, m)) for m in means.tolist()]
 
 
 @dataclass
@@ -534,17 +538,18 @@ class EvalReport:
     midf1: float
 
 
-def _class_metrics(clear: ClearMotResult, ident: Idf1Result, counts: np.ndarray) -> ClassMetrics:
+def _class_metrics(clear: ClearMotResult, ident: Idf1Result, means: dict[str, float]) -> ClassMetrics:
     """A class's or the aggregate's metrics from its CLEAR and IDF1 results
-    and its HOTA rows; one without ground truth keeps its scores None."""
-    return ClassMetrics(clear.mota, clear.motp, ident.idf1, **(_hota_means(counts) if clear.num_gt else {}),
+    and its HOTA family; one without ground truth keeps its scores None."""
+    return ClassMetrics(clear.mota, clear.motp, ident.idf1, **(means if clear.num_gt else {}),
                         fp=clear.fp, fn=clear.fn, idsw=clear.idsw, mt=clear.mt, ml=clear.ml,
                         idtp=ident.idtp, idfp=ident.idfp, idfn=ident.idfn, num_gt=clear.num_gt)
 
 
 def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> EvalReport:
-    """Evaluate each class independently; the aggregate is the score of the
-    classes' summed counts, with MOTP their matches' weighted mean.
+    """Evaluate each class independently, in one pass over the frames; the
+    aggregate is the score of the classes' summed counts, with MOTP their
+    matches' weighted mean.
 
     Classes appearing only in predictions contribute their false positives
     to the aggregate but are excluded from the mMOTA/mIDF1 class means.
@@ -552,26 +557,14 @@ def per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -
     ``idf1`` and ``hota`` do.
     """
     _check_iou_threshold(iou_threshold)
-    classes = sorted(gt.class_ids() | pred.class_ids())
-    parts = {}  # class -> (CLEAR result, IDF1 result, HOTA rows)
-    for c in classes:
-        gt_c, pr_c = (gt, pred) if len(classes) == 1 else (gt.restrict_class(c), pred.restrict_class(c))
-        if gt_c.num_boxes():
-            clear, ids = _one_pass(gt_c, pr_c, partial(_Clear, iou_threshold), _Ids)
-            parts[c] = clear.result(), ids.idf1(iou_threshold), ids.hota_counts()
-        else:  # predictions without any ground truth of this class: all FP, and no score
-            fp = sum(map(len, pr_c.frames.values()))
-            counts = np.zeros((6, len(HOTA_ALPHAS)))
-            counts[2] = fp
-            parts[c] = ClearMotResult(None, None, fp, 0, 0, 0, 0, 0, 0), Idf1Result(None, 0, fp, 0), counts
-    scored = [(clear, ident) for clear, ident, _ in parts.values() if clear.num_gt]
-    if not scored:
-        raise ValueError("ground truth has no visible objects")
-    clears, idents, counts = zip(*parts.values())
+    classes, clear, ids = _one_pass(gt, pred, True, partial(_Clear, iou_threshold), _Ids)
+    clears, idents, counts = clear.results(), ids.idf1(iou_threshold), ids.hota_counts()
     clear_counts = zip(*[(r.fp, r.fn, r.idsw, r.mt, r.ml, r.num_gt, r.num_matches) for r in clears])
     sum_iou = sum(r.motp * r.num_matches for r in clears if r.num_matches)
     ident_counts = zip(*[(r.idtp, r.idfp, r.idfn) for r in idents])
+    *means, total = _hota_means(np.concatenate((counts, sum(counts)[None])))
     aggregate = _class_metrics(_clear_result(*map(sum, clear_counts), sum_iou),
-                               _idf1_result(*map(sum, ident_counts)), sum(counts))
-    return EvalReport({c: _class_metrics(*p) for c, p in parts.items()}, aggregate,
-                      float(np.mean([r.mota for r, _ in scored])), float(np.mean([r.idf1 for _, r in scored])))
+                               _idf1_result(*map(sum, ident_counts)), total)
+    scored = np.array([[r.mota for r in clears if r.num_gt], [r.idf1 for r in idents if r.idf1 is not None]])
+    mmota, midf1 = (np.add.reduce(scored, axis=1) / scored.shape[1]).tolist()  # np.mean's sums, without its overhead
+    return EvalReport({c: _class_metrics(*p) for c, *p in zip(classes, clears, idents, means)}, aggregate, mmota, midf1)

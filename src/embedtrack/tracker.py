@@ -385,8 +385,6 @@ def merge_tracklets(state: TrackerState) -> TrackerState:
     taking over its history and its row's embedding, box and frame; the
     young ID is dropped, not retired.
     """
-    if state.frame is None:
-        return state
     now = state.frame
     rows = state.live
     young = np.flatnonzero((now - rows.created <= _MERGE_WINDOW) & (rows.frame == now))

@@ -16,14 +16,16 @@ two-pass softmax; with them comes the per-negative IoU binning of
 ``sample_batch``. The detection-file oracles are the line-by-line reader
 and the per-float writer that the chunked ``embedtrack.formats`` reader
 and the bulk writer replaced. The ``separate_*`` metrics are the
-evaluation that ``per_class_report``'s one pass per class replaced: each
-metric converts every frame and computes its IoU matrix on its own. The
-world oracle is the per-detection ``synth.generate`` that the per-frame
-arrays replaced. The geometry oracles are the scalar ``iou`` with the
+evaluation that ``per_class_report``'s one pass replaced: one run per class
+and metric, each converting every frame and computing its IoU matrix on
+its own. The world oracle is the per-detection ``synth.generate`` that the
+per-frame arrays replaced. The geometry oracles are the scalar ``iou`` with the
 box ``area`` it needs and the dense ``center_distance_matrix``: the
 references for ``iou_matrix`` and ``centers_within``, and called by no code
 of the package. ``visible_frames`` gives the metric oracles each frame's
-visible ground truth.
+visible ground truth, and ``class_ids``, ``restrict_class`` and
+``num_boxes`` give ``separate_per_class_report`` its classes, one class
+of a track set and its visible box count.
 """
 
 import itertools
@@ -104,6 +106,27 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 def visible_frames(ts: TrackSet) -> dict[int, list[ObjectEntry]]:
     """Each frame's visible entries; a frame with none keeps an empty list."""
     return {f: [e for e in entries if e.visible] for f, entries in ts.frames.items()}
+
+
+def class_ids(ts: TrackSet) -> set[int]:
+    """The classes of every entry, visible or not."""
+    return {e.class_id for entries in ts.frames.values() for e in entries}
+
+
+def restrict_class(ts: TrackSet, class_id: int) -> TrackSet:
+    """The entries of one class; a frame with none is left out."""
+    # ids are already unique per frame here, so the entries skip add()
+    out = TrackSet()
+    for f, entries in ts.frames.items():
+        kept = [e for e in entries if e.class_id == class_id]
+        if kept:
+            out.frames[f] = kept
+    return out
+
+
+def num_boxes(ts: TrackSet) -> int:
+    """The number of visible entries."""
+    return sum(e.visible for entries in ts.frames.values() for e in entries)
 
 
 def pairwise_iou(gts, prs):
@@ -1447,7 +1470,7 @@ def separate_per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float
     Classes appearing only in predictions contribute their false positives
     to the aggregate but are excluded from the mMOTA/mIDF1 class means.
     """
-    classes = sorted(gt.class_ids() | pred.class_ids())
+    classes = sorted(class_ids(gt) | class_ids(pred))
     per_class: dict[int, ClassMetrics] = {}
     motas, idf1s = [], []
     agg = ClassMetrics()
@@ -1457,10 +1480,10 @@ def separate_per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float
     total_matches = 0
 
     for c in classes:
-        gt_c = gt.restrict_class(c)
-        pr_c = pred.restrict_class(c)
+        gt_c = restrict_class(gt, c)
+        pr_c = restrict_class(pred, c)
         cm = ClassMetrics()
-        n_gt = gt_c.num_boxes()
+        n_gt = num_boxes(gt_c)
         cm.num_gt = n_gt
         if n_gt == 0:
             # predictions without any ground truth of this class: all FP

@@ -20,11 +20,14 @@ from embedtrack.metrics import (
     per_class_report,
 )
 from oracles import (
+    class_ids,
     clear_oracle,
     hota_in_oracle,
     hota_oracle,
     idf1_oracle,
+    num_boxes,
     random_instance,
+    restrict_class,
     separate_clear_mot,
     separate_hota,
     separate_hota_matches,
@@ -67,7 +70,7 @@ class TestTrackSet:
         ts.frames[0].append(ObjectEntry(3, 0, box(0, 0)))  # grown in place
         with pytest.raises(ValueError, match="duplicate object id 3"):
             ts.add(0, ObjectEntry(3, 0, box(5, 5)))
-        restricted = ts.restrict_class(0)  # fills frames without add()
+        restricted = restrict_class(ts, 0)  # fills frames without add()
         with pytest.raises(ValueError, match="duplicate object id 1"):
             restricted.add(0, ObjectEntry(1, 0, box(9, 9)))
 
@@ -92,13 +95,13 @@ class TestTrackSet:
         ts = TrackSet()
         ts.add(0, ObjectEntry(1, 0, box(0, 0), visible=False))
         ts.add(0, ObjectEntry(2, 0, box(20, 0)))
-        assert ts.num_boxes() == 1
+        assert num_boxes(ts) == 1
 
     def test_restrict_class(self):
         ts = TrackSet()
         ts.add(0, ObjectEntry(1, 0, box(0, 0)))
         ts.add(0, ObjectEntry(2, 1, box(20, 0)))
-        assert ts.restrict_class(1).num_boxes() == 1
+        assert num_boxes(restrict_class(ts, 1)) == 1
 
 
 class TestClearMotKnownValues:
@@ -418,7 +421,7 @@ def small_tracksets(draw):
             gt.add(f, ObjectEntry(i, 0, draw(_grid_boxes), draw(st.booleans() | st.just(True))))
         for j in draw(st.sets(st.integers(0, 4), max_size=3)):
             pred.add(f, ObjectEntry(10 + j, 0, draw(_grid_boxes)))
-    if gt.num_boxes() == 0:
+    if num_boxes(gt) == 0:
         gt.add(-1, ObjectEntry(0, 0, draw(_grid_boxes)))
     return gt, pred
 
@@ -442,7 +445,7 @@ class TestHotaProperties:
     @settings(deadline=None)
     @given(small_tracksets())
     def test_tp_pairs_nest_as_alpha_rises(self, sets):
-        keys, ious, _, _ = metrics._one_pass(*sets, metrics._Ids)[0].matches()
+        keys, ious, _, _ = metrics._one_pass(*sets, False, metrics._Ids)[1].matches()
         tp_pairs = [Counter(keys[ious >= alpha - np.finfo(float).eps].tolist()) for alpha in HOTA_ALPHAS]
         for looser, stricter in zip(tp_pairs, tp_pairs[1:]):
             assert not stricter - looser
@@ -481,15 +484,33 @@ def multi_class_tracksets(draw, max_frames=4):
             gt.add(f, ObjectEntry(i, i % 2, draw(_grid_boxes), draw(st.booleans())))
         for j in draw(st.sets(st.integers(0, 8), max_size=4)):
             pred.add(f, ObjectEntry(10 + j, j % 3, draw(_grid_boxes)))
-    if gt.num_boxes() == 0:
+    if num_boxes(gt) == 0:
+        gt.add(-1, ObjectEntry(0, 0, draw(_grid_boxes)))
+    return gt, pred
+
+
+@st.composite
+def shared_id_tracksets(draw, max_frames=4):
+    """Up to ``max_frames`` frames on the coarse grid in which every entry
+    draws its own class out of three, so that one id belongs to several
+    classes and can change class between frames, as in files that number
+    ids per class. Gt boxes may be invisible. At least one gt box is
+    visible."""
+    gt, pred = TrackSet(), TrackSet()
+    for f in range(draw(st.integers(1, max_frames))):
+        for i in draw(st.sets(st.integers(0, 3), max_size=4)):
+            gt.add(f, ObjectEntry(i, draw(st.integers(0, 2)), draw(_grid_boxes), draw(st.booleans())))
+        for j in draw(st.sets(st.integers(0, 3), max_size=4)):
+            pred.add(f, ObjectEntry(j, draw(st.integers(0, 2)), draw(_grid_boxes)))
+    if num_boxes(gt) == 0:
         gt.add(-1, ObjectEntry(0, 0, draw(_grid_boxes)))
     return gt, pred
 
 
 class TestSharedPass:
-    """per_class_report evaluates each class in one pass shared by CLEAR,
-    IDF1 and HOTA; it and each public metric must equal the per-metric
-    evaluation it replaced exactly."""
+    """per_class_report evaluates every class in one pass over the frames,
+    shared by CLEAR, IDF1 and HOTA; it and each public metric must equal
+    the separate evaluation, one run per class and metric, exactly."""
 
     @settings(deadline=None)
     @given(multi_class_tracksets(), st.sampled_from([0.05, 0.3, 0.5, 0.75, 1.0]))
@@ -498,18 +519,42 @@ class TestSharedPass:
         assert clear_mot(*sets, iou_threshold) == separate_clear_mot(*sets, iou_threshold)
         assert idf1(*sets, iou_threshold) == separate_idf1(*sets, iou_threshold)
         assert hota(*sets) == separate_hota(*sets)
-        got_matches = metrics._one_pass(*sets, metrics._Ids)[0].matches()
+        got_matches = metrics._one_pass(*sets, False, metrics._Ids)[1].matches()
         for got, want in zip(got_matches, separate_hota_matches(*sets)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(deadline=None)
+    @given(shared_id_tracksets(), st.sampled_from([0.05, 0.3, 0.5, 0.75, 1.0]))
+    def test_an_identity_is_a_class_and_an_id(self, sets, iou_threshold):
+        assert per_class_report(*sets, iou_threshold) == separate_per_class_report(*sets, iou_threshold)
+
+    @pytest.mark.parametrize("n_classes", [1, 3, 8])
+    def test_one_pass_whatever_the_class_count(self, monkeypatch, n_classes):
+        gt, pred = TrackSet(), TrackSet()
+        for f in range(4):
+            for i in range(12):
+                gt.add(f, ObjectEntry(i, i % n_classes, box(20 * i, 0)))
+                pred.add(f, ObjectEntry(i + f // 2, i % n_classes, box(20 * i + 1, 0)))
+        calls = []
+        original = metrics._one_pass
+
+        def counted(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(metrics, "_one_pass", counted)
+        report = per_class_report(gt, pred)
+        assert sorted(report.per_class) == list(range(n_classes))
+        assert calls == [True]
 
     @settings(deadline=None)
     @given(multi_class_tracksets())
     def test_one_iou_matrix_per_frame_and_class(self, sets):
         gt, pred = sets
         want = 0
-        for c in gt.class_ids():
-            gt_c = visible_frames(gt.restrict_class(c))
-            pr_c = pred.restrict_class(c).frames
+        for c in class_ids(gt):
+            gt_c = visible_frames(restrict_class(gt, c))
+            pr_c = restrict_class(pred, c).frames
             want += sum(1 for f, entries in gt_c.items() if entries and pr_c.get(f))
         calls = []
         original = metrics.iou_matrix
@@ -544,10 +589,9 @@ def count_pairs(draw):
 
 
 class TestSolvesEqualTheFullMatrix:
-    """IDF1 solves only what its pair counts leave open, and a one-class
-    report takes its aggregate from its class. The oracles solve every
-    full matrix: the pairs HOTA matches, the IDF1 totals and the reports
-    must be equal to theirs."""
+    """IDF1 solves only what its pair counts leave open. The oracles solve
+    every full matrix, class by class: the pairs HOTA matches, the IDF1
+    totals and the reports must be equal to theirs."""
 
     @given(count_pairs())
     def test_idf1_total_equals_dense_solve(self, case):
@@ -565,7 +609,7 @@ class TestSolvesEqualTheFullMatrix:
     @settings(deadline=None)
     @given(_grid_tie_draws)
     def test_hota_pairs_equal_full_frame_solves(self, sets):
-        got_matches = metrics._one_pass(*sets, metrics._Ids)[0].matches()
+        got_matches = metrics._one_pass(*sets, False, metrics._Ids)[1].matches()
         for got, want in zip(got_matches, separate_hota_matches(*sets)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -617,8 +661,8 @@ def test_per_class_report_streams_its_iou_matrices():
     1x."""
     gt, pred = sequence_sets()
     dense = 0
-    for c in gt.class_ids():
-        gt_c, pr_c = visible_frames(gt.restrict_class(c)), pred.restrict_class(c).frames
+    for c in class_ids(gt):
+        gt_c, pr_c = visible_frames(restrict_class(gt, c)), restrict_class(pred, c).frames
         dense = max(dense, sum(8 * len(v) * len(pr_c.get(f, ())) for f, v in gt_c.items()))
     gc.collect()
     tracemalloc.start()
@@ -628,7 +672,7 @@ def test_per_class_report_streams_its_iou_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.aggregate.num_gt == gt.num_boxes()
+    assert report.aggregate.num_gt == num_boxes(gt)
     assert peak - base < 0.75 * dense
 
 
