@@ -13,9 +13,10 @@ association oracles are the per-object tracker that the array-resident
 from its own ``Track`` and ``Backdrop`` records (embedding, last box and
 frames as fields), a Python greedy claim loop, per-box NMS and the
 two-pass softmax; with them comes the per-negative IoU binning of
-``sample_batch``. The detection-file oracles are the line-by-line reader
-and the per-float writer that the chunked ``embedtrack.formats`` reader
-and the bulk writer replaced. The ``separate_*`` metrics are the
+``sample_batch``. The detection-file oracles are a line-by-line reader
+and a per-value writer of format v2, which pack and unpack each embedding
+value with ``struct``: the references for the chunked ``embedtrack.formats``
+reader and its per-frame writer. The ``separate_*`` metrics are the
 evaluation that ``per_class_report``'s one pass replaced: one run per class
 and metric, each converting every frame and computing its IoU matrix on
 its own. The world oracle is the per-detection ``synth.generate`` that the
@@ -29,6 +30,7 @@ of a track set and its visible box count.
 """
 
 import itertools
+import struct
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -46,7 +48,7 @@ from embedtrack.contrastive import (
     RegionSample,
     _loss_total,
 )
-from embedtrack.formats import DET_HEADER_PREFIX, FormatError
+from embedtrack.formats import FormatError
 from embedtrack.geometry import BoundingBox, iou_matrix
 from embedtrack.metrics import (
     _EPS,
@@ -1187,13 +1189,18 @@ def generate_oracle(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> S
     return Scenario(gt, detections, det_identity, prototypes, cfg)
 
 
+# Detection format v2, one value at a time: each embedding value is the
+# hex of its own little-endian float64 bytes, packed and unpacked by struct
+_DET_HEADER = "# embedtrack-detections v2 dim="
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
 def write_detections_oracle(fp, frames: dict[int, list[Detection]], dim: int) -> None:
     """Write per-frame detections in frame order."""
-    fp.write(f"{DET_HEADER_PREFIX}{dim}\n")
+    fp.write(f"{_DET_HEADER}{dim}\n")
     for f in sorted(frames):
         for d in frames[f]:
             if d.embedding.shape[0] != dim:
@@ -1203,17 +1210,30 @@ def write_detections_oracle(fp, frames: dict[int, list[Detection]], dim: int) ->
             b = d.box
             row = [str(f), str(d.class_id), _fmt(d.score),
                    _fmt(b.x1), _fmt(b.y1), _fmt(b.x2), _fmt(b.y2)]
-            row.extend(_fmt(v) for v in d.embedding)
+            row.append("".join(struct.pack("<d", float(v)).hex() for v in d.embedding))
             fp.write(" ".join(row) + "\n")
+
+
+def _embedding_oracle(field: str, dim: int) -> np.ndarray:
+    if len(field) != 16 * dim:
+        raise ValueError(f"embedding field has {len(field)} characters, expected {16 * dim} hex digits")
+    for c in field:
+        if c not in "0123456789abcdef":
+            raise ValueError("embedding field holds a character other than 0-9 and a-f")
+    values = [struct.unpack("<d", bytes.fromhex(field[i:i + 16]))[0] for i in range(0, len(field), 16)]
+    return np.array(values, dtype=np.float64)
 
 
 def read_detections_oracle(fp) -> tuple[int, dict[int, list[Detection]]]:
     """Parse a detection file; returns (dim, frame -> detections)."""
     header = fp.readline().strip()
-    if not header.startswith(DET_HEADER_PREFIX):
+    if header.startswith("# embedtrack-detections v1 "):
+        raise FormatError("line 1: this is a v1 detection file, which is no longer read; "
+                          "regenerate it with `embedtrack synth`")
+    if not header.startswith(_DET_HEADER):
         raise FormatError("line 1: missing or invalid detection-file header")
     try:
-        dim = int(header[len(DET_HEADER_PREFIX):])
+        dim = int(header[len(_DET_HEADER):])
     except ValueError:
         raise FormatError("line 1: invalid dimension in header") from None
     if dim < 1:
@@ -1225,17 +1245,14 @@ def read_detections_oracle(fp) -> tuple[int, dict[int, list[Detection]]]:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 7 + dim:
-            raise FormatError(
-                f"line {lineno}: expected {7 + dim} fields, got {len(parts)}"
-            )
+        if len(parts) != 8:
+            raise FormatError(f"line {lineno}: expected 8 fields, got {len(parts)}")
         try:
             frame = int(parts[0])
             class_id = int(parts[1])
             score = float(parts[2])
             box = BoundingBox(*(float(p) for p in parts[3:7]))
-            emb = np.array([float(p) for p in parts[7:]], dtype=np.float64)
-            det = Detection(box, class_id, score, emb)
+            det = Detection(box, class_id, score, _embedding_oracle(parts[7], dim))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
         if last_frame is not None and frame < last_frame:

@@ -65,7 +65,7 @@ def scenario_files(tmp_path):
 class TestSynthCommand:
     def test_writes_both_files(self, scenario_files):
         det, gt, _ = scenario_files
-        assert det.read_text().startswith("# embedtrack-detections v1 dim=8")
+        assert det.read_text().startswith("# embedtrack-detections v2 dim=8")
         assert len(gt.read_text().splitlines()) == 4 * 12
 
     def test_unknown_world_key_is_data_error(self, tmp_path):
@@ -426,7 +426,8 @@ class TestUsageErrors:
 # sha256 of what the CLI writes on two worlds: the synth detection and
 # ground-truth files, the track file of no profile and of each profile, and
 # eval --machine's stdout on that track file. A change that moves one byte
-# of synth, track or eval output on these worlds fails here.
+# of synth, track or eval output on these worlds fails here. The detection
+# digests are of format v2 files.
 _DEFAULT_TRACK = ("fbefdcf2cde4997d80821e5b473e9cdc8cea998d94b650c701ca63fb3827cea4",
                   "7b39f229702f8166e9465b435c315177a1875958a99a762054512ad408800044")
 _NOISY_FULL = ("265f6084c0368693271ab7c4034fb7f38aae0ae1451dceaf079db37242db8c91",
@@ -435,11 +436,11 @@ _NOISY_GATED = ("479543c95eead451a584d998a943c323e46999a6ad44b49e513bf22a218439b
                 "aa91e68b01c74ed270b946593332eb63f5dbeda5a3be510ff228cd80e6ba5566")
 DIGESTS = {
     # synth --seed 0, the default world
-    "default": (0, None, "de6eef529b7e7a12e658e0ce566f22c1d9a1ad19cfdd36eed89086e2261b41b3",
+    "default": (0, None, "7c7040bcfee590aa6680ad04880899bdad2b7041cbc4e83ac5c5f946c4c96406",
                 "685878dd6351885a9105625ddc0658b99e270fba486857c647678cce59e7c58b",
                 dict.fromkeys([None, *PROFILE_NAMES], _DEFAULT_TRACK)),
     # standard_noisy_world(3) as a --config document, synth --seed 3
-    "noisy": (3, standard_noisy_world(3), "d9fbc60cc0aeef1b17bc5a675cf070b24ddb96ca0ae47b4911f13a19e377708c",
+    "noisy": (3, standard_noisy_world(3), "bbe2d84be772651a69d7c0411ed92b897c5f368be0212749a87caf9736a0560f",
               "1b80793939cf93b829513103d45f5f1c5aca323586709045aba684e4d8af640d", {
                   None: _NOISY_FULL, "bdd100k": _NOISY_FULL,
                   "mot17": _NOISY_GATED, "mot20": _NOISY_GATED,

@@ -1,8 +1,10 @@
 import dataclasses
 import gc
 import io
+import math
 import os
 import stat
+import struct
 import tracemalloc
 from unittest import mock
 
@@ -28,6 +30,19 @@ from embedtrack.tracker import Detection
 from oracles import read_detections_oracle, write_detections_oracle
 
 
+def row(frame, cls="0", score="0.5", box=("0", "0", "1", "1"), emb=(0.25, -1.5), sep=" "):
+    """One detection row; ``emb`` holds the values to hex-encode, or as a
+    str the embedding field itself."""
+    if not isinstance(emb, str):
+        emb = struct.pack(f"<{len(emb)}d", *emb).hex()
+    return sep.join([str(frame), cls, score, *box, emb]) + "\n"
+
+
+HEADER1 = "# embedtrack-detections v2 dim=1\n"
+HEADER2 = "# embedtrack-detections v2 dim=2\n"
+EMB2 = row(0).split()[7]  # the default embedding field: 32 digits, some of them a-f
+
+
 class TestDetectionFiles:
     def test_round_trip_exact(self):
         s = generate(WorldConfig(n_identities=3, n_frames=5, dim=8,
@@ -51,43 +66,48 @@ class TestDetectionFiles:
 
     def test_bad_header_dimension(self):
         with pytest.raises(FormatError, match="line 1"):
-            read_detections(io.StringIO("# embedtrack-detections v1 dim=abc\n"))
+            read_detections(io.StringIO("# embedtrack-detections v2 dim=abc\n"))
 
     @pytest.mark.parametrize("dim", [0, -2])
     def test_header_dimension_below_one_rejected(self, dim):
         # a file of empty embeddings would track by boxes alone
-        text = f"# embedtrack-detections v1 dim={dim}\n0 0 0.5 0 0 1 1\n"
+        text = f"# embedtrack-detections v2 dim={dim}\n" + row(0, emb=())
         with pytest.raises(FormatError, match="line 1: invalid dimension in header"):
             read_detections(io.StringIO(text))
 
     def test_field_count_mismatch_names_line(self):
-        text = "# embedtrack-detections v1 dim=2\n0 0 0.5 0 0 1 1 0.1\n"
-        with pytest.raises(FormatError, match="line 2: expected 9 fields, got 8"):
+        text = HEADER2 + row(0, emb=())
+        with pytest.raises(FormatError, match="line 2: expected 8 fields, got 7"):
             read_detections(io.StringIO(text))
 
     def test_decreasing_frames_rejected(self):
-        text = (
-            "# embedtrack-detections v1 dim=1\n"
-            "1 0 0.5 0 0 1 1 0.1\n"
-            "0 0 0.5 0 0 1 1 0.1\n"
-        )
+        text = HEADER1 + row(1, emb=(0.1,)) + row(0, emb=(0.1,))
         with pytest.raises(FormatError, match="line 3.*non-decreasing"):
             read_detections(io.StringIO(text))
 
     def test_invalid_score_wrapped_with_line(self):
-        text = "# embedtrack-detections v1 dim=1\n0 0 1.7 0 0 1 1 0.1\n"
+        text = HEADER1 + row(0, score="1.7", emb=(0.1,))
         with pytest.raises(FormatError, match="line 2"):
             read_detections(io.StringIO(text))
 
     def test_comments_and_blank_lines_ignored(self):
-        text = (
-            "# embedtrack-detections v1 dim=1\n"
-            "\n"
-            "# a comment\n"
-            "0 0 0.5 0 0 1 1 0.1\n"
-        )
+        text = HEADER1 + "\n" + "# a comment\n" + row(0, emb=(0.1,))
         _, frames = read_detections(io.StringIO(text))
         assert len(frames[0]) == 1
+
+    def test_v1_file_refused_at_its_header(self):
+        text = "# embedtrack-detections v1 dim=2\n0 0 0.5 0 0 1 1 0.25 -1.5\n"
+        with pytest.raises(FormatError) as exc:
+            read_detections(io.StringIO(text))
+        assert str(exc.value) == ("line 1: this is a v1 detection file, which is no longer read; "
+                                  "regenerate it with `embedtrack synth`")
+        assert_same_reads(text)
+
+    def test_embedding_field_is_the_hex_of_little_endian_float64(self):
+        d = Detection(BoundingBox(0, 0, 1, 1), 0, 0.5, np.array([1.0, -2.0]))
+        buf = io.StringIO()
+        write_detections(buf, {0: [d]}, 2)
+        assert buf.getvalue().splitlines()[1].split()[7] == "000000000000f03f" + "00000000000000c0"
 
     def test_dimension_mismatch_on_write(self):
         d = Detection(BoundingBox(0, 0, 1, 1), 0, 0.5, np.ones(3))
@@ -134,12 +154,6 @@ def assert_same_reads(text: str):
     return kind, want
 
 
-def row(frame, cls="0", score="0.5", box=("0", "0", "1", "1"), emb=("0.25", "-1.5"), sep=" "):
-    return sep.join([str(frame), cls, score, *box, *emb]) + "\n"
-
-
-HEADER2 = "# embedtrack-detections v1 dim=2\n"
-
 # token spellings that Python's int()/float() and numpy's parser may treat
 # differently; the reader must follow int()/float()
 _int_token = st.sampled_from(["{}", "+{}", "0{}", "{}.0", "{}e0", "{}_0", "\uff13", "x{}"])
@@ -148,6 +162,18 @@ _float_token = st.sampled_from([
     ".5", "5.", "0x1p-1", "{!r}x", "\uff10.\uff15",
 ])
 _sep = st.sampled_from([" ", " ", "\t", "  ", " \t ", "\x0b", "\xa0"])
+# malformed spellings of an embedding field; the reader must refuse each
+# the way the line oracle does
+_emb_token = st.sampled_from([
+    lambda h: h[:-1],  # an odd digit count
+    lambda h: h[:-16],  # a value too few
+    lambda h: h + h[:16],  # a value too many
+    lambda h: "g" + h[1:],
+    lambda h: h[:-1] + "\uff10",
+    lambda h: h.upper(),
+    lambda h: struct.pack("<d", math.nan).hex() + h[16:],
+    lambda h: h[:-16] + struct.pack("<d", -math.inf).hex(),
+])
 
 
 @st.composite
@@ -165,13 +191,15 @@ def detection_lines(draw, dim):
     reals = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n, max_size=n))
     score = draw(st.floats(0.0, 1.0))
     x1, y1, w, h = reals[0], reals[1], abs(reals[2]), draw(st.floats(0.0, 50.0))
-    tokens = [None, str(draw(st.integers(0, 3))), repr(score), repr(x1), repr(y1), repr(x1 + w), repr(y1 + h)]
-    # a header dim below 0 declares fewer than the 7 leading fields
-    tokens = (tokens + [repr(v) for v in reals[3:]])[:7 + dim]
+    tokens = [None, str(draw(st.integers(0, 3))), repr(score), repr(x1), repr(y1), repr(x1 + w), repr(y1 + h),
+              struct.pack(f"<{n - 3}d", *reals[3:]).hex()]
     if kind == "odd":
-        col = draw(st.integers(1, len(tokens) - 1))
-        spelling = draw(_int_token if col == 1 else _float_token)
-        tokens[col] = spelling.format(abs(int(float(tokens[col]))) if col == 1 else float(tokens[col]))
+        col = draw(st.integers(1, 7))
+        if col == 7:
+            tokens[7] = draw(_emb_token)(tokens[7])
+        else:
+            spelling = draw(_int_token if col == 1 else _float_token)
+            tokens[col] = spelling.format(abs(int(float(tokens[col]))) if col == 1 else float(tokens[col]))
     elif kind == "count":
         tokens = tokens[:-1] if draw(st.booleans()) else tokens + ["0.5"]
     return tokens, step
@@ -181,7 +209,7 @@ def detection_lines(draw, dim):
 def detection_files(draw):
     dim = draw(st.integers(-1, 3))
     frame = draw(st.integers(0, 5))
-    out = [f"# embedtrack-detections v1 dim={dim}\n"]
+    out = [f"# embedtrack-detections v2 dim={dim}\n"]
     for tokens, step in draw(st.lists(detection_lines(dim), max_size=30)):
         if isinstance(tokens, str):
             out.append(tokens)
@@ -216,9 +244,10 @@ class TestChunkedReader:
         "  " + row(32, sep="   ").replace("0.5", "0.5\t \t"),
         row(32, score="+0.5", box=("+3", "0", "4", "1")),
         row("+32", cls="+1"),
-        row(32, cls="3_0", emb=("3_0.5", "-1_5.0")),
+        row(32, cls="3_0", box=("1_0.5", "0", "2_0.5", "1")),
         row("３２", cls="\uff11"),
-        row(32, emb=("0.1", "1e-400")),
+        row(32, box=("0", "1e-400", "1", "1")),
+        row(32, emb=(-0.0, 5e-324)),
     ])
     @pytest.mark.parametrize("at", [CHUNK_LINES - 1, CHUNK_LINES])
     def test_accepted_spellings_at_chunk_boundary(self, special, at):
@@ -228,18 +257,26 @@ class TestChunkedReader:
         assert sum(map(len, frames.values())) == CHUNK_LINES + 8 - (not rows)
 
     @pytest.mark.parametrize("special, message", [
-        (row(32, emb=("1e999", "0")), "detection embedding contains non-finite values"),
+        (row(32, emb=(math.inf, 0.0)), "detection embedding contains non-finite values"),
+        (row(32, emb=(0.0, -math.inf)), "detection embedding contains non-finite values"),
+        (row(32, emb=(math.nan, 0.0)), "detection embedding contains non-finite values"),
         (row(32, score="nan"), "detection score must be in [0, 1], got nan"),
         (row(32, score="1.5"), "detection score must be in [0, 1], got 1.5"),
-        (row(32, emb=("0.1",)), "expected 9 fields, got 8"),
-        (row(32, emb=("0.1", "0.2", "0.3")), "expected 9 fields, got 10"),
+        (row(32, emb=()), "expected 8 fields, got 7"),
+        (row(32, emb=EMB2[:16] + " " + EMB2[16:]), "expected 8 fields, got 9"),
         (row(32, box=("0", "0", "-1", "1")), "box has negative extent: BoundingBox(x1=0.0, y1=0.0, x2=-1.0, y2=1.0)"),
         (row(32, box=("0", "nan", "1", "1")), "box coordinates must be finite"),
         (row(32, cls="3.0"), "invalid literal for int() with base 10: '3.0'"),
         (row("1e2"), "invalid literal for int() with base 10: '1e2'"),
-        (row(32, emb=("0.1", "0x1p-1")), "could not convert string to float: '0x1p-1'"),
-        (row(32) .replace("\n", " # note\n"), "expected 9 fields, got 11"),
+        (row(32, box=("0", "0", "0x1p-1", "1")), "could not convert string to float: '0x1p-1'"),
+        (row(32) .replace("\n", " # note\n"), "expected 8 fields, got 10"),
         (row(30), "frame indices must be non-decreasing"),
+        (row(32, emb=EMB2[:-1]), "embedding field has 31 characters, expected 32 hex digits"),
+        (row(32, emb=EMB2[:16]), "embedding field has 16 characters, expected 32 hex digits"),
+        (row(32, emb=EMB2 + EMB2[:16]), "embedding field has 48 characters, expected 32 hex digits"),
+        (row(32, emb=EMB2[:-1] + "g"), "embedding field holds a character other than 0-9 and a-f"),
+        (row(32, emb=EMB2[:-1] + "\uff10"), "embedding field holds a character other than 0-9 and a-f"),
+        (row(32, emb=EMB2.upper()), "embedding field holds a character other than 0-9 and a-f"),
     ])
     @pytest.mark.parametrize("at", [CHUNK_LINES - 1, CHUNK_LINES])
     def test_rejections_name_the_line(self, special, message, at):
@@ -275,18 +312,19 @@ class TestChunkedReader:
         """Reading a file of about ten chunks must not hold the whole text
         or a whole-file array: the tracemalloc peak stays within 1.5x of
         what the reader returns. The line-by-line reader this replaced
-        peaked at 1.002x on this file."""
+        peaked at 1.002x on this file, and this one at 1.10x."""
         rng = np.random.default_rng(0)
         n, dim = 20_000, 16
         frames = np.sort(rng.integers(0, n // 50, n))
         xy = rng.uniform(0, 1000, (n, 2))
         wh = rng.uniform(1, 100, (n, 2))
-        reals = np.column_stack([rng.uniform(size=n), xy, xy + wh, rng.normal(size=(n, dim))])
+        reals = np.column_stack([rng.uniform(size=n), xy, xy + wh])
+        emb = rng.normal(size=(n, dim))
         path = tmp_path / "dets.txt"
         with open(path, "w") as fp:
-            fp.write(f"# embedtrack-detections v1 dim={dim}\n")
-            for f, r in zip(frames.tolist(), reals.tolist()):
-                fp.write(f"{f} {f % 3} " + " ".join(map(repr, r)) + "\n")
+            fp.write(f"# embedtrack-detections v2 dim={dim}\n")
+            for f, r, e in zip(frames.tolist(), reals.tolist(), emb):
+                fp.write(f"{f} {f % 3} " + " ".join(map(repr, r)) + " " + e.astype("<f8").tobytes().hex() + "\n")
         gc.collect()
         tracemalloc.start()
         try:
@@ -300,7 +338,47 @@ class TestChunkedReader:
         assert peak - base <= 1.5 * (retained - base)
 
 
+# -0.0, subnormals and values near the float64 range, beside any finite float
+_exact_floats = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e300, -1e300,
+                     1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def exact_frames(draw):
+    dim = draw(st.integers(1, 4))
+    frames = {}
+    for f in draw(st.sets(st.integers(0, 9), max_size=4)):
+        frames[f] = []
+        for _ in range(draw(st.integers(0, 3))):
+            x1, y1 = draw(_exact_floats), draw(_exact_floats)
+            box = BoundingBox(x1, y1, x1 + draw(st.floats(0, 1e3)), y1 + draw(st.floats(0, 1e3)))
+            if not all(map(math.isfinite, (box.x2, box.y2))):
+                continue
+            emb = np.array(draw(st.lists(_exact_floats, min_size=dim, max_size=dim)))
+            frames[f].append(Detection(box, draw(st.integers(0, 3)), draw(st.floats(0, 1)), emb))
+    return dim, frames
+
+
 class TestDetectionWriter:
+    @given(exact_frames())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_is_bit_exact(self, case):
+        dim, frames = case
+        got, want = io.StringIO(), io.StringIO()
+        write_detections(got, frames, dim)
+        write_detections_oracle(want, frames, dim)
+        assert got.getvalue() == want.getvalue()
+        _, (_, back) = assert_same_reads(got.getvalue())
+        assert {f: len(v) for f, v in back.items()} == {f: len(v) for f, v in frames.items() if v}
+        def bits(d):
+            b = d.box
+            return d.class_id, struct.pack("<5d", d.score, b.x1, b.y1, b.x2, b.y2), d.embedding.tobytes()
+
+        for f, dets in back.items():
+            assert list(map(bits, dets)) == list(map(bits, frames[f]))
+
     def test_matches_the_per_float_writer_byte_for_byte(self):
         box = BoundingBox(np.int64(0), 2, np.float32(10.5), np.float64(20.25))
         dets = {
@@ -313,7 +391,9 @@ class TestDetectionWriter:
         write_detections(got, dets, 4)
         write_detections_oracle(want, dets, 4)
         assert got.getvalue() == want.getvalue()
-        assert got.getvalue().splitlines()[1].startswith("0 0 0.1 0.0 0.0 1.0 1.0 1e-300 -0.0 1e+300")
+        assert got.getvalue().splitlines()[1] == (
+            "0 0 0.1 0.0 0.0 1.0 1.0 " + struct.pack("<4d", 1e-300, -0.0, 1e300, 1 / 3).hex())
+
 
 
 class TestMotFiles:
