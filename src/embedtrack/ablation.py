@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -141,10 +142,18 @@ SWEEP_KEYS = {
     "baseline": ("appearance", "iou"),
 }
 
-ABLATION_COLUMNS = [
-    "metric", "backdrops", "duplicate_removal", "loss", "subsample",
-    "baseline", "seed", "mota", "idf1", "hota", "idsw", "nn_acc",
-]
+ABLATION_COLUMNS = [*SWEEP_KEYS, "seed", "mota", "idf1", "hota", "idsw", "nn_acc"]
+
+# A row runs each key it does not sweep at the key's first value; the first
+# positive integer is 1, and an unswept loss trains nothing.
+_FIRST_VALUES = {key: values[0] if values else "1" for key, values in SWEEP_KEYS.items()}
+
+# the synth_tracker_config fields that each tracker arm sets
+_CONFIG_ARMS = {
+    ("metric", "cosine"): {"similarity_metric": "cosine"},
+    ("backdrops", "off"): {"backdrop_frames": 0},
+    ("duplicate_removal", "off"): {"nms_threshold": 1.0},  # no IoU exceeds 1.0: NMS keeps every box
+}
 
 
 def parse_sweep(spec: str) -> dict[str, list[str]]:
@@ -220,55 +229,28 @@ def _loss_trained_prototypes(world: WorldConfig, variant: str, seed: int) -> tup
 
 
 def _run_row(world: WorldConfig, assignment: dict[str, str], seed: int) -> dict:
-    row = {k: assignment.get(k, "-") for k in SWEEP_KEYS}
-    row["seed"] = seed
+    """One CSV row: the assignment's arms on the world drawn from ``seed``."""
+    settings = _FIRST_VALUES | assignment
     w = replace(world, seed=seed)
-    nn_acc = ""
-
-    prototypes = None
+    prototypes, nn_acc = None, ""
     if "loss" in assignment:
         w = replace(w, n_distractors=0, min_margin=0.0)
         prototypes, acc = _loss_trained_prototypes(w, assignment["loss"], seed)
         nn_acc = f"{acc:.6f}"
-    scenario = generate(w, prototypes=prototypes)
-
-    k_sub = int(assignment.get("subsample", "1"))
-    if k_sub > 1:
-        scenario = subsample(scenario, k_sub)
-
-    if assignment.get("baseline", "appearance") == "iou":
+    scenario = subsample(generate(w, prototypes=prototypes), int(settings["subsample"]))
+    if settings["baseline"] == "iou":
         pred = iou_baseline_track(scenario)
     else:
-        cfg = synth_tracker_config(
-            similarity_metric=assignment.get("metric", "bisoftmax"),
-            backdrop_frames=1 if assignment.get("backdrops", "on") == "on" else 0,
-        )
-        if assignment.get("duplicate_removal", "on") == "off":
-            cfg = replace(cfg, nms_threshold=1.0)  # no IoU exceeds 1.0: NMS keeps every box
-        pred = run_sequence(scenario.detections, cfg)
-
-    report = per_class_report(scenario.gt, pred)
-    agg = report.aggregate
-    row.update(
-        mota=f"{agg.mota:.6f}",
-        idf1=f"{agg.idf1:.6f}",
-        hota=f"{agg.hota:.6f}",
-        idsw=str(agg.idsw),
-        nn_acc=nn_acc,
-    )
-    return row
+        fields = {f: v for item in settings.items() for f, v in _CONFIG_ARMS.get(item, {}).items()}
+        pred = run_sequence(scenario.detections, synth_tracker_config(**fields))
+    agg = per_class_report(scenario.gt, pred).aggregate
+    return {**{k: assignment.get(k, "-") for k in SWEEP_KEYS}, "seed": seed, "mota": f"{agg.mota:.6f}",
+            "idf1": f"{agg.idf1:.6f}", "hota": f"{agg.hota:.6f}", "idsw": str(agg.idsw), "nn_acc": nn_acc}
 
 
-def run_ablation(
-    sweep: dict[str, list[str]],
-    seeds: list[int],
-    world: WorldConfig | None = None,
-) -> list[dict]:
+def run_ablation(sweep: dict[str, list[str]], seeds: list[int], world: WorldConfig | None = None) -> list[dict]:
     """One result row per sweep-combination per seed, in deterministic
     order (cartesian product of the sweep values, then seeds)."""
     world = world or standard_noisy_world()
-    keys = list(sweep)
-    combos: list[dict[str, str]] = [{}]
-    for key in keys:
-        combos = [dict(c, **{key: v}) for c in combos for v in sweep[key]]
-    return [_run_row(world, combo, seed) for combo in combos for seed in seeds]
+    return [_run_row(world, dict(zip(sweep, combo)), seed)
+            for combo in product(*sweep.values()) for seed in seeds]

@@ -47,8 +47,7 @@ How the work is shared:
   likewise), a pair then alone in its row and its column is taken, and the
   solver runs on the rest, compacted to its rows and columns.
 - CLEAR and HOTA choose which pairs match, so they solve the full cost
-  matrix, except that a CLEAR matching whose admissible pairs already form
-  a matching is read off without a solver call; it is the unique optimum.
+  matrix of every cell, CLEAR of what its carry-over leaves.
 - Every solve goes through ``linear_sum_assignment`` below, the one solver
   entry, which tests and the benchmark's tracer replace. It imports scipy's
   solver at its first call, so tracking, synthesis and training never load
@@ -158,7 +157,7 @@ class HotaResult:
     detpr: float
     assre: float
     asspr: float
-    # per alpha in HOTA_ALPHAS, for count-sum aggregation across classes
+    # per alpha in HOTA_ALPHAS, as hota() reports them
     tp: list[int]
     fn: list[int]
     fp: list[int]
@@ -177,13 +176,8 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _match(overlaps: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Optimal bipartite matching among pairs with IoU >= threshold,
-    maximizing total IoU. Returns (gt rows, pred columns) in row order.
-    When every row and every column has at most one admissible pair, those
-    pairs are the unique optimum and are returned without a solver call.
-    """
+    maximizing total IoU. Returns (gt rows, pred columns) in row order."""
     admissible = overlaps >= threshold
-    if (admissible.sum(axis=0) <= 1).all() and (admissible.sum(axis=1) <= 1).all():
-        return np.nonzero(admissible)
     rows, cols = linear_sum_assignment(np.where(admissible, -overlaps, 0.0))
     keep = admissible[rows, cols]
     return rows[keep], cols[keep]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrackerConfig
-# center_distance, masked_bisoftmax and validate_embeddings go uncalled here but stay:
-# perfbench's tracer wraps the names this module holds, and each one must exist.
+# center_distance and masked_bisoftmax go uncalled here but stay: perfbench's
+# tracer wraps the names this module holds, and each one must exist.
 from .geometry import BoundingBox, box_array, boxes_from_array, centers_within, nms
 from .geometry import center_distance  # noqa: F401
 from .metrics import ObjectEntry, TrackSet

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from embedtrack.ablation import (
+    _CONFIG_ARMS,
     ABLATION_COLUMNS,
+    SWEEP_KEYS,
     gradient_check,
     parse_sweep,
     random_batch,
@@ -12,7 +16,7 @@ from embedtrack.ablation import (
 )
 from embedtrack.metrics import per_class_report
 from embedtrack.synth import WorldConfig, generate, iou_baseline_track, subsample
-from embedtrack.tracker import run_sequence
+from embedtrack.tracker import TrackerConfig, run_sequence
 
 
 class TestParseSweep:
@@ -45,6 +49,16 @@ class TestParseSweep:
     def test_empty_spec(self):
         with pytest.raises(ValueError, match="empty sweep"):
             parse_sweep("   ")
+
+
+def test_every_config_arm_names_a_later_value_of_a_key_and_tracker_fields():
+    # a mistyped key or value in the table would never apply; a key's first
+    # value is what a row runs when it does not sweep the key
+    fields = {f.name for f in dataclasses.fields(TrackerConfig)}
+    for (key, value), arm in _CONFIG_ARMS.items():
+        assert key in SWEEP_KEYS and value in (SWEEP_KEYS[key] or ())[1:], (key, value)
+        assert arm and set(arm) <= fields, (key, value)
+        synth_tracker_config(**arm)
 
 
 class TestRandomBatch:

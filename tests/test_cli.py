@@ -479,3 +479,28 @@ def test_cli_outputs_keep_their_digests(world, tmp_path, capsys):
         assert main(["eval", "--gt", str(gt), "--pred", str(pred), "--machine"]) == EXIT_OK
         got[profile] = (sha(pred.read_bytes()), sha(capsys.readouterr().out.encode()))
     assert got == tracks
+
+
+# sha256 of ablate's CSV for one seed of a small crowded world, per sweep;
+# together the sweeps set every key and one loss, and each arm moves a score
+_ABLATE_WORLD = {"n_identities": 5, "n_frames": 12, "dim": 8, "image_size": [200.0, 200.0],
+                 "fp_rate": 0.3, "speed": 5.0}
+ABLATE_DIGESTS = {
+    "metric=bisoftmax,cosine backdrops=on,off":
+        "a729dfc931a169c17e8394cd68f26d336077c41f100a69848024a32ef854170d",
+    "duplicate_removal=on,off subsample=1,2":
+        "0738977cfbedd948b60db6415d9b9cbec16d666f6fb1d9a6ed62f0b2ce96a60a",
+    "baseline=appearance,iou":
+        "d1530bb396fb5d7f8323e2bdedafbf5993ab3b747b453fe93d7d1dc7a65067e6",
+    "loss=accumulated_multi metric=bisoftmax,cosine":
+        "8016ad4f5881822eb76f3a470583414cf4b10ef1ffd140f7ae4b8b24f645c940",
+}
+
+
+@pytest.mark.parametrize("sweep", ABLATE_DIGESTS)
+def test_ablate_output_keeps_its_digest(sweep, tmp_path):
+    world, out = tmp_path / "world.json", tmp_path / "ablation.csv"
+    world.write_text(json.dumps(_ABLATE_WORLD))
+    assert main(["ablate", "--sweep", sweep, "--seeds", "0", "--config", str(world),
+                 "--output", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ABLATE_DIGESTS[sweep]

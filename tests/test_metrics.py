@@ -165,6 +165,17 @@ class TestClearMotKnownValues:
         assert r.idsw == 0
         assert r.fp == 1
 
+    def test_carried_pair_at_exactly_the_threshold_is_kept(self):
+        # IoU 0.5 is admissible at threshold 0.5, so the carried pair beats
+        # the newcomer at 0.9
+        a = box(0, 0)
+        gt, pred = make_sets(
+            [(0, 1, a), (1, 1, a)],
+            [(0, 7, a), (1, 7, BoundingBox(0, 0, 10, 5)), (1, 8, BoundingBox(0, 0, 10, 9))],
+        )
+        r = clear_mot(gt, pred)
+        assert (r.idsw, r.fp) == (0, 1)
+
     def test_empty_ground_truth_rejected(self):
         gt, pred = TrackSet(), TrackSet()
         pred.add(0, ObjectEntry(1, 0, box(0, 0)))
@@ -241,6 +252,14 @@ class TestHotaKnownValues:
         r = hota(gt, pred)
         assert r.deta == 1.0
         assert r.assa == pytest.approx(0.5, abs=1e-12)
+
+    def test_iou_one_ulp_below_an_alpha_counts_at_that_alpha(self, monkeypatch):
+        # TrackEval keeps a match with IoU >= alpha - eps
+        below = np.nextafter(0.5, 0.0)
+        monkeypatch.setattr(metrics, "iou_matrix", lambda a, b: np.full((len(a), len(b)), below))
+        gt, pred = make_sets([(0, 1, box(0, 0))], [(0, 2, box(0, 0))])
+        tp = dict(zip(HOTA_ALPHAS, hota(gt, pred).tp))
+        assert (tp[0.5], tp[0.55]) == (1, 0)
 
 
 class TestOracleEquivalence:
@@ -371,9 +390,9 @@ def matching_cases(draw):
     return overlaps, threshold
 
 
-class TestMatchShortcut:
-    """metrics._match reads a matching off directly when the admissible
-    pairs already form one; that must be exactly the solver's answer."""
+class TestMatch:
+    """metrics._match is the solver's matching on the full cost matrix, cut
+    to the admissible pairs."""
 
     @given(iou_matrices(), _thresholds)
     def test_equals_solver_on_random_matrices(self, overlaps, threshold):
@@ -383,16 +402,13 @@ class TestMatchShortcut:
         assert [x.tolist() for x in separate_match(overlaps, threshold)] == [rows.tolist(), cols.tolist()]
 
     @given(matching_cases())
-    def test_matching_graph_skips_the_solver(self, case):
+    def test_matching_graph_gives_its_admissible_pairs(self, case):
+        # every admissible IoU is above 0, so the optimum takes each admissible pair, in row order
         overlaps, threshold = case
+        rows, cols = metrics._match(overlaps, threshold)
         want = solver_matching(overlaps, threshold)
-        original = metrics.linear_sum_assignment
-        metrics.linear_sum_assignment = None  # any solver call fails
-        try:
-            rows, cols = metrics._match(overlaps, threshold)
-        finally:
-            metrics.linear_sum_assignment = original
         assert (rows.tolist(), cols.tolist()) == want
+        assert want == tuple(x.tolist() for x in np.nonzero(overlaps >= threshold))
 
     @given(_iou_values)
     def test_single_pair_at_threshold_zero(self, value):

@@ -78,7 +78,7 @@ DEFAULTED = 79
 
 # the lines of src/embedtrack/*.py, as wc -l counts them; a change that
 # moves this number states its line delta
-SRC_LINES = 3209
+SRC_LINES = 3185
 
 
 @pytest.mark.parametrize("name", MODULES)

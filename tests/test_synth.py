@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embedtrack.ablation import standard_noisy_world
-from embedtrack.metrics import per_class_report
+from embedtrack.geometry import BoundingBox
+from embedtrack.metrics import TrackSet, per_class_report
 from embedtrack.synth import (
     _DISTRACTOR_SCORE_RANGE,
     _FP_SCORE_RANGE,
     _SCORE_RANGE,
     _TAU,
+    Scenario,
     WorldConfig,
     generate,
     iou_baseline_track,
@@ -22,7 +24,7 @@ from embedtrack.synth import (
     place_prototypes,
     subsample,
 )
-from embedtrack.tracker import run_sequence
+from embedtrack.tracker import Detection, run_sequence
 from oracles import generate_oracle, place_prototypes_oracle
 
 
@@ -538,6 +540,16 @@ class TestReferenceTrackers:
         s = generate(small_world(speed=1.0, n_frames=30))
         rep = per_class_report(s.gt, iou_baseline_track(s))
         assert rep.aggregate.idf1 > 0.95
+
+    @pytest.mark.parametrize("y2,n_ids", [(3.0, 1), (2.8, 2)])
+    def test_iou_baseline_matches_at_iou_three_tenths(self, y2, n_ids):
+        # [0,0,10,3] overlaps [0,0,10,10] at IoU exactly 0.3, [0,0,10,2.8] at 0.28
+        emb = np.ones(4)
+        dets = {0: [Detection(BoundingBox(0, 0, 10, 10), 0, 0.9, emb)],
+                1: [Detection(BoundingBox(0, 0, 10, y2), 0, 0.9, emb)]}
+        s = Scenario(TrackSet(), dets, {}, np.zeros((1, 4)), WorldConfig(dim=4))
+        pred = iou_baseline_track(s)
+        assert len({e.obj_id for es in pred.frames.values() for e in es}) == n_ids
 
     def test_iou_baseline_fragments_under_subsampling(self):
         s = generate(small_world(speed=4.0, n_frames=120))
