@@ -158,7 +158,7 @@ _CONFIG_ARMS = {
 
 def parse_sweep(spec: str) -> dict[str, list[str]]:
     """Parse "key=v1,v2 key2=v3" into an ordered sweep dict, validating
-    keys and values before any run."""
+    keys and values before any run; a repeated key or value is refused."""
     sweep: dict[str, list[str]] = {}
     for token in spec.split():
         if "=" not in token:
@@ -166,15 +166,20 @@ def parse_sweep(spec: str) -> dict[str, list[str]]:
         key, _, values = token.partition("=")
         if key not in SWEEP_KEYS:
             raise ValueError(f"unknown sweep key {key!r}; known: {sorted(SWEEP_KEYS)}")
+        if key in sweep:
+            raise ValueError(f"sweep key {key!r} given twice")
         vals = [v for v in values.split(",") if v]
         if not vals:
             raise ValueError(f"sweep key {key!r} has no values")
         allowed = SWEEP_KEYS[key]
-        for val in vals:
+        same = str if allowed else int  # subsample 01 is subsample 1
+        for i, val in enumerate(vals):
             if allowed is not None and val not in allowed:
                 raise ValueError(f"invalid value {val!r} for sweep key {key!r}")
             if allowed is None and (not val.isdigit() or int(val) < 1):
                 raise ValueError(f"sweep key {key!r} takes positive integers, got {val!r}")
+            if same(val) in map(same, vals[:i]):
+                raise ValueError(f"sweep key {key!r} repeats value {val!r}")
         sweep[key] = vals
     if not sweep:
         raise ValueError("empty sweep specification")

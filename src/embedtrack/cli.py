@@ -150,8 +150,8 @@ def cmd_synth(args) -> int:
 
 def cmd_ablate(args) -> int:
     sweep = ablation.parse_sweep(args.sweep)
-    if not args.seeds:
-        raise CliError("at least one seed required", EXIT_USAGE)
+    if not args.seeds or len(set(args.seeds)) < len(args.seeds):  # a repeated seed would repeat its rows
+        raise CliError(f"--seeds takes one or more distinct seeds, got {','.join(map(str, args.seeds))!r}", EXIT_USAGE)
     world = None
     if args.config:  # each run is seeded from --seeds, whatever seed the document names
         with open(args.config) as fp:

@@ -36,12 +36,12 @@ How the work is shared:
 - CLEAR matches the whole cell when no gt box in it has a previous match.
 - The identity store keeps each cell's non-zero IoUs, their shares of
   HOTA's alignment sums and their pair keys (gt index * number of pred ids
-  + pred index), and nothing for a pair that never overlaps: sums and
-  counts live on the sorted overlapping pairs, and each pair's shares are
-  added frame by frame, to the bits of a dense accumulation. IDF1 counts,
-  per pair, the kept IoUs at or above its threshold (every threshold is
-  above 0); HOTA matches each cell and counts the TPs and association
-  terms per pair and alpha, as TrackEval does.
+  + pred index); a pair or a cell that never overlaps keeps nothing. Sums
+  and counts on the sorted overlapping pairs are one bincount each, in
+  cell order, to the bits of a dense accumulation. IDF1 counts, per pair,
+  the kept IoUs at or above its threshold (every threshold is above 0);
+  HOTA matches each kept cell, reads its matches from the kept entries,
+  and counts TPs and association terms per pair and alpha, as TrackEval does.
 - IDF1 needs only the largest total, which every optimum shares: each gt
   id keeps the best of the pred ids that only it scores (and each pred id
   likewise), a pair then alone in its row and its column is taken, and the
@@ -84,8 +84,6 @@ HOTA_ALPHAS = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 _EPS = np.finfo(np.float64).eps
 _ALPHA_FLOORS = np.array(HOTA_ALPHAS) - _EPS  # TrackEval keeps matches with IoU >= alpha - eps
-# column m sums levels 0..m of a row of per-level counts
-_SUM_FROM_LEFT = np.triu(np.ones((len(HOTA_ALPHAS) + 1, len(HOTA_ALPHAS))))
 _obj_id = attrgetter("obj_id")
 _class_id = attrgetter("class_id")
 _box = attrgetter("box")
@@ -371,24 +369,28 @@ class _Ids:
 
     def add(self, k: int, gi: np.ndarray, pi: np.ndarray, ious: np.ndarray) -> None:
         flat = np.flatnonzero(ious)
+        if not len(flat):  # no pair for IDF1 to count, no match at any alpha
+            return
         r, c = np.divmod(flat, len(pi))
         v = ious.ravel()[flat]
         share = v / (ious.sum(axis=1)[r] + ious.sum(axis=0)[c] - v)
         self.overlaps.append((ious.shape, np.array((flat, gi[r] * len(self.pr_total) + pi[c])), np.array((v, share))))
 
+    def _joined(self, part: int, row: int) -> np.ndarray:
+        """Row ``row`` of every kept cell's part ``part`` (see ``__init__``), in cell order."""
+        return np.concatenate([cell[part][row] for cell in self.overlaps] or [np.zeros(0, dtype=np.int64)])
+
     @cached_property
     def _pairs(self) -> np.ndarray:
         """The sorted distinct pair keys of the kept entries."""
-        keys = (key for _, (_, key), _ in self.overlaps)
-        return _distinct(np.concatenate([np.zeros(0, dtype=np.int64), *keys]))
+        return _distinct(self._joined(1, 1))
 
     def idf1(self, iou_threshold: float) -> list[Idf1Result]:
         """IDF1 of each class from the per-pair counts of kept IoUs at or
         above the threshold; call it before ``matches``, which drops them."""
         pairs = self._pairs
-        counts = np.zeros(len(pairs), dtype=np.int64)
-        for _, (_, key), (v, _) in self.overlaps:  # a pair occurs once in a cell
-            counts[np.searchsorted(pairs, key[v >= iou_threshold])] += 1
+        above = self._joined(1, 1)[self._joined(2, 0) >= iou_threshold]
+        counts = np.bincount(np.searchsorted(pairs, above), minlength=len(pairs))
         hit = counts > 0
         gt_of, pr_of = np.divmod(pairs[hit], len(self.pr_total))
         counts = counts[hit]
@@ -397,30 +399,26 @@ class _Ids:
         return [_idf1_result(t, p - t, g - t) for t, g, p in zip(idtp, self.gt_boxes, self.pr_boxes)]
 
     def matches(self) -> tuple[np.ndarray, ...]:
-        """The second pass, run once: it drops each cell's kept entries as it
-        reads them. Returns the key and the IoU of each matched pair with
-        non-zero IoU, in cell order, and the box count of each gt and pred
-        index."""
+        """The second pass, run once: it drops the kept entries when done.
+        Returns the key and the IoU of each matched pair with non-zero IoU,
+        in cell order, and the box count of each gt and pred index."""
         pairs = self._pairs
-        # each pair's shares added frame by frame, as a dense accumulation adds them
-        potential = np.zeros(len(pairs))
-        for _, (_, key), (_, share) in self.overlaps:  # a pair occurs once in a cell
-            potential[np.searchsorted(pairs, key)] += share
+        # each pair's shares added frame by frame, as a dense accumulation
+        # adds them: bincount adds a bin's weights in input order, from 0.0
+        potential = np.bincount(np.searchsorted(pairs, self._joined(1, 1)), self._joined(2, 1), len(pairs))
         keys, matched_iou = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-        cells, self.overlaps = self.overlaps[::-1], []
-        while cells:
-            shape, (flat, key), (v, _) = cells.pop()
+        for shape, (flat, key), (v, _) in self.overlaps:
             pot = potential[np.searchsorted(pairs, key)]
             g, p = np.divmod(key, len(self.pr_total))
             score = np.zeros(shape)
             score.ravel()[flat] = pot / (self.gt_total[g] + self.pr_total[p] - pot) * v
             rows, cols = linear_sum_assignment(-score)
-            ious = np.zeros(shape)
-            ious.ravel()[flat] = v
-            ious = ious[rows, cols]
-            hit = ious > 0  # a zero-IoU pair is no match at any alpha
-            keys.append(key[np.searchsorted(flat, rows[hit] * shape[1] + cols[hit])])
-            matched_iou.append(ious[hit])
+            at = rows * shape[1] + cols  # a match is a kept entry: a zero-IoU pair is no match at any alpha
+            kept = np.minimum(np.searchsorted(flat, at), len(flat) - 1)
+            kept = kept[flat[kept] == at]
+            keys.append(key[kept])
+            matched_iou.append(v[kept])
+        self.overlaps = []
         return np.concatenate(keys), np.concatenate(matched_iou), self.gt_total, self.pr_total
 
     def hota_counts(self) -> np.ndarray:
@@ -428,16 +426,12 @@ class _Ids:
         assre_sum and asspr_sum of each class, per alpha in HOTA_ALPHAS."""
         keys, matched_iou, gt_total, pr_total = self.matches()
         pairs = _distinct(keys.copy())
-        inverse = np.searchsorted(pairs, keys)
         # a match counts at the first `level` alphas, those with IoU >= alpha - eps
         level = np.searchsorted(_ALPHA_FLOORS, matched_iou, side="right")
         n_levels = len(HOTA_ALPHAS) + 1
-        # per_level[j, m]: matches of pair j at level n_levels - 1 - m; summed
-        # from the left (exactly: they are small integers), column m holds
-        # tpa, the matches that count at the m-th alpha from the top
-        bins = inverse * n_levels + (n_levels - 1 - level)
-        per_level = np.bincount(bins, weights=np.ones(len(bins)), minlength=len(pairs) * n_levels)
-        tpa = per_level.reshape(len(pairs), n_levels) @ _SUM_FROM_LEFT
+        per_level = np.bincount(np.searchsorted(pairs, keys) * n_levels + level, minlength=len(pairs) * n_levels)
+        # tpa[j, a]: the matches of pair j above level a, those that count at the a-th alpha
+        tpa = np.ascontiguousarray(per_level.reshape(len(pairs), n_levels)[:, :0:-1].cumsum(axis=1)[:, ::-1], float)
         del per_level  # the sums below peak without it
         gt_of, pr_of = np.divmod(pairs, len(pr_total))
         gt_n = gt_total[gt_of].astype(np.float64)[:, None]  # tpa + fna
@@ -453,7 +447,7 @@ class _Ids:
             sums.append([q[a:b].sum(axis=0) for a, b in spans])
         tps = [tpa[a:b].sum(axis=0) for a, b in spans]
         return np.array([[tp, g - tp, p - tp, *rest] for tp, g, p, *rest in
-                         zip(tps, self.gt_boxes, self.pr_boxes, *sums)])[:, :, ::-1]
+                         zip(tps, self.gt_boxes, self.pr_boxes, *sums)])
 
 
 def _check_iou_threshold(iou_threshold: float) -> None:
@@ -503,25 +497,25 @@ def _hota_means(counts: np.ndarray) -> list[dict[str, float]]:
 
 @dataclass
 class ClassMetrics:
-    mota: float | None = None
-    motp: float | None = None
-    idf1: float | None = None
-    hota: float | None = None
-    deta: float | None = None
-    assa: float | None = None
-    detre: float | None = None
-    detpr: float | None = None
-    assre: float | None = None
-    asspr: float | None = None
-    fp: int = 0
-    fn: int = 0
-    idsw: int = 0
-    mt: int = 0
-    ml: int = 0
-    idtp: int = 0
-    idfp: int = 0
-    idfn: int = 0
-    num_gt: int = 0
+    mota: float | None
+    motp: float | None
+    idf1: float | None
+    hota: float | None
+    deta: float | None
+    assa: float | None
+    detre: float | None
+    detpr: float | None
+    assre: float | None
+    asspr: float | None
+    fp: int
+    fn: int
+    idsw: int
+    mt: int
+    ml: int
+    idtp: int
+    idfp: int
+    idfn: int
+    num_gt: int
 
 
 @dataclass
@@ -535,7 +529,7 @@ class EvalReport:
 def _class_metrics(clear: ClearMotResult, ident: Idf1Result, means: dict[str, float]) -> ClassMetrics:
     """A class's or the aggregate's metrics from its CLEAR and IDF1 results
     and its HOTA family; one without ground truth keeps its scores None."""
-    return ClassMetrics(clear.mota, clear.motp, ident.idf1, **(means if clear.num_gt else {}),
+    return ClassMetrics(clear.mota, clear.motp, ident.idf1, **(means if clear.num_gt else dict.fromkeys(_HOTA_FAMILY)),
                         fp=clear.fp, fn=clear.fn, idsw=clear.idsw, mt=clear.mt, ml=clear.ml,
                         idtp=ident.idtp, idfp=ident.idfp, idfn=ident.idfn, num_gt=clear.num_gt)
 

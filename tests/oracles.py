@@ -1481,6 +1481,11 @@ def separate_hota_means(tp, fn, fp, ass_sum, assre_sum, asspr_sum) -> dict[str, 
     }
 
 
+def _blank_row() -> ClassMetrics:
+    """A row to fill in: its ten scores None, its nine counts 0."""
+    return ClassMetrics(*[None] * 10, *[0] * 9)
+
+
 def separate_per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> EvalReport:
     """Evaluate each class independently and aggregate by summing counts.
 
@@ -1490,7 +1495,7 @@ def separate_per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float
     classes = sorted(class_ids(gt) | class_ids(pred))
     per_class: dict[int, ClassMetrics] = {}
     motas, idf1s = [], []
-    agg = ClassMetrics()
+    agg = _blank_row()
     # per alpha: tp, fn, fp, ass_sum, assre_sum, asspr_sum summed over classes
     hota_raw = np.zeros((6, len(HOTA_ALPHAS)))
     sum_iou_weighted = 0.0
@@ -1499,7 +1504,7 @@ def separate_per_class_report(gt: TrackSet, pred: TrackSet, iou_threshold: float
     for c in classes:
         gt_c = restrict_class(gt, c)
         pr_c = restrict_class(pred, c)
-        cm = ClassMetrics()
+        cm = _blank_row()
         n_gt = num_boxes(gt_c)
         cm.num_gt = n_gt
         if n_gt == 0:

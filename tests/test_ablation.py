@@ -50,6 +50,17 @@ class TestParseSweep:
         with pytest.raises(ValueError, match="empty sweep"):
             parse_sweep("   ")
 
+    @pytest.mark.parametrize("spec,message", [
+        # the first metric values would be lost
+        ("metric=cosine backdrops=on metric=bisoftmax", "sweep key 'metric' given twice"),
+        # each repeat would write its rows again
+        ("metric=cosine,cosine", "sweep key 'metric' repeats value 'cosine'"),
+        ("subsample=1,5,01", "sweep key 'subsample' repeats value '01'"),
+    ])
+    def test_repeated_key_or_value(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            parse_sweep(spec)
+
 
 def test_every_config_arm_names_a_later_value_of_a_key_and_tracker_fields():
     # a mistyped key or value in the table would never apply; a key's first

@@ -330,8 +330,9 @@ class TestAblateCommand:
         assert lines[0].startswith("metric,")
         assert len(lines) == 1 + 4  # header + 2 metrics x 2 seeds
 
-    def test_invalid_sweep_is_data_error(self, tmp_path):
-        rc = main(["ablate", "--sweep", "metric=magic",
+    @pytest.mark.parametrize("sweep", ["metric=magic", "metric=cosine,cosine"])
+    def test_invalid_sweep_is_data_error(self, tmp_path, sweep):
+        rc = main(["ablate", "--sweep", sweep,
                    "--output", str(tmp_path / "x.csv")])
         assert rc == EXIT_DATA
 
@@ -339,6 +340,13 @@ class TestAblateCommand:
         rc = main(["ablate", "--sweep", "metric=cosine", "--seeds", "",
                    "--output", str(tmp_path / "x.csv")])
         assert rc == EXIT_USAGE
+
+    def test_repeated_seed_is_usage_error(self, tmp_path, capsys):
+        rc = main(["ablate", "--sweep", "metric=cosine", "--seeds", "0,1,0",
+                   "--output", str(tmp_path / "x.csv")])
+        assert rc == EXIT_USAGE
+        assert "distinct seeds, got '0,1,0'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("argv,flag", [

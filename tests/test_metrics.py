@@ -253,9 +253,10 @@ class TestHotaKnownValues:
         assert r.deta == 1.0
         assert r.assa == pytest.approx(0.5, abs=1e-12)
 
-    def test_iou_one_ulp_below_an_alpha_counts_at_that_alpha(self, monkeypatch):
-        # TrackEval keeps a match with IoU >= alpha - eps
-        below = np.nextafter(0.5, 0.0)
+    @pytest.mark.parametrize("below", [np.nextafter(0.5, 0.0), 0.5 - np.finfo(float).eps],
+                             ids=["one_ulp_below", "exactly_alpha_less_eps"])
+    def test_iou_just_below_an_alpha_counts_at_that_alpha(self, monkeypatch, below):
+        # TrackEval keeps a match with IoU >= alpha - eps, the floor itself too
         monkeypatch.setattr(metrics, "iou_matrix", lambda a, b: np.full((len(a), len(b)), below))
         gt, pred = make_sets([(0, 1, box(0, 0))], [(0, 2, box(0, 0))])
         tp = dict(zip(HOTA_ALPHAS, hota(gt, pred).tp))
@@ -486,6 +487,24 @@ class TestHotaProperties:
         finally:
             metrics.linear_sum_assignment = original
         assert len(calls) <= len(both)
+
+
+def test_overlap_free_frame_costs_hota_no_solve(monkeypatch):
+    """A cell whose boxes overlap nowhere has no match at any alpha, so
+    HOTA keeps nothing of it and solves only the frame that overlaps; the
+    reports equal the separate evaluation all the same."""
+    gt, pred = make_sets([(0, 1, box(0, 0)), (1, 1, box(0, 0))], [(0, 1, box(0, 0)), (1, 2, box(50, 50))])
+    calls = []
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(metrics, "linear_sum_assignment", counted)
+    result = hota(gt, pred)
+    assert calls == [(1, 1)]
+    assert result == separate_hota(gt, pred)
+    assert per_class_report(gt, pred) == separate_per_class_report(gt, pred)
 
 
 @st.composite

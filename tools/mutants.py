@@ -1,0 +1,108 @@
+"""Negative controls for the evaluation's definitions: one-line mutants of
+``src/embedtrack/metrics.py``, each run against tier-1.
+
+Each mutant is applied to a copy of the working tree in a temporary
+directory, and tier-1 runs there with ``-x``. A mutant that a pin catches
+first (the sha256 digests of CLI and ``ablate`` output, the golden report)
+runs again with those pins deselected, so that it names the behavioural
+test that states its rule. A mutant that no test catches is a rule without
+a test, unless it is listed as equivalent, with the reason.
+
+    python tools/mutants.py > mutants.json
+
+Prints JSON: per mutant, caught or survived, the first failing test, and
+the first failing test that is not a pin; progress goes to stderr. Exits 1
+when a mutant that is not listed as equivalent survives. This script is not
+part of tier-1; a run takes minutes, and each survivor costs a full tier-1
+run.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+METRICS = "src/embedtrack/metrics.py"
+
+# (name, file, old text, new text, the rule the mutant breaks)
+MUTANTS = [
+    ("alpha_floor_without_eps", METRICS, "np.array(HOTA_ALPHAS) - _EPS", "np.array(HOTA_ALPHAS)",
+     "HOTA keeps a match with IoU >= alpha - eps, as TrackEval does"),
+    ("idf1_above_threshold", METRICS, "self._joined(2, 0) >= iou_threshold", "self._joined(2, 0) > iou_threshold",
+     "IDF1 counts a frame of a pair with IoU at or above the threshold"),
+    ("mostly_tracked_above", METRICS, "ratio >= 0.8", "ratio > 0.8",
+     "MT: a gt id covered in at least 80 % of its frames"),
+    ("clear_carry_above", METRICS, "overlaps[rows, cols] >= self.threshold", "overlaps[rows, cols] > self.threshold",
+     "CLEAR carries a match over while its IoU stays at or above the threshold"),
+    ("match_above", METRICS, "admissible = overlaps >= threshold", "admissible = overlaps > threshold",
+     "CLEAR matches pairs with IoU at or above the threshold"),
+    ("level_search_left", METRICS, 'matched_iou, side="right"', 'matched_iou, side="left"',
+     "a match at IoU exactly alpha - eps counts at alpha"),
+    ("share_without_overlap", METRICS, "ious.sum(axis=0)[c] - v)", "ious.sum(axis=0)[c])",
+     "HOTA's alignment share is IoU / (row sum + column sum - IoU)"),
+    ("matches_without_exact_hit", METRICS, "            kept = kept[flat[kept] == at]\n", "",
+     "a solved pair with zero IoU is no match at any alpha"),
+]
+
+# mutants that cannot change behaviour, by name, with the reason
+EQUIVALENT: dict[str, str] = {}
+
+# tests that say an output moved, not which rule broke
+PINS = (
+    "tests/test_cli.py::test_cli_outputs_keep_their_digests",
+    "tests/test_cli.py::test_ablate_output_keeps_its_digest",
+    "tests/test_metrics_golden.py::test_report_equals_golden_values",
+)
+
+
+def run_tier1(tree: Path, deselect: tuple[str, ...] = ()) -> str | None:
+    """The first failing test of tier-1 with ``-x`` in ``tree``, or None
+    when every test passes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
+            "--continue-on-collection-errors", *(f"--deselect={d}" for d in deselect)]
+    out = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True).stdout
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return failed[0] if failed else None
+
+
+def apply(tree: Path, path: str, old: str, new: str) -> None:
+    target = tree / path
+    text = target.read_text()
+    if text.count(old) != 1:
+        raise SystemExit(f"{path}: mutant text {old!r} occurs {text.count(old)} times, not once")
+    target.write_text(text.replace(old, new))
+
+
+def main() -> int:
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, path, old, new, rule in MUTANTS:
+            tree = Path(tmp) / name
+            skip = shutil.ignore_patterns(".git", "__pycache__", "*.egg-info", ".hypothesis", ".pytest_cache",
+                                          ".perfbench_out")
+            shutil.copytree(ROOT, tree, ignore=skip)
+            apply(tree, path, old, new)
+            first = run_tier1(tree)
+            # deselecting tests that passed cannot move the first failure,
+            # so only a mutant that a pin caught first runs again
+            behavioural = run_tier1(tree, PINS) if first and first.startswith(PINS) else first
+            results.append({"name": name, "file": path, "old": old, "new": new, "rule": rule,
+                            "caught": first is not None, "first_failure": first,
+                            "behavioural_failure": behavioural, "equivalent": EQUIVALENT.get(name)})
+            shutil.rmtree(tree)
+            print(f"{name}: {'caught by ' + first if first else 'survived'}", file=sys.stderr)
+    json.dump(results, sys.stdout, indent=2)
+    print()
+    survivors = [r["name"] for r in results if not r["behavioural_failure"] and not r["equivalent"]]
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
