@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import ablation
-from .config import PROFILE_NAMES, _from_dict, config_from_dict, load_profile
+from .config import PROFILE_NAMES, from_dict, load_profile
 from .formats import atomic_write, read_detections, read_mot, write_detections, write_mot
 from .metrics import EvalReport, _check_iou_threshold, per_class_report
 from .synth import WorldConfig, generate
@@ -46,17 +46,19 @@ def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in text.split(",") if s)
 
 
-def _load_tracker_config(args) -> TrackerConfig:
-    cfg = load_profile(args.profile) if args.profile else TrackerConfig()
-    if args.config:
-        with open(args.config) as fp:
-            cfg = config_from_dict(json.load(fp), base=cfg)
-    return cfg
+def _read_config(path: str | None, cls, base=None):
+    """``base`` with the fields of the JSON ``cls`` document at ``path``
+    replaced, or a ``cls`` built from it alone; ``base`` without a path."""
+    if not path:
+        return base
+    with open(path) as fp:
+        return from_dict(cls, json.load(fp), base)
 
 
 def cmd_track(args) -> int:
     start = time.perf_counter()
-    cfg = _load_tracker_config(args)
+    cfg = _read_config(args.config, TrackerConfig,
+                       load_profile(args.profile) if args.profile else TrackerConfig())
     with open(args.input) as fp:
         _, frames = read_detections(fp)
     pred = run_sequence(frames, cfg)
@@ -125,10 +127,7 @@ def cmd_eval(args) -> int:
 
 def _world_from_args(args) -> WorldConfig:
     """The --config or default world, seeded by --seed: a document's own seed must match."""
-    world = WorldConfig(seed=args.seed)
-    if args.config:
-        with open(args.config) as fp:
-            world = _from_dict(WorldConfig, json.load(fp), "world config", world)
+    world = _read_config(args.config, WorldConfig, WorldConfig(seed=args.seed))
     if world.seed != args.seed:
         raise CliError(f"world config seed {world.seed} differs from --seed {args.seed}", EXIT_DATA)
     return world
@@ -152,10 +151,8 @@ def cmd_ablate(args) -> int:
     sweep = ablation.parse_sweep(args.sweep)
     if not args.seeds or len(set(args.seeds)) < len(args.seeds):  # a repeated seed would repeat its rows
         raise CliError(f"--seeds takes one or more distinct seeds, got {','.join(map(str, args.seeds))!r}", EXIT_USAGE)
-    world = None
-    if args.config:  # each run is seeded from --seeds, whatever seed the document names
-        with open(args.config) as fp:
-            world = WorldConfig.from_dict(json.load(fp))
+    # each run is seeded from --seeds, whatever seed the document names
+    world = _read_config(args.config, WorldConfig)
     rows = ablation.run_ablation(sweep, list(args.seeds), world)
     with atomic_write(args.output) as fp:
         writer = csv.DictWriter(fp, fieldnames=ablation.ABLATION_COLUMNS)

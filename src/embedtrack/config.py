@@ -4,7 +4,7 @@ loading configs from dataset profiles and JSON files.
 Profiles are data, not code: one JSON file per benchmark carrying that
 benchmark's association hyper-parameters. Every frozen config calls
 ``check_fields`` from its ``__post_init__``, whether it is built in Python,
-by ``dataclasses.replace`` or from JSON by ``_from_dict``, which also
+by ``dataclasses.replace`` or from JSON by ``from_dict``, which also
 rejects unknown keys so a typo cannot silently fall back to a default.
 """
 
@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-__all__ = ["PROFILE_NAMES", "TrackerConfig", "load_profile", "config_from_dict"]
+__all__ = ["PROFILE_NAMES", "TrackerConfig", "load_profile", "from_dict"]
 
 PROFILE_NAMES = ("mot17", "mot20", "dancetrack", "bdd100k", "waymo", "tao")
 
@@ -108,9 +108,11 @@ class TrackerConfig:
             )
 
 
-def _from_dict(cls, data, name: str, base=None):
-    """A ``cls`` dataclass built from the flat mapping ``data``, or ``base``
-    with the given fields replaced. Errors call the document ``name``."""
+def from_dict(cls, data, base=None):
+    """A ``cls`` config built from the JSON document ``data``, a flat
+    mapping, or ``base`` with the given fields replaced. Errors call the
+    document after the class: "tracker config" for ``TrackerConfig``."""
+    name = cls.__name__.removesuffix("Config").lower() + " config"
     try:
         unknown = data.keys() - {f.name for f in dataclasses.fields(cls)}
     except AttributeError:
@@ -120,11 +122,6 @@ def _from_dict(cls, data, name: str, base=None):
     return cls(**data) if base is None else dataclasses.replace(base, **data)
 
 
-def config_from_dict(data: dict, base: TrackerConfig | None = None) -> TrackerConfig:
-    """Build a TrackerConfig from a plain dict, or override ``base`` with it."""
-    return _from_dict(TrackerConfig, data, "tracker config", base)
-
-
 def load_profile(name: str) -> TrackerConfig:
     """Load a benchmark profile by name."""
     if name not in PROFILE_NAMES:
@@ -132,4 +129,4 @@ def load_profile(name: str) -> TrackerConfig:
             f"unknown profile {name!r}; available: {', '.join(PROFILE_NAMES)}"
         )
     text = resources.files("embedtrack.profiles").joinpath(f"{name}.json").read_text()
-    return config_from_dict(json.loads(text))
+    return from_dict(TrackerConfig, json.loads(text))

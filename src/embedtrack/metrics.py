@@ -2,17 +2,19 @@
 sub-component decomposition, per class and aggregate.
 
 Conventions:
-- CLEAR correspondence carries matches over between frames while they stay
-  above the IoU threshold; the remainder is matched optimally (maximum
-  total IoU). An ID switch is counted when a ground-truth object's matched
-  prediction ID differs from its most recent previous match.
+- CLEAR correspondence carries matches over between frames while their IoU
+  stays at or above the threshold; the remainder is matched optimally
+  (maximum total IoU) among pairs at or above it. An ID switch is counted
+  when a ground-truth object's matched prediction ID differs from its most
+  recent previous match.
 - IDF1 uses a global trajectory-level optimal assignment on per-pair
-  matched-frame counts.
+  counts of frames with IoU at or above the threshold. CLEAR and IDF1
+  compare with the threshold itself, with no eps.
 - HOTA follows Luiten et al. (IJCV 2021) as its reference code, TrackEval,
   computes it: one matching per frame that maximizes the total IoU weighted
   by each (gt id, pred id) pair's global alignment score, thresholded at
-  each localization threshold alpha in {0.05, ..., 0.95}; the per-alpha
-  scores are averaged.
+  each localization threshold alpha in {0.05, ..., 0.95} as IoU >= alpha -
+  eps; the per-alpha scores are averaged.
 - Ground-truth entries flagged invisible are dropped from numerator and
   denominator before any matching.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import _from_dict, check_fields, check_range
+from .config import check_fields, check_range
 from .geometry import BoundingBox, box_array, boxes_from_array, iou_matrix
 from .metrics import ObjectEntry, TrackSet
 from .tracker import Detection, detections_from_arrays
@@ -64,10 +64,7 @@ class WorldConfig:
         check_range(self, ("speed", "min_margin"), lambda v: -np.inf < v < np.inf, "finite")
         check_range(self, ("fp_rate", "fn_rate", "distractor_affinity"), lambda v: 0.0 <= v <= 1.0,
                     "in [0, 1]")
-        for name in ("sigma_e", "jitter_sigma"):
-            v = getattr(self, name)
-            if not 0.0 <= v < np.inf:
-                raise ValueError(f"noise sigmas must be finite and >= 0, got {name}={v}")
+        check_range(self, ("sigma_e", "jitter_sigma"), lambda v: 0.0 <= v < np.inf, "finite and >= 0")
         # centres reflect one largest box size inside each border; false
         # positives are centred 50 pixels inside, which this leaves room for
         least = 2 * _BOX_SIZE_RANGE[1]
@@ -77,11 +74,6 @@ class WorldConfig:
         if not all(0 <= o[0] < self.n_identities and o[1] <= o[2] for o in self.occlusions):
             raise ValueError("occlusions need (identity, first, last) ints with 0 <= identity "
                              f"< n_identities and first <= last, got {self.occlusions!r}")
-
-    @classmethod
-    def from_dict(cls, data) -> "WorldConfig":
-        """A world from a JSON document; an unknown key or a bad value raises ValueError."""
-        return _from_dict(cls, data, "world config")
 
 
 @dataclass

@@ -145,16 +145,9 @@ class _Rows:
         if not len(tid):
             return
         frame = np.full(len(tid), frame, dtype=np.int64)
-        created = frame.copy()
-        if len(self):
-            tid = np.concatenate([self.tid, tid])
-            emb = np.concatenate([self.emb, emb])
-            cls = np.concatenate([self.cls, cls])
-            box = np.concatenate([self.box, box])
-            frame = np.concatenate([self.frame, frame])
-            created = np.concatenate([self.created, created])
-        self.tid, self.emb, self.cls, self.box = tid, emb, cls, box
-        self.frame, self.created = frame, created
+        self.tid, self.emb, self.cls = _stack(self.tid, tid), _stack(self.emb, emb), _stack(self.cls, cls)
+        self.box, self.frame = _stack(self.box, box), _stack(self.frame, frame)
+        self.created = _stack(self.created, frame.copy())  # a row's frame moves, its creation does not
 
     def select(self, keep: np.ndarray) -> None:
         """Keep the rows where the boolean ``keep`` is set."""
@@ -216,8 +209,8 @@ class Tracker:
     def finish(self) -> dict[int, list[tuple[int, BoundingBox, float]]]:
         """All track histories (live and retired), interpolated if
         configured."""
-        histories = {t.track_id: list(t.history) for t in self.state.retired.values()}
-        histories.update({t.track_id: list(t.history) for t in self.state.tracks.values()})
+        state = self.state
+        histories = {t.track_id: list(t.history) for t in (*state.retired.values(), *state.tracks.values())}
         if self.config.interpolate:
             histories = interpolate_tracks(histories)
         return histories
@@ -441,12 +434,10 @@ def interpolate_tracks(
             filled.append(prev)
             gap = cur[0] - prev[0]
             if gap > 1:
-                a, b = prev[1].as_array(), cur[1].as_array()
+                w = np.arange(1, gap)[:, None] / gap
+                boxes = boxes_from_array((1 - w) * prev[1].as_array() + w * cur[1].as_array())
                 score = 0.5 * (prev[2] + cur[2])
-                for k in range(1, gap):
-                    w = k / gap
-                    box = BoundingBox(*((1 - w) * a + w * b))
-                    filled.append((prev[0] + k, box, score))
+                filled.extend((prev[0] + k, box, score) for k, box in enumerate(boxes, 1))
         if hist:
             filled.append(hist[-1])
         out[tid] = filled

@@ -81,7 +81,6 @@ from embedtrack.tracker import (
     _MERGE_WINDOW,
     Detection,
     TrackerConfig,
-    interpolate_tracks,
 )
 
 NEG_INF = -np.inf
@@ -1033,8 +1032,31 @@ def finish_oracle(state: OracleTrackerState, cfg: TrackerConfig):
     histories = {t.track_id: list(t.history) for t in state.retired.values()}
     histories.update({t.track_id: list(t.history) for t in state.tracks.values()})
     if cfg.interpolate:
-        histories = interpolate_tracks(histories)
+        histories = interpolate_tracks_oracle(histories)
     return histories
+
+
+def interpolate_tracks_oracle(histories):
+    """``tracker.interpolate_tracks`` one inserted frame at a time: frame
+    ``prev + k`` of a gap gets the ``BoundingBox`` of the blend at weight
+    k / gap and the mean score of the gap's two ends."""
+    out = {}
+    for tid, hist in histories.items():
+        hist = sorted(hist, key=lambda h: h[0])
+        filled = []
+        for prev, cur in zip(hist, hist[1:]):
+            filled.append(prev)
+            gap = cur[0] - prev[0]
+            if gap > 1:
+                a, b = prev[1].as_array(), cur[1].as_array()
+                score = 0.5 * (prev[2] + cur[2])
+                for k in range(1, gap):
+                    w = k / gap
+                    filled.append((prev[0] + k, BoundingBox(*((1 - w) * a + w * b)), score))
+        if hist:
+            filled.append(hist[-1])
+        out[tid] = filled
+    return out
 
 
 def place_prototypes_oracle(n: int, dim: int, rng: np.random.Generator,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from embedtrack.ablation import standard_noisy_world
 from embedtrack.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, int_list, main
-from embedtrack.config import PROFILE_NAMES, config_from_dict, load_profile
+from embedtrack.config import PROFILE_NAMES, TrackerConfig, from_dict, load_profile
 
 
 class TestProfiles:
@@ -39,14 +39,14 @@ class TestProfiles:
 
     def test_config_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown tracker config keys"):
-            config_from_dict({"beta_matchh": 0.5})
+            from_dict(TrackerConfig, {"beta_matchh": 0.5})
         # removed fields: the match score is a constant and a threshold of
         # 1.0 turns duplicate removal off
         for key in ("beta_match", "duplicate_removal"):
             with pytest.raises(ValueError, match=f"unknown tracker config keys: \\['{key}'\\]"):
-                config_from_dict({key: 0.5})
+                from_dict(TrackerConfig, {key: 0.5})
         with pytest.raises(ValueError, match="merge must be bool"):
-            config_from_dict({"merge": {"t": 3}})
+            from_dict(TrackerConfig, {"merge": {"t": 3}})
 
 
 @pytest.fixture

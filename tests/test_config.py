@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embedtrack.config import TrackerConfig, _from_dict, config_from_dict
+from embedtrack.config import TrackerConfig, from_dict
 from embedtrack.contrastive import LossConfig
 from embedtrack.synth import WorldConfig
 
@@ -43,11 +43,10 @@ def test_python_replace_and_json_builds_agree(cls, data):
     names = [f.name for f in dataclasses.fields(cls)]
     document = json.loads(json.dumps(data.draw(st.dictionaries(st.sampled_from(names), JSON_VALUES,
                                                                max_size=3))))
-    name = DOCUMENTS[cls]
     built = outcome(lambda: cls(**document))
-    assert outcome(lambda: _from_dict(cls, document, name)) == built
+    assert outcome(lambda: from_dict(cls, document)) == built
     base = cls()
-    assert outcome(lambda: _from_dict(cls, document, name, base)) == built
+    assert outcome(lambda: from_dict(cls, document, base)) == built
     assert outcome(lambda: dataclasses.replace(base, **document)) == built
 
 
@@ -92,5 +91,12 @@ def test_type_errors_name_the_field(build, message):
 def test_unknown_keys_of_mixed_types_are_a_value_error(data, message):
     # sorting such keys by their own order raised a bare TypeError
     with pytest.raises(ValueError) as exc:
-        config_from_dict(data)
+        from_dict(TrackerConfig, data)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("cls", DOCUMENTS, ids=lambda cls: cls.__name__)
+def test_errors_name_the_document_after_its_class(cls):
+    name = DOCUMENTS[cls]
+    assert outcome(lambda: from_dict(cls, [])) == ("error", f"{name} must be a JSON object, got list")
+    assert outcome(lambda: from_dict(cls, {"x": 1}, cls())) == ("error", f"unknown {name} keys: ['x']")

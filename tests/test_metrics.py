@@ -176,6 +176,17 @@ class TestClearMotKnownValues:
         r = clear_mot(gt, pred)
         assert (r.idsw, r.fp) == (0, 1)
 
+    def test_carried_pair_one_ulp_below_the_threshold_is_dropped(self, monkeypatch):
+        # CLEAR compares IoU with the threshold itself, not with threshold - eps
+        # as HOTA does: frame 0's pair overlaps fully, frame 1's one ulp below 0.5
+        below = np.nextafter(0.5, 0.0)
+        monkeypatch.setattr(metrics, "iou_matrix",
+                            lambda a, b: np.full((len(a), len(b)), 1.0 if a[0, 0] == 0.0 else below))
+        gt, pred = make_sets([(0, 1, box(0, 0)), (1, 1, box(5, 0))],
+                             [(0, 7, box(0, 0)), (1, 7, box(5, 0))])
+        r = clear_mot(gt, pred)
+        assert (r.num_matches, r.fp, r.fn) == (1, 1, 1)
+
     def test_empty_ground_truth_rejected(self):
         gt, pred = TrackSet(), TrackSet()
         pred.add(0, ObjectEntry(1, 0, box(0, 0)))
@@ -229,6 +240,13 @@ class TestIdf1KnownValues:
             [(0, 1, box(500, 500))],
         )
         assert idf1(gt, pred).idf1 == 0.0
+
+    def test_iou_one_ulp_below_the_threshold_is_no_frame(self, monkeypatch):
+        # IDF1 compares IoU with the threshold itself, not with threshold - eps as HOTA does
+        monkeypatch.setattr(metrics, "iou_matrix",
+                            lambda a, b: np.full((len(a), len(b)), np.nextafter(0.5, 0.0)))
+        gt, pred = make_sets([(0, 0, box(0, 0))], [(0, 1, box(0, 0))])
+        assert idf1(gt, pred).idtp == 0
 
 
 class TestHotaKnownValues:

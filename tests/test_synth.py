@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embedtrack.ablation import standard_noisy_world
+from embedtrack.config import from_dict
 from embedtrack.geometry import BoundingBox
 from embedtrack.metrics import TrackSet, per_class_report
 from embedtrack.synth import (
@@ -40,7 +41,7 @@ class TestWorldConfig:
             WorldConfig(fp_rate=1.5)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigmas"):
+        with pytest.raises(ValueError, match=r"^sigma_e must be finite and >= 0, got -0\.1$"):
             WorldConfig(sigma_e=-0.1)
 
     @pytest.mark.parametrize("field,value", [
@@ -118,7 +119,7 @@ class TestWorldConfig:
 
     def test_asdict_json_round_trip(self):
         w = WorldConfig(image_size=(640.0, 480.0), occlusions=[(0, 1, 2), (3, 4, 9)], seed=5)
-        assert WorldConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(w)))) == w
+        assert from_dict(WorldConfig, json.loads(json.dumps(dataclasses.asdict(w)))) == w
 
     def test_false_positive_worlds_need_100_pixel_sides(self):
         # false positives are centred 50 pixels inside each border; every
@@ -155,7 +156,7 @@ class TestWorldConfig:
         assert s.detections == {} and s.gt.frames == {}
 
     def test_from_dict_turns_lists_into_tuples(self):
-        w = WorldConfig.from_dict({"image_size": [640, 480], "occlusions": [[0, 1, 2]]})
+        w = from_dict(WorldConfig, {"image_size": [640, 480], "occlusions": [[0, 1, 2]]})
         assert w == WorldConfig(image_size=(640, 480), occlusions=[(0, 1, 2)])
 
     @pytest.mark.parametrize("data,message", [
@@ -177,7 +178,7 @@ class TestWorldConfig:
     ])
     def test_from_dict_names_the_bad_key(self, data, message):
         with pytest.raises(ValueError, match=message):
-            WorldConfig.from_dict(data)
+            from_dict(WorldConfig, data)
 
 
 class TestPlacePrototypes:

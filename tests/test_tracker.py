@@ -22,7 +22,7 @@ from embedtrack.tracker import (
     momentum_update,
     run_sequence,
 )
-from oracles import OracleTrackerState, finish_oracle, step_oracle, within_oracle
+from oracles import OracleTrackerState, finish_oracle, interpolate_tracks_oracle, step_oracle, within_oracle
 
 DIM = 8
 
@@ -430,6 +430,13 @@ class TestStep:
         [(tid, _)] = t.step(4, [det(0)])
         assert tid == 1
 
+    def test_track_inactive_exactly_memory_frames_reclaimed(self):
+        # a track expires only when inactive for more than memory_frames frames
+        t = Tracker(cfg(memory_frames=2))
+        t.step(0, [det(0)])
+        [(tid, _)] = t.step(2, [det(0)])
+        assert tid == 1
+
     def test_same_class_only_masks_other_classes(self):
         t = Tracker(cfg())
         t.step(0, [det(0, cls=0)])
@@ -779,6 +786,30 @@ class TestFinishAndInterpolate:
         assert out[1][1].x1 == pytest.approx(10.0)
         assert out[2][1].x1 == pytest.approx(20.0)
         assert out[1][2] == pytest.approx(0.7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_interpolation_equals_per_frame_oracle(self, data):
+        # shuffled entries, gaps of 1-12 frames, zero-width and one-entry tracks
+        size = st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 300.0)
+        coord = st.floats(-1e4, 1e4)
+        histories = {}
+        for tid in range(1, data.draw(st.integers(1, 4)) + 1):
+            n = data.draw(st.integers(1, 5))
+            steps = data.draw(st.lists(st.integers(1, 12), min_size=n - 1, max_size=n - 1))
+            entries = []
+            for f in np.cumsum([data.draw(st.integers(0, 30)), *steps]).tolist():
+                x1, y1, w, h = (data.draw(s) for s in (coord, coord, size, size))
+                entries.append((f, BoundingBox(x1, y1, x1 + w, y1 + h), data.draw(st.floats(0.0, 1.0))))
+            histories[tid] = data.draw(st.permutations(entries))
+        got, want = interpolate_tracks(histories), interpolate_tracks_oracle(histories)
+        assert got.keys() == want.keys()
+        for tid in want:
+            assert [f for f, _, _ in got[tid]] == [f for f, _, _ in want[tid]]
+            for (_, box, score), (_, want_box, want_score) in zip(got[tid], want[tid]):
+                assert [box.x1, box.y1, box.x2, box.y2, score] == [
+                    want_box.x1, want_box.y1, want_box.x2, want_box.y2, want_score]
+                assert {type(v) for v in (box.x1, box.y1, box.x2, box.y2)} == {float}
 
     def test_interpolation_leaves_boundaries_alone(self):
         hist = {1: [(5, BoundingBox(0, 0, 1, 1), 0.5)]}

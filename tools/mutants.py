@@ -1,5 +1,6 @@
-"""Negative controls for the evaluation's definitions: one-line mutants of
-``src/embedtrack/metrics.py``, each run against tier-1.
+"""Negative controls for the rules of evaluation and association: one-line
+mutants of ``src/embedtrack/`` (the metrics, the tracker, the bi-softmax,
+NMS and the synthetic IoU baseline), each run against tier-1.
 
 Each mutant is applied to a copy of the working tree in a temporary
 directory, and tier-1 runs there with ``-x``. A mutant that a pin catches
@@ -29,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = "src/embedtrack/metrics.py"
+TRACKER = "src/embedtrack/tracker.py"
 
 # (name, file, old text, new text, the rule the mutant breaks)
 MUTANTS = [
@@ -48,6 +50,44 @@ MUTANTS = [
      "HOTA's alignment share is IoU / (row sum + column sum - IoU)"),
     ("matches_without_exact_hit", METRICS, "            kept = kept[flat[kept] == at]\n", "",
      "a solved pair with zero IoU is no match at any alpha"),
+    ("idf1_with_eps", METRICS, "self._joined(2, 0) >= iou_threshold", "self._joined(2, 0) >= iou_threshold - _EPS",
+     "IDF1 compares IoU with the threshold itself, not with threshold - eps as HOTA does"),
+    ("clear_carry_with_eps", METRICS, "overlaps[rows, cols] >= self.threshold",
+     "overlaps[rows, cols] >= self.threshold - _EPS",
+     "CLEAR carries a match over only at IoU >= the threshold itself"),
+    ("match_with_eps", METRICS, "admissible = overlaps >= threshold", "admissible = overlaps >= threshold - _EPS",
+     "CLEAR matches only pairs with IoU >= the threshold itself"),
+    ("match_score_at_beta", TRACKER, "(best_conf[order] > _BETA_MATCH)", "(best_conf[order] >= _BETA_MATCH)",
+     "a detection matches its best candidate only above _BETA_MATCH"),
+    ("memory_purge_at", TRACKER, "expired = frame_index - live.frame > cfg.memory_frames",
+     "expired = frame_index - live.frame >= cfg.memory_frames",
+     "a track inactive for memory_frames frames is still a candidate"),
+    ("backdrop_age_below", TRACKER, "frame_index - backdrops.frame <= cfg.backdrop_frames",
+     "frame_index - backdrops.frame < cfg.backdrop_frames",
+     "a backdrop backdrop_frames frames old is still a candidate"),
+    ("backdrops_consume_nothing", TRACKER, "free = ~(won | (eligible & (o_best >= n_tracks)))", "free = ~won",
+     "a detection whose best candidate is a backdrop is consumed by it"),
+    ("greedy_ties_to_higher_index", TRACKER, 'order = np.argsort(-scores, kind="stable")',
+     'order = len(scores) - 1 - np.argsort(-scores[::-1], kind="stable")',
+     "detections claim in descending score, ties by input index"),
+    ("merge_at_created_frame", TRACKER, "(rows.created[young][:, None] > rows.frame[vanished][None, :])",
+     "(rows.created[young][:, None] >= rows.frame[vanished][None, :])",
+     "a young track merges only into a track last active before it was created"),
+    ("merge_pairs_in_row_order", TRACKER, 'order = np.argsort(-sim[ii, jj], kind="stable")',
+     "order = np.arange(len(ii))", "merge pairs are taken in descending score"),
+    ("nms_at_threshold", "src/embedtrack/geometry.py", "boxes.take(j, axis=0)) > iou_threshold",
+     "boxes.take(j, axis=0)) >= iou_threshold", "NMS suppresses a box only above the IoU threshold"),
+    ("row_only_softmax", "src/embedtrack/similarity.py", "row += _stable_softmax(logits, axis=0, out=logits",
+     "row += _stable_softmax(logits, axis=1, out=logits",
+     "the bi-softmax is the mean of the row-wise and the column-wise softmax"),
+    ("baseline_match_iou", "src/embedtrack/synth.py", "_MIN_SCORE, _BASELINE_MATCH_IOU = 0.5, 0.3",
+     "_MIN_SCORE, _BASELINE_MATCH_IOU = 0.5, 0.25", "the IoU baseline links boxes with IoU above 0.3"),
+    ("created_aliases_frame", TRACKER, "self.created = _stack(self.created, frame.copy())",
+     "self.created = _stack(self.created, frame)", "a row's creation frame stays when its frame moves"),
+    ("interpolated_score_from_prev", TRACKER, "score = 0.5 * (prev[2] + cur[2])", "score = prev[2]",
+     "an interpolated entry scores the mean of its gap's two ends"),
+    ("interpolated_weight_shifted", TRACKER, "w = np.arange(1, gap)[:, None] / gap",
+     "w = np.arange(2, gap + 1)[:, None] / gap", "frame prev + k of a gap blends at weight k / gap"),
 ]
 
 # mutants that cannot change behaviour, by name, with the reason
@@ -58,6 +98,7 @@ PINS = (
     "tests/test_cli.py::test_cli_outputs_keep_their_digests",
     "tests/test_cli.py::test_ablate_output_keeps_its_digest",
     "tests/test_metrics_golden.py::test_report_equals_golden_values",
+    "tests/test_metrics_golden.py::test_golden_values_are_the_separate_references",
 )
 
 
