@@ -23,7 +23,7 @@ __all__ = [
     "boxes_from_array",
     "iou_matrix",
     "center_distance",
-    "centers_within",
+    "pairs_within",
     "nms",
 ]
 
@@ -159,23 +159,37 @@ def _centers(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (b[:, 0] + b[:, 2]), 0.5 * (b[:, 1] + b[:, 3])
 
 
-def centers_within(boxes_a: np.ndarray, boxes_b: np.ndarray, radius: float) -> np.ndarray:
-    """(N, M) mask of the box pairs whose centers are at most ``radius``
-    apart: ``not np.hypot(dx, dy) > radius``, with the center differences
-    dx and dy made by the float operations of ``center_distance``, so entry
-    (i, j) is ``not center_distance(a_i, b_j) > radius`` exactly.
+def pairs_within(boxes_a: np.ndarray, boxes_b: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) of rows of two box arrays whose centers are at most
+    ``radius`` apart: ``not np.hypot(dx, dy) > radius``, with the center
+    differences dx and dy made by the float operations of
+    ``center_distance``, so (i, j) is listed exactly when
+    ``not center_distance(a_i, b_j) > radius``. ``i`` ascends; the pairs of
+    one row of ``a`` come in the x order of the centers of ``b``.
 
-    A pair with |dx| or |dy| above the radius is ruled out without
+    A sweep: each center of ``a`` meets the window of ``b``'s centers,
+    sorted by x, that lie within the radius along x, widened far beyond the
+    rounding of ``ax - bx`` (an infinite bound takes the whole window). A
+    pair with |dx| or |dy| above the radius is then ruled out without
     ``np.hypot``: a faithfully rounded hypot is never below either leg.
     """
     ax, ay = _centers(boxes_a)
     bx, by = _centers(boxes_b)
-    dx = ax[:, None] - bx[None, :]
-    dy = ay[:, None] - by[None, :]
-    out = ~((np.abs(dx) > radius) | (np.abs(dy) > radius))
-    k = np.flatnonzero(out)
-    out.ravel()[k] = ~(np.hypot(dx.ravel()[k], dy.ravel()[k]) > radius)
-    return out
+    by_x = np.argsort(bx, kind="stable")
+    sorted_x = bx[by_x]
+    pad = radius + 1e-9 * (np.abs(ax) + radius)
+    with np.errstate(invalid="ignore"):
+        lo = np.searchsorted(sorted_x, np.fmax(ax - pad, -np.inf), side="left")
+        hi = np.searchsorted(sorted_x, np.fmin(ax + pad, np.inf), side="right")
+    count = hi - lo
+    i = np.repeat(np.arange(len(ax)), count)
+    # window slot lo[i] + k for the k-th pair of row i
+    j = by_x[np.arange(len(i)) + np.repeat(lo - np.cumsum(count) + count, count)]
+    dx, dy = ax[i] - bx[j], ay[i] - by[j]
+    keep = ~((np.abs(dx) > radius) | (np.abs(dy) > radius))
+    k = np.flatnonzero(keep)
+    keep[k] = ~(np.hypot(dx[k], dy[k]) > radius)
+    return i[keep], j[keep]
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list[int]:

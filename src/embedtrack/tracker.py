@@ -17,10 +17,11 @@ import numpy as np
 from .config import TrackerConfig
 # center_distance and masked_bisoftmax go uncalled here but stay: perfbench's
 # tracer wraps the names this module holds, and each one must exist.
-from .geometry import BoundingBox, box_array, boxes_from_array, centers_within, nms
+from .geometry import BoundingBox, box_array, boxes_from_array, nms, pairs_within
 from .geometry import center_distance  # noqa: F401
 from .metrics import ObjectEntry, TrackSet
-from .similarity import _bisoftmax, cosine_matrix, masked_bisoftmax, validate_embeddings  # noqa: F401
+from .similarity import _bisoftmax, _listed_best, _pair_bisoftmax, cosine_matrix, validate_embeddings
+from .similarity import masked_bisoftmax  # noqa: F401
 
 _BETA_MATCH = 0.5  # a detection matches its best candidate above this similarity
 # merge_tracklets' window (frames), match score and radius (pixels)
@@ -309,17 +310,29 @@ def step(
         best = np.zeros(n, dtype=np.intp)
         best_conf = np.full(n, -np.inf)
         if n_tracks or len(backdrops):
-            cand_emb = _stack(live.emb, backdrops.emb)
-            allowed = det_cls[:, None] == _stack(live.cls, backdrops.cls)[None, :]
+            cand_emb, cand_cls = _stack(live.emb, backdrops.emb), _stack(live.cls, backdrops.cls)
+            # the admitted pairs, listed, when a mask rules a pair out
             if cfg.distance_gate is not None:
-                allowed &= centers_within(det_box, _stack(live.box, backdrops.box), cfg.distance_gate)
-            if cfg.similarity_metric == "bisoftmax":
-                sim = _bisoftmax(det_emb, cand_emb, allowed)
+                i, j = pairs_within(det_box, _stack(live.box, backdrops.box), cfg.distance_gate)
+                same = det_cls[i] == cand_cls[j]
+                pairs = i[same], j[same]
             else:
-                sim = cosine_matrix(det_emb, cand_emb)
-                sim = np.where(allowed, sim, -np.inf)
-            best = np.argmax(sim, axis=1)
-            best_conf = sim[np.arange(n), best]
+                allowed = det_cls[:, None] == cand_cls[None, :]
+                pairs = None if allowed.all() else np.nonzero(allowed)
+            if pairs is None:
+                if cfg.similarity_metric == "bisoftmax":
+                    sim = _bisoftmax(det_emb, cand_emb, None)
+                else:
+                    sim = cosine_matrix(det_emb, cand_emb)
+                best = np.argmax(sim, axis=1)
+                best_conf = sim[np.arange(n), best]
+            else:
+                i, j = pairs
+                if cfg.similarity_metric == "bisoftmax":
+                    sim, i, j = _pair_bisoftmax(det_emb, cand_emb, i, j)
+                else:
+                    sim = cosine_matrix(det_emb, cand_emb)[i, j]
+                best, best_conf = _listed_best(sim, i, j, n)
 
         # greedy in descending detection score, ties by input index: the
         # first eligible detection that picks a track claims it; one that
@@ -387,19 +400,17 @@ def merge_tracklets(state: TrackerState) -> TrackerState:
 
     # a track that overlaps the vanished one in time would give one ID two
     # boxes in a frame
-    allowed = (
-        (rows.cls[young][:, None] == rows.cls[vanished][None, :])
-        & (rows.created[young][:, None] > rows.frame[vanished][None, :])
-        & centers_within(rows.box[young], rows.box[vanished], _MERGE_RADIUS)
-    )
-    if not allowed.any():
+    i, j = pairs_within(rows.box[young], rows.box[vanished], _MERGE_RADIUS)
+    yi, vj = young[i], vanished[j]
+    admitted = (rows.cls[yi] == rows.cls[vj]) & (rows.created[yi] > rows.frame[vj])
+    if not admitted.any():
         return state
-    sim = _bisoftmax(rows.emb[young], rows.emb[vanished], allowed)
+    sim, i, j = _pair_bisoftmax(rows.emb[young], rows.emb[vanished], i[admitted], j[admitted])
 
-    # best young per vanished track, in descending score, ties by (i, j):
-    # nonzero lists pairs row-major and the sort is stable
-    ii, jj = np.nonzero(sim > _BETA_MERGE)
-    order = np.argsort(-sim[ii, jj], kind="stable")
+    # best young per vanished track, in descending score, ties by (i, j)
+    above = sim > _BETA_MERGE
+    ii, jj = i[above], j[above]
+    order = np.lexsort((jj, ii, -sim[above]))
     used_young: set[int] = set()
     used_vanished: set[int] = set()
     keep = np.ones(len(rows), dtype=bool)

@@ -12,18 +12,21 @@ association oracles are the per-object tracker that the array-resident
 ``embedtrack.tracker`` replaced: candidate matrices stacked every frame
 from its own ``Track`` and ``Backdrop`` records (embedding, last box and
 frames as fields), a Python greedy claim loop, per-box NMS and the
-two-pass softmax; with them comes the per-negative IoU binning of
-``sample_batch``. The detection-file oracles are a line-by-line reader
-and a per-value writer of format v2, which pack and unpack each embedding
-value with ``struct``: the references for the chunked ``embedtrack.formats``
-reader and its per-frame writer. The ``separate_*`` metrics are the
+two-pass softmax, which is also the dense masked kernel that the listed
+pairs' bi-softmax (``similarity._pair_bisoftmax``) must equal bit for bit;
+with them comes the per-negative IoU binning of ``sample_batch``. The
+detection-file oracles are a line-by-line reader and a per-value writer of
+format v2, which pack and unpack each embedding value with ``struct``:
+the references for the chunked ``embedtrack.formats`` reader and its
+per-frame writer. The ``separate_*`` metrics are the
 evaluation that ``per_class_report``'s one pass replaced: one run per class
 and metric, each converting every frame and computing its IoU matrix on
 its own. The world oracle is the per-detection ``synth.generate`` that the
 per-frame arrays replaced. The geometry oracles are the scalar ``iou`` with the
-box ``area`` it needs and the dense ``center_distance_matrix``: the
-references for ``iou_matrix`` and ``centers_within``, and called by no code
-of the package. ``visible_frames`` gives the metric oracles each frame's
+box ``area`` it needs and the dense ``center_distance_matrix``, whose
+mask ``within_oracle`` is: the references for ``iou_matrix`` and for the
+pairs that ``pairs_within``'s sweep lists, and called by no code of the
+package. ``visible_frames`` gives the metric oracles each frame's
 visible ground truth, and ``class_ids``, ``restrict_class`` and
 ``num_boxes`` give ``separate_per_class_report`` its classes, one class
 of a track set and its visible box count.

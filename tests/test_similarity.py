@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embedtrack.similarity import (
     _bisoftmax,
+    _listed_best,
+    _pair_bisoftmax,
     _stable_softmax,
     cosine_matrix,
     masked_bisoftmax,
@@ -240,3 +242,56 @@ class TestKernelMatchesTwoPassSoftmax:
         masked_bisoftmax(dets, cands, np.ones((2, 3), dtype=bool))
         _bisoftmax(dets, cands, None)
         assert shapes.count((2, 3)) == 2
+
+
+@st.composite
+def listed_pair_inputs(draw):
+    """Embeddings and an admitted-pair mask whose rows hold 0, 1, 2, 3, 9 or
+    every entry and whose columns may hold nine or more, the shapes N == 1
+    and M == 1 included. Small-integer embeddings tie; at 1e155 logits
+    overflow to inf."""
+    shape = draw(st.sampled_from(["both", "one detection", "one candidate"]))
+    n = 1 if shape == "one detection" else draw(st.integers(1, 300 if shape == "one candidate" else 60))
+    m = 1 if shape == "one candidate" else draw(st.integers(1, 60))
+    d = draw(st.sampled_from([1, 4, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        dets, cands = rng.integers(-3, 4, (n, d)).astype(float), rng.integers(-3, 4, (m, d)).astype(float)
+    else:
+        dets, cands = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+    scale = draw(st.sampled_from([1.0, 10.0, 1e155]))
+    allowed = np.zeros((n, m), dtype=bool)
+    for row, count in enumerate(rng.choice([0, 1, 2, 3, 9, m], size=n).tolist()):
+        allowed[row, rng.choice(m, min(count, m), replace=False)] = True
+    if draw(st.booleans()):
+        allowed[:, rng.integers(m)] |= rng.random(n) < 0.8
+    return scale * dets, scale * cands, allowed
+
+
+class TestListedPairsMatchDenseKernel:
+    """The listed pairs' kernel against the dense masked kernel of
+    ``tests/oracles.py``, bit for bit at every admitted entry."""
+
+    @given(listed_pair_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_bits_and_best_candidates(self, inputs):
+        dets, cands, allowed = inputs
+        i, j = np.nonzero(allowed)
+        # the kernel takes a row's pairs in any order: shuffle within rows
+        shuffle = np.lexsort((np.random.default_rng(0).random(len(i)), i))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = masked_bisoftmax_oracle(dets, cands, allowed)
+            finite = np.isfinite(dets @ cands.T)
+            sim, pi, pj = _pair_bisoftmax(dets, cands, i[shuffle], j[shuffle])
+            dense = masked_bisoftmax(dets, cands, allowed)
+        assert _pair_set(pi, pj) == _pair_set(*np.nonzero(allowed & finite))
+        assert same_bits(sim, want[pi, pj]) and same_bits(dense, want)
+        best, conf = _listed_best(sim, pi, pj, len(dets))
+        scored = want.max(axis=1) > 0.0
+        assert np.array_equal(best[scored], np.argmax(want, axis=1)[scored])
+        assert same_bits(conf[scored], want.max(axis=1)[scored])
+        assert np.all(conf[~scored] <= 0.0)
+
+
+def _pair_set(i, j):
+    return sorted(zip(i.tolist(), j.tolist()))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from embedtrack import tracker as tracker_module
 from embedtrack.ablation import standard_noisy_world, synth_tracker_config
 from embedtrack.config import PROFILE_NAMES, load_profile
-from embedtrack.geometry import BoundingBox, box_array, center_distance, centers_within
+from embedtrack.geometry import BoundingBox, box_array, boxes_from_array, center_distance, pairs_within
 from embedtrack.metrics import TrackSet
 from embedtrack.synth import Scenario, WorldConfig, generate
 from embedtrack.tracker import (
@@ -673,6 +673,17 @@ class TestMerge:
         assert sorted(t.state.tracks) == [1, 2]  # only one young track absorbed
         assert t.state.tracks[1].history[-1][1] is a.box
 
+    def test_score_ties_go_to_the_lowest_vanished_row(self):
+        # two lookalikes vanish; a third returns 20 px from each, outside the
+        # 5 px gate, and ties. Track 1's row comes first, though track 2's
+        # center comes first in x
+        t = Tracker(cfg(distance_gate=5.0, merge=True))
+        t.step(0, [det(0, x=60), det(0, x=20)])
+        t.step(1, [])
+        t.step(2, [det(0, x=40)])
+        assert sorted(t.state.tracks) == [1, 2]
+        assert [[f for f, _, _ in t.state.tracks[tid].history] for tid in (1, 2)] == [[0, 2], [0]]
+
     def test_merge_skips_track_overlapping_in_time(self):
         # two lookalikes spawn together; one continues, the other vanishes.
         # The continuing track lived alongside the vanished one, so folding
@@ -692,14 +703,14 @@ class TestMerge:
         assert len(state.live) == len(state.backdrops) == 0
 
 
-def _brute_force_within(boxes_a, boxes_b, radius):
-    """The distance gate pair by pair with the scalar center_distance, on
+def _brute_force_pairs(boxes_a, boxes_b, radius):
+    """The distance gate's pairs, row-major, from the dense oracle mask on
     two (N, 4) / (M, 4) box arrays."""
-    out = np.zeros((len(boxes_a), len(boxes_b)), dtype=bool)
-    for i, a in enumerate(boxes_a):
-        for j, b in enumerate(boxes_b):
-            out[i, j] = center_distance(BoundingBox(*a), BoundingBox(*b)) <= radius
-    return out
+    return np.nonzero(within_oracle(boxes_from_array(boxes_a), boxes_from_array(boxes_b), radius))
+
+
+def _pair_set(i, j):
+    return sorted(zip(np.asarray(i).tolist(), np.asarray(j).tolist()))
 
 
 # boxes on a half-pixel grid, so centers often lie exactly a grid distance
@@ -720,20 +731,30 @@ def test_gate_prefilter_equals_oracle(boxes_a, boxes_b, radius):
         # a radius exactly at one of the pair distances, when there is one
         dist = [center_distance(a, b) for a in boxes_a for b in boxes_b]
         radius = dist[radius % len(dist)] if dist else 1.0
-    got = centers_within(box_array(boxes_a), box_array(boxes_b), radius)
-    want = within_oracle(boxes_a, boxes_b, radius)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
+    i, j = pairs_within(box_array(boxes_a), box_array(boxes_b), radius)
+    assert i.dtype == j.dtype == np.intp and np.all(np.diff(i) >= 0)
+    assert _pair_set(i, j) == _pair_set(*np.nonzero(within_oracle(boxes_a, boxes_b, radius)))
 
 
 def test_gate_keeps_pairs_exactly_at_the_radius():
     a = [BoundingBox(0, 0, 2, 2)]  # center (1, 1)
     # centers (4, 5): 3-4-5 triangle; (6, 1): |dx| = 5; (5.5, 1): |dx| = 4.5
     b = [BoundingBox(3, 4, 5, 6), BoundingBox(5, 0, 7, 2), BoundingBox(5.5, 1, 5.5, 1)]
-    a, b = box_array(a), box_array(b)
-    assert centers_within(a, b, 5.0).tolist() == [[True, True, True]]
-    assert centers_within(a, b, 4.5).tolist() == [[False, False, True]]
-    assert centers_within(a, b, 4.0).tolist() == [[False, False, False]]
+    for radius, want in ((5.0, [(0, 0), (0, 1), (0, 2)]), (4.5, [(0, 2)]), (4.0, [])):
+        got = _pair_set(*pairs_within(box_array(a), box_array(b), radius))
+        assert got == want == _pair_set(*np.nonzero(within_oracle(a, b, radius)))
+
+
+@pytest.mark.parametrize("radius", [0.0, 5.0, np.inf])
+def test_gate_on_centers_that_overflow_equals_oracle(radius):
+    # finite boxes whose centers overflow to +-inf: inf - inf gives a nan
+    # distance, which ``not > radius`` admits
+    big = np.finfo(np.float64).max
+    boxes = [BoundingBox(big, 0, big, 0), BoundingBox(big, big, big, big), BoundingBox(0, 0, 2, 2),
+             BoundingBox(-big, 1, -big, 1), BoundingBox(-big, 0, big, 0), BoundingBox(3, -big, 3, -big)]
+    with np.errstate(all="ignore"):
+        got = _pair_set(*pairs_within(box_array(boxes), box_array(boxes[::-1]), radius))
+        assert got == _pair_set(*np.nonzero(within_oracle(boxes, boxes[::-1], radius)))
 
 
 def test_broadcast_gate_matches_brute_force(monkeypatch):
@@ -755,7 +776,7 @@ def test_broadcast_gate_matches_brute_force(monkeypatch):
         return t, steps
 
     fast, fast_steps = run()
-    monkeypatch.setattr(tracker_module, "centers_within", _brute_force_within)
+    monkeypatch.setattr(tracker_module, "pairs_within", _brute_force_pairs)
     slow, slow_steps = run()
     assert fast_steps == slow_steps
     assert fast.finish() == slow.finish()
@@ -1020,10 +1041,12 @@ def test_run_sequence_reaches_no_embedding_validation(monkeypatch, overrides):
         real = mod.validate_embeddings
         monkeypatch.setattr(mod, "validate_embeddings",
                             lambda *a, _real=real, **k: validations.append(1) or _real(*a, **k))
-    for name in ("_bisoftmax", "_momentum"):
+    for name in ("_bisoftmax", "_pair_bisoftmax", "_momentum"):
         real = getattr(tracker_module, name)
         monkeypatch.setattr(tracker_module, name,
                             lambda *a, _real=real, _name=name: kernels.append(_name) or _real(*a))
     pred = run_sequence(frames, synth_tracker_config(**overrides))
     assert validations == [] and pred.frames
-    assert kernels.count("_bisoftmax") >= len(frames) - 1 and "_momentum" in kernels
+    # the dense kernel without a gate, the listed pairs' kernel with one
+    kernel = "_pair_bisoftmax" if overrides else "_bisoftmax"
+    assert kernels.count(kernel) >= len(frames) - 1 and "_momentum" in kernels

@@ -1,6 +1,7 @@
 """Negative controls for the rules of evaluation and association: one-line
-mutants of ``src/embedtrack/`` (the metrics, the tracker, the bi-softmax,
-NMS and the synthetic IoU baseline), each run against tier-1.
+mutants of ``src/embedtrack/`` (the metrics, the tracker, the dense and
+the listed pairs' bi-softmax, the distance gate, NMS and the synthetic IoU
+baseline), each run against tier-1.
 
 Each mutant is applied to a copy of the working tree in a temporary
 directory, and tier-1 runs there with ``-x``. A mutant that a pin catches
@@ -31,6 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = "src/embedtrack/metrics.py"
 TRACKER = "src/embedtrack/tracker.py"
+GEOMETRY = "src/embedtrack/geometry.py"
+SIMILARITY = "src/embedtrack/similarity.py"
 
 # (name, file, old text, new text, the rule the mutant breaks)
 MUTANTS = [
@@ -70,14 +73,30 @@ MUTANTS = [
     ("greedy_ties_to_higher_index", TRACKER, 'order = np.argsort(-scores, kind="stable")',
      'order = len(scores) - 1 - np.argsort(-scores[::-1], kind="stable")',
      "detections claim in descending score, ties by input index"),
-    ("merge_at_created_frame", TRACKER, "(rows.created[young][:, None] > rows.frame[vanished][None, :])",
-     "(rows.created[young][:, None] >= rows.frame[vanished][None, :])",
+    ("merge_at_created_frame", TRACKER, "(rows.created[yi] > rows.frame[vj])",
+     "(rows.created[yi] >= rows.frame[vj])",
      "a young track merges only into a track last active before it was created"),
-    ("merge_pairs_in_row_order", TRACKER, 'order = np.argsort(-sim[ii, jj], kind="stable")',
+    ("merge_pairs_in_row_order", TRACKER, "order = np.lexsort((jj, ii, -sim[above]))",
      "order = np.arange(len(ii))", "merge pairs are taken in descending score"),
-    ("nms_at_threshold", "src/embedtrack/geometry.py", "boxes.take(j, axis=0)) > iou_threshold",
+    ("merge_pairs_in_sweep_order", TRACKER, "order = np.lexsort((jj, ii, -sim[above]))",
+     'order = np.argsort(-sim[above], kind="stable")',
+     "merge score ties go to the pair first in row-major (young, vanished) order"),
+    ("gate_below_radius", GEOMETRY, "keep[k] = ~(np.hypot(dx[k], dy[k]) > radius)",
+     "keep[k] = np.hypot(dx[k], dy[k]) < radius", "the gate admits centers exactly the radius apart"),
+    ("listed_ties_to_highest", SIMILARITY, "np.minimum.reduceat(j[hit], first)",
+     "np.maximum.reduceat(j[hit], first)",
+     "a detection's best listed candidate takes ties to the lowest candidate, as argmax does"),
+    ("wide_rows_summed_in_order", SIMILARITY, "    if axis == 1 or shape[1] == 1:",
+     "    if shape[1] == 1:",
+     "a row with three pairs or more sums as numpy sums the dense row, pairwise"),
+    ("one_column_summed_in_order", SIMILARITY, "    if axis == 1 or shape[1] == 1:", "    if axis == 1:",
+     "the one column of an (N, 1) array sums as numpy sums it, pairwise"),
+    ("listed_row_only_softmax", SIMILARITY, "sim += _listed_softmax(x, i, j, shape, 0)",
+     "sim += _listed_softmax(x, i, j, shape, 1)",
+     "the listed bi-softmax is the mean of the row-wise and the column-wise softmax"),
+    ("nms_at_threshold", GEOMETRY, "boxes.take(j, axis=0)) > iou_threshold",
      "boxes.take(j, axis=0)) >= iou_threshold", "NMS suppresses a box only above the IoU threshold"),
-    ("row_only_softmax", "src/embedtrack/similarity.py", "row += _stable_softmax(logits, axis=0, out=logits",
+    ("row_only_softmax", SIMILARITY, "row += _stable_softmax(logits, axis=0, out=logits",
      "row += _stable_softmax(logits, axis=1, out=logits",
      "the bi-softmax is the mean of the row-wise and the column-wise softmax"),
     ("baseline_match_iou", "src/embedtrack/synth.py", "_MIN_SCORE, _BASELINE_MATCH_IOU = 0.5, 0.3",
