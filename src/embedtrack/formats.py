@@ -28,10 +28,12 @@ count and non-decreasing frames, also across the chunk boundary, are
 checked per column. Each frame's rows of a chunk are then checked once, as
 arrays, by ``tracker.detections_from_arrays`` under the rules of the
 ``BoundingBox`` and ``Detection`` constructors, the check that
-``synth.generate`` also uses. A chunk that numpy cannot parse, that fails a
-check or whose values break a rule is read again line by line, and that
-loop decides what is accepted and names the offending line in its
-``FormatError``.
+``synth.generate`` also uses, which builds them into a ``tracker.Frame``. A
+chunk that numpy cannot parse, that fails a check or whose values break a
+rule is read again line by line, and that loop decides what is accepted
+and names the offending line in its ``FormatError``. The reader returns
+one ``Frame`` per frame: a frame whose rows span a chunk boundary, or that
+the line loop read, is gathered from its detections by ``Frame``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from collections.abc import Sequence
 from contextlib import contextmanager
 from itertools import islice
 
@@ -46,7 +49,7 @@ import numpy as np
 
 from .geometry import BoundingBox
 from .metrics import ObjectEntry, TrackSet
-from .tracker import Detection, detections_from_arrays
+from .tracker import Detection, Frame, detections_from_arrays
 
 __all__ = [
     "FormatError",
@@ -60,6 +63,10 @@ __all__ = [
 DET_HEADER_PREFIX = "# embedtrack-detections v2 dim="
 CHUNK_LINES = 2048
 _HEX_DIGITS = frozenset("0123456789abcdef")
+# bytes.fromhex also takes A-F, which v2 does not; each other character that
+# str.lower() would change fails bytes.fromhex, which sends the chunk to the
+# line loop anyway
+_UPPER_HEX_DIGITS = "ABCDEF"
 
 
 class FormatError(ValueError):
@@ -91,7 +98,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_detections(fp, frames: dict[int, list[Detection]], dim: int) -> None:
+def write_detections(fp, frames: dict[int, Sequence[Detection]], dim: int) -> None:
     """Write per-frame detections in frame order."""
     fp.write(f"{DET_HEADER_PREFIX}{dim}\n")
     width = 16 * dim
@@ -132,7 +139,7 @@ def _parse_chunk(lines: list[str], dim: int,
     del rows
     hexes = "".join(embs)
     del embs
-    if hexes.lower() != hexes:  # bytes.fromhex also takes A-F, which v2 does not
+    if any(c in hexes for c in _UPPER_HEX_DIGITS):  # six substring scans
         return None
     try:
         head = np.loadtxt(heads, dtype=_HEAD_DTYPE, comments=None, ndmin=1)
@@ -147,15 +154,16 @@ def _parse_chunk(lines: list[str], dim: int,
 def _add_rows(head: np.ndarray, emb: np.ndarray, frames: dict[int, list[Detection]]) -> int:
     """Add the detections of parsed chunk rows to ``frames``, one frame's
     rows at a time through ``detections_from_arrays``, which copies their
-    embeddings out of the chunk; returns the last frame index, or raises the
-    ValueError of the first row that breaks a rule."""
+    arrays out of the chunk into a ``Frame``; returns the last frame index,
+    or raises the ValueError of the first row that breaks a rule."""
     frame = head["frame"]
     # frames do not decrease, so each frame's rows are one run
     cuts = (np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist()
     for lo, hi in zip([0, *cuts], [*cuts, len(head)]):
-        rows = head[lo:hi]
-        frames.setdefault(int(frame[lo]), []).extend(
-            detections_from_arrays(rows["box"], rows["class_id"], rows["score"], emb[lo:hi]))
+        rows, f = head[lo:hi], int(frame[lo])
+        part = detections_from_arrays(rows["box"], rows["class_id"], rows["score"], emb[lo:hi])
+        # a frame joined across the chunk boundary is a list until the end
+        frames[f] = frames[f] + part if f in frames else part
     return int(frame[-1])
 
 
@@ -190,12 +198,15 @@ def _read_lines(lines: list[str], lineno: int, dim: int,
         if last_frame is not None and frame < last_frame:
             raise FormatError(f"line {lineno}: frame indices must be non-decreasing")
         last_frame = frame
-        frames.setdefault(frame, []).append(det)
+        dets = frames.get(frame)
+        if dets is None or isinstance(dets, Frame):  # a Frame does not grow
+            dets = frames[frame] = list(dets or ())
+        dets.append(det)
     return last_frame
 
 
-def read_detections(fp) -> tuple[int, dict[int, list[Detection]]]:
-    """Parse a detection file; returns (dim, frame -> detections)."""
+def read_detections(fp) -> tuple[int, dict[int, Frame]]:
+    """Parse a detection file; returns (dim, frame index -> its Frame)."""
     header = fp.readline().strip()
     if header.startswith("# embedtrack-detections v1 "):
         raise FormatError("line 1: this is a v1 detection file, which is no longer read; "
@@ -225,7 +236,7 @@ def read_detections(fp) -> tuple[int, dict[int, list[Detection]]]:
                 raise
         lineno += len(lines)
         del lines, parsed  # the next chunk is read without this one alive
-    return dim, frames
+    return dim, {f: dets if isinstance(dets, Frame) else Frame(dets) for f, dets in frames.items()}
 
 
 def write_mot(fp, ts: TrackSet) -> None:

@@ -214,15 +214,23 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list[int
     over = _pair_iou(boxes.take(i, axis=0), boxes.take(j, axis=0)) > iou_threshold
     if not over.any():
         return order.tolist()
-    overlap = np.zeros((len(boxes), len(boxes)), dtype=bool)
-    overlap[i[over], j[over]] = True
-    overlap |= overlap.T
+    i, j = i[over], j[over]
+    # each overlapping pair both ways, grouped by its first box: box k
+    # overlaps the boxes near[start[k]:start[k + 1]]
+    first = np.concatenate([i, j])
+    by_first = np.argsort(first, kind="stable")
+    near = np.concatenate([j, i])[by_first].tolist()
+    start = np.searchsorted(first[by_first], np.arange(len(boxes) + 1))
 
     # The overlap relation is symmetric, so a kept box is never suppressed
     # later, and a box that overlaps no other box is kept and suppresses
-    # nothing: only the rows of boxes with an overlap need the greedy pass.
-    suppressed = np.zeros(len(boxes), dtype=bool)
-    for i in order[overlap.any(axis=1)[order]].tolist():
-        if not suppressed[i]:
-            suppressed |= overlap[i]
-    return order[~suppressed[order]].tolist()
+    # nothing: only the boxes with an overlap need the greedy pass.
+    suppressed: set[int] = set()
+    has_overlap = start[1:] > start[:-1]
+    start = start.tolist()
+    for k in order[has_overlap[order]].tolist():
+        if k not in suppressed:
+            suppressed.update(near[start[k]:start[k + 1]])
+    keep = np.ones(len(boxes), dtype=bool)
+    keep[list(suppressed)] = False
+    return order[keep[order]].tolist()

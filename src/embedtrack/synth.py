@@ -21,7 +21,7 @@ import numpy as np
 from .config import check_fields, check_range
 from .geometry import BoundingBox, box_array, boxes_from_array, iou_matrix
 from .metrics import ObjectEntry, TrackSet
-from .tracker import Detection, detections_from_arrays
+from .tracker import Detection, Frame, detections_from_arrays
 
 __all__ = [
     "WorldConfig",
@@ -80,12 +80,13 @@ class WorldConfig:
 class Scenario:
     """Ground truth plus derived noisy detections.
 
-    det_identity carries the true identity per detection (None for false
-    positives / distractors) for diagnosis only; the tracker never sees it.
+    ``detections`` holds one ``Frame`` per frame index. det_identity
+    carries the true identity per detection (None for false positives /
+    distractors) for diagnosis only; the tracker never sees it.
     """
 
     gt: TrackSet
-    detections: dict[int, list[Detection]]
+    detections: dict[int, Frame]
     det_identity: dict[int, list[int | None]]
     prototypes: np.ndarray
     config: WorldConfig
@@ -183,7 +184,7 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
     by the centres, sizes, embeddings, classes and scores of the slots
     below ``fp_rate``. Seen identities and distractors take their rows; the
     frame is computed from them as arrays, and ``detections_from_arrays``
-    checks and builds it.
+    checks them and builds the frame's ``Frame``.
     """
     rng = np.random.default_rng(cfg.seed)
     n_id = cfg.n_identities
@@ -222,7 +223,7 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
         occluded[max(first, 0):max(last + 1, 0), ident] = True
 
     gt = TrackSet()
-    detections: dict[int, list[Detection]] = {}
+    detections: dict[int, Frame] = {}
     det_identity: dict[int, list[int | None]] = {}
     img_w, img_h = cfg.image_size
     fp_low, fp_high = (50.0, 50.0), (img_w - 50.0, img_h - 50.0)  # false-positive centres
@@ -262,14 +263,15 @@ def generate(cfg: WorldConfig, prototypes: np.ndarray | None = None) -> Scenario
 
 
 def subsample(scenario: Scenario, keep_every_k: int) -> Scenario:
-    """Keep frames 0, k, 2k, ...; frame indices are renumbered densely."""
+    """Keep frames 0, k, 2k, ...; frame indices are renumbered densely, and
+    each kept ``Frame`` is shared with ``scenario``."""
     if keep_every_k < 1:
         raise ValueError("keep_every_k must be >= 1")
     if keep_every_k == 1:
         return scenario
     kept = sorted(f for f in scenario.detections if f % keep_every_k == 0)
     gt = TrackSet()
-    detections: dict[int, list[Detection]] = {}
+    detections: dict[int, Frame] = {}
     det_identity: dict[int, list[int | None]] = {}
     for new_f, old_f in enumerate(kept):
         for e in scenario.gt.frames.get(old_f, []):

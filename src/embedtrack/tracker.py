@@ -10,6 +10,7 @@ greedily in descending detection-score order. No motion model anywhere.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ _MERGE_WINDOW, _BETA_MERGE, _MERGE_RADIUS = 10, 0.5, 50.0
 
 __all__ = [
     "Detection",
+    "Frame",
     "detections_from_arrays",
     "Track",
     "TrackerConfig",
@@ -73,6 +75,54 @@ class Detection:
         object.__setattr__(self, "embedding", emb)
 
 
+class Frame(list):
+    """One frame's detections: a read-only ``list[Detection]`` that holds
+    the frame's arrays, private read-only copies made once when it is
+    built: (N, 4) float64 xyxy boxes, N int64 class ids, N float64 scores
+    and the (N, D) float64 block whose rows are its detections' embeddings.
+
+    ``detections_from_arrays`` builds a frame from arrays, and ``synth`` and
+    the detection reader return one per frame; ``Frame(detections)`` is the
+    adapter that gathers the arrays from ``Detection`` objects, whose
+    embeddings must be 1-D and of one dimension. ``step`` tracks a frame's
+    arrays. Each mutator raises ``TypeError``; ``list(frame)`` is a list to
+    change, and a frame equals the list of the same detections.
+    """
+
+    __slots__ = ("_boxes", "_class_ids", "_scores", "_embeddings")
+
+    def __init__(self, detections: Iterable[Detection]) -> None:
+        list.extend(self, detections)
+        if len(dims := {d.embedding.size for d in self}) > 1:
+            raise ValueError(f"embedding dimensions {sorted(dims)} differ among the detections")
+        try:
+            emb = np.array([d.embedding for d in self] or np.empty((0, 0)), dtype=np.float64)
+        except ValueError:  # embeddings of one size but not one shape
+            emb = None
+        if emb is None or emb.ndim != 2:
+            # numpy lets a read-only array be reshaped in place
+            raise ValueError("detection embeddings must be 1-D, got shapes "
+                             f"{sorted({d.embedding.shape for d in self})}")
+        self._hold(box_array(d.box for d in self), np.array([d.class_id for d in self], dtype=np.int64),
+                   np.array([d.score for d in self], dtype=np.float64), emb)
+
+    def _hold(self, boxes: np.ndarray, class_ids: np.ndarray, scores: np.ndarray,
+              embeddings: np.ndarray) -> None:
+        """Keep the frame's arrays, which no caller holds, as read-only."""
+        for a in (boxes, class_ids, scores, embeddings):
+            a.flags.writeable = False
+        self._boxes, self._class_ids, self._scores, self._embeddings = boxes, class_ids, scores, embeddings
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a Frame is read-only; list(frame) is a copy to change")
+
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+
+    def __reduce__(self):  # a copy is gathered again, through the adapter
+        return Frame, (list(self),)
+
+
 # Detection's slot setters: they store a field past the frozen __setattr__
 # and __post_init__, for values that detections_from_arrays has checked
 _DETECTION_SLOTS = tuple(getattr(Detection, name).__set__
@@ -80,18 +130,19 @@ _DETECTION_SLOTS = tuple(getattr(Detection, name).__set__
 
 
 def detections_from_arrays(boxes: np.ndarray, class_ids: np.ndarray, scores: np.ndarray,
-                           embeddings: np.ndarray) -> list[Detection]:
-    """One frame's detections from an (N, 4) array of xyxy boxes, N integer
-    class ids, N scores and an (N, D) embedding array.
+                           embeddings: np.ndarray) -> Frame:
+    """One frame's detections, as a ``Frame``, from an (N, 4) array of xyxy
+    boxes, N integer class ids, N scores and an (N, D) embedding array.
 
     Each array is checked once, under the rules of ``BoundingBox`` and
-    ``Detection``, and the embeddings are copied into one read-only float64
-    block of which each detection holds a row. When a row breaks a rule,
-    every detection is built through the constructors, so the first bad row
+    ``Detection``, and copied: the frame keeps float64 boxes, int64 class
+    ids and float64 scores, and one read-only float64 embedding block of
+    which each detection holds a row. When a row breaks a rule, every
+    detection is built through the constructors, so the first bad row
     raises the constructor's message.
     """
-    cls = np.asarray(class_ids)
-    scores = np.asarray(scores)
+    cls = np.array(class_ids)
+    scores = np.array(scores)
     if scores.dtype != bool:  # a bool score stays one, for Detection to reject
         scores = scores.astype(np.float64, copy=False)
     emb = np.array(embeddings, dtype=np.float64)  # the frame's block; see Detection's copy
@@ -100,21 +151,26 @@ def detections_from_arrays(boxes: np.ndarray, class_ids: np.ndarray, scores: np.
         raise ValueError("a frame needs an (N, 4) box array and N class ids, scores and embedding "
                          f"rows, got shapes {np.shape(boxes)}, {cls.shape}, {scores.shape} and "
                          f"{emb.shape}")
-    if not (cls.dtype.kind in "iu" and scores.dtype != bool and emb.ndim == 2 and emb.shape[1]
-            and ((scores >= 0.0) & (scores <= 1.0)).all() and np.isfinite(emb).all()):
-        return [Detection(BoundingBox(*b), c, s, e) for b, c, s, e in
-                zip(np.asarray(boxes, dtype=np.float64).tolist(), cls.tolist(), scores.tolist(), emb)]
-    emb.flags.writeable = False
+    box = np.array(boxes, dtype=np.float64)
+    if not (np.can_cast(cls.dtype, np.int64) and cls.dtype != bool and scores.dtype != bool
+            and emb.ndim == 2 and emb.shape[1] and ((scores >= 0.0) & (scores <= 1.0)).all()
+            and np.isfinite(emb).all()):
+        return Frame([Detection(BoundingBox(*b), c, s, e) for b, c, s, e in
+                      zip(box.tolist(), cls.tolist(), scores.tolist(), emb)])
+    emb.flags.writeable = False  # before its rows are taken: a view keeps the flag it was made with
     set_box, set_class, set_score, set_embedding = _DETECTION_SLOTS
     out = []
-    for b, c, s, e in zip(boxes_from_array(boxes), cls.tolist(), scores.tolist(), emb):
+    for b, c, s, e in zip(boxes_from_array(box), cls.tolist(), scores.tolist(), emb):
         d = object.__new__(Detection)
         set_box(d, b)
         set_class(d, c)
         set_score(d, s)
         set_embedding(d, e)
         out.append(d)
-    return out
+    frame = list.__new__(Frame)
+    list.extend(frame, out)
+    frame._hold(box, cls.astype(np.int64, copy=False), scores, emb)
+    return frame
 
 
 @dataclass
@@ -202,9 +258,9 @@ class Tracker:
         self.config = config
         self.state = TrackerState()
 
-    def step(self, frame_index: int, detections: list[Detection]) -> list[tuple[int, Detection]]:
-        """Process one frame; returns the confirmed (track_id, detection)
-        pairs for this frame."""
+    def step(self, frame_index: int, detections: Sequence[Detection]) -> list[tuple[int, Detection]]:
+        """Process one frame (a ``Frame``, or any sequence of detections);
+        returns the confirmed (track_id, detection) pairs for this frame."""
         return step(self.state, frame_index, detections, self.config)
 
     def finish(self) -> dict[int, list[tuple[int, BoundingBox, float]]]:
@@ -217,7 +273,7 @@ class Tracker:
         return histories
 
 
-def run_sequence(frames: dict[int, list[Detection]], config: TrackerConfig) -> TrackSet:
+def run_sequence(frames: dict[int, Sequence[Detection]], config: TrackerConfig) -> TrackSet:
     """Track a whole sequence: step a fresh Tracker over the frames in
     sorted order, then return its final histories as a TrackSet, added in
     (frame, track id) order, each entry carrying its box's score.
@@ -248,7 +304,7 @@ def _stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def step(
     state: TrackerState,
     frame_index: int,
-    detections: list[Detection],
+    detections: Sequence[Detection],
     cfg: TrackerConfig,
 ) -> list[tuple[int, Detection]]:
     """One association step.
@@ -260,28 +316,35 @@ def step(
     claiming in descending score order: match a free track, or be consumed
     by a backdrop, or start a new track (score above beta_new), or become a
     backdrop. The frame is checked before any state changes.
+
+    A ``Frame`` is tracked on its own arrays; any other sequence of
+    detections becomes one through the adapter ``Frame(detections)``. The
+    returned pairs hold the caller's own ``Detection`` objects.
     """
     if state.frame is not None and frame_index <= state.frame:
         raise ValueError(
             f"frame index must increase monotonically ({frame_index} after {state.frame})"
         )
-    # each Detection checked itself; what is left spans the frame's detections
+    # each Detection checked itself, and a Frame its arrays; what is left
+    # spans the frame's detections and the tracker's rows
     live, backdrops = state.live, state.backdrops
-    dims = {d.embedding.size for d in detections}
+    frame = detections if isinstance(detections, Frame) else None
+    if frame is None:
+        dims = {d.embedding.size for d in detections}
+    else:  # an empty frame's block has no detection's dimension
+        dims = {frame._embeddings.shape[1]} if len(frame) else set()
     held = live if len(live) else backdrops
     if len(held):
         dims.add(held.emb.shape[1])
     if len(dims) > 1:
         raise ValueError(f"frame {frame_index}: embedding dimensions {sorted(dims)} differ "
                          "among its detections and the tracker's rows")
-    try:
-        emb = np.array([d.embedding for d in detections] or np.empty((0, 0)), dtype=np.float64)
-    except ValueError:  # embeddings of one size but not one shape
-        emb = None
-    if emb is None or emb.ndim != 2:
-        # numpy lets a read-only array be reshaped in place
-        raise ValueError(f"frame {frame_index}: detection embeddings must be 1-D, got shapes "
-                         f"{sorted({d.embedding.shape for d in detections})}")
+    if frame is None:
+        try:
+            frame = Frame(detections)
+        except ValueError as exc:
+            raise ValueError(f"frame {frame_index}: {exc}") from None
+    emb = frame._embeddings
     if cfg.similarity_metric == "cosine" and not emb.any(axis=1).all():
         raise ValueError(f"frame {frame_index}: cosine similarity needs non-zero embeddings")
     state.frame = frame_index
@@ -294,16 +357,15 @@ def step(
         live.select(~expired)
     backdrops.select(frame_index - backdrops.frame <= cfg.backdrop_frames)
 
-    scores = np.array([d.score for d in detections], dtype=np.float64)
+    scores = frame._scores
     idx = np.flatnonzero(scores >= cfg.det_confidence)  # rows of the frame's arrays
     matches: list[tuple[int, Detection]] = []
     if len(idx):
-        det_box = box_array(detections[i].box for i in idx.tolist())
+        det_box = frame._boxes[idx]
         keep = np.sort(nms(det_box, scores[idx], cfg.nms_threshold))
         idx, det_box = idx[keep], det_box[keep]
-        n, dets = len(idx), [detections[i] for i in idx.tolist()]
-        scores, det_emb = scores[idx], emb[idx]
-        det_cls = np.array([d.class_id for d in dets])
+        n = len(idx)
+        scores, det_emb, det_cls = scores[idx], emb[idx], frame._class_ids[idx]
 
         n_tracks = len(live)  # candidates: live tracks, then backdrops
         # best candidate and its similarity per detection (-inf: no candidate)
@@ -354,8 +416,8 @@ def step(
                                        cfg.momentum)
             live.box[rows] = det_box.take(di, axis=0)
             live.frame[rows] = frame_index
-            for i, tid in zip(di.tolist(), live.tid[rows].tolist()):
-                det = dets[i]
+            for i, tid in zip(idx[di].tolist(), live.tid[rows].tolist()):
+                det = frame[i]
                 state.tracks[tid].history.append((frame_index, det.box, det.score))
                 matches.append((tid, det))
 
@@ -363,8 +425,8 @@ def step(
         tids = np.arange(state.next_id, state.next_id + len(si))
         live.extend(tids, det_emb.take(si, axis=0), det_cls[si], det_box.take(si, axis=0),
                     frame_index)
-        for tid, i in zip(tids.tolist(), si.tolist()):
-            det = dets[i]
+        for tid, i in zip(tids.tolist(), idx[si].tolist()):
+            det = frame[i]
             state.tracks[tid] = Track(tid, det.class_id, [(frame_index, det.box, det.score)])
             matches.append((tid, det))
         state.next_id += len(si)

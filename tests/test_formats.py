@@ -23,10 +23,10 @@ from embedtrack.formats import (
     write_detections,
     write_mot,
 )
-from embedtrack.geometry import BoundingBox
+from embedtrack.geometry import BoundingBox, box_array
 from embedtrack.metrics import ObjectEntry, TrackSet
 from embedtrack.synth import WorldConfig, generate
-from embedtrack.tracker import Detection
+from embedtrack.tracker import Detection, Frame
 from oracles import read_detections_oracle, write_detections_oracle
 
 
@@ -277,6 +277,10 @@ class TestChunkedReader:
         (row(32, emb=EMB2[:-1] + "g"), "embedding field holds a character other than 0-9 and a-f"),
         (row(32, emb=EMB2[:-1] + "\uff10"), "embedding field holds a character other than 0-9 and a-f"),
         (row(32, emb=EMB2.upper()), "embedding field holds a character other than 0-9 and a-f"),
+        # one uppercase hex digit, which bytes.fromhex takes, and one
+        # non-ASCII uppercase letter, which it does not
+        (row(32, emb=EMB2[:-1] + "F"), "embedding field holds a character other than 0-9 and a-f"),
+        (row(32, emb=EMB2[:-1] + "\u00c4"), "embedding field holds a character other than 0-9 and a-f"),
     ])
     @pytest.mark.parametrize("at", [CHUNK_LINES - 1, CHUNK_LINES])
     def test_rejections_name_the_line(self, special, message, at):
@@ -299,6 +303,21 @@ class TestChunkedReader:
         lines = [row(5)] * CHUNK_LINES + [row(5), row(6)]
         _, (_, frames) = assert_same_reads(HEADER2 + "".join(lines))
         assert [len(frames[5]), len(frames[6])] == [CHUNK_LINES + 1, 1]
+
+    def test_each_frame_is_one_frame_with_the_gathered_arrays(self):
+        """Frame 0 spans the chunk boundary, frame 1 is read by the array
+        path and frame 2 by the line loop (numpy does not take ``3_0``)."""
+        lines = [row(0)] * 3 + [row(1), row(1, cls="2"), row(2, cls="3_0"), row(2)]
+        with mock.patch.object(formats, "CHUNK_LINES", 2):
+            _, frames = read_detections(io.StringIO(HEADER2 + "".join(lines)))
+        assert {f: len(v) for f, v in frames.items()} == {0: 3, 1: 2, 2: 2}
+        for frame in frames.values():
+            assert type(frame) is Frame
+            want = [box_array(d.box for d in frame), np.array([d.class_id for d in frame]),
+                    np.array([d.score for d in frame]), np.array([d.embedding for d in frame])]
+            got = [frame._boxes, frame._class_ids, frame._scores, frame._embeddings]
+            assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [(a.dtype, a.shape, a.tobytes()) for a in want]
+        assert frames[2]._class_ids.tolist() == [30, 0]
 
     def test_generated_world_longer_than_one_chunk(self):
         s = generate(WorldConfig(n_identities=40, n_frames=60, dim=8, sigma_e=0.2,

@@ -314,6 +314,22 @@ class TestAgainstDenseReferences:
         assert nms(box_array(boxes), np.array(scores), threshold) == nms_oracle(
             dets, threshold, class_agnostic=True)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nms_keeps_what_the_dense_loop_keeps_in_a_crowd(self, seed):
+        """600 boxes on a 300 px square, a third of them copies of another
+        box moved by at most a pixel, with tied scores or not: most boxes
+        overlap several others, and each threshold suppresses a sixth."""
+        rng = np.random.default_rng(seed)
+        xy = rng.uniform(0, 300, (600, 2))
+        boxes = np.hstack([xy, xy + rng.uniform(20, 60, (600, 2))])
+        boxes[400:] = boxes[:200] + rng.uniform(-1, 1, (200, 1)) * [1, 0, 1, 0]
+        scores = rng.choice([0.3, 0.5, 0.5, 0.9], 600) if seed else rng.uniform(size=600)
+        dets = [(BoundingBox(*b), s, 0) for b, s in zip(boxes.tolist(), scores.tolist())]
+        for threshold in (0.0, 0.3, 0.7):
+            keep = nms(boxes, scores, threshold)
+            assert keep == nms_oracle(dets, threshold, class_agnostic=True)
+            assert len(keep) <= 500
+
 
 @given(st.data())
 def test_nms_at_threshold_one_keeps_every_box(data):

@@ -82,13 +82,13 @@ REMOVED_ATTRIBUTES = {
 DEFAULTED = 60
 
 # the lines of src/embedtrack/*.py, as wc -l counts them; a change that
-# moves this number states its line delta: 3,251 after association came to
-# run on the listed admitted pairs when a mask applies: the sweep
-# pairs_within replaced the dense centers_within (geometry.py +14), the
-# listed pairs' softmax, kernel and best candidate joined the dense kernel
-# (similarity.py +63), and step and the merge came to list their pairs
-# (tracker.py +11)
-SRC_LINES = 3251
+# moves this number states its line delta: 3,334 after each frame came to
+# be a tracker.Frame that keeps its checked arrays, which step tracks
+# instead of gathering them from Detection objects (tracker.py +62: the
+# Frame type and its adapter; formats.py +11: one Frame per frame read,
+# and the uppercase scan; synth.py +2), and NMS came to suppress through
+# its listed pairs rather than an N x N matrix (geometry.py +8)
+SRC_LINES = 3334
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -25,7 +25,7 @@ from embedtrack.synth import (
     place_prototypes,
     subsample,
 )
-from embedtrack.tracker import Detection, run_sequence
+from embedtrack.tracker import Detection, Frame, run_sequence
 from oracles import generate_oracle, place_prototypes_oracle
 
 
@@ -491,6 +491,7 @@ class TestSubsample:
         assert sub.config.n_frames == 4
         for new_f, old_f in enumerate([0, 5, 10, 15]):
             assert sub.detections[new_f] is s.detections[old_f]
+        assert all(type(frame) is Frame for frame in s.detections.values())
 
     def test_identity_subsample_is_noop(self):
         s = generate(small_world())

@@ -1,10 +1,15 @@
+import copy
 import dataclasses
+import io
+import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from embedtrack import formats
 from embedtrack import tracker as tracker_module
 from embedtrack.ablation import standard_noisy_world, synth_tracker_config
 from embedtrack.config import PROFILE_NAMES, load_profile
@@ -13,6 +18,7 @@ from embedtrack.metrics import TrackSet
 from embedtrack.synth import Scenario, WorldConfig, generate
 from embedtrack.tracker import (
     Detection,
+    Frame,
     Tracker,
     TrackerConfig,
     TrackerState,
@@ -294,6 +300,93 @@ class TestDetectionsFromArrays:
         with pytest.raises(ValueError) as exc:
             detections_from_arrays(**frame_arrays(changes))
         assert str(exc.value) == message
+
+
+# what a mutator is given, by name: a read-only Frame refuses each one
+MUTATIONS = {
+    "append": lambda f: f.append(det(2)),
+    "extend": lambda f: f.extend([det(2)]),
+    "insert": lambda f: f.insert(0, det(2)),
+    "pop": lambda f: f.pop(),
+    "remove": lambda f: f.remove(f[0]),
+    "clear": lambda f: f.clear(),
+    "sort": lambda f: f.sort(key=lambda d: d.score),
+    "reverse": lambda f: f.reverse(),
+    "setitem": lambda f: f.__setitem__(0, det(2)),
+    "setslice": lambda f: f.__setitem__(slice(0, 1), []),
+    "delitem": lambda f: f.__delitem__(0),
+    "iadd": lambda f: f.__iadd__([det(2)]),
+    "imul": lambda f: f.__imul__(2),
+}
+ARRAYS = ("_boxes", "_class_ids", "_scores", "_embeddings")
+
+
+def frame_bits(frame):
+    return [(a.dtype, a.shape, a.tobytes()) for a in (getattr(frame, name) for name in ARRAYS)]
+
+
+class TestFrame:
+    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
+    def test_every_mutator_raises(self, mutate):
+        frame = detections_from_arrays(**frame_arrays())
+        dets, bits = list(frame), frame_bits(frame)
+        with pytest.raises(TypeError, match="a Frame is read-only"):
+            mutate(frame)
+        assert frame == dets and all(a is b for a, b in zip(frame, dets))
+        assert frame_bits(frame) == bits
+
+    @pytest.mark.parametrize("build", [lambda a: detections_from_arrays(**a),
+                                       lambda a: Frame(list(detections_from_arrays(**a)))],
+                             ids=["arrays", "adapter"])
+    def test_arrays_are_read_only(self, build):
+        frame = build(frame_arrays())
+        for name in ARRAYS:
+            array = getattr(frame, name)
+            with pytest.raises(ValueError, match="assignment destination is read-only"):
+                array[0] = 1
+        for d in frame:
+            with pytest.raises(ValueError, match="assignment destination is read-only"):
+                d.embedding[0] = 5.0
+
+    def test_changing_the_given_arrays_leaves_the_frame(self):
+        given = frame_arrays()
+        assert given["class_ids"].dtype == np.int64 and given["scores"].dtype == np.float64
+        frame = detections_from_arrays(**given)
+        bits, fields = frame_bits(frame), [(d.box, d.class_id, d.score, d.embedding.tolist()) for d in frame]
+        for a in given.values():
+            assert a.flags.writeable
+            a[...] = 0
+        assert frame_bits(frame) == bits
+        assert [(d.box, d.class_id, d.score, d.embedding.tolist()) for d in frame] == fields
+
+    def test_detections_hold_rows_of_the_block(self):
+        frame = detections_from_arrays(**frame_arrays())
+        assert all(np.shares_memory(d.embedding, frame._embeddings) for d in frame)
+        assert frame == list(frame) and list(frame) == frame and type(list(frame)) is list
+
+    def test_copy_and_pickle_keep_a_frame(self):
+        frame = detections_from_arrays(**frame_arrays())
+        for other in (copy.copy(frame), copy.deepcopy(frame), pickle.loads(pickle.dumps(frame))):
+            assert type(other) is Frame and frame_bits(other) == frame_bits(frame)
+            assert [(d.box, d.class_id, d.score) for d in other] == [(d.box, d.class_id, d.score) for d in frame]
+
+    def test_adapter_names_the_fault(self):
+        with pytest.raises(ValueError, match=r"^embedding dimensions \[8, 16\] differ among the detections$"):
+            Frame([det(0), det(1, embedding=np.ones(16))])
+        bad = det(0)
+        bad.embedding.shape = (DIM, 1)
+        with pytest.raises(ValueError, match=r"^detection embeddings must be 1-D, got shapes \[\(8, 1\)\]$"):
+            Frame([bad])
+
+    @pytest.mark.parametrize("empty", [
+        Frame([]), detections_from_arrays(np.empty((0, 4)), np.empty(0, dtype=int), np.empty(0),
+                                          np.empty((0, 2 * DIM)))], ids=["adapter", "arrays"])
+    def test_empty_frame_of_another_dimension_is_tracked(self, empty):
+        t = Tracker(cfg())
+        t.step(0, [det(0)])
+        assert empty._embeddings.shape[1] != DIM
+        assert t.step(1, empty) == [] and t.state.frame == 1
+        assert [tid for tid, _ in t.step(2, [det(0)])] == [1]
 
 
 def test_momentum_update_formula():
@@ -929,6 +1022,71 @@ def tracked_streams(draw):
 @given(tracked_streams())
 def test_step_equals_per_object_tracker(drawn):
     run_both(*drawn)
+
+
+@st.composite
+def frame_streams(draw):
+    """A tracker configuration (that of ``tracked_streams``) and frames
+    built by ``detections_from_arrays``: empty, one-row and multi-class
+    frames of integer-valued embeddings of a drawn dimension, on a coarse
+    grid; and a chunk length to read them back with, so that frames join
+    across chunk boundaries."""
+    c, _ = draw(tracked_streams())
+    dim = draw(st.integers(1, 4))
+    frames, f = {}, 0
+    for _ in range(draw(st.integers(1, 6))):
+        f += draw(st.integers(1, 3))
+        n = draw(st.sampled_from([0, 1, 1, 2, 3, 5]))
+        xy = 8.0 * np.array(draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2)),
+                                          min_size=n, max_size=n)), dtype=np.float64).reshape(n, 2)
+        identity = np.array(draw(st.lists(st.integers(0, dim - 1), min_size=n, max_size=n)), dtype=int)
+        noise = np.array(draw(st.lists(st.integers(-1, 1), min_size=n * dim, max_size=n * dim)))
+        frames[f] = detections_from_arrays(
+            np.hstack([xy, xy + 10.0]),
+            np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=int),
+            np.array(draw(st.lists(st.sampled_from([0.05, 0.3, 0.45, 0.6, 0.9]), min_size=n, max_size=n))),
+            5.0 * np.eye(dim)[identity] + noise.reshape(n, dim))
+    return c, dim, frames, draw(st.integers(1, 4))
+
+
+def stepped(c, frames, adapt):
+    """A tracker stepped over ``frames`` and the pairs of each step: the
+    frames as they are, or each as a list through the adapter."""
+    t = Tracker(c)
+    return t, [t.step(f, list(frames[f]) if adapt else frames[f]) for f in sorted(frames)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_streams())
+def test_frame_steps_as_its_list_through_the_adapter(drawn):
+    """Stepping a Frame and stepping ``list(frame)`` through the adapter
+    give the same pairs of the same Detection objects, the same rows and
+    embeddings and the same histories; a Frame's arrays are, bit for bit,
+    the arrays gathered from its detections."""
+    c, dim, built, chunk = drawn
+    buf = io.StringIO()
+    formats.write_detections(buf, built, dim)
+    with mock.patch.object(formats, "CHUNK_LINES", chunk):
+        _, read = formats.read_detections(io.StringIO(buf.getvalue()))
+    # the file holds no empty frame: the built one stands in for it
+    assert sorted(read) == [f for f in sorted(built) if built[f]]
+    for frames in (built, {f: read.get(f, built[f]) for f in built}):
+        for frame in frames.values():
+            assert type(frame) is Frame
+            gathered = [box_array(d.box for d in frame), np.array([d.class_id for d in frame], dtype=np.int64),
+                        np.array([d.score for d in frame], dtype=np.float64),
+                        np.array([d.embedding for d in frame]).reshape(len(frame), dim)]
+            assert frame_bits(frame) == [(a.dtype, a.shape, a.tobytes()) for a in gathered]
+        (ta, pa), (tb, pb) = stepped(c, frames, False), stepped(c, frames, True)
+        assert [[(tid, id(d)) for tid, d in out] for out in pa] == [[(tid, id(d)) for tid, d in out] for out in pb]
+        for rows_a, rows_b in ((ta.state.live, tb.state.live), (ta.state.backdrops, tb.state.backdrops)):
+            for name in ("tid", "cls", "frame", "created", "box", "emb"):
+                a, b = getattr(rows_a, name), getattr(rows_b, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        for got, want in ((ta.state.tracks, tb.state.tracks), (ta.state.retired, tb.state.retired)):
+            assert [(t.track_id, t.class_id, t.history) for t in got.values()] == [
+                (t.track_id, t.class_id, t.history) for t in want.values()]
+        assert ta.finish() == tb.finish()
 
 
 @pytest.mark.parametrize("overrides", [

@@ -1,7 +1,8 @@
 """Negative controls for the rules of evaluation and association: one-line
-mutants of ``src/embedtrack/`` (the metrics, the tracker, the dense and
-the listed pairs' bi-softmax, the distance gate, NMS and the synthetic IoU
-baseline), each run against tier-1.
+mutants of ``src/embedtrack/`` (the metrics, the tracker and its frame
+type, the dense and the listed pairs' bi-softmax, the distance gate, NMS,
+the detection reader and the synthetic IoU baseline), each run against
+tier-1.
 
 Each mutant is applied to a copy of the working tree in a temporary
 directory, and tier-1 runs there with ``-x``. A mutant that a pin catches
@@ -34,6 +35,7 @@ METRICS = "src/embedtrack/metrics.py"
 TRACKER = "src/embedtrack/tracker.py"
 GEOMETRY = "src/embedtrack/geometry.py"
 SIMILARITY = "src/embedtrack/similarity.py"
+FORMATS = "src/embedtrack/formats.py"
 
 # (name, file, old text, new text, the rule the mutant breaks)
 MUTANTS = [
@@ -107,6 +109,19 @@ MUTANTS = [
      "an interpolated entry scores the mean of its gap's two ends"),
     ("interpolated_weight_shifted", TRACKER, "w = np.arange(1, gap)[:, None] / gap",
      "w = np.arange(2, gap + 1)[:, None] / gap", "frame prev + k of a gap blends at weight k / gap"),
+    ("frame_aliases_scores", TRACKER, "    scores = np.array(scores)\n", "    scores = np.asarray(scores)\n",
+     "a Frame keeps its own copy of the scores it was built from"),
+    ("step_takes_boxes_before_the_floor", TRACKER, "idx, det_box = idx[keep], det_box[keep]",
+     "idx, det_box = idx[keep], frame._boxes[keep]",
+     "step associates the boxes of the detections left by the confidence floor and NMS"),
+    ("frame_mutator_passes", TRACKER,
+     '        raise TypeError("a Frame is read-only; list(frame) is a copy to change")', "        return None",
+     "every mutator of a Frame raises"),
+    ("empty_frame_dimension_checked", TRACKER, "dims = {frame._embeddings.shape[1]} if len(frame) else set()",
+     "dims = {frame._embeddings.shape[1]}", "an empty frame has no embedding dimension to check"),
+    ("reader_takes_uppercase_hex", FORMATS,
+     "    if any(c in hexes for c in _UPPER_HEX_DIGITS):  # six substring scans\n        return None\n", "",
+     "an embedding field holds lowercase hex digits only"),
 ]
 
 # mutants that cannot change behaviour, by name, with the reason
