@@ -33,7 +33,9 @@ chunk that numpy cannot parse, that fails a check or whose values break a
 rule is read again line by line, and that loop decides what is accepted
 and names the offending line in its ``FormatError``. The reader returns
 one ``Frame`` per frame: a frame whose rows span a chunk boundary, or that
-the line loop read, is gathered from its detections by ``Frame``.
+the line loop read, is built again from its detections' arrays by
+``detections_from_arrays``, so that its detections hold rows of its one
+embedding block.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from itertools import islice
 
 import numpy as np
 
-from .geometry import BoundingBox
+from .geometry import BoundingBox, box_array
 from .metrics import ObjectEntry, TrackSet
 from .tracker import Detection, Frame, detections_from_arrays
 
@@ -236,7 +238,13 @@ def read_detections(fp) -> tuple[int, dict[int, Frame]]:
                 raise
         lineno += len(lines)
         del lines, parsed  # the next chunk is read without this one alive
-    return dim, {f: dets if isinstance(dets, Frame) else Frame(dets) for f, dets in frames.items()}
+    return dim, {f: dets if isinstance(dets, Frame) else _gathered(dets) for f, dets in frames.items()}
+
+
+def _gathered(dets: list[Detection]) -> Frame:
+    """``dets`` built again into a ``Frame`` whose detections hold rows of its one block."""
+    return detections_from_arrays(box_array(d.box for d in dets), [d.class_id for d in dets],
+                                  [d.score for d in dets], [d.embedding for d in dets])
 
 
 def write_mot(fp, ts: TrackSet) -> None:

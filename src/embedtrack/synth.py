@@ -284,8 +284,8 @@ def subsample(scenario: Scenario, keep_every_k: int) -> Scenario:
 
 def iou_baseline_track(scenario: Scenario) -> TrackSet:
     """Location-only baseline: greedy IoU matching against the previous
-    frame's boxes; unmatched detections start new tracks. Used as the
-    motion/location reference in frame-rate ablations."""
+    frame's boxes as they were, with no motion model; unmatched detections
+    start new tracks. The location-only floor of frame-rate ablations."""
     pred = TrackSet()
     prev: list[tuple[int, BoundingBox]] = []  # (track_id, last box)
     next_id = 1

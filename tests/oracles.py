@@ -12,9 +12,11 @@ association oracles are the per-object tracker that the array-resident
 ``embedtrack.tracker`` replaced: candidate matrices stacked every frame
 from its own ``Track`` and ``Backdrop`` records (embedding, last box and
 frames as fields), a Python greedy claim loop, per-box NMS and the
-two-pass softmax, which is also the dense masked kernel that the listed
-pairs' bi-softmax (``similarity._pair_bisoftmax``) must equal bit for bit;
-with them comes the per-negative IoU binning of ``sample_batch``. The
+two-pass softmax, the arithmetic of the dense kernel, against whose
+decisions the listed pairs' bi-softmax is compared; the listed pairs'
+arithmetic itself (``similarity._pair_bisoftmax``) is stated again as a
+loop over the pairs, which that kernel must equal bit for bit; with them
+comes the per-negative IoU binning of ``sample_batch``. The
 detection-file oracles are a line-by-line reader and a per-value writer of
 format v2, which pack and unpack each embedding value with ``struct``:
 the references for the chunked ``embedtrack.formats`` reader and its
@@ -33,6 +35,7 @@ of a track set and its visible box count.
 """
 
 import itertools
+import math
 import struct
 from collections import defaultdict
 from collections.abc import Iterator
@@ -678,6 +681,39 @@ def masked_bisoftmax_oracle(dets: np.ndarray, cands: np.ndarray, allowed: np.nda
     logits = n @ m.T
     logits = np.where(allowed, logits, NEG_INF)
     return 0.5 * (stable_softmax_oracle(logits, axis=1) + stable_softmax_oracle(logits, axis=0))
+
+
+def listed_bisoftmax_oracle(dets: np.ndarray, cands: np.ndarray, i: np.ndarray,
+                            j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bi-softmax over the listed pairs (i, j), one pair at a time: the
+    pairs whose logit is finite, in the order listed, and their
+    similarities.
+
+    Each logit is the dot product of the pair's two rows as ``np.einsum``
+    sums one pair. A detection's row sum and a candidate's column sum add
+    the exponentials of their pairs one by one, in the order listed, from
+    0.0; each similarity is the mean of its share of the two sums.
+    """
+    kept = []
+    for a, b in zip(i.tolist(), j.tolist()):
+        x = float(np.einsum("d,d->", dets[a], cands[b]))
+        if math.isfinite(x):
+            kept.append((a, b, x))
+    row_top: dict[int, float] = defaultdict(lambda: -math.inf)
+    col_top: dict[int, float] = defaultdict(lambda: -math.inf)
+    for a, b, x in kept:
+        row_top[a], col_top[b] = max(row_top[a], x), max(col_top[b], x)
+    # exp takes each element alone, so the order cannot matter: one call each way
+    e_row = np.exp([x - row_top[a] for a, b, x in kept]).tolist()
+    e_col = np.exp([x - col_top[b] for a, b, x in kept]).tolist()
+    row_sum: dict[int, float] = defaultdict(float)
+    col_sum: dict[int, float] = defaultdict(float)
+    for (a, b, _), er, ec in zip(kept, e_row, e_col):
+        row_sum[a] += er
+        col_sum[b] += ec
+    sim = [0.5 * (er / row_sum[a] + ec / col_sum[b]) for (a, b, _), er, ec in zip(kept, e_row, e_col)]
+    pairs = np.array([(a, b) for a, b, _ in kept], dtype=np.intp).reshape(-1, 2)
+    return np.array(sim, dtype=np.float64), pairs[:, 0], pairs[:, 1]
 
 
 def iou_matrix_oracle(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:

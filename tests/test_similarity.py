@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from embedtrack.similarity import (
@@ -12,7 +12,8 @@ from embedtrack.similarity import (
     masked_bisoftmax,
     validate_embeddings,
 )
-from oracles import masked_bisoftmax_oracle, stable_softmax_oracle
+from embedtrack.tracker import _BETA_MATCH, TrackerConfig
+from oracles import listed_bisoftmax_oracle, masked_bisoftmax_oracle, stable_softmax_oracle
 
 
 def rand_emb(rng, n, d, scale=1.0):
@@ -166,6 +167,71 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def scattered(sim, i, j, shape):
+    out = np.zeros(shape)
+    out[i, j] = sim
+    return out
+
+
+def kernel_reference(dets, cands, allowed):
+    """The kernel's two arithmetics, chosen by its rule: the dense two-pass
+    softmax when every pair is admitted and every logit of the product is
+    finite, else the per-pair loop over the admitted pairs, scattered."""
+    shape = (len(dets), len(cands))
+    allowed = np.ones(shape, dtype=bool) if allowed is None else allowed
+    if allowed.all() and np.isfinite(dets @ cands.T).all():
+        return masked_bisoftmax_oracle(dets, cands, allowed)
+    sim, i, j = listed_bisoftmax_oracle(dets, cands, *np.nonzero(allowed))
+    return scattered(sim, i, j, shape)
+
+
+# how near a tie or _BETA_MATCH a dense similarity may be for the two
+# arithmetics' rounding to decide otherwise
+NEAR = 1e-9
+BETA_OBJ, BETA_NEW = TrackerConfig().beta_obj, TrackerConfig().beta_new
+
+
+def decisions(sim, scores, n_tracks):
+    """What ``step`` decides from an (N, M) similarity matrix (0 where no
+    pair is scored): per detection, its best candidates with their ties
+    (for a detection with a positive best), whether the best is above
+    _BETA_MATCH, and its outcome in the greedy claim: a track, a backdrop
+    that consumes it, a new track (score above beta_new) or a backdrop."""
+    top = sim.max(axis=1)
+    ties = [tuple(np.flatnonzero(row == t).tolist()) if t > 0.0 else () for row, t in zip(sim, top)]
+    above = (top > _BETA_MATCH).tolist()
+    best = np.argmax(sim, axis=1).tolist()
+    outcome, claimed = [None] * len(scores), set()
+    for d in sorted(range(len(scores)), key=lambda d: (-scores[d], d)):
+        if above[d] and scores[d] > BETA_OBJ:
+            if best[d] >= n_tracks:
+                outcome[d] = "consumed"
+                continue
+            if best[d] not in claimed:
+                claimed.add(best[d])
+                outcome[d] = ("track", best[d])
+                continue
+        outcome[d] = "spawn" if scores[d] > BETA_NEW else "backdrop"
+    return ties, above, outcome
+
+
+def near_tie_or_threshold(dense):
+    """Whether some detection's positive best dense similarity lies within
+    NEAR of another of its similarities or of _BETA_MATCH."""
+    top = dense.max(axis=1, keepdims=True)
+    tie = ((np.abs(dense - top) <= NEAR).sum(axis=1) > 1) & (top[:, 0] > 0.0)
+    return bool(tie.any() or (np.abs(top - _BETA_MATCH) <= NEAR).any())
+
+
+def decisions_differ(got, dense, scores, n_tracks):
+    """Whether ``got`` decides otherwise than the dense kernel's ``dense``;
+    asserts that it decides the same unless a dense similarity lies near a
+    tie or the threshold."""
+    differ = decisions(got, scores, n_tracks) != decisions(dense, scores, n_tracks)
+    assert not differ or near_tie_or_threshold(dense)
+    return differ
+
+
 @st.composite
 def kernel_inputs(draw):
     """Detection and candidate embeddings, tied rows and overflowing scales
@@ -180,8 +246,10 @@ def kernel_inputs(draw):
 
 
 class TestKernelMatchesTwoPassSoftmax:
-    """The one kernel against the two-pass softmax it replaced
-    (``tests/oracles.py``), bit for bit."""
+    """The one kernel, bit for bit, against the two-pass softmax it
+    replaced (``tests/oracles.py``) where it is dense, and against the
+    per-pair loop where it lists pairs; on decisions, against the dense
+    two-pass softmax everywhere."""
 
     @given(kernel_inputs())
     @example((np.ones((2, 3)), np.ones((4, 3)), np.zeros((2, 4), dtype=bool)))
@@ -189,21 +257,25 @@ class TestKernelMatchesTwoPassSoftmax:
         dets, cands, allowed = inputs
         with np.errstate(over="ignore", invalid="ignore"):
             got = masked_bisoftmax(dets, cands, allowed)
-            want = masked_bisoftmax_oracle(dets, cands, allowed)
+            want = kernel_reference(dets, cands, allowed)
+            dense = masked_bisoftmax_oracle(dets, cands, allowed)
         assert same_bits(got, want)
+        decisions_differ(got, dense, np.linspace(0.3, 0.9, len(dets)), len(cands) // 2)
 
     @given(kernel_inputs())
     def test_unmasked(self, inputs):
         dets, cands, _ = inputs
         with np.errstate(over="ignore", invalid="ignore"):
             logits = dets @ cands.T
-            want_row = stable_softmax_oracle(logits, axis=1)
-            want_col = stable_softmax_oracle(logits, axis=0)
-            row, col = _stable_softmax(logits, axis=1), _stable_softmax(logits, axis=0)
             matrix = masked_bisoftmax(dets, cands)
             kernel = _bisoftmax(dets, cands, None)
-        assert same_bits(row, want_row) and same_bits(col, want_col)
-        assert same_bits(matrix, 0.5 * (want_row + want_col)) and same_bits(kernel, matrix)
+            want = kernel_reference(dets, cands, None)
+        assert same_bits(matrix, want) and same_bits(kernel, matrix)
+        if np.isfinite(logits).all():
+            want_row, want_col = stable_softmax_oracle(logits, axis=1), stable_softmax_oracle(logits, axis=0)
+            row, col = _stable_softmax(logits, axis=1), _stable_softmax(logits, axis=0)
+            assert same_bits(row, want_row) and same_bits(col, want_col)
+            assert same_bits(matrix, 0.5 * (want_row + want_col))
 
     def test_scale_1e3_case(self):
         rng = np.random.default_rng(7)
@@ -211,12 +283,18 @@ class TestKernelMatchesTwoPassSoftmax:
         assert same_bits(masked_bisoftmax(a, b),
                          masked_bisoftmax_oracle(a, b, np.ones((4, 5), dtype=bool)))
 
-    @given(st.lists(st.sampled_from([0.0, 1.5, -2.0, 700.0, -800.0, np.inf, -np.inf, np.nan]),
-                    min_size=6, max_size=6), st.sampled_from([0, 1]))
-    def test_stable_softmax_on_non_finite_logits(self, cells, axis):
-        logits = np.array(cells).reshape(2, 3)
-        with np.errstate(invalid="ignore"):
-            assert same_bits(_stable_softmax(logits, axis), stable_softmax_oracle(logits, axis))
+    @given(st.lists(st.sampled_from([0.0, 1.5, -2.0, 1e155, -1e155, 1e300]), min_size=10, max_size=10),
+           st.none() | st.lists(st.booleans(), min_size=6, max_size=6).map(lambda c: np.array(c).reshape(2, 3)))
+    def test_non_finite_logits_drop_out(self, cells, allowed):
+        """A pair whose logit overflows to inf or nan is scored 0 and left
+        out of its row's and its column's softmax, as a disallowed one is."""
+        dets, cands = np.array(cells[:4]).reshape(2, 2), np.array(cells[4:]).reshape(3, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.einsum("nd,md->nm", dets, cands))
+            got = masked_bisoftmax(dets, cands, allowed)
+            want = kernel_reference(dets, cands, allowed)
+        assert same_bits(got, want) and np.isfinite(got).all()
+        assert np.all(got[~finite] == 0.0)
 
     def test_each_input_validated_once(self, monkeypatch):
         """The entry checks each input once; the kernel behind it checks
@@ -253,7 +331,7 @@ def listed_pair_inputs(draw):
     shape = draw(st.sampled_from(["both", "one detection", "one candidate"]))
     n = 1 if shape == "one detection" else draw(st.integers(1, 300 if shape == "one candidate" else 60))
     m = 1 if shape == "one candidate" else draw(st.integers(1, 60))
-    d = draw(st.sampled_from([1, 4, 16]))
+    d = draw(st.sampled_from([1, 4, 16, 64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         dets, cands = rng.integers(-3, 4, (n, d)).astype(float), rng.integers(-3, 4, (m, d)).astype(float)
@@ -269,28 +347,64 @@ def listed_pair_inputs(draw):
 
 
 class TestListedPairsMatchDenseKernel:
-    """The listed pairs' kernel against the dense masked kernel of
-    ``tests/oracles.py``, bit for bit at every admitted entry."""
+    """The listed pairs' kernel, bit for bit, against the per-pair loop of
+    ``tests/oracles.py``, and on decisions against the dense masked kernel
+    there."""
 
     @given(listed_pair_inputs())
     @settings(max_examples=300, deadline=None)
     def test_bits_and_best_candidates(self, inputs):
         dets, cands, allowed = inputs
         i, j = np.nonzero(allowed)
-        # the kernel takes a row's pairs in any order: shuffle within rows
+        # the pairs in any order within their rows, as the callers list them
         shuffle = np.lexsort((np.random.default_rng(0).random(len(i)), i))
+        i, j = i[shuffle], j[shuffle]
         with np.errstate(over="ignore", invalid="ignore"):
-            want = masked_bisoftmax_oracle(dets, cands, allowed)
+            dense = masked_bisoftmax_oracle(dets, cands, allowed)
             finite = np.isfinite(dets @ cands.T)
-            sim, pi, pj = _pair_bisoftmax(dets, cands, i[shuffle], j[shuffle])
-            dense = masked_bisoftmax(dets, cands, allowed)
+            sim, pi, pj = _pair_bisoftmax(dets, cands, i, j)
+            want, wi, wj = listed_bisoftmax_oracle(dets, cands, i, j)
         assert _pair_set(pi, pj) == _pair_set(*np.nonzero(allowed & finite))
-        assert same_bits(sim, want[pi, pj]) and same_bits(dense, want)
+        assert same_bits(sim, want) and np.array_equal(pi, wi) and np.array_equal(pj, wj)
+        got = scattered(sim, pi, pj, allowed.shape)
+        decisions_differ(got, dense, np.linspace(0.3, 0.9, len(dets)), len(cands) // 2)
+        # _listed_best picks as argmax picks in the scattered matrix
         best, conf = _listed_best(sim, pi, pj, len(dets))
-        scored = want.max(axis=1) > 0.0
-        assert np.array_equal(best[scored], np.argmax(want, axis=1)[scored])
-        assert same_bits(conf[scored], want.max(axis=1)[scored])
+        scored = got.max(axis=1) > 0.0
+        assert np.array_equal(best[scored], np.argmax(got, axis=1)[scored])
+        assert same_bits(conf[scored], got.max(axis=1)[scored])
         assert np.all(conf[~scored] <= 0.0)
+
+
+@st.composite
+def near_decision_inputs(draw):
+    """Small tied frames: small-integer embeddings, at times nudged by a
+    few ulps or by 1e-12, an admitted-pair mask, detection scores at and
+    around beta_obj and beta_new, and how many candidates are tracks.
+    Symmetric draws put similarities at ties and at exactly 0.5."""
+    n, m, d = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dets, cands = rng.integers(-2, 3, (n, d)).astype(float), rng.integers(-2, 3, (m, d)).astype(float)
+    nudge = draw(st.sampled_from([0.0, 1e-15, 1e-12]))
+    dets = dets + nudge * rng.standard_normal((n, d))
+    allowed = rng.random((n, m)) < draw(st.sampled_from([0.5, 0.8, 1.0]))
+    scores = rng.choice([0.3, BETA_OBJ, 0.4, BETA_NEW, 0.7, 0.9], size=n)
+    return dets, cands, allowed, scores, draw(st.integers(0, m))
+
+
+@given(near_decision_inputs())
+@settings(max_examples=500, deadline=None)
+def test_decisions_differ_from_the_dense_kernel_only_at_ties_and_thresholds(inputs):
+    """The listed arithmetic decides as the dense kernel does, unless a
+    dense similarity lies within NEAR of a tie or of _BETA_MATCH. How often
+    it decides otherwise there is reported as a hypothesis event
+    (``--hypothesis-show-statistics``)."""
+    dets, cands, allowed, scores, n_tracks = inputs
+    dense = masked_bisoftmax_oracle(dets, cands, allowed)
+    got = scattered(*_pair_bisoftmax(dets, cands, *np.nonzero(allowed)), allowed.shape)
+    differ = decisions_differ(got, dense, scores, n_tracks)
+    if near_tie_or_threshold(dense):
+        event(f"near a tie or _BETA_MATCH: decisions {'differ' if differ else 'agree'}")
 
 
 def _pair_set(i, j):

@@ -63,6 +63,10 @@ REMOVED_PARAMETERS = {
                                "distractor_score_range", "box_size_range"),
     # the auxiliary loss keeps three hard negatives per positive pair
     ("contrastive", "LossConfig"): ("aux_neg_ratio",),
+    # the dense softmax runs on finite logits only, and the listed one sums
+    # each segment in pair order, with no dense row to copy numpy's order
+    ("similarity", "_stable_softmax"): ("finite",),
+    ("similarity", "_listed_softmax"): ("shape", "axis"),
 }
 
 
@@ -78,8 +82,9 @@ REMOVED_ATTRIBUTES = {
 # function-parameter defaults plus class fields with a default, over every
 # module of the package; a change that adds or removes an option changes
 # this number and says why: 60 since ClassMetrics lost its 19 defaults,
-# which no caller used (every report row is built whole)
-DEFAULTED = 60
+# which no caller used (every report row is built whole); 59 since the
+# dense softmax lost its finite= argument, as it runs on finite logits only
+DEFAULTED = 59
 
 # the lines of src/embedtrack/*.py, as wc -l counts them; a change that
 # moves this number states its line delta: 3,334 after each frame came to
@@ -87,8 +92,12 @@ DEFAULTED = 60
 # instead of gathering them from Detection objects (tracker.py +62: the
 # Frame type and its adapter; formats.py +11: one Frame per frame read,
 # and the uppercase scan; synth.py +2), and NMS came to suppress through
-# its listed pairs rather than an N x N matrix (geometry.py +8)
-SRC_LINES = 3334
+# its listed pairs rather than an N x N matrix (geometry.py +8); 3,325
+# after the listed bi-softmax came to state its own arithmetic, per-pair
+# logits and one bincount per segment, and every case that is not dense to
+# take it (similarity.py -17), and the reader to build each joined frame
+# through detections_from_arrays (formats.py +8)
+SRC_LINES = 3325
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1062,7 +1062,8 @@ def test_frame_steps_as_its_list_through_the_adapter(drawn):
     """Stepping a Frame and stepping ``list(frame)`` through the adapter
     give the same pairs of the same Detection objects, the same rows and
     embeddings and the same histories; a Frame's arrays are, bit for bit,
-    the arrays gathered from its detections."""
+    the arrays gathered from its detections, and a frame read back holds
+    its detections' embeddings once, in its block."""
     c, dim, built, chunk = drawn
     buf = io.StringIO()
     formats.write_detections(buf, built, dim)
@@ -1070,6 +1071,8 @@ def test_frame_steps_as_its_list_through_the_adapter(drawn):
         _, read = formats.read_detections(io.StringIO(buf.getvalue()))
     # the file holds no empty frame: the built one stands in for it
     assert sorted(read) == [f for f in sorted(built) if built[f]]
+    # each detection the reader returns holds a row of its frame's one block
+    assert all(np.shares_memory(d.embedding, frame._embeddings) for frame in read.values() for d in frame)
     for frames in (built, {f: read.get(f, built[f]) for f in built}):
         for frame in frames.values():
             assert type(frame) is Frame
