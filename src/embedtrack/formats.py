@@ -31,11 +31,12 @@ arrays, by ``tracker.detections_from_arrays`` under the rules of the
 ``synth.generate`` also uses, which builds them into a ``tracker.Frame``. A
 chunk that numpy cannot parse, that fails a check or whose values break a
 rule is read again line by line, and that loop decides what is accepted
-and names the offending line in its ``FormatError``. The reader returns
-one ``Frame`` per frame: a frame whose rows span a chunk boundary, or that
-the line loop read, is built again from its detections' arrays by
-``detections_from_arrays``, so that its detections hold rows of its one
-embedding block.
+(a frame index must fit in int64) and names the offending line in its
+``FormatError``. The reader keeps each frame's pieces, one ``Frame`` per
+chunk, and returns one ``Frame`` per frame: a frame of one piece is that
+piece, and a frame whose rows span a chunk boundary is joined once, from
+its pieces' arrays, by ``detections_from_arrays``. The writer formats
+each frame from its arrays.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from itertools import islice
 
 import numpy as np
 
-from .geometry import BoundingBox, box_array
+from .geometry import BoundingBox
 from .metrics import ObjectEntry, TrackSet
-from .tracker import Detection, Frame, detections_from_arrays
+from .tracker import Detection, Frame, _check_int64, detections_from_arrays
 
 __all__ = [
     "FormatError",
@@ -101,22 +102,19 @@ def _fmt(x: float) -> str:
 
 
 def write_detections(fp, frames: dict[int, Sequence[Detection]], dim: int) -> None:
-    """Write per-frame detections in frame order."""
+    """Write per-frame detections in frame order, each from its ``Frame``'s arrays."""
     fp.write(f"{DET_HEADER_PREFIX}{dim}\n")
     width = 16 * dim
     for f in sorted(frames):
-        dets = frames[f]
-        if bad := [d.embedding.shape[0] for d in dets if d.embedding.shape[0] != dim]:
-            raise ValueError(f"embedding dimension {bad[0]} does not match header dim {dim}")
+        frame = Frame(frames[f])
+        if len(frame) and (got := frame._embeddings.shape[1]) != dim:
+            raise ValueError(f"embedding dimension {got} does not match header dim {dim}")
         # the frame's embeddings as one hex string, sliced per row
-        emb = np.array([d.embedding for d in dets], dtype="<f8").tobytes().hex()
-        rows = []
-        for i, d in enumerate(dets):
-            b = d.box
-            # a list's repr joins the repr of each float with ", " in one call
-            reals = repr([float(d.score), float(b.x1), float(b.y1), float(b.x2), float(b.y2)])[1:-1]
-            rows.append(f"{f} {d.class_id} {reals.replace(',', '')} {emb[i * width:(i + 1) * width]}\n")
-        fp.write("".join(rows))
+        emb = frame._embeddings.astype("<f8", copy=False).tobytes().hex()
+        reals = np.column_stack([frame._scores, frame._boxes]).tolist()
+        # a list's repr joins the repr of each float with ", " in one call
+        fp.write("".join(f"{f} {c} {repr(r)[1:-1].replace(',', '')} {emb[i * width:(i + 1) * width]}\n"
+                         for i, (c, r) in enumerate(zip(frame._class_ids.tolist(), reals))))
 
 
 _HEAD_DTYPE = np.dtype([("frame", np.int64), ("class_id", np.int64), ("score", np.float64),
@@ -153,19 +151,18 @@ def _parse_chunk(lines: list[str], dim: int,
     return (head, emb) if ok else None
 
 
-def _add_rows(head: np.ndarray, emb: np.ndarray, frames: dict[int, list[Detection]]) -> int:
-    """Add the detections of parsed chunk rows to ``frames``, one frame's
-    rows at a time through ``detections_from_arrays``, which copies their
-    arrays out of the chunk into a ``Frame``; returns the last frame index,
-    or raises the ValueError of the first row that breaks a rule."""
+def _add_rows(head: np.ndarray, emb: np.ndarray, frames: dict[int, list[Frame]]) -> int:
+    """Add parsed chunk rows to ``frames``, each frame's rows as its next
+    piece through ``detections_from_arrays``, which copies their arrays out
+    of the chunk into a ``Frame``; returns the last frame index, or raises
+    the ValueError of the first row that breaks a rule."""
     frame = head["frame"]
     # frames do not decrease, so each frame's rows are one run
     cuts = (np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist()
     for lo, hi in zip([0, *cuts], [*cuts, len(head)]):
         rows, f = head[lo:hi], int(frame[lo])
-        part = detections_from_arrays(rows["box"], rows["class_id"], rows["score"], emb[lo:hi])
-        # a frame joined across the chunk boundary is a list until the end
-        frames[f] = frames[f] + part if f in frames else part
+        frames.setdefault(f, []).append(
+            detections_from_arrays(rows["box"], rows["class_id"], rows["score"], emb[lo:hi]))
     return int(frame[-1])
 
 
@@ -179,9 +176,11 @@ def _embedding(field: str, dim: int) -> np.ndarray:
 
 
 def _read_lines(lines: list[str], lineno: int, dim: int,
-                frames: dict[int, list[Detection]], last_frame: int | None) -> int | None:
+                frames: dict[int, list[Frame]], last_frame: int | None) -> int | None:
     """Read ``lines``, the first of which is line ``lineno`` of the file,
-    one at a time into ``frames``; returns the last frame index read."""
+    one at a time; each frame's detections among them go to ``frames`` as
+    one piece. Returns the last frame index read."""
+    found: dict[int, list[Detection]] = {}
     for lineno, line in enumerate(lines, start=lineno):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -191,6 +190,7 @@ def _read_lines(lines: list[str], lineno: int, dim: int,
             raise FormatError(f"line {lineno}: expected 8 fields, got {len(parts)}")
         try:
             frame = int(parts[0])
+            _check_int64(frame, "frame index")
             class_id = int(parts[1])
             score = float(parts[2])
             box = BoundingBox(*(float(p) for p in parts[3:7]))
@@ -200,10 +200,9 @@ def _read_lines(lines: list[str], lineno: int, dim: int,
         if last_frame is not None and frame < last_frame:
             raise FormatError(f"line {lineno}: frame indices must be non-decreasing")
         last_frame = frame
-        dets = frames.get(frame)
-        if dets is None or isinstance(dets, Frame):  # a Frame does not grow
-            dets = frames[frame] = list(dets or ())
-        dets.append(det)
+        found.setdefault(frame, []).append(det)
+    for f, dets in found.items():
+        frames.setdefault(f, []).append(_gathered([Frame(dets)]))
     return last_frame
 
 
@@ -221,7 +220,7 @@ def read_detections(fp) -> tuple[int, dict[int, Frame]]:
         dim = 0
     if dim < 1:
         raise FormatError("line 1: invalid dimension in header")
-    frames: dict[int, list[Detection]] = {}
+    frames: dict[int, list[Frame]] = {}  # each frame's pieces, in file order
     last_frame = None
     lineno = 2
     while lines := list(islice(fp, CHUNK_LINES)):
@@ -238,13 +237,14 @@ def read_detections(fp) -> tuple[int, dict[int, Frame]]:
                 raise
         lineno += len(lines)
         del lines, parsed  # the next chunk is read without this one alive
-    return dim, {f: dets if isinstance(dets, Frame) else _gathered(dets) for f, dets in frames.items()}
+    return dim, {f: pieces[0] if len(pieces) == 1 else _gathered(pieces) for f, pieces in frames.items()}
 
 
-def _gathered(dets: list[Detection]) -> Frame:
-    """``dets`` built again into a ``Frame`` whose detections hold rows of its one block."""
-    return detections_from_arrays(box_array(d.box for d in dets), [d.class_id for d in dets],
-                                  [d.score for d in dets], [d.embedding for d in dets])
+def _gathered(pieces: list[Frame]) -> Frame:
+    """The pieces' arrays joined, in order, and built again into one
+    ``Frame`` whose detections hold rows of its one block."""
+    return detections_from_arrays(*(np.concatenate([getattr(p, name) for p in pieces])
+                                    for name in ("_boxes", "_class_ids", "_scores", "_embeddings")))
 
 
 def write_mot(fp, ts: TrackSet) -> None:

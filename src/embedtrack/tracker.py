@@ -43,6 +43,12 @@ __all__ = [
 ]
 
 
+def _check_int64(value: int, name: str) -> None:
+    """Refuse an integer that an int64 array cannot hold."""
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{name} must lie in int64's range, got {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class Detection:
     """One frame observation: box, class, confidence and embedding; frozen,
@@ -58,6 +64,7 @@ class Detection:
     def __post_init__(self) -> None:
         if isinstance(self.class_id, bool) or not isinstance(self.class_id, (int, np.integer)):
             raise ValueError(f"detection class_id must be an int, got {self.class_id!r}")
+        _check_int64(self.class_id, "detection class_id")
         if isinstance(self.score, (bool, np.bool_)) or not 0.0 <= self.score <= 1.0:
             raise ValueError(f"detection score must be in [0, 1], got {self.score}")
         # a copy: a row view would keep a whole parsed chunk alive, in fresh
@@ -74,53 +81,53 @@ class Detection:
         emb.flags.writeable = False
         object.__setattr__(self, "embedding", emb)
 
+    def __reduce__(self):  # a copy is built again, through the checks
+        return Detection, (self.box, self.class_id, self.score, self.embedding)
 
-class Frame(list):
-    """One frame's detections: a read-only ``list[Detection]`` that holds
-    the frame's arrays, private read-only copies made once when it is
-    built: (N, 4) float64 xyxy boxes, N int64 class ids, N float64 scores
-    and the (N, D) float64 block whose rows are its detections' embeddings.
+
+class Frame(tuple):
+    """One frame's detections: a ``tuple[Detection, ...]`` that holds the
+    frame's arrays, private read-only copies made once when it is built:
+    (N, 4) float64 xyxy boxes, N int64 class ids, N float64 scores and the
+    (N, D) float64 block whose rows are its detections' embeddings.
 
     ``detections_from_arrays`` builds a frame from arrays, and ``synth`` and
     the detection reader return one per frame; ``Frame(detections)`` is the
     adapter that gathers the arrays from ``Detection`` objects, whose
-    embeddings must be 1-D and of one dimension. ``step`` tracks a frame's
-    arrays. Each mutator raises ``TypeError``; ``list(frame)`` is a list to
-    change, and a frame equals the list of the same detections.
+    embeddings must be 1-D and of one dimension, and gives a frame back as
+    it is. ``step`` and ``write_detections`` read a frame's arrays. A copy
+    or a pickle goes through the adapter, so its arrays are read-only too.
     """
 
-    __slots__ = ("_boxes", "_class_ids", "_scores", "_embeddings")
-
-    def __init__(self, detections: Iterable[Detection]) -> None:
-        list.extend(self, detections)
-        if len(dims := {d.embedding.size for d in self}) > 1:
+    def __new__(cls, detections: Iterable[Detection]) -> Frame:
+        if isinstance(detections, Frame):
+            return detections
+        dets = tuple(detections)
+        if len(dims := {d.embedding.size for d in dets}) > 1:
             raise ValueError(f"embedding dimensions {sorted(dims)} differ among the detections")
         try:
-            emb = np.array([d.embedding for d in self] or np.empty((0, 0)), dtype=np.float64)
+            emb = np.array([d.embedding for d in dets] or np.empty((0, 0)), dtype=np.float64)
         except ValueError:  # embeddings of one size but not one shape
             emb = None
         if emb is None or emb.ndim != 2:
             # numpy lets a read-only array be reshaped in place
             raise ValueError("detection embeddings must be 1-D, got shapes "
-                             f"{sorted({d.embedding.shape for d in self})}")
-        self._hold(box_array(d.box for d in self), np.array([d.class_id for d in self], dtype=np.int64),
-                   np.array([d.score for d in self], dtype=np.float64), emb)
-
-    def _hold(self, boxes: np.ndarray, class_ids: np.ndarray, scores: np.ndarray,
-              embeddings: np.ndarray) -> None:
-        """Keep the frame's arrays, which no caller holds, as read-only."""
-        for a in (boxes, class_ids, scores, embeddings):
-            a.flags.writeable = False
-        self._boxes, self._class_ids, self._scores, self._embeddings = boxes, class_ids, scores, embeddings
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("a Frame is read-only; list(frame) is a copy to change")
-
-    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+                             f"{sorted({d.embedding.shape for d in dets})}")
+        return _frame(dets, box_array(d.box for d in dets), np.array([d.class_id for d in dets], dtype=np.int64),
+                      np.array([d.score for d in dets], dtype=np.float64), emb)
 
     def __reduce__(self):  # a copy is gathered again, through the adapter
-        return Frame, (list(self),)
+        return Frame, (tuple(self),)
+
+
+def _frame(detections: Iterable[Detection], *arrays: np.ndarray) -> Frame:
+    """A ``Frame`` of ``detections`` that keeps their boxes, class ids,
+    scores and embedding block, which no caller holds, as read-only."""
+    frame = tuple.__new__(Frame, detections)
+    for a in arrays:
+        a.flags.writeable = False
+    frame._boxes, frame._class_ids, frame._scores, frame._embeddings = arrays
+    return frame
 
 
 # Detection's slot setters: they store a field past the frozen __setattr__
@@ -167,10 +174,7 @@ def detections_from_arrays(boxes: np.ndarray, class_ids: np.ndarray, scores: np.
         set_score(d, s)
         set_embedding(d, e)
         out.append(d)
-    frame = list.__new__(Frame)
-    list.extend(frame, out)
-    frame._hold(box, cls.astype(np.int64, copy=False), scores, emb)
-    return frame
+    return _frame(out, box, cls.astype(np.int64, copy=False), scores, emb)
 
 
 @dataclass
@@ -321,30 +325,22 @@ def step(
     detections becomes one through the adapter ``Frame(detections)``. The
     returned pairs hold the caller's own ``Detection`` objects.
     """
+    _check_int64(frame_index, "frame index")
     if state.frame is not None and frame_index <= state.frame:
         raise ValueError(
             f"frame index must increase monotonically ({frame_index} after {state.frame})"
         )
+    try:
+        frame = Frame(detections)
+    except ValueError as exc:
+        raise ValueError(f"frame {frame_index}: {exc}") from None
     # each Detection checked itself, and a Frame its arrays; what is left
-    # spans the frame's detections and the tracker's rows
-    live, backdrops = state.live, state.backdrops
-    frame = detections if isinstance(detections, Frame) else None
-    if frame is None:
-        dims = {d.embedding.size for d in detections}
-    else:  # an empty frame's block has no detection's dimension
-        dims = {frame._embeddings.shape[1]} if len(frame) else set()
+    # spans the frame and the tracker's rows, whose widths must agree
+    live, backdrops, emb = state.live, state.backdrops, frame._embeddings
     held = live if len(live) else backdrops
-    if len(held):
-        dims.add(held.emb.shape[1])
-    if len(dims) > 1:
-        raise ValueError(f"frame {frame_index}: embedding dimensions {sorted(dims)} differ "
-                         "among its detections and the tracker's rows")
-    if frame is None:
-        try:
-            frame = Frame(detections)
-        except ValueError as exc:
-            raise ValueError(f"frame {frame_index}: {exc}") from None
-    emb = frame._embeddings
+    if len(frame) and len(held) and emb.shape[1] != held.emb.shape[1]:
+        raise ValueError(f"frame {frame_index}: embedding dimensions {sorted({emb.shape[1], held.emb.shape[1]})} "
+                         "differ among its detections and the tracker's rows")
     if cfg.similarity_metric == "cosine" and not emb.any(axis=1).all():
         raise ValueError(f"frame {frame_index}: cosine similarity needs non-zero embeddings")
     state.frame = frame_index

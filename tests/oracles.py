@@ -1310,6 +1310,8 @@ def read_detections_oracle(fp) -> tuple[int, dict[int, list[Detection]]]:
             raise FormatError(f"line {lineno}: expected 8 fields, got {len(parts)}")
         try:
             frame = int(parts[0])
+            if not -(2**63) <= frame <= 2**63 - 1:
+                raise ValueError(f"frame index must lie in int64's range, got {frame}")
             class_id = int(parts[1])
             score = float(parts[2])
             box = BoundingBox(*(float(p) for p in parts[3:7]))

@@ -111,6 +111,14 @@ class TestTrackCommand:
         assert main(["track", "--input", str(det), "--output", out,
                      "--config", str(tmp_path)]) == EXIT_DATA
 
+    # a frame index or class id that no int64 array holds is named at its line
+    @pytest.mark.parametrize("frame, cls", [(0, 2**63), (0, 2**64), (0, -(2**63) - 1), (2**63, 0)])
+    def test_value_outside_int64_is_data_error(self, tmp_path, capsys, frame, cls):
+        det, out = tmp_path / "det.txt", tmp_path / "o.txt"
+        det.write_text(f"# embedtrack-detections v2 dim=1\n{frame} {cls} 0.5 0 0 1 1 000000000000f03f\n")
+        assert main(["track", "--input", str(det), "--output", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: line 2: ") and not out.exists()
+
     def test_unknown_profile_is_usage_error(self, scenario_files, tmp_path):
         det, _, _ = scenario_files
         rc = main(["track", "--input", str(det),

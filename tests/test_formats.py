@@ -90,6 +90,29 @@ class TestDetectionFiles:
         with pytest.raises(FormatError, match="line 2"):
             read_detections(io.StringIO(text))
 
+    # a frame index or class id that no int64 array holds
+    @pytest.mark.parametrize("frame, cls, message", [
+        (0, 2**63, f"detection class_id must lie in int64's range, got {2**63}"),
+        (0, 2**64, f"detection class_id must lie in int64's range, got {2**64}"),
+        (0, -(2**63) - 1, f"detection class_id must lie in int64's range, got {-(2**63) - 1}"),
+        (2**63, 0, f"frame index must lie in int64's range, got {2**63}"),
+        (-(2**63) - 1, 0, f"frame index must lie in int64's range, got {-(2**63) - 1}"),
+    ])
+    @pytest.mark.parametrize("before", [0, 1, CHUNK_LINES - 1])
+    def test_value_outside_int64_names_the_line(self, frame, cls, message, before):
+        text = HEADER2 + row(-(2**63)) * before + row(frame, cls=str(cls))
+        with pytest.raises(FormatError) as exc:
+            read_detections(io.StringIO(text))
+        assert str(exc.value) == f"line {before + 2}: {message}"
+        assert_same_reads(text)
+
+    def test_int64_bounds_read(self):
+        text = HEADER2 + row(-(2**63), cls=str(-(2**63))) + row(2**63 - 1, cls=str(2**63 - 1))
+        _, frames = read_detections(io.StringIO(text))
+        assert {f: frame._class_ids.tolist() for f, frame in frames.items()} == {
+            -(2**63): [-(2**63)], 2**63 - 1: [2**63 - 1]}
+        assert_same_reads(text)
+
     def test_comments_and_blank_lines_ignored(self):
         text = HEADER1 + "\n" + "# a comment\n" + row(0, emb=(0.1,))
         _, frames = read_detections(io.StringIO(text))

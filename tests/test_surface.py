@@ -96,8 +96,13 @@ DEFAULTED = 59
 # after the listed bi-softmax came to state its own arithmetic, per-pair
 # logits and one bincount per segment, and every case that is not dense to
 # take it (similarity.py -17), and the reader to build each joined frame
-# through detections_from_arrays (formats.py +8)
-SRC_LINES = 3325
+# through detections_from_arrays (formats.py +8); 3,321 after Frame came
+# to be a tuple with no mutators to override, step to check the width of a
+# frame's block once instead of walking its Detection objects, and Detection
+# and step to refuse an integer outside int64 (tracker.py -4), and the
+# writer to format each frame from its arrays and the reader to join a
+# frame's pieces once (formats.py +0)
+SRC_LINES = 3321
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -178,9 +178,20 @@ class TestDetection:
             Detection(BoundingBox(0, 0, 1, 1), class_id, 0.5, np.ones(2))
         assert str(exc.value) == f"detection class_id must be an int, got {class_id!r}"
 
-    @pytest.mark.parametrize("class_id", [0, 7, np.int64(2), np.int32(3)])
+    @pytest.mark.parametrize("class_id", [0, 7, np.int64(2), np.int32(3), 2**63 - 1, -2**63,
+                                          np.uint64(2**63 - 1)])
     def test_int_and_numpy_integer_class_ids_kept(self, class_id):
         assert Detection(BoundingBox(0, 0, 1, 1), class_id, 0.5, np.ones(2)).class_id is class_id
+
+    # the frame's class ids are an int64 array
+    @pytest.mark.parametrize("class_id", [2**63, 2**64, -2**63 - 1, np.uint64(2**63)], ids=repr)
+    def test_class_id_outside_int64_rejected(self, class_id):
+        with pytest.raises(ValueError) as exc:
+            Detection(BoundingBox(0, 0, 1, 1), class_id, 0.5, np.ones(2))
+        assert str(exc.value) == f"detection class_id must lie in int64's range, got {class_id}"
+        with pytest.raises(ValueError) as exc:
+            detections_from_arrays(np.zeros((1, 4)), [class_id], [0.5], np.ones((1, 2)))
+        assert str(exc.value) == f"detection class_id must lie in int64's range, got {class_id}"
 
     @pytest.mark.parametrize("score", [None, "0.5"])
     def test_non_real_score_raises_type_error(self, score):
@@ -196,6 +207,14 @@ class TestDetection:
             setattr(d, name, value)
         assert d.box == BoundingBox(0, 0, 10, 10) and d.class_id == 0 and d.score == 0.9
         assert np.array_equal(d.embedding, emb(0))
+
+    def test_copies_hold_read_only_embeddings(self):
+        d = det(0)
+        for other in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert type(other) is Detection and (other.box, other.class_id, other.score) == (d.box, 0, 0.9)
+            assert np.array_equal(other.embedding, d.embedding) and not other.embedding.flags.writeable
+            with pytest.raises(ValueError, match="assignment destination is read-only"):
+                other.embedding[0] = 5.0
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_embedding_is_a_read_only_copy_of_the_input(self, dtype):
@@ -258,8 +277,10 @@ class TestDetectionsFromArrays:
         assert dets[1].embedding[0] == np.float64(dtype(DIM / 10.0))
 
     def test_empty_frame(self):
-        assert detections_from_arrays(np.empty((0, 4)), np.empty(0, dtype=int), np.empty(0),
-                                      np.empty((0, DIM))) == []
+        frame = detections_from_arrays(np.empty((0, 4)), np.empty(0, dtype=int), np.empty(0), np.empty((0, DIM)))
+        assert type(frame) is Frame and frame == () and frame_bits(frame) == [
+            (np.dtype(np.float64), (0, 4), b""), (np.dtype(np.int64), (0,), b""),
+            (np.dtype(np.float64), (0,), b""), (np.dtype(np.float64), (0, DIM), b"")]
 
     @pytest.mark.parametrize("changes", [
         {"scores": np.array([0.9, 0.5])}, {"boxes": np.zeros((3, 5))},
@@ -302,7 +323,7 @@ class TestDetectionsFromArrays:
         assert str(exc.value) == message
 
 
-# what a mutator is given, by name: a read-only Frame refuses each one
+# what a mutator of a list is given, by name: a Frame is a tuple, which has none
 MUTATIONS = {
     "append": lambda f: f.append(det(2)),
     "extend": lambda f: f.extend([det(2)]),
@@ -329,9 +350,26 @@ class TestFrame:
     @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
     def test_every_mutator_raises(self, mutate):
         frame = detections_from_arrays(**frame_arrays())
-        dets, bits = list(frame), frame_bits(frame)
-        with pytest.raises(TypeError, match="a Frame is read-only"):
+        dets, bits = tuple(frame), frame_bits(frame)
+        with pytest.raises(AttributeError, match="'Frame' object has no attribute"):
             mutate(frame)
+        assert frame == dets and all(a is b for a, b in zip(frame, dets))
+        assert frame_bits(frame) == bits
+
+    def test_item_assignment_raises_and_in_place_operators_build_a_tuple(self):
+        frame = detections_from_arrays(**frame_arrays())
+        dets, bits = tuple(frame), frame_bits(frame)
+        for key in (0, slice(0, 1)):
+            with pytest.raises(TypeError, match="'Frame' object do.* support item assignment"):
+                frame[key] = det(2)
+            with pytest.raises(TypeError, match="'Frame' object do.* support item deletion"):
+                del frame[key]
+        grown = frame
+        grown += (det(2),)
+        assert type(grown) is tuple and grown == (*dets, grown[-1])
+        grown = frame
+        grown *= 2
+        assert type(grown) is tuple and grown == dets * 2
         assert frame == dets and all(a is b for a, b in zip(frame, dets))
         assert frame_bits(frame) == bits
 
@@ -362,13 +400,24 @@ class TestFrame:
     def test_detections_hold_rows_of_the_block(self):
         frame = detections_from_arrays(**frame_arrays())
         assert all(np.shares_memory(d.embedding, frame._embeddings) for d in frame)
-        assert frame == list(frame) and list(frame) == frame and type(list(frame)) is list
+        assert frame == tuple(frame) and tuple(frame) == frame and type(tuple(frame)) is tuple
 
     def test_copy_and_pickle_keep_a_frame(self):
+        """A copy or a pickle goes through the adapter, so its arrays are
+        read-only, as are its detections' embeddings."""
         frame = detections_from_arrays(**frame_arrays())
         for other in (copy.copy(frame), copy.deepcopy(frame), pickle.loads(pickle.dumps(frame))):
-            assert type(other) is Frame and frame_bits(other) == frame_bits(frame)
+            assert type(other) is Frame and other is not frame and frame_bits(other) == frame_bits(frame)
             assert [(d.box, d.class_id, d.score) for d in other] == [(d.box, d.class_id, d.score) for d in frame]
+            for array in [getattr(other, name) for name in ARRAYS] + [d.embedding for d in other]:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="assignment destination is read-only"):
+                    array[0] = 1
+
+    def test_adapter_gives_a_frame_back_as_it_is(self):
+        frame = detections_from_arrays(**frame_arrays())
+        assert Frame(frame) is frame
+        assert type(Frame(tuple(frame))) is Frame and Frame(tuple(frame)) is not frame
 
     def test_adapter_names_the_fault(self):
         with pytest.raises(ValueError, match=r"^embedding dimensions \[8, 16\] differ among the detections$"):
@@ -589,6 +638,16 @@ class TestStep:
         assert t.state.frame == 0 and sorted(t.state.tracks) == [1]
         # the same frame, with valid detections, is accepted
         assert [tid for tid, _ in t.step(gap, [det(0)])] == [1 if gap == 1 else 2]
+
+    @pytest.mark.parametrize("frame_index", [2**63, -(2**63) - 1, np.uint64(2**63)], ids=repr)
+    def test_frame_index_outside_int64_rejected_before_any_change(self, frame_index):
+        t = Tracker(cfg(merge=True))
+        t.step(-(2**63), [det(0)])
+        with pytest.raises(ValueError) as exc:
+            t.step(frame_index, [det(0)])
+        assert str(exc.value) == f"frame index must lie in int64's range, got {frame_index}"
+        assert t.state.frame == -(2**63) and sorted(t.state.tracks) == [1]
+        assert [tid for tid, _ in t.step(-(2**63) + 1, [det(0)])] == [1]
 
     def test_detections_of_one_frame_share_a_dimension(self):
         t = Tracker(cfg())

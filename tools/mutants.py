@@ -119,11 +119,16 @@ MUTANTS = [
     ("step_takes_boxes_before_the_floor", TRACKER, "idx, det_box = idx[keep], det_box[keep]",
      "idx, det_box = idx[keep], frame._boxes[keep]",
      "step associates the boxes of the detections left by the confidence floor and NMS"),
-    ("frame_mutator_passes", TRACKER,
-     '        raise TypeError("a Frame is read-only; list(frame) is a copy to change")', "        return None",
-     "every mutator of a Frame raises"),
-    ("empty_frame_dimension_checked", TRACKER, "dims = {frame._embeddings.shape[1]} if len(frame) else set()",
-     "dims = {frame._embeddings.shape[1]}", "an empty frame has no embedding dimension to check"),
+    ("frame_mutator_passes", TRACKER, '    or a pickle goes through the adapter, so its arrays are read-only too.\n    """\n',
+     '    or a pickle goes through the adapter, so its arrays are read-only too.\n    """; append = tuple.count\n',
+     "a Frame is a tuple, which has no mutator"),
+    ("empty_frame_dimension_checked", TRACKER, "if len(frame) and len(held) and emb.shape[1] != held.emb.shape[1]:",
+     "if len(held) and emb.shape[1] != held.emb.shape[1]:", "an empty frame has no embedding dimension to check"),
+    ("copy_keeps_the_copied_arrays", TRACKER, "        return Frame, (tuple(self),)\n",
+     "        return Frame, (tuple(self),), self.__dict__\n",
+     "a copy or a pickle of a Frame gathers its read-only arrays again"),
+    ("reader_keeps_a_first_piece", FORMATS, "pieces[0] if len(pieces) == 1 else _gathered(pieces)", "pieces[0]",
+     "a frame whose rows span a chunk boundary holds the rows of every piece"),
     ("reader_takes_uppercase_hex", FORMATS,
      "    if any(c in hexes for c in _UPPER_HEX_DIGITS):  # six substring scans\n        return None\n", "",
      "an embedding field holds lowercase hex digits only"),
